@@ -10,10 +10,14 @@ the closed form.
 
 from twistloop import CartanType, TwistSpec, compute, degrees, product_over_degrees
 
+# Recognizing the closed form needs truncation at least 4 * (top degree) + 1,
+# which is 49 for F4 and E6.
+TRUNCATION = 50
+
 for family, rank in [("A", 2), ("C", 3), ("G", 2), ("F", 4), ("E", 6)]:
     t = CartanType(family, rank)
-    report = compute(TwistSpec(t, "identity", truncation=30))
-    closed = product_over_degrees(degrees(t), 30)
+    report = compute(TwistSpec(t, "identity", truncation=TRUNCATION))
+    closed = product_over_degrees(degrees(t), TRUNCATION)
     print(f"{t}: Weyl degrees {degrees(t)}")
     print(f"  enumerated series  {report.series[:16]} ...")
     print(f"  closed-form series {closed[:16]} ...")
@@ -24,5 +28,5 @@ for family, rank in [("A", 2), ("C", 3), ("G", 2), ("F", 4), ("E", 6)]:
 
 # E8 is the one type answered from the degree table instead of enumeration:
 # its Weyl group has order 696729600.
-e8 = compute(TwistSpec(CartanType("E", 8), "identity", truncation=30))
+e8 = compute(TwistSpec(CartanType("E", 8), "identity", truncation=TRUNCATION))
 print("E8 (table route):", e8.closed_form.y_degrees)

@@ -2,12 +2,14 @@
 
 The E6 diagram flip fixes a four-dimensional subspace of the Cartan
 algebra.  The 72 roots fall into 48 orbits, matching the 48 roots of F4,
-so the orbit criterion applies.  The stabilizer of the fixed subspace in
-the 51840-element Weyl group restricts to a group of order 1152, which is
-exactly the F4 Weyl group, and the series is the F4 loop-group series.
+so the orbit criterion applies.  The elements of the 51840-element Weyl
+group that commute with the flip form a group of order 1152, which acts
+on the fixed subspace as exactly the F4 Weyl group, and the series is the
+F4 loop-group series.
 
-This is the largest enumeration in the standard examples; it runs in a
-few seconds.
+That group is built from four generators, one longest parabolic element
+per orbit of the flip on the simple nodes, so only its 1152 elements are
+enumerated, never all 51840.
 """
 
 import time

@@ -12,6 +12,7 @@ from typing import Sequence
 from .exact import DEFAULT_TRUNCATION
 from .report import TwistSpec, compute
 from .rootsys import CartanType
+from .twist import check_simple_perm
 from .weyl import GroupTooLargeError
 
 
@@ -42,19 +43,20 @@ def build_parser() -> _Parser:
                    help="also run the brute-force invariant-dimension oracle "
                         "when within its guard")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker count for the series expansion (results are "
-                        "identical for any value)")
+                   help="accepted worker count (at least 1); it does not "
+                        "change the output, which is computed in one thread")
     p.add_argument("--out", default=None, help="write the report to this file")
     return p
 
 
-def _parse_automorphism(text: str) -> str | tuple[int, ...]:
+def _parse_automorphism(text: str, rank: int) -> str | tuple[int, ...]:
     if text.startswith("perm="):
         try:
-            images = tuple(int(x) - 1 for x in text[len("perm="):].split(","))
+            images = tuple(int(x) for x in text[len("perm="):].split(","))
         except ValueError as exc:
             raise _UsageError(f"bad permutation list: {text!r}") from exc
-        return images
+        check_simple_perm(images, rank, base=1)
+        return tuple(x - 1 for x in images)
     if text not in ("identity", "flip", "triality", "triality2"):
         raise _UsageError(f"unknown automorphism {text!r}")
     return text
@@ -64,7 +66,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        auto = _parse_automorphism(args.auto)
+        auto = _parse_automorphism(args.auto, args.rank)
         spec = TwistSpec(cartan_type=CartanType(args.family, args.rank),
                          automorphism=auto,
                          truncation=args.truncate,

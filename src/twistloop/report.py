@@ -1,16 +1,21 @@
 """End-to-end pipeline: from a twist specification to a serialized report.
 
-The pipeline builds the root system, the diagram automorphism and its
-folding, enumerates the Weyl group, restricts the fixed-subspace
-stabilizer to the fixed subspace, and evaluates the super-Molien series
-of the restricted action.  The single-graded series it emits is the
-dimension series of the cohomology of the classifying space of the
-corresponding twisted loop group, valid away from the reported excluded
-characteristics.
+The pipeline builds the root system, the diagram automorphism sigma and
+its folding, then the group the answer needs: W^sigma, the elements of
+the Weyl group that commute with sigma, closed from Steinberg's
+generators (one longest parabolic element per sigma-orbit of simple
+nodes; sigma = identity gives all of W).  W^sigma acts faithfully on the
+fixed subspace and realizes the folded Weyl group there; the
+super-Molien series of that action, bucketed by characteristic
+polynomial, gives the single-graded series the report emits.  That series
+is the dimension series of the cohomology of the classifying space of
+the corresponding twisted loop group, valid away from the reported
+excluded characteristics.
 
 The one deliberate shortcut: untwisted E8 is answered from the
 invariant-degree table, because its Weyl group (order 696729600) exceeds
-the enumeration cap.  Every other case is computed by honest enumeration.
+the enumeration cap.  Every other case is computed by enumerating
+W^sigma.
 """
 
 from __future__ import annotations
@@ -22,15 +27,15 @@ from typing import Sequence
 
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Matrix, Scalar,
                     kernel_basis, poly_mul_trunc, product_over_degrees)
-from .rootsys import CartanType, build_root_system, degrees
+from .rootsys import CartanType, RootSystem, build_root_system, degrees
 from .twist import (DiagramAutomorphism, OrbitCriterion, fixed_group_info,
                     folded_root_system, make_automorphism,
                     orbit_count_criterion, positive_orbit_sizes,
                     wsigma_preserves_folded)
 from .weyl import (DEFAULT_ELEMENT_CAP, FiniteMatrixGroup, GroupTooLargeError,
-                   WeylPermutationGroup, cohomological_series,
-                   fixed_space_stabilizer_perms, restricted_fixed_space_group,
-                   super_molien, super_molien_from_buckets)
+                   RootPermutationAction, close_permutations,
+                   cohomological_series, fixed_space_charpoly_buckets,
+                   restricted_fixed_space_group, super_molien_from_buckets)
 
 ORACLE_MAX_DIM = 4
 ORACLE_MAX_DEGREE = 12
@@ -212,9 +217,11 @@ def excluded_characteristics(cartan_type: CartanType,
     count of the fixed subgroup (taken over both documented
     representatives, so the guarantee is conservative)."""
     rs = build_root_system(cartan_type)
-    aut = make_automorphism(rs, automorphism)
-    primes = _prime_factors(rs.weyl_order)
-    primes |= _prime_factors(aut.order)
+    return _excluded_primes(rs, make_automorphism(rs, automorphism))
+
+
+def _excluded_primes(rs: RootSystem, aut: DiagramAutomorphism) -> tuple[int, ...]:
+    primes = _prime_factors(rs.weyl_order) | _prime_factors(aut.order)
     for c in fixed_group_info(rs, aut.tag).component_counts:
         primes |= _prime_factors(c)
     return tuple(sorted(primes))
@@ -397,21 +404,15 @@ def compute(spec: TwistSpec) -> TwistReport:
             raise GroupTooLargeError(
                 f"Weyl group of order {rs.weyl_order} exceeds the element cap "
                 f"{spec.element_cap}")
-        weyl = WeylPermutationGroup(rs, cap=spec.element_cap)
-        if aut.tag == "identity":
-            buckets = weyl.charpoly_buckets()
-            stab_order = restricted_order = len(weyl)
-            # every enumerated element is a root permutation by construction
-            preserves = True
-            bigraded = super_molien_from_buckets(buckets, len(weyl),
-                                                 spec.truncation, spec.workers)
-        else:
-            stab = fixed_space_stabilizer_perms(weyl, aut.simple_perm)
-            restricted = restricted_fixed_space_group(weyl, aut.simple_perm, stab)
-            stab_order = len(stab)
-            restricted_order = len(restricted)
-            preserves = wsigma_preserves_folded(aut, restricted, folding)
-            bigraded = super_molien(restricted, spec.truncation, spec.workers)
+        action = RootPermutationAction(rs)
+        generators = action.steinberg_generators(aut.simple_perm)
+        wsigma = close_permutations(generators, spec.element_cap)
+        buckets = fixed_space_charpoly_buckets(action, aut.simple_perm, wsigma)
+        # the restriction to the fixed subspace is faithful
+        stab_order = restricted_order = len(wsigma)
+        preserves = wsigma_preserves_folded(
+            aut, action.fixed_space_matrices(aut.simple_perm, generators), folding)
+        bigraded = super_molien_from_buckets(buckets, len(wsigma), spec.truncation)
         series = cohomological_series(bigraded)
         if series[0] != 1 or any(c < 0 for c in series):
             raise ValueError("malformed invariant series")
@@ -437,13 +438,10 @@ def compute(spec: TwistSpec) -> TwistReport:
         notes.append("every characteristic greater than 30 avoids the excluded "
                      "set {2, 3, 5}")
 
-    excluded = _prime_factors(rs.weyl_order) | _prime_factors(aut.order)
-    for c in info.component_counts:
-        excluded |= _prime_factors(c)
-
     if spec.run_oracle:
-        notes.append(_oracle_note(spec, aut, weyl if not table_path else None,
-                                  bigraded))
+        notes.append("oracle skipped: no enumerated group on the table path"
+                     if table_path else
+                     _oracle_note(spec, aut, action, wsigma, bigraded))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -457,24 +455,19 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves_folded=preserves,
         series=tuple(series),
         closed_form=closed,
-        excluded_characteristics=tuple(sorted(excluded)),
+        excluded_characteristics=_excluded_primes(rs, aut),
         notes=tuple(notes),
         bigraded=bigraded,
     )
 
 
 def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism,
-                 weyl: WeylPermutationGroup | None, bigraded: BigradedSeries | None) -> str:
-    if weyl is None or bigraded is None:
-        return "oracle skipped: no enumerated group on the table path"
+                 action: RootPermutationAction, wsigma: Sequence[bytes],
+                 bigraded: BigradedSeries) -> str:
     dim = len(aut.simple_orbits)
     if dim > ORACLE_MAX_DIM:
         return f"oracle skipped: restricted dimension {dim} exceeds {ORACLE_MAX_DIM}"
-    if aut.tag == "identity":
-        group = weyl.to_matrix_group()
-    else:
-        stab = fixed_space_stabilizer_perms(weyl, aut.simple_perm)
-        group = restricted_fixed_space_group(weyl, aut.simple_perm, stab)
+    group = restricted_fixed_space_group(action, aut.simple_perm, wsigma)
     max_deg = min(ORACLE_MAX_DEGREE, spec.truncation)
     dims = brute_force_invariant_dims(group, max_deg)
     for (a, b), c in dims.coefficients.items():

@@ -29,7 +29,7 @@ from .exact import (Matrix, Vector, identity_matrix, invert, kernel_basis,
                     mat_mul, mat_vec, matrix, normalize_scalar, vec_add,
                     vec_dot, vector)
 from .rootsys import CartanType, RootSystem, cartan_matrix_of_type, reflect
-from .weyl import FiniteMatrixGroup, SubspaceBasis, _perm_orbits
+from .weyl import SubspaceBasis, _perm_orbits
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
 
@@ -83,6 +83,23 @@ def _simple_perm_for_tag(rs: RootSystem, tag: str) -> tuple[int, ...]:
     raise ValueError(f"unknown automorphism spec {tag!r}")
 
 
+def check_simple_perm(images: Sequence[int], rank: int, base: int = 0) -> None:
+    """Validate explicit images of the simple nodes, numbered from base
+    (0 in the library, 1 on the command line): one image per node, each
+    naming a node, and no node named twice."""
+    if len(images) != rank:
+        raise ValueError(f"permutation has {len(images)} images, expected one "
+                         f"per simple node ({rank})")
+    for x in images:
+        if not base <= x < base + rank:
+            raise ValueError(f"permutation image {x} out of range "
+                             f"{base}..{base + rank - 1}")
+    if len(set(images)) != rank:
+        repeated = sorted({x for x in images if images.count(x) > 1})
+        raise ValueError(f"permutation is not a bijection: "
+                         f"{', '.join(map(str, repeated))} named more than once")
+
+
 def _classify_perm(rs: RootSystem, perm: tuple[int, ...]) -> str:
     order = _perm_order(perm)
     if order == 1:
@@ -134,8 +151,7 @@ def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutom
         perm = _simple_perm_for_tag(rs, tag)
     else:
         perm = tuple(spec)
-        if len(perm) != rs.cartan_type.rank:
-            raise ValueError("permutation length differs from rank")
+        check_simple_perm(perm, rs.cartan_type.rank)
         tag = _classify_perm(rs, perm)
     if not _is_diagram_symmetry(rs.cartan_matrix, perm):
         raise ValueError("permutation does not preserve the Cartan matrix")
@@ -385,14 +401,17 @@ def orbit_count_criterion(a: DiagramAutomorphism,
     return OrbitCriterion(len(orbits_on_roots(a)), len(folding.folded.roots))
 
 
-def wsigma_preserves_folded(a: DiagramAutomorphism, restricted: FiniteMatrixGroup,
+def wsigma_preserves_folded(a: DiagramAutomorphism, generators: Sequence[Matrix],
                             folding: FoldingResult) -> bool:
-    """Whether every element of the restricted stabilizer image permutes the
-    folded root set (checked exhaustively in fixed-subspace coordinates)."""
-    if restricted.dim != folding.folded_type.rank:
+    """Whether the group generated by the given fixed-subspace matrices
+    permutes the folded root set.  A finite group permutes a finite set
+    exactly when its generators do, so only the generators are checked
+    (each against every folded root, in fixed-subspace coordinates)."""
+    rank = folding.folded_type.rank
+    if any(len(g) != rank for g in generators):
         raise ValueError("restricted group acts in the wrong dimension")
     root_set = set(folding.folded.roots)
-    for g in restricted.elements:
+    for g in generators:
         for v in folding.folded.roots:
             if mat_vec(g, v) not in root_set:
                 return False

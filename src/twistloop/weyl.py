@@ -7,12 +7,18 @@ Two representations coexist:
   bucket table mapping characteristic polynomials to multiplicities.
   Suitable for groups up to a few thousand elements.
 
-* :class:`WeylPermutationGroup` enumerates a Weyl group through its
-  faithful permutation action on the root set (one byte per root index).
-  Element matrices over the simple-root basis are integral and are
-  materialized only on demand, so groups in the 10^5-10^6 range stay
-  cheap.  Characteristic polynomials come from power traces read off the
-  permutations, which lands in the same buckets as the matrix route.
+* :class:`RootPermutationAction` writes the simple reflections of a Weyl
+  group as permutations of the root set (one byte per root index) and
+  derives Steinberg's generators of the fixed subgroup W^sigma of a
+  diagram automorphism sigma, one per sigma-orbit of simple nodes.
+  :func:`close_permutations` closes them into W^sigma, so only W^sigma is
+  ever enumerated; sigma = identity gives all of W.
+  :func:`fixed_space_charpoly_buckets` reads characteristic polynomials
+  of the action on the fixed subspace off power traces of the
+  permutations.  :class:`WeylPermutationGroup` closes the simple
+  reflections into all of W; with :func:`fixed_space_stabilizer_perms`
+  and :func:`restricted_fixed_space_group` it is the full-enumeration
+  reference the tests compare W^sigma against.
 
 The super-Molien series of a group G acting on an n-dimensional space is
 
@@ -26,7 +32,6 @@ the sum is taken per bucket.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -195,23 +200,17 @@ def _expand_bucket(item: tuple[CharPoly, int], truncation: int) -> BigradedSerie
 
 
 def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
-                              truncation: int, workers: int = 1) -> BigradedSeries:
-    """Average the per-charpoly expansions.  Deterministic for any worker
-    count: buckets are processed in sorted key order and integer sums
-    commute exactly."""
+                              truncation: int) -> BigradedSeries:
+    """Average the per-charpoly expansions.  Buckets are processed in sorted
+    key order and integer sums commute exactly, so the result does not
+    depend on the order the buckets were filled in."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     if order <= 0:
         raise ValueError("empty group")
-    items = sorted(buckets.items())
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda it: _expand_bucket(it, truncation), items))
-    else:
-        parts = [_expand_bucket(it, truncation) for it in items]
     total: dict[tuple[int, int], Scalar] = {}
-    for part in parts:
-        for k, c in part.coefficients.items():
+    for item in sorted(buckets.items()):
+        for k, c in _expand_bucket(item, truncation).coefficients.items():
             total[k] = total.get(k, 0) + c
     averaged = {}
     for k, c in total.items():
@@ -222,10 +221,8 @@ def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
     return BigradedSeries(truncation, averaged)
 
 
-def super_molien(group: FiniteMatrixGroup, truncation: int,
-                 workers: int = 1) -> BigradedSeries:
-    return super_molien_from_buckets(group.charpoly_buckets, len(group),
-                                     truncation, workers)
+def super_molien(group: FiniteMatrixGroup, truncation: int) -> BigradedSeries:
+    return super_molien_from_buckets(group.charpoly_buckets, len(group), truncation)
 
 
 def cohomological_series(series: BigradedSeries) -> tuple[int, ...]:
@@ -239,29 +236,24 @@ def cohomological_series(series: BigradedSeries) -> tuple[int, ...]:
 # permutation-backed Weyl group enumeration
 # ---------------------------------------------------------------------------
 
-class WeylPermutationGroup:
-    """Weyl group enumerated through its action on the root set.
+class RootPermutationAction:
+    """The simple reflections of a Weyl group as permutations of the root set.
 
-    Each element is a bytes object p with p[i] = image index of root i.
-    The matrix of an element over the simple-root basis has column j equal
-    to the lattice coordinates of the image of simple root j.
+    Each element is a bytes object p with p[i] = image index of root i, and
+    products compose right to left: (w g)[i] = w[g[i]].  The matrix of an
+    element over the simple-root basis has column j equal to the lattice
+    coordinates of the image of simple root j.
     """
 
-    def __init__(self, root_system: RootSystem, cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, root_system: RootSystem):
         rs = root_system
         if len(rs.roots) > 255:
             raise GroupTooLargeError("root set too large for byte-permutation encoding")
-        if rs.weyl_order > cap:
-            raise GroupTooLargeError(
-                f"Weyl group of order {rs.weyl_order} exceeds the cap {cap}")
         self.root_system = rs
         self.simple_indices = tuple(rs.root_index[a] for a in rs.simple_roots)
         self._lattice_index = {c: i for i, c in enumerate(rs.lattice_coords)}
-        gens = [self._root_permutation_of_reflection(i) for i in range(rs.cartan_type.rank)]
-        self.elements = _close_permutations(gens, cap)
-        if len(self.elements) != rs.weyl_order:
-            raise ValueError(f"enumerated {len(self.elements)} elements, "
-                             f"expected {rs.weyl_order}")
+        self.simple_reflections = tuple(self._root_permutation_of_reflection(i)
+                                        for i in range(rs.cartan_type.rank))
 
     def _root_permutation_of_reflection(self, i: int) -> bytes:
         rs = self.root_system
@@ -274,9 +266,6 @@ class WeylPermutationGroup:
             images.append(self._lattice_index[tuple(new)])
         return bytes(images)
 
-    def __len__(self):
-        return len(self.elements)
-
     def root_permutation_of_matrix(self, m: Matrix) -> bytes:
         """Permutation induced by an ambient matrix that permutes the roots."""
         rs = self.root_system
@@ -288,27 +277,77 @@ class WeylPermutationGroup:
         cols = [rs.lattice_coords[perm[i]] for i in self.simple_indices]
         return tuple(zip(*cols))
 
+    def steinberg_generators(self, simple_perm: tuple[int, ...]) -> tuple[bytes, ...]:
+        """Generators of W^sigma, the elements commuting with the diagram
+        automorphism sigma that permutes the simple nodes by simple_perm.
+
+        By Steinberg (Endomorphisms of linear algebraic groups, 1968),
+        W^sigma is generated by the longest elements w_O of the parabolic
+        subgroups W_O, one for each sigma-orbit O of simple nodes.  w_O is
+        reached from the identity by right-multiplying with a simple
+        reflection s_i, i in O, while w(alpha_i) is positive: each step
+        lengthens w, and the walk stops once every simple root of O is
+        sent negative.  For sigma = identity these are the simple
+        reflections, in node order.
+        """
+        positive = self.root_system.positive_mask
+        steps = len(self.root_system.roots) // 2  # no element is longer
+        generators = []
+        for orb in _perm_orbits(simple_perm):
+            w = bytes(range(len(positive)))
+            for _ in range(steps + 1):
+                i = next((i for i in orb if positive[w[self.simple_indices[i]]]), None)
+                if i is None:
+                    break
+                w = bytes(map(w.__getitem__, self.simple_reflections[i]))
+            else:
+                raise ValueError("parabolic longest element longer than the root count allows")
+            generators.append(w)
+        return tuple(generators)
+
+    def fixed_space_matrices(self, simple_perm: tuple[int, ...],
+                             perms: Sequence[bytes]) -> tuple[Matrix, ...]:
+        """Matrices of elements of W^sigma on the fixed subspace, in the
+        orbit-sum basis b_O = sum of the simple roots in orbit O.  The image
+        of b_O is orbit-constant; its coefficient over b_O' is the
+        coordinate at the first node of O'."""
+        coords = self.root_system.lattice_coords
+        orbits = _perm_orbits(simple_perm)
+        reps = [orb[0] for orb in orbits]
+        out = []
+        for w in perms:
+            cols = [tuple(sum(coords[w[self.simple_indices[i]]][rep] for i in orb)
+                          for rep in reps)
+                    for orb in orbits]
+            out.append(tuple(zip(*cols)))
+        return tuple(out)
+
+
+class WeylPermutationGroup(RootPermutationAction):
+    """All of the Weyl group, closed from the simple reflections.
+
+    The pipeline enumerates only W^sigma; this full enumeration is the
+    reference the tests check W^sigma and its buckets against.
+    """
+
+    def __init__(self, root_system: RootSystem, cap: int = DEFAULT_ELEMENT_CAP):
+        super().__init__(root_system)
+        rs = root_system
+        if rs.weyl_order > cap:
+            raise GroupTooLargeError(
+                f"Weyl group of order {rs.weyl_order} exceeds the cap {cap}")
+        self.elements = close_permutations(self.simple_reflections, cap)
+        if len(self.elements) != rs.weyl_order:
+            raise ValueError(f"enumerated {len(self.elements)} elements, "
+                             f"expected {rs.weyl_order}")
+
+    def __len__(self):
+        return len(self.elements)
+
     def charpoly_buckets(self) -> dict[CharPoly, int]:
-        """Characteristic polynomials of the reflection representation,
-        recovered from power traces of the root permutations."""
-        rs = self.root_system
-        r = rs.cartan_type.rank
-        coords = rs.lattice_coords
-        sidx = self.simple_indices
-        trace_counts: dict[tuple[int, ...], int] = {}
-        for w in self.elements:
-            traces = []
-            p = w
-            for _ in range(r):
-                traces.append(sum(coords[p[sidx[i]]][i] for i in range(r)))
-                p = bytes(map(w.__getitem__, p))
-            key = tuple(traces)
-            trace_counts[key] = trace_counts.get(key, 0) + 1
-        buckets: dict[CharPoly, int] = {}
-        for traces, count in sorted(trace_counts.items()):
-            cp = charpoly_from_power_traces(traces, r)
-            buckets[cp] = buckets.get(cp, 0) + count
-        return buckets
+        """Characteristic polynomials of the reflection representation."""
+        identity = tuple(range(self.root_system.cartan_type.rank))
+        return fixed_space_charpoly_buckets(self, identity, self.elements)
 
     def to_matrix_group(self) -> FiniteMatrixGroup:
         """Materialize all elements as lattice-basis matrices (small groups)."""
@@ -316,7 +355,9 @@ class WeylPermutationGroup:
                                  [self.lattice_matrix(w) for w in self.elements])
 
 
-def _close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ...]:
+def close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ...]:
+    """Breadth-first closure of byte permutations under right multiplication,
+    in discovery order.  Raises GroupTooLargeError past the cap."""
     n = len(generators[0])
     ident = bytes(range(n))
     seen = {ident}
@@ -333,6 +374,42 @@ def _close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, .
                 order.append(c)
                 queue.append(c)
     return tuple(order)
+
+
+def fixed_space_charpoly_buckets(action: RootPermutationAction,
+                                 simple_perm: tuple[int, ...],
+                                 elements: Sequence[bytes]) -> dict[CharPoly, int]:
+    """Characteristic polynomials of elements of W^sigma acting on the fixed
+    subspace, with multiplicities, recovered from power traces.
+
+    In the orbit-sum basis the diagonal entry of w at orbit O is the
+    coordinate of w(b_O) at the first node of O, so
+
+        tr(w^k | fixed subspace) = sum_O sum_{i in O} [w^k(alpha_i)]_{rep(O)}.
+
+    For sigma = identity every orbit is one node and this is the trace of
+    the reflection representation.  Elements are counted as given: the
+    restriction of W^sigma to the fixed subspace is faithful, because that
+    subspace holds the regular vector rho.
+    """
+    coords = action.root_system.lattice_coords
+    orbits = _perm_orbits(simple_perm)
+    dim = len(orbits)
+    pairs = tuple((action.simple_indices[i], orb[0]) for orb in orbits for i in orb)
+    trace_counts: dict[tuple[int, ...], int] = {}
+    for w in elements:
+        p = w
+        traces = [sum(coords[p[ri]][j] for ri, j in pairs)]
+        for _ in range(dim - 1):
+            p = bytes(map(w.__getitem__, p))
+            traces.append(sum(coords[p[ri]][j] for ri, j in pairs))
+        key = tuple(traces)
+        trace_counts[key] = trace_counts.get(key, 0) + 1
+    buckets: dict[CharPoly, int] = {}
+    for traces, count in sorted(trace_counts.items()):
+        cp = charpoly_from_power_traces(traces, dim)
+        buckets[cp] = buckets.get(cp, 0) + count
+    return buckets
 
 
 def fixed_space_stabilizer_perms(weyl: WeylPermutationGroup,
@@ -367,7 +444,7 @@ def fixed_space_stabilizer_perms(weyl: WeylPermutationGroup,
     return tuple(kept)
 
 
-def restricted_fixed_space_group(weyl: WeylPermutationGroup,
+def restricted_fixed_space_group(weyl: RootPermutationAction,
                                  simple_perm: tuple[int, ...],
                                  stab: Sequence[bytes]) -> FiniteMatrixGroup:
     """Image of the stabilizer on the fixed subspace, in the orbit-sum basis.

@@ -12,6 +12,9 @@ from twistloop.report import (ClosedForm, TwistSpec, brute_force_invariant_dims,
 from twistloop.rootsys import CartanType, build_root_system, degrees
 from twistloop.weyl import FiniteMatrixGroup, WeylPermutationGroup
 
+from conftest import cached_report
+from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
+
 
 class TestRecognizeClosedForm:
     def test_g2_degrees_match(self):
@@ -52,6 +55,15 @@ class TestExcludedCharacteristics:
                                                   ("D", 5, "flip"), ("G", 2, "identity")])
     def test_always_contains_two(self, family, rank, auto):
         assert 2 in excluded_characteristics(CartanType(family, rank), auto)
+
+    def test_agrees_with_compute_over_the_acceptance_matrix(self):
+        cases = ([(f, r, "identity") for f, r in SOLOMON_TYPES] +
+                 [("D", n, "flip") for n in D_FLIP_RANKS] +
+                 [("A", r, "flip") for r in A_FLIP_RANKS] +
+                 [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
+        for family, rank, tag in cases:
+            assert excluded_characteristics(CartanType(family, rank), tag) == \
+                cached_report(family, rank, tag).excluded_characteristics
 
     def test_a6_has_factorial_primes(self):
         # |W(A6)| = 7!: primes 2, 3, 5, 7
@@ -207,6 +219,16 @@ class TestCli:
 
     def test_negative_truncation(self, capsys):
         assert main(["--type", "A", "--rank", "2", "--truncate", "-1"]) == 1
+
+    @pytest.mark.parametrize("perm,message", [
+        ("perm=3,2", "permutation has 2 images, expected one per simple node (3)"),
+        ("perm=4,2,1", "permutation image 4 out of range 1..3"),
+        ("perm=0,1,2", "permutation image 0 out of range 1..3"),
+        ("perm=1,1,3", "permutation is not a bijection: 1 named more than once"),
+    ])
+    def test_bad_perm_messages(self, capsys, perm, message):
+        assert main(["--type", "A", "--rank", "3", "--auto", perm]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_perm_flag(self, capsys):
         code = main(["--type", "A", "--rank", "3", "--auto", "perm=3,2,1",

@@ -71,6 +71,17 @@ class TestMakeAutomorphism:
         with pytest.raises(ValueError):
             make_automorphism(rs, (1, 0, 2, 3))  # breaks the Cartan matrix
 
+    @pytest.mark.parametrize("perm,message", [
+        ((2, 1), "permutation has 2 images"),
+        ((3, 1, 0), "permutation image 3 out of range 0..2"),
+        ((-1, 0, 1), "permutation image -1 out of range 0..2"),
+        ((0, 0, 2), "permutation is not a bijection: 0 named more than once"),
+    ])
+    def test_explicit_permutation_checked_before_classification(self, perm, message):
+        rs = build_root_system(CartanType("A", 3))
+        with pytest.raises(ValueError, match=message):
+            make_automorphism(rs, perm)
+
     def test_positive_system_preserved(self):
         for fam, rk, tag in [("A", 4, "flip"), ("D", 5, "flip"),
                              ("D", 4, "triality"), ("E", 6, "flip")]:
@@ -247,14 +258,14 @@ class TestCriteria:
             w = WeylPermutationGroup(rs)
             stab = fixed_space_stabilizer_perms(w, aut.simple_perm)
             restricted = restricted_fixed_space_group(w, aut.simple_perm, stab)
-            assert wsigma_preserves_folded(aut, restricted, fold)
+            assert wsigma_preserves_folded(aut, restricted.elements, fold)
 
     def test_identity_weyl_permutes_own_roots(self):
         rs = build_root_system(CartanType("A", 2))
         aut = make_automorphism(rs, "identity")
         fold = folded_root_system(aut)
         w = WeylPermutationGroup(rs)
-        assert wsigma_preserves_folded(aut, w.to_matrix_group(), fold)
+        assert wsigma_preserves_folded(aut, w.to_matrix_group().elements, fold)
 
 
 class TestProjectionEquivariance:

@@ -208,14 +208,6 @@ class TestSuperMolien:
         assert len(g) <= 48
         assert molien_element_by_element(g, 24) == super_molien(g, 24)
 
-    def test_worker_count_irrelevant(self):
-        rs = build_root_system(CartanType("D", 4))
-        w = WeylPermutationGroup(rs)
-        buckets = w.charpoly_buckets()
-        a = super_molien_from_buckets(buckets, len(w), 30, workers=1)
-        b = super_molien_from_buckets(buckets, len(w), 30, workers=8)
-        assert a == b
-
     def test_coefficients_nonnegative_with_unit(self):
         rs = build_root_system(CartanType("C", 3))
         w = WeylPermutationGroup(rs)
