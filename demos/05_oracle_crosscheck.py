@@ -8,11 +8,11 @@ it is only feasible in low dimension and degree, which is exactly what
 makes it a trustworthy referee for the fast route.
 """
 
-from twistloop import (CartanType, TwistSpec, WeylPermutationGroup,
-                       brute_force_invariant_dims, build_root_system, compute,
+from twistloop import (CartanType, TwistSpec, build_root_system, compute,
                        make_automorphism)
-from twistloop.weyl import (fixed_space_stabilizer_perms,
-                            restricted_fixed_space_group)
+from twistloop.oracle import (WeylPermutationGroup, brute_force_invariant_dims,
+                              fixed_space_stabilizer_perms,
+                              restricted_fixed_space_group)
 
 for family, rank, tag in [("A", 2, "identity"), ("A", 3, "flip"),
                           ("D", 4, "triality")]:

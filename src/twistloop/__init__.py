@@ -1,12 +1,9 @@
 """Exact invariant-theory engine for the cohomology of classifying spaces
 of twisted loop groups of compact simple Lie groups."""
 
-from .exact import (BigradedSeries, DEFAULT_TRUNCATION, charpoly,
-                    dets_from_charpoly, mat_mul, product_over_degrees,
-                    rational_function_series, series_add, series_mul,
-                    series_scale)
-from .report import (ClosedForm, TwistReport, TwistSpec,
-                     brute_force_invariant_dims, compute,
+from .exact import (BigradedSeries, DEFAULT_TRUNCATION, dets_from_charpoly,
+                    mat_mul, product_over_degrees, rational_function_series)
+from .report import (ClosedForm, TwistReport, TwistSpec, compute,
                      excluded_characteristics, recognize_closed_form)
 from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
                       root_count, weyl_order)
@@ -14,23 +11,19 @@ from .twist import (DiagramAutomorphism, FoldingResult, fixed_subspace,
                     folded_root_system, make_automorphism,
                     orbit_count_criterion, orbits_on_roots, project_roots,
                     wsigma_preserves_folded)
-from .weyl import (FiniteMatrixGroup, GroupTooLargeError, SubspaceBasis,
-                   WeylPermutationGroup, cohomological_series, generate_group,
-                   reflection_matrix, restrict_to_subspace, subspace_stabilizer,
-                   super_molien)
+from .weyl import (GroupTooLargeError, RootPermutationAction, SubspaceBasis,
+                   close_permutations, fixed_space_charpoly_buckets,
+                   super_molien_from_buckets)
 
 __all__ = [
     "BigradedSeries", "CartanType", "ClosedForm", "DiagramAutomorphism",
-    "DEFAULT_TRUNCATION", "FiniteMatrixGroup", "FoldingResult",
-    "GroupTooLargeError", "RootSystem", "SubspaceBasis", "TwistReport",
-    "TwistSpec", "WeylPermutationGroup", "brute_force_invariant_dims",
-    "build_root_system", "charpoly", "cohomological_series", "compute",
+    "DEFAULT_TRUNCATION", "FoldingResult", "GroupTooLargeError",
+    "RootPermutationAction", "RootSystem", "SubspaceBasis", "TwistReport",
+    "TwistSpec", "build_root_system", "close_permutations", "compute",
     "degrees", "dets_from_charpoly", "excluded_characteristics",
-    "fixed_subspace", "folded_root_system", "generate_group", "mat_mul",
-    "make_automorphism", "orbit_count_criterion", "orbits_on_roots",
-    "product_over_degrees", "project_roots", "rational_function_series",
-    "recognize_closed_form", "reflection_matrix", "restrict_to_subspace",
-    "root_count", "series_add", "series_mul", "series_scale",
-    "subspace_stabilizer", "super_molien", "weyl_order",
-    "wsigma_preserves_folded",
+    "fixed_space_charpoly_buckets", "fixed_subspace", "folded_root_system",
+    "mat_mul", "make_automorphism", "orbit_count_criterion",
+    "orbits_on_roots", "product_over_degrees", "project_roots",
+    "rational_function_series", "recognize_closed_form", "root_count",
+    "super_molien_from_buckets", "weyl_order", "wsigma_preserves_folded",
 ]

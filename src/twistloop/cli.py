@@ -12,7 +12,7 @@ from typing import Sequence
 from .exact import DEFAULT_TRUNCATION
 from .report import TwistSpec, compute
 from .rootsys import CartanType
-from .twist import check_simple_perm
+from .twist import AUTOMORPHISM_TAGS, check_simple_perm
 from .weyl import GroupTooLargeError
 
 
@@ -34,8 +34,8 @@ def build_parser() -> _Parser:
                    dest="family", help="simple type family")
     p.add_argument("--rank", required=True, type=int, help="rank of the type")
     p.add_argument("--auto", default="identity",
-                   help="identity | flip | triality | triality2 | "
-                        "perm=<comma-separated 1-based images>")
+                   help=" | ".join(AUTOMORPHISM_TAGS) +
+                        " | perm=<comma-separated 1-based images>")
     p.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATION,
                    help="series truncation in cohomological degree")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -57,7 +57,7 @@ def _parse_automorphism(text: str, rank: int) -> str | tuple[int, ...]:
             raise _UsageError(f"bad permutation list: {text!r}") from exc
         check_simple_perm(images, rank, base=1)
         return tuple(x - 1 for x in images)
-    if text not in ("identity", "flip", "triality", "triality2"):
+    if text not in AUTOMORPHISM_TAGS:
         raise _UsageError(f"unknown automorphism {text!r}")
     return text
 

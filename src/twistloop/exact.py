@@ -86,62 +86,10 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(normalize_scalar(sum(x * y for x, y in zip(row, v))) for row in a)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(r, s) for r, s in zip(a, b, strict=True))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(r, s) for r, s in zip(a, b, strict=True))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    result = identity_matrix(len(a))
-    for _ in range(k):
-        result = mat_mul(result, a)
-    return result
-
-
 # ---------------------------------------------------------------------------
-# characteristic polynomials and the determinant polynomials derived from them
+# characteristic polynomials from power traces, and the determinant
+# polynomials derived from them
 # ---------------------------------------------------------------------------
-
-def charpoly(m: Matrix) -> tuple[Scalar, ...]:
-    """Coefficients of det(lambda*I - M), ascending; cp[n] = 1.
-
-    Uses the division-free Samuelson-Berkowitz recursion, so integer
-    matrices stay in integer arithmetic throughout.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("charpoly requires a square matrix")
-    if n == 0:
-        return (1,)
-    # poly holds descending coefficients of the leading principal block.
-    poly: list[Scalar] = [1, -m[0][0]]
-    for r in range(1, n):
-        a = m[r][r]
-        row = [m[r][j] for j in range(r)]
-        col = [m[i][r] for i in range(r)]
-        block = [m[i][:r] for i in range(r)]
-        t: list[Scalar] = [1, -a]
-        v = col
-        for k in range(2, r + 2):
-            t.append(-sum(x * y for x, y in zip(row, v)))
-            if k < r + 1:
-                v = [sum(block[i][j] * v[j] for j in range(r)) for i in range(r)]
-        new = [0] * (r + 2)
-        for j, pj in enumerate(poly):
-            if pj:
-                for i, tk in enumerate(t):
-                    if i + j <= r + 1:
-                        new[i + j] += tk * pj
-        poly = new
-    return tuple(normalize_scalar(c) for c in reversed(poly))
-
 
 def charpoly_from_power_traces(traces: Sequence[Scalar], n: int) -> tuple[Scalar, ...]:
     """Recover the (monic, ascending) characteristic polynomial of an n x n
@@ -278,41 +226,6 @@ class BigradedSeries:
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         return self.coefficients.get(key, 0)
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coefficients.values())
-
-
-def series_zero(truncation: int) -> BigradedSeries:
-    return BigradedSeries(truncation, {})
-
-
-def series_one(truncation: int) -> BigradedSeries:
-    return BigradedSeries(truncation, {(0, 0): 1})
-
-
-def series_add(s: BigradedSeries, t: BigradedSeries) -> BigradedSeries:
-    trunc = min(s.truncation, t.truncation)
-    out = dict(s.coefficients)
-    for k, c in t.coefficients.items():
-        out[k] = out.get(k, 0) + c
-    return BigradedSeries(trunc, out)
-
-
-def series_scale(s: BigradedSeries, c: Scalar) -> BigradedSeries:
-    return BigradedSeries(s.truncation, {k: c * v for k, v in s.coefficients.items()})
-
-
-def series_mul(s: BigradedSeries, t: BigradedSeries) -> BigradedSeries:
-    trunc = min(s.truncation, t.truncation)
-    out: dict[tuple[int, int], Scalar] = {}
-    for (a1, b1), c1 in s.coefficients.items():
-        for (a2, b2), c2 in t.coefficients.items():
-            a, b = a1 + a2, b1 + b2
-            if a + 2 * b <= trunc:
-                key = (a, b)
-                out[key] = out.get(key, 0) + c1 * c2
-    return BigradedSeries(trunc, out)
 
 
 def poly_inverse_series(den: Sequence[Scalar], nterms: int) -> list[Scalar]:

@@ -1,6 +1,6 @@
 """End-to-end pipeline: from a twist specification to a serialized report.
 
-The pipeline builds the root system, the diagram automorphism sigma and
+:func:`compute` builds the root system, the diagram automorphism sigma and
 its folding, then the group the answer needs: W^sigma, the elements of
 the Weyl group that commute with sigma, closed from Steinberg's
 generators (one longest parabolic element per sigma-orbit of simple
@@ -12,33 +12,36 @@ is the dimension series of the cohomology of the classifying space of
 the corresponding twisted loop group, valid away from the reported
 excluded characteristics.
 
+The series is then compared with the Solomon product over the folded
+type's invariant degrees.  A match is the report's closed form; a miss
+would be a bug, so it yields no closed form and a note, never a search
+for other degrees.
+
 The one deliberate shortcut: untwisted E8 is answered from the
 invariant-degree table, because its Weyl group (order 696729600) exceeds
 the enumeration cap.  Every other case is computed by enumerating
-W^sigma.
+W^sigma.  With ``run_oracle`` the brute-force count of
+:mod:`twistloop.oracle` re-derives the low-degree invariant dimensions;
+that module is imported only then.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
-from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Matrix, Scalar,
-                    kernel_basis, poly_mul_trunc, product_over_degrees)
+from .exact import (BigradedSeries, DEFAULT_TRUNCATION,
+                    collapse_to_cohomological, poly_mul_trunc,
+                    product_over_degrees)
 from .rootsys import CartanType, RootSystem, build_root_system, degrees
 from .twist import (DiagramAutomorphism, OrbitCriterion, fixed_group_info,
                     folded_root_system, make_automorphism,
                     orbit_count_criterion, positive_orbit_sizes,
                     wsigma_preserves_folded)
-from .weyl import (DEFAULT_ELEMENT_CAP, FiniteMatrixGroup, GroupTooLargeError,
+from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError,
                    RootPermutationAction, close_permutations,
-                   cohomological_series, fixed_space_charpoly_buckets,
-                   restricted_fixed_space_group, super_molien_from_buckets)
-
-ORACLE_MAX_DIM = 4
-ORACLE_MAX_DEGREE = 12
+                   fixed_space_charpoly_buckets, super_molien_from_buckets)
 
 
 @dataclass(frozen=True)
@@ -169,30 +172,6 @@ def recognize_closed_form(series: Sequence[int],
     return None
 
 
-def search_closed_form(series: Sequence[int], count: int) -> ClosedForm | None:
-    """Bounded search over degree multisets of the given size.  Candidates
-    are limited by sum(2d-1) <= truncation/2 and by the recognition
-    precondition; the first (lexicographically smallest) match wins."""
-    truncation = len(series) - 1
-    max_d = (truncation - 1) // 4
-    budget = truncation // 2
-
-    def recurse(prefix: list[int], lo: int, remaining: int) -> ClosedForm | None:
-        if len(prefix) == count:
-            return recognize_closed_form(series, prefix)
-        for d in range(lo, max_d + 1):
-            if 2 * d - 1 > remaining:
-                break
-            hit = recurse(prefix + [d], d, remaining - (2 * d - 1))
-            if hit is not None:
-                return hit
-        return None
-
-    if count == 0 or max_d < 1:
-        return None
-    return recurse([], 1, budget)
-
-
 # ---------------------------------------------------------------------------
 # excluded characteristics
 # ---------------------------------------------------------------------------
@@ -228,122 +207,6 @@ def _excluded_primes(rs: RootSystem, aut: DiagramAutomorphism) -> tuple[int, ...
 
 
 # ---------------------------------------------------------------------------
-# brute-force invariant-dimension oracle
-# ---------------------------------------------------------------------------
-
-def _det(m: list[list]) -> Scalar:
-    # cofactor expansion; only ever called on blocks of size <= 4
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
-
-
-def _exterior_action(g: Matrix, a: int) -> list[list[Scalar]]:
-    n = len(g)
-    subsets = list(combinations(range(n), a))
-    out = []
-    for t in subsets:
-        row = []
-        for s in subsets:
-            block = [[g[i][j] for j in s] for i in t]
-            row.append(_det(block))
-        out.append(row)
-    return out
-
-
-def _symmetric_action(g: Matrix, b: int) -> list[list[Scalar]]:
-    n = len(g)
-    monomials = _exponent_tuples(n, b)
-    index = {m: i for i, m in enumerate(monomials)}
-    out = [[0] * len(monomials) for _ in monomials]
-    for col, expo in enumerate(monomials):
-        # product over variables of (image linear form)^multiplicity
-        poly: dict[tuple[int, ...], Scalar] = {(0,) * n: 1}
-        for var, mult in enumerate(expo):
-            for _ in range(mult):
-                nxt: dict[tuple[int, ...], Scalar] = {}
-                for mono, coeff in poly.items():
-                    for i in range(n):
-                        c = g[i][var]
-                        if c == 0:
-                            continue
-                        key = tuple(e + (1 if k == i else 0)
-                                    for k, e in enumerate(mono))
-                        nxt[key] = nxt.get(key, 0) + coeff * c
-                poly = nxt
-        for mono, coeff in poly.items():
-            out[index[mono]][col] = coeff
-    return out
-
-
-def _exponent_tuples(n: int, total: int) -> list[tuple[int, ...]]:
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _exponent_tuples(n - 1, total - first):
-            out.append((first,) + rest)
-    return out
-
-
-def _joint_fixed_dimension(mats: Sequence[list[list[Scalar]]]) -> int:
-    """Dimension of the common fixed space, by iterated exact kernels of
-    the (g - I) blocks."""
-    dim = len(mats[0])
-    basis_cols = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    for g in mats:
-        if not basis_cols:
-            return 0
-        rows = []
-        for i in range(dim):
-            rows.append(tuple(
-                sum((g[i][k] - (1 if i == k else 0)) * col[k] for k in range(dim))
-                for col in basis_cols))
-        ker = kernel_basis(tuple(rows))
-        basis_cols = [tuple(sum(col[k] * kv[idx] for idx, col in enumerate(basis_cols))
-                            for k in range(dim))
-                      for kv in ker]
-    return len(basis_cols)
-
-
-def brute_force_invariant_dims(group: FiniteMatrixGroup,
-                               max_total_degree: int) -> BigradedSeries:
-    """Invariant dimensions by explicit monomial bases, independent of the
-    super-Molien route: for each bidegree (a, b) with a + 2b within range,
-    the induced action on (exterior degree a) x (polynomial degree b) is
-    assembled elementwise and the joint fixed subspace is computed by
-    exact kernel elimination."""
-    if group.dim > ORACLE_MAX_DIM:
-        raise ValueError(f"oracle guard: dimension {group.dim} exceeds {ORACLE_MAX_DIM}")
-    if max_total_degree > ORACLE_MAX_DEGREE:
-        raise ValueError(f"oracle guard: degree {max_total_degree} exceeds "
-                         f"{ORACLE_MAX_DEGREE}")
-    n = group.dim
-    dims: dict[tuple[int, int], int] = {}
-    for a in range(0, min(n, max_total_degree) + 1):
-        ext = [_exterior_action(g, a) for g in group.elements]
-        for b in range((max_total_degree - a) // 2 + 1):
-            sym = [_symmetric_action(g, b) for g in group.elements]
-            tensored = []
-            for e, s in zip(ext, sym):
-                de, ds = len(e), len(s)
-                t = [[e[i][j] * s[k][l] for j in range(de) for l in range(ds)]
-                     for i in range(de) for k in range(ds)]
-                tensored.append(t)
-            dims[(a, b)] = _joint_fixed_dimension(tensored)
-    return BigradedSeries(max_total_degree, dims)
-
-
-# ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
 
@@ -355,19 +218,19 @@ def _canonical_automorphism_echo(aut: DiagramAutomorphism,
 
 
 def _closed_form_or_note(series: tuple[int, ...], folded: CartanType,
-                         rank: int, notes: list[str]) -> ClosedForm | None:
+                         notes: list[str]) -> ClosedForm | None:
     ds = degrees(folded)
     truncation = len(series) - 1
     if truncation < 2 * max(2 * d for d in ds) + 1:
         notes.append("closed-form recognition skipped: truncation too small "
                      "for the folded degree table")
         return None
+    # by Solomon's theorem the folded table always matches; a miss is a bug,
+    # reported as such rather than covered by a search for other degrees
     hit = recognize_closed_form(series, ds)
-    if hit is not None:
-        return hit
-    notes.append("series does not match the folded degree table; "
-                 "running bounded degree search")
-    return search_closed_form(series, rank)
+    if hit is None:
+        notes.append("series does not match the folded degree table")
+    return hit
 
 
 def compute(spec: TwistSpec) -> TwistReport:
@@ -411,13 +274,12 @@ def compute(spec: TwistSpec) -> TwistReport:
         # the restriction to the fixed subspace is faithful
         stab_order = restricted_order = len(wsigma)
         preserves = wsigma_preserves_folded(
-            aut, action.fixed_space_matrices(aut.simple_perm, generators), folding)
+            action.fixed_space_matrices(aut.simple_perm, generators), folding)
         bigraded = super_molien_from_buckets(buckets, len(wsigma), spec.truncation)
-        series = cohomological_series(bigraded)
+        series = collapse_to_cohomological(bigraded)
         if series[0] != 1 or any(c < 0 for c in series):
             raise ValueError("malformed invariant series")
-        closed = _closed_form_or_note(series, folding.folded_type,
-                                      folding.folded_type.rank, notes)
+        closed = _closed_form_or_note(series, folding.folded_type, notes)
 
     if restricted_order != folding.folded.weyl_order:
         notes.append(f"restricted stabilizer image has order {restricted_order}, "
@@ -464,12 +326,16 @@ def compute(spec: TwistSpec) -> TwistReport:
 def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism,
                  action: RootPermutationAction, wsigma: Sequence[bytes],
                  bigraded: BigradedSeries) -> str:
+    from . import oracle  # the references stay out of the pipeline's imports
+
     dim = len(aut.simple_orbits)
-    if dim > ORACLE_MAX_DIM:
-        return f"oracle skipped: restricted dimension {dim} exceeds {ORACLE_MAX_DIM}"
-    group = restricted_fixed_space_group(action, aut.simple_perm, wsigma)
-    max_deg = min(ORACLE_MAX_DEGREE, spec.truncation)
-    dims = brute_force_invariant_dims(group, max_deg)
+    if dim > oracle.ORACLE_MAX_DIM:
+        return (f"oracle skipped: restricted dimension {dim} exceeds "
+                f"{oracle.ORACLE_MAX_DIM}")
+    group = oracle.FiniteMatrixGroup(
+        dim, action.fixed_space_matrices(aut.simple_perm, wsigma))
+    max_deg = min(oracle.ORACLE_MAX_DEGREE, spec.truncation)
+    dims = oracle.brute_force_invariant_dims(group, max_deg)
     for (a, b), c in dims.coefficients.items():
         if bigraded[(a, b)] != c:
             raise ValueError(f"oracle mismatch at bidegree {(a, b)}: "

@@ -252,9 +252,6 @@ class RootSystem:
                if all(c >= 0 for c in lc)]
         return tuple(v for _, _, v in sorted(pos))
 
-    def height(self, v: Vector) -> int:
-        return sum(self.lattice_coords[self.root_index[v]])
-
     def __repr__(self):
         return f"RootSystem({self.cartan_type}, {len(self.roots)} roots)"
 

@@ -401,7 +401,7 @@ def orbit_count_criterion(a: DiagramAutomorphism,
     return OrbitCriterion(len(orbits_on_roots(a)), len(folding.folded.roots))
 
 
-def wsigma_preserves_folded(a: DiagramAutomorphism, generators: Sequence[Matrix],
+def wsigma_preserves_folded(generators: Sequence[Matrix],
                             folding: FoldingResult) -> bool:
     """Whether the group generated by the given fixed-subspace matrices
     permutes the folded root set.  A finite group permutes a finite set

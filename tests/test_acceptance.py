@@ -12,11 +12,11 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-from twistloop.exact import matrix
-from twistloop.report import TwistSpec, brute_force_invariant_dims, compute
+from twistloop.exact import collapse_to_cohomological, matrix
+from twistloop.oracle import (WeylPermutationGroup, brute_force_invariant_dims,
+                              generate_group, reflection_matrix, super_molien)
+from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, degrees
-from twistloop.weyl import (WeylPermutationGroup, cohomological_series,
-                            generate_group, reflection_matrix, super_molien)
 
 from conftest import cached_report
 
@@ -131,7 +131,7 @@ def test_criterion_5_special_unitary_flips():
                                 for j in range(m)] for i in range(m)])
                 extended = generate_group(gens + [flip])
                 assert len(extended) == 2 ** m * math.factorial(m)
-                series = cohomological_series(super_molien(extended, TRUNC))
+                series = collapse_to_cohomological(super_molien(extended, TRUNC))
                 assert series == rpt.series
 
 
@@ -172,8 +172,8 @@ def test_criterion_7_oracle_equivalence():
                 group = weyl.to_matrix_group()
             else:
                 from twistloop.twist import make_automorphism
-                from twistloop.weyl import (fixed_space_stabilizer_perms,
-                                            restricted_fixed_space_group)
+                from twistloop.oracle import (fixed_space_stabilizer_perms,
+                                              restricted_fixed_space_group)
                 aut = make_automorphism(rs, tag)
                 stab = fixed_space_stabilizer_perms(weyl, aut.simple_perm)
                 group = restricted_fixed_space_group(weyl, aut.simple_perm, stab)

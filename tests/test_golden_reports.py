@@ -1,0 +1,56 @@
+"""Byte-identity of reports across commits.
+
+``golden_reports.json`` maps each case to the sha256 digests of its
+``to_json()`` and ``to_text()`` output.  The cases are the acceptance
+matrix at truncation 50 and three ``--check`` runs.  A refactor that is
+meant to leave every answer unchanged must leave every digest unchanged;
+criterion 8 checks determinism only within one commit.
+
+When a report is meant to change, regenerate the file and say why in the
+change log:
+
+    PYTHONPATH=src python3 tests/test_golden_reports.py > tests/golden_reports.json
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from twistloop import CartanType
+from twistloop.report import TwistSpec, compute
+
+from conftest import cached_report
+from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+MATRIX = ([(f, r, "identity") for f, r in SOLOMON_TYPES] +
+          [("D", n, "flip") for n in D_FLIP_RANKS] +
+          [("A", r, "flip") for r in A_FLIP_RANKS] +
+          [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
+CHECKED = [("A", 2, "identity"), ("A", 3, "flip"), ("D", 4, "triality")]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests() -> dict[str, dict[str, str]]:
+    reports = {f"{f}{r} {tag} T50": cached_report(f, r, tag) for f, r, tag in MATRIX}
+    for f, r, tag in CHECKED:
+        reports[f"{f}{r} {tag} T50 --check"] = compute(
+            TwistSpec(CartanType(f, r), tag, run_oracle=True))
+    return {name: {"json": _sha(rpt.to_json()), "text": _sha(rpt.to_text())}
+            for name, rpt in reports.items()}
+
+
+def test_reports_match_golden_digests():
+    want = json.loads(GOLDEN.read_text())
+    got = digests()
+    differing = sorted(name for name in want.keys() | got.keys()
+                       if want.get(name) != got.get(name))
+    assert not differing, f"reports differ from the golden digests: {differing}"
+
+
+if __name__ == "__main__":
+    print(json.dumps(digests(), indent=2, sort_keys=True))

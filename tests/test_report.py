@@ -1,16 +1,18 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from twistloop.cli import main
 from twistloop.exact import identity_matrix, product_over_degrees
-from twistloop.report import (ClosedForm, TwistSpec, brute_force_invariant_dims,
+from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup,
+                              brute_force_invariant_dims)
+from twistloop.report import (ClosedForm, TwistSpec, _closed_form_or_note,
                               compute, excluded_characteristics,
-                              recognize_closed_form, search_closed_form)
+                              recognize_closed_form)
 from twistloop.rootsys import CartanType, build_root_system, degrees
-from twistloop.weyl import FiniteMatrixGroup, WeylPermutationGroup
 
 from conftest import cached_report
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
@@ -35,10 +37,12 @@ class TestRecognizeClosedForm:
         with pytest.raises(ValueError):
             recognize_closed_form(series, [2, 6])
 
-    def test_search_recovers_degrees(self):
+    def test_unmatched_folded_table_gives_no_closed_form(self):
+        # a C2 series checked against the G2 table: no search, a note
+        notes = []
         series = product_over_degrees([2, 4], 50)
-        assert search_closed_form(series, 2) == ClosedForm((3, 7), (4, 8))
-        assert search_closed_form(product_over_degrees([2], 50), 1).y_degrees == (4,)
+        assert _closed_form_or_note(series, CartanType("G", 2), notes) is None
+        assert notes == ["series does not match the folded degree table"]
 
 
 class TestExcludedCharacteristics:
@@ -86,9 +90,10 @@ class TestBruteForceOracle:
         assert dims[(0, 2)] == 1
 
     def test_guards(self):
-        g = FiniteMatrixGroup(5, [identity_matrix(5)])
-        with pytest.raises(ValueError):
-            brute_force_invariant_dims(g, 4)
+        for dim in (4, 5):
+            g = FiniteMatrixGroup(dim, [identity_matrix(dim)])
+            with pytest.raises(ValueError):
+                brute_force_invariant_dims(g, 4)
         g2 = FiniteMatrixGroup(2, [identity_matrix(2)])
         with pytest.raises(ValueError):
             brute_force_invariant_dims(g2, 13)
@@ -123,8 +128,14 @@ class TestCompute:
         assert any(n.startswith("oracle: brute-force") for n in rpt.notes)
 
     def test_oracle_skips_above_guard(self):
-        rpt = compute(TwistSpec(CartanType("B", 5), run_oracle=True, truncation=50))
-        assert any("oracle skipped" in n for n in rpt.notes)
+        # in dimension 4 the brute-force count ran past 40 s on D5 flip and A4
+        for family, rank, tag, dim in [("B", 5, "identity", 5), ("D", 5, "flip", 4),
+                                       ("A", 4, "identity", 4)]:
+            start = time.time()
+            rpt = compute(TwistSpec(CartanType(family, rank), tag, run_oracle=True,
+                                    truncation=50))
+            assert time.time() - start < 5
+            assert f"oracle skipped: restricted dimension {dim} exceeds 3" in rpt.notes
 
     def test_e8_identity_table_path(self):
         rpt = compute(TwistSpec(CartanType("E", 8)))
