@@ -18,7 +18,7 @@ for rank in range(2, 8):
     crit = orbit_count_criterion(aut, fold)
     distinct = len(project_roots(aut))
     print(f"A{rank} flip (SU({rank + 1})): projections {distinct}, "
-          f"folded {fold.folded_type} with {len(fold.folded.roots)} roots, "
+          f"folded {fold.folded_type} with {len(fold.folded_roots)} roots, "
           f"orbit criterion {'holds' if crit.holds else 'inconclusive'}")
 
 print()
@@ -27,7 +27,7 @@ for rank in range(2, 7):
     aut = make_automorphism(rs, "flip")
     fold = folded_root_system(aut)
     print(f"D{rank} flip (SO({2 * rank})): folded {fold.folded_type} with "
-          f"{len(fold.folded.roots)} roots = 2(n-1)^2 = {2 * (rank - 1) ** 2}")
+          f"{len(fold.folded_roots)} roots = 2(n-1)^2 = {2 * (rank - 1) ** 2}")
 
 print()
 rs = build_root_system(CartanType("D", 4))

@@ -10,7 +10,7 @@ import sys
 from typing import Sequence
 
 from .exact import DEFAULT_TRUNCATION
-from .report import TwistSpec, compute
+from .report import MAX_TRUNCATION, MAX_WORKERS, TwistSpec, compute
 from .rootsys import CartanType
 from .twist import AUTOMORPHISM_TAGS, check_simple_perm
 from .weyl import GroupTooLargeError
@@ -37,14 +37,15 @@ def build_parser() -> _Parser:
                    help=" | ".join(AUTOMORPHISM_TAGS) +
                         " | perm=<comma-separated 1-based images>")
     p.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATION,
-                   help="series truncation in cohomological degree")
+                   help="series truncation in cohomological degree "
+                        f"(at most {MAX_TRUNCATION})")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--check", action="store_true",
                    help="also run the brute-force invariant-dimension oracle "
                         "when within its guard")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted worker count (at least 1); it does not "
-                        "change the output, which is computed in one thread")
+                   help=f"accepted worker count (1 to {MAX_WORKERS}); it does "
+                        "not change the output, which is computed in one thread")
     p.add_argument("--out", default=None, help="write the report to this file")
     return p
 

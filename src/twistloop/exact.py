@@ -1,4 +1,5 @@
-"""Exact rational linear algebra and truncated bigraded power series.
+"""Exact rational vectors and matrices, characteristic polynomials from
+power traces, and truncated bigraded power series.
 
 Scalars are Python ints and ``fractions.Fraction`` values (a Fraction is
 always stored in lowest terms with positive denominator).  Vectors and
@@ -120,79 +121,6 @@ def dets_from_charpoly(cp: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], tuple[
     num_s = tuple(normalize_scalar((-1) ** j * cp[n - j]) for j in range(n + 1))
     den_t = tuple(normalize_scalar(cp[n - j]) for j in range(n + 1))
     return num_s, den_t
-
-
-# ---------------------------------------------------------------------------
-# exact Gaussian elimination: rank, kernels, solving, inverses
-# ---------------------------------------------------------------------------
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    if not rows:
-        return rows, []
-    nrows, ncols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rank(m: Matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in m]
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
-def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
-    """Deterministic basis of the right kernel {x : M x = 0}."""
-    nrows, ncols = mat_shape(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(vector(v))
-    return tuple(basis)
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    nrows, ncols = mat_shape(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b, strict=True)]
-    red, pivots = _rref(rows)
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return vector(x)
-
-
-def invert(m: Matrix) -> Matrix:
-    n = len(m)
-    rows = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(m)]
-    red, pivots = _rref(rows)
-    if pivots[:n] != list(range(n)):  # a pivot escaped into the identity block
-        raise ValueError("matrix is singular")
-    return matrix(row[n:] for row in red)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Independent reference routes, kept out of the pipeline.
 
 No pipeline module imports this one at load time.  ``--check``, the tests
-and demo 05 compare the pipeline against: Berkowitz :func:`charpoly`;
-explicit matrix groups (:class:`FiniteMatrixGroup`, :func:`super_molien`,
+and demo 05 compare the pipeline against: the classical ambient
+realization (exact Gaussian elimination, :class:`SubspaceBasis`, the
+Fraction root closure :func:`ambient_roots` under :func:`reflect`, the
+ambient matrix of a diagram automorphism and its ambient
+:func:`fixed_subspace`), where the pipeline works only in integer
+coordinates over the simple roots; Berkowitz :func:`charpoly`; explicit
+matrix groups (:class:`FiniteMatrixGroup`, :func:`super_molien`,
 :func:`generate_group` of :func:`reflection_matrix` generators, the
 ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
 all of W (:class:`WeylPermutationGroup`) with the full-enumeration
@@ -14,21 +19,192 @@ monomial bases instead of the super-Molien average.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .exact import (BigradedSeries, Matrix, Scalar, Vector, identity_matrix,
-                    kernel_basis, mat_mul, mat_vec, matrix, normalize_scalar,
-                    solve, vec_dot, vec_scale, vec_sub)
-from .rootsys import RootSystem
+                    mat_mul, mat_shape, mat_vec, matrix, normalize_scalar,
+                    vec_add, vec_dot, vec_scale, vec_sub, vector)
+from .rootsys import CartanType, RootSystem, simple_root_vectors
+from .twist import DiagramAutomorphism
 from .weyl import (DEFAULT_ELEMENT_CAP, CharPoly, GroupTooLargeError,
-                   RootPermutationAction, SubspaceBasis, _perm_orbits,
-                   close_permutations, fixed_space_charpoly_buckets,
-                   super_molien_from_buckets)
+                   RootPermutationAction, _perm_orbits, close_permutations,
+                   fixed_space_charpoly_buckets, super_molien_from_buckets)
 
 ORACLE_MAX_DIM = 3
 ORACLE_MAX_DEGREE = 12
+
+
+# ---------------------------------------------------------------------------
+# exact Gaussian elimination: rank, kernels, solving, inverses
+# ---------------------------------------------------------------------------
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    if not rows:
+        return rows, []
+    nrows, ncols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rank(m: Matrix) -> int:
+    rows = [[Fraction(x) for x in row] for row in m]
+    _, pivots = _rref(rows)
+    return len(pivots)
+
+
+def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
+    """Deterministic basis of the right kernel {x : M x = 0}."""
+    nrows, ncols = mat_shape(m)
+    rows = [[Fraction(x) for x in row] for row in m]
+    red, pivots = _rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(vector(v))
+    return tuple(basis)
+
+
+def solve(a: Matrix, b: Vector) -> Vector | None:
+    """One exact solution of A x = b (free variables set to 0), or None."""
+    nrows, ncols = mat_shape(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b, strict=True)]
+    red, pivots = _rref(rows)
+    if ncols in pivots:  # pivot in the augmented column: inconsistent
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return vector(x)
+
+
+def invert(m: Matrix) -> Matrix:
+    n = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+            for i, row in enumerate(m)]
+    red, pivots = _rref(rows)
+    if pivots[:n] != list(range(n)):  # a pivot escaped into the identity block
+        raise ValueError("matrix is singular")
+    return matrix(row[n:] for row in red)
+
+
+@dataclass(frozen=True)
+class SubspaceBasis:
+    """Linearly independent spanning set of a rational subspace."""
+
+    ambient_dim: int
+    basis_vectors: tuple[Vector, ...]
+
+    def __post_init__(self):
+        for v in self.basis_vectors:
+            if len(v) != self.ambient_dim:
+                raise ValueError("basis vector of wrong length")
+        if self.basis_vectors and rank(self.basis_vectors) != len(self.basis_vectors):
+            raise ValueError("basis vectors are linearly dependent")
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_vectors)
+
+
+# ---------------------------------------------------------------------------
+# the classical ambient realization
+# ---------------------------------------------------------------------------
+
+def reflect(x: Vector, root: Vector) -> Vector:
+    """Reflection of x through the hyperplane orthogonal to root."""
+    c = Fraction(2 * vec_dot(x, root), 1) / vec_dot(root, root)
+    return vec_sub(x, vec_scale(c, root))
+
+
+def ambient_roots(t: CartanType, limit: int = 100000) -> tuple[Vector, ...]:
+    """All roots in the classical ambient coordinates: the closure of the
+    simple roots under their reflections, in exact rationals."""
+    simple = simple_root_vectors(t)
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in simple:
+                y = reflect(x, a)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+            if len(seen) > limit:
+                raise ValueError("root closure did not terminate")
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def ambient_vector(t: CartanType, coords: Sequence[int]) -> Vector:
+    """The ambient vector sum_i coords[i] alpha_i."""
+    simple = simple_root_vectors(t)
+    return vector(sum(c * a[k] for c, a in zip(coords, simple))
+                  for k in range(len(simple[0])))
+
+
+def automorphism_matrix(a: DiagramAutomorphism) -> Matrix:
+    """Ambient linear extension of a diagram automorphism: the unique map
+    sending alpha_j to alpha_{perm(j)} that fixes the orthogonal complement
+    of the root span, except for type A flips."""
+    t, perm = a.base.cartan_type, a.simple_perm
+    simple = simple_root_vectors(t)
+    n = len(simple[0])
+    if perm == tuple(range(t.rank)):
+        return identity_matrix(n)
+    if t.family == "A":
+        # e_i -> -e_{n-1-i}: restricts to alpha_i -> alpha_{r-1-i} on the
+        # sum-zero hyperplane and has no fixed vectors outside it.
+        return tuple(tuple(-1 if i == n - 1 - j else 0 for j in range(n))
+                     for i in range(n))
+    complement = kernel_basis(simple)
+    source_cols = list(simple) + list(complement)
+    target_cols = [simple[perm[j]] for j in range(t.rank)] + list(complement)
+    source = matrix(zip(*source_cols))
+    target = matrix(zip(*target_cols))
+    return mat_mul(target, invert(source))
+
+
+def fixed_subspace(a: DiagramAutomorphism) -> SubspaceBasis:
+    """Basis of the automorphism-fixed part of the root span: the orbit
+    sums of simple roots, as ambient vectors.  For type A this lands
+    inside the sum-zero hyperplane automatically."""
+    simple = simple_root_vectors(a.base.cartan_type)
+    basis = []
+    for orb in a.simple_orbits:
+        v = simple[orb[0]]
+        for i in orb[1:]:
+            v = vec_add(v, simple[i])
+        basis.append(v)
+    return SubspaceBasis(len(simple[0]), tuple(basis))
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials and explicit matrix groups
+# ---------------------------------------------------------------------------
 
 
 def charpoly(m: Matrix) -> tuple[Scalar, ...]:
@@ -214,7 +390,7 @@ class WeylPermutationGroup(RootPermutationAction):
     def lattice_matrix(self, perm: bytes) -> Matrix:
         """Element matrix over the simple-root basis (integer entries)."""
         rs = self.root_system
-        cols = [rs.lattice_coords[perm[i]] for i in self.simple_indices]
+        cols = [rs.roots[perm[i]] for i in self.simple_indices]
         return tuple(zip(*cols))
 
     def to_matrix_group(self) -> FiniteMatrixGroup:
@@ -234,7 +410,7 @@ def fixed_space_stabilizer_perms(weyl: WeylPermutationGroup,
     """
     rs = weyl.root_system
     r = rs.cartan_type.rank
-    coords = rs.lattice_coords
+    coords = rs.roots
     sidx = weyl.simple_indices
     orbits = _perm_orbits(simple_perm)
     orbit_root_indices = [tuple(sidx[i] for i in orb) for orb in orbits]

@@ -34,14 +34,18 @@ from typing import Sequence
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION,
                     collapse_to_cohomological, poly_mul_trunc,
                     product_over_degrees)
-from .rootsys import CartanType, RootSystem, build_root_system, degrees
-from .twist import (DiagramAutomorphism, OrbitCriterion, fixed_group_info,
-                    folded_root_system, make_automorphism,
+from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
+                      root_count, weyl_order)
+from .twist import (DiagramAutomorphism, OrbitCriterion, expected_folded_type,
+                    fixed_group_info, folded_root_system, make_automorphism,
                     orbit_count_criterion, positive_orbit_sizes,
-                    wsigma_preserves_folded)
-from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError,
+                    resolve_twist, wsigma_preserves_folded)
+from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
                    RootPermutationAction, close_permutations,
                    fixed_space_charpoly_buckets, super_molien_from_buckets)
+
+MAX_TRUNCATION = 10_000  # the Molien output grows as the square of it
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,16 @@ class TwistSpec:
     run_oracle: bool = False
     workers: int = 1
     element_cap: int = DEFAULT_ELEMENT_CAP
+
+    def __post_init__(self):
+        if self.truncation < 0:
+            raise ValueError("truncation must be non-negative")
+        if self.truncation > MAX_TRUNCATION:
+            raise ValueError(f"truncation must be at most {MAX_TRUNCATION}")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}")
 
 
 @dataclass(frozen=True)
@@ -234,12 +248,26 @@ def _closed_form_or_note(series: tuple[int, ...], folded: CartanType,
 
 
 def compute(spec: TwistSpec) -> TwistReport:
-    """Run the full pipeline for one twist specification."""
-    if spec.truncation < 0:
-        raise ValueError("truncation must be non-negative")
-    if spec.workers < 1:
-        raise ValueError("workers must be at least 1")
-    rs = build_root_system(spec.cartan_type)
+    """Run the full pipeline for one twist specification.
+
+    The spec's knobs are bounded when it is made.  Here the twist is
+    checked against the Cartan matrix, and the order of W^sigma (the Weyl
+    group of the folded type) and the root count are checked against
+    their caps, from the type alone and before anything is built.
+    """
+    t = spec.cartan_type
+    _, tag = resolve_twist(t, spec.automorphism)
+    folded_type = expected_folded_type(t, tag)
+    table_path = (t == CartanType("E", 8) and tag == "identity"
+                  and weyl_order(t) > spec.element_cap)
+    if not table_path and weyl_order(folded_type) > spec.element_cap:
+        raise GroupTooLargeError(
+            f"W^sigma, the Weyl group of the folded type {folded_type}, has order "
+            f"{weyl_order(folded_type)}, past the element cap {spec.element_cap}")
+    if not table_path and root_count(t) > MAX_ROOTS:
+        raise GroupTooLargeError(f"type {t} has {root_count(t)} roots, past the "
+                                 f"{MAX_ROOTS} of the one-byte root encoding")
+    rs = build_root_system(t)
     aut = make_automorphism(rs, spec.automorphism)
     folding = folded_root_system(aut)
     criterion = orbit_count_criterion(aut, folding)
@@ -250,9 +278,6 @@ def compute(spec: TwistSpec) -> TwistReport:
                            for s in sorted(set(pos_sizes)))
     notes.append(f"positive-root orbits: {len(pos_sizes)} ({sizes_note})")
 
-    table_path = (spec.cartan_type == CartanType("E", 8)
-                  and aut.tag == "identity"
-                  and rs.weyl_order > spec.element_cap)
     if table_path:
         series = product_over_degrees(rs.degrees, spec.truncation)
         bigraded = None
@@ -263,10 +288,6 @@ def compute(spec: TwistSpec) -> TwistReport:
         closed = ClosedForm(tuple(2 * d - 1 for d in rs.degrees),
                             tuple(2 * d for d in rs.degrees))
     else:
-        if rs.weyl_order > spec.element_cap:
-            raise GroupTooLargeError(
-                f"Weyl group of order {rs.weyl_order} exceeds the element cap "
-                f"{spec.element_cap}")
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)
         wsigma = close_permutations(generators, spec.element_cap)
@@ -279,11 +300,11 @@ def compute(spec: TwistSpec) -> TwistReport:
         series = collapse_to_cohomological(bigraded)
         if series[0] != 1 or any(c < 0 for c in series):
             raise ValueError("malformed invariant series")
-        closed = _closed_form_or_note(series, folding.folded_type, notes)
+        closed = _closed_form_or_note(series, folded_type, notes)
 
-    if restricted_order != folding.folded.weyl_order:
+    if restricted_order != weyl_order(folded_type):
         notes.append(f"restricted stabilizer image has order {restricted_order}, "
-                     f"folded Weyl group has order {folding.folded.weyl_order}")
+                     f"folded Weyl group has order {weyl_order(folded_type)}")
     else:
         notes.append("restricted stabilizer image matches the folded Weyl "
                      f"group order {restricted_order}")
@@ -309,7 +330,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         cartan_type=spec.cartan_type,
         automorphism=_canonical_automorphism_echo(aut, spec.automorphism),
         truncation=spec.truncation,
-        folded_type=folding.folded_type,
+        folded_type=folded_type,
         orbit_criterion=criterion,
         positive_orbit_sizes=pos_sizes,
         stabilizer_order=stab_order,

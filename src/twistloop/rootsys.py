@@ -1,15 +1,20 @@
-"""Root systems for the simple families A-G in their classical rational
-coordinates.
+"""Root systems for the simple families A-G as integer vectors over the
+simple base.
 
-Realizations follow the usual conventions: A_r lives in the sum-zero
-hyperplane of (r+1)-space with roots e_i - e_j; B/C/D use signed
-coordinate vectors in r-space; G_2 sits in the sum-zero plane of 3-space;
-F_4 and E_6/E_7/E_8 use their standard half-integer realizations.  All
-coordinates are exact rationals.
+Each type's data are its invariant-degree table, its Weyl order, its root
+count and the classical realization of its simple roots (A_r in the
+sum-zero hyperplane of (r+1)-space, B/C/D in signed coordinates of
+r-space, G_2 in the sum-zero plane of 3-space, F_4 and E_6/E_7/E_8 in
+their half-integer realizations).  That realization is read once, for the
+Gram matrix of the simple roots and from it the Cartan matrix.  The roots
+are then the closure of the unit vectors under the integer simple
+reflections s_i(c) = c - (sum_j c_j A_ji) e_i; every later stage works in
+these coordinates.
 
-Every constructed system is self-verified: classical root count, Cartan
-matrix shape, integrality and uniform sign of root coordinates over the
-simple base, and product-of-degrees == Weyl order.
+Every constructed system is self-verified: Cartan matrix entries, root
+count, uniform sign of root coordinates, closure under negation, and
+product-of-degrees == Weyl order.  The closure of the ambient realization
+itself is a test reference in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .exact import (Matrix, Scalar, Vector, mat_vec, matrix, rank, solve,
-                    vec_dot, vec_scale, vec_sub, vector)
+from .exact import Matrix, Vector, vec_dot, vec_scale, vec_sub, vector
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+
+Root = tuple[int, ...]
+CartanMatrix = tuple[tuple[int, ...], ...]
 
 # Rank windows per family.  B_1, C_1 and D_2 are admitted beyond the
 # irreducible-diagram ranges: D_2 is needed as an input (even orthogonal
@@ -97,7 +103,8 @@ def _unit(n: int, i: int) -> Vector:
 def simple_root_vectors(t: CartanType) -> tuple[Vector, ...]:
     """Simple roots in the classical ambient coordinates, in the standard
     chain ordering (for D, the fork is the last two; for E, node 2 is the
-    branch vertex attached to node 4)."""
+    branch vertex attached to node 4).  The pipeline reads only their
+    inner products (:func:`simple_gram`)."""
     r = t.rank
     if t.family == "A":
         n = r + 1
@@ -131,144 +138,106 @@ def simple_root_vectors(t: CartanType) -> tuple[Vector, ...]:
     return tuple(alpha[:r])
 
 
-def reflect(x: Vector, root: Vector, gram: Matrix | None = None) -> Vector:
-    """Reflection of x through the hyperplane orthogonal to root."""
-    if gram is None:
-        num, den = vec_dot(x, root), vec_dot(root, root)
-    else:
-        gr = mat_vec(gram, root)
-        num, den = vec_dot(x, gr), vec_dot(root, gr)
-    c = Fraction(2 * num, 1) / den
-    return vec_sub(x, vec_scale(c, root))
+def simple_gram(t: CartanType) -> Matrix:
+    """Inner products (alpha_i, alpha_j) of the simple roots, read off
+    their classical realization."""
+    simple = simple_root_vectors(t)
+    return tuple(tuple(vec_dot(a, b) for b in simple) for a in simple)
 
 
-def _closure(simple: Sequence[Vector], gram: Matrix | None = None,
-             limit: int = 100000) -> tuple[Vector, ...]:
-    seen = set(simple)
-    frontier = list(simple)
+def cartan_from_gram(gram: Matrix) -> CartanMatrix:
+    """A_ij = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), checked to be a
+    Cartan matrix: integral, 2 on the diagonal, 0..-3 off it."""
+    cm = []
+    for i, row in enumerate(gram):
+        entries = []
+        for j, g in enumerate(row):
+            c = Fraction(2 * g) / gram[j][j]
+            if c.denominator != 1:
+                raise ValueError("non-integral Cartan entry")
+            if c not in ((2,) if i == j else (0, -1, -2, -3)):
+                raise ValueError(f"Cartan entry {c} out of range at {(i, j)}")
+            entries.append(int(c))
+        cm.append(tuple(entries))
+    return tuple(cm)
+
+
+def cartan_matrix(t: CartanType) -> CartanMatrix:
+    return cartan_from_gram(simple_gram(t))
+
+
+def simple_reflection(c: Root, i: int, cartan: CartanMatrix) -> Root:
+    """s_i(c) = c - <c, alpha_i^vee> e_i over the simple base, where
+    <alpha_j, alpha_i^vee> = A_ji."""
+    k = sum(cj * row[i] for cj, row in zip(c, cartan))
+    if not k:
+        return c
+    out = list(c)
+    out[i] -= k
+    return tuple(out)
+
+
+def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
+    """Closure of the simple roots (unit vectors) under the simple
+    reflections; more than limit roots is an error."""
+    r = len(cartan)
+    frontier = [_unit(r, i) for i in range(r)]
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for x in frontier:
-            for a in simple:
-                y = reflect(x, a, gram)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-            if len(seen) > limit:
-                raise ValueError("root closure did not terminate")
+        for c in frontier:
+            for i in range(r):
+                d = simple_reflection(c, i, cartan)
+                if d not in seen:
+                    seen.add(d)
+                    nxt.append(d)
+        if len(seen) > limit:
+            raise ValueError(f"root closure passed {limit} roots")
         frontier = nxt
     return tuple(sorted(seen))
 
 
 class RootSystem:
-    """Immutable bundle of roots, simple roots, Cartan data and the Weyl
-    invariant-degree table.
+    """Immutable bundle of roots, Cartan data and the Weyl invariant-degree
+    table.
 
-    ``lattice_coords[i]`` gives root i as an integer vector over the simple
-    base; ``gram`` is None when the ambient inner product is the standard
-    dot product (all classical builds), otherwise the Gram matrix of the
-    ambient basis (used for folded systems realized in fixed-subspace
-    coordinates).
+    ``roots[i]`` is root i as an integer vector over the simple base, and
+    ``root_index`` inverts that list; ``simple_roots`` are the unit
+    vectors, and ``gram`` holds the inner products of the simple roots.
     """
 
-    def __init__(self, cartan_type: CartanType, simple_roots: Sequence[Vector],
-                 roots: Sequence[Vector], gram: Matrix | None = None):
-        self.cartan_type = cartan_type
-        self.simple_roots = tuple(simple_roots)
-        self.roots = tuple(sorted(roots))
-        self.ambient_dim = len(self.simple_roots[0])
-        self.gram = gram
-        self.weyl_order = weyl_order(cartan_type)
-        self.degrees = degrees(cartan_type)
-        self._validate_counts()
-        self.cartan_matrix = self._cartan_matrix()
-        self.lattice_coords = self._lattice_coords()
-        self.root_index = {v: i for i, v in enumerate(self.roots)}
-        self.positive_mask = tuple(all(c >= 0 for c in lc) for lc in self.lattice_coords)
+    def __init__(self, cartan_type: CartanType):
+        t = cartan_type
+        self.cartan_type = t
+        self.gram = simple_gram(t)
+        self.cartan_matrix = cartan_from_gram(self.gram)
+        self.roots = _closure(self.cartan_matrix, root_count(t))
+        self.simple_roots = tuple(_unit(t.rank, i) for i in range(t.rank))
+        self.root_index = {c: i for i, c in enumerate(self.roots)}
+        self.positive_mask = tuple(all(x >= 0 for x in c) for c in self.roots)
+        self.weyl_order = weyl_order(t)
+        self.degrees = degrees(t)
+        self._validate()
 
-    # -- construction-time verification -------------------------------------
-    def _validate_counts(self):
+    def _validate(self):
         expected = root_count(self.cartan_type)
         if len(self.roots) != expected:
             raise ValueError(f"{self.cartan_type}: built {len(self.roots)} roots, "
                              f"expected {expected}")
-        if len(self.simple_roots) != self.cartan_type.rank:
-            raise ValueError("simple root count differs from rank")
-        prod = math.prod(self.degrees)
-        if prod != self.weyl_order:
+        if math.prod(self.degrees) != self.weyl_order:
             raise ValueError("degree product disagrees with Weyl order")
-        root_set = set(self.roots)
-        for v in self.roots:
-            if all(c == 0 for c in v):
-                raise ValueError("zero vector among roots")
-            if tuple(-c for c in v) not in root_set:
+        for c in self.roots:
+            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+                raise ValueError("root coordinates of mixed sign")
+            if tuple(-x for x in c) not in self.root_index:
                 raise ValueError("root set not closed under negation")
 
-    def inner(self, x: Vector, y: Vector) -> Scalar:
-        if self.gram is None:
-            return vec_dot(x, y)
-        return vec_dot(x, mat_vec(self.gram, y))
-
-    def _cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for ai in self.simple_roots:
-            row = []
-            for aj in self.simple_roots:
-                c = Fraction(2 * Fraction(self.inner(ai, aj)), 1) / self.inner(aj, aj)
-                if c.denominator != 1:
-                    raise ValueError("non-integral Cartan entry")
-                row.append(int(c))
-            rows.append(tuple(row))
-        cm = tuple(rows)
-        for i in range(len(cm)):
-            if cm[i][i] != 2:
-                raise ValueError("Cartan diagonal must be 2")
-            for j in range(len(cm)):
-                if i != j and cm[i][j] not in (0, -1, -2, -3):
-                    raise ValueError(f"Cartan entry {cm[i][j]} out of range")
-        return cm
-
-    def _lattice_coords(self) -> tuple[tuple[int, ...], ...]:
-        base = matrix(zip(*self.simple_roots))  # columns are simple roots
-        coords = []
-        for v in self.roots:
-            x = solve(base, v)
-            if x is None:
-                raise ValueError("root outside the simple-root span")
-            ints = []
-            for c in x:
-                f = Fraction(c)
-                if f.denominator != 1:
-                    raise ValueError("non-integer root coordinate")
-                ints.append(int(f))
-            if not (all(c >= 0 for c in ints) or all(c <= 0 for c in ints)):
-                raise ValueError("root coordinates of mixed sign")
-            coords.append(tuple(ints))
-        return tuple(coords)
-
-    # -- queries --------------------------------------------------------------
-    def positive_roots(self) -> tuple[Vector, ...]:
-        pos = [(sum(lc), lc, v) for v, lc in zip(self.roots, self.lattice_coords)
-               if all(c >= 0 for c in lc)]
-        return tuple(v for _, _, v in sorted(pos))
+    def positive_roots(self) -> tuple[Root, ...]:
+        return tuple(c for c, pos in zip(self.roots, self.positive_mask) if pos)
 
     def __repr__(self):
         return f"RootSystem({self.cartan_type}, {len(self.roots)} roots)"
 
 
 def build_root_system(t: CartanType) -> RootSystem:
-    simple = simple_root_vectors(t)
-    roots = _closure(simple)
-    return RootSystem(t, simple, roots)
-
-
-def cartan_matrix_of_type(t: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Standard Cartan matrix without building the full root set."""
-    simple = simple_root_vectors(t)
-    rows = []
-    for ai in simple:
-        row = []
-        for aj in simple:
-            row.append(int(Fraction(2 * Fraction(vec_dot(ai, aj)), 1) / vec_dot(aj, aj)))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return RootSystem(t)

@@ -1,11 +1,13 @@
-"""Diagram automorphisms, their fixed subspaces, root projections and
-folded root systems.
+"""Diagram automorphisms, root projections and folded root systems.
 
 The canonical representative of an outer automorphism class is the
-diagram automorphism permuting the simple roots, which preserves the
-chosen positive system.  Its fixed subspace inside the root span has the
-orbit sums of simple roots as a basis; projection of a root is the
-average over the automorphism's powers, written in that basis.
+diagram automorphism sigma permuting the simple nodes, which preserves the
+Cartan matrix.  Over the simple base sigma is a coordinate permutation,
+c'[perm[j]] = c[j], so it permutes the roots and preserves the positive
+system.  Its fixed subspace has the orbit sums b_O = sum_{i in O} alpha_i
+of simple roots as a basis; projection of a root is the average over
+sigma's powers, written in that basis, and the Gram matrix of the b_O is
+summed from the Gram matrix of the simple roots.
 
 The folded root system is the set of indivisible projected roots (v with
 v/2 not a projection), which reproduces the classical folding table:
@@ -14,9 +16,11 @@ v/2 not a projection), which reproduces the classical folding table:
     A_{2m}  flip    -> B_m              D_n flip      -> B_{n-1}
     D_4 order three -> G_2              E_6 flip      -> F_4
 
-Each folded system is classified from scratch (positive system, simple
-base, Cartan matrix up to simultaneous permutation, reflection closure)
-and the construction errors out if the result disagrees with the table.
+Each folded set is classified from scratch (symmetric set, simple base,
+Cartan matrix up to simultaneous permutation of that base) and must then
+equal the roots of the table's type mapped through the ordered base; the
+construction errors out otherwise.  The ambient matrix of sigma and its
+ambient fixed subspace are test references in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -25,22 +29,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (Matrix, Vector, identity_matrix, invert, kernel_basis,
-                    mat_mul, mat_vec, matrix, normalize_scalar, vec_add,
-                    vec_dot, vector)
-from .rootsys import CartanType, RootSystem, cartan_matrix_of_type, reflect
-from .weyl import SubspaceBasis, _perm_orbits
+from .exact import Matrix, Vector, mat_vec, normalize_scalar, vec_add, vec_dot, vector
+from .rootsys import (CartanType, RootSystem, build_root_system,
+                      cartan_from_gram, cartan_matrix)
+from .weyl import _perm_orbits
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
 
 
 @dataclass(frozen=True)
 class DiagramAutomorphism:
-    """A Dynkin-diagram symmetry together with its ambient linear extension."""
+    """A Dynkin-diagram symmetry and the permutation it induces on the roots."""
 
     base: RootSystem
     simple_perm: tuple[int, ...]
-    matrix: Matrix
     order: int
     tag: str
     root_perm: tuple[int, ...]
@@ -58,8 +60,12 @@ def _is_diagram_symmetry(cartan: Sequence[Sequence[int]], perm: Sequence[int]) -
                for i in range(n) for j in range(n))
 
 
-def _simple_perm_for_tag(rs: RootSystem, tag: str) -> tuple[int, ...]:
-    fam, r = rs.cartan_type.family, rs.cartan_type.rank
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
+    fam, r = t.family, t.rank
     if tag == "identity":
         return tuple(range(r))
     if tag == "flip":
@@ -69,16 +75,11 @@ def _simple_perm_for_tag(rs: RootSystem, tag: str) -> tuple[int, ...]:
             return tuple(range(r - 2)) + (r - 1, r - 2)
         if fam == "E" and r == 6:
             return (5, 1, 4, 3, 2, 0)
-        raise ValueError(f"no diagram flip for type {rs.cartan_type}")
+        raise ValueError(f"no diagram flip for type {t}")
     if tag in ("triality", "triality2"):
         if fam == "D" and r == 4:
             perm = (2, 1, 3, 0)  # nodes 1 -> 3 -> 4 -> 1, node 2 fixed
-            if tag == "triality":
-                return perm
-            inverse = [0] * 4
-            for i, j in enumerate(perm):
-                inverse[j] = i
-            return tuple(inverse)
+            return perm if tag == "triality" else _inverse(perm)
         raise ValueError("triality exists only for D4")
     raise ValueError(f"unknown automorphism spec {tag!r}")
 
@@ -100,13 +101,13 @@ def check_simple_perm(images: Sequence[int], rank: int, base: int = 0) -> None:
                          f"{', '.join(map(str, repeated))} named more than once")
 
 
-def _classify_perm(rs: RootSystem, perm: tuple[int, ...]) -> str:
+def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
     order = _perm_order(perm)
     if order == 1:
         return "identity"
     if order == 2:
         return "flip"
-    if order == 3 and rs.cartan_type == CartanType("D", 4):
+    if order == 3 and t == CartanType("D", 4):
         return "triality"
     raise ValueError(f"permutation of order {order} is not a supported diagram symmetry")
 
@@ -123,81 +124,33 @@ def _perm_order(perm: tuple[int, ...]) -> int:
     return order
 
 
-def _ambient_extension(rs: RootSystem, perm: tuple[int, ...]) -> Matrix:
-    fam, r = rs.cartan_type.family, rs.cartan_type.rank
-    n = rs.ambient_dim
-    if perm == tuple(range(r)):
-        return identity_matrix(n)
-    if fam == "A":
-        # e_i -> -e_{n-1-i}: restricts to alpha_i -> alpha_{r-1-i} on the
-        # sum-zero hyperplane and has no fixed vectors outside it.
-        return tuple(tuple(-1 if i == n - 1 - j else 0 for j in range(n))
-                     for i in range(n))
-    # Solve for the unique map sending alpha_j to alpha_{perm(j)} and fixing
-    # the orthogonal complement of the root span.
-    complement = kernel_basis(rs.simple_roots)
-    source_cols = list(rs.simple_roots) + list(complement)
-    target_cols = [rs.simple_roots[perm[j]] for j in range(r)] + list(complement)
-    source = matrix(zip(*source_cols))
-    target = matrix(zip(*target_cols))
-    return mat_mul(target, invert(source))
+def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, ...], str]:
+    """Node permutation and tag of a twist given as a tag or as explicit
+    simple-node images (0-based), checked to be a diagram symmetry.  Needs
+    only the type, not its roots."""
+    if isinstance(spec, str):
+        tag = spec
+        perm = _simple_perm_for_tag(t, tag)
+    else:
+        perm = tuple(spec)
+        check_simple_perm(perm, t.rank)
+        tag = _classify_perm(t, perm)
+    if not _is_diagram_symmetry(cartan_matrix(t), perm):
+        raise ValueError("permutation does not preserve the Cartan matrix")
+    return perm, tag
 
 
 def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutomorphism:
     """Build a diagram automorphism from a tag or an explicit permutation
     of simple-root indices (0-based images)."""
-    if isinstance(spec, str):
-        tag = spec
-        perm = _simple_perm_for_tag(rs, tag)
-    else:
-        perm = tuple(spec)
-        check_simple_perm(perm, rs.cartan_type.rank)
-        tag = _classify_perm(rs, perm)
-    if not _is_diagram_symmetry(rs.cartan_matrix, perm):
-        raise ValueError("permutation does not preserve the Cartan matrix")
-    m = _ambient_extension(rs, perm)
-    root_perm = _root_permutation(rs, m)
-    order = _matrix_order(m)
-    _check_consistency(rs, perm, m, root_perm, order)
-    return DiagramAutomorphism(rs, perm, m, order, tag, root_perm)
-
-
-def _root_permutation(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
-    images = []
-    for v in rs.roots:
-        w = mat_vec(m, v)
-        idx = rs.root_index.get(w)
-        if idx is None:
-            raise ValueError("linear extension does not permute the root set")
-        images.append(idx)
-    if sorted(images) != list(range(len(rs.roots))):
-        raise ValueError("root images are not a permutation")
-    return tuple(images)
-
-
-def _matrix_order(m: Matrix) -> int:
-    ident = identity_matrix(len(m))
-    power = m
-    for k in range(1, 25):
-        if power == ident:
-            return k
-        power = mat_mul(power, m)
-    raise ValueError("matrix order out of range")
-
-
-def _check_consistency(rs: RootSystem, perm, m, root_perm, order):
-    for i, alpha in enumerate(rs.simple_roots):
-        if mat_vec(m, alpha) != rs.simple_roots[perm[i]]:
-            raise ValueError("extension disagrees with the simple-root permutation")
-    for i, positive in enumerate(rs.positive_mask):
-        if positive and not rs.positive_mask[root_perm[i]]:
-            raise ValueError("automorphism does not preserve the positive system")
-    if order != _perm_order(perm):
-        raise ValueError("matrix order differs from diagram-permutation order")
+    perm, tag = resolve_twist(rs.cartan_type, spec)
+    inverse = _inverse(perm)  # c'[perm[j]] = c[j] reads c'[k] = c[inverse[k]]
+    root_perm = tuple(rs.root_index[tuple(c[j] for j in inverse)] for c in rs.roots)
+    return DiagramAutomorphism(rs, perm, _perm_order(perm), tag, root_perm)
 
 
 # ---------------------------------------------------------------------------
-# orbits, fixed subspace, projection
+# orbits, projection, folding
 # ---------------------------------------------------------------------------
 
 def orbits_on_roots(a: DiagramAutomorphism) -> tuple[tuple[int, ...], ...]:
@@ -212,56 +165,49 @@ def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
     return tuple(sorted(sizes))
 
 
-def fixed_subspace(a: DiagramAutomorphism) -> SubspaceBasis:
-    """Basis of the automorphism-fixed part of the root span.
-
-    Over the simple-root basis the automorphism is a coordinate
-    permutation, so exact elimination of (matrix - identity) yields the
-    orbit sums of simple roots; these are returned as ambient vectors.
-    For type A this lands inside the sum-zero hyperplane automatically.
-    """
-    basis = []
-    for orb in a.simple_orbits:
-        v = a.base.simple_roots[orb[0]]
-        for i in orb[1:]:
-            v = vec_add(v, a.base.simple_roots[i])
-        basis.append(v)
-    return SubspaceBasis(a.base.ambient_dim, tuple(basis))
-
-
 def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     """Averages of the roots over the automorphism's powers, written in the
-    fixed-subspace basis; deduplicated, multiplicities retained."""
+    orbit-sum basis of the fixed subspace; deduplicated, multiplicities
+    retained."""
     rs = a.base
     r = rs.cartan_type.rank
-    orbits = a.simple_orbits
-    reps = [orb[0] for orb in orbits]
+    reps = [orb[0] for orb in a.simple_orbits]
     counts: dict[Vector, int] = {}
     for idx in range(len(rs.roots)):
-        avg = [Fraction(0)] * r
+        avg = [0] * r
         j = idx
         for _ in range(a.order):
-            lc = rs.lattice_coords[j]
-            for i in range(r):
-                avg[i] += lc[i]
+            for i, c in enumerate(rs.roots[j]):
+                avg[i] += c
             j = a.root_perm[j]
         coords = vector(Fraction(avg[rep], a.order) for rep in reps)
         counts[coords] = counts.get(coords, 0) + 1
     return tuple(sorted(counts.items()))
 
 
+def orbit_sum_gram(a: DiagramAutomorphism) -> Matrix:
+    """Gram matrix of the orbit sums: (b_O, b_O') is the sum of
+    (alpha_i, alpha_j) over i in O and j in O'."""
+    g = a.base.gram
+    orbits = a.simple_orbits
+    return tuple(tuple(normalize_scalar(sum(g[i][j] for i in o for j in p))
+                       for p in orbits) for o in orbits)
+
+
 @dataclass(frozen=True)
 class FoldingResult:
-    fixed_basis: SubspaceBasis
+    """Projected roots with their multiplicities and the folded roots, both
+    in orbit-sum coordinates, and the folded type."""
+
     projected_roots: tuple[tuple[Vector, int], ...]
-    folded: RootSystem
+    folded_roots: tuple[Vector, ...]
     folded_type: CartanType
 
 
-def expected_folded_type(rs: RootSystem, tag: str) -> CartanType:
-    fam, r = rs.cartan_type.family, rs.cartan_type.rank
+def expected_folded_type(t: CartanType, tag: str) -> CartanType:
+    fam, r = t.family, t.rank
     if tag == "identity":
-        return rs.cartan_type
+        return t
     if tag == "flip":
         if fam == "A":
             m = (r + 1) // 2
@@ -272,50 +218,49 @@ def expected_folded_type(rs: RootSystem, tag: str) -> CartanType:
             return CartanType("F", 4)
     if tag in ("triality", "triality2"):
         return CartanType("G", 2)
-    raise ValueError(f"no folding entry for {rs.cartan_type} with {tag!r}")
+    raise ValueError(f"no folding entry for {t} with {tag!r}")
 
 
 def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
-    basis = fixed_subspace(a)
     projected = project_roots(a)
     proj_set = {v for v, _ in projected}
-    half = normalize_scalar(Fraction(1, 2))
-    folded_set = sorted(v for v in proj_set
-                        if vector(half * c for c in v) not in proj_set)
-    gram = matrix([[vec_dot(x, y) for y in basis.basis_vectors]
-                   for x in basis.basis_vectors])
-    expected = expected_folded_type(a.base, a.tag)
-    simple = _classify_root_set(folded_set, gram, expected)
-    folded = RootSystem(expected, simple, folded_set, gram=gram)
-    if len(basis.basis_vectors) != expected.rank:
+    half = Fraction(1, 2)
+    folded = tuple(sorted(v for v in proj_set
+                          if vector(half * c for c in v) not in proj_set))
+    expected = expected_folded_type(a.base.cartan_type, a.tag)
+    if len(a.simple_orbits) != expected.rank:
         raise ValueError("fixed-subspace dimension differs from folded rank")
-    return FoldingResult(basis, projected, folded, expected)
+    check_folded_roots(folded, orbit_sum_gram(a), expected)
+    return FoldingResult(projected, folded, expected)
 
 
-def _classify_root_set(roots: Sequence[Vector], gram: Matrix,
-                       expected: CartanType) -> tuple[Vector, ...]:
-    """Simple base of a reduced root set, ordered to match the standard
-    Cartan matrix of the expected type; errors if the set is not a root
-    system of that type."""
+def check_folded_roots(roots: Sequence[Vector], gram: Matrix,
+                       expected: CartanType) -> None:
+    """Raise ValueError unless roots, vectors under the inner product gram,
+    form a root system of the expected type: the set is symmetric, its
+    positive elements that are no sum of two are a base whose Cartan
+    matrix is the expected one in some order, and the expected type's
+    roots mapped through that ordered base are exactly the set."""
     positives = [v for v in roots if _lex_positive(v)]
     if 2 * len(positives) != len(roots):
         raise ValueError("projected root set is not symmetric")
-    pos_set = set(positives)
     sums = {vec_add(p, q) for p in positives for q in positives}
     simple = [p for p in positives if p not in sums]
     if len(simple) != expected.rank:
         raise ValueError(f"found {len(simple)} simple roots, expected rank "
                          f"{expected.rank} for {expected}")
-    inner = lambda x, y: vec_dot(x, mat_vec(gram, y))
-    cand = [[int(Fraction(2 * Fraction(inner(x, y)), 1) / inner(y, y))
-             for y in simple] for x in simple]
-    std = cartan_matrix_of_type(expected)
-    assignment = _match_cartan(cand, std)
+    cand = cartan_from_gram([[vec_dot(x, mat_vec(gram, y)) for y in simple]
+                             for x in simple])
+    model = build_root_system(expected)
+    assignment = _match_cartan(cand, model.cartan_matrix)
     if assignment is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")
-    ordered = tuple(simple[assignment[i]] for i in range(expected.rank))
-    _check_closure(roots, ordered, gram)
-    return ordered
+    base = [simple[k] for k in assignment]
+    images = {vector(sum(c * b[m] for c, b in zip(root, base))
+                     for m in range(len(gram)))
+              for root in model.roots}
+    if images != set(roots):
+        raise ValueError(f"folded set is not the root system of {expected}")
 
 
 def _lex_positive(v: Vector) -> bool:
@@ -358,25 +303,6 @@ def _match_cartan(cand: Sequence[Sequence[int]],
     return tuple(assignment) if extend() else None
 
 
-def _check_closure(roots: Sequence[Vector], simple: Sequence[Vector], gram: Matrix):
-    root_set = set(roots)
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in simple:
-                y = reflect(x, s, gram)
-                if y not in root_set:
-                    raise ValueError("folded set is not closed under its reflections")
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if seen != root_set:
-        raise ValueError("folded set is not generated by its simple base")
-
-
 # ---------------------------------------------------------------------------
 # applicability criteria
 # ---------------------------------------------------------------------------
@@ -398,7 +324,7 @@ def orbit_count_criterion(a: DiagramAutomorphism,
     systems coincide; inequality is inconclusive, not a failure."""
     if folding is None:
         folding = folded_root_system(a)
-    return OrbitCriterion(len(orbits_on_roots(a)), len(folding.folded.roots))
+    return OrbitCriterion(len(orbits_on_roots(a)), len(folding.folded_roots))
 
 
 def wsigma_preserves_folded(generators: Sequence[Matrix],
@@ -410,9 +336,9 @@ def wsigma_preserves_folded(generators: Sequence[Matrix],
     rank = folding.folded_type.rank
     if any(len(g) != rank for g in generators):
         raise ValueError("restricted group acts in the wrong dimension")
-    root_set = set(folding.folded.roots)
+    root_set = set(folding.folded_roots)
     for g in generators:
-        for v in folding.folded.roots:
+        for v in folding.folded_roots:
             if mat_vec(g, v) not in root_set:
                 return False
     return True

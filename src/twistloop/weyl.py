@@ -26,41 +26,21 @@ The independent references these routines are checked against live in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (BigradedSeries, Matrix, Scalar, Vector,
-                    charpoly_from_power_traces, dets_from_charpoly, rank,
-                    rational_function_series)
-from .rootsys import RootSystem
+from .exact import (BigradedSeries, Matrix, Scalar, charpoly_from_power_traces,
+                    dets_from_charpoly, rational_function_series)
+from .rootsys import RootSystem, simple_reflection
 
 DEFAULT_ELEMENT_CAP = 10**7
+MAX_ROOTS = 255  # one byte per root index
 
 CharPoly = tuple[Scalar, ...]
 
 
 class GroupTooLargeError(RuntimeError):
     """Raised when a closure would exceed the configured element cap."""
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Linearly independent spanning set of a rational subspace."""
-
-    ambient_dim: int
-    basis_vectors: tuple[Vector, ...]
-
-    def __post_init__(self):
-        for v in self.basis_vectors:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector of wrong length")
-        if self.basis_vectors and rank(self.basis_vectors) != len(self.basis_vectors):
-            raise ValueError("basis vectors are linearly dependent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -100,30 +80,20 @@ class RootPermutationAction:
 
     Each element is a bytes object p with p[i] = image index of root i, and
     products compose right to left: (w g)[i] = w[g[i]].  The matrix of an
-    element over the simple-root basis has column j equal to the lattice
-    coordinates of the image of simple root j.
+    element over the simple-root basis has column j equal to the image of
+    simple root j, a root in its own coordinates.
     """
 
     def __init__(self, root_system: RootSystem):
         rs = root_system
-        if len(rs.roots) > 255:
+        if len(rs.roots) > MAX_ROOTS:
             raise GroupTooLargeError("root set too large for byte-permutation encoding")
         self.root_system = rs
         self.simple_indices = tuple(rs.root_index[a] for a in rs.simple_roots)
-        self._lattice_index = {c: i for i, c in enumerate(rs.lattice_coords)}
-        self.simple_reflections = tuple(self._root_permutation_of_reflection(i)
-                                        for i in range(rs.cartan_type.rank))
-
-    def _root_permutation_of_reflection(self, i: int) -> bytes:
-        rs = self.root_system
-        cm = rs.cartan_matrix
-        images = []
-        for lc in rs.lattice_coords:
-            coeff = sum(lc[j] * cm[j][i] for j in range(len(lc)))
-            new = list(lc)
-            new[i] -= coeff
-            images.append(self._lattice_index[tuple(new)])
-        return bytes(images)
+        self.simple_reflections = tuple(
+            bytes(rs.root_index[simple_reflection(c, i, rs.cartan_matrix)]
+                  for c in rs.roots)
+            for i in range(rs.cartan_type.rank))
 
     def steinberg_generators(self, simple_perm: tuple[int, ...]) -> tuple[bytes, ...]:
         """Generators of W^sigma, the elements commuting with the diagram
@@ -159,7 +129,7 @@ class RootPermutationAction:
         orbit-sum basis b_O = sum of the simple roots in orbit O.  The image
         of b_O is orbit-constant; its coefficient over b_O' is the
         coordinate at the first node of O'."""
-        coords = self.root_system.lattice_coords
+        coords = self.root_system.roots
         orbits = _perm_orbits(simple_perm)
         reps = [orb[0] for orb in orbits]
         out = []
@@ -208,7 +178,7 @@ def fixed_space_charpoly_buckets(action: RootPermutationAction,
     restriction of W^sigma to the fixed subspace is faithful, because that
     subspace holds the regular vector rho.
     """
-    coords = action.root_system.lattice_coords
+    coords = action.root_system.roots
     orbits = _perm_orbits(simple_perm)
     dim = len(orbits)
     pairs = tuple((action.simple_indices[i], orb[0]) for orb in orbits for i in orb)

@@ -16,7 +16,8 @@ from twistloop.exact import collapse_to_cohomological, matrix
 from twistloop.oracle import (WeylPermutationGroup, brute_force_invariant_dims,
                               generate_group, reflection_matrix, super_molien)
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import CartanType, build_root_system, degrees
+from twistloop.rootsys import (CartanType, build_root_system, degrees,
+                               simple_root_vectors)
 
 from conftest import cached_report
 
@@ -125,8 +126,8 @@ def test_criterion_5_special_unitary_flips():
             if n % 2 == 0 and m <= 4:
                 # independent route: even orthogonal Weyl group extended by
                 # its diagram symmetry, generated explicitly in m-space
-                rs = build_root_system(CartanType("D", m))
-                gens = [reflection_matrix(a) for a in rs.simple_roots]
+                gens = [reflection_matrix(a)
+                        for a in simple_root_vectors(CartanType("D", m))]
                 flip = matrix([[(-1 if i == j == m - 1 else (1 if i == j else 0))
                                 for j in range(m)] for i in range(m)])
                 extended = generate_group(gens + [flip])

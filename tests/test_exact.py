@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from twistloop.exact import (BigradedSeries, charpoly_from_power_traces,
-                             dets_from_charpoly, identity_matrix, invert,
-                             kernel_basis, mat_mul, mat_vec, matrix,
-                             poly_inverse_series, poly_mul_trunc,
-                             product_over_degrees, rank, rational_function_series,
-                             solve)
-from twistloop.oracle import charpoly
+                             dets_from_charpoly, identity_matrix, mat_mul,
+                             mat_vec, matrix, poly_inverse_series,
+                             poly_mul_trunc, product_over_degrees,
+                             rational_function_series)
+from twistloop.oracle import charpoly, invert, kernel_basis, rank, solve
 
 I2 = identity_matrix(2)
 DIAG = matrix([[1, 0], [0, -1]])

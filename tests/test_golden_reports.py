@@ -2,9 +2,10 @@
 
 ``golden_reports.json`` maps each case to the sha256 digests of its
 ``to_json()`` and ``to_text()`` output.  The cases are the acceptance
-matrix at truncation 50 and three ``--check`` runs.  A refactor that is
-meant to leave every answer unchanged must leave every digest unchanged;
-criterion 8 checks determinism only within one commit.
+matrix at truncation 50, three ``--check`` runs, the E8 table route, A9
+flip, two ``perm=`` spellings and four deep series at truncation 600.  A
+refactor that is meant to leave every answer unchanged must leave every
+digest unchanged; criterion 8 checks determinism only within one commit.
 
 When a report is meant to change, regenerate the file and say why in the
 change log:
@@ -29,6 +30,11 @@ MATRIX = ([(f, r, "identity") for f, r in SOLOMON_TYPES] +
           [("A", r, "flip") for r in A_FLIP_RANKS] +
           [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
 CHECKED = [("A", 2, "identity"), ("A", 3, "flip"), ("D", 4, "triality")]
+# (family, rank, automorphism, truncation); tuples are 0-based node images
+EXTRA = [("E", 8, "identity", 50), ("A", 9, "flip", 50),
+         ("A", 3, (2, 1, 0), 50), ("D", 4, (2, 1, 3, 0), 50),
+         ("G", 2, "identity", 600), ("F", 4, "identity", 600),
+         ("A", 5, "flip", 600), ("D", 4, "triality", 600)]
 
 
 def _sha(text: str) -> str:
@@ -40,6 +46,9 @@ def digests() -> dict[str, dict[str, str]]:
     for f, r, tag in CHECKED:
         reports[f"{f}{r} {tag} T50 --check"] = compute(
             TwistSpec(CartanType(f, r), tag, run_oracle=True))
+    for f, r, auto, t in EXTRA:
+        rpt = cached_report(f, r, auto, t)
+        reports[f"{f}{r} {rpt.automorphism} T{t}"] = rpt
     return {name: {"json": _sha(rpt.to_json()), "text": _sha(rpt.to_text())}
             for name, rpt in reports.items()}
 

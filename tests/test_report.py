@@ -1,6 +1,9 @@
 import json
+import multiprocessing.process
+import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -9,13 +12,13 @@ from twistloop.cli import main
 from twistloop.exact import identity_matrix, product_over_degrees
 from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup,
                               brute_force_invariant_dims)
-from twistloop.report import (ClosedForm, TwistSpec, _closed_form_or_note,
-                              compute, excluded_characteristics,
-                              recognize_closed_form)
+from twistloop.report import (MAX_TRUNCATION, MAX_WORKERS, ClosedForm, TwistSpec,
+                              _closed_form_or_note, compute,
+                              excluded_characteristics, recognize_closed_form)
 from twistloop.rootsys import CartanType, build_root_system, degrees
 
 from conftest import cached_report
-from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
+from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES, expected_series
 
 
 class TestRecognizeClosedForm:
@@ -154,6 +157,14 @@ class TestCompute:
         with pytest.raises(GroupTooLargeError):
             compute(TwistSpec(CartanType("A", 3), element_cap=10))
 
+    def test_pipeline_never_loads_the_oracle(self):
+        code = ("import sys, twistloop; twistloop.compute(twistloop.TwistSpec("
+                "twistloop.CartanType('D', 4), 'triality')); "
+                "print('twistloop.oracle' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "False\n"
+
     def test_explicit_permutation_echo(self):
         rpt = compute(TwistSpec(CartanType("A", 3), (2, 1, 0)))
         assert rpt.automorphism == "perm=3,2,1"
@@ -269,3 +280,74 @@ class TestCli:
         first = subprocess.run(cmd, capture_output=True, check=True).stdout
         second = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert first == second
+
+
+class TestLimits:
+    """Resource limits bind before any work: the cap on |W^sigma| and the
+    root count from the type alone, the two knobs when the spec is made."""
+
+    def test_a60_rejected_at_once(self):
+        start = time.time()
+        proc = subprocess.run([sys.executable, "-m", "twistloop", "--type", "A",
+                               "--rank", "60"], capture_output=True, text=True)
+        assert time.time() - start < 1
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("resource cap: W^sigma, the Weyl group of the "
+                                      "folded type A60, has order ")
+
+    def test_cap_applies_to_the_folded_group(self, capsys):
+        # |W(A10)| = 39916800 is past the cap; W^sigma = W(B5) has 3840 elements
+        assert main(["--type", "A", "--rank", "10", "--auto", "flip",
+                     "--format", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["folded_type"] == "B5"
+        assert d["wsigma"]["order"] == 3840
+        assert d["closed_form"]["y_degrees"] == [4, 8, 12, 16, 20]
+        assert d["series"] == list(expected_series((2, 4, 6, 8, 10)))
+
+    def test_folded_group_past_the_cap(self, capsys):
+        # A15 flip folds to C8, of order 10321920
+        assert main(["--type", "A", "--rank", "15", "--auto", "flip"]) == 2
+        assert "folded type C8, has order 10321920" in capsys.readouterr().err
+
+    def test_root_count_checked_up_front(self):
+        from twistloop.weyl import GroupTooLargeError
+        # W^sigma = W(B8) fits a raised cap, but A16 has 272 roots
+        with pytest.raises(GroupTooLargeError, match="272 roots"):
+            compute(TwistSpec(CartanType("A", 16), "flip", element_cap=10**8))
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--auto", "perm=1,2"], "permutation has 2 images"),
+        (["--auto", "perm=" + ",".join(map(str, [2, 1] + list(range(3, 61))))],
+         "permutation does not preserve the Cartan matrix"),
+        (["--truncate", str(MAX_TRUNCATION + 1)], "truncation must be at most"),
+        (["--workers", str(MAX_WORKERS + 1)], "workers must be at most"),
+    ])
+    def test_malformed_input_before_the_cap(self, capsys, flags, message):
+        assert main(["--type", "A", "--rank", "60"] + flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_truncation_bound(self, capsys):
+        rpt = compute(TwistSpec(CartanType("A", 1), truncation=MAX_TRUNCATION))
+        assert len(rpt.series) == MAX_TRUNCATION + 1
+        assert rpt.series == product_over_degrees([2], MAX_TRUNCATION)
+        with pytest.raises(ValueError, match="truncation must be at most 10000"):
+            TwistSpec(CartanType("A", 1), truncation=MAX_TRUNCATION + 1)
+        assert main(["--type", "A", "--rank", "1", "--truncate", "10001"]) == 1
+        assert capsys.readouterr().err == "error: truncation must be at most 10000\n"
+
+    def test_workers_bound_starts_nothing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread or process was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        threads = threading.active_count()
+        at_bound = compute(TwistSpec(CartanType("A", 2), workers=MAX_WORKERS))
+        assert at_bound.to_json() == compute(TwistSpec(CartanType("A", 2))).to_json()
+        with pytest.raises(ValueError, match="workers must be at most 64"):
+            TwistSpec(CartanType("A", 2), workers=MAX_WORKERS + 1)
+        assert main(["--type", "A", "--rank", "2", "--workers", "65"]) == 1
+        assert capsys.readouterr().err == "error: workers must be at most 64\n"
+        assert threading.active_count() == threads

@@ -2,13 +2,18 @@ import math
 
 import pytest
 
+from fractions import Fraction
+
 from twistloop.exact import vec_dot
-from twistloop.rootsys import (CartanType, build_root_system, degrees, reflect,
-                               root_count, weyl_order)
+from twistloop.oracle import ambient_roots, ambient_vector, reflect
+from twistloop.rootsys import (CartanType, build_root_system, degrees,
+                               root_count, simple_reflection,
+                               simple_root_vectors, weyl_order)
 
 ALL_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)] +
              [("C", r) for r in range(1, 7)] + [("D", r) for r in range(2, 7)] +
              [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)])
+CROSS_CHECKED = ALL_TYPES + [("A", 12), ("B", 10), ("C", 11), ("D", 12), ("A", 18)]
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -56,7 +61,7 @@ def test_degrees_table():
 
 
 def test_a2_roots_are_coordinate_differences():
-    rs = build_root_system(CartanType("A", 2))
+    roots = ambient_roots(CartanType("A", 2))
     expected = set()
     for i in range(3):
         for j in range(3):
@@ -64,7 +69,7 @@ def test_a2_roots_are_coordinate_differences():
                 v = [0, 0, 0]
                 v[i], v[j] = 1, -1
                 expected.add(tuple(v))
-    assert set(rs.roots) == expected
+    assert set(roots) == expected
 
 
 def test_cartan_matrices():
@@ -77,32 +82,55 @@ def test_cartan_matrices():
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5),
                                          ("G", 2), ("F", 4), ("E", 6)])
 def test_reflections_permute_roots(family, rank):
-    rs = build_root_system(CartanType(family, rank))
-    root_set = set(rs.roots)
-    for alpha in rs.roots:
-        for v in rs.roots:
+    roots = ambient_roots(CartanType(family, rank))
+    root_set = set(roots)
+    for alpha in roots:
+        for v in roots:
             assert reflect(v, alpha) in root_set
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5),
+                                         ("G", 2), ("F", 4), ("E", 6)])
+def test_integer_reflection_matches_ambient_reflection(family, rank):
+    t = CartanType(family, rank)
+    rs = build_root_system(t)
+    simple = simple_root_vectors(t)
+    for c in rs.roots:
+        for i, alpha in enumerate(simple):
+            assert ambient_vector(t, simple_reflection(c, i, rs.cartan_matrix)) == \
+                reflect(ambient_vector(t, c), alpha)
+
+
+@pytest.mark.parametrize("family,rank", CROSS_CHECKED)
+def test_integer_roots_match_ambient_closure(family, rank):
+    t = CartanType(family, rank)
+    rs = build_root_system(t)
+    assert {ambient_vector(t, c) for c in rs.roots} == set(ambient_roots(t))
+    simple = simple_root_vectors(t)
+    assert rs.cartan_matrix == tuple(
+        tuple(Fraction(2 * vec_dot(a, b)) / vec_dot(b, b) for b in simple)
+        for a in simple)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_uniform_sign_coordinates(family, rank):
     rs = build_root_system(CartanType(family, rank))
-    for lc in rs.lattice_coords:
+    for lc in rs.roots:
         assert all(c >= 0 for c in lc) or all(c <= 0 for c in lc)
         assert all(isinstance(c, int) for c in lc)
 
 
 def test_roots_closed_under_negation():
-    rs = build_root_system(CartanType("F", 4))
-    root_set = set(rs.roots)
-    for v in rs.roots:
+    roots = ambient_roots(CartanType("F", 4))
+    root_set = set(roots)
+    for v in roots:
         assert tuple(-c for c in v) in root_set
 
 
 def test_simple_roots_pairwise_obtuse():
-    rs = build_root_system(CartanType("E", 7))
-    for i, a in enumerate(rs.simple_roots):
-        for j, b in enumerate(rs.simple_roots):
+    simple = simple_root_vectors(CartanType("E", 7))
+    for i, a in enumerate(simple):
+        for j, b in enumerate(simple):
             if i != j:
                 assert vec_dot(a, b) <= 0
 

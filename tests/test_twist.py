@@ -2,26 +2,31 @@ from fractions import Fraction
 
 import pytest
 
-from twistloop.exact import mat_vec, rank, vec_add, vec_scale, vector
-from twistloop.oracle import (WeylPermutationGroup, fixed_space_stabilizer_perms,
-                              restricted_fixed_space_group)
-from twistloop.rootsys import CartanType, build_root_system
-from twistloop.twist import (fixed_group_info, fixed_subspace,
+from twistloop.exact import (identity_matrix, mat_mul, mat_vec, vec_add,
+                             vec_dot, vec_scale, vector)
+from twistloop.oracle import (WeylPermutationGroup, ambient_roots, ambient_vector,
+                              automorphism_matrix, fixed_space_stabilizer_perms,
+                              fixed_subspace, rank, restricted_fixed_space_group)
+from twistloop.rootsys import CartanType, build_root_system, simple_root_vectors
+from twistloop.twist import (check_folded_roots, fixed_group_info,
                              folded_root_system, make_automorphism,
-                             orbit_count_criterion, orbits_on_roots,
-                             positive_orbit_sizes, project_roots,
-                             wsigma_preserves_folded)
+                             orbit_count_criterion, orbit_sum_gram,
+                             orbits_on_roots, positive_orbit_sizes,
+                             project_roots, wsigma_preserves_folded)
+
+from test_properties import IDENTITIES, TWISTS
 
 
 def ambient_projection_set(aut):
     """Independent computation of the projected roots as ambient vectors:
     average each root over the automorphism's matrix powers."""
+    m = automorphism_matrix(aut)
     out = set()
-    for v in aut.base.roots:
+    for v in ambient_roots(aut.base.cartan_type):
         total = v
         w = v
         for _ in range(aut.order - 1):
-            w = mat_vec(aut.matrix, w)
+            w = mat_vec(m, w)
             total = vec_add(total, w)
         out.add(vec_scale(Fraction(1, aut.order), total))
     return out
@@ -38,12 +43,12 @@ class TestMakeAutomorphism:
         aut = make_automorphism(rs, "flip")
         assert aut.order == 2
         # paper coordinates: e_i - e_j maps to e_{n+1-j} - e_{n+1-i}
-        for v in rs.roots:
+        for v in ambient_roots(rs.cartan_type):
             i = v.index(1)
             j = v.index(-1)
             expected = [0] * 4
             expected[3 - j], expected[3 - i] = 1, -1
-            assert mat_vec(aut.matrix, v) == tuple(expected)
+            assert mat_vec(automorphism_matrix(aut), v) == tuple(expected)
 
     def test_triality_has_order_three(self):
         rs = build_root_system(CartanType("D", 4))
@@ -148,7 +153,7 @@ class TestFixedSubspace:
             rs = build_root_system(CartanType(fam, rk))
             aut = make_automorphism(rs, tag)
             for v in fixed_subspace(aut).basis_vectors:
-                assert mat_vec(aut.matrix, v) == v
+                assert mat_vec(automorphism_matrix(aut), v) == v
 
 
 class TestProjection:
@@ -194,19 +199,19 @@ class TestFolding:
         rs = build_root_system(CartanType("D", n))
         fold = folded_root_system(make_automorphism(rs, "flip"))
         assert fold.folded_type == CartanType("B", n - 1)
-        assert len(fold.folded.roots) == 2 * (n - 1) ** 2
+        assert len(fold.folded_roots) == 2 * (n - 1) ** 2
 
     def test_triality_folds_to_g2(self):
         rs = build_root_system(CartanType("D", 4))
         fold = folded_root_system(make_automorphism(rs, "triality"))
         assert fold.folded_type == CartanType("G", 2)
-        assert len(fold.folded.roots) == 12
+        assert len(fold.folded_roots) == 12
 
     def test_e6_folds_to_f4(self):
         rs = build_root_system(CartanType("E", 6))
         fold = folded_root_system(make_automorphism(rs, "flip"))
         assert fold.folded_type == CartanType("F", 4)
-        assert len(fold.folded.roots) == 48
+        assert len(fold.folded_roots) == 48
 
     @pytest.mark.parametrize("rank,expected", [(2, ("B", 1)), (3, ("C", 2)),
                                                (4, ("B", 2)), (5, ("C", 3)),
@@ -222,14 +227,33 @@ class TestFolding:
             rs = build_root_system(CartanType(fam, rk))
             aut = make_automorphism(rs, tag)
             fold = folded_root_system(aut)
-            assert fold.folded_type.rank == fold.fixed_basis.dim
+            assert fold.folded_type.rank == fixed_subspace(aut).dim
 
     def test_folded_roots_inside_projections(self):
         for fam, rk, tag in [("A", 4, "flip"), ("D", 4, "triality"), ("E", 6, "flip")]:
             rs = build_root_system(CartanType(fam, rk))
             fold = folded_root_system(make_automorphism(rs, tag))
             proj = {v for v, _ in fold.projected_roots}
-            assert set(fold.folded.roots) <= proj
+            assert set(fold.folded_roots) <= proj
+
+    def test_folded_check_rejects_a_wrong_set_or_type(self):
+        rs = build_root_system(CartanType("E", 6))
+        aut = make_automorphism(rs, "flip")
+        roots = folded_root_system(aut).folded_roots
+        gram = orbit_sum_gram(aut)
+        check_folded_roots(roots, gram, CartanType("F", 4))
+        # the highest root and its negative: the set stays symmetric and
+        # keeps its simple base, so only the comparison with F4's roots fails
+        top = max(roots, key=sum)
+        neg = tuple(-c for c in top)
+        with pytest.raises(ValueError, match="not the root system of F4"):
+            check_folded_roots([v for v in roots if v not in (top, neg)],
+                               gram, CartanType("F", 4))
+        with pytest.raises(ValueError):
+            check_folded_roots([v for v in roots if v != top], gram, CartanType("F", 4))
+        for wrong in (CartanType("B", 4), CartanType("C", 4), CartanType("G", 2)):
+            with pytest.raises(ValueError):
+                check_folded_roots(roots, gram, wrong)
 
 
 class TestCriteria:
@@ -282,7 +306,7 @@ class TestProjectionEquivariance:
             avg = [Fraction(0)] * rs.cartan_type.rank
             j = idx
             for _ in range(aut.order):
-                for i, c in enumerate(rs.lattice_coords[j]):
+                for i, c in enumerate(rs.roots[j]):
                     avg[i] += c
                 j = aut.root_perm[j]
             return vector(Fraction(avg[rep], aut.order) for rep in reps)
@@ -292,6 +316,48 @@ class TestProjectionEquivariance:
             m = restricted_fixed_space_group(w, aut.simple_perm, [elem]).elements[0]
             for idx in range(len(rs.roots)):
                 assert mat_vec(m, projections[idx]) == projections[elem[idx]]
+
+
+class TestAmbientReference:
+    """The pipeline's coordinate permutations and orbit-sum data against the
+    classical ambient realization in twistloop.oracle."""
+
+    @pytest.mark.parametrize("family,rank,tag,perm", TWISTS + IDENTITIES,
+                             ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_root_permutation_matches_ambient_matrix(self, family, rank, tag, perm):
+        t = CartanType(family, rank)
+        rs = build_root_system(t)
+        simple = simple_root_vectors(t)
+        for spec in (tag, perm):
+            aut = make_automorphism(rs, spec)
+            m = automorphism_matrix(aut)
+            for j, alpha in enumerate(simple):
+                assert mat_vec(m, alpha) == simple[aut.simple_perm[j]]
+            for i, c in enumerate(rs.roots):
+                assert mat_vec(m, ambient_vector(t, c)) == \
+                    ambient_vector(t, rs.roots[aut.root_perm[i]])
+            power = m
+            for _ in range(aut.order - 1):
+                assert power != identity_matrix(len(m))
+                power = mat_mul(power, m)
+            assert power == identity_matrix(len(m))
+
+    @pytest.mark.parametrize("family,rank,tag", [("A", 4, "flip"), ("A", 5, "flip"),
+                                                 ("D", 5, "flip"), ("D", 4, "triality"),
+                                                 ("E", 6, "flip"), ("B", 3, "identity")])
+    def test_orbit_sum_data_match_ambient_fixed_subspace(self, family, rank, tag):
+        aut = make_automorphism(build_root_system(CartanType(family, rank)), tag)
+        basis = fixed_subspace(aut).basis_vectors
+        assert orbit_sum_gram(aut) == tuple(tuple(vec_dot(x, y) for y in basis)
+                                            for x in basis)
+
+        def ambient(v):
+            total = tuple(0 for _ in basis[0])
+            for c, b in zip(v, basis):
+                total = vec_add(total, vec_scale(c, b))
+            return total
+
+        assert {ambient(v) for v, _ in project_roots(aut)} == ambient_projection_set(aut)
 
 
 def test_fixed_group_info_component_counts():

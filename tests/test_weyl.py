@@ -5,19 +5,21 @@ import pytest
 from twistloop.exact import (BigradedSeries, collapse_to_cohomological,
                              dets_from_charpoly, identity_matrix, mat_mul,
                              mat_vec, matrix, product_over_degrees,
-                             rational_function_series, solve)
-from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup, charpoly,
-                              fixed_space_stabilizer_perms, generate_group,
-                              reflection_matrix, restrict_to_subspace,
-                              restricted_fixed_space_group, subspace_stabilizer,
-                              super_molien)
-from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
-from twistloop.twist import fixed_subspace, make_automorphism
-from twistloop.weyl import GroupTooLargeError, SubspaceBasis, super_molien_from_buckets
+                             rational_function_series)
+from twistloop.oracle import (FiniteMatrixGroup, SubspaceBasis,
+                              WeylPermutationGroup, charpoly,
+                              fixed_space_stabilizer_perms, fixed_subspace,
+                              generate_group, reflection_matrix,
+                              restrict_to_subspace, restricted_fixed_space_group,
+                              solve, subspace_stabilizer, super_molien)
+from twistloop.rootsys import (CartanType, build_root_system, degrees,
+                               simple_root_vectors, weyl_order)
+from twistloop.twist import make_automorphism
+from twistloop.weyl import GroupTooLargeError, super_molien_from_buckets
 
 
 def ambient_reflections(rs):
-    return [reflection_matrix(a) for a in rs.simple_roots]
+    return [reflection_matrix(a) for a in simple_root_vectors(rs.cartan_type)]
 
 
 def molien_element_by_element(mats, trunc: int) -> BigradedSeries:

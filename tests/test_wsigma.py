@@ -57,9 +57,9 @@ def test_wsigma_agrees_with_full_enumeration(family, rank, tag):
 
     on_generators = wsigma_preserves_folded(
         action.fixed_space_matrices(aut.simple_perm, generators), fold)
-    roots = set(fold.folded.roots)
+    roots = set(fold.folded_roots)
     exhaustive = all(mat_vec(g, v) in roots
-                     for g in oracle.elements for v in fold.folded.roots)
+                     for g in oracle.elements for v in fold.folded_roots)
     assert exhaustive
     assert on_generators == exhaustive
 
