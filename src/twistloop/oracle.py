@@ -10,8 +10,10 @@ coordinates over the simple roots; Berkowitz :func:`charpoly`; explicit
 matrix groups (:class:`FiniteMatrixGroup`, :func:`super_molien`,
 :func:`generate_group` of :func:`reflection_matrix` generators, the
 ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
-all of W (:class:`WeylPermutationGroup`) with the full-enumeration
-fixed-subspace stabilizer and its image; and
+the breadth-first closure :func:`close_permutations` of byte
+permutations, which keeps every element; all of W
+(:class:`WeylPermutationGroup`) with the full-enumeration fixed-subspace
+stabilizer and its image; and
 :func:`brute_force_invariant_dims`, invariant dimensions from explicit
 monomial bases instead of the super-Molien average.
 """
@@ -30,7 +32,7 @@ from .exact import (BigradedSeries, Matrix, Scalar, Vector, identity_matrix,
 from .rootsys import CartanType, RootSystem, simple_root_vectors
 from .twist import DiagramAutomorphism
 from .weyl import (DEFAULT_ELEMENT_CAP, CharPoly, GroupTooLargeError,
-                   RootPermutationAction, _perm_orbits, close_permutations,
+                   RootPermutationAction, _perm_orbits,
                    fixed_space_charpoly_buckets, super_molien_from_buckets)
 
 ORACLE_MAX_DIM = 3
@@ -359,6 +361,29 @@ def restrict_to_subspace(group: FiniteMatrixGroup, space: SubspaceBasis) -> Fini
             seen.add(restricted)
             images.append(restricted)
     return FiniteMatrixGroup(space.dim, images)
+
+
+def close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ...]:
+    """Breadth-first closure of byte permutations under right multiplication,
+    in discovery order, every element kept in a tuple and a set.  Raises
+    GroupTooLargeError past the cap.  The pipeline streams W^sigma from
+    coset representatives instead (:func:`twistloop.weyl.wsigma_elements`)."""
+    n = len(generators[0])
+    ident = bytes(range(n))
+    seen = {ident}
+    order = [ident]
+    queue = deque([ident])
+    while queue:
+        w = queue.popleft()
+        for g in generators:
+            c = bytes(map(w.__getitem__, g))
+            if c not in seen:
+                if len(seen) >= cap:
+                    raise GroupTooLargeError(f"group too large (cap {cap})")
+                seen.add(c)
+                order.append(c)
+                queue.append(c)
+    return tuple(order)
 
 
 class WeylPermutationGroup(RootPermutationAction):

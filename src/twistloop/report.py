@@ -2,12 +2,14 @@
 
 :func:`compute` builds the root system, the diagram automorphism sigma and
 its folding, then the group the answer needs: W^sigma, the elements of
-the Weyl group that commute with sigma, closed from Steinberg's
+the Weyl group that commute with sigma, streamed from Steinberg's
 generators (one longest parabolic element per sigma-orbit of simple
-nodes; sigma = identity gives all of W).  W^sigma acts faithfully on the
-fixed subspace and realizes the folded Weyl group there; the
-super-Molien series of that action, bucketed by characteristic
-polynomial, gives the single-graded series the report emits.  That series
+nodes; sigma = identity gives all of W) as products of coset
+representatives, each element bucketed by its characteristic polynomial
+on the fixed subspace as it is produced and then dropped.  W^sigma acts
+faithfully on the fixed subspace and realizes the folded Weyl group
+there; the super-Molien series of that action, averaged over the
+buckets, gives the single-graded series the report emits.  That series
 is the dimension series of the cohomology of the classifying space of
 the corresponding twisted loop group, valid away from the reported
 excluded characteristics.
@@ -34,15 +36,14 @@ from typing import Sequence
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION,
                     collapse_to_cohomological, poly_mul_trunc,
                     product_over_degrees)
-from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
-                      root_count, weyl_order)
-from .twist import (DiagramAutomorphism, OrbitCriterion, expected_folded_type,
-                    fixed_group_info, folded_root_system, make_automorphism,
-                    orbit_count_criterion, positive_orbit_sizes,
-                    resolve_twist, wsigma_preserves_folded)
+from .rootsys import CartanType, build_root_system, degrees, root_count, weyl_order
+from .twist import (DiagramAutomorphism, OrbitCriterion, _perm_order,
+                    expected_folded_type, fixed_group_info, folded_root_system,
+                    make_automorphism, orbit_count_criterion,
+                    positive_orbit_sizes, resolve_twist, wsigma_preserves_folded)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
-                   RootPermutationAction, close_permutations,
-                   fixed_space_charpoly_buckets, super_molien_from_buckets)
+                   RootPermutationAction, fixed_space_charpoly_buckets,
+                   super_molien_from_buckets, wsigma_elements)
 
 MAX_TRUNCATION = 10_000  # the Molien output grows as the square of it
 MAX_WORKERS = 64
@@ -208,14 +209,16 @@ def excluded_characteristics(cartan_type: CartanType,
                              ) -> tuple[int, ...]:
     """Primes dividing the Weyl order, the twist order, or the component
     count of the fixed subgroup (taken over both documented
-    representatives, so the guarantee is conservative)."""
-    rs = build_root_system(cartan_type)
-    return _excluded_primes(rs, make_automorphism(rs, automorphism))
+    representatives, so the guarantee is conservative).  Read from the
+    type and the twist alone; no root system is built."""
+    perm, tag = resolve_twist(cartan_type, automorphism)
+    return _excluded_primes(cartan_type, perm, tag)
 
 
-def _excluded_primes(rs: RootSystem, aut: DiagramAutomorphism) -> tuple[int, ...]:
-    primes = _prime_factors(rs.weyl_order) | _prime_factors(aut.order)
-    for c in fixed_group_info(rs, aut.tag).component_counts:
+def _excluded_primes(t: CartanType, simple_perm: tuple[int, ...],
+                     tag: str) -> tuple[int, ...]:
+    primes = _prime_factors(weyl_order(t)) | _prime_factors(_perm_order(simple_perm))
+    for c in fixed_group_info(t, tag).component_counts:
         primes |= _prime_factors(c)
     return tuple(sorted(primes))
 
@@ -272,7 +275,7 @@ def compute(spec: TwistSpec) -> TwistReport:
     folding = folded_root_system(aut)
     criterion = orbit_count_criterion(aut, folding)
     pos_sizes = positive_orbit_sizes(aut)
-    info = fixed_group_info(rs, aut.tag)
+    info = fixed_group_info(t, aut.tag)
     notes = [info.note]
     sizes_note = ", ".join(f"{pos_sizes.count(s)} of size {s}"
                            for s in sorted(set(pos_sizes)))
@@ -290,13 +293,15 @@ def compute(spec: TwistSpec) -> TwistReport:
     else:
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)
-        wsigma = close_permutations(generators, spec.element_cap)
+        # a lazy walk: each element is bucketed as it comes, then dropped
+        wsigma = wsigma_elements(action, aut.simple_perm, generators,
+                                 weyl_order(folded_type), spec.element_cap)
         buckets = fixed_space_charpoly_buckets(action, aut.simple_perm, wsigma)
         # the restriction to the fixed subspace is faithful
-        stab_order = restricted_order = len(wsigma)
+        stab_order = restricted_order = sum(buckets.values())
         preserves = wsigma_preserves_folded(
             action.fixed_space_matrices(aut.simple_perm, generators), folding)
-        bigraded = super_molien_from_buckets(buckets, len(wsigma), spec.truncation)
+        bigraded = super_molien_from_buckets(buckets, stab_order, spec.truncation)
         series = collapse_to_cohomological(bigraded)
         if series[0] != 1 or any(c < 0 for c in series):
             raise ValueError("malformed invariant series")
@@ -324,7 +329,8 @@ def compute(spec: TwistSpec) -> TwistReport:
     if spec.run_oracle:
         notes.append("oracle skipped: no enumerated group on the table path"
                      if table_path else
-                     _oracle_note(spec, aut, action, wsigma, bigraded))
+                     _oracle_note(spec, aut, action, generators, stab_order,
+                                  bigraded))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -338,21 +344,23 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves_folded=preserves,
         series=tuple(series),
         closed_form=closed,
-        excluded_characteristics=_excluded_primes(rs, aut),
+        excluded_characteristics=_excluded_primes(t, aut.simple_perm, aut.tag),
         notes=tuple(notes),
         bigraded=bigraded,
     )
 
 
 def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism,
-                 action: RootPermutationAction, wsigma: Sequence[bytes],
-                 bigraded: BigradedSeries) -> str:
+                 action: RootPermutationAction, generators: Sequence[bytes],
+                 order: int, bigraded: BigradedSeries) -> str:
     from . import oracle  # the references stay out of the pipeline's imports
 
     dim = len(aut.simple_orbits)
     if dim > oracle.ORACLE_MAX_DIM:
         return (f"oracle skipped: restricted dimension {dim} exceeds "
                 f"{oracle.ORACLE_MAX_DIM}")
+    wsigma = wsigma_elements(action, aut.simple_perm, generators, order,
+                             spec.element_cap)
     group = oracle.FiniteMatrixGroup(
         dim, action.fixed_space_matrices(aut.simple_perm, wsigma))
     max_deg = min(oracle.ORACLE_MAX_DEGREE, spec.truncation)

@@ -354,8 +354,8 @@ class FixedGroupInfo:
     component_counts: tuple[int, ...]  # |pi_0| for the documented representatives
 
 
-def fixed_group_info(rs: RootSystem, tag: str) -> FixedGroupInfo:
-    fam, r = rs.cartan_type.family, rs.cartan_type.rank
+def fixed_group_info(t: CartanType, tag: str) -> FixedGroupInfo:
+    fam, r = t.family, t.rank
     if tag == "identity":
         return FixedGroupInfo(
             "untwisted: the fixed subgroup is the whole (connected) group", (1,))
@@ -386,4 +386,4 @@ def fixed_group_info(rs: RootSystem, tag: str) -> FixedGroupInfo:
         return FixedGroupInfo(
             "order-two twist: the fixed subgroup is the connected exceptional "
             "group of rank four", (1,))
-    raise ValueError(f"no fixed-subgroup entry for {rs.cartan_type} with {tag!r}")
+    raise ValueError(f"no fixed-subgroup entry for {t} with {tag!r}")

@@ -6,10 +6,12 @@ and the super-Molien series averaged over those buckets.
 group as permutations of the root set (one byte per root index) and
 derives Steinberg's generators of the fixed subgroup W^sigma of a diagram
 automorphism sigma, one per sigma-orbit of simple nodes.
-:func:`close_permutations` closes them into W^sigma, so only W^sigma is
-ever enumerated; sigma = identity gives all of W.
-:func:`fixed_space_charpoly_buckets` reads the characteristic polynomials
-of the action on the fixed subspace off power traces of the permutations.
+:func:`wsigma_elements` streams W^sigma as products of coset
+representatives along the chain of subgroups those generators span, so
+only W^sigma is ever enumerated (sigma = identity gives all of W) and no
+element is stored.  :func:`fixed_space_charpoly_buckets` reads the
+characteristic polynomials of the action on the fixed subspace off power
+traces, walking the orbits of the simple roots under each element.
 
 The super-Molien series of a group G acting on an n-dimensional space is
 
@@ -25,9 +27,10 @@ The independent references these routines are checked against live in
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import (BigradedSeries, Matrix, Scalar, charpoly_from_power_traces,
                     dets_from_charpoly, rational_function_series)
@@ -124,7 +127,7 @@ class RootPermutationAction:
         return tuple(generators)
 
     def fixed_space_matrices(self, simple_perm: tuple[int, ...],
-                             perms: Sequence[bytes]) -> tuple[Matrix, ...]:
+                             perms: Iterable[bytes]) -> tuple[Matrix, ...]:
         """Matrices of elements of W^sigma on the fixed subspace, in the
         orbit-sum basis b_O = sum of the simple roots in orbit O.  The image
         of b_O is orbit-constant; its coefficient over b_O' is the
@@ -141,30 +144,95 @@ class RootPermutationAction:
         return tuple(out)
 
 
-def close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ...]:
-    """Breadth-first closure of byte permutations under right multiplication,
-    in discovery order.  Raises GroupTooLargeError past the cap."""
-    n = len(generators[0])
-    ident = bytes(range(n))
-    seen = {ident}
-    order = [ident]
-    queue = deque([ident])
-    while queue:
-        w = queue.popleft()
-        for g in generators:
-            c = bytes(map(w.__getitem__, g))
-            if c not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLargeError(f"group too large (cap {cap})")
-                seen.add(c)
-                order.append(c)
-                queue.append(c)
-    return tuple(order)
+def wsigma_elements(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                    generators: Sequence[bytes], order: int,
+                    cap: int) -> Iterator[bytes]:
+    """Stream W^sigma, each element once, with no element stored.
+
+    W_k is the subgroup generated by the first k Steinberg generators
+    w_O, taken in sigma-orbit order.  Every element of W^sigma = W_m is a
+    unique product x_1 x_2 ... x_m of right coset representatives x_k of
+    W_{k-1} in W_k (Humphreys, Reflection Groups and Coxeter Groups,
+    1.10), so walking the tree of these products visits W^sigma exactly
+    once, with one composition per tree node.  Only the representatives
+    are kept.
+
+    Raises GroupTooLargeError when a coset search passes the cap, and
+    ValueError before the walk when the coset counts do not multiply to
+    order, the expected |W^sigma|: then the generators are not Steinberg's.
+    """
+    transversals = _coset_transversals(action, simple_perm, generators, cap)
+    if math.prod(map(len, transversals)) != order:
+        raise ValueError(f"coset counts {[len(x) for x in transversals]} do not "
+                         f"multiply to the group order {order}")
+    return _walk_products(transversals)
+
+
+def _coset_transversals(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                        generators: Sequence[bytes],
+                        cap: int) -> tuple[tuple[bytes, ...], ...]:
+    """Right coset representatives of W_{k-1} in W_k for k = 1..m, each
+    found by a breadth-first search over the cosets.
+
+    A coset W_{k-1} x is keyed by the coordinate at the first node of
+    orbit O_k of x(alpha_i), over the simple roots alpha_i.  A simple
+    reflection s_j changes only coordinate j, and W_{k-1} is made of s_j
+    with j outside O_k, so the key is constant on the coset.  Two elements
+    with the same key differ by an element of W^sigma fixing that
+    coordinate functional, hence (it commutes with sigma) every
+    coordinate functional of O_k; such an element lies in the parabolic
+    subgroup without O_k, and within W_k that is W_{k-1}.
+    """
+    coords = action.root_system.roots
+    ident = bytes(range(len(coords)))
+    transversals = []
+    for k, orb in enumerate(_perm_orbits(simple_perm)[:len(generators)]):
+        column = tuple(c[orb[0]] for c in coords)
+        reps = [ident]
+        seen = {tuple(column[s] for s in action.simple_indices)}
+        for x in reps:  # reps grows while it is read: a breadth-first search
+            for g in generators[:k + 1]:
+                y = bytes(map(x.__getitem__, g))
+                key = tuple(column[y[s]] for s in action.simple_indices)
+                if key not in seen:
+                    if len(reps) >= cap:
+                        raise GroupTooLargeError(f"group too large (cap {cap})")
+                    seen.add(key)
+                    reps.append(y)
+        transversals.append(tuple(reps))
+    return tuple(transversals)
+
+
+def _walk_products(transversals: Sequence[Sequence[bytes]]) -> Iterator[bytes]:
+    """Every product x_1 x_2 ... x_m with x_k in transversals[k-1].
+
+    A product p x is x.translate(p) once p is padded to a 256-byte table
+    (the identity past the roots); the inner prefixes are kept padded, and
+    a leaf comes out as long as its last factor.  Consecutive choices of
+    the inner factors share their leading prefixes, so each prefix is
+    composed once.
+    """
+    *inner, last = transversals
+    tail = bytes(range(len(last[0]), 256))
+    inner = [[x + tail for x in xs] for xs in inner]
+    prefixes = [bytes(range(256))]  # prefixes[j] = x_1 ... x_j
+    previous: tuple[bytes, ...] = ()
+    for choice in itertools.product(*inner):
+        j = 0
+        while j < len(previous) and choice[j] is previous[j]:
+            j += 1
+        del prefixes[j + 1:]
+        for x in choice[j:]:
+            prefixes.append(x.translate(prefixes[-1]))
+        p = prefixes[-1]
+        for x in last:
+            yield x.translate(p)
+        previous = choice
 
 
 def fixed_space_charpoly_buckets(action: RootPermutationAction,
                                  simple_perm: tuple[int, ...],
-                                 elements: Sequence[bytes]) -> dict[CharPoly, int]:
+                                 elements: Iterable[bytes]) -> dict[CharPoly, int]:
     """Characteristic polynomials of elements of W^sigma acting on the fixed
     subspace, with multiplicities, recovered from power traces.
 
@@ -173,22 +241,28 @@ def fixed_space_charpoly_buckets(action: RootPermutationAction,
 
         tr(w^k | fixed subspace) = sum_O sum_{i in O} [w^k(alpha_i)]_{rep(O)}.
 
-    For sigma = identity every orbit is one node and this is the trace of
-    the reflection representation.  Elements are counted as given: the
-    restriction of W^sigma to the fixed subspace is faithful, because that
-    subspace holds the regular vector rho.
+    w^k(alpha_i) is reached by stepping along the orbit of alpha_i under w,
+    one lookup per power; no product of elements is formed, and elements
+    may come from a stream.  For sigma = identity every orbit is one node
+    and this is the trace of the reflection representation.  Elements are
+    counted as given: the restriction of W^sigma to the fixed subspace is
+    faithful, because that subspace holds the regular vector rho.
     """
     coords = action.root_system.roots
     orbits = _perm_orbits(simple_perm)
     dim = len(orbits)
-    pairs = tuple((action.simple_indices[i], orb[0]) for orb in orbits for i in orb)
+    powers = range(dim)
+    pairs = []  # (index of alpha_i, column of coordinates at rep(O)), i in O
+    for orb in orbits:
+        column = tuple(c[orb[0]] for c in coords)
+        pairs.extend((action.simple_indices[i], column) for i in orb)
     trace_counts: dict[tuple[int, ...], int] = {}
     for w in elements:
-        p = w
-        traces = [sum(coords[p[ri]][j] for ri, j in pairs)]
-        for _ in range(dim - 1):
-            p = bytes(map(w.__getitem__, p))
-            traces.append(sum(coords[p[ri]][j] for ri, j in pairs))
+        traces = [0] * dim
+        for r, column in pairs:
+            for k in powers:
+                r = w[r]
+                traces[k] += column[r]
         key = tuple(traces)
         trace_counts[key] = trace_counts.get(key, 0) + 1
     buckets: dict[CharPoly, int] = {}

@@ -72,6 +72,19 @@ class TestExcludedCharacteristics:
             assert excluded_characteristics(CartanType(family, rank), tag) == \
                 cached_report(family, rank, tag).excluded_characteristics
 
+    def test_read_from_the_type_alone(self, monkeypatch):
+        import twistloop.report
+        import twistloop.rootsys
+        import twistloop.twist
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("root system built for the excluded primes")
+
+        for module in (twistloop.report, twistloop.rootsys, twistloop.twist):
+            monkeypatch.setattr(module, "build_root_system", refuse)
+        assert excluded_characteristics(CartanType("D", 4), "triality") == (2, 3)
+        assert excluded_characteristics(CartanType("A", 5), (4, 3, 2, 1, 0)) == (2, 3, 5)
+
     def test_a6_has_factorial_primes(self):
         # |W(A6)| = 7!: primes 2, 3, 5, 7
         assert excluded_characteristics(CartanType("A", 6), "flip") == (2, 3, 5, 7)

@@ -361,12 +361,9 @@ class TestAmbientReference:
 
 
 def test_fixed_group_info_component_counts():
-    a = build_root_system(CartanType("A", 3))
+    a = CartanType("A", 3)
     assert fixed_group_info(a, "flip").component_counts == (1, 2)
-    d = build_root_system(CartanType("D", 5))
-    assert fixed_group_info(d, "flip").component_counts == (2, 2)
-    d4 = build_root_system(CartanType("D", 4))
-    assert fixed_group_info(d4, "triality").component_counts == (1,)
-    e = build_root_system(CartanType("E", 6))
-    assert fixed_group_info(e, "flip").component_counts == (1,)
+    assert fixed_group_info(CartanType("D", 5), "flip").component_counts == (2, 2)
+    assert fixed_group_info(CartanType("D", 4), "triality").component_counts == (1,)
+    assert fixed_group_info(CartanType("E", 6), "flip").component_counts == (1,)
     assert fixed_group_info(a, "identity").component_counts == (1,)

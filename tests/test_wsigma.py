@@ -1,39 +1,120 @@
 """W^sigma from Steinberg generators, checked against full enumeration.
 
-The pipeline never enumerates all of W: it closes the longest parabolic
-elements w_O, one per sigma-orbit O of simple nodes, into W^sigma and
-buckets it by power traces.  These tests enumerate all of W for every
-twisted case of the acceptance matrix and compare: the element set with
-the fixed-subspace stabilizer, the restricted image with W^sigma, the
-power-trace buckets with the Berkowitz buckets, and the generator-only
-preservation check with the exhaustive one.
+The pipeline never enumerates all of W: it streams W^sigma as products of
+coset representatives along the chain of subgroups spanned by the longest
+parabolic elements w_O, one per sigma-orbit O of simple nodes, and
+buckets each element by power traces as it is produced.  These tests
+enumerate all of W for every twisted case of the acceptance matrix and
+compare: the element set with the fixed-subspace stabilizer, the
+restricted image with W^sigma, the power-trace buckets with the Berkowitz
+buckets, and the generator-only preservation check with the exhaustive
+one.  The stream itself is compared with the breadth-first closure of the
+same generators.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
+from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
 from twistloop.exact import mat_vec
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import CartanType, build_root_system
-from twistloop.twist import (folded_root_system, make_automorphism,
-                             wsigma_preserves_folded)
-from twistloop.oracle import (WeylPermutationGroup, fixed_space_stabilizer_perms,
+from twistloop.rootsys import CartanType, build_root_system, weyl_order
+from twistloop.twist import (expected_folded_type, folded_root_system,
+                             make_automorphism, wsigma_preserves_folded)
+from twistloop.oracle import (WeylPermutationGroup, close_permutations,
+                              fixed_space_stabilizer_perms,
                               restricted_fixed_space_group)
-from twistloop.weyl import (RootPermutationAction, close_permutations,
-                            fixed_space_charpoly_buckets)
+from twistloop.weyl import (GroupTooLargeError, RootPermutationAction,
+                            fixed_space_charpoly_buckets, wsigma_elements)
 
 from test_acceptance import expected_series
+from test_rootsys import ALL_TYPES
 
 TWISTED = ([("A", r, "flip") for r in range(2, 9)] +
            [("D", n, "flip") for n in range(2, 7)] +
            [("E", 6, "flip"), ("D", 4, "triality"), ("D", 4, "triality2")])
 
 
+STREAMED = ([(f, r, "identity") for f, r in ALL_TYPES
+             if weyl_order(CartanType(f, r)) <= 10**5] + TWISTED)
+
+
+def folded_order(aut):
+    return weyl_order(expected_folded_type(aut.base.cartan_type, aut.tag))
+
+
 def wsigma_of(rs, aut):
     action = RootPermutationAction(rs)
     generators = action.steinberg_generators(aut.simple_perm)
-    return action, generators, close_permutations(generators, 10**7)
+    stream = wsigma_elements(action, aut.simple_perm, generators,
+                             folded_order(aut), 10**7)
+    return action, generators, tuple(stream)
+
+
+@pytest.mark.parametrize("family,rank,tag", STREAMED)
+def test_stream_is_the_closure_of_the_generators(family, rank, tag):
+    rs = build_root_system(CartanType(family, rank))
+    aut = make_automorphism(rs, tag)
+    _, generators, wsigma = wsigma_of(rs, aut)
+    assert len(wsigma) == folded_order(aut)
+    assert len(set(wsigma)) == len(wsigma)  # each element once
+    assert set(wsigma) == set(close_permutations(generators, 10**7))
+
+
+@pytest.mark.parametrize("family,rank,tag", [("E", 6, "identity"), ("A", 5, "flip"),
+                                             ("D", 4, "triality")])
+def test_wrong_generator_set_is_refused_before_the_walk(family, rank, tag):
+    rs = build_root_system(CartanType(family, rank))
+    aut = make_automorphism(rs, tag)
+    action = RootPermutationAction(rs)
+    generators = action.steinberg_generators(aut.simple_perm)
+    dropped = generators[:-1]
+    duplicated = generators[:1] + generators[:-1]
+    for wrong in (dropped, duplicated):
+        with pytest.raises(ValueError, match="do not multiply to the group order"):
+            wsigma_elements(action, aut.simple_perm, wrong, folded_order(aut), 10**7)
+
+
+def test_coset_search_stops_at_the_cap():
+    rs = build_root_system(CartanType("A", 5))
+    aut = make_automorphism(rs, "identity")
+    action = RootPermutationAction(rs)
+    generators = action.steinberg_generators(aut.simple_perm)
+    # the last coset search of W(A5) over W(A4) finds 6 representatives
+    wsigma_elements(action, aut.simple_perm, generators, 720, 6)
+    with pytest.raises(GroupTooLargeError):
+        wsigma_elements(action, aut.simple_perm, generators, 720, 5)
+
+
+def test_compute_never_calls_the_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("breadth-first closure on the pipeline path")
+
+    for module in (cli, exact, report, rootsys, twist, weyl):
+        assert not hasattr(module, "close_permutations"), module.__name__
+    monkeypatch.setattr(oracle, "close_permutations", refuse)
+    # the --check oracle is run where its brute-force count is cheap
+    for family, rank, tag, check in [("G", 2, "identity", True), ("A", 4, "flip", True),
+                                     ("D", 4, "triality", True), ("E", 6, "flip", False),
+                                     ("B", 4, "identity", False)]:
+        rpt = compute(TwistSpec(CartanType(family, rank), tag, run_oracle=check))
+        assert rpt.closed_form is not None
+
+
+def test_e6_identity_memory_stays_below_the_element_store():
+    # a closure of W(E6) keeps 51840 permutations of 72 roots in a tuple
+    # and a set, 8.2 MB of traced allocations; the stream keeps only the
+    # coset representatives and the trace buckets
+    tracemalloc.start()
+    try:
+        rpt = compute(TwistSpec(CartanType("E", 6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rpt.stabilizer_order == 51840
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("family,rank,tag", TWISTED)
@@ -84,7 +165,8 @@ def test_identity_twist_is_the_full_weyl_group(family, rank):
     action, generators, wsigma = wsigma_of(rs, aut)
     weyl = WeylPermutationGroup(rs)
     assert generators == weyl.simple_reflections
-    assert wsigma == weyl.elements
+    assert len(wsigma) == len(weyl.elements)
+    assert set(wsigma) == set(weyl.elements)  # the stream is not in BFS order
     assert fixed_space_charpoly_buckets(action, aut.simple_perm, wsigma) == \
         weyl.to_matrix_group().charpoly_buckets
 
