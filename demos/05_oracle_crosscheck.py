@@ -1,7 +1,8 @@
 """Cross-checking the series against a brute-force count.
 
-The super-Molien average and an explicit monomial-basis computation are
-two independent routes to the same invariant dimensions.  The brute-force
+Solomon's product over the certified invariant degrees and an explicit
+monomial-basis computation are two independent routes to the same
+invariant dimensions.  The brute-force
 route builds the induced action on each (exterior degree a) x (polynomial
 degree b) piece and computes the joint fixed subspace by exact kernels;
 it is only feasible in low dimension and degree, which is exactly what

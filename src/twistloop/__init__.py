@@ -1,8 +1,8 @@
 """Exact invariant-theory engine for the cohomology of classifying spaces
 of twisted loop groups of compact simple Lie groups."""
 
-from .exact import (BigradedSeries, DEFAULT_TRUNCATION, dets_from_charpoly,
-                    mat_mul, product_over_degrees, rational_function_series)
+from .exact import (BigradedSeries, DEFAULT_TRUNCATION, mat_mul,
+                    product_over_degrees, solomon_series)
 from .report import (ClosedForm, TwistReport, TwistSpec, compute,
                      excluded_characteristics, recognize_closed_form)
 from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
@@ -10,20 +10,18 @@ from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
 from .twist import (DiagramAutomorphism, FoldingResult, folded_root_system,
                     make_automorphism, orbit_count_criterion, orbits_on_roots,
                     project_roots, wsigma_preserves_folded)
-from .weyl import (GroupTooLargeError, RootPermutationAction,
-                   fixed_space_charpoly_buckets, super_molien_from_buckets,
-                   wsigma_elements)
+from .weyl import (GroupTooLargeError, RootPermutationAction, invariant_degrees,
+                   wsigma_transversals)
 
 __all__ = [
     "BigradedSeries", "CartanType", "ClosedForm", "DiagramAutomorphism",
     "DEFAULT_TRUNCATION", "FoldingResult", "GroupTooLargeError",
     "RootPermutationAction", "RootSystem", "TwistReport",
     "TwistSpec", "build_root_system", "compute",
-    "degrees", "dets_from_charpoly", "excluded_characteristics",
-    "fixed_space_charpoly_buckets", "folded_root_system",
-    "mat_mul", "make_automorphism", "orbit_count_criterion",
-    "orbits_on_roots", "product_over_degrees", "project_roots",
-    "rational_function_series", "recognize_closed_form", "root_count",
-    "super_molien_from_buckets", "weyl_order", "wsigma_elements",
-    "wsigma_preserves_folded",
+    "degrees", "excluded_characteristics", "folded_root_system",
+    "invariant_degrees", "mat_mul", "make_automorphism",
+    "orbit_count_criterion", "orbits_on_roots", "product_over_degrees",
+    "project_roots", "recognize_closed_form", "root_count",
+    "solomon_series", "weyl_order", "wsigma_preserves_folded",
+    "wsigma_transversals",
 ]

@@ -1,5 +1,6 @@
 """Exact rational vectors and matrices, characteristic polynomials from
-power traces, and truncated bigraded power series.
+power traces, and truncated bigraded power series with Solomon's product
+over a degree multiset.
 
 Scalars are Python ints and ``fractions.Fraction`` values (a Fraction is
 always stored in lowest terms with positive denominator).  Vectors and
@@ -107,22 +108,6 @@ def charpoly_from_power_traces(traces: Sequence[Scalar], n: int) -> tuple[Scalar
     return tuple(cp)
 
 
-def dets_from_charpoly(cp: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
-    """From cp = charpoly(M), return the coefficient lists (ascending) of
-    det(1 + s*M) in s and det(1 - t*M) in t.
-
-    With eigenvalues mu_i, det(1 + s*M) = prod(1 + s*mu_i) and
-    det(1 - t*M) = prod(1 - t*mu_i); both are plain reversals of cp up to
-    alternating signs.
-    """
-    n = len(cp) - 1
-    if cp[n] != 1:
-        raise ValueError("characteristic polynomial must be monic")
-    num_s = tuple(normalize_scalar((-1) ** j * cp[n - j]) for j in range(n + 1))
-    den_t = tuple(normalize_scalar(cp[n - j]) for j in range(n + 1))
-    return num_s, den_t
-
-
 # ---------------------------------------------------------------------------
 # truncated bigraded series
 # ---------------------------------------------------------------------------
@@ -156,38 +141,6 @@ class BigradedSeries:
         return self.coefficients.get(key, 0)
 
 
-def poly_inverse_series(den: Sequence[Scalar], nterms: int) -> list[Scalar]:
-    """Power-series reciprocal of a polynomial with nonzero constant term."""
-    if not den or den[0] == 0:
-        raise ValueError("denominator has zero constant term")
-    d0 = den[0]
-    inv: list[Scalar] = []
-    for k in range(nterms + 1):
-        acc = 1 if k == 0 else 0
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * inv[k - i]
-        inv.append(normalize_scalar(Fraction(acc, 1) / d0))
-    return inv
-
-
-def rational_function_series(num_s: Sequence[Scalar], den_t: Sequence[Scalar],
-                             truncation: int) -> BigradedSeries:
-    """Expansion of num(s)/den(t) as a bigraded series, truncated at
-    cohomological degree a + 2b <= truncation."""
-    if truncation < 0:
-        raise ValueError("truncation must be non-negative")
-    inv = poly_inverse_series(den_t, truncation // 2)
-    coeffs: dict[tuple[int, int], Scalar] = {}
-    for a, na in enumerate(num_s):
-        if na == 0 or a > truncation:
-            continue
-        for b in range((truncation - a) // 2 + 1):
-            c = na * inv[b]
-            if c != 0:
-                coeffs[(a, b)] = c
-    return BigradedSeries(truncation, coeffs)
-
-
 def collapse_to_cohomological(s: BigradedSeries) -> tuple[int, ...]:
     """Single grading: coefficient of u^n is the sum of (a, b) slots with
     a + 2b = n.  Requires the series to have integer coefficients."""
@@ -199,21 +152,39 @@ def collapse_to_cohomological(s: BigradedSeries) -> tuple[int, ...]:
     return tuple(out)
 
 
+
+
 # ---------------------------------------------------------------------------
-# univariate helpers for single-graded (u) series, stored as coefficient lists
+# Solomon's product over a degree multiset, as strided integer updates
 # ---------------------------------------------------------------------------
 
-def poly_mul_trunc(p: Sequence[Scalar], q: Sequence[Scalar], nterms: int) -> list[Scalar]:
-    out = [0] * (nterms + 1)
-    for i, a in enumerate(p):
-        if a == 0 or i > nterms:
-            continue
-        for j, b in enumerate(q):
-            if i + j > nterms:
-                break
-            if b:
-                out[i + j] += a * b
-    return [normalize_scalar(c) for c in out]
+def solomon_series(degrees: Sequence[int], truncation: int) -> BigradedSeries:
+    """Expansion of prod_d (1 + s t^(d-1)) / (1 - t^d), truncated at
+    a + 2b <= truncation.
+
+    By Solomon (Invariants of finite reflection groups, 1963) this is the
+    bigraded invariant series of a reflection group whose invariant ring
+    is polynomial in the given degrees.  Row a holds the coefficients of
+    s^a; a factor (1 + s t^(d-1)) adds row a, shifted by d - 1, into row
+    a + 1 (rows taken from the top down), and 1/(1 - t^d) is a running
+    sum with stride d along each row.  Every step is an integer update,
+    O(rank * truncation) per factor.
+    """
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
+    width = truncation // 2 + 1
+    rows = [[1] + [0] * (width - 1)] + [[0] * width for _ in degrees]
+    for k, d in enumerate(degrees):
+        for a in range(k, -1, -1):
+            src, dst = rows[a], rows[a + 1]
+            for b in range(width - d + 1):
+                dst[b + d - 1] += src[b]
+    for d in degrees:
+        for row in rows:
+            for b in range(d, width):
+                row[b] += row[b - d]
+    return BigradedSeries(truncation, {(a, b): c for a, row in enumerate(rows)
+                                       for b, c in enumerate(row) if c})
 
 
 def product_over_degrees(degrees: Iterable[int], truncation: int) -> tuple[int, ...]:
@@ -221,22 +192,15 @@ def product_over_degrees(degrees: Iterable[int], truncation: int) -> tuple[int, 
 
     This is the single-graded closed form of the invariant ring attached to
     a degree multiset: one odd generator in degree 2d-1 and one polynomial
-    generator in degree 2d per entry.
+    generator in degree 2d per entry.  Each factor is two strided integer
+    updates: the numerator adds the series shifted by 2d - 1, and the
+    denominator is a running sum with stride 2d.
     """
-    num: list[Scalar] = [1]
-    den: list[Scalar] = [1]
+    out = [1] + [0] * truncation
     for d in degrees:
-        f = [0] * (2 * d)
-        f[0] = 1
-        if 2 * d - 1 <= truncation:
-            f[2 * d - 1] = 1
-        num = poly_mul_trunc(num, f, truncation)
-        g = [0] * (2 * d + 1)
-        g[0] = 1
-        g[2 * d] = -1
-        den = poly_mul_trunc(den, g, truncation)
-    inv = poly_inverse_series(den, truncation)
-    out = poly_mul_trunc(num, inv, truncation)
-    if any(not isinstance(c, int) for c in out):
-        raise ValueError("closed-form product should have integer coefficients")
-    return tuple(out)  # type: ignore[return-value]
+        odd, even = 2 * d - 1, 2 * d
+        for n in range(truncation, odd - 1, -1):
+            out[n] += out[n - odd]
+        for n in range(even, truncation + 1):
+            out[n] += out[n - even]
+    return tuple(out)

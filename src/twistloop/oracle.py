@@ -13,30 +13,51 @@ ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
 the breadth-first closure :func:`close_permutations` of byte
 permutations, which keeps every element; all of W
 (:class:`WeylPermutationGroup`) with the full-enumeration fixed-subspace
-stabilizer and its image; and
-:func:`brute_force_invariant_dims`, invariant dimensions from explicit
-monomial bases instead of the super-Molien average.
+stabilizer and its image; W^sigma of the A_n and D_n flips from the
+classical (signed) permutations (:func:`classical_wsigma_perms`); the
+element-by-element route to the invariant series, where the pipeline
+certifies the invariant degrees instead: the walk of W^sigma over the
+pipeline's coset representatives (:func:`wsigma_elements`), its
+characteristic-polynomial buckets on the fixed subspace from power
+traces (:func:`fixed_space_charpoly_buckets`), and the super-Molien
+average over them (:func:`super_molien_from_buckets`, with
+:func:`dets_from_charpoly` and the dense series algebra
+:func:`rational_function_series`, :func:`poly_inverse_series`,
+:func:`poly_mul_trunc`); and :func:`brute_force_invariant_dims`,
+invariant dimensions from explicit monomial bases instead of the
+super-Molien average.
+
+The super-Molien series of a group G acting on an n-dimensional space is
+
+    P(s, t) = 1/|G| * sum_g det(1 + s g) / det(1 - t g),
+
+the bigraded dimension series of the invariants of (exterior algebra) x
+(polynomial algebra).  Both determinants depend only on charpoly(g), so
+the sum is taken per bucket.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exact import (BigradedSeries, Matrix, Scalar, Vector, identity_matrix,
-                    mat_mul, mat_shape, mat_vec, matrix, normalize_scalar,
-                    vec_add, vec_dot, vec_scale, vec_sub, vector)
+from .exact import (BigradedSeries, Matrix, Scalar, Vector,
+                    charpoly_from_power_traces, identity_matrix, mat_mul,
+                    mat_shape, mat_vec, matrix, normalize_scalar, vec_add,
+                    vec_dot, vec_scale, vec_sub, vector)
 from .rootsys import CartanType, RootSystem, simple_root_vectors
 from .twist import DiagramAutomorphism
-from .weyl import (DEFAULT_ELEMENT_CAP, CharPoly, GroupTooLargeError,
-                   RootPermutationAction, _perm_orbits,
-                   fixed_space_charpoly_buckets, super_molien_from_buckets)
+from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError, RootPermutationAction,
+                   _perm_orbits, wsigma_transversals)
 
 ORACLE_MAX_DIM = 3
 ORACLE_MAX_DEGREE = 12
+
+CharPoly = tuple[Scalar, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +477,45 @@ def fixed_space_stabilizer_perms(weyl: WeylPermutationGroup,
     return tuple(kept)
 
 
+def classical_wsigma_perms(a: DiagramAutomorphism) -> tuple[bytes, ...]:
+    """W^sigma for a flip of A_n or D_n, from the classical description of
+    the Weyl group rather than a closure of it, as root permutations.
+
+    W(A_n) permutes the n+1 ambient coordinates (enumerated with
+    itertools.permutations), and the flip acts there as minus the
+    reversal, so W^sigma is the centralizer of the reversal.  W(D_n) is
+    the signed permutations of n coordinates with an even number of sign
+    changes, and the flip negates the last coordinate, so W^sigma is the
+    signed permutations that fix the last coordinate up to sign.  Each
+    element becomes a root permutation by moving the ambient roots.
+    """
+    rs = a.base
+    t = rs.cartan_type
+    if a.tag != "flip" or t.family not in "AD":
+        raise ValueError(f"no classical centralizer for {t} with {a.tag!r}")
+    index = {ambient_vector(t, c): i for i, c in enumerate(rs.roots)}
+    if set(index) != set(ambient_roots(t)):
+        raise ValueError("integer and ambient root systems disagree")
+    n = len(simple_root_vectors(t)[0])
+    if t.family == "A":
+        kept = [(p, (1,) * n) for p in itertools.permutations(range(n))
+                if all(p[n - 1 - i] == n - 1 - p[i] for i in range(n))]
+    else:
+        kept = [(p, signs) for p in itertools.permutations(range(n)) if p[-1] == n - 1
+                for signs in itertools.product((1, -1), repeat=n)
+                if signs.count(-1) % 2 == 0]
+    out = []
+    for p, signs in kept:
+        perm = []
+        for v in index:  # in root order
+            image = [0] * n
+            for i, (x, e) in enumerate(zip(v, signs)):
+                image[p[i]] = e * x
+            perm.append(index[tuple(image)])
+        out.append(bytes(perm))
+    return tuple(out)
+
+
 def restricted_fixed_space_group(action: RootPermutationAction,
                                  simple_perm: tuple[int, ...],
                                  stab: Sequence[bytes]) -> FiniteMatrixGroup:
@@ -463,6 +523,177 @@ def restricted_fixed_space_group(action: RootPermutationAction,
     basis; elements acting alike there collapse to one matrix."""
     images = dict.fromkeys(action.fixed_space_matrices(simple_perm, stab))
     return FiniteMatrixGroup(len(_perm_orbits(simple_perm)), tuple(images))
+
+
+# ---------------------------------------------------------------------------
+# W^sigma element by element: the streamed walk, characteristic-polynomial
+# buckets from power traces, and the super-Molien average over them
+# ---------------------------------------------------------------------------
+
+def dets_from_charpoly(cp: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
+    """From cp = charpoly(M), return the coefficient lists (ascending) of
+    det(1 + s*M) in s and det(1 - t*M) in t.
+
+    With eigenvalues mu_i, det(1 + s*M) = prod(1 + s*mu_i) and
+    det(1 - t*M) = prod(1 - t*mu_i); both are plain reversals of cp up to
+    alternating signs.
+    """
+    n = len(cp) - 1
+    if cp[n] != 1:
+        raise ValueError("characteristic polynomial must be monic")
+    num_s = tuple(normalize_scalar((-1) ** j * cp[n - j]) for j in range(n + 1))
+    den_t = tuple(normalize_scalar(cp[n - j]) for j in range(n + 1))
+    return num_s, den_t
+
+
+def poly_inverse_series(den: Sequence[Scalar], nterms: int) -> list[Scalar]:
+    """Power-series reciprocal of a polynomial with nonzero constant term."""
+    if not den or den[0] == 0:
+        raise ValueError("denominator has zero constant term")
+    d0 = den[0]
+    inv: list[Scalar] = []
+    for k in range(nterms + 1):
+        acc = 1 if k == 0 else 0
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[i] * inv[k - i]
+        inv.append(normalize_scalar(Fraction(acc, 1) / d0))
+    return inv
+
+
+def rational_function_series(num_s: Sequence[Scalar], den_t: Sequence[Scalar],
+                             truncation: int) -> BigradedSeries:
+    """Expansion of num(s)/den(t) as a bigraded series, truncated at
+    cohomological degree a + 2b <= truncation."""
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
+    inv = poly_inverse_series(den_t, truncation // 2)
+    coeffs: dict[tuple[int, int], Scalar] = {}
+    for a, na in enumerate(num_s):
+        if na == 0 or a > truncation:
+            continue
+        for b in range((truncation - a) // 2 + 1):
+            c = na * inv[b]
+            if c != 0:
+                coeffs[(a, b)] = c
+    return BigradedSeries(truncation, coeffs)
+
+
+def poly_mul_trunc(p: Sequence[Scalar], q: Sequence[Scalar], nterms: int) -> list[Scalar]:
+    out = [0] * (nterms + 1)
+    for i, a in enumerate(p):
+        if a == 0 or i > nterms:
+            continue
+        for j, b in enumerate(q):
+            if i + j > nterms:
+                break
+            if b:
+                out[i + j] += a * b
+    return [normalize_scalar(c) for c in out]
+
+
+def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
+                              truncation: int) -> BigradedSeries:
+    """Average the per-charpoly expansions.  Buckets are processed in sorted
+    key order and integer sums commute exactly, so the result does not
+    depend on the order the buckets were filled in."""
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
+    if order <= 0:
+        raise ValueError("empty group")
+    total: dict[tuple[int, int], Scalar] = {}
+    for cp, mult in sorted(buckets.items()):
+        num_s, den_t = dets_from_charpoly(cp)
+        term = rational_function_series(num_s, den_t, truncation)
+        for k, c in term.coefficients.items():
+            total[k] = total.get(k, 0) + mult * c
+    averaged = {}
+    for k, c in total.items():
+        v = Fraction(c, order)
+        if v.denominator != 1:
+            raise ValueError("non-integer invariant dimension: input is not a group")
+        averaged[k] = int(v)
+    return BigradedSeries(truncation, averaged)
+
+
+def wsigma_elements(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                    generators: Sequence[bytes], order: int,
+                    cap: int) -> Iterator[bytes]:
+    """Stream W^sigma, each element once, with no element stored: walk
+    the tree of products x_1 x_2 ... x_m of the pipeline's coset
+    representatives (:func:`twistloop.weyl.wsigma_transversals`, which
+    raises before the walk on a wrong generator set or past the cap),
+    with one composition per tree node."""
+    return _walk_products(wsigma_transversals(action, simple_perm, generators,
+                                              order, cap))
+
+
+def _walk_products(transversals: Sequence[Sequence[bytes]]) -> Iterator[bytes]:
+    """Every product x_1 x_2 ... x_m with x_k in transversals[k-1].
+
+    A product p x is x.translate(p) once p is padded to a 256-byte table
+    (the identity past the roots); the inner prefixes are kept padded, and
+    a leaf comes out as long as its last factor.  Consecutive choices of
+    the inner factors share their leading prefixes, so each prefix is
+    composed once.
+    """
+    *inner, last = transversals
+    tail = bytes(range(len(last[0]), 256))
+    inner = [[x + tail for x in xs] for xs in inner]
+    prefixes = [bytes(range(256))]  # prefixes[j] = x_1 ... x_j
+    previous: tuple[bytes, ...] = ()
+    for choice in itertools.product(*inner):
+        j = 0
+        while j < len(previous) and choice[j] is previous[j]:
+            j += 1
+        del prefixes[j + 1:]
+        for x in choice[j:]:
+            prefixes.append(x.translate(prefixes[-1]))
+        p = prefixes[-1]
+        for x in last:
+            yield x.translate(p)
+        previous = choice
+
+
+def fixed_space_charpoly_buckets(action: RootPermutationAction,
+                                 simple_perm: tuple[int, ...],
+                                 elements: Iterable[bytes]) -> dict[CharPoly, int]:
+    """Characteristic polynomials of elements of W^sigma acting on the fixed
+    subspace, with multiplicities, recovered from power traces.
+
+    In the orbit-sum basis the diagonal entry of w at orbit O is the
+    coordinate of w(b_O) at the first node of O, so
+
+        tr(w^k | fixed subspace) = sum_O sum_{i in O} [w^k(alpha_i)]_{rep(O)}.
+
+    w^k(alpha_i) is reached by stepping along the orbit of alpha_i under w,
+    one lookup per power; no product of elements is formed, and elements
+    may come from a stream.  For sigma = identity every orbit is one node
+    and this is the trace of the reflection representation.  Elements are
+    counted as given: the restriction of W^sigma to the fixed subspace is
+    faithful, because that subspace holds the regular vector rho.
+    """
+    coords = action.root_system.roots
+    orbits = _perm_orbits(simple_perm)
+    dim = len(orbits)
+    powers = range(dim)
+    pairs = []  # (index of alpha_i, column of coordinates at rep(O)), i in O
+    for orb in orbits:
+        column = tuple(c[orb[0]] for c in coords)
+        pairs.extend((action.simple_indices[i], column) for i in orb)
+    trace_counts: dict[tuple[int, ...], int] = {}
+    for w in elements:
+        traces = [0] * dim
+        for r, column in pairs:
+            for k in powers:
+                r = w[r]
+                traces[k] += column[r]
+        key = tuple(traces)
+        trace_counts[key] = trace_counts.get(key, 0) + 1
+    buckets: dict[CharPoly, int] = {}
+    for traces, count in sorted(trace_counts.items()):
+        cp = charpoly_from_power_traces(traces, dim)
+        buckets[cp] = buckets.get(cp, 0) + count
+    return buckets
 
 
 # ---------------------------------------------------------------------------

@@ -1,51 +1,53 @@
 """End-to-end pipeline: from a twist specification to a serialized report.
 
 :func:`compute` builds the root system, the diagram automorphism sigma and
-its folding, then the group the answer needs: W^sigma, the elements of
-the Weyl group that commute with sigma, streamed from Steinberg's
-generators (one longest parabolic element per sigma-orbit of simple
-nodes; sigma = identity gives all of W) as products of coset
-representatives, each element bucketed by its characteristic polynomial
-on the fixed subspace as it is produced and then dropped.  W^sigma acts
-faithfully on the fixed subspace and realizes the folded Weyl group
-there; the super-Molien series of that action, averaged over the
-buckets, gives the single-graded series the report emits.  That series
-is the dimension series of the cohomology of the classifying space of
-the corresponding twisted loop group, valid away from the reported
-excluded characteristics.
+its folding, then certifies the invariant ring of the group the answer
+needs: W^sigma, the elements of the Weyl group that commute with sigma,
+generated by Steinberg's elements (one longest parabolic element per
+sigma-orbit of simple nodes; sigma = identity gives all of W).  W^sigma
+acts faithfully on the fixed subspace and realizes the folded Weyl group
+there.  Its order comes from a chain of coset representatives, and the
+degrees of its basic invariants from the characteristic polynomial of one
+Coxeter element, checked against that order, the folded root count and a
+Jacobian determinant modulo a large prime.  Solomon's product over those
+degrees is the bigraded invariant series, and its single-graded collapse
+is the series the report emits.  That series is the dimension series of
+the cohomology of the classifying space of the corresponding twisted loop
+group, valid away from the reported excluded characteristics.  No
+element of W^sigma is enumerated, so the cost does not grow with its
+order.
 
 The series is then compared with the Solomon product over the folded
-type's invariant degrees.  A match is the report's closed form; a miss
-would be a bug, so it yields no closed form and a note, never a search
-for other degrees.
+type's invariant-degree table.  A match is the report's closed form; a
+miss would be a bug, so it yields no closed form and a note, never a
+search for other degrees.
 
 The one deliberate shortcut: untwisted E8 is answered from the
-invariant-degree table, because its Weyl group (order 696729600) exceeds
-the enumeration cap.  Every other case is computed by enumerating
-W^sigma.  With ``run_oracle`` the brute-force count of
-:mod:`twistloop.oracle` re-derives the low-degree invariant dimensions;
-that module is imported only then.
+invariant-degree table alone, because its Weyl group (order 696729600)
+exceeds the element cap.  With ``run_oracle`` the brute-force count of
+:mod:`twistloop.oracle` re-derives the low-degree invariant dimensions
+from the elements of W^sigma; that module is imported only then.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION,
-                    collapse_to_cohomological, poly_mul_trunc,
-                    product_over_degrees)
+                    collapse_to_cohomological, product_over_degrees,
+                    solomon_series)
 from .rootsys import CartanType, build_root_system, degrees, root_count, weyl_order
 from .twist import (DiagramAutomorphism, OrbitCriterion, _perm_order,
                     expected_folded_type, fixed_group_info, folded_root_system,
                     make_automorphism, orbit_count_criterion,
                     positive_orbit_sizes, resolve_twist, wsigma_preserves_folded)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
-                   RootPermutationAction, fixed_space_charpoly_buckets,
-                   super_molien_from_buckets, wsigma_elements)
+                   RootPermutationAction, invariant_degrees, wsigma_transversals)
 
-MAX_TRUNCATION = 10_000  # the Molien output grows as the square of it
+MAX_TRUNCATION = 10_000  # the series and the bigraded report grow with it
 MAX_WORKERS = 64
 
 
@@ -168,21 +170,7 @@ def recognize_closed_form(series: Sequence[int],
         raise ValueError("need at least one candidate degree")
     if truncation < 2 * max(2 * d for d in ds) + 1:
         raise ValueError(f"truncation {truncation} too small to test degrees {ds}")
-    lhs = list(series)
-    for d in ds:
-        g = [0] * (2 * d + 1)
-        g[0] = 1
-        g[2 * d] = -1
-        lhs = poly_mul_trunc(lhs, g, truncation)
-    rhs: list = [1]
-    for d in ds:
-        f = [0] * (2 * d)
-        f[0] = 1
-        if 2 * d - 1 <= truncation:
-            f[2 * d - 1] = 1
-        rhs = poly_mul_trunc(rhs, f, truncation)
-    rhs += [0] * (truncation + 1 - len(rhs))
-    if lhs == rhs[:truncation + 1]:
+    if tuple(series) == product_over_degrees(ds, truncation):
         return ClosedForm(tuple(2 * d - 1 for d in ds), tuple(2 * d for d in ds))
     return None
 
@@ -293,18 +281,20 @@ def compute(spec: TwistSpec) -> TwistReport:
     else:
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)
-        # a lazy walk: each element is bucketed as it comes, then dropped
-        wsigma = wsigma_elements(action, aut.simple_perm, generators,
-                                 weyl_order(folded_type), spec.element_cap)
-        buckets = fixed_space_charpoly_buckets(action, aut.simple_perm, wsigma)
-        # the restriction to the fixed subspace is faithful
-        stab_order = restricted_order = sum(buckets.values())
+        try:
+            transversals = wsigma_transversals(action, aut.simple_perm, generators,
+                                               weyl_order(folded_type),
+                                               spec.element_cap)
+            # the restriction to the fixed subspace is faithful
+            stab_order = restricted_order = math.prod(map(len, transversals))
+            ds = invariant_degrees(action, aut.simple_perm, generators, stab_order,
+                                   len(folding.folded_roots) // 2)
+        except ValueError as exc:
+            raise ValueError(f"{t} {aut.tag}: {exc}") from None
         preserves = wsigma_preserves_folded(
             action.fixed_space_matrices(aut.simple_perm, generators), folding)
-        bigraded = super_molien_from_buckets(buckets, stab_order, spec.truncation)
+        bigraded = solomon_series(ds, spec.truncation)
         series = collapse_to_cohomological(bigraded)
-        if series[0] != 1 or any(c < 0 for c in series):
-            raise ValueError("malformed invariant series")
         closed = _closed_form_or_note(series, folded_type, notes)
 
     if restricted_order != weyl_order(folded_type):
@@ -359,8 +349,8 @@ def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism,
     if dim > oracle.ORACLE_MAX_DIM:
         return (f"oracle skipped: restricted dimension {dim} exceeds "
                 f"{oracle.ORACLE_MAX_DIM}")
-    wsigma = wsigma_elements(action, aut.simple_perm, generators, order,
-                             spec.element_cap)
+    wsigma = oracle.wsigma_elements(action, aut.simple_perm, generators, order,
+                                    spec.element_cap)
     group = oracle.FiniteMatrixGroup(
         dim, action.fixed_space_matrices(aut.simple_perm, wsigma))
     max_deg = min(oracle.ORACLE_MAX_DEGREE, spec.truncation)

@@ -1,45 +1,37 @@
 """The Weyl-group route of the pipeline: W^sigma as permutations of the
-root set, its characteristic-polynomial buckets on the fixed subspace,
-and the super-Molien series averaged over those buckets.
+root set, its order from a coset chain, and the degrees of its basic
+invariants on the fixed subspace, certified from one Coxeter element.
 
 :class:`RootPermutationAction` writes the simple reflections of a Weyl
 group as permutations of the root set (one byte per root index) and
 derives Steinberg's generators of the fixed subgroup W^sigma of a diagram
 automorphism sigma, one per sigma-orbit of simple nodes.
-:func:`wsigma_elements` streams W^sigma as products of coset
-representatives along the chain of subgroups those generators span, so
-only W^sigma is ever enumerated (sigma = identity gives all of W) and no
-element is stored.  :func:`fixed_space_charpoly_buckets` reads the
-characteristic polynomials of the action on the fixed subspace off power
-traces, walking the orbits of the simple roots under each element.
+:func:`wsigma_transversals` finds coset representatives along the chain
+of subgroups those generators span; their counts multiply to |W^sigma|.
+:func:`invariant_degrees` reads the degrees off the characteristic
+polynomial of the product of the generators, a Coxeter element, and
+certifies them: their product is |W^sigma|, their exponents add up to the
+positive folded roots, and power-sum invariants over a few orbits of
+coordinate functionals have a nonzero Jacobian determinant modulo a
+large prime.  The invariant ring is then polynomial in those degrees,
+and Solomon's product (:func:`twistloop.exact.solomon_series`) is its
+bigraded series.  No element of W^sigma is enumerated.
 
-The super-Molien series of a group G acting on an n-dimensional space is
-
-    P(s, t) = 1/|G| * sum_g det(1 + s g) / det(1 - t g),
-
-the bigraded dimension series of the invariants of (exterior algebra) x
-(polynomial algebra).  Both determinants depend only on charpoly(g), so
-the sum is taken per bucket (:func:`super_molien_from_buckets`).
-
-The independent references these routines are checked against live in
-:mod:`twistloop.oracle`.
+The element-by-element references (the streamed walk of W^sigma, its
+characteristic-polynomial buckets and the super-Molien average over them)
+live in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import (BigradedSeries, Matrix, Scalar, charpoly_from_power_traces,
-                    dets_from_charpoly, rational_function_series)
+from .exact import Matrix, Scalar, charpoly_from_power_traces
 from .rootsys import RootSystem, simple_reflection
 
 DEFAULT_ELEMENT_CAP = 10**7
 MAX_ROOTS = 255  # one byte per root index
-
-CharPoly = tuple[Scalar, ...]
 
 
 class GroupTooLargeError(RuntimeError):
@@ -47,35 +39,7 @@ class GroupTooLargeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# super-Molien evaluation
-# ---------------------------------------------------------------------------
-
-def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
-                              truncation: int) -> BigradedSeries:
-    """Average the per-charpoly expansions.  Buckets are processed in sorted
-    key order and integer sums commute exactly, so the result does not
-    depend on the order the buckets were filled in."""
-    if truncation < 0:
-        raise ValueError("truncation must be non-negative")
-    if order <= 0:
-        raise ValueError("empty group")
-    total: dict[tuple[int, int], Scalar] = {}
-    for cp, mult in sorted(buckets.items()):
-        num_s, den_t = dets_from_charpoly(cp)
-        term = rational_function_series(num_s, den_t, truncation)
-        for k, c in term.coefficients.items():
-            total[k] = total.get(k, 0) + mult * c
-    averaged = {}
-    for k, c in total.items():
-        v = Fraction(c, order)
-        if v.denominator != 1:
-            raise ValueError("non-integer invariant dimension: input is not a group")
-        averaged[k] = int(v)
-    return BigradedSeries(truncation, averaged)
-
-
-# ---------------------------------------------------------------------------
-# permutation-backed Weyl group enumeration
+# W^sigma as root permutations
 # ---------------------------------------------------------------------------
 
 class RootPermutationAction:
@@ -144,35 +108,18 @@ class RootPermutationAction:
         return tuple(out)
 
 
-def wsigma_elements(action: RootPermutationAction, simple_perm: tuple[int, ...],
-                    generators: Sequence[bytes], order: int,
-                    cap: int) -> Iterator[bytes]:
-    """Stream W^sigma, each element once, with no element stored.
+def wsigma_transversals(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                        generators: Sequence[bytes], order: int,
+                        cap: int) -> tuple[tuple[bytes, ...], ...]:
+    """Right coset representatives of W_{k-1} in W_k for k = 1..m, each
+    found by a breadth-first search over the cosets, checked against the
+    expected order of W^sigma.
 
     W_k is the subgroup generated by the first k Steinberg generators
     w_O, taken in sigma-orbit order.  Every element of W^sigma = W_m is a
     unique product x_1 x_2 ... x_m of right coset representatives x_k of
     W_{k-1} in W_k (Humphreys, Reflection Groups and Coxeter Groups,
-    1.10), so walking the tree of these products visits W^sigma exactly
-    once, with one composition per tree node.  Only the representatives
-    are kept.
-
-    Raises GroupTooLargeError when a coset search passes the cap, and
-    ValueError before the walk when the coset counts do not multiply to
-    order, the expected |W^sigma|: then the generators are not Steinberg's.
-    """
-    transversals = _coset_transversals(action, simple_perm, generators, cap)
-    if math.prod(map(len, transversals)) != order:
-        raise ValueError(f"coset counts {[len(x) for x in transversals]} do not "
-                         f"multiply to the group order {order}")
-    return _walk_products(transversals)
-
-
-def _coset_transversals(action: RootPermutationAction, simple_perm: tuple[int, ...],
-                        generators: Sequence[bytes],
-                        cap: int) -> tuple[tuple[bytes, ...], ...]:
-    """Right coset representatives of W_{k-1} in W_k for k = 1..m, each
-    found by a breadth-first search over the cosets.
+    1.10), so |W^sigma| is the product of the transversal sizes.
 
     A coset W_{k-1} x is keyed by the coordinate at the first node of
     orbit O_k of x(alpha_i), over the simple roots alpha_i.  A simple
@@ -182,6 +129,10 @@ def _coset_transversals(action: RootPermutationAction, simple_perm: tuple[int, .
     coordinate functional, hence (it commutes with sigma) every
     coordinate functional of O_k; such an element lies in the parabolic
     subgroup without O_k, and within W_k that is W_{k-1}.
+
+    Raises GroupTooLargeError when a coset search passes the cap, and
+    ValueError when the coset counts do not multiply to order, the
+    expected |W^sigma|: then the generators are not Steinberg's.
     """
     coords = action.root_system.roots
     ident = bytes(range(len(coords)))
@@ -200,76 +151,238 @@ def _coset_transversals(action: RootPermutationAction, simple_perm: tuple[int, .
                     seen.add(key)
                     reps.append(y)
         transversals.append(tuple(reps))
+    if math.prod(map(len, transversals)) != order:
+        raise ValueError(f"coset counts {[len(x) for x in transversals]} do not "
+                         f"multiply to the group order {order}")
     return tuple(transversals)
 
 
-def _walk_products(transversals: Sequence[Sequence[bytes]]) -> Iterator[bytes]:
-    """Every product x_1 x_2 ... x_m with x_k in transversals[k-1].
+# ---------------------------------------------------------------------------
+# the invariant degrees of W^sigma, certified
+# ---------------------------------------------------------------------------
 
-    A product p x is x.translate(p) once p is padded to a 256-byte table
-    (the identity past the roots); the inner prefixes are kept padded, and
-    a leaf comes out as long as its last factor.  Consecutive choices of
-    the inner factors share their leading prefixes, so each prefix is
-    composed once.
+JACOBIAN_PRIME = 2**61 - 1
+JACOBIAN_ATTEMPTS = 4
+
+
+def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                      generators: Sequence[bytes], order: int,
+                      reflections: int) -> tuple[int, ...]:
+    """Degrees of the basic invariants of W^sigma on the fixed subspace,
+    read off one Coxeter element and certified without walking the group.
+
+    The product c of the Steinberg generators is a Coxeter element of
+    W^sigma acting on the fixed subspace.  By Springer (Regular elements
+    of finite reflection groups, 1974) its eigenvalues are exp(2 pi i m /
+    h), where h is its order and m runs over the exponents; the degrees
+    are m + 1.  The eigenvalues come from the characteristic polynomial,
+    recovered from the traces of c's powers, by exact division by the
+    cyclotomic polynomials Phi_e, e | h.
+
+    The degrees must multiply to order (the coset-chain order) and the
+    exponents must add up to reflections (the positive folded roots).
+    Invariants of these degrees with a nonzero Jacobian determinant
+    (:func:`certify_jacobian`) are algebraically independent.  Homogeneous
+    algebraically independent invariants whose degrees multiply to the
+    group order generate the invariant ring: the rational functions have
+    degree at most that product over the field the invariants generate,
+    with equality only when the invariants have no common zero but the
+    origin (then the polynomials are finite over them), and degree |G|
+    over the invariant field.  So the two fields agree, and the invariant
+    ring, finite over the polynomial ring in the invariants and inside its
+    fraction field, equals that integrally closed ring.  Any failed step
+    raises ValueError.
     """
-    *inner, last = transversals
-    tail = bytes(range(len(last[0]), 256))
-    inner = [[x + tail for x in xs] for xs in inner]
-    prefixes = [bytes(range(256))]  # prefixes[j] = x_1 ... x_j
-    previous: tuple[bytes, ...] = ()
-    for choice in itertools.product(*inner):
-        j = 0
-        while j < len(previous) and choice[j] is previous[j]:
-            j += 1
-        del prefixes[j + 1:]
-        for x in choice[j:]:
-            prefixes.append(x.translate(prefixes[-1]))
-        p = prefixes[-1]
-        for x in last:
-            yield x.translate(p)
-        previous = choice
+    dim = len(_perm_orbits(simple_perm))
+    c = generators[0]
+    for g in generators[1:]:
+        c = bytes(map(c.__getitem__, g))
+    h = math.lcm(*(len(cycle) for cycle in _perm_orbits(c)))
+    charpoly = charpoly_from_power_traces(
+        _fixed_space_traces(action, simple_perm, c, dim), dim)
+    exponents = _exponents(charpoly, h)
+    ds = tuple(sorted(m + 1 for m in exponents))
+    if math.prod(ds) != order:
+        raise ValueError(f"degrees {list(ds)} multiply to {math.prod(ds)}, "
+                         f"not the coset-chain order {order}")
+    if sum(exponents) != reflections:
+        raise ValueError(f"degrees {list(ds)} account for {sum(exponents)} "
+                         f"reflections, not the {reflections} positive folded roots")
+    certify_jacobian(action.fixed_space_matrices(simple_perm, generators), ds)
+    return ds
 
 
-def fixed_space_charpoly_buckets(action: RootPermutationAction,
-                                 simple_perm: tuple[int, ...],
-                                 elements: Iterable[bytes]) -> dict[CharPoly, int]:
-    """Characteristic polynomials of elements of W^sigma acting on the fixed
-    subspace, with multiplicities, recovered from power traces.
+def _fixed_space_traces(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                        w: bytes, count: int) -> list[int]:
+    """tr(w^k | fixed subspace) for k = 1..count.
 
-    In the orbit-sum basis the diagonal entry of w at orbit O is the
-    coordinate of w(b_O) at the first node of O, so
-
-        tr(w^k | fixed subspace) = sum_O sum_{i in O} [w^k(alpha_i)]_{rep(O)}.
-
-    w^k(alpha_i) is reached by stepping along the orbit of alpha_i under w,
-    one lookup per power; no product of elements is formed, and elements
-    may come from a stream.  For sigma = identity every orbit is one node
-    and this is the trace of the reflection representation.  Elements are
-    counted as given: the restriction of W^sigma to the fixed subspace is
-    faithful, because that subspace holds the regular vector rho.
+    In the orbit-sum basis the diagonal entry of w^k at orbit O is the
+    coordinate at the first node of O of w^k(b_O), and w^k(alpha_i) is
+    reached by stepping along the orbit of alpha_i under w.
     """
     coords = action.root_system.roots
-    orbits = _perm_orbits(simple_perm)
-    dim = len(orbits)
-    powers = range(dim)
-    pairs = []  # (index of alpha_i, column of coordinates at rep(O)), i in O
-    for orb in orbits:
-        column = tuple(c[orb[0]] for c in coords)
-        pairs.extend((action.simple_indices[i], column) for i in orb)
-    trace_counts: dict[tuple[int, ...], int] = {}
-    for w in elements:
-        traces = [0] * dim
-        for r, column in pairs:
-            for k in powers:
+    traces = [0] * count
+    for orb in _perm_orbits(simple_perm):
+        for i in orb:
+            r = action.simple_indices[i]
+            for k in range(count):
                 r = w[r]
-                traces[k] += column[r]
-        key = tuple(traces)
-        trace_counts[key] = trace_counts.get(key, 0) + 1
-    buckets: dict[CharPoly, int] = {}
-    for traces, count in sorted(trace_counts.items()):
-        cp = charpoly_from_power_traces(traces, dim)
-        buckets[cp] = buckets.get(cp, 0) + count
-    return buckets
+                traces[k] += coords[r][orb[0]]
+    return traces
+
+
+def _exponents(charpoly: Sequence[Scalar], h: int) -> list[int]:
+    """Exponents m, eigenvalues exp(2 pi i m / h), of an element of order
+    h with the given characteristic polynomial.  Each factor Phi_e, e | h,
+    stands for the primitive e-th roots of unity, the m = (h / e) k with
+    0 <= k < e and k prime to e.  Raises ValueError unless these factors
+    exhaust the polynomial."""
+    rest = list(charpoly)
+    exponents = []
+    for e in range(1, h + 1):
+        if h % e:
+            continue
+        phi = _cyclotomic(e)
+        while len(rest) > 1:
+            quotient, remainder = _divide_monic(rest, phi)
+            if any(remainder):
+                break
+            rest = quotient
+            exponents.extend(h // e * k for k in range(e) if math.gcd(k, e) == 1)
+    if rest != [1]:
+        raise ValueError("the Coxeter element's characteristic polynomial is not "
+                         f"a product of cyclotomic factors of its order {h}")
+    return exponents
+
+
+def _cyclotomic(e: int) -> list[int]:
+    """Phi_e, ascending: x^e - 1 divided by Phi_d for every proper divisor d."""
+    p = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            p = _divide_monic(p, _cyclotomic(d))[0]
+    return p
+
+
+def _divide_monic(p: Sequence[Scalar], q: Sequence[int]) -> tuple[list, list]:
+    """Quotient and remainder of p by the monic q, both ascending."""
+    n = len(q) - 1
+    rem = list(p)
+    quot = [0] * max(len(p) - n, 0)
+    for k in range(len(p) - n - 1, -1, -1):
+        c = quot[k] = rem[k + n]
+        if c:
+            for i, qi in enumerate(q):
+                rem[k + i] -= c * qi
+    return quot, rem[:n]
+
+
+def certify_jacobian(matrices: Sequence[Matrix], ds: Sequence[int]) -> int:
+    """Find invariants of the degrees ds with a nonzero Jacobian
+    determinant, for the group generated by matrices (elements on the
+    fixed subspace in the orbit-sum basis); return how many functional
+    orbits they needed, or raise ValueError.
+
+    U_j is the orbit of the coordinate functional y_j, and
+
+        f_i = sum_j c_ij sum_{phi in U_j} phi^(d_i)
+
+    is invariant of degree d_i.  Its partial derivatives are
+    d_i sum_j c_ij sum_phi phi(x)^(d_i - 1) phi_k; the unit d_i is left
+    out.  The weights c_ij and the point x are seeded residues modulo the
+    prime JACOBIAN_PRIME, the weights differing per row so that equal
+    degrees give different invariants.  Orbits join smallest first until
+    the determinant is nonzero mod the prime; then the integer Jacobian
+    determinant is a nonzero polynomial.  Each of JACOBIAN_ATTEMPTS
+    seeded points may use every orbit.  No orbit is larger than the group,
+    whose order the degrees multiply to.
+    """
+    dim = len(ds)
+    for attempt in range(JACOBIAN_ATTEMPTS):
+        point = _jacobian_point(attempt, dim)
+        weights = _seeded(2 * attempt + 2, dim * dim)
+        jacobian = [[0] * dim for _ in range(dim)]
+        for j, orbit in enumerate(_coordinate_orbits(matrices, dim, math.prod(ds))):
+            for phi in orbit:
+                v = sum(a * x for a, x in zip(phi, point)) % JACOBIAN_PRIME
+                for i, d in enumerate(ds):
+                    c = weights[i * dim + j] * pow(v, d - 1, JACOBIAN_PRIME) % JACOBIAN_PRIME
+                    row = jacobian[i]
+                    for k, a in enumerate(phi):
+                        row[k] += c * a
+            if _nonsingular_mod(jacobian, JACOBIAN_PRIME):
+                return j + 1
+    raise ValueError(f"no invariants of degrees {list(ds)} with a nonzero Jacobian "
+                     f"at {JACOBIAN_ATTEMPTS} seeded points")
+
+
+def _coordinate_orbits(matrices: Sequence[Matrix], dim: int,
+                       limit: int) -> Iterator[list[tuple[int, ...]]]:
+    """The orbits of the coordinate functionals y_0..y_{dim-1} under the
+    group generated by matrices, smallest first; an orbit growing past
+    limit raises ValueError.
+
+    A functional is the row of its values on the basis, and phi after g
+    is that row times the matrix of g (kept as the nonzero entries of each
+    column: a reflection moves few coordinates).  The searches advance in
+    step, one functional each per round, so an orbit of n functionals is
+    complete after n rounds: orbits come out in order of size, and a
+    caller that stops early never finishes the larger ones.
+    """
+    columns = [[[(r, x) for r, x in enumerate(col) if x] for col in zip(*g)]
+               for g in matrices]
+    orbits = [[tuple(int(i == j) for i in range(dim))] for j in range(dim)]
+    seen = [set(orbit) for orbit in orbits]
+    running = list(range(dim))
+    step = 0
+    while running:
+        for j in tuple(running):
+            orbit = orbits[j]
+            if step == len(orbit):
+                running.remove(j)
+                yield orbit
+                continue
+            phi = orbit[step]
+            for cols in columns:
+                psi = tuple(sum(phi[r] * x for r, x in col) for col in cols)
+                if psi not in seen[j]:
+                    if len(orbit) >= limit:
+                        raise ValueError(f"a functional orbit passed {limit} elements")
+                    seen[j].add(psi)
+                    orbit.append(psi)
+        step += 1
+
+
+def _jacobian_point(attempt: int, dim: int) -> list[int]:
+    return _seeded(2 * attempt + 1, dim)
+
+
+def _seeded(seed: int, count: int) -> list[int]:
+    """count residues mod JACOBIAN_PRIME from a linear congruential stream
+    (Knuth's MMIX constants) started at seed."""
+    out = []
+    x = seed
+    for _ in range(count):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        out.append(x % JACOBIAN_PRIME)
+    return out
+
+
+def _nonsingular_mod(rows: Sequence[Sequence[int]], p: int) -> bool:
+    """Whether the square integer matrix is invertible mod the prime p."""
+    rows = [[a % p for a in row] for row in rows]
+    n = len(rows)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv % p
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
+    return True
 
 
 def _perm_orbits(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from twistloop.exact import (BigradedSeries, charpoly_from_power_traces,
-                             dets_from_charpoly, identity_matrix, mat_mul,
-                             mat_vec, matrix, poly_inverse_series,
-                             poly_mul_trunc, product_over_degrees,
-                             rational_function_series)
-from twistloop.oracle import charpoly, invert, kernel_basis, rank, solve
+                             collapse_to_cohomological, identity_matrix, mat_mul,
+                             mat_vec, matrix, product_over_degrees, solomon_series)
+from twistloop.oracle import (charpoly, dets_from_charpoly, invert, kernel_basis,
+                              poly_inverse_series, poly_mul_trunc, rank,
+                              rational_function_series, solve)
 
 I2 = identity_matrix(2)
 DIAG = matrix([[1, 0], [0, -1]])
@@ -191,6 +191,41 @@ class TestUnivariateHelpers:
         # (1+u^3)/(1-u^4): coefficient 1 exactly in degrees 0,3,4,7,8,11,...
         s = product_over_degrees([2], 12)
         assert s == (1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("degs", [(2,), (2, 6), (2, 4, 4, 6), (2, 5, 6, 8, 9, 12),
+                                      (2, 8, 12, 14, 18, 20, 24, 30), (1, 3)])
+    def test_strided_product_matches_dense_expansion(self, degs):
+        # the dense route: multiply the numerator and denominator
+        # polynomials out, then multiply by the reciprocal series
+        trunc = 150
+        num, den = [1], [1]
+        for d in degs:
+            num = poly_mul_trunc(num, [1] + [0] * (2 * d - 2) + [1], trunc)
+            den = poly_mul_trunc(den, [1] + [0] * (2 * d - 1) + [-1], trunc)
+        dense = poly_mul_trunc(num, poly_inverse_series(den, trunc), trunc)
+        assert product_over_degrees(degs, trunc) == tuple(dense)
+
+    @pytest.mark.parametrize("degs", [(2,), (2, 6), (2, 4, 4, 6), (2, 5, 6, 8, 9, 12)])
+    def test_solomon_series_matches_the_rational_expansion(self, degs):
+        # prod (1 + s t^(d-1)) / (1 - t^d) multiplied out as one rational
+        # function num(s, t) / den(t), row by row in s
+        trunc = 61
+        num = {(0, 0): 1}
+        den = [1]
+        for d in degs:
+            nxt = dict(num)
+            for (a, b), c in num.items():
+                nxt[(a + 1, b + d - 1)] = nxt.get((a + 1, b + d - 1), 0) + c
+            num = nxt
+            den = poly_mul_trunc(den, [1] + [0] * (d - 1) + [-1], trunc)
+        inv = poly_inverse_series(den, trunc)
+        expanded = {}
+        for (a, b0), c in num.items():
+            for b in range(b0, trunc // 2 + 1):
+                expanded[(a, b)] = expanded.get((a, b), 0) + c * inv[b - b0]
+        s = solomon_series(degs, trunc)
+        assert s == BigradedSeries(trunc, expanded)
+        assert collapse_to_cohomological(s) == product_over_degrees(degs, trunc)
 
 
 class TestElimination:

@@ -3,19 +3,20 @@ from fractions import Fraction
 import pytest
 
 from twistloop.exact import (BigradedSeries, collapse_to_cohomological,
-                             dets_from_charpoly, identity_matrix, mat_mul,
-                             mat_vec, matrix, product_over_degrees,
-                             rational_function_series)
+                             identity_matrix, mat_mul, mat_vec, matrix,
+                             product_over_degrees)
 from twistloop.oracle import (FiniteMatrixGroup, SubspaceBasis,
-                              WeylPermutationGroup, charpoly,
+                              WeylPermutationGroup, charpoly, dets_from_charpoly,
                               fixed_space_stabilizer_perms, fixed_subspace,
-                              generate_group, reflection_matrix,
-                              restrict_to_subspace, restricted_fixed_space_group,
-                              solve, subspace_stabilizer, super_molien)
+                              generate_group, rational_function_series,
+                              reflection_matrix, restrict_to_subspace,
+                              restricted_fixed_space_group, solve,
+                              subspace_stabilizer, super_molien,
+                              super_molien_from_buckets)
 from twistloop.rootsys import (CartanType, build_root_system, degrees,
                                simple_root_vectors, weyl_order)
 from twistloop.twist import make_automorphism
-from twistloop.weyl import GroupTooLargeError, super_molien_from_buckets
+from twistloop.weyl import GroupTooLargeError
 
 
 def ambient_reflections(rs):
