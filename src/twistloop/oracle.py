@@ -6,7 +6,12 @@ realization (exact Gaussian elimination, :class:`SubspaceBasis`, the
 Fraction root closure :func:`ambient_roots` under :func:`reflect`, the
 ambient matrix of a diagram automorphism and its ambient
 :func:`fixed_subspace`), where the pipeline works only in integer
-coordinates over the simple roots; Berkowitz :func:`charpoly`; explicit
+coordinates over the simple roots; the projection of the roots as an
+average over sigma's powers over the orbit sums of simple roots
+(:func:`orbit_sum_projection`, :func:`orbit_sum_gram`) and a classifier
+of the folded set from scratch (:func:`classify_folded_roots`), where the
+pipeline sums orbit coordinates over the projected simple roots and
+compares with the expected type's roots; Berkowitz :func:`charpoly`; explicit
 matrix groups (:class:`FiniteMatrixGroup`, :func:`super_molien`,
 :func:`generate_group` of :func:`reflection_matrix` generators, the
 ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
@@ -49,8 +54,9 @@ from .exact import (BigradedSeries, Matrix, Scalar, Vector,
                     charpoly_from_power_traces, identity_matrix, mat_mul,
                     mat_shape, mat_vec, matrix, normalize_scalar, vec_add,
                     vec_dot, vec_scale, vec_sub, vector)
-from .rootsys import CartanType, RootSystem, simple_root_vectors
-from .twist import DiagramAutomorphism
+from .rootsys import (CartanType, RootSystem, build_root_system,
+                      cartan_from_gram, simple_root_vectors)
+from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError, RootPermutationAction,
                    _perm_orbits, wsigma_transversals)
 
@@ -223,6 +229,72 @@ def fixed_subspace(a: DiagramAutomorphism) -> SubspaceBasis:
             v = vec_add(v, simple[i])
         basis.append(v)
     return SubspaceBasis(len(simple[0]), tuple(basis))
+
+
+def orbit_sum_projection(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
+    """Averages of the roots over the automorphism's powers, written in the
+    orbit-sum basis b_O = sum_{i in O} alpha_i of the fixed subspace;
+    deduplicated, multiplicities retained.  Coordinate O is the pipeline's
+    (:func:`twistloop.twist.project_roots`) divided by |O|."""
+    rs = a.base
+    r = rs.cartan_type.rank
+    reps = [orb[0] for orb in a.simple_orbits]
+    counts: dict[Vector, int] = {}
+    for idx in range(len(rs.roots)):
+        avg = [0] * r
+        j = idx
+        for _ in range(a.order):
+            for i, c in enumerate(rs.roots[j]):
+                avg[i] += c
+            j = a.root_perm[j]
+        coords = vector(Fraction(avg[rep], a.order) for rep in reps)
+        counts[coords] = counts.get(coords, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def orbit_sum_gram(a: DiagramAutomorphism) -> Matrix:
+    """Gram matrix of the orbit sums: (b_O, b_O') is the sum of
+    (alpha_i, alpha_j) over i in O and j in O'."""
+    g = a.base.gram
+    orbits = a.simple_orbits
+    return tuple(tuple(normalize_scalar(sum(g[i][j] for i in o for j in p))
+                       for p in orbits) for o in orbits)
+
+
+def classify_folded_roots(roots: Sequence[Vector], gram: Matrix,
+                          expected: CartanType) -> None:
+    """Raise ValueError unless roots, vectors under the inner product gram,
+    form a root system of the expected type: the set is symmetric, its
+    positive elements that are no sum of two are a base whose Cartan
+    matrix is the expected one in some order, and the expected type's
+    roots mapped through that ordered base are exactly the set."""
+    positives = [v for v in roots if _lex_positive(v)]
+    if 2 * len(positives) != len(roots):
+        raise ValueError("projected root set is not symmetric")
+    sums = {vec_add(p, q) for p in positives for q in positives}
+    simple = [p for p in positives if p not in sums]
+    if len(simple) != expected.rank:
+        raise ValueError(f"found {len(simple)} simple roots, expected rank "
+                         f"{expected.rank} for {expected}")
+    cand = cartan_from_gram([[vec_dot(x, mat_vec(gram, y)) for y in simple]
+                             for x in simple])
+    model = build_root_system(expected)
+    assignment = _match_cartan(cand, model.cartan_matrix)
+    if assignment is None:
+        raise ValueError(f"folded Cartan matrix does not match {expected}")
+    base = [simple[k] for k in assignment]
+    images = {vector(sum(c * b[m] for c, b in zip(root, base))
+                     for m in range(len(gram)))
+              for root in model.roots}
+    if images != set(roots):
+        raise ValueError(f"folded set is not the root system of {expected}")
+
+
+def _lex_positive(v: Vector) -> bool:
+    for c in v:
+        if c != 0:
+            return c > 0
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +591,8 @@ def classical_wsigma_perms(a: DiagramAutomorphism) -> tuple[bytes, ...]:
 def restricted_fixed_space_group(action: RootPermutationAction,
                                  simple_perm: tuple[int, ...],
                                  stab: Sequence[bytes]) -> FiniteMatrixGroup:
-    """Image of the stabilizer on the fixed subspace, in the orbit-sum
-    basis; elements acting alike there collapse to one matrix."""
+    """Image of the stabilizer on the fixed subspace, over the projected
+    simple roots; elements acting alike there collapse to one matrix."""
     images = dict.fromkeys(action.fixed_space_matrices(simple_perm, stab))
     return FiniteMatrixGroup(len(_perm_orbits(simple_perm)), tuple(images))
 

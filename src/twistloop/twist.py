@@ -4,10 +4,13 @@ The canonical representative of an outer automorphism class is the
 diagram automorphism sigma permuting the simple nodes, which preserves the
 Cartan matrix.  Over the simple base sigma is a coordinate permutation,
 c'[perm[j]] = c[j], so it permutes the roots and preserves the positive
-system.  Its fixed subspace has the orbit sums b_O = sum_{i in O} alpha_i
-of simple roots as a basis; projection of a root is the average over
-sigma's powers, written in that basis, and the Gram matrix of the b_O is
-summed from the Gram matrix of the simple roots.
+system.  Its fixed subspace has the projected simple roots
+beta_O = pi(alpha_i), i in O, as a basis, one per sigma-orbit O of simple
+nodes, where pi is the average over sigma's powers (beta_O is the orbit
+sum of simple roots divided by |O|).  A root c projects to the integer
+vector of its orbit sums, (sum_{i in O} c_i)_O, and the Gram matrix of the
+beta_O, the only fractions on the way, is summed from the Gram matrix of
+the simple roots.
 
 The folded root system is the set of indivisible projected roots (v with
 v/2 not a projection), which reproduces the classical folding table:
@@ -16,22 +19,26 @@ v/2 not a projection), which reproduces the classical folding table:
     A_{2m}  flip    -> B_m              D_n flip      -> B_{n-1}
     D_4 order three -> G_2              E_6 flip      -> F_4
 
-Each folded set is classified from scratch (symmetric set, simple base,
-Cartan matrix up to simultaneous permutation of that base) and must then
-equal the roots of the table's type mapped through the ordered base; the
-construction errors out otherwise.  The ambient matrix of sigma and its
-ambient fixed subspace are test references in :mod:`twistloop.oracle`.
+The beta_O are the folded system's own simple roots.  Each folded set is
+certified against the table's type: the Cartan matrix of the beta_O,
+from their inner products, must be the type's in some order of the
+nodes, and the set must equal the type's roots over its simple base with
+the coordinates put in that order; the construction errors out otherwise.
+The ambient matrix of sigma, its ambient fixed subspace, the average over
+sigma's powers and a from-scratch classifier of the folded set are test
+references in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .exact import Matrix, Vector, mat_vec, normalize_scalar, vec_add, vec_dot, vector
-from .rootsys import (CartanType, RootSystem, build_root_system,
-                      cartan_from_gram, cartan_matrix)
+from .exact import Matrix, Vector, normalize_scalar
+from .rootsys import (CartanMatrix, CartanType, RootSystem, _closure,
+                      cartan_from_gram, cartan_matrix, root_count)
 from .weyl import _perm_orbits
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
@@ -128,6 +135,11 @@ def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, 
     """Node permutation and tag of a twist given as a tag or as explicit
     simple-node images (0-based), checked to be a diagram symmetry.  Needs
     only the type, not its roots."""
+    return _resolve_twist(t, spec, cartan_matrix(t))
+
+
+def _resolve_twist(t: CartanType, spec: str | Sequence[int],
+                   cartan: CartanMatrix) -> tuple[tuple[int, ...], str]:
     if isinstance(spec, str):
         tag = spec
         perm = _simple_perm_for_tag(t, tag)
@@ -135,15 +147,16 @@ def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, 
         perm = tuple(spec)
         check_simple_perm(perm, t.rank)
         tag = _classify_perm(t, perm)
-    if not _is_diagram_symmetry(cartan_matrix(t), perm):
+    if not _is_diagram_symmetry(cartan, perm):
         raise ValueError("permutation does not preserve the Cartan matrix")
     return perm, tag
 
 
 def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutomorphism:
     """Build a diagram automorphism from a tag or an explicit permutation
-    of simple-root indices (0-based images)."""
-    perm, tag = resolve_twist(rs.cartan_type, spec)
+    of simple-root indices (0-based images), checked against the root
+    system's Cartan matrix."""
+    perm, tag = _resolve_twist(rs.cartan_type, spec, rs.cartan_matrix)
     inverse = _inverse(perm)  # c'[perm[j]] = c[j] reads c'[k] = c[inverse[k]]
     root_perm = tuple(rs.root_index[tuple(c[j] for j in inverse)] for c in rs.roots)
     return DiagramAutomorphism(rs, perm, _perm_order(perm), tag, root_perm)
@@ -166,38 +179,32 @@ def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
 
 
 def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
-    """Averages of the roots over the automorphism's powers, written in the
-    orbit-sum basis of the fixed subspace; deduplicated, multiplicities
-    retained."""
-    rs = a.base
-    r = rs.cartan_type.rank
-    reps = [orb[0] for orb in a.simple_orbits]
+    """Projections of the roots over the projected simple roots beta_O:
+    root c goes to its orbit sums (sum_{i in O} c_i)_O.  Deduplicated,
+    multiplicities retained."""
+    orbits = a.simple_orbits
     counts: dict[Vector, int] = {}
-    for idx in range(len(rs.roots)):
-        avg = [0] * r
-        j = idx
-        for _ in range(a.order):
-            for i, c in enumerate(rs.roots[j]):
-                avg[i] += c
-            j = a.root_perm[j]
-        coords = vector(Fraction(avg[rep], a.order) for rep in reps)
-        counts[coords] = counts.get(coords, 0) + 1
+    for c in a.base.roots:
+        v = tuple(sum(c[i] for i in orb) for orb in orbits)
+        counts[v] = counts.get(v, 0) + 1
     return tuple(sorted(counts.items()))
 
 
-def orbit_sum_gram(a: DiagramAutomorphism) -> Matrix:
-    """Gram matrix of the orbit sums: (b_O, b_O') is the sum of
-    (alpha_i, alpha_j) over i in O and j in O'."""
+def projected_gram(a: DiagramAutomorphism) -> Matrix:
+    """Gram matrix of the projected simple roots: (beta_O, beta_O') is the
+    sum of (alpha_i, alpha_j) over i in O and j in O', divided by |O||O'|."""
     g = a.base.gram
     orbits = a.simple_orbits
-    return tuple(tuple(normalize_scalar(sum(g[i][j] for i in o for j in p))
+    return tuple(tuple(normalize_scalar(Fraction(sum(g[i][j] for i in o for j in p),
+                                                 len(o) * len(p)))
                        for p in orbits) for o in orbits)
 
 
 @dataclass(frozen=True)
 class FoldingResult:
     """Projected roots with their multiplicities and the folded roots, both
-    in orbit-sum coordinates, and the folded type."""
+    as integer vectors over the projected simple roots, and the folded
+    type."""
 
     projected_roots: tuple[tuple[Vector, int], ...]
     folded_roots: tuple[Vector, ...]
@@ -224,50 +231,38 @@ def expected_folded_type(t: CartanType, tag: str) -> CartanType:
 def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     projected = project_roots(a)
     proj_set = {v for v, _ in projected}
-    half = Fraction(1, 2)
-    folded = tuple(sorted(v for v in proj_set
-                          if vector(half * c for c in v) not in proj_set))
+    folded = tuple(v for v, _ in projected
+                   if any(c % 2 for c in v) or tuple(c // 2 for c in v) not in proj_set)
     expected = expected_folded_type(a.base.cartan_type, a.tag)
     if len(a.simple_orbits) != expected.rank:
         raise ValueError("fixed-subspace dimension differs from folded rank")
-    check_folded_roots(folded, orbit_sum_gram(a), expected)
+    check_folded_roots(folded, projected_gram(a), expected)
     return FoldingResult(projected, folded, expected)
 
 
 def check_folded_roots(roots: Sequence[Vector], gram: Matrix,
                        expected: CartanType) -> None:
-    """Raise ValueError unless roots, vectors under the inner product gram,
-    form a root system of the expected type: the set is symmetric, its
-    positive elements that are no sum of two are a base whose Cartan
-    matrix is the expected one in some order, and the expected type's
-    roots mapped through that ordered base are exactly the set."""
-    positives = [v for v in roots if _lex_positive(v)]
-    if 2 * len(positives) != len(roots):
-        raise ValueError("projected root set is not symmetric")
-    sums = {vec_add(p, q) for p in positives for q in positives}
-    simple = [p for p in positives if p not in sums]
-    if len(simple) != expected.rank:
-        raise ValueError(f"found {len(simple)} simple roots, expected rank "
-                         f"{expected.rank} for {expected}")
-    cand = cartan_from_gram([[vec_dot(x, mat_vec(gram, y)) for y in simple]
-                             for x in simple])
-    model = build_root_system(expected)
-    assignment = _match_cartan(cand, model.cartan_matrix)
+    """Raise ValueError unless roots, integer vectors over a base whose
+    inner products are gram, are the root system of the expected type with
+    that base as its simple roots: the base's Cartan matrix is the type's
+    under some assignment of its vectors to the type's nodes, and the
+    type's roots over its simple base, with coordinates moved by that
+    assignment, are exactly the set.  A set equal to the model's roots,
+    read through a base with the model's Cartan matrix (hence, the type
+    being irreducible, its Gram matrix up to scale), is a root system of
+    that type.  Linear in the root count and the rank."""
+    model_cartan = cartan_matrix(expected)
+    assignment = _match_cartan(cartan_from_gram(gram), model_cartan)
     if assignment is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")
-    base = [simple[k] for k in assignment]
-    images = {vector(sum(c * b[m] for c, b in zip(root, base))
-                     for m in range(len(gram)))
-              for root in model.roots}
+    images = set()
+    for root in _closure(model_cartan, root_count(expected)):
+        v = [0] * len(root)
+        for k, c in zip(assignment, root):
+            v[k] = c
+        images.add(tuple(v))
     if images != set(roots):
         raise ValueError(f"folded set is not the root system of {expected}")
-
-
-def _lex_positive(v: Vector) -> bool:
-    for c in v:
-        if c != 0:
-            return c > 0
-    return False
 
 
 def _match_cartan(cand: Sequence[Sequence[int]],
@@ -332,14 +327,16 @@ def wsigma_preserves_folded(generators: Sequence[Matrix],
     """Whether the group generated by the given fixed-subspace matrices
     permutes the folded root set.  A finite group permutes a finite set
     exactly when its generators do, so only the generators are checked
-    (each against every folded root, in fixed-subspace coordinates)."""
+    (each against every folded root, as integer vectors over the projected
+    simple roots)."""
     rank = folding.folded_type.rank
     if any(len(g) != rank for g in generators):
         raise ValueError("restricted group acts in the wrong dimension")
-    root_set = set(folding.folded_roots)
+    roots = folding.folded_roots
+    root_set = set(roots)
     for g in generators:
-        for v in folding.folded_roots:
-            if mat_vec(g, v) not in root_set:
+        for v in roots:
+            if tuple(sum(map(mul, row, v)) for row in g) not in root_set:
                 return False
     return True
 

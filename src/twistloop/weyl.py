@@ -92,19 +92,21 @@ class RootPermutationAction:
 
     def fixed_space_matrices(self, simple_perm: tuple[int, ...],
                              perms: Iterable[bytes]) -> tuple[Matrix, ...]:
-        """Matrices of elements of W^sigma on the fixed subspace, in the
-        orbit-sum basis b_O = sum of the simple roots in orbit O.  The image
-        of b_O is orbit-constant; its coefficient over b_O' is the
-        coordinate at the first node of O'."""
+        """Integer matrices of elements of W^sigma on the fixed subspace,
+        over the projected simple roots beta_O = pi(alpha_j), j in O, where
+        pi averages over sigma's powers.  An element w commutes with sigma,
+        hence with pi, so w(beta_O') = pi(w(alpha_j)) for the first node j
+        of O', and pi sends a root c to its orbit sums
+        (sum_{i in O} c_i)_O: column O' holds the orbit sums of
+        w(alpha_j)."""
         coords = self.root_system.roots
         orbits = _perm_orbits(simple_perm)
-        reps = [orb[0] for orb in orbits]
+        firsts = [self.simple_indices[orb[0]] for orb in orbits]
         out = []
         for w in perms:
-            cols = [tuple(sum(coords[w[self.simple_indices[i]]][rep] for i in orb)
-                          for rep in reps)
-                    for orb in orbits]
-            out.append(tuple(zip(*cols)))
+            cols = [coords[w[s]] for s in firsts]
+            out.append(tuple(tuple(sum(c[i] for i in orb) for c in cols)
+                             for orb in orbits))
         return tuple(out)
 
 
@@ -216,7 +218,8 @@ def _fixed_space_traces(action: RootPermutationAction, simple_perm: tuple[int, .
                         w: bytes, count: int) -> list[int]:
     """tr(w^k | fixed subspace) for k = 1..count.
 
-    In the orbit-sum basis the diagonal entry of w^k at orbit O is the
+    The trace does not depend on the basis.  Over the orbit sums
+    b_O = sum_{i in O} alpha_i the diagonal entry of w^k at orbit O is the
     coordinate at the first node of O of w^k(b_O), and w^k(alpha_i) is
     reached by stepping along the orbit of alpha_i under w.
     """
@@ -280,7 +283,7 @@ def _divide_monic(p: Sequence[Scalar], q: Sequence[int]) -> tuple[list, list]:
 def certify_jacobian(matrices: Sequence[Matrix], ds: Sequence[int]) -> int:
     """Find invariants of the degrees ds with a nonzero Jacobian
     determinant, for the group generated by matrices (elements on the
-    fixed subspace in the orbit-sum basis); return how many functional
+    fixed subspace over the projected simple roots); return how many functional
     orbits they needed, or raise ValueError.
 
     U_j is the orbit of the coordinate functional y_j, and

@@ -2,8 +2,10 @@
 
 ``golden_reports.json`` maps each case to the sha256 digests of its
 ``to_json()`` and ``to_text()`` output.  The cases are the acceptance
-matrix at truncation 50, three ``--check`` runs, the E8 table route, A9
-flip, two ``perm=`` spellings and four deep series at truncation 600.  A
+matrix at truncation 50, five ``--check`` runs (A2 and A4 flips among them:
+non-reduced foldings, whose fixed-subspace coordinates depend on the
+basis scaling), the E8 table route, the A9, A10, A14 and D8 flips, two
+``perm=`` spellings and four deep series at truncation 600.  A
 refactor that is meant to leave every answer unchanged must leave every
 digest unchanged; criterion 8 checks determinism only within one commit.
 
@@ -29,9 +31,11 @@ MATRIX = ([(f, r, "identity") for f, r in SOLOMON_TYPES] +
           [("D", n, "flip") for n in D_FLIP_RANKS] +
           [("A", r, "flip") for r in A_FLIP_RANKS] +
           [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
-CHECKED = [("A", 2, "identity"), ("A", 3, "flip"), ("D", 4, "triality")]
+CHECKED = [("A", 2, "identity"), ("A", 3, "flip"), ("D", 4, "triality"),
+           ("A", 2, "flip"), ("A", 4, "flip")]
 # (family, rank, automorphism, truncation); tuples are 0-based node images
 EXTRA = [("E", 8, "identity", 50), ("A", 9, "flip", 50),
+         ("A", 10, "flip", 50), ("A", 14, "flip", 50), ("D", 8, "flip", 50),
          ("A", 3, (2, 1, 0), 50), ("D", 4, (2, 1, 3, 0), 50),
          ("G", 2, "identity", 600), ("F", 4, "identity", 600),
          ("A", 5, "flip", 600), ("D", 4, "triality", 600)]

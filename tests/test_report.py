@@ -80,8 +80,12 @@ class TestExcludedCharacteristics:
         def refuse(*args, **kwargs):
             raise AssertionError("root system built for the excluded primes")
 
-        for module in (twistloop.report, twistloop.rootsys, twistloop.twist):
+        for module in (twistloop.report, twistloop.rootsys):
             monkeypatch.setattr(module, "build_root_system", refuse)
+        # twist does not import the builder; every build goes through
+        # the RootSystem constructor
+        assert not hasattr(twistloop.twist, "build_root_system")
+        monkeypatch.setattr(twistloop.rootsys.RootSystem, "__init__", refuse)
         assert excluded_characteristics(CartanType("D", 4), "triality") == (2, 3)
         assert excluded_characteristics(CartanType("A", 5), (4, 3, 2, 1, 0)) == (2, 3, 5)
 

@@ -2,19 +2,26 @@ from fractions import Fraction
 
 import pytest
 
+from twistloop import twist
 from twistloop.exact import (identity_matrix, mat_mul, mat_vec, vec_add,
                              vec_dot, vec_scale, vector)
 from twistloop.oracle import (WeylPermutationGroup, ambient_roots, ambient_vector,
-                              automorphism_matrix, fixed_space_stabilizer_perms,
-                              fixed_subspace, rank, restricted_fixed_space_group)
+                              automorphism_matrix, classify_folded_roots,
+                              fixed_space_stabilizer_perms, fixed_subspace,
+                              orbit_sum_gram, orbit_sum_projection, rank,
+                              restricted_fixed_space_group)
 from twistloop.rootsys import CartanType, build_root_system, simple_root_vectors
 from twistloop.twist import (check_folded_roots, fixed_group_info,
                              folded_root_system, make_automorphism,
-                             orbit_count_criterion, orbit_sum_gram,
-                             orbits_on_roots, positive_orbit_sizes,
-                             project_roots, wsigma_preserves_folded)
+                             orbit_count_criterion, orbits_on_roots,
+                             positive_orbit_sizes, project_roots,
+                             projected_gram, wsigma_preserves_folded)
+from twistloop.weyl import RootPermutationAction
 
+from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
 from test_properties import IDENTITIES, TWISTS
+from test_rootsys import ALL_TYPES
+from test_wsigma import TWISTED
 
 
 def ambient_projection_set(aut):
@@ -75,6 +82,19 @@ class TestMakeAutomorphism:
         assert aut.tag == "flip"
         with pytest.raises(ValueError):
             make_automorphism(rs, (1, 0, 2, 3))  # breaks the Cartan matrix
+
+    def test_checked_against_the_built_cartan_matrix(self, monkeypatch):
+        # the root system holds its Cartan matrix: no second build from the
+        # realization
+        rs = build_root_system(CartanType("E", 6))
+
+        def refuse(t):
+            raise AssertionError("Cartan matrix rebuilt from the realization")
+
+        monkeypatch.setattr(twist, "cartan_matrix", refuse)
+        assert make_automorphism(rs, "flip").simple_perm == (5, 1, 4, 3, 2, 0)
+        with pytest.raises(ValueError, match="does not preserve the Cartan matrix"):
+            make_automorphism(rs, (1, 0, 2, 3, 4, 5))
 
     @pytest.mark.parametrize("perm,message", [
         ((2, 1), "permutation has 2 images"),
@@ -240,7 +260,7 @@ class TestFolding:
         rs = build_root_system(CartanType("E", 6))
         aut = make_automorphism(rs, "flip")
         roots = folded_root_system(aut).folded_roots
-        gram = orbit_sum_gram(aut)
+        gram = projected_gram(aut)
         check_folded_roots(roots, gram, CartanType("F", 4))
         # the highest root and its negative: the set stays symmetric and
         # keeps its simple base, so only the comparison with F4's roots fails
@@ -254,6 +274,30 @@ class TestFolding:
         for wrong in (CartanType("B", 4), CartanType("C", 4), CartanType("G", 2)):
             with pytest.raises(ValueError):
                 check_folded_roots(roots, gram, wrong)
+        # the orbit sums b_O = |O| beta_O as the base: F4 in the reverse
+        # node order, whose roots are not the set
+        with pytest.raises(ValueError, match="not the root system of F4"):
+            check_folded_roots(roots, orbit_sum_gram(aut), CartanType("F", 4))
+        # a set missing a simple root
+        unit = (0, 1, 0, 0)
+        assert unit in roots
+        with pytest.raises(ValueError, match="not the root system of F4"):
+            check_folded_roots([v for v in roots if v != unit], gram, CartanType("F", 4))
+
+    def test_folded_check_rejects_a_doubled_short_root(self):
+        # A4 flip: the projections hold 2v next to each short root v of B2
+        aut = make_automorphism(build_root_system(CartanType("A", 4)), "flip")
+        fold = folded_root_system(aut)
+        gram = projected_gram(aut)
+        proj = {v for v, _ in fold.projected_roots}
+        short = [v for v in fold.folded_roots if tuple(2 * c for c in v) in proj]
+        assert len(short) == 4
+        swapped = [tuple(2 * c for c in v) if v == short[0] else v
+                   for v in fold.folded_roots]
+        with pytest.raises(ValueError, match="not the root system of B2"):
+            check_folded_roots(swapped, gram, CartanType("B", 2))
+        with pytest.raises(ValueError):
+            check_folded_roots(sorted(proj), gram, CartanType("B", 2))
 
 
 class TestCriteria:
@@ -300,16 +344,10 @@ class TestProjectionEquivariance:
         aut = make_automorphism(rs, tag)
         w = WeylPermutationGroup(rs)
         stab = fixed_space_stabilizer_perms(w, aut.simple_perm)
-        reps = [o[0] for o in aut.simple_orbits]
 
         def projected(idx):
-            avg = [Fraction(0)] * rs.cartan_type.rank
-            j = idx
-            for _ in range(aut.order):
-                for i, c in enumerate(rs.roots[j]):
-                    avg[i] += c
-                j = aut.root_perm[j]
-            return vector(Fraction(avg[rep], aut.order) for rep in reps)
+            # over the projected simple roots: the sums over each orbit
+            return vector(sum(rs.roots[idx][i] for i in orb) for orb in aut.simple_orbits)
 
         projections = [projected(idx) for idx in range(len(rs.roots))]
         for elem in stab:
@@ -319,8 +357,8 @@ class TestProjectionEquivariance:
 
 
 class TestAmbientReference:
-    """The pipeline's coordinate permutations and orbit-sum data against the
-    classical ambient realization in twistloop.oracle."""
+    """The pipeline's coordinate permutations and projected-root data
+    against the classical ambient realization in twistloop.oracle."""
 
     @pytest.mark.parametrize("family,rank,tag,perm", TWISTS + IDENTITIES,
                              ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v))
@@ -347,8 +385,10 @@ class TestAmbientReference:
                                                  ("E", 6, "flip"), ("B", 3, "identity")])
     def test_orbit_sum_data_match_ambient_fixed_subspace(self, family, rank, tag):
         aut = make_automorphism(build_root_system(CartanType(family, rank)), tag)
-        basis = fixed_subspace(aut).basis_vectors
-        assert orbit_sum_gram(aut) == tuple(tuple(vec_dot(x, y) for y in basis)
+        # the projected simple roots: the ambient orbit sums over |O|
+        basis = [vec_scale(Fraction(1, len(orb)), b) for orb, b in
+                 zip(aut.simple_orbits, fixed_subspace(aut).basis_vectors)]
+        assert projected_gram(aut) == tuple(tuple(vec_dot(x, y) for y in basis)
                                             for x in basis)
 
         def ambient(v):
@@ -358,6 +398,38 @@ class TestAmbientReference:
             return total
 
         assert {ambient(v) for v, _ in project_roots(aut)} == ambient_projection_set(aut)
+
+
+ORACLE_FOLDS = TWISTED + [(f, r, "identity") for f, r in ALL_TYPES]
+
+
+@pytest.mark.parametrize("family,rank,tag", ORACLE_FOLDS)
+def test_fold_matches_the_oracle_projection_and_classifier(family, rank, tag):
+    aut = make_automorphism(build_root_system(CartanType(family, rank)), tag)
+    sizes = [len(orb) for orb in aut.simple_orbits]
+    scaled = sorted((tuple(c * n for c, n in zip(v, sizes)), mult)
+                    for v, mult in orbit_sum_projection(aut))
+    assert list(project_roots(aut)) == scaled
+    fold = folded_root_system(aut)
+    classify_folded_roots(fold.folded_roots, projected_gram(aut), fold.folded_type)
+
+
+def test_fold_coordinates_and_fixed_space_matrices_are_integers():
+    cases = ([(f, r, "identity") for f, r in SOLOMON_TYPES] +
+             [("D", n, "flip") for n in D_FLIP_RANKS] +
+             [("A", r, "flip") for r in A_FLIP_RANKS] +
+             [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
+    for family, rank, tag in cases:
+        rs = build_root_system(CartanType(family, rank))
+        aut = make_automorphism(rs, tag)
+        fold = folded_root_system(aut)
+        assert all(type(c) is int for v, _ in fold.projected_roots for c in v)
+        assert all(type(c) is int for v in fold.folded_roots for c in v)
+        action = RootPermutationAction(rs)
+        matrices = action.fixed_space_matrices(
+            aut.simple_perm, action.steinberg_generators(aut.simple_perm))
+        assert all(type(x) is int for m in matrices for row in m for x in row), \
+            (family, rank, tag)
 
 
 def test_fixed_group_info_component_counts():
