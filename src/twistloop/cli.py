@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exact import DEFAULT_TRUNCATION
 from .report import MAX_TRUNCATION, MAX_WORKERS, TwistSpec, compute

@@ -8,6 +8,17 @@ matrices are immutable tuples, so every value is hashable and can be used
 directly as a dictionary key.  No operation in this package ever touches
 floating point.
 
+A :class:`Record` is an immutable value with named fields, the base of
+every record the pipeline passes between its stages (this series, the
+Cartan type, the twist and its folding, the spec and the report).  A
+subclass lists its fields in ``__slots__``, in constructor order, with
+defaults in ``_defaults`` and validation in ``_check``; the base binds
+positional and keyword arguments to the fields, compares, hashes and
+prints by them, and refuses assignment and deletion.  It stands in for
+``dataclasses``, whose import (it loads ``inspect``, ``ast`` and
+``tokenize``) and per-class code generation cost more start-up time than
+the smaller cases of the pipeline take to run.
+
 A :class:`BigradedSeries` records the dimensions of the graded pieces of
 an (exterior algebra) x (polynomial algebra) as a sparse map
 
@@ -19,15 +30,83 @@ part contributes degree a, the polynomial part degree 2b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
 
 DEFAULT_TRUNCATION = 50
+
+
+class Record:
+    """Immutable record over the fields named in a subclass's ``__slots__``.
+
+    ``Sub(*args, **kwargs)`` binds arguments to fields as a function with
+    those parameters would, takes ``_defaults`` for the rest, then calls
+    ``_check``, which may normalize a field with ``object.__setattr__``.
+    Equality, hashing and repr use the fields in order, except those the
+    class statement names in ``hidden``: ``class R(Record, hidden=("x",))``.
+    The compared values are kept as one tuple, so == and hash() read two
+    slots instead of every field.
+    """
+
+    __slots__ = ("_key",)
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._compared = tuple(n for n in cls.__slots__ if n not in hidden)
+        cls._values = attrgetter(*cls._compared)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, "
+                            f"got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{type(self).__name__}() got an unexpected or "
+                                f"repeated argument {name!r}")
+            values[name] = value
+        defaults = self._defaults
+        for name in names:
+            if name in values:
+                value = values[name]
+            elif name in defaults:
+                value = defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        self._check()
+        object.__setattr__(self, "_key", self._values(self))
+
+    def _check(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
 def normalize_scalar(x: Scalar) -> Scalar:
@@ -112,8 +191,7 @@ def charpoly_from_power_traces(traces: Sequence[Scalar], n: int) -> tuple[Scalar
 # truncated bigraded series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
-class BigradedSeries:
+class BigradedSeries(Record):
     """Sparse bigraded series with exact coefficients.
 
     Keys are (exterior degree a, polynomial degree b); only keys with
@@ -122,10 +200,12 @@ class BigradedSeries:
     coefficients; intermediate arithmetic may hold Fractions.
     """
 
+    __slots__ = ("truncation", "coefficients")
     truncation: int
-    coefficients: Mapping[tuple[int, int], Scalar] = field(default_factory=dict)
+    coefficients: Mapping[tuple[int, int], Scalar]
+    _defaults = {"coefficients": {}}  # never mutated: _check stores a new dict
 
-    def __post_init__(self):
+    def _check(self):
         if self.truncation < 0:
             raise ValueError("truncation must be non-negative")
         cleaned = {}

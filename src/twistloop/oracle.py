@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
-from .exact import (BigradedSeries, Matrix, Scalar, Vector,
+from .exact import (BigradedSeries, Matrix, Record, Scalar, Vector,
                     charpoly_from_power_traces, identity_matrix, mat_mul,
                     mat_shape, mat_vec, matrix, normalize_scalar, vec_add,
                     vec_dot, vec_scale, vec_sub, vector)
@@ -139,14 +138,14 @@ def invert(m: Matrix) -> Matrix:
     return matrix(row[n:] for row in red)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Record):
     """Linearly independent spanning set of a rational subspace."""
 
+    __slots__ = ("ambient_dim", "basis_vectors")
     ambient_dim: int
     basis_vectors: tuple[Vector, ...]
 
-    def __post_init__(self):
+    def _check(self):
         for v in self.basis_vectors:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector of wrong length")

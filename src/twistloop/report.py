@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
-from .exact import (BigradedSeries, DEFAULT_TRUNCATION,
+from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record,
                     collapse_to_cohomological, product_over_degrees,
                     solomon_series)
 from .rootsys import CartanType, build_root_system, degrees, root_count, weyl_order
@@ -51,16 +50,19 @@ MAX_TRUNCATION = 10_000  # the series and the bigraded report grow with it
 MAX_WORKERS = 64
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(Record):
+    __slots__ = ("cartan_type", "automorphism", "truncation", "run_oracle",
+                 "workers", "element_cap")
     cartan_type: CartanType
-    automorphism: str | tuple[int, ...] = "identity"
-    truncation: int = DEFAULT_TRUNCATION
-    run_oracle: bool = False
-    workers: int = 1
-    element_cap: int = DEFAULT_ELEMENT_CAP
+    automorphism: str | tuple[int, ...]
+    truncation: int
+    run_oracle: bool
+    workers: int
+    element_cap: int
+    _defaults = {"automorphism": "identity", "truncation": DEFAULT_TRUNCATION,
+                 "run_oracle": False, "workers": 1, "element_cap": DEFAULT_ELEMENT_CAP}
 
-    def __post_init__(self):
+    def _check(self):
         if self.truncation < 0:
             raise ValueError("truncation must be non-negative")
         if self.truncation > MAX_TRUNCATION:
@@ -71,14 +73,20 @@ class TwistSpec:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Record):
+    __slots__ = ("x_degrees", "y_degrees")
     x_degrees: tuple[int, ...]
     y_degrees: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TwistReport:
+class TwistReport(Record, hidden=("bigraded",)):
+    """The pipeline's answer for one spec.  ``bigraded`` (the bigraded
+    series, None on the table route) is left out of ==, hash and repr."""
+
+    __slots__ = ("cartan_type", "automorphism", "truncation", "folded_type",
+                 "orbit_criterion", "positive_orbit_sizes", "stabilizer_order",
+                 "restricted_order", "preserves_folded", "series", "closed_form",
+                 "excluded_characteristics", "notes", "bigraded")
     cartan_type: CartanType
     automorphism: str
     truncation: int
@@ -92,7 +100,8 @@ class TwistReport:
     closed_form: ClosedForm | None
     excluded_characteristics: tuple[int, ...]
     notes: tuple[str, ...]
-    bigraded: BigradedSeries | None = field(compare=False, repr=False, default=None)
+    bigraded: BigradedSeries | None
+    _defaults = {"bigraded": None}
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,10 +20,10 @@ itself is a test reference in :mod:`twistloop.oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, total_ordering
 
-from .exact import Matrix, Vector, vec_dot, vec_scale, vec_sub, vector
+from .exact import Matrix, Record, Vector, vec_dot, vec_scale, vec_sub, vector
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -38,17 +38,25 @@ _RANK_BOUNDS = {"A": (1, None), "B": (1, None), "C": (1, None),
                 "D": (2, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-@dataclass(frozen=True, order=True)
-class CartanType:
+@total_ordering
+class CartanType(Record):
+    """A simple type: family letter and rank, ordered by (family, rank)."""
+
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         lo, hi = _RANK_BOUNDS[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"rank {self.rank} out of range for family {self.family}")
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -138,6 +146,15 @@ def simple_root_vectors(t: CartanType) -> tuple[Vector, ...]:
     return tuple(alpha[:r])
 
 
+# The Gram matrix, the Cartan matrix and the root closure are read once per
+# argument in a process: compute() needs the input type's Cartan matrix to
+# check the twist before it builds the roots, and the folded type's Cartan
+# matrix and roots to certify the folding (the input type's again for an
+# identity twist).  The results are tuples, so sharing them is safe.
+_memo = lru_cache(maxsize=64)
+
+
+@_memo
 def simple_gram(t: CartanType) -> Matrix:
     """Inner products (alpha_i, alpha_j) of the simple roots, read off
     their classical realization."""
@@ -162,6 +179,7 @@ def cartan_from_gram(gram: Matrix) -> CartanMatrix:
     return tuple(cm)
 
 
+@_memo
 def cartan_matrix(t: CartanType) -> CartanMatrix:
     return cartan_from_gram(simple_gram(t))
 
@@ -177,6 +195,7 @@ def simple_reflection(c: Root, i: int, cartan: CartanMatrix) -> Root:
     return tuple(out)
 
 
+@_memo
 def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
     """Closure of the simple roots (unit vectors) under the simple
     reflections; more than limit roots is an error."""
@@ -210,7 +229,7 @@ class RootSystem:
         t = cartan_type
         self.cartan_type = t
         self.gram = simple_gram(t)
-        self.cartan_matrix = cartan_from_gram(self.gram)
+        self.cartan_matrix = cartan_matrix(t)
         self.roots = _closure(self.cartan_matrix, root_count(t))
         self.simple_roots = tuple(_unit(t.rank, i) for i in range(t.rank))
         self.root_index = {c: i for i, c in enumerate(self.roots)}

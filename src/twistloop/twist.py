@@ -31,12 +31,11 @@ references in :mod:`twistloop.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
-from .exact import Matrix, Vector, normalize_scalar
+from .exact import Matrix, Record, Vector, normalize_scalar
 from .rootsys import (CartanMatrix, CartanType, RootSystem, _closure,
                       cartan_from_gram, cartan_matrix, root_count)
 from .weyl import _perm_orbits
@@ -44,10 +43,10 @@ from .weyl import _perm_orbits
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(Record):
     """A Dynkin-diagram symmetry and the permutation it induces on the roots."""
 
+    __slots__ = ("base", "simple_perm", "order", "tag", "root_perm")
     base: RootSystem
     simple_perm: tuple[int, ...]
     order: int
@@ -200,12 +199,12 @@ def projected_gram(a: DiagramAutomorphism) -> Matrix:
                        for p in orbits) for o in orbits)
 
 
-@dataclass(frozen=True)
-class FoldingResult:
+class FoldingResult(Record):
     """Projected roots with their multiplicities and the folded roots, both
     as integer vectors over the projected simple roots, and the folded
     type."""
 
+    __slots__ = ("projected_roots", "folded_roots", "folded_type")
     projected_roots: tuple[tuple[Vector, int], ...]
     folded_roots: tuple[Vector, ...]
     folded_type: CartanType
@@ -302,8 +301,8 @@ def _match_cartan(cand: Sequence[Sequence[int]],
 # applicability criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitCriterion:
+class OrbitCriterion(Record):
+    __slots__ = ("orbit_count", "folded_root_count")
     orbit_count: int
     folded_root_count: int
 
@@ -345,8 +344,8 @@ def wsigma_preserves_folded(generators: Sequence[Matrix],
 # fixed-subgroup bookkeeping for the coefficient-exclusion report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedGroupInfo:
+class FixedGroupInfo(Record):
+    __slots__ = ("note", "component_counts")
     note: str
     component_counts: tuple[int, ...]  # |pi_0| for the documented representatives
 

@@ -25,7 +25,7 @@ live in :mod:`twistloop.oracle`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .exact import Matrix, Scalar, charpoly_from_power_traces
 from .rootsys import RootSystem, simple_reflection

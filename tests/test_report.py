@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import twistloop
 from twistloop.cli import main
 from twistloop.exact import identity_matrix, product_over_degrees
 from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup,
@@ -181,6 +182,20 @@ class TestCompute:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout == "False\n"
+
+    def test_pipeline_never_loads_dataclasses_inspect_or_typing(self):
+        # the records are plain slotted classes; -S keeps site hooks out, and
+        # only modules new since before the import count, in case something
+        # still preloads one of these
+        code = ("import sys; before = set(sys.modules); import twistloop; "
+                "twistloop.compute(twistloop.TwistSpec("
+                "twistloop.CartanType('D', 4), 'triality')); "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} "
+                "& (set(sys.modules) - before)))")
+        src = os.path.dirname(os.path.dirname(twistloop.__file__))
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout == "[]\n"
 
     def test_explicit_permutation_echo(self):
         rpt = compute(TwistSpec(CartanType("A", 3), (2, 1, 0)))

@@ -4,8 +4,10 @@ import pytest
 
 from fractions import Fraction
 
+from twistloop import rootsys
 from twistloop.exact import vec_dot
 from twistloop.oracle import ambient_roots, ambient_vector, reflect
+from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import (CartanType, build_root_system, degrees,
                                root_count, simple_reflection,
                                simple_root_vectors, weyl_order)
@@ -140,3 +142,17 @@ def test_simple_roots_pairwise_obtuse():
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(ValueError):
         CartanType(family, rank)
+
+
+@pytest.mark.parametrize("family,rank,tag,types", [("E", 6, "identity", 1),
+                                                   ("E", 6, "flip", 2),
+                                                   ("D", 4, "triality", 2)])
+def test_compute_reads_each_type_once(family, rank, tag, types):
+    # the input type is read to check the twist and to build the roots, the
+    # folded type to certify the folding; an identity twist folds to the
+    # input type itself
+    memoized = (rootsys.simple_gram, rootsys.cartan_matrix, rootsys._closure)
+    for fn in memoized:
+        fn.cache_clear()
+    compute(TwistSpec(CartanType(family, rank), tag))
+    assert [fn.cache_info().misses for fn in memoized] == [types] * 3
