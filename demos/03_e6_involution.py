@@ -10,8 +10,8 @@ F4 loop-group series.
 That group is generated by four elements, one longest parabolic element
 per orbit of the flip on the simple nodes.  Their product is a Coxeter
 element of F4, whose eigenvalues give the degrees 2, 6, 8, 12; the order
-1152 comes from coset representatives, and no element of either group
-is enumerated.
+1152 is the product of the sizes of four orbits of coordinate functionals
+on the fixed subspace, and no element of either group is enumerated.
 """
 
 import time

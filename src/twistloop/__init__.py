@@ -10,18 +10,17 @@ from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
 from .twist import (DiagramAutomorphism, FoldingResult, folded_root_system,
                     make_automorphism, orbit_count_criterion, orbits_on_roots,
                     project_roots, wsigma_preserves_folded)
-from .weyl import (GroupTooLargeError, RootPermutationAction, invariant_degrees,
-                   wsigma_transversals)
+from .weyl import (GroupTooLargeError, RootPermutationAction, coset_indices,
+                   invariant_degrees)
 
 __all__ = [
     "BigradedSeries", "CartanType", "ClosedForm", "DiagramAutomorphism",
     "DEFAULT_TRUNCATION", "FoldingResult", "GroupTooLargeError",
     "RootPermutationAction", "RootSystem", "TwistReport",
-    "TwistSpec", "build_root_system", "compute",
+    "TwistSpec", "build_root_system", "compute", "coset_indices",
     "degrees", "excluded_characteristics", "folded_root_system",
     "invariant_degrees", "mat_mul", "make_automorphism",
     "orbit_count_criterion", "orbits_on_roots", "product_over_degrees",
     "project_roots", "recognize_closed_form", "root_count",
     "solomon_series", "weyl_order", "wsigma_preserves_folded",
-    "wsigma_transversals",
 ]

@@ -21,8 +21,12 @@ permutations, which keeps every element; all of W
 stabilizer and its image; W^sigma of the A_n and D_n flips from the
 classical (signed) permutations (:func:`classical_wsigma_perms`); the
 element-by-element route to the invariant series, where the pipeline
-certifies the invariant degrees instead: the walk of W^sigma over the
-pipeline's coset representatives (:func:`wsigma_elements`), its
+certifies the invariant degrees instead: coset representatives along
+the chain of subgroups the Steinberg generators span, found by a
+breadth-first search over byte permutations of the roots
+(:func:`wsigma_transversals`, where the pipeline counts each coset index
+as the size of an orbit of functionals), the walk of W^sigma over them
+(:func:`wsigma_elements`), its
 characteristic-polynomial buckets on the fixed subspace from power
 traces (:func:`fixed_space_charpoly_buckets`), and the super-Molien
 average over them (:func:`super_molien_from_buckets`, with
@@ -44,6 +48,7 @@ the sum is taken per bucket.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -57,7 +62,7 @@ from .rootsys import (CartanType, RootSystem, build_root_system,
                       cartan_from_gram, simple_root_vectors)
 from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError, RootPermutationAction,
-                   _perm_orbits, wsigma_transversals)
+                   _perm_orbits)
 
 ORACLE_MAX_DIM = 3
 ORACLE_MAX_DEGREE = 12
@@ -458,17 +463,19 @@ def restrict_to_subspace(group: FiniteMatrixGroup, space: SubspaceBasis) -> Fini
 def close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ...]:
     """Breadth-first closure of byte permutations under right multiplication,
     in discovery order, every element kept in a tuple and a set.  Raises
-    GroupTooLargeError past the cap.  The pipeline streams W^sigma from
-    coset representatives instead (:func:`twistloop.weyl.wsigma_elements`)."""
+    GroupTooLargeError past the cap.  :func:`wsigma_elements` streams
+    W^sigma from coset representatives instead.  The product w g is
+    g.translate(w) once w is padded to a 256-byte table."""
     n = len(generators[0])
     ident = bytes(range(n))
+    tail = bytes(range(n, 256))
     seen = {ident}
     order = [ident]
     queue = deque([ident])
     while queue:
-        w = queue.popleft()
+        w = queue.popleft() + tail
         for g in generators:
-            c = bytes(map(w.__getitem__, g))
+            c = g.translate(w)
             if c not in seen:
                 if len(seen) >= cap:
                     raise GroupTooLargeError(f"group too large (cap {cap})")
@@ -686,14 +693,62 @@ def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
     return BigradedSeries(truncation, averaged)
 
 
+def wsigma_transversals(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                        generators: Sequence[bytes], order: int,
+                        cap: int) -> tuple[tuple[bytes, ...], ...]:
+    """Right coset representatives of W_{k-1} in W_k for k = 1..m, each
+    found by a breadth-first search over the cosets, checked against the
+    expected order of W^sigma.
+
+    W_k is the subgroup generated by the first k Steinberg generators
+    w_O, taken in sigma-orbit order.  Every element of W^sigma = W_m is a
+    unique product x_1 x_2 ... x_m of right coset representatives x_k of
+    W_{k-1} in W_k (Humphreys, Reflection Groups and Coxeter Groups,
+    1.10), so |W^sigma| is the product of the transversal sizes.
+
+    A coset W_{k-1} x is keyed by the coordinate at the first node of
+    orbit O_k of x(alpha_i), over the simple roots alpha_i.  A simple
+    reflection s_j changes only coordinate j, and W_{k-1} is made of s_j
+    with j outside O_k, so the key is constant on the coset.  Two elements
+    with the same key differ by an element of W^sigma fixing that
+    coordinate functional, hence (it commutes with sigma) every
+    coordinate functional of O_k; such an element lies in the parabolic
+    subgroup without O_k, and within W_k that is W_{k-1}.
+
+    Raises GroupTooLargeError when a coset search passes the cap, and
+    ValueError when the coset counts do not multiply to order, the
+    expected |W^sigma|: then the generators are not Steinberg's.
+    """
+    coords = action.root_system.roots
+    ident = bytes(range(len(coords)))
+    transversals = []
+    for k, orb in enumerate(_perm_orbits(simple_perm)[:len(generators)]):
+        column = tuple(c[orb[0]] for c in coords)
+        reps = [ident]
+        seen = {tuple(column[s] for s in action.simple_indices)}
+        for x in reps:  # reps grows while it is read: a breadth-first search
+            for g in generators[:k + 1]:
+                y = bytes(map(x.__getitem__, g))
+                key = tuple(column[y[s]] for s in action.simple_indices)
+                if key not in seen:
+                    if len(reps) >= cap:
+                        raise GroupTooLargeError(f"group too large (cap {cap})")
+                    seen.add(key)
+                    reps.append(y)
+        transversals.append(tuple(reps))
+    if math.prod(map(len, transversals)) != order:
+        raise ValueError(f"coset counts {[len(x) for x in transversals]} do not "
+                         f"multiply to the group order {order}")
+    return tuple(transversals)
+
+
 def wsigma_elements(action: RootPermutationAction, simple_perm: tuple[int, ...],
                     generators: Sequence[bytes], order: int,
                     cap: int) -> Iterator[bytes]:
     """Stream W^sigma, each element once, with no element stored: walk
-    the tree of products x_1 x_2 ... x_m of the pipeline's coset
-    representatives (:func:`twistloop.weyl.wsigma_transversals`, which
-    raises before the walk on a wrong generator set or past the cap),
-    with one composition per tree node."""
+    the tree of products x_1 x_2 ... x_m of the coset representatives of
+    :func:`wsigma_transversals` (which raises before the walk on a wrong
+    generator set or past the cap), with one composition per tree node."""
     return _walk_products(wsigma_transversals(action, simple_perm, generators,
                                               order, cap))
 

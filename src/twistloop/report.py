@@ -6,9 +6,11 @@ needs: W^sigma, the elements of the Weyl group that commute with sigma,
 generated by Steinberg's elements (one longest parabolic element per
 sigma-orbit of simple nodes; sigma = identity gives all of W).  W^sigma
 acts faithfully on the fixed subspace and realizes the folded Weyl group
-there.  Its order comes from a chain of coset representatives, and the
-degrees of its basic invariants from the characteristic polynomial of one
-Coxeter element, checked against that order, the folded root count and a
+there.  Its order is the product of the indices along the chain of
+subgroups the generators span, each the size of one orbit of a
+coordinate functional on the fixed subspace.  The degrees of its basic
+invariants come from the characteristic polynomial of one Coxeter
+element, checked against that order, the folded root count and a
 Jacobian determinant modulo a large prime.  Solomon's product over those
 degrees is the bigraded invariant series, and its single-graded collapse
 is the series the report emits.  That series is the dimension series of
@@ -31,7 +33,6 @@ from the elements of W^sigma; that module is imported only then.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 
@@ -44,7 +45,7 @@ from .twist import (DiagramAutomorphism, OrbitCriterion, _perm_order,
                     make_automorphism, orbit_count_criterion,
                     positive_orbit_sizes, resolve_twist, wsigma_preserves_folded)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
-                   RootPermutationAction, invariant_degrees, wsigma_transversals)
+                   RootPermutationAction, coset_indices, invariant_degrees)
 
 MAX_TRUNCATION = 10_000  # the series and the bigraded report grow with it
 MAX_WORKERS = 64
@@ -132,6 +133,8 @@ class TwistReport(Record, hidden=("bigraded",)):
         }
 
     def to_json(self) -> str:
+        import json  # loaded on first use: compute() and the text report need none
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
@@ -290,18 +293,16 @@ def compute(spec: TwistSpec) -> TwistReport:
     else:
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)
+        matrices = action.fixed_space_matrices(aut.simple_perm, generators)
         try:
-            transversals = wsigma_transversals(action, aut.simple_perm, generators,
-                                               weyl_order(folded_type),
-                                               spec.element_cap)
+            indices = coset_indices(matrices, weyl_order(folded_type), spec.element_cap)
             # the restriction to the fixed subspace is faithful
-            stab_order = restricted_order = math.prod(map(len, transversals))
-            ds = invariant_degrees(action, aut.simple_perm, generators, stab_order,
-                                   len(folding.folded_roots) // 2)
+            stab_order = restricted_order = math.prod(indices)
+            ds = invariant_degrees(action, aut.simple_perm, generators, matrices,
+                                   stab_order, len(folding.folded_roots) // 2)
         except ValueError as exc:
             raise ValueError(f"{t} {aut.tag}: {exc}") from None
-        preserves = wsigma_preserves_folded(
-            action.fixed_space_matrices(aut.simple_perm, generators), folding)
+        preserves = wsigma_preserves_folded(matrices, folding)
         bigraded = solomon_series(ds, spec.truncation)
         series = collapse_to_cohomological(bigraded)
         closed = _closed_form_or_note(series, folded_type, notes)

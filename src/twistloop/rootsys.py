@@ -196,32 +196,36 @@ def simple_reflection(c: Root, i: int, cartan: CartanMatrix) -> Root:
 
 
 @_memo
-def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
+def _closure(cartan: CartanMatrix,
+             limit: int) -> tuple[tuple[Root, ...], tuple[tuple[Root, ...], ...]]:
     """Closure of the simple roots (unit vectors) under the simple
-    reflections; more than limit roots is an error."""
+    reflections, sorted, and the images s_i(c) of each root c it computed
+    on the way; more than limit roots is an error."""
     r = len(cartan)
     frontier = [_unit(r, i) for i in range(r)]
-    seen = set(frontier)
+    images = dict.fromkeys(frontier)
     while frontier:
         nxt = []
         for c in frontier:
-            for i in range(r):
-                d = simple_reflection(c, i, cartan)
-                if d not in seen:
-                    seen.add(d)
+            images[c] = row = tuple(simple_reflection(c, i, cartan) for i in range(r))
+            for d in row:
+                if d not in images:
+                    images[d] = None
                     nxt.append(d)
-        if len(seen) > limit:
+        if len(images) > limit:
             raise ValueError(f"root closure passed {limit} roots")
         frontier = nxt
-    return tuple(sorted(seen))
+    roots = tuple(sorted(images))
+    return roots, tuple(images[c] for c in roots)
 
 
 class RootSystem:
     """Immutable bundle of roots, Cartan data and the Weyl invariant-degree
     table.
 
-    ``roots[i]`` is root i as an integer vector over the simple base, and
-    ``root_index`` inverts that list; ``simple_roots`` are the unit
+    ``roots[i]`` is root i as an integer vector over the simple base,
+    ``reflections[i][k]`` is s_k of it, and ``root_index`` inverts
+    ``roots``; ``simple_roots`` are the unit
     vectors, and ``gram`` holds the inner products of the simple roots.
     """
 
@@ -230,7 +234,7 @@ class RootSystem:
         self.cartan_type = t
         self.gram = simple_gram(t)
         self.cartan_matrix = cartan_matrix(t)
-        self.roots = _closure(self.cartan_matrix, root_count(t))
+        self.roots, self.reflections = _closure(self.cartan_matrix, root_count(t))
         self.simple_roots = tuple(_unit(t.rank, i) for i in range(t.rank))
         self.root_index = {c: i for i, c in enumerate(self.roots)}
         self.positive_mask = tuple(all(x >= 0 for x in c) for c in self.roots)

@@ -38,7 +38,7 @@ from operator import mul
 from .exact import Matrix, Record, Vector, normalize_scalar
 from .rootsys import (CartanMatrix, CartanType, RootSystem, _closure,
                       cartan_from_gram, cartan_matrix, root_count)
-from .weyl import _perm_orbits
+from .weyl import _perm_orbits, moved_rows
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
 
@@ -255,7 +255,7 @@ def check_folded_roots(roots: Sequence[Vector], gram: Matrix,
     if assignment is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")
     images = set()
-    for root in _closure(model_cartan, root_count(expected)):
+    for root in _closure(model_cartan, root_count(expected))[0]:
         v = [0] * len(root)
         for k, c in zip(assignment, root):
             v[k] = c
@@ -327,15 +327,22 @@ def wsigma_preserves_folded(generators: Sequence[Matrix],
     permutes the folded root set.  A finite group permutes a finite set
     exactly when its generators do, so only the generators are checked
     (each against every folded root, as integer vectors over the projected
-    simple roots)."""
+    simple roots, in the rows it moves)."""
     rank = folding.folded_type.rank
     if any(len(g) != rank for g in generators):
         raise ValueError("restricted group acts in the wrong dimension")
     roots = folding.folded_roots
     root_set = set(roots)
-    for g in generators:
+    for moved in map(moved_rows, generators):
         for v in roots:
-            if tuple(sum(map(mul, row, v)) for row in g) not in root_set:
+            image = None
+            for r, row in moved:
+                d = sum(map(mul, row, v))
+                if d:
+                    if image is None:
+                        image = list(v)
+                    image[r] += d
+            if image is not None and tuple(image) not in root_set:
                 return False
     return True
 

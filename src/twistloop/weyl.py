@@ -1,13 +1,15 @@
 """The Weyl-group route of the pipeline: W^sigma as permutations of the
-root set, its order from a coset chain, and the degrees of its basic
+root set, its order from coset indices, and the degrees of its basic
 invariants on the fixed subspace, certified from one Coxeter element.
 
 :class:`RootPermutationAction` writes the simple reflections of a Weyl
-group as permutations of the root set (one byte per root index) and
-derives Steinberg's generators of the fixed subgroup W^sigma of a diagram
-automorphism sigma, one per sigma-orbit of simple nodes.
-:func:`wsigma_transversals` finds coset representatives along the chain
-of subgroups those generators span; their counts multiply to |W^sigma|.
+group as permutations of the root set (one byte per root index), derives
+Steinberg's generators of the fixed subgroup W^sigma of a diagram
+automorphism sigma, one per sigma-orbit of simple nodes, and their
+matrices on the fixed subspace, read in one sparse form
+(:func:`moved_rows`).  :func:`coset_indices` counts the cosets along the
+chain of subgroups the generators span as orbits of coordinate
+functionals; the indices multiply to |W^sigma|.
 :func:`invariant_degrees` reads the degrees off the characteristic
 polynomial of the product of the generators, a Coxeter element, and
 certifies them: their product is |W^sigma|, their exponents add up to the
@@ -17,9 +19,9 @@ large prime.  The invariant ring is then polynomial in those degrees,
 and Solomon's product (:func:`twistloop.exact.solomon_series`) is its
 bigraded series.  No element of W^sigma is enumerated.
 
-The element-by-element references (the streamed walk of W^sigma, its
-characteristic-polynomial buckets and the super-Molien average over them)
-live in :mod:`twistloop.oracle`.
+The element-by-element references (coset representatives, the walk of
+W^sigma over them, its characteristic-polynomial buckets and their
+super-Molien average) live in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 
 from .exact import Matrix, Scalar, charpoly_from_power_traces
-from .rootsys import RootSystem, simple_reflection
+from .rootsys import RootSystem
 
 DEFAULT_ELEMENT_CAP = 10**7
 MAX_ROOTS = 255  # one byte per root index
@@ -57,9 +59,9 @@ class RootPermutationAction:
             raise GroupTooLargeError("root set too large for byte-permutation encoding")
         self.root_system = rs
         self.simple_indices = tuple(rs.root_index[a] for a in rs.simple_roots)
+        index = rs.root_index
         self.simple_reflections = tuple(
-            bytes(rs.root_index[simple_reflection(c, i, rs.cartan_matrix)]
-                  for c in rs.roots)
+            bytes(index[images[i]] for images in rs.reflections)
             for i in range(rs.cartan_type.rank))
 
     def steinberg_generators(self, simple_perm: tuple[int, ...]) -> tuple[bytes, ...]:
@@ -110,53 +112,64 @@ class RootPermutationAction:
         return tuple(out)
 
 
-def wsigma_transversals(action: RootPermutationAction, simple_perm: tuple[int, ...],
-                        generators: Sequence[bytes], order: int,
-                        cap: int) -> tuple[tuple[bytes, ...], ...]:
-    """Right coset representatives of W_{k-1} in W_k for k = 1..m, each
-    found by a breadth-first search over the cosets, checked against the
-    expected order of W^sigma.
+def moved_rows(m: Matrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The nonzero rows of m - 1 as (r, row).  A Steinberg generator, a
+    reflection on the fixed subspace, moves one.  A functional phi goes to
+    phi + sum_r phi_r (m - 1)[r], fixed when every phi_r is 0; m v
+    differs from v only in rows r, by (m - 1)[r] . v."""
+    moved = []
+    for r, row in enumerate(m):
+        row = tuple(x - 1 if c == r else x for c, x in enumerate(row))
+        if any(row):
+            moved.append((r, row))
+    return tuple(moved)
 
-    W_k is the subgroup generated by the first k Steinberg generators
-    w_O, taken in sigma-orbit order.  Every element of W^sigma = W_m is a
-    unique product x_1 x_2 ... x_m of right coset representatives x_k of
-    W_{k-1} in W_k (Humphreys, Reflection Groups and Coxeter Groups,
-    1.10), so |W^sigma| is the product of the transversal sizes.
 
-    A coset W_{k-1} x is keyed by the coordinate at the first node of
-    orbit O_k of x(alpha_i), over the simple roots alpha_i.  A simple
-    reflection s_j changes only coordinate j, and W_{k-1} is made of s_j
-    with j outside O_k, so the key is constant on the coset.  Two elements
-    with the same key differ by an element of W^sigma fixing that
-    coordinate functional, hence (it commutes with sigma) every
-    coordinate functional of O_k; such an element lies in the parabolic
-    subgroup without O_k, and within W_k that is W_{k-1}.
+def _functional_image(phi: tuple[int, ...],
+                      moved: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
+    """phi m; phi itself, no new tuple, when m fixes it."""
+    out = phi
+    for r, row in moved:
+        c = phi[r]
+        if c:
+            out = tuple([a + c * b for a, b in zip(out, row)])
+    return out
 
-    Raises GroupTooLargeError when a coset search passes the cap, and
-    ValueError when the coset counts do not multiply to order, the
-    expected |W^sigma|: then the generators are not Steinberg's.
+
+def coset_indices(matrices: Sequence[Matrix], order: int, cap: int) -> tuple[int, ...]:
+    """[W_k : W_{k-1}] for k = 1..m, where W_k is generated by the first k
+    matrices, the Steinberg generators on the fixed subspace over the
+    projected simple roots, in sigma-orbit order.
+
+    There they are the simple reflections of the folded Weyl group.  The
+    coordinate functional y_k, the fundamental coweight omega_k^vee, lies
+    in the closure of the fundamental chamber, so its stabilizer is the
+    parabolic subgroup without node k (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.10-1.12), which meets W_k in W_{k-1}.  So the orbit
+    of y_k under W_k, closed breadth first, has [W_k : W_{k-1}] elements.
+
+    Raises GroupTooLargeError when an orbit passes the cap, and
+    ValueError when the indices do not multiply to order, the expected
+    |W^sigma|: then the generators are not Steinberg's.
     """
-    coords = action.root_system.roots
-    ident = bytes(range(len(coords)))
-    transversals = []
-    for k, orb in enumerate(_perm_orbits(simple_perm)[:len(generators)]):
-        column = tuple(c[orb[0]] for c in coords)
-        reps = [ident]
-        seen = {tuple(column[s] for s in action.simple_indices)}
-        for x in reps:  # reps grows while it is read: a breadth-first search
-            for g in generators[:k + 1]:
-                y = bytes(map(x.__getitem__, g))
-                key = tuple(column[y[s]] for s in action.simple_indices)
-                if key not in seen:
-                    if len(reps) >= cap:
+    moved = [moved_rows(g) for g in matrices]
+    indices = []
+    for k, g in enumerate(matrices):
+        orbit = [tuple(int(i == k) for i in range(len(g)))]
+        seen = set(orbit)
+        for phi in orbit:  # orbit grows while it is read: a breadth-first search
+            for rows in moved[:k + 1]:
+                psi = _functional_image(phi, rows)
+                if psi is not phi and psi not in seen:
+                    if len(orbit) >= cap:
                         raise GroupTooLargeError(f"group too large (cap {cap})")
-                    seen.add(key)
-                    reps.append(y)
-        transversals.append(tuple(reps))
-    if math.prod(map(len, transversals)) != order:
-        raise ValueError(f"coset counts {[len(x) for x in transversals]} do not "
-                         f"multiply to the group order {order}")
-    return tuple(transversals)
+                    seen.add(psi)
+                    orbit.append(psi)
+        indices.append(len(orbit))
+    if math.prod(indices) != order:
+        raise ValueError(f"coset counts {indices} do not multiply to the group "
+                         f"order {order}")
+    return tuple(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +181,11 @@ JACOBIAN_ATTEMPTS = 4
 
 
 def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...],
-                      generators: Sequence[bytes], order: int,
-                      reflections: int) -> tuple[int, ...]:
+                      generators: Sequence[bytes], matrices: Sequence[Matrix],
+                      order: int, reflections: int) -> tuple[int, ...]:
     """Degrees of the basic invariants of W^sigma on the fixed subspace,
-    read off one Coxeter element and certified without walking the group.
+    read off one Coxeter element and certified without walking the group;
+    matrices are the generators on the fixed subspace.
 
     The product c of the Steinberg generators is a Coxeter element of
     W^sigma acting on the fixed subspace.  By Springer (Regular elements
@@ -210,7 +224,7 @@ def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...
     if sum(exponents) != reflections:
         raise ValueError(f"degrees {list(ds)} account for {sum(exponents)} "
                          f"reflections, not the {reflections} positive folded roots")
-    certify_jacobian(action.fixed_space_matrices(simple_perm, generators), ds)
+    certify_jacobian(matrices, ds)
     return ds
 
 
@@ -326,14 +340,12 @@ def _coordinate_orbits(matrices: Sequence[Matrix], dim: int,
     limit raises ValueError.
 
     A functional is the row of its values on the basis, and phi after g
-    is that row times the matrix of g (kept as the nonzero entries of each
-    column: a reflection moves few coordinates).  The searches advance in
-    step, one functional each per round, so an orbit of n functionals is
+    is phi g, read off :func:`moved_rows`.  The searches advance in step,
+    one functional each per round, so an orbit of n functionals is
     complete after n rounds: orbits come out in order of size, and a
     caller that stops early never finishes the larger ones.
     """
-    columns = [[[(r, x) for r, x in enumerate(col) if x] for col in zip(*g)]
-               for g in matrices]
+    moved = [moved_rows(g) for g in matrices]
     orbits = [[tuple(int(i == j) for i in range(dim))] for j in range(dim)]
     seen = [set(orbit) for orbit in orbits]
     running = list(range(dim))
@@ -346,9 +358,9 @@ def _coordinate_orbits(matrices: Sequence[Matrix], dim: int,
                 yield orbit
                 continue
             phi = orbit[step]
-            for cols in columns:
-                psi = tuple(sum(phi[r] * x for r, x in col) for col in cols)
-                if psi not in seen[j]:
+            for rows in moved:
+                psi = _functional_image(phi, rows)
+                if psi is not phi and psi not in seen[j]:
                     if len(orbit) >= limit:
                         raise ValueError(f"a functional orbit passed {limit} elements")
                     seen[j].add(psi)

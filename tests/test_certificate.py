@@ -28,7 +28,7 @@ TRUNC = 50
 PIPELINE = (cli, exact, report, rootsys, twist, weyl)
 MOVED_TO_ORACLE = ("_walk_products", "wsigma_elements", "fixed_space_charpoly_buckets",
                    "super_molien_from_buckets", "rational_function_series",
-                   "dets_from_charpoly")
+                   "dets_from_charpoly", "wsigma_transversals")
 
 
 def certificate_inputs(family, rank, tag):
@@ -46,7 +46,8 @@ def test_certificate_agrees_with_enumeration(family, rank, tag):
     aut, fold, action, generators = certificate_inputs(family, rank, tag)
     order = weyl_order(fold.folded_type)
     positive = sum(all(c >= 0 for c in v) for v in fold.folded_roots)
-    ds = invariant_degrees(action, aut.simple_perm, generators, order, positive)
+    matrices = action.fixed_space_matrices(aut.simple_perm, generators)
+    ds = invariant_degrees(action, aut.simple_perm, generators, matrices, order, positive)
     assert ds == degrees(fold.folded_type)
     assert sum(d - 1 for d in ds) == positive
 

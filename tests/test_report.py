@@ -184,13 +184,13 @@ class TestCompute:
         assert out.stdout == "False\n"
 
     def test_pipeline_never_loads_dataclasses_inspect_or_typing(self):
-        # the records are plain slotted classes; -S keeps site hooks out, and
-        # only modules new since before the import count, in case something
-        # still preloads one of these
+        # the records are plain slotted classes and json is imported by
+        # to_json(); -S keeps site hooks out, and only modules new since
+        # before the import count, in case something still preloads one
         code = ("import sys; before = set(sys.modules); import twistloop; "
                 "twistloop.compute(twistloop.TwistSpec("
                 "twistloop.CartanType('D', 4), 'triality')); "
-                "print(sorted({'dataclasses', 'inspect', 'typing'} "
+                "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} "
                 "& (set(sys.modules) - before)))")
         src = os.path.dirname(os.path.dirname(twistloop.__file__))
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,

@@ -1,26 +1,28 @@
 """W^sigma from Steinberg generators, checked against full enumeration.
 
-The pipeline enumerates no group: it takes W^sigma's order from coset
-representatives along the chain of subgroups spanned by the longest
-parabolic elements w_O, one per sigma-orbit O of simple nodes.  The
-oracle streams W^sigma as products of those representatives and buckets
-each element by power traces.  These tests enumerate W for every twisted
-case of the acceptance matrix (A_n and D_n flips from their classical
-(signed) permutations, the others by closing all of W) and compare: the
-element set with the centralizer or fixed-subspace stabilizer, the
-restricted image with W^sigma, the power-trace buckets with the Berkowitz
-buckets, and the generator-only preservation check with the exhaustive
-one.  The stream itself is compared with the breadth-first closure of the
-same generators.
+The pipeline enumerates no group: it takes W^sigma's order from the
+coset indices along the chain of subgroups spanned by the longest
+parabolic elements w_O, one per sigma-orbit O of simple nodes, each the
+size of an orbit of a coordinate functional on the fixed subspace.  The
+oracle finds coset representatives by a search over root permutations,
+whose counts the indices must equal, streams W^sigma as products of
+them and buckets each element by power traces.  These tests enumerate W
+for every twisted case of the acceptance matrix (A_n and D_n flips from
+their classical (signed) permutations, the others by closing all of W)
+and compare: the element set with the centralizer or fixed-subspace
+stabilizer, the restricted image with W^sigma, the power-trace buckets
+with the Berkowitz buckets, and the generator-only preservation check
+with the exhaustive one.  The stream itself is compared with the
+breadth-first closure of the same generators.
 """
 
 import time
 import tracemalloc
+from operator import mul
 
 import pytest
 
 from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
-from twistloop.exact import mat_vec
 from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, weyl_order
 from twistloop.twist import (expected_folded_type, folded_root_system,
@@ -29,7 +31,7 @@ from twistloop.oracle import (WeylPermutationGroup, classical_wsigma_perms,
                               close_permutations, fixed_space_charpoly_buckets,
                               fixed_space_stabilizer_perms,
                               restricted_fixed_space_group, wsigma_elements)
-from twistloop.weyl import GroupTooLargeError, RootPermutationAction
+from twistloop.weyl import GroupTooLargeError, RootPermutationAction, coset_indices
 
 from test_acceptance import expected_series
 from test_rootsys import ALL_TYPES
@@ -90,6 +92,69 @@ def test_coset_search_stops_at_the_cap():
         wsigma_elements(action, aut.simple_perm, generators, 720, 5)
 
 
+def coset_inputs(family, rank, tag):
+    rs = build_root_system(CartanType(family, rank))
+    aut = make_automorphism(rs, tag)
+    action = RootPermutationAction(rs)
+    generators = action.steinberg_generators(aut.simple_perm)
+    matrices = action.fixed_space_matrices(aut.simple_perm, generators)
+    return aut, action, generators, matrices
+
+
+@pytest.mark.parametrize("family,rank,tag", [("E", 6, "flip"), ("B", 4, "identity"),
+                                             ("D", 4, "triality"), ("A", 6, "flip"),
+                                             ("G", 2, "identity")])
+def test_moved_rows_act_as_the_dense_matrices(family, rank, tag):
+    # each generator is a reflection on the fixed subspace, the other
+    # elements move more rows; the folded roots have entries of both signs
+    aut, action, generators, matrices = coset_inputs(family, rank, tag)
+    fold = folded_root_system(aut)
+    for g in matrices:
+        moved = weyl.moved_rows(g)
+        (r, _), = moved
+        # a functional the reflection fixes is passed back, no tuple built
+        for v in fold.folded_roots:
+            assert (weyl._functional_image(v, moved) is v) == (v[r] == 0)
+    wsigma = wsigma_elements(action, aut.simple_perm, generators, folded_order(aut), 10**7)
+    for g in set(action.fixed_space_matrices(aut.simple_perm, wsigma)):
+        moved = weyl.moved_rows(g)
+        for v in fold.folded_roots:
+            dense = tuple(sum(map(mul, v, col)) for col in zip(*g))
+            assert weyl._functional_image(v, moved) == dense
+        assert wsigma_preserves_folded((g,), fold)
+
+
+@pytest.mark.parametrize("family,rank,tag", STREAMED + [
+    ("E", 7, "identity"), ("D", 8, "identity"), ("A", 14, "flip")])
+def test_coset_indices_are_the_transversal_sizes(family, rank, tag):
+    aut, action, generators, matrices = coset_inputs(family, rank, tag)
+    order = folded_order(aut)
+    indices = coset_indices(matrices, order, 10**7)
+    transversals = oracle.wsigma_transversals(action, aut.simple_perm, generators,
+                                              order, 10**7)
+    assert indices == tuple(map(len, transversals))
+
+
+@pytest.mark.parametrize("family,rank,tag", [("E", 6, "identity"), ("A", 5, "flip"),
+                                             ("D", 4, "triality"), ("B", 3, "identity")])
+def test_coset_indices_refuse_a_dropped_generator(family, rank, tag):
+    aut, _, _, matrices = coset_inputs(family, rank, tag)
+    for k in range(len(matrices)):
+        dropped = matrices[:k] + matrices[k + 1:]
+        with pytest.raises(ValueError, match="do not multiply to the group order"):
+            coset_indices(dropped, folded_order(aut), 10**7)
+
+
+@pytest.mark.parametrize("family,rank,tag", [("A", 5, "identity"), ("E", 6, "flip"),
+                                             ("D", 4, "triality")])
+def test_coset_indices_stop_at_the_cap(family, rank, tag):
+    aut, _, _, matrices = coset_inputs(family, rank, tag)
+    largest = max(coset_indices(matrices, folded_order(aut), 10**7))
+    coset_indices(matrices, folded_order(aut), largest)
+    with pytest.raises(GroupTooLargeError):
+        coset_indices(matrices, folded_order(aut), largest - 1)
+
+
 def test_compute_never_calls_the_closure(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("breadth-first closure on the pipeline path")
@@ -107,8 +172,8 @@ def test_compute_never_calls_the_closure(monkeypatch):
 
 def test_e6_identity_memory_stays_below_the_element_store():
     # a closure of W(E6) keeps 51840 permutations of 72 roots in a tuple
-    # and a set, 8.2 MB of traced allocations; the stream keeps only the
-    # coset representatives and the trace buckets
+    # and a set, 8.2 MB of traced allocations; compute() keeps a few
+    # orbits of functionals on the fixed subspace
     tracemalloc.start()
     try:
         rpt = compute(TwistSpec(CartanType("E", 6)))
@@ -145,7 +210,8 @@ def test_wsigma_agrees_with_full_enumeration(family, rank, tag):
     on_generators = wsigma_preserves_folded(
         action.fixed_space_matrices(aut.simple_perm, generators), fold)
     roots = set(fold.folded_roots)
-    exhaustive = all(mat_vec(g, v) in roots
+    # the fixed-space matrices are integers: no scalar normalization needed
+    exhaustive = all(tuple(sum(map(mul, row, v)) for row in g) in roots
                      for g in oracle.elements for v in fold.folded_roots)
     assert exhaustive
     assert on_generators == exhaustive
@@ -188,6 +254,21 @@ def test_preservation_check_rejects_a_foreign_generator():
     assert not wsigma_preserves_folded(matrices + (stretch,), fold)
     with pytest.raises(ValueError):
         wsigma_preserves_folded((((1,),),), fold)
+
+
+@pytest.mark.parametrize("foreign", [
+    ((2, 0, 0), (0, 2, 0), (0, 0, 2)),  # a stretch moves every row
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),  # alpha_1 <-> alpha_2 sends alpha_2 + alpha_3 off
+])
+def test_preservation_check_rejects_non_symmetries(foreign):
+    # B3 has no diagram symmetry, and its folding is itself
+    fold = folded_root_system(make_automorphism(build_root_system(CartanType("B", 3)),
+                                                "identity"))
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert wsigma_preserves_folded((identity,), fold)
+    assert not wsigma_preserves_folded((identity, foreign), fold)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        wsigma_preserves_folded((foreign[:2],), fold)
 
 
 def test_a9_flip_without_full_enumeration():
