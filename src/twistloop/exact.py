@@ -1,9 +1,14 @@
-"""Exact rational vectors and matrices, characteristic polynomials from
+"""Exact integer vectors and matrices, characteristic polynomials from
 power traces, and truncated bigraded power series with Solomon's product
 over a degree multiset.
 
-Scalars are Python ints and ``fractions.Fraction`` values (a Fraction is
-always stored in lowest terms with positive denominator).  Vectors and
+The pipeline's scalars are Python ints: root coordinates, Gram and
+Cartan matrices, fixed-subspace matrices, power traces and series
+coefficients.  A division that must come out exact (Newton's identities,
+a Cartan entry) is a divmod whose remainder is checked, so this package
+never imports ``fractions``; the references in :mod:`twistloop.oracle`
+hold ``fractions.Fraction`` values, which :func:`normalize_scalar`,
+:func:`mat_mul` and :class:`BigradedSeries` also accept.  Vectors and
 matrices are immutable tuples, so every value is hashable and can be used
 directly as a dictionary key.  No operation in this package ever touches
 floating point.
@@ -31,10 +36,9 @@ part contributes degree a, the polynomial part degree 2b.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from operator import attrgetter
 
-Scalar = int | Fraction
+Scalar = int  # the oracle's references also pass fractions.Fraction values
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -110,49 +114,20 @@ class Record:
 
 
 def normalize_scalar(x: Scalar) -> Scalar:
-    """Collapse integral Fractions to plain int (faster arithmetic downstream)."""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    """Collapse integral Fractions to plain int (faster arithmetic
+    downstream).  An int, the pipeline's only scalar, is tested first; a
+    Fraction is known by its denominator, without importing fractions."""
+    if type(x) is int or isinstance(x, int):
+        return x
+    if getattr(x, "denominator", None) == 1:
         return int(x)
     return x
 
 
-def vector(entries: Iterable[Scalar]) -> Vector:
-    return tuple(normalize_scalar(Fraction(e) if not isinstance(e, (int, Fraction)) else e)
-                 for e in entries)
-
-
-def matrix(rows: Iterable[Iterable[Scalar]]) -> Matrix:
-    return tuple(vector(r) for r in rows)
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def vec_scale(c: Scalar, x: Vector) -> Vector:
-    return tuple(normalize_scalar(c * a) for a in x)
-
-
-def vec_dot(x: Vector, y: Vector) -> Scalar:
-    return normalize_scalar(sum(a * b for a, b in zip(x, y, strict=True)))
-
-
-def mat_shape(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product; raises ValueError on a dimension mismatch."""
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
+    ra, ca = len(a), len(a[0]) if a else 0
+    rb, cb = len(b), len(b[0]) if b else 0
     if ca != rb:
         raise ValueError(f"dimension mismatch: {ra}x{ca} times {rb}x{cb}")
     bt = tuple(zip(*b))
@@ -160,31 +135,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    rows, cols = mat_shape(a)
-    if cols != len(v):
-        raise ValueError(f"dimension mismatch: {rows}x{cols} times vector of length {len(v)}")
-    return tuple(normalize_scalar(sum(x * y for x, y in zip(row, v))) for row in a)
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomials from power traces, and the determinant
 # polynomials derived from them
 # ---------------------------------------------------------------------------
 
-def charpoly_from_power_traces(traces: Sequence[Scalar], n: int) -> tuple[Scalar, ...]:
+def charpoly_from_power_traces(traces: Sequence[int], n: int) -> tuple[int, ...]:
     """Recover the (monic, ascending) characteristic polynomial of an n x n
-    matrix from the traces of its first n powers, via Newton's identities."""
+    integer matrix from the traces of its first n powers, via Newton's
+    identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i.  The e_k of an integer
+    matrix are integers, so each division by k is exact; a remainder raises
+    ValueError."""
     if len(traces) < n:
         raise ValueError("need traces of powers 1..n")
-    e: list[Scalar] = [1]
+    e = [1]
     for k in range(1, n + 1):
         acc = sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1))
-        e.append(normalize_scalar(Fraction(acc, k)))
-    cp = [0] * (n + 1)
-    for k in range(n + 1):
-        cp[n - k] = normalize_scalar((-1) ** k * e[k])
-    return tuple(cp)
+        ek, rest = divmod(acc, k)
+        if rest:
+            raise ValueError(f"power traces {list(traces[:n])} are not those of an "
+                             f"integer matrix: e_{k} = {acc}/{k}")
+        e.append(ek)
+    return tuple((-1) ** k * e[k] for k in range(n, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +169,7 @@ class BigradedSeries(Record):
     Keys are (exterior degree a, polynomial degree b); only keys with
     a + 2b <= truncation are stored, and zero coefficients are dropped.
     Well-formed invariant-ring series have non-negative integer
-    coefficients; intermediate arithmetic may hold Fractions.
+    coefficients; the oracle's intermediate arithmetic may hold Fractions.
     """
 
     __slots__ = ("truncation", "coefficients")

@@ -2,17 +2,28 @@
 
 No pipeline module imports this one at load time.  ``--check``, the tests
 and demo 05 compare the pipeline against: the classical ambient
-realization (exact Gaussian elimination, :class:`SubspaceBasis`, the
-Fraction root closure :func:`ambient_roots` under :func:`reflect`, the
-ambient matrix of a diagram automorphism and its ambient
-:func:`fixed_subspace`), where the pipeline works only in integer
-coordinates over the simple roots; the projection of the roots as an
-average over sigma's powers over the orbit sums of simple roots
-(:func:`orbit_sum_projection`, :func:`orbit_sum_gram`) and a classifier
-of the folded set from scratch (:func:`classify_folded_roots`), where the
-pipeline sums orbit coordinates over the projected simple roots and
-compares with the expected type's roots; Berkowitz :func:`charpoly`; explicit
-matrix groups (:class:`FiniteMatrixGroup`, :func:`super_molien`,
+realization of the simple roots (:func:`simple_root_vectors`, A_r in the
+sum-zero hyperplane of (r+1)-space, B/C/D in signed coordinates of
+r-space, G_2 in the sum-zero plane of 3-space, F_4 and E_6/E_7/E_8 in
+their half-integer realizations) and its Gram matrix
+(:func:`ambient_gram`), where the pipeline reads an integer Gram matrix
+off the Dynkin diagram; the simple reflection with its pairing summed
+from the Cartan matrix (:func:`simple_reflection`), where the root
+closure carries each root's pairings; exact rational vectors and matrices
+(:func:`vector`, :func:`matrix`, ``vec_*``, :func:`mat_vec`), exact
+Gaussian elimination, :class:`SubspaceBasis`, the Fraction root closure
+:func:`ambient_roots` under :func:`reflect`, the ambient matrix of a
+diagram automorphism and its ambient :func:`fixed_subspace`, where the
+pipeline works only in integer coordinates over the simple roots; the
+projection of the roots as an average over sigma's powers over the orbit
+sums of simple roots (:func:`orbit_sum_projection`,
+:func:`orbit_sum_gram`), the Gram matrix of the projected simple roots
+in Fractions (:func:`projected_gram`) and a classifier of the folded set
+from scratch (:func:`classify_folded_roots`), where the pipeline sums
+orbit coordinates over the projected simple roots, scales their Gram
+matrix to integers and compares with the expected type's roots;
+Berkowitz :func:`charpoly`; explicit matrix groups
+(:class:`FiniteMatrixGroup`, :func:`super_molien`,
 :func:`generate_group` of :func:`reflection_matrix` generators, the
 ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
 the breadth-first closure :func:`close_permutations` of byte
@@ -54,12 +65,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import (BigradedSeries, Matrix, Record, Scalar, Vector,
-                    charpoly_from_power_traces, identity_matrix, mat_mul,
-                    mat_shape, mat_vec, matrix, normalize_scalar, vec_add,
-                    vec_dot, vec_scale, vec_sub, vector)
-from .rootsys import (CartanType, RootSystem, build_root_system,
-                      cartan_from_gram, simple_root_vectors)
+from .exact import (BigradedSeries, Record, charpoly_from_power_traces,
+                    mat_mul, normalize_scalar)
+from .rootsys import CartanType, RootSystem, build_root_system, cartan_from_gram
 from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError, RootPermutationAction,
                    _perm_orbits)
@@ -67,7 +75,54 @@ from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError, RootPermutationActio
 ORACLE_MAX_DIM = 3
 ORACLE_MAX_DEGREE = 12
 
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
+Matrix = tuple[tuple[Scalar, ...], ...]
 CharPoly = tuple[Scalar, ...]
+
+
+# ---------------------------------------------------------------------------
+# exact rational vectors and matrices
+# ---------------------------------------------------------------------------
+
+def vector(entries: Iterable[Scalar]) -> Vector:
+    return tuple(normalize_scalar(Fraction(e) if not isinstance(e, (int, Fraction)) else e)
+                 for e in entries)
+
+
+def matrix(rows: Iterable[Iterable[Scalar]]) -> Matrix:
+    return tuple(vector(r) for r in rows)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def vec_add(x: Vector, y: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(x, y, strict=True))
+
+
+def vec_sub(x: Vector, y: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(x, y, strict=True))
+
+
+def vec_scale(c: Scalar, x: Vector) -> Vector:
+    return tuple(normalize_scalar(c * a) for a in x)
+
+
+def vec_dot(x: Vector, y: Vector) -> Scalar:
+    return normalize_scalar(sum(a * b for a, b in zip(x, y, strict=True)))
+
+
+def mat_shape(m: Matrix) -> tuple[int, int]:
+    return (len(m), len(m[0]) if m else 0)
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    rows, cols = mat_shape(a)
+    if cols != len(v):
+        raise ValueError(f"dimension mismatch: {rows}x{cols} times vector of length {len(v)}")
+    return tuple(normalize_scalar(sum(x * y for x, y in zip(row, v))) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +221,66 @@ class SubspaceBasis(Record):
 # the classical ambient realization
 # ---------------------------------------------------------------------------
 
+def _unit(n: int, i: int) -> Vector:
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def simple_root_vectors(t: CartanType) -> tuple[Vector, ...]:
+    """Simple roots in the classical ambient coordinates, in the standard
+    chain ordering (for D, the fork is the last two; for E, node 2 is the
+    branch vertex attached to node 4), the node order of
+    :func:`twistloop.rootsys.dynkin_diagram`."""
+    r = t.rank
+    if t.family == "A":
+        n = r + 1
+        return tuple(vec_sub(_unit(n, i), _unit(n, i + 1)) for i in range(r))
+    if t.family == "B":
+        chain = [vec_sub(_unit(r, i), _unit(r, i + 1)) for i in range(r - 1)]
+        return tuple(chain + [_unit(r, r - 1)])
+    if t.family == "C":
+        chain = [vec_sub(_unit(r, i), _unit(r, i + 1)) for i in range(r - 1)]
+        return tuple(chain + [vec_scale(2, _unit(r, r - 1))])
+    if t.family == "D":
+        chain = [vec_sub(_unit(r, i), _unit(r, i + 1)) for i in range(r - 1)]
+        fork = vector([0] * (r - 2) + [1, 1])
+        return tuple(chain + [fork])
+    if t.family == "G":
+        return (vector([1, -1, 0]), vector([-2, 1, 1]))
+    if t.family == "F":
+        h = Fraction(1, 2)
+        return (vector([0, 1, -1, 0]), vector([0, 0, 1, -1]),
+                vector([0, 0, 0, 1]), vector([h, -h, -h, -h]))
+    # E_6, E_7, E_8 share the 8-dimensional realization.
+    h = Fraction(1, 2)
+    alpha = [vector([h, -h, -h, -h, -h, -h, -h, h]),
+             vector([1, 1, 0, 0, 0, 0, 0, 0]),
+             vector([-1, 1, 0, 0, 0, 0, 0, 0]),
+             vector([0, -1, 1, 0, 0, 0, 0, 0]),
+             vector([0, 0, -1, 1, 0, 0, 0, 0]),
+             vector([0, 0, 0, -1, 1, 0, 0, 0]),
+             vector([0, 0, 0, 0, -1, 1, 0, 0]),
+             vector([0, 0, 0, 0, 0, -1, 1, 0])]
+    return tuple(alpha[:r])
+
+
+def simple_reflection(c: Sequence[int], i: int,
+                      cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """s_i(c) = c - <c, alpha_i^vee> e_i over the simple base, with the
+    pairing summed from the Cartan matrix, <alpha_j, alpha_i^vee> = A_ji:
+    the reference for the root closure, which carries each root's pairings
+    instead."""
+    k = sum(cj * row[i] for cj, row in zip(c, cartan))
+    out = list(c)
+    out[i] -= k
+    return tuple(out)
+
+
+def ambient_gram(t: CartanType) -> Matrix:
+    """Inner products of the simple roots in the classical realization: the
+    diagram's integer Gram matrix up to a positive scale (1/2 for B and F)."""
+    simple = simple_root_vectors(t)
+    return tuple(tuple(vec_dot(a, b) for b in simple) for a in simple)
+
 def reflect(x: Vector, root: Vector) -> Vector:
     """Reflection of x through the hyperplane orthogonal to root."""
     c = Fraction(2 * vec_dot(x, root), 1) / vec_dot(root, root)
@@ -257,11 +372,24 @@ def orbit_sum_projection(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ..
 
 
 def orbit_sum_gram(a: DiagramAutomorphism) -> Matrix:
-    """Gram matrix of the orbit sums: (b_O, b_O') is the sum of
-    (alpha_i, alpha_j) over i in O and j in O'."""
-    g = a.base.gram
+    """Gram matrix of the orbit sums in the ambient realization:
+    (b_O, b_O') is the sum of (alpha_i, alpha_j) over i in O and j in O'."""
+    g = ambient_gram(a.base.cartan_type)
     orbits = a.simple_orbits
     return tuple(tuple(normalize_scalar(sum(g[i][j] for i in o for j in p))
+                       for p in orbits) for o in orbits)
+
+
+def projected_gram(a: DiagramAutomorphism) -> Matrix:
+    """Gram matrix of the projected simple roots in the ambient
+    realization, in Fractions: (beta_O, beta_O') is the sum of
+    (alpha_i, alpha_j) over i in O and j in O', divided by |O||O'|.  The
+    pipeline's :func:`twistloop.twist.folded_gram` is an integer multiple
+    of the diagram's version of it."""
+    g = ambient_gram(a.base.cartan_type)
+    orbits = a.simple_orbits
+    return tuple(tuple(normalize_scalar(Fraction(sum(g[i][j] for i in o for j in p),
+                                                 len(o) * len(p)))
                        for p in orbits) for o in orbits)
 
 

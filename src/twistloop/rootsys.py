@@ -1,29 +1,34 @@
 """Root systems for the simple families A-G as integer vectors over the
-simple base.
+simple base, read off the Dynkin diagram.
 
 Each type's data are its invariant-degree table, its Weyl order, its root
-count and the classical realization of its simple roots (A_r in the
-sum-zero hyperplane of (r+1)-space, B/C/D in signed coordinates of
-r-space, G_2 in the sum-zero plane of 3-space, F_4 and E_6/E_7/E_8 in
-their half-integer realizations).  That realization is read once, for the
-Gram matrix of the simple roots and from it the Cartan matrix.  The roots
+count and its Dynkin diagram: the edges between the simple nodes and the
+squared length of each simple root, 2 for the short roots (every root of
+A, D and E) and 4 or 6 for the long ones (B, C, F and G).  Nodes joined by
+an edge have inner product minus half the larger squared length, other
+distinct nodes 0, so the Gram matrix of the simple roots is an integer
+matrix, and the Cartan matrix A_ij = 2 (alpha_i, alpha_j) /
+(alpha_j, alpha_j) follows from it in O(r^2) integer steps.  The roots
 are then the closure of the unit vectors under the integer simple
-reflections s_i(c) = c - (sum_j c_j A_ji) e_i; every later stage works in
-these coordinates.
+reflections s_i(c) = c - <c, alpha_i^vee> e_i.  The closure carries each
+root's pairings (<c, alpha_i^vee>)_i and moves them by one row of the
+Cartan matrix per reflection, so an image costs O(r), and one the
+pairing leaves in place costs nothing.  Every later stage works in these
+coordinates.
 
 Every constructed system is self-verified: Cartan matrix entries, root
 count, uniform sign of root coordinates, closure under negation, and
-product-of-degrees == Weyl order.  The closure of the ambient realization
-itself is a test reference in :mod:`twistloop.oracle`.
+product-of-degrees == Weyl order.  The classical realization of the
+simple roots in ambient coordinates, its Gram matrix and the closure of
+its roots are test references in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .exact import Matrix, Record, Vector, vec_dot, vec_scale, vec_sub, vector
+from .exact import Matrix, Record
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -104,79 +109,70 @@ def root_count(t: CartanType) -> int:
             "E": {6: 72, 7: 126, 8: 240}.get(r, 0)}[t.family]
 
 
-def _unit(n: int, i: int) -> Vector:
+def _unit(n: int, i: int) -> Root:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def simple_root_vectors(t: CartanType) -> tuple[Vector, ...]:
-    """Simple roots in the classical ambient coordinates, in the standard
-    chain ordering (for D, the fork is the last two; for E, node 2 is the
-    branch vertex attached to node 4).  The pipeline reads only their
-    inner products (:func:`simple_gram`)."""
-    r = t.rank
-    if t.family == "A":
-        n = r + 1
-        return tuple(vec_sub(_unit(n, i), _unit(n, i + 1)) for i in range(r))
-    if t.family == "B":
-        chain = [vec_sub(_unit(r, i), _unit(r, i + 1)) for i in range(r - 1)]
-        return tuple(chain + [_unit(r, r - 1)])
-    if t.family == "C":
-        chain = [vec_sub(_unit(r, i), _unit(r, i + 1)) for i in range(r - 1)]
-        return tuple(chain + [vec_scale(2, _unit(r, r - 1))])
-    if t.family == "D":
-        chain = [vec_sub(_unit(r, i), _unit(r, i + 1)) for i in range(r - 1)]
-        fork = vector([0] * (r - 2) + [1, 1])
-        return tuple(chain + [fork])
-    if t.family == "G":
-        return (vector([1, -1, 0]), vector([-2, 1, 1]))
-    if t.family == "F":
-        h = Fraction(1, 2)
-        return (vector([0, 1, -1, 0]), vector([0, 0, 1, -1]),
-                vector([0, 0, 0, 1]), vector([h, -h, -h, -h]))
-    # E_6, E_7, E_8 share the 8-dimensional realization.
-    h = Fraction(1, 2)
-    alpha = [vector([h, -h, -h, -h, -h, -h, -h, h]),
-             vector([1, 1, 0, 0, 0, 0, 0, 0]),
-             vector([-1, 1, 0, 0, 0, 0, 0, 0]),
-             vector([0, -1, 1, 0, 0, 0, 0, 0]),
-             vector([0, 0, -1, 1, 0, 0, 0, 0]),
-             vector([0, 0, 0, -1, 1, 0, 0, 0]),
-             vector([0, 0, 0, 0, -1, 1, 0, 0]),
-             vector([0, 0, 0, 0, 0, -1, 1, 0])]
-    return tuple(alpha[:r])
+# Node orders follow the classical realization: a chain, with for B and C
+# the short or long node last, for D the fork as the last two nodes, and
+# for E (Bourbaki's numbering, from 0) node 1 the branch attached to node 3.
+_E_EDGES = ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
 
 
-# The Gram matrix, the Cartan matrix and the root closure are read once per
-# argument in a process: compute() needs the input type's Cartan matrix to
-# check the twist before it builds the roots, and the folded type's Cartan
-# matrix and roots to certify the folding (the input type's again for an
-# identity twist).  The results are tuples, so sharing them is safe.
-_memo = lru_cache(maxsize=64)
+def dynkin_diagram(t: CartanType) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Squared lengths of the simple roots (2 for a short root or a root of
+    a simply laced type, 4 or 6 for a long one) and the edges of the Dynkin
+    diagram as node pairs."""
+    fam, r = t.family, t.rank
+    chain = tuple((i, i + 1) for i in range(r - 1))
+    lengths = {"B": (4,) * (r - 1) + (2,), "C": (2,) * (r - 1) + (4,),
+               "F": (4, 4, 2, 2), "G": (2, 6)}.get(fam, (2,) * r)
+    if fam == "D":
+        return lengths, chain[:r - 2] + (((r - 3, r - 1),) if r >= 3 else ())
+    if fam == "E":
+        return lengths, tuple((i, j) for i, j in _E_EDGES if j < r)
+    return lengths, chain
 
 
-@_memo
 def simple_gram(t: CartanType) -> Matrix:
-    """Inner products (alpha_i, alpha_j) of the simple roots, read off
-    their classical realization."""
-    simple = simple_root_vectors(t)
-    return tuple(tuple(vec_dot(a, b) for b in simple) for a in simple)
+    """Inner products (alpha_i, alpha_j) of the simple roots, an integer
+    matrix read off the Dynkin diagram: the squared lengths on the
+    diagonal, minus half the larger of the two at an edge (a single, double
+    or triple bond between roots whose squared lengths are equal, in ratio
+    2 or in ratio 3), and 0 elsewhere."""
+    lengths, edges = dynkin_diagram(t)
+    gram = [[0] * len(lengths) for _ in lengths]
+    for i, length in enumerate(lengths):
+        gram[i][i] = length
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -(max(lengths[i], lengths[j]) // 2)
+    return tuple(map(tuple, gram))
 
 
 def cartan_from_gram(gram: Matrix) -> CartanMatrix:
     """A_ij = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), checked to be a
-    Cartan matrix: integral, 2 on the diagonal, 0..-3 off it."""
+    Cartan matrix: integral, 2 on the diagonal, 0..-3 off it.  The entries
+    of gram may be ints or Fractions; each quotient is one divmod."""
     cm = []
     for i, row in enumerate(gram):
         entries = []
         for j, g in enumerate(row):
-            c = Fraction(2 * g) / gram[j][j]
-            if c.denominator != 1:
+            c, rest = divmod(2 * g, gram[j][j])
+            if rest:
                 raise ValueError("non-integral Cartan entry")
             if c not in ((2,) if i == j else (0, -1, -2, -3)):
                 raise ValueError(f"Cartan entry {c} out of range at {(i, j)}")
-            entries.append(int(c))
+            entries.append(c)
         cm.append(tuple(entries))
     return tuple(cm)
+
+
+# The Cartan matrix and the root closure are read once per argument in a
+# process: compute() needs the input type's Cartan matrix to check the
+# twist before it builds the roots, and the folded type's Cartan matrix and
+# roots to certify the folding (the input type's again for an identity
+# twist).  The results are tuples, so sharing them is safe.
+_memo = lru_cache(maxsize=64)
 
 
 @_memo
@@ -184,34 +180,37 @@ def cartan_matrix(t: CartanType) -> CartanMatrix:
     return cartan_from_gram(simple_gram(t))
 
 
-def simple_reflection(c: Root, i: int, cartan: CartanMatrix) -> Root:
-    """s_i(c) = c - <c, alpha_i^vee> e_i over the simple base, where
-    <alpha_j, alpha_i^vee> = A_ji."""
-    k = sum(cj * row[i] for cj, row in zip(c, cartan))
-    if not k:
-        return c
-    out = list(c)
-    out[i] -= k
-    return tuple(out)
-
-
 @_memo
 def _closure(cartan: CartanMatrix,
              limit: int) -> tuple[tuple[Root, ...], tuple[tuple[Root, ...], ...]]:
     """Closure of the simple roots (unit vectors) under the simple
     reflections, sorted, and the images s_i(c) of each root c it computed
-    on the way; more than limit roots is an error."""
+    on the way; more than limit roots is an error.
+
+    Each new root c comes with its pairings p_k = <c, alpha_k^vee>, row i
+    of the Cartan matrix for alpha_i.  Then s_i(c) = c - p_i e_i, the
+    image is c itself when p_i = 0, and the pairings of s_i(c) are
+    p - p_i (A_i0, ..., A_i,r-1).
+    """
     r = len(cartan)
-    frontier = [_unit(r, i) for i in range(r)]
-    images = dict.fromkeys(frontier)
+    frontier = [(_unit(r, i), cartan[i]) for i in range(r)]
+    images = dict.fromkeys(c for c, _ in frontier)
     while frontier:
         nxt = []
-        for c in frontier:
-            images[c] = row = tuple(simple_reflection(c, i, cartan) for i in range(r))
-            for d in row:
+        for c, pairing in frontier:
+            row = []
+            for i, k in enumerate(pairing):
+                if not k:
+                    row.append(c)
+                    continue
+                d = list(c)
+                d[i] -= k
+                d = tuple(d)
+                row.append(d)
                 if d not in images:
                     images[d] = None
-                    nxt.append(d)
+                    nxt.append((d, tuple([p - k * a for p, a in zip(pairing, cartan[i])])))
+            images[c] = tuple(row)
         if len(images) > limit:
             raise ValueError(f"root closure passed {limit} roots")
         frontier = nxt
@@ -225,8 +224,8 @@ class RootSystem:
 
     ``roots[i]`` is root i as an integer vector over the simple base,
     ``reflections[i][k]`` is s_k of it, and ``root_index`` inverts
-    ``roots``; ``simple_roots`` are the unit
-    vectors, and ``gram`` holds the inner products of the simple roots.
+    ``roots``; ``simple_roots`` are the unit vectors, and ``gram`` holds
+    the inner products of the simple roots (:func:`simple_gram`).
     """
 
     def __init__(self, cartan_type: CartanType):

@@ -8,9 +8,11 @@ system.  Its fixed subspace has the projected simple roots
 beta_O = pi(alpha_i), i in O, as a basis, one per sigma-orbit O of simple
 nodes, where pi is the average over sigma's powers (beta_O is the orbit
 sum of simple roots divided by |O|).  A root c projects to the integer
-vector of its orbit sums, (sum_{i in O} c_i)_O, and the Gram matrix of the
-beta_O, the only fractions on the way, is summed from the Gram matrix of
-the simple roots.
+vector of its orbit sums, (sum_{i in O} c_i)_O.  With n the order of
+sigma, each n beta_O is an integer combination of simple roots, so n^2
+times the Gram matrix of the beta_O is an integer matrix summed from the
+Gram matrix of the simple roots, and it has the folded Cartan matrix.
+Every step is integer arithmetic.
 
 The folded root system is the set of indivisible projected roots (v with
 v/2 not a projection), which reproduces the classical folding table:
@@ -25,17 +27,17 @@ from their inner products, must be the type's in some order of the
 nodes, and the set must equal the type's roots over its simple base with
 the coordinates put in that order; the construction errors out otherwise.
 The ambient matrix of sigma, its ambient fixed subspace, the average over
-sigma's powers and a from-scratch classifier of the folded set are test
-references in :mod:`twistloop.oracle`.
+sigma's powers, the Gram matrix of the beta_O in Fractions and a
+from-scratch classifier of the folded set are test references in
+:mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import mul
 
-from .exact import Matrix, Record, Vector, normalize_scalar
+from .exact import Matrix, Record, Vector
 from .rootsys import (CartanMatrix, CartanType, RootSystem, _closure,
                       cartan_from_gram, cartan_matrix, root_count)
 from .weyl import _perm_orbits, moved_rows
@@ -189,13 +191,16 @@ def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def projected_gram(a: DiagramAutomorphism) -> Matrix:
-    """Gram matrix of the projected simple roots: (beta_O, beta_O') is the
-    sum of (alpha_i, alpha_j) over i in O and j in O', divided by |O||O'|."""
+def folded_gram(a: DiagramAutomorphism) -> Matrix:
+    """n^2 times the Gram matrix of the projected simple roots, n the order
+    of sigma: an integer matrix with their Cartan matrix.  Every orbit size
+    divides n, and n beta_O = (n/|O|) sum_{i in O} alpha_i, so entry
+    (O, O') is (n/|O|)(n/|O'|) times the sum of (alpha_i, alpha_j) over
+    i in O and j in O'."""
     g = a.base.gram
+    n = a.order
     orbits = a.simple_orbits
-    return tuple(tuple(normalize_scalar(Fraction(sum(g[i][j] for i in o for j in p),
-                                                 len(o) * len(p)))
+    return tuple(tuple(n // len(o) * (n // len(p)) * sum(g[i][j] for i in o for j in p)
                        for p in orbits) for o in orbits)
 
 
@@ -235,18 +240,18 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     expected = expected_folded_type(a.base.cartan_type, a.tag)
     if len(a.simple_orbits) != expected.rank:
         raise ValueError("fixed-subspace dimension differs from folded rank")
-    check_folded_roots(folded, projected_gram(a), expected)
+    check_folded_roots(folded, folded_gram(a), expected)
     return FoldingResult(projected, folded, expected)
 
 
 def check_folded_roots(roots: Sequence[Vector], gram: Matrix,
                        expected: CartanType) -> None:
     """Raise ValueError unless roots, integer vectors over a base whose
-    inner products are gram, are the root system of the expected type with
-    that base as its simple roots: the base's Cartan matrix is the type's
-    under some assignment of its vectors to the type's nodes, and the
-    type's roots over its simple base, with coordinates moved by that
-    assignment, are exactly the set.  A set equal to the model's roots,
+    inner products are gram (up to a positive scale), are the root system
+    of the expected type with that base as its simple roots: the base's
+    Cartan matrix is the type's under some assignment of its vectors to the
+    type's nodes, and the type's roots over its simple base, with
+    coordinates moved by that assignment, are exactly the set.  A set equal to the model's roots,
     read through a base with the model's Cartan matrix (hence, the type
     being irreducible, its Gram matrix up to scale), is a root system of
     that type.  Linear in the root count and the rank."""

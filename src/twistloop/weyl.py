@@ -112,7 +112,10 @@ class RootPermutationAction:
         return tuple(out)
 
 
-def moved_rows(m: Matrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
+MovedRows = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def moved_rows(m: Matrix) -> MovedRows:
     """The nonzero rows of m - 1 as (r, row).  A Steinberg generator, a
     reflection on the fixed subspace, moves one.  A functional phi goes to
     phi + sum_r phi_r (m - 1)[r], fixed when every phi_r is 0; m v
@@ -125,14 +128,40 @@ def moved_rows(m: Matrix) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(moved)
 
 
-def _functional_image(phi: tuple[int, ...],
-                      moved: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
+def _functional_image(phi: tuple[int, ...], moved: MovedRows) -> tuple[int, ...]:
     """phi m; phi itself, no new tuple, when m fixes it."""
     out = phi
     for r, row in moved:
         c = phi[r]
         if c:
             out = tuple([a + c * b for a, b in zip(out, row)])
+    return out
+
+
+def _reflection_rows(matrices: Sequence[Matrix]) -> list[MovedRows]:
+    """moved_rows of each matrix, checked to be one row: the Steinberg
+    generators act on the fixed subspace as the simple reflections of the
+    folded Weyl group, and s_r moves row r only.
+
+    The orbit searches below take only lowering steps, phi -> phi s_r with
+    phi_r > 0.  Each starts at a coordinate functional y_k, which is
+    dominant: y_k(beta_j) >= 0 for every j.  Any functional w y_k of its
+    orbit, with w of minimal length, is reached by such steps: for a
+    reduced w = s_r w', w'^-1 beta_r is a positive root, so (w' y_k)(beta_r)
+    >= 0, and it is not 0, since s_r moves w' y_k (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.6-1.10).  A breadth-first search thus meets
+    each functional at its minimal length; a step with phi_r < 0 leads one
+    length back, to a functional the search has already met, and phi_r = 0
+    fixes phi.  Skipping both keeps every orbit and the order of its
+    elements.
+    """
+    out = []
+    for g in matrices:
+        moved = moved_rows(g)
+        if len(moved) != 1:
+            raise ValueError(f"a generator moves {len(moved)} rows of the fixed "
+                             "subspace, not the one of a simple reflection")
+        out.append(moved)
     return out
 
 
@@ -146,30 +175,37 @@ def coset_indices(matrices: Sequence[Matrix], order: int, cap: int) -> tuple[int
     in the closure of the fundamental chamber, so its stabilizer is the
     parabolic subgroup without node k (Humphreys, Reflection Groups and
     Coxeter Groups, 1.10-1.12), which meets W_k in W_{k-1}.  So the orbit
-    of y_k under W_k, closed breadth first, has [W_k : W_{k-1}] elements.
+    of y_k under W_k, closed breadth first by lowering steps
+    (:func:`_orbit`), has [W_k : W_{k-1}] elements.
 
     Raises GroupTooLargeError when an orbit passes the cap, and
     ValueError when the indices do not multiply to order, the expected
     |W^sigma|: then the generators are not Steinberg's.
     """
-    moved = [moved_rows(g) for g in matrices]
-    indices = []
-    for k, g in enumerate(matrices):
-        orbit = [tuple(int(i == k) for i in range(len(g)))]
-        seen = set(orbit)
-        for phi in orbit:  # orbit grows while it is read: a breadth-first search
-            for rows in moved[:k + 1]:
-                psi = _functional_image(phi, rows)
-                if psi is not phi and psi not in seen:
-                    if len(orbit) >= cap:
-                        raise GroupTooLargeError(f"group too large (cap {cap})")
-                    seen.add(psi)
-                    orbit.append(psi)
-        indices.append(len(orbit))
+    moved = _reflection_rows(matrices)
+    indices = [len(_orbit(k, moved[:k + 1], cap)) for k in range(len(moved))]
     if math.prod(indices) != order:
         raise ValueError(f"coset counts {indices} do not multiply to the group "
                          f"order {order}")
     return tuple(indices)
+
+
+def _orbit(k: int, moved: Sequence[MovedRows], cap: int) -> list[tuple[int, ...]]:
+    """The orbit of the coordinate functional y_k under the reflections
+    whose moved rows are given, in breadth-first order, by lowering steps
+    (:func:`_reflection_rows`); GroupTooLargeError when it passes cap."""
+    orbit = [tuple(int(i == k) for i in range(len(moved[0][0][1])))]
+    seen = set(orbit)
+    for phi in orbit:  # orbit grows while it is read: a breadth-first search
+        for rows in moved:
+            if phi[rows[0][0]] > 0:
+                psi = _functional_image(phi, rows)
+                if psi not in seen:
+                    if len(orbit) >= cap:
+                        raise GroupTooLargeError(f"group too large (cap {cap})")
+                    seen.add(psi)
+                    orbit.append(psi)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +376,13 @@ def _coordinate_orbits(matrices: Sequence[Matrix], dim: int,
     limit raises ValueError.
 
     A functional is the row of its values on the basis, and phi after g
-    is phi g, read off :func:`moved_rows`.  The searches advance in step,
+    is phi g, read off :func:`moved_rows`; only lowering steps are taken
+    (:func:`_reflection_rows`).  The searches advance in step,
     one functional each per round, so an orbit of n functionals is
     complete after n rounds: orbits come out in order of size, and a
     caller that stops early never finishes the larger ones.
     """
-    moved = [moved_rows(g) for g in matrices]
+    moved = _reflection_rows(matrices)
     orbits = [[tuple(int(i == j) for i in range(dim))] for j in range(dim)]
     seen = [set(orbit) for orbit in orbits]
     running = list(range(dim))
@@ -359,8 +396,10 @@ def _coordinate_orbits(matrices: Sequence[Matrix], dim: int,
                 continue
             phi = orbit[step]
             for rows in moved:
+                if phi[rows[0][0]] <= 0:
+                    continue  # not a lowering step: see _reflection_rows
                 psi = _functional_image(phi, rows)
-                if psi is not phi and psi not in seen[j]:
+                if psi not in seen[j]:
                     if len(orbit) >= limit:
                         raise ValueError(f"a functional orbit passed {limit} elements")
                     seen[j].add(psi)

@@ -12,12 +12,12 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-from twistloop.exact import collapse_to_cohomological, matrix
+from twistloop.exact import collapse_to_cohomological
 from twistloop.oracle import (WeylPermutationGroup, brute_force_invariant_dims,
-                              generate_group, reflection_matrix, super_molien)
+                              generate_group, matrix, reflection_matrix,
+                              simple_root_vectors, super_molien)
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import (CartanType, build_root_system, degrees,
-                               simple_root_vectors)
+from twistloop.rootsys import CartanType, build_root_system, degrees
 
 from conftest import cached_report
 

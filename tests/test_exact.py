@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from twistloop.exact import (BigradedSeries, charpoly_from_power_traces,
-                             collapse_to_cohomological, identity_matrix, mat_mul,
-                             mat_vec, matrix, product_over_degrees, solomon_series)
-from twistloop.oracle import (charpoly, dets_from_charpoly, invert, kernel_basis,
-                              poly_inverse_series, poly_mul_trunc, rank,
-                              rational_function_series, solve)
+                             collapse_to_cohomological, mat_mul,
+                             product_over_degrees, solomon_series)
+from twistloop.oracle import (charpoly, dets_from_charpoly, identity_matrix, invert,
+                              kernel_basis, mat_vec, matrix, poly_inverse_series,
+                              poly_mul_trunc, rank, rational_function_series, solve)
 
 I2 = identity_matrix(2)
 DIAG = matrix([[1, 0], [0, -1]])
@@ -108,7 +108,16 @@ class TestCharpoly:
             n = rng.randint(1, 4)
             m = matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             traces = [sum(mat_pow(m, k)[i][i] for i in range(n)) for k in range(1, n + 1)]
-            assert charpoly_from_power_traces(traces, n) == charpoly(m)
+            cp = charpoly_from_power_traces(traces, n)
+            assert cp == charpoly(m)
+            assert all(type(c) is int for c in cp)
+
+    def test_traces_of_no_integer_matrix_are_refused(self):
+        # e_2 = (p_1^2 - p_2) / 2 = 1/2: Newton's division is inexact
+        with pytest.raises(ValueError, match="not those of an integer matrix"):
+            charpoly_from_power_traces([1, 0], 2)
+        with pytest.raises(ValueError, match="need traces"):
+            charpoly_from_power_traces([1], 2)
 
 
 class TestDetsFromCharpoly:

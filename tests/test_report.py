@@ -10,9 +10,9 @@ import pytest
 
 import twistloop
 from twistloop.cli import main
-from twistloop.exact import identity_matrix, product_over_degrees
+from twistloop.exact import product_over_degrees
 from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup,
-                              brute_force_invariant_dims)
+                              brute_force_invariant_dims, identity_matrix)
 from twistloop.report import (MAX_TRUNCATION, MAX_WORKERS, ClosedForm, TwistSpec,
                               _closed_form_or_note, compute,
                               excluded_characteristics, recognize_closed_form)
@@ -184,14 +184,17 @@ class TestCompute:
         assert out.stdout == "False\n"
 
     def test_pipeline_never_loads_dataclasses_inspect_or_typing(self):
-        # the records are plain slotted classes and json is imported by
-        # to_json(); -S keeps site hooks out, and only modules new since
-        # before the import count, in case something still preloads one
+        # the records are plain slotted classes, json is imported by
+        # to_json(), and the pipeline's scalars are ints, so neither
+        # fractions nor the decimal it loads comes in; -S keeps site hooks
+        # out, and only modules new since before the import count, in case
+        # something still preloads one.  E8 takes the table route.
         code = ("import sys; before = set(sys.modules); import twistloop; "
-                "twistloop.compute(twistloop.TwistSpec("
-                "twistloop.CartanType('D', 4), 'triality')); "
-                "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} "
-                "& (set(sys.modules) - before)))")
+                "[twistloop.compute(twistloop.TwistSpec(twistloop.CartanType(f, r), a)) "
+                "for f, r, a in (('D', 4, 'triality'), ('E', 6, 'flip'), "
+                "('B', 3, 'identity'), ('E', 8, 'identity'))]; "
+                "print(sorted({'dataclasses', 'inspect', 'typing', 'json', 'fractions', "
+                "'decimal'} & (set(sys.modules) - before)))")
         src = os.path.dirname(os.path.dirname(twistloop.__file__))
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
@@ -341,6 +344,28 @@ class TestLimits:
         # A15 flip folds to C8, of order 10321920
         assert main(["--type", "A", "--rank", "15", "--auto", "flip"]) == 2
         assert "folded type C8, has order 10321920" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,rank,tag", [
+        ("A", 12, "identity"), ("B", 10, "identity"), ("C", 11, "identity"),
+        ("D", 12, "flip"), ("A", 18, "flip")])
+    def test_over_cap_rejects_build_no_roots(self, family, rank, tag, monkeypatch, capsys):
+        from twistloop import rootsys, twist
+        from twistloop.weyl import GroupTooLargeError
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("roots built for a spec past the cap")
+
+        t = CartanType(family, rank)
+        perm, _ = twist.resolve_twist(t, tag)
+        monkeypatch.setattr(rootsys, "_closure", refuse)
+        monkeypatch.setattr(twist, "_closure", refuse)
+        monkeypatch.setattr(rootsys, "RootSystem", refuse)
+        for spec in (tag, perm):
+            with pytest.raises(GroupTooLargeError):
+                compute(TwistSpec(t, spec))
+        for auto in (tag, "perm=" + ",".join(str(i + 1) for i in perm)):
+            assert main(["--type", family, "--rank", str(rank), "--auto", auto]) == 2
+            assert capsys.readouterr().err.startswith("resource cap: ")
 
     def test_root_count_checked_up_front(self):
         from twistloop.weyl import GroupTooLargeError

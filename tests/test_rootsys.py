@@ -5,17 +5,20 @@ import pytest
 from fractions import Fraction
 
 from twistloop import rootsys
-from twistloop.exact import vec_dot
-from twistloop.oracle import ambient_roots, ambient_vector, reflect
+from twistloop.oracle import (ambient_gram, ambient_roots, ambient_vector, reflect,
+                              simple_reflection, simple_root_vectors, vec_dot)
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import (CartanType, build_root_system, degrees,
-                               root_count, simple_reflection,
-                               simple_root_vectors, weyl_order)
+from twistloop.rootsys import (CartanType, build_root_system, cartan_from_gram,
+                               cartan_matrix, degrees, root_count, simple_gram,
+                               weyl_order)
 
 ALL_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)] +
              [("C", r) for r in range(1, 7)] + [("D", r) for r in range(2, 7)] +
              [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)])
 CROSS_CHECKED = ALL_TYPES + [("A", 12), ("B", 10), ("C", 11), ("D", 12), ("A", 18)]
+DIAGRAM_CHECKED = ([("A", r) for r in range(1, 31)] + [("B", r) for r in range(1, 31)] +
+                   [("C", r) for r in range(1, 31)] + [("D", r) for r in range(2, 31)] +
+                   [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -91,17 +94,42 @@ def test_reflections_permute_roots(family, rank):
             assert reflect(v, alpha) in root_set
 
 
-@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5),
-                                         ("G", 2), ("F", 4), ("E", 6)])
+@pytest.mark.parametrize("family,rank", CROSS_CHECKED)
 def test_integer_reflection_matches_ambient_reflection(family, rank):
     t = CartanType(family, rank)
     rs = build_root_system(t)
     simple = simple_root_vectors(t)
+    ambient = [ambient_vector(t, c) for c in rs.roots]
     # the closure's reflection table holds the same images
-    for c, images in zip(rs.roots, rs.reflections, strict=True):
+    for c, v, images in zip(rs.roots, ambient, rs.reflections, strict=True):
         for i, alpha in enumerate(simple):
             assert images[i] == simple_reflection(c, i, rs.cartan_matrix)
-            assert ambient_vector(t, images[i]) == reflect(ambient_vector(t, c), alpha)
+            assert ambient[rs.root_index[images[i]]] == reflect(v, alpha)
+
+
+@pytest.mark.parametrize("family,rank", DIAGRAM_CHECKED)
+def test_diagram_data_match_the_realization(family, rank):
+    # the Cartan matrix read off the Dynkin diagram is the realization's,
+    # and the diagram's integer Gram matrix is the realization's up to scale
+    t = CartanType(family, rank)
+    gram, ambient = simple_gram(t), ambient_gram(t)
+    assert cartan_matrix(t) == cartan_from_gram(ambient)
+    assert all(type(x) is int for row in gram for x in row)
+    scale = Fraction(gram[0][0]) / ambient[0][0]
+    assert scale > 0
+    assert gram == tuple(tuple(scale * x for x in row) for row in ambient)
+
+
+def test_cartan_from_gram_checks_its_entries():
+    assert cartan_from_gram(((2, -1), (-1, 2))) == ((2, -1), (-1, 2))
+    assert cartan_from_gram(((Fraction(1, 2), Fraction(-1, 4)),
+                             (Fraction(-1, 4), Fraction(1, 2)))) == ((2, -1), (-1, 2))
+    with pytest.raises(ValueError, match="non-integral Cartan entry"):
+        cartan_from_gram(((2, -1), (-1, 3)))
+    with pytest.raises(ValueError, match=r"Cartan entry -4 out of range at \(0, 1\)"):
+        cartan_from_gram(((2, -4), (-4, 2)))
+    with pytest.raises(ValueError, match=r"Cartan entry 2 out of range at \(0, 1\)"):
+        cartan_from_gram(((2, 2), (2, 2)))
 
 
 @pytest.mark.parametrize("family,rank", CROSS_CHECKED)
@@ -151,9 +179,11 @@ def test_invalid_types_rejected(family, rank):
 def test_compute_reads_each_type_once(family, rank, tag, types):
     # the input type is read to check the twist and to build the roots, the
     # folded type to certify the folding; an identity twist folds to the
-    # input type itself
-    memoized = (rootsys.simple_gram, rootsys.cartan_matrix, rootsys._closure)
+    # input type itself.  The diagram's Gram matrix is not memoized: it is
+    # O(r^2) integers, read once per Cartan matrix and once per build.
+    memoized = (rootsys.cartan_matrix, rootsys._closure)
     for fn in memoized:
         fn.cache_clear()
     compute(TwistSpec(CartanType(family, rank), tag))
-    assert [fn.cache_info().misses for fn in memoized] == [types] * 3
+    assert [fn.cache_info().misses for fn in memoized] == [types] * 2
+    assert not hasattr(rootsys.simple_gram, "cache_info")

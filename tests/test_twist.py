@@ -3,19 +3,20 @@ from fractions import Fraction
 import pytest
 
 from twistloop import twist
-from twistloop.exact import (identity_matrix, mat_mul, mat_vec, vec_add,
-                             vec_dot, vec_scale, vector)
+from twistloop.exact import mat_mul
 from twistloop.oracle import (WeylPermutationGroup, ambient_roots, ambient_vector,
                               automorphism_matrix, classify_folded_roots,
                               fixed_space_stabilizer_perms, fixed_subspace,
-                              orbit_sum_gram, orbit_sum_projection, rank,
-                              restricted_fixed_space_group)
-from twistloop.rootsys import CartanType, build_root_system, simple_root_vectors
-from twistloop.twist import (check_folded_roots, fixed_group_info,
+                              identity_matrix, mat_vec, orbit_sum_gram,
+                              orbit_sum_projection, projected_gram, rank,
+                              restricted_fixed_space_group, simple_root_vectors,
+                              vec_add, vec_dot, vec_scale, vector)
+from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram
+from twistloop.twist import (check_folded_roots, fixed_group_info, folded_gram,
                              folded_root_system, make_automorphism,
                              orbit_count_criterion, orbits_on_roots,
                              positive_orbit_sizes, project_roots,
-                             projected_gram, wsigma_preserves_folded)
+                             wsigma_preserves_folded)
 from twistloop.weyl import RootPermutationAction
 
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
@@ -390,6 +391,9 @@ class TestAmbientReference:
                  zip(aut.simple_orbits, fixed_subspace(aut).basis_vectors)]
         assert projected_gram(aut) == tuple(tuple(vec_dot(x, y) for y in basis)
                                             for x in basis)
+        # the pipeline's integer Gram matrix has the reference's Cartan matrix
+        assert all(type(x) is int for row in folded_gram(aut) for x in row)
+        assert cartan_from_gram(folded_gram(aut)) == cartan_from_gram(projected_gram(aut))
 
         def ambient(v):
             total = tuple(0 for _ in basis[0])

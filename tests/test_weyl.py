@@ -2,19 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from twistloop.exact import (BigradedSeries, collapse_to_cohomological,
-                             identity_matrix, mat_mul, mat_vec, matrix,
+from twistloop.exact import (BigradedSeries, collapse_to_cohomological, mat_mul,
                              product_over_degrees)
 from twistloop.oracle import (FiniteMatrixGroup, SubspaceBasis,
                               WeylPermutationGroup, charpoly, dets_from_charpoly,
                               fixed_space_stabilizer_perms, fixed_subspace,
-                              generate_group, rational_function_series,
-                              reflection_matrix, restrict_to_subspace,
-                              restricted_fixed_space_group, solve,
-                              subspace_stabilizer, super_molien,
-                              super_molien_from_buckets)
-from twistloop.rootsys import (CartanType, build_root_system, degrees,
-                               simple_root_vectors, weyl_order)
+                              generate_group, identity_matrix, mat_vec, matrix,
+                              rational_function_series, reflection_matrix,
+                              restrict_to_subspace, restricted_fixed_space_group,
+                              simple_root_vectors, solve, subspace_stabilizer,
+                              super_molien, super_molien_from_buckets)
+from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
 from twistloop.twist import make_automorphism
 from twistloop.weyl import GroupTooLargeError
 

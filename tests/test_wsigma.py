@@ -124,6 +124,54 @@ def test_moved_rows_act_as_the_dense_matrices(family, rank, tag):
         assert wsigma_preserves_folded((g,), fold)
 
 
+LOWERING = ([("A", r, "identity") for r in range(1, 9)] +
+            [(f, r, "identity") for f in "BC" for r in range(2, 7)] +
+            [("D", r, "identity") for r in range(4, 9)] +
+            [("E", 6, "identity"), ("E", 7, "identity"), ("F", 4, "identity"),
+             ("G", 2, "identity")] +
+            [("A", r, "flip") for r in range(2, 15)] +
+            [("D", r, "flip") for r in range(4, 9)] +
+            [("E", 6, "flip"), ("D", 4, "triality"), ("D", 4, "triality2")])
+
+
+def full_orbit(start, matrices):
+    """Breadth-first orbit of the functional start, phi -> phi g for every
+    matrix g, each image computed densely whatever the signs of phi."""
+    orbit = [start]
+    seen = {start}
+    for phi in orbit:
+        for g in matrices:
+            psi = tuple(sum(map(mul, phi, col)) for col in zip(*g))
+            if psi not in seen:
+                seen.add(psi)
+                orbit.append(psi)
+    return orbit
+
+
+@pytest.mark.parametrize("family,rank,tag", LOWERING)
+def test_lowering_steps_find_the_full_orbits_in_order(family, rank, tag):
+    # the coset searches and the Jacobian's orbits step only where phi_r > 0;
+    # the ordered orbit lists must be those of the full search
+    _, _, _, matrices = coset_inputs(family, rank, tag)
+    dim = len(matrices)
+    units = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    moved = weyl._reflection_rows(matrices)
+    for k in range(dim):
+        assert weyl._orbit(k, moved[:k + 1], 10**7) == \
+            full_orbit(units[k], matrices[:k + 1])
+    full = sorted((full_orbit(u, matrices) for u in units), key=len)  # stable: ties by node
+    assert list(weyl._coordinate_orbits(matrices, dim, 10**7)) == full
+
+
+def test_orbit_searches_refuse_a_generator_that_is_no_reflection():
+    swap = ((0, 1), (1, 0))  # moves both rows
+    reflection = ((-1, 0), (0, 1))
+    with pytest.raises(ValueError, match="moves 2 rows"):
+        coset_indices((reflection, swap), 4, 10**7)
+    with pytest.raises(ValueError, match="moves 2 rows"):
+        next(weyl._coordinate_orbits((swap,), 2, 10))
+
+
 @pytest.mark.parametrize("family,rank,tag", STREAMED + [
     ("E", 7, "identity"), ("D", 8, "identity"), ("A", 14, "flip")])
 def test_coset_indices_are_the_transversal_sizes(family, rank, tag):
@@ -200,19 +248,20 @@ def test_wsigma_agrees_with_full_enumeration(family, rank, tag):
     assert len(set(wsigma)) == len(wsigma)
     assert set(wsigma) == set(stab)
 
-    restricted = restricted_fixed_space_group(action, aut.simple_perm, wsigma)
+    # the two element sets are equal, so one restricted group, built from the
+    # enumerated stabilizer, serves both the stream and the reference
+    restricted = restricted_fixed_space_group(action, aut.simple_perm, stab)
     assert len(restricted) == len(wsigma)  # the restriction is faithful
 
-    oracle = restricted_fixed_space_group(action, aut.simple_perm, stab)
     buckets = fixed_space_charpoly_buckets(action, aut.simple_perm, wsigma)
-    assert buckets == oracle.charpoly_buckets
+    assert buckets == restricted.charpoly_buckets
 
     on_generators = wsigma_preserves_folded(
         action.fixed_space_matrices(aut.simple_perm, generators), fold)
     roots = set(fold.folded_roots)
     # the fixed-space matrices are integers: no scalar normalization needed
     exhaustive = all(tuple(sum(map(mul, row, v)) for row in g) in roots
-                     for g in oracle.elements for v in fold.folded_roots)
+                     for g in restricted.elements for v in fold.folded_roots)
     assert exhaustive
     assert on_generators == exhaustive
 
