@@ -5,7 +5,10 @@
 matrix at truncation 50, five ``--check`` runs (A2 and A4 flips among them:
 non-reduced foldings, whose fixed-subspace coordinates depend on the
 basis scaling), the E8 table route, the A9, A10, A14 and D8 flips, two
-``perm=`` spellings and four deep series at truncation 600.  A
+``perm=`` spellings, four deep series at truncation 600, the shortest
+series (A1 and G2 at truncation 0 and 1, where the JSON ``series`` list
+has one or two entries) and F4 and E7 identity at the largest admitted
+truncation, 10000.  A
 refactor that is meant to leave every answer unchanged must leave every
 digest unchanged; criterion 8 checks determinism only within one commit.
 
@@ -38,7 +41,10 @@ EXTRA = [("E", 8, "identity", 50), ("A", 9, "flip", 50),
          ("A", 10, "flip", 50), ("A", 14, "flip", 50), ("D", 8, "flip", 50),
          ("A", 3, (2, 1, 0), 50), ("D", 4, (2, 1, 3, 0), 50),
          ("G", 2, "identity", 600), ("F", 4, "identity", 600),
-         ("A", 5, "flip", 600), ("D", 4, "triality", 600)]
+         ("A", 5, "flip", 600), ("D", 4, "triality", 600),
+         ("A", 1, "identity", 0), ("A", 1, "identity", 1),
+         ("G", 2, "identity", 0), ("G", 2, "identity", 1),
+         ("F", 4, "identity", 10_000), ("E", 7, "identity", 10_000)]
 
 
 def _sha(text: str) -> str:
