@@ -4,7 +4,7 @@ of twisted loop groups of compact simple Lie groups."""
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION, mat_mul,
                     product_over_degrees, solomon_series)
 from .report import (ClosedForm, TwistReport, TwistSpec, compute,
-                     excluded_characteristics, recognize_closed_form)
+                     excluded_characteristics)
 from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, FoldingResult, folded_root_system,
@@ -21,6 +21,6 @@ __all__ = [
     "degrees", "excluded_characteristics", "folded_root_system",
     "invariant_degrees", "mat_mul", "make_automorphism",
     "orbit_count_criterion", "orbits_on_roots", "product_over_degrees",
-    "project_roots", "recognize_closed_form", "root_count",
+    "project_roots", "root_count",
     "solomon_series", "weyl_order", "wsigma_preserves_folded",
 ]

@@ -244,7 +244,10 @@ def product_over_degrees(degrees: Iterable[int], truncation: int) -> tuple[int, 
 
     This is the single-graded closed form of the invariant ring attached to
     a degree multiset: one odd generator in degree 2d-1 and one polynomial
-    generator in degree 2d per entry.  Each factor is two strided integer
+    generator in degree 2d per entry, and the series a report emits, over
+    the certified degrees.  It equals the collapse of
+    :func:`solomon_series` over the same degrees, at O(rank) updates per
+    term instead of O(rank^2).  Each factor is two strided integer
     updates: the numerator adds the series shifted by 2d - 1, and the
     denominator is a running sum with stride 2d.
     """

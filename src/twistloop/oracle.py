@@ -45,7 +45,9 @@ average over them (:func:`super_molien_from_buckets`, with
 :func:`rational_function_series`, :func:`poly_inverse_series`,
 :func:`poly_mul_trunc`); and :func:`brute_force_invariant_dims`,
 invariant dimensions from explicit monomial bases instead of the
-super-Molien average.
+super-Molien average; and :func:`recognize_closed_form`, which compares a
+series coefficient by coefficient with the product over a degree table,
+where the pipeline compares the certified degrees with the table.
 
 The super-Molien series of a group G acting on an n-dimensional space is
 
@@ -66,7 +68,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import (BigradedSeries, Record, charpoly_from_power_traces,
-                    mat_mul, normalize_scalar)
+                    mat_mul, normalize_scalar, product_over_degrees)
+from .report import ClosedForm
 from .rootsys import CartanType, RootSystem, build_root_system, cartan_from_gram
 from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError, RootPermutationAction,
@@ -948,6 +951,29 @@ def fixed_space_charpoly_buckets(action: RootPermutationAction,
         cp = charpoly_from_power_traces(traces, dim)
         buckets[cp] = buckets.get(cp, 0) + count
     return buckets
+
+
+# ---------------------------------------------------------------------------
+# closed-form recognition on the series
+# ---------------------------------------------------------------------------
+
+def recognize_closed_form(series: Sequence[int],
+                          candidate_degrees: Sequence[int]) -> ClosedForm | None:
+    """Test whether the series equals prod (1+u^(2d-1))/(1-u^(2d)) over the
+    candidate degrees, by exact coefficient comparison up to truncation.
+
+    Raises ValueError when the truncation is too short to make the test
+    meaningful (never reports a silent false negative).
+    """
+    truncation = len(series) - 1
+    ds = sorted(candidate_degrees)
+    if not ds:
+        raise ValueError("need at least one candidate degree")
+    if truncation < 2 * max(2 * d for d in ds) + 1:
+        raise ValueError(f"truncation {truncation} too small to test degrees {ds}")
+    if tuple(series) == product_over_degrees(ds, truncation):
+        return ClosedForm(tuple(2 * d - 1 for d in ds), tuple(2 * d for d in ds))
+    return None
 
 
 # ---------------------------------------------------------------------------

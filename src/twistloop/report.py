@@ -11,18 +11,27 @@ subgroups the generators span, each the size of one orbit of a
 coordinate functional on the fixed subspace.  The degrees of its basic
 invariants come from the characteristic polynomial of one Coxeter
 element, checked against that order, the folded root count and a
-Jacobian determinant modulo a large prime.  Solomon's product over those
-degrees is the bigraded invariant series, and its single-graded collapse
-is the series the report emits.  That series is the dimension series of
-the cohomology of the classifying space of the corresponding twisted loop
-group, valid away from the reported excluded characteristics.  No
+Jacobian determinant modulo a large prime.  The invariant ring is then
+polynomial in those degrees, so the series the report emits is the
+product of (1 + u^(2d-1)) / (1 - u^(2d)) over them, expanded in
+O(rank * truncation) integer steps.  That series is the dimension series
+of the cohomology of the classifying space of the corresponding twisted
+loop group, valid away from the reported excluded characteristics.  No
 element of W^sigma is enumerated, so the cost does not grow with its
 order.
 
-The series is then compared with the Solomon product over the folded
-type's invariant-degree table.  A match is the report's closed form; a
-miss would be a bug, so it yields no closed form and a note, never a
-search for other degrees.
+The closed form is decided on the degrees: it is the folded type's
+invariant-degree table exactly when the certified degrees equal that
+table, from truncation 4 max(d) + 1 on (below it a note says the
+truncation is too small).  By Solomon's theorem they always do; a miss
+would be a bug, so it yields no closed form and a note, never a search
+for other degrees.  The series-level comparison is a reference in
+:mod:`twistloop.oracle` (``recognize_closed_form``).
+
+Solomon's bigraded series over the same degrees, the report's
+``bigraded`` field, is expanded only when it is read (or under
+``run_oracle``, which compares it with a brute-force count); the single
+series and the JSON never need it.
 
 The one deliberate shortcut: untwisted E8 is answered from the
 invariant-degree table alone, because its Weyl group (order 696729600)
@@ -37,8 +46,7 @@ import math
 from collections.abc import Sequence
 
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record,
-                    collapse_to_cohomological, product_over_degrees,
-                    solomon_series)
+                    product_over_degrees, solomon_series)
 from .rootsys import CartanType, build_root_system, degrees, root_count, weyl_order
 from .twist import (DiagramAutomorphism, OrbitCriterion, _perm_order,
                     expected_folded_type, fixed_group_info, folded_root_system,
@@ -47,7 +55,8 @@ from .twist import (DiagramAutomorphism, OrbitCriterion, _perm_order,
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
                    RootPermutationAction, coset_indices, invariant_degrees)
 
-MAX_TRUNCATION = 10_000  # the series and the bigraded report grow with it
+# the series, its JSON and a bigraded series read on demand grow with it
+MAX_TRUNCATION = 10_000
 MAX_WORKERS = 64
 
 
@@ -82,7 +91,9 @@ class ClosedForm(Record):
 
 class TwistReport(Record, hidden=("bigraded",)):
     """The pipeline's answer for one spec.  ``bigraded`` (the bigraded
-    series, None on the table route) is left out of ==, hash and repr."""
+    series, None on the table route) is left out of ==, hash and repr;
+    :func:`compute` leaves it as a :class:`_DeferredSolomon`, expanded on
+    first read."""
 
     __slots__ = ("cartan_type", "automorphism", "truncation", "folded_type",
                  "orbit_criterion", "positive_orbit_sizes", "stabilizer_order",
@@ -105,6 +116,9 @@ class TwistReport(Record, hidden=("bigraded",)):
     _defaults = {"bigraded": None}
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(list(self.series))
+
+    def _json_dict(self, series: list[int] | None) -> dict:
         return {
             "input": {
                 "type": self.cartan_type.family,
@@ -123,7 +137,7 @@ class TwistReport(Record, hidden=("bigraded",)):
                 "restricted_order": self.restricted_order,
                 "preserves_folded": self.preserves_folded,
             },
-            "series": list(self.series),
+            "series": series,
             "closed_form": (None if self.closed_form is None else {
                 "x_degrees": list(self.closed_form.x_degrees),
                 "y_degrees": list(self.closed_form.y_degrees),
@@ -133,9 +147,16 @@ class TwistReport(Record, hidden=("bigraded",)):
         }
 
     def to_json(self) -> str:
+        """The bytes of ``json.dumps(self.to_json_dict(), indent=2)``.  With an
+        indent json encodes in pure Python, so the series list, the bulk of
+        the report, is written here in the same layout: one entry per line,
+        at the depth of a top-level value."""
         import json  # loaded on first use: compute() and the text report need none
 
-        return json.dumps(self.to_json_dict(), indent=2)
+        head, tail = json.dumps(self._json_dict(None), indent=2).split(
+            '"series": null', 1)
+        return (head + '"series": [\n    ' + ",\n    ".join(map(str, self.series))
+                + "\n  ]" + tail)
 
     def to_text(self) -> str:
         lines = [
@@ -165,26 +186,34 @@ class TwistReport(Record, hidden=("bigraded",)):
 
 
 # ---------------------------------------------------------------------------
-# closed-form recognition
+# the bigraded series, expanded on first read
 # ---------------------------------------------------------------------------
 
-def recognize_closed_form(series: Sequence[int],
-                          candidate_degrees: Sequence[int]) -> ClosedForm | None:
-    """Test whether the series equals prod (1+u^(2d-1))/(1-u^(2d)) over the
-    candidate degrees, by exact coefficient comparison up to truncation.
+class _DeferredSolomon:
+    """Solomon's product over certified degrees, not yet expanded."""
 
-    Raises ValueError when the truncation is too short to make the test
-    meaningful (never reports a silent false negative).
-    """
-    truncation = len(series) - 1
-    ds = sorted(candidate_degrees)
-    if not ds:
-        raise ValueError("need at least one candidate degree")
-    if truncation < 2 * max(2 * d for d in ds) + 1:
-        raise ValueError(f"truncation {truncation} too small to test degrees {ds}")
-    if tuple(series) == product_over_degrees(ds, truncation):
-        return ClosedForm(tuple(2 * d - 1 for d in ds), tuple(2 * d for d in ds))
-    return None
+    __slots__ = ("degrees", "truncation")
+
+    def __init__(self, degrees: tuple[int, ...], truncation: int):
+        self.degrees = degrees
+        self.truncation = truncation
+
+
+def _bigraded_on_read(slot):
+    """A property over the ``bigraded`` slot: a deferred product is expanded
+    on first read and the slot keeps the series."""
+
+    def read(self) -> BigradedSeries | None:
+        value = slot.__get__(self, TwistReport)
+        if type(value) is _DeferredSolomon:
+            value = solomon_series(value.degrees, value.truncation)
+            slot.__set__(self, value)
+        return value
+
+    return property(read, slot.__set__)
+
+
+TwistReport.bigraded = _bigraded_on_read(TwistReport.bigraded)
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +263,29 @@ def _canonical_automorphism_echo(aut: DiagramAutomorphism,
     return "perm=" + ",".join(str(i + 1) for i in spec)
 
 
-def _closed_form_or_note(series: tuple[int, ...], folded: CartanType,
-                         notes: list[str]) -> ClosedForm | None:
+def _closed_form(ds: tuple[int, ...]) -> ClosedForm:
+    return ClosedForm(tuple(2 * d - 1 for d in ds), tuple(2 * d for d in ds))
+
+
+def _closed_form_or_note(certified: Sequence[int], truncation: int,
+                         folded: CartanType, notes: list[str]) -> ClosedForm | None:
+    """The folded type's degree table as the closed form, when the certified
+    degrees are that table.  Both series are products over a degree
+    multiset, so they agree exactly when the multisets do.  Below
+    truncation 4 max(d) + 1 the closed form is skipped with a note, where
+    the series-level comparison
+    (:func:`twistloop.oracle.recognize_closed_form`) raises."""
     ds = degrees(folded)
-    truncation = len(series) - 1
     if truncation < 2 * max(2 * d for d in ds) + 1:
         notes.append("closed-form recognition skipped: truncation too small "
                      "for the folded degree table")
         return None
     # by Solomon's theorem the folded table always matches; a miss is a bug,
     # reported as such rather than covered by a search for other degrees
-    hit = recognize_closed_form(series, ds)
-    if hit is None:
+    if tuple(sorted(certified)) != ds:
         notes.append("series does not match the folded degree table")
-    return hit
+        return None
+    return _closed_form(ds)
 
 
 def compute(spec: TwistSpec) -> TwistReport:
@@ -288,8 +326,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves = True  # identity twist: the Weyl group permutes its own roots
         notes.append("series from the invariant-degree table; Weyl enumeration "
                      "skipped (group order exceeds the element cap)")
-        closed = ClosedForm(tuple(2 * d - 1 for d in rs.degrees),
-                            tuple(2 * d for d in rs.degrees))
+        closed = _closed_form(rs.degrees)
     else:
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)
@@ -303,9 +340,11 @@ def compute(spec: TwistSpec) -> TwistReport:
         except ValueError as exc:
             raise ValueError(f"{t} {aut.tag}: {exc}") from None
         preserves = wsigma_preserves_folded(matrices, folding)
-        bigraded = solomon_series(ds, spec.truncation)
-        series = collapse_to_cohomological(bigraded)
-        closed = _closed_form_or_note(series, folded_type, notes)
+        series = product_over_degrees(ds, spec.truncation)
+        closed = _closed_form_or_note(ds, spec.truncation, folded_type, notes)
+        # the oracle compares the bigraded series; otherwise it waits for a read
+        bigraded = (solomon_series(ds, spec.truncation) if spec.run_oracle
+                    else _DeferredSolomon(ds, spec.truncation))
 
     if restricted_order != weyl_order(folded_type):
         notes.append(f"restricted stabilizer image has order {restricted_order}, "
@@ -342,7 +381,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         stabilizer_order=stab_order,
         restricted_order=restricted_order,
         preserves_folded=preserves,
-        series=tuple(series),
+        series=series,
         closed_form=closed,
         excluded_characteristics=_excluded_primes(t, aut.simple_perm, aut.tag),
         notes=tuple(notes),

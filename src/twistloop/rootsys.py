@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, total_ordering
+from operator import add
 
 from .exact import Matrix, Record
 
@@ -236,22 +237,28 @@ class RootSystem:
         self.roots, self.reflections = _closure(self.cartan_matrix, root_count(t))
         self.simple_roots = tuple(_unit(t.rank, i) for i in range(t.rank))
         self.root_index = {c: i for i, c in enumerate(self.roots)}
-        self.positive_mask = tuple(all(x >= 0 for x in c) for c in self.roots)
+        self.positive_mask = tuple(min(c) >= 0 for c in self.roots)
         self.weyl_order = weyl_order(t)
         self.degrees = degrees(t)
         self._validate()
 
     def _validate(self):
+        roots = self.roots
         expected = root_count(self.cartan_type)
-        if len(self.roots) != expected:
-            raise ValueError(f"{self.cartan_type}: built {len(self.roots)} roots, "
+        if len(roots) != expected:
+            raise ValueError(f"{self.cartan_type}: built {len(roots)} roots, "
                              f"expected {expected}")
         if math.prod(self.degrees) != self.weyl_order:
             raise ValueError("degree product disagrees with Weyl order")
-        for c in self.roots:
-            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+        # Negation reverses the lexicographic order, so a sorted set (the
+        # closure returns the roots sorted) is closed under it exactly when
+        # its i-th and i-th-from-last members add up to zero.  One pass over
+        # those pairs checks every root's signs once and every pair's sum,
+        # with no negated copy.
+        for c, d in zip(roots[:len(roots) // 2], reversed(roots)):
+            if min(c) < 0 < max(c) or min(d) < 0 < max(d):
                 raise ValueError("root coordinates of mixed sign")
-            if tuple(-x for x in c) not in self.root_index:
+            if any(map(add, c, d)):
                 raise ValueError("root set not closed under negation")
 
     def positive_roots(self) -> tuple[Root, ...]:

@@ -183,6 +183,10 @@ def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     """Projections of the roots over the projected simple roots beta_O:
     root c goes to its orbit sums (sum_{i in O} c_i)_O.  Deduplicated,
     multiplicities retained."""
+    if a.order == 1:
+        # every orbit is one node, in node order: each root is its own
+        # projection, and the roots are sorted and distinct
+        return tuple((c, 1) for c in a.base.roots)
     orbits = a.simple_orbits
     counts: dict[Vector, int] = {}
     for c in a.base.roots:

@@ -15,9 +15,12 @@ polynomial of the product of the generators, a Coxeter element, and
 certifies them: their product is |W^sigma|, their exponents add up to the
 positive folded roots, and power-sum invariants over a few orbits of
 coordinate functionals have a nonzero Jacobian determinant modulo a
-large prime.  The invariant ring is then polynomial in those degrees,
-and Solomon's product (:func:`twistloop.exact.solomon_series`) is its
-bigraded series.  No element of W^sigma is enumerated.
+large prime.  The invariant ring is then polynomial in those degrees, so
+the report's series is the product over them
+(:func:`twistloop.exact.product_over_degrees`), and Solomon's product
+(:func:`twistloop.exact.solomon_series`), the bigraded series, is
+expanded only when it is asked for.  No element of W^sigma is
+enumerated.
 
 The element-by-element references (coset representatives, the walk of
 W^sigma over them, its characteristic-polynomial buckets and their

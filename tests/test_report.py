@@ -10,12 +10,14 @@ import pytest
 
 import twistloop
 from twistloop.cli import main
-from twistloop.exact import product_over_degrees
+from twistloop.exact import (collapse_to_cohomological, product_over_degrees,
+                             solomon_series)
 from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup,
-                              brute_force_invariant_dims, identity_matrix)
-from twistloop.report import (MAX_TRUNCATION, MAX_WORKERS, ClosedForm, TwistSpec,
-                              _closed_form_or_note, compute,
-                              excluded_characteristics, recognize_closed_form)
+                              brute_force_invariant_dims, identity_matrix,
+                              recognize_closed_form)
+from twistloop.report import (MAX_TRUNCATION, MAX_WORKERS, ClosedForm, TwistReport,
+                              TwistSpec, _closed_form_or_note, compute,
+                              excluded_characteristics)
 from twistloop.rootsys import CartanType, build_root_system, degrees
 
 from conftest import cached_report
@@ -42,11 +44,91 @@ class TestRecognizeClosedForm:
             recognize_closed_form(series, [2, 6])
 
     def test_unmatched_folded_table_gives_no_closed_form(self):
-        # a C2 series checked against the G2 table: no search, a note
+        # C2 degrees checked against the G2 table: no search, a note
         notes = []
-        series = product_over_degrees([2, 4], 50)
-        assert _closed_form_or_note(series, CartanType("G", 2), notes) is None
+        assert _closed_form_or_note((2, 4), 50, CartanType("G", 2), notes) is None
         assert notes == ["series does not match the folded degree table"]
+
+
+class TestSeriesFromDegrees:
+    """The series, the closed form and the JSON come from the certified
+    degrees; Solomon's bigraded series is expanded only when read."""
+
+    CASES = [("B", 3, "identity", 50), ("D", 4, "triality", 50), ("E", 6, "flip", 50),
+             ("E", 8, "identity", 50)]
+
+    def test_default_path_expands_no_bigraded_series(self, monkeypatch):
+        import twistloop.exact
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bigraded series expanded on the default path")
+
+        modules = [twistloop, twistloop.exact] + [
+            sys.modules[f"twistloop.{m}"] for m in ("cli", "report", "rootsys", "twist", "weyl")]
+        for module in modules:
+            for name in ("solomon_series", "collapse_to_cohomological"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        reports = []
+        for family, rank, tag, trunc in self.CASES:
+            rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=trunc))
+            assert rpt.to_json() and rpt.to_text()
+            assert rpt.series == product_over_degrees(degrees(rpt.folded_type), trunc)
+            assert rpt.closed_form is not None
+            reports.append(rpt)
+        monkeypatch.undo()
+        for rpt in reports:
+            if rpt.cartan_type == CartanType("E", 8):
+                assert rpt.bigraded is None  # the table route has none
+                continue
+            want = solomon_series(degrees(rpt.folded_type), rpt.truncation)
+            assert rpt.bigraded == want
+            assert rpt.bigraded is rpt.bigraded  # expanded once, then kept
+            assert collapse_to_cohomological(rpt.bigraded) == rpt.series
+
+    def test_bigraded_stays_a_read_only_hidden_field(self):
+        rpt = compute(TwistSpec(CartanType("G", 2)))
+        with pytest.raises(AttributeError):
+            rpt.bigraded = None
+        assert rpt == cached_report("G", 2) and "bigraded" not in repr(rpt)
+        assert TwistReport.__slots__[-1] == "bigraded"
+
+    def test_degree_decision_agrees_with_the_series_comparison(self):
+        from test_golden_reports import EXTRA, MATRIX
+
+        cases = [(f, r, tag, 50) for f, r, tag in MATRIX] + EXTRA
+        for family, rank, auto, trunc in cases:
+            if (family, rank) == ("E", 8):
+                continue  # the table route takes the closed form from the table
+            rpt = cached_report(family, rank, auto, trunc)
+            try:
+                want = recognize_closed_form(rpt.series, degrees(rpt.folded_type))
+            except ValueError:
+                want = None
+                assert ("closed-form recognition skipped: truncation too small for "
+                        "the folded degree table") in rpt.notes, (family, rank, auto, trunc)
+            assert rpt.closed_form == want, (family, rank, auto, trunc)
+
+    def test_wrong_certified_degrees_give_no_closed_form(self, monkeypatch):
+        import twistloop.report
+
+        monkeypatch.setattr(twistloop.report, "invariant_degrees",
+                            lambda *args, **kwargs: (2, 6, 8, 13))
+        rpt = compute(TwistSpec(CartanType("F", 4)))
+        assert rpt.closed_form is None
+        assert "series does not match the folded degree table" in rpt.notes
+        assert rpt.series == product_over_degrees((2, 6, 8, 13), 50)
+        assert recognize_closed_form(rpt.series, degrees(CartanType("F", 4))) is None
+        assert json.loads(rpt.to_json())["closed_form"] is None
+
+    @pytest.mark.parametrize("family,rank,auto,trunc", [
+        ("A", 1, "identity", 0), ("G", 2, "identity", 0), ("A", 1, "identity", 1),
+        ("G", 2, "identity", 1), ("D", 4, "triality", 50), ("E", 8, "identity", 50),
+        ("F", 4, "identity", MAX_TRUNCATION)])
+    def test_json_is_the_indented_dump(self, family, rank, auto, trunc):
+        rpt = cached_report(family, rank, auto, trunc)
+        assert len(rpt.series) == trunc + 1
+        assert rpt.to_json() == json.dumps(rpt.to_json_dict(), indent=2)
 
 
 class TestExcludedCharacteristics:

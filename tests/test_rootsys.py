@@ -151,6 +151,54 @@ def test_uniform_sign_coordinates(family, rank):
         assert all(isinstance(c, int) for c in lc)
 
 
+def _mutated(rs, remove, add=()):
+    """rs with its roots replaced by a sorted set, as the constructor
+    leaves them, and the index rebuilt."""
+    roots = tuple(sorted((set(rs.roots) - set(remove)) | set(add)))
+    rs.roots = roots
+    rs.root_index = {c: i for i, c in enumerate(roots)}
+    return rs
+
+
+VALIDATED = [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("family,rank", VALIDATED)
+def test_validate_rejects_a_wrong_root_count(family, rank):
+    rs = build_root_system(CartanType(family, rank))
+    c = rs.roots[-1]
+    # a root and its negative go: signs and negation still hold
+    _mutated(rs, [c, tuple(-x for x in c)])
+    with pytest.raises(ValueError, match=f"^{family}{rank}: built {root_count(rs.cartan_type) - 2} "
+                                         f"roots, expected {root_count(rs.cartan_type)}$"):
+        rs._validate()
+
+
+@pytest.mark.parametrize("family,rank", VALIDATED)
+def test_validate_rejects_mixed_signs(family, rank):
+    rs = build_root_system(CartanType(family, rank))
+    c = rs.roots[-1]
+    v = (1, -1) + (0,) * (rank - 2)
+    assert v not in rs.root_index
+    # a mixed vector and its negative replace a root pair: the count and
+    # the negation still hold
+    _mutated(rs, [c, tuple(-x for x in c)], [v, tuple(-x for x in v)])
+    with pytest.raises(ValueError, match="^root coordinates of mixed sign$"):
+        rs._validate()
+
+
+@pytest.mark.parametrize("family,rank", VALIDATED)
+def test_validate_rejects_a_set_not_closed_under_negation(family, rank):
+    rs = build_root_system(CartanType(family, rank))
+    c = rs.roots[-1]
+    v = tuple(2 * x for x in c)
+    assert v not in rs.root_index
+    # one positive root doubled: the count and the signs still hold
+    _mutated(rs, [c], [v])
+    with pytest.raises(ValueError, match="^root set not closed under negation$"):
+        rs._validate()
+
+
 def test_roots_closed_under_negation():
     roots = ambient_roots(CartanType("F", 4))
     root_set = set(roots)

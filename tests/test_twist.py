@@ -206,6 +206,20 @@ class TestProjection:
         assert sum(mult for _, mult in coords) == len(rs.roots)
         assert all(mult == 1 for _, mult in coords)
 
+    @pytest.mark.parametrize("family,rank", ALL_TYPES)
+    def test_identity_projection_is_the_root_set_itself(self, family, rank):
+        rs = build_root_system(CartanType(family, rank))
+        aut = make_automorphism(rs, "identity")
+        proj = project_roots(aut)
+        assert proj == tuple((c, 1) for c in rs.roots)
+        assert all(v is c for (v, _), c in zip(proj, rs.roots))
+        # the orbit sums over one-node orbits, as a twisted case takes them
+        sums = {}
+        for c in rs.roots:
+            v = tuple(sum(c[i] for i in orb) for orb in aut.simple_orbits)
+            sums[v] = sums.get(v, 0) + 1
+        assert proj == tuple(sorted(sums.items()))
+
     def test_multiplicities_account_for_all_roots(self):
         rs = build_root_system(CartanType("E", 6))
         aut = make_automorphism(rs, "flip")
