@@ -48,12 +48,13 @@ from collections.abc import Sequence
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record,
                     product_over_degrees, solomon_series)
 from .rootsys import CartanType, build_root_system, degrees, root_count, weyl_order
-from .twist import (DiagramAutomorphism, OrbitCriterion, _perm_order,
-                    expected_folded_type, fixed_group_info, folded_root_system,
-                    make_automorphism, orbit_count_criterion,
-                    positive_orbit_sizes, resolve_twist, wsigma_preserves_folded)
+from .twist import (DiagramAutomorphism, OrbitCriterion, expected_folded_type,
+                    fixed_group_info, folded_root_system, make_automorphism,
+                    orbit_count_criterion, positive_orbit_sizes, resolve_twist,
+                    wsigma_preserves_folded)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
-                   RootPermutationAction, coset_indices, invariant_degrees)
+                   RootPermutationAction, _perm_order, coset_indices,
+                   invariant_degrees, reflection_rows)
 
 # the series, its JSON and a bigraded series read on demand grow with it
 MAX_TRUNCATION = 10_000
@@ -330,16 +331,18 @@ def compute(spec: TwistSpec) -> TwistReport:
     else:
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)
-        matrices = action.fixed_space_matrices(aut.simple_perm, generators)
         try:
-            indices = coset_indices(matrices, weyl_order(folded_type), spec.element_cap)
+            # each generator is a reflection on the fixed subspace: one row
+            rows = reflection_rows(action.fixed_space_matrices(aut.simple_perm,
+                                                               generators))
+            indices = coset_indices(rows, weyl_order(folded_type))
             # the restriction to the fixed subspace is faithful
             stab_order = restricted_order = math.prod(indices)
-            ds = invariant_degrees(action, aut.simple_perm, generators, matrices,
+            ds = invariant_degrees(action, aut.simple_perm, generators, rows,
                                    stab_order, len(folding.folded_roots) // 2)
         except ValueError as exc:
             raise ValueError(f"{t} {aut.tag}: {exc}") from None
-        preserves = wsigma_preserves_folded(matrices, folding)
+        preserves = wsigma_preserves_folded(rows, folding)
         series = product_over_degrees(ds, spec.truncation)
         closed = _closed_form_or_note(ds, spec.truncation, folded_type, notes)
         # the oracle compares the bigraded series; otherwise it waits for a read

@@ -24,8 +24,8 @@ v/2 not a projection), which reproduces the classical folding table:
 The beta_O are the folded system's own simple roots.  Each folded set is
 certified against the table's type: the Cartan matrix of the beta_O,
 from their inner products, must be the type's in some order of the
-nodes, and the set must equal the type's roots over its simple base with
-the coordinates put in that order; the construction errors out otherwise.
+nodes, and the set must equal the closure of the beta_O under their own
+simple reflections; the construction errors out otherwise.
 The ambient matrix of sigma, its ambient fixed subspace, the average over
 sigma's powers, the Gram matrix of the beta_O in Fractions and a
 from-scratch classifier of the folded set are test references in
@@ -40,7 +40,7 @@ from operator import mul
 from .exact import Matrix, Record, Vector
 from .rootsys import (CartanMatrix, CartanType, RootSystem, _closure,
                       cartan_from_gram, cartan_matrix, root_count)
-from .weyl import _perm_orbits, moved_rows
+from .weyl import _perm_orbits, _perm_order
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
 
@@ -118,18 +118,6 @@ def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
     if order == 3 and t == CartanType("D", 4):
         return "triality"
     raise ValueError(f"permutation of order {order} is not a supported diagram symmetry")
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    current = perm
-    ident = tuple(range(len(perm)))
-    while current != ident:
-        current = tuple(perm[i] for i in current)
-        order += 1
-        if order > 24:
-            raise ValueError("permutation order out of range")
-    return order
 
 
 def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, ...], str]:
@@ -254,22 +242,14 @@ def check_folded_roots(roots: Sequence[Vector], gram: Matrix,
     inner products are gram (up to a positive scale), are the root system
     of the expected type with that base as its simple roots: the base's
     Cartan matrix is the type's under some assignment of its vectors to the
-    type's nodes, and the type's roots over its simple base, with
-    coordinates moved by that assignment, are exactly the set.  A set equal to the model's roots,
-    read through a base with the model's Cartan matrix (hence, the type
-    being irreducible, its Gram matrix up to scale), is a root system of
-    that type.  Linear in the root count and the rank."""
-    model_cartan = cartan_matrix(expected)
-    assignment = _match_cartan(cartan_from_gram(gram), model_cartan)
-    if assignment is None:
+    type's nodes, and the closure of the base under its own simple
+    reflections, in its own coordinates, is exactly the set.  That closure
+    is the root system of a type with that Cartan matrix.  Linear in the
+    root count and the rank."""
+    cartan = cartan_from_gram(gram)
+    if _match_cartan(cartan, cartan_matrix(expected)) is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")
-    images = set()
-    for root in _closure(model_cartan, root_count(expected))[0]:
-        v = [0] * len(root)
-        for k, c in zip(assignment, root):
-            v[k] = c
-        images.add(tuple(v))
-    if images != set(roots):
+    if set(_closure(cartan, root_count(expected))[0]) != set(roots):
         raise ValueError(f"folded set is not the root system of {expected}")
 
 
@@ -330,29 +310,28 @@ def orbit_count_criterion(a: DiagramAutomorphism,
     return OrbitCriterion(len(orbits_on_roots(a)), len(folding.folded_roots))
 
 
-def wsigma_preserves_folded(generators: Sequence[Matrix],
+def wsigma_preserves_folded(rows: Sequence[Vector],
                             folding: FoldingResult) -> bool:
-    """Whether the group generated by the given fixed-subspace matrices
-    permutes the folded root set.  A finite group permutes a finite set
-    exactly when its generators do, so only the generators are checked
-    (each against every folded root, as integer vectors over the projected
-    simple roots, in the rows it moves)."""
+    """Whether the group generated by the reflections with the given rows
+    on the fixed subspace (:func:`twistloop.weyl.reflection_rows`; row k
+    changes coordinate k) permutes the folded root set.  A finite group
+    permutes a finite set exactly when its generators do, so only the
+    generators are checked, each against every folded root, as integer
+    vectors over the projected simple roots: v changes in entry k alone,
+    by row_k . v."""
     rank = folding.folded_type.rank
-    if any(len(g) != rank for g in generators):
+    if len(rows) > rank or any(len(row) != rank for row in rows):
         raise ValueError("restricted group acts in the wrong dimension")
     roots = folding.folded_roots
     root_set = set(roots)
-    for moved in map(moved_rows, generators):
+    for k, row in enumerate(rows):
         for v in roots:
-            image = None
-            for r, row in moved:
-                d = sum(map(mul, row, v))
-                if d:
-                    if image is None:
-                        image = list(v)
-                    image[r] += d
-            if image is not None and tuple(image) not in root_set:
-                return False
+            d = sum(map(mul, row, v))
+            if d:
+                image = list(v)
+                image[k] += d
+                if tuple(image) not in root_set:
+                    return False
     return True
 
 

@@ -6,10 +6,14 @@ invariants on the fixed subspace, certified from one Coxeter element.
 group as permutations of the root set (one byte per root index), derives
 Steinberg's generators of the fixed subgroup W^sigma of a diagram
 automorphism sigma, one per sigma-orbit of simple nodes, and their
-matrices on the fixed subspace, read in one sparse form
-(:func:`moved_rows`).  :func:`coset_indices` counts the cosets along the
-chain of subgroups the generators span as orbits of coordinate
-functionals; the indices multiply to |W^sigma|.
+matrices on the fixed subspace.  There each generator is a simple
+reflection of the folded Weyl group and changes one coordinate, so it is
+kept as one integer row (:func:`reflection_rows`), which the coset chain,
+the Jacobian and the preservation check read.  :func:`coset_indices`
+counts the cosets along the chain of subgroups the generators span as
+orbits of coordinate functionals, closed by one breadth-first search
+(:func:`_orbit_search`) bounded by the group order; the indices multiply
+to |W^sigma|.
 :func:`invariant_degrees` reads the degrees off the characteristic
 polynomial of the product of the generators, a Coxeter element, and
 certifies them: their product is |W^sigma|, their exponents add up to the
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from operator import sub
 
 from .exact import Matrix, Scalar, charpoly_from_power_traces
 from .rootsys import RootSystem
@@ -115,39 +120,57 @@ class RootPermutationAction:
         return tuple(out)
 
 
-MovedRows = tuple[tuple[int, tuple[int, ...]], ...]
+def reflection_rows(matrices: Sequence[Matrix]) -> tuple[tuple[int, ...], ...]:
+    """Row k of g_k - 1 for each matrix g_k, the Steinberg generators on
+    the fixed subspace over the projected simple roots.  There they are
+    the simple reflections of the folded Weyl group, and s_k changes
+    coordinate k alone: a functional phi goes to phi + phi_k row_k, fixed
+    when phi_k is 0, and a vector v changes only in entry k, by
+    row_k . v.  Raises ValueError unless row k is the only nonzero row of
+    g_k - 1."""
+    rows = []
+    for k, g in enumerate(matrices):
+        n = len(g)
+        identity = [(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)]
+        changed = [r for r, (row, unit) in enumerate(zip(g, identity)) if row != unit]
+        if changed != [k]:
+            raise ValueError(f"generator {k} moves rows {changed} of the fixed "
+                             f"subspace, not row {k} alone as a simple reflection does")
+        rows.append(tuple(map(sub, g[k], identity[k])))
+    return tuple(rows)
 
 
-def moved_rows(m: Matrix) -> MovedRows:
-    """The nonzero rows of m - 1 as (r, row).  A Steinberg generator, a
-    reflection on the fixed subspace, moves one.  A functional phi goes to
-    phi + sum_r phi_r (m - 1)[r], fixed when every phi_r is 0; m v
-    differs from v only in rows r, by (m - 1)[r] . v."""
-    moved = []
-    for r, row in enumerate(m):
-        row = tuple(x - 1 if c == r else x for c, x in enumerate(row))
-        if any(row):
-            moved.append((r, row))
-    return tuple(moved)
+def coset_indices(rows: Sequence[tuple[int, ...]], order: int) -> tuple[int, ...]:
+    """[W_k : W_{k-1}] for k = 1..m, where W_k is generated by the first k
+    reflections, the Steinberg generators on the fixed subspace in
+    sigma-orbit order, given by their rows (:func:`reflection_rows`).
+
+    There they are the simple reflections of the folded Weyl group.  The
+    coordinate functional y_k, the fundamental coweight omega_k^vee, lies
+    in the closure of the fundamental chamber, so its stabilizer is the
+    parabolic subgroup without node k (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.10-1.12), which meets W_k in W_{k-1}.  So the orbit
+    of y_k under W_k (:func:`_orbit_search`) has [W_k : W_{k-1}] elements.
+
+    Raises ValueError when an orbit passes order, the expected
+    |W^sigma|, which each index divides, or when the indices do not
+    multiply to it: then the generators are not Steinberg's.
+    """
+    indices = [sum(1 for _ in _orbit_search(k, rows[:k + 1], order))
+               for k in range(len(rows))]
+    if math.prod(indices) != order:
+        raise ValueError(f"coset counts {indices} do not multiply to the group "
+                         f"order {order}")
+    return tuple(indices)
 
 
-def _functional_image(phi: tuple[int, ...], moved: MovedRows) -> tuple[int, ...]:
-    """phi m; phi itself, no new tuple, when m fixes it."""
-    out = phi
-    for r, row in moved:
-        c = phi[r]
-        if c:
-            out = tuple([a + c * b for a, b in zip(out, row)])
-    return out
+def _orbit_search(k: int, rows: Sequence[tuple[int, ...]],
+                  limit: int) -> Iterator[tuple[int, ...]]:
+    """The orbit of the coordinate functional y_k under the reflections
+    with the given rows, in breadth-first order, yielding each functional
+    once its images are queued; ValueError when the orbit passes limit.
 
-
-def _reflection_rows(matrices: Sequence[Matrix]) -> list[MovedRows]:
-    """moved_rows of each matrix, checked to be one row: the Steinberg
-    generators act on the fixed subspace as the simple reflections of the
-    folded Weyl group, and s_r moves row r only.
-
-    The orbit searches below take only lowering steps, phi -> phi s_r with
-    phi_r > 0.  Each starts at a coordinate functional y_k, which is
+    Only lowering steps are taken, phi -> phi s_r with phi_r > 0.  y_k is
     dominant: y_k(beta_j) >= 0 for every j.  Any functional w y_k of its
     orbit, with w of minimal length, is reached by such steps: for a
     reduced w = s_r w', w'^-1 beta_r is a positive root, so (w' y_k)(beta_r)
@@ -158,57 +181,19 @@ def _reflection_rows(matrices: Sequence[Matrix]) -> list[MovedRows]:
     fixes phi.  Skipping both keeps every orbit and the order of its
     elements.
     """
-    out = []
-    for g in matrices:
-        moved = moved_rows(g)
-        if len(moved) != 1:
-            raise ValueError(f"a generator moves {len(moved)} rows of the fixed "
-                             "subspace, not the one of a simple reflection")
-        out.append(moved)
-    return out
-
-
-def coset_indices(matrices: Sequence[Matrix], order: int, cap: int) -> tuple[int, ...]:
-    """[W_k : W_{k-1}] for k = 1..m, where W_k is generated by the first k
-    matrices, the Steinberg generators on the fixed subspace over the
-    projected simple roots, in sigma-orbit order.
-
-    There they are the simple reflections of the folded Weyl group.  The
-    coordinate functional y_k, the fundamental coweight omega_k^vee, lies
-    in the closure of the fundamental chamber, so its stabilizer is the
-    parabolic subgroup without node k (Humphreys, Reflection Groups and
-    Coxeter Groups, 1.10-1.12), which meets W_k in W_{k-1}.  So the orbit
-    of y_k under W_k, closed breadth first by lowering steps
-    (:func:`_orbit`), has [W_k : W_{k-1}] elements.
-
-    Raises GroupTooLargeError when an orbit passes the cap, and
-    ValueError when the indices do not multiply to order, the expected
-    |W^sigma|: then the generators are not Steinberg's.
-    """
-    moved = _reflection_rows(matrices)
-    indices = [len(_orbit(k, moved[:k + 1], cap)) for k in range(len(moved))]
-    if math.prod(indices) != order:
-        raise ValueError(f"coset counts {indices} do not multiply to the group "
-                         f"order {order}")
-    return tuple(indices)
-
-
-def _orbit(k: int, moved: Sequence[MovedRows], cap: int) -> list[tuple[int, ...]]:
-    """The orbit of the coordinate functional y_k under the reflections
-    whose moved rows are given, in breadth-first order, by lowering steps
-    (:func:`_reflection_rows`); GroupTooLargeError when it passes cap."""
-    orbit = [tuple(int(i == k) for i in range(len(moved[0][0][1])))]
+    orbit = [tuple(int(i == k) for i in range(len(rows[0])))]
     seen = set(orbit)
     for phi in orbit:  # orbit grows while it is read: a breadth-first search
-        for rows in moved:
-            if phi[rows[0][0]] > 0:
-                psi = _functional_image(phi, rows)
+        for r, row in enumerate(rows):
+            c = phi[r]
+            if c > 0:
+                psi = tuple([a + c * b for a, b in zip(phi, row)])
                 if psi not in seen:
-                    if len(orbit) >= cap:
-                        raise GroupTooLargeError(f"group too large (cap {cap})")
+                    if len(orbit) >= limit:
+                        raise ValueError(f"a functional orbit passed {limit} elements")
                     seen.add(psi)
                     orbit.append(psi)
-    return orbit
+        yield phi
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +205,11 @@ JACOBIAN_ATTEMPTS = 4
 
 
 def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...],
-                      generators: Sequence[bytes], matrices: Sequence[Matrix],
-                      order: int, reflections: int) -> tuple[int, ...]:
+                      generators: Sequence[bytes], rows: Sequence[tuple[int, ...]],
+                      order: int, positive_roots: int) -> tuple[int, ...]:
     """Degrees of the basic invariants of W^sigma on the fixed subspace,
     read off one Coxeter element and certified without walking the group;
-    matrices are the generators on the fixed subspace.
+    rows are the generators on the fixed subspace (:func:`reflection_rows`).
 
     The product c of the Steinberg generators is a Coxeter element of
     W^sigma acting on the fixed subspace.  By Springer (Regular elements
@@ -235,7 +220,8 @@ def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...
     cyclotomic polynomials Phi_e, e | h.
 
     The degrees must multiply to order (the coset-chain order) and the
-    exponents must add up to reflections (the positive folded roots).
+    exponents must add up to positive_roots, the positive folded roots
+    (the reflections of W^sigma).
     Invariants of these degrees with a nonzero Jacobian determinant
     (:func:`certify_jacobian`) are algebraically independent.  Homogeneous
     algebraically independent invariants whose degrees multiply to the
@@ -252,7 +238,7 @@ def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...
     c = generators[0]
     for g in generators[1:]:
         c = bytes(map(c.__getitem__, g))
-    h = math.lcm(*(len(cycle) for cycle in _perm_orbits(c)))
+    h = _perm_order(c)
     charpoly = charpoly_from_power_traces(
         _fixed_space_traces(action, simple_perm, c, dim), dim)
     exponents = _exponents(charpoly, h)
@@ -260,10 +246,10 @@ def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...
     if math.prod(ds) != order:
         raise ValueError(f"degrees {list(ds)} multiply to {math.prod(ds)}, "
                          f"not the coset-chain order {order}")
-    if sum(exponents) != reflections:
+    if sum(exponents) != positive_roots:
         raise ValueError(f"degrees {list(ds)} account for {sum(exponents)} "
-                         f"reflections, not the {reflections} positive folded roots")
-    certify_jacobian(matrices, ds)
+                         f"reflections, not the {positive_roots} positive folded roots")
+    certify_jacobian(rows, ds)
     return ds
 
 
@@ -333,11 +319,11 @@ def _divide_monic(p: Sequence[Scalar], q: Sequence[int]) -> tuple[list, list]:
     return quot, rem[:n]
 
 
-def certify_jacobian(matrices: Sequence[Matrix], ds: Sequence[int]) -> int:
+def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int]) -> int:
     """Find invariants of the degrees ds with a nonzero Jacobian
-    determinant, for the group generated by matrices (elements on the
-    fixed subspace over the projected simple roots); return how many functional
-    orbits they needed, or raise ValueError.
+    determinant, for the group generated by the reflections with the given
+    rows (:func:`reflection_rows`) on the fixed subspace; return how many
+    functional orbits they needed, or raise ValueError.
 
     U_j is the orbit of the coordinate functional y_j, and
 
@@ -351,14 +337,14 @@ def certify_jacobian(matrices: Sequence[Matrix], ds: Sequence[int]) -> int:
     the determinant is nonzero mod the prime; then the integer Jacobian
     determinant is a nonzero polynomial.  Each of JACOBIAN_ATTEMPTS
     seeded points may use every orbit.  No orbit is larger than the group,
-    whose order the degrees multiply to.
+    whose order the degrees multiply to; a search past it raises.
     """
     dim = len(ds)
     for attempt in range(JACOBIAN_ATTEMPTS):
         point = _jacobian_point(attempt, dim)
         weights = _seeded(2 * attempt + 2, dim * dim)
         jacobian = [[0] * dim for _ in range(dim)]
-        for j, orbit in enumerate(_coordinate_orbits(matrices, dim, math.prod(ds))):
+        for j, orbit in enumerate(_coordinate_orbits(rows, math.prod(ds))):
             for phi in orbit:
                 v = sum(a * x for a, x in zip(phi, point)) % JACOBIAN_PRIME
                 for i, d in enumerate(ds):
@@ -372,42 +358,26 @@ def certify_jacobian(matrices: Sequence[Matrix], ds: Sequence[int]) -> int:
                      f"at {JACOBIAN_ATTEMPTS} seeded points")
 
 
-def _coordinate_orbits(matrices: Sequence[Matrix], dim: int,
+def _coordinate_orbits(rows: Sequence[tuple[int, ...]],
                        limit: int) -> Iterator[list[tuple[int, ...]]]:
-    """The orbits of the coordinate functionals y_0..y_{dim-1} under the
-    group generated by matrices, smallest first; an orbit growing past
-    limit raises ValueError.
+    """The orbits of the coordinate functionals y_0, y_1, ... under the
+    reflections with the given rows, smallest first, ties in node order; an
+    orbit growing past limit raises ValueError.
 
-    A functional is the row of its values on the basis, and phi after g
-    is phi g, read off :func:`moved_rows`; only lowering steps are taken
-    (:func:`_reflection_rows`).  The searches advance in step,
-    one functional each per round, so an orbit of n functionals is
-    complete after n rounds: orbits come out in order of size, and a
-    caller that stops early never finishes the larger ones.
+    One :func:`_orbit_search` per coordinate, all advanced in step, one
+    functional each per round, so an orbit of n functionals is complete
+    after n rounds: orbits come out in order of size, and a caller that
+    stops early never finishes the larger ones.
     """
-    moved = _reflection_rows(matrices)
-    orbits = [[tuple(int(i == j) for i in range(dim))] for j in range(dim)]
-    seen = [set(orbit) for orbit in orbits]
-    running = list(range(dim))
-    step = 0
+    running = {j: ([], _orbit_search(j, rows, limit)) for j in range(len(rows))}
     while running:
-        for j in tuple(running):
-            orbit = orbits[j]
-            if step == len(orbit):
-                running.remove(j)
+        for j, (orbit, search) in tuple(running.items()):
+            phi = next(search, None)
+            if phi is None:
+                del running[j]
                 yield orbit
-                continue
-            phi = orbit[step]
-            for rows in moved:
-                if phi[rows[0][0]] <= 0:
-                    continue  # not a lowering step: see _reflection_rows
-                psi = _functional_image(phi, rows)
-                if psi not in seen[j]:
-                    if len(orbit) >= limit:
-                        raise ValueError(f"a functional orbit passed {limit} elements")
-                    seen[j].add(psi)
-                    orbit.append(psi)
-        step += 1
+            else:
+                orbit.append(phi)
 
 
 def _jacobian_point(attempt: int, dim: int) -> list[int]:
@@ -442,7 +412,7 @@ def _nonsingular_mod(rows: Sequence[Sequence[int]], p: int) -> bool:
     return True
 
 
-def _perm_orbits(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _perm_orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     seen = set()
     orbits = []
     for start in range(len(perm)):
@@ -457,3 +427,8 @@ def _perm_orbits(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             j = perm[j]
         orbits.append(tuple(orb))
     return tuple(orbits)
+
+
+def _perm_order(perm: Sequence[int]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    return math.lcm(*map(len, _perm_orbits(perm)))

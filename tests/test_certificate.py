@@ -9,6 +9,7 @@ subspace and averages the super-Molien series; the two routes must give
 the same order, bigraded series and single-graded series.
 """
 
+import inspect
 import time
 from pathlib import Path
 
@@ -19,16 +20,19 @@ from twistloop.exact import collapse_to_cohomological
 from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
 from twistloop.twist import folded_root_system, make_automorphism
-from twistloop.weyl import RootPermutationAction, certify_jacobian, invariant_degrees
+from twistloop.weyl import (RootPermutationAction, certify_jacobian, coset_indices,
+                            invariant_degrees, reflection_rows)
 
 from test_acceptance import expected_series
-from test_wsigma import STREAMED
+from test_wsigma import STREAMED, coset_inputs
 
 TRUNC = 50
 PIPELINE = (cli, exact, report, rootsys, twist, weyl)
 MOVED_TO_ORACLE = ("_walk_products", "wsigma_elements", "fixed_space_charpoly_buckets",
                    "super_molien_from_buckets", "rational_function_series",
                    "dets_from_charpoly", "wsigma_transversals")
+# the multi-row form of the generators, replaced by one row each
+DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit")
 
 
 def certificate_inputs(family, rank, tag):
@@ -46,8 +50,8 @@ def test_certificate_agrees_with_enumeration(family, rank, tag):
     aut, fold, action, generators = certificate_inputs(family, rank, tag)
     order = weyl_order(fold.folded_type)
     positive = sum(all(c >= 0 for c in v) for v in fold.folded_roots)
-    matrices = action.fixed_space_matrices(aut.simple_perm, generators)
-    ds = invariant_degrees(action, aut.simple_perm, generators, matrices, order, positive)
+    rows = coset_inputs(family, rank, tag)[-1]
+    ds = invariant_degrees(action, aut.simple_perm, generators, rows, order, positive)
     assert ds == degrees(fold.folded_type)
     assert sum(d - 1 for d in ds) == positive
 
@@ -70,6 +74,11 @@ def test_compute_never_walks_the_group(monkeypatch):
         for name in MOVED_TO_ORACLE:
             assert not hasattr(module, name), (module.__name__, name)
             assert f"def {name}(" not in source, (module.__name__, name)
+        for name in DELETED:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert f"def {name}(" not in source and f"{name} =" not in source, \
+                (module.__name__, name)
+    assert "cap" not in inspect.signature(coset_indices).parameters
     monkeypatch.setattr(oracle, "_walk_products", refuse)
     monkeypatch.setattr(oracle, "wsigma_elements", refuse)
     for family, rank, tag in STREAMED:
@@ -82,8 +91,8 @@ def test_compute_never_walks_the_group(monkeypatch):
     ("A", 7, "flip", 1), ("D", 4, "triality", 1)])
 def test_jacobian_needs_few_orbits(family, rank, tag, orbits):
     aut, fold, action, generators = certificate_inputs(family, rank, tag)
-    matrices = action.fixed_space_matrices(aut.simple_perm, generators)
-    assert certify_jacobian(matrices, degrees(fold.folded_type)) == orbits
+    rows = coset_inputs(family, rank, tag)[-1]
+    assert certify_jacobian(rows, degrees(fold.folded_type)) == orbits
 
 
 @pytest.mark.parametrize("family,rank,tag", [("E", 6, "flip"), ("D", 4, "triality"),
@@ -120,9 +129,14 @@ def test_dropped_generator_breaks_the_degree_product(family, rank, tag, monkeypa
 
 
 def test_orbit_search_is_bounded_by_the_group_order():
-    # a stretch generates no finite group: its orbits would never close
+    # a stretch generates no finite group: its orbits would never close; the
+    # coset chain and the Jacobian share one search and its bound
+    stretch = reflection_rows([((2,),)])
+    assert stretch == ((1,),)
     with pytest.raises(ValueError, match="functional orbit passed 2 elements"):
-        certify_jacobian([((2,),)], (2,))
+        certify_jacobian(stretch, (2,))
+    with pytest.raises(ValueError, match="functional orbit passed 2 elements"):
+        coset_indices(stretch, 2)
 
 
 def test_exponents_divide_out_repeated_cyclotomic_factors():

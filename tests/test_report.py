@@ -369,6 +369,14 @@ class TestCli:
         assert main(["--type", "A", "--rank", "3", "--auto", perm]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_unsupported_permutation_order(self, capsys):
+        # a 5-cycle and a 7-cycle: order 35, read from the cycle lengths
+        images = [2, 3, 4, 5, 1, 7, 8, 9, 10, 11, 12, 6]
+        auto = "perm=" + ",".join(map(str, images))
+        assert main(["--type", "A", "--rank", "12", "--auto", auto]) == 1
+        assert capsys.readouterr().err == ("error: permutation of order 35 is not a "
+                                           "supported diagram symmetry\n")
+
     def test_perm_flag(self, capsys):
         code = main(["--type", "A", "--rank", "3", "--auto", "perm=3,2,1",
                      "--format", "json"])

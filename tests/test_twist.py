@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -22,7 +23,15 @@ from twistloop.weyl import RootPermutationAction
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
 from test_properties import IDENTITIES, TWISTS
 from test_rootsys import ALL_TYPES
-from test_wsigma import TWISTED
+from test_wsigma import TWISTED, coset_inputs
+
+
+def permutes_folded_roots(matrices, fold):
+    """Dense reference for the preservation check: every matrix sends every
+    folded root to a folded root."""
+    roots = set(fold.folded_roots)
+    return all(tuple(sum(map(mul, row, v)) for row in g) in roots
+               for g in matrices for v in roots)
 
 
 def ambient_projection_set(aut):
@@ -341,14 +350,16 @@ class TestCriteria:
             w = WeylPermutationGroup(rs)
             stab = fixed_space_stabilizer_perms(w, aut.simple_perm)
             restricted = restricted_fixed_space_group(w, aut.simple_perm, stab)
-            assert wsigma_preserves_folded(restricted.elements, fold)
+            assert permutes_folded_roots(restricted.elements, fold)
+            assert wsigma_preserves_folded(coset_inputs(fam, rk, tag)[-1], fold)
 
     def test_identity_weyl_permutes_own_roots(self):
         rs = build_root_system(CartanType("A", 2))
         aut = make_automorphism(rs, "identity")
         fold = folded_root_system(aut)
         w = WeylPermutationGroup(rs)
-        assert wsigma_preserves_folded(w.to_matrix_group().elements, fold)
+        assert permutes_folded_roots(w.to_matrix_group().elements, fold)
+        assert wsigma_preserves_folded(coset_inputs("A", 2, "identity")[-1], fold)
 
 
 class TestProjectionEquivariance:

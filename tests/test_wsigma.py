@@ -24,14 +24,15 @@ import pytest
 
 from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import CartanType, build_root_system, weyl_order
-from twistloop.twist import (expected_folded_type, folded_root_system,
+from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, weyl_order
+from twistloop.twist import (expected_folded_type, folded_gram, folded_root_system,
                              make_automorphism, wsigma_preserves_folded)
 from twistloop.oracle import (WeylPermutationGroup, classical_wsigma_perms,
                               close_permutations, fixed_space_charpoly_buckets,
                               fixed_space_stabilizer_perms,
                               restricted_fixed_space_group, wsigma_elements)
-from twistloop.weyl import GroupTooLargeError, RootPermutationAction, coset_indices
+from twistloop.weyl import (GroupTooLargeError, RootPermutationAction, coset_indices,
+                            reflection_rows)
 
 from test_acceptance import expected_series
 from test_rootsys import ALL_TYPES
@@ -98,30 +99,36 @@ def coset_inputs(family, rank, tag):
     action = RootPermutationAction(rs)
     generators = action.steinberg_generators(aut.simple_perm)
     matrices = action.fixed_space_matrices(aut.simple_perm, generators)
-    return aut, action, generators, matrices
+    return aut, action, generators, matrices, reflection_rows(matrices)
+
+
+def dense_image(m, v):
+    """m v, computed densely."""
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def dense_functional_image(phi, m):
+    """phi m, computed densely."""
+    return tuple(sum(map(mul, phi, col)) for col in zip(*m))
 
 
 @pytest.mark.parametrize("family,rank,tag", [("E", 6, "flip"), ("B", 4, "identity"),
                                              ("D", 4, "triality"), ("A", 6, "flip"),
                                              ("G", 2, "identity")])
-def test_moved_rows_act_as_the_dense_matrices(family, rank, tag):
-    # each generator is a reflection on the fixed subspace, the other
-    # elements move more rows; the folded roots have entries of both signs
-    aut, action, generators, matrices = coset_inputs(family, rank, tag)
+def test_reflection_rows_act_as_the_dense_matrices(family, rank, tag):
+    # the folded roots have entries of both signs, so every sign of phi_k
+    # and of row_k . v is met
+    aut, _, _, matrices, rows = coset_inputs(family, rank, tag)
     fold = folded_root_system(aut)
-    for g in matrices:
-        moved = weyl.moved_rows(g)
-        (r, _), = moved
-        # a functional the reflection fixes is passed back, no tuple built
+    assert len(rows) == len(matrices)
+    for k, (g, row) in enumerate(zip(matrices, rows)):
         for v in fold.folded_roots:
-            assert (weyl._functional_image(v, moved) is v) == (v[r] == 0)
-    wsigma = wsigma_elements(action, aut.simple_perm, generators, folded_order(aut), 10**7)
-    for g in set(action.fixed_space_matrices(aut.simple_perm, wsigma)):
-        moved = weyl.moved_rows(g)
-        for v in fold.folded_roots:
-            dense = tuple(sum(map(mul, v, col)) for col in zip(*g))
-            assert weyl._functional_image(v, moved) == dense
-        assert wsigma_preserves_folded((g,), fold)
+            functional = tuple(a + v[k] * b for a, b in zip(v, row))
+            assert functional == dense_functional_image(v, g)
+            assert (functional == v) == (v[k] == 0)
+            vector = list(v)
+            vector[k] += sum(map(mul, row, v))
+            assert tuple(vector) == dense_image(g, v)
 
 
 LOWERING = ([("A", r, "identity") for r in range(1, 9)] +
@@ -134,6 +141,15 @@ LOWERING = ([("A", r, "identity") for r in range(1, 9)] +
             [("E", 6, "flip"), ("D", 4, "triality"), ("D", 4, "triality2")])
 
 
+@pytest.mark.parametrize("family,rank,tag", sorted(set(STREAMED + LOWERING)))
+def test_reflection_rows_are_the_folded_cartan_columns(family, rank, tag):
+    # s_k(v) = v - <v, beta_k^vee> beta_k: row k is minus column k of the
+    # folded Cartan matrix, which ties the W^sigma stage to the fold
+    aut, _, _, _, rows = coset_inputs(family, rank, tag)
+    cartan = cartan_from_gram(folded_gram(aut))
+    assert rows == tuple(tuple(-a for a in col) for col in zip(*cartan))
+
+
 def full_orbit(start, matrices):
     """Breadth-first orbit of the functional start, phi -> phi g for every
     matrix g, each image computed densely whatever the signs of phi."""
@@ -141,7 +157,7 @@ def full_orbit(start, matrices):
     seen = {start}
     for phi in orbit:
         for g in matrices:
-            psi = tuple(sum(map(mul, phi, col)) for col in zip(*g))
+            psi = dense_functional_image(phi, g)
             if psi not in seen:
                 seen.add(psi)
                 orbit.append(psi)
@@ -152,32 +168,36 @@ def full_orbit(start, matrices):
 def test_lowering_steps_find_the_full_orbits_in_order(family, rank, tag):
     # the coset searches and the Jacobian's orbits step only where phi_r > 0;
     # the ordered orbit lists must be those of the full search
-    _, _, _, matrices = coset_inputs(family, rank, tag)
+    _, _, _, matrices, rows = coset_inputs(family, rank, tag)
     dim = len(matrices)
     units = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
-    moved = weyl._reflection_rows(matrices)
     for k in range(dim):
-        assert weyl._orbit(k, moved[:k + 1], 10**7) == \
+        assert list(weyl._orbit_search(k, rows[:k + 1], 10**7)) == \
             full_orbit(units[k], matrices[:k + 1])
     full = sorted((full_orbit(u, matrices) for u in units), key=len)  # stable: ties by node
-    assert list(weyl._coordinate_orbits(matrices, dim, 10**7)) == full
+    assert list(weyl._coordinate_orbits(rows, 10**7)) == full
 
 
 def test_orbit_searches_refuse_a_generator_that_is_no_reflection():
+    # the searches read rows only, and only a reflection of coordinate k
+    # gives generator k a row
     swap = ((0, 1), (1, 0))  # moves both rows
     reflection = ((-1, 0), (0, 1))
-    with pytest.raises(ValueError, match="moves 2 rows"):
-        coset_indices((reflection, swap), 4, 10**7)
-    with pytest.raises(ValueError, match="moves 2 rows"):
-        next(weyl._coordinate_orbits((swap,), 2, 10))
+    with pytest.raises(ValueError, match=r"generator 1 moves rows \[0, 1\]"):
+        reflection_rows((reflection, swap))
+    with pytest.raises(ValueError, match=r"generator 1 moves rows \[0\]"):
+        reflection_rows((reflection, reflection))
+    with pytest.raises(ValueError, match=r"generator 0 moves rows \[\]"):
+        reflection_rows((((1, 0), (0, 1)),))
+    assert reflection_rows((reflection,)) == ((-2, 0),)
 
 
 @pytest.mark.parametrize("family,rank,tag", STREAMED + [
     ("E", 7, "identity"), ("D", 8, "identity"), ("A", 14, "flip")])
 def test_coset_indices_are_the_transversal_sizes(family, rank, tag):
-    aut, action, generators, matrices = coset_inputs(family, rank, tag)
+    aut, action, generators, _, rows = coset_inputs(family, rank, tag)
     order = folded_order(aut)
-    indices = coset_indices(matrices, order, 10**7)
+    indices = coset_indices(rows, order)
     transversals = oracle.wsigma_transversals(action, aut.simple_perm, generators,
                                               order, 10**7)
     assert indices == tuple(map(len, transversals))
@@ -186,21 +206,27 @@ def test_coset_indices_are_the_transversal_sizes(family, rank, tag):
 @pytest.mark.parametrize("family,rank,tag", [("E", 6, "identity"), ("A", 5, "flip"),
                                              ("D", 4, "triality"), ("B", 3, "identity")])
 def test_coset_indices_refuse_a_dropped_generator(family, rank, tag):
-    aut, _, _, matrices = coset_inputs(family, rank, tag)
-    for k in range(len(matrices)):
-        dropped = matrices[:k] + matrices[k + 1:]
+    # a zero row is the identity in place of generator k
+    aut, _, _, _, rows = coset_inputs(family, rank, tag)
+    zero = (0,) * len(rows)
+    for k in range(len(rows)):
+        dropped = rows[:k] + (zero,) + rows[k + 1:]
         with pytest.raises(ValueError, match="do not multiply to the group order"):
-            coset_indices(dropped, folded_order(aut), 10**7)
+            coset_indices(dropped, folded_order(aut))
 
 
 @pytest.mark.parametrize("family,rank,tag", [("A", 5, "identity"), ("E", 6, "flip"),
                                              ("D", 4, "triality")])
 def test_coset_indices_stop_at_the_cap(family, rank, tag):
-    aut, _, _, matrices = coset_inputs(family, rank, tag)
-    largest = max(coset_indices(matrices, folded_order(aut), 10**7))
-    coset_indices(matrices, folded_order(aut), largest)
-    with pytest.raises(GroupTooLargeError):
-        coset_indices(matrices, folded_order(aut), largest - 1)
+    # the searches are bounded by the expected group order, which every
+    # index divides: an order below the largest index stops its search
+    aut, _, _, _, rows = coset_inputs(family, rank, tag)
+    largest = max(coset_indices(rows, folded_order(aut)))
+    assert largest < folded_order(aut)
+    with pytest.raises(ValueError, match="do not multiply to the group order"):
+        coset_indices(rows, largest)
+    with pytest.raises(ValueError, match=f"functional orbit passed {largest - 1} elements"):
+        coset_indices(rows, largest - 1)
 
 
 def test_compute_never_calls_the_closure(monkeypatch):
@@ -257,10 +283,10 @@ def test_wsigma_agrees_with_full_enumeration(family, rank, tag):
     assert buckets == restricted.charpoly_buckets
 
     on_generators = wsigma_preserves_folded(
-        action.fixed_space_matrices(aut.simple_perm, generators), fold)
+        reflection_rows(action.fixed_space_matrices(aut.simple_perm, generators)), fold)
     roots = set(fold.folded_roots)
     # the fixed-space matrices are integers: no scalar normalization needed
-    exhaustive = all(tuple(sum(map(mul, row, v)) for row in g) in roots
+    exhaustive = all(dense_image(g, v) in roots
                      for g in restricted.elements for v in fold.folded_roots)
     assert exhaustive
     assert on_generators == exhaustive
@@ -293,31 +319,30 @@ def test_identity_twist_is_the_full_weyl_group(family, rank):
 
 
 def test_preservation_check_rejects_a_foreign_generator():
-    rs = build_root_system(CartanType("A", 3))
-    aut = make_automorphism(rs, "flip")
+    aut, _, _, _, rows = coset_inputs("A", 3, "flip")
     fold = folded_root_system(aut)
-    action, generators, _ = wsigma_of(rs, aut)
-    matrices = action.fixed_space_matrices(aut.simple_perm, generators)
-    assert wsigma_preserves_folded(matrices, fold)
-    stretch = ((2, 0), (0, 1))
-    assert not wsigma_preserves_folded(matrices + (stretch,), fold)
+    assert wsigma_preserves_folded(rows, fold)
+    stretch = (1, 0)  # v_0 -> 2 v_0: row 0 of ((2, 0), (0, 1)) - 1
+    assert not wsigma_preserves_folded((stretch,) + rows[1:], fold)
     with pytest.raises(ValueError):
-        wsigma_preserves_folded((((1,),),), fold)
+        wsigma_preserves_folded(((1,),), fold)
 
 
 @pytest.mark.parametrize("foreign", [
-    ((2, 0, 0), (0, 2, 0), (0, 0, 2)),  # a stretch moves every row
-    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),  # alpha_1 <-> alpha_2 sends alpha_2 + alpha_3 off
+    (0, (1, 0, 0)),  # a stretch of the first coordinate sends alpha_1 to 2 alpha_1
+    (2, (0, 1, -2)),  # A3's column at B3's short node sends alpha_2 + 2 alpha_3 off
 ])
 def test_preservation_check_rejects_non_symmetries(foreign):
     # B3 has no diagram symmetry, and its folding is itself
-    fold = folded_root_system(make_automorphism(build_root_system(CartanType("B", 3)),
-                                                "identity"))
-    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert wsigma_preserves_folded((identity,), fold)
-    assert not wsigma_preserves_folded((identity, foreign), fold)
+    aut, _, _, _, rows = coset_inputs("B", 3, "identity")
+    fold = folded_root_system(aut)
+    k, row = foreign
+    assert row not in rows
+    assert wsigma_preserves_folded(rows, fold)
+    assert wsigma_preserves_folded(((0, 0, 0),), fold)  # the identity
+    assert not wsigma_preserves_folded(rows[:k] + (row,) + rows[k + 1:], fold)
     with pytest.raises(ValueError, match="wrong dimension"):
-        wsigma_preserves_folded((foreign[:2],), fold)
+        wsigma_preserves_folded((row[:2],), fold)
 
 
 def test_a9_flip_without_full_enumeration():
