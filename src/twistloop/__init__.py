@@ -11,7 +11,7 @@ from .twist import (DiagramAutomorphism, FoldingResult, folded_root_system,
                     make_automorphism, orbit_count_criterion, orbits_on_roots,
                     project_roots, wsigma_preserves_folded)
 from .weyl import (GroupTooLargeError, RootPermutationAction, coset_indices,
-                   invariant_degrees, reflection_rows)
+                   invariant_degrees)
 
 __all__ = [
     "BigradedSeries", "CartanType", "ClosedForm", "DiagramAutomorphism",
@@ -21,6 +21,6 @@ __all__ = [
     "degrees", "excluded_characteristics", "folded_root_system",
     "invariant_degrees", "mat_mul", "make_automorphism",
     "orbit_count_criterion", "orbits_on_roots", "product_over_degrees",
-    "project_roots", "reflection_rows", "root_count",
+    "project_roots", "root_count",
     "solomon_series", "weyl_order", "wsigma_preserves_folded",
 ]

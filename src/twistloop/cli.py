@@ -85,8 +85,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     text = rpt.to_json() + "\n" if args.format == "json" else rpt.to_text()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

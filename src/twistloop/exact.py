@@ -3,7 +3,7 @@ power traces, and truncated bigraded power series with Solomon's product
 over a degree multiset.
 
 The pipeline's scalars are Python ints: root coordinates, Gram and
-Cartan matrices, fixed-subspace matrices, power traces and series
+Cartan matrices, fixed-subspace rows, power traces and series
 coefficients.  A division that must come out exact (Newton's identities,
 a Cartan entry) is a divmod whose remainder is checked, so this package
 never imports ``fractions``; the references in :mod:`twistloop.oracle`
@@ -191,19 +191,6 @@ class BigradedSeries(Record):
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         return self.coefficients.get(key, 0)
-
-
-def collapse_to_cohomological(s: BigradedSeries) -> tuple[int, ...]:
-    """Single grading: coefficient of u^n is the sum of (a, b) slots with
-    a + 2b = n.  Requires the series to have integer coefficients."""
-    out = [0] * (s.truncation + 1)
-    for (a, b), c in s.coefficients.items():
-        if not isinstance(c, int):
-            raise ValueError(f"non-integer coefficient {c} at {(a, b)}")
-        out[a + 2 * b] += c
-    return tuple(out)
-
-
 
 
 # ---------------------------------------------------------------------------

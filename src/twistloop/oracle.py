@@ -29,7 +29,9 @@ ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
 the breadth-first closure :func:`close_permutations` of byte
 permutations, which keeps every element; all of W
 (:class:`WeylPermutationGroup`) with the full-enumeration fixed-subspace
-stabilizer and its image; W^sigma of the A_n and D_n flips from the
+stabilizer and its image, the dense matrices of elements on the fixed
+subspace (:func:`fixed_space_matrices`), where the pipeline keeps one
+row of each generator; W^sigma of the A_n and D_n flips from the
 classical (signed) permutations (:func:`classical_wsigma_perms`); the
 element-by-element route to the invariant series, where the pipeline
 certifies the invariant degrees instead: coset representatives along
@@ -43,7 +45,9 @@ traces (:func:`fixed_space_charpoly_buckets`), and the super-Molien
 average over them (:func:`super_molien_from_buckets`, with
 :func:`dets_from_charpoly` and the dense series algebra
 :func:`rational_function_series`, :func:`poly_inverse_series`,
-:func:`poly_mul_trunc`); and :func:`brute_force_invariant_dims`,
+:func:`poly_mul_trunc`) and its collapse to one grading
+(:func:`collapse_to_cohomological`), where the pipeline expands the
+single series over the degrees; and :func:`brute_force_invariant_dims`,
 invariant dimensions from explicit monomial bases instead of the
 super-Molien average; and :func:`recognize_closed_form`, which compares a
 series coefficient by coefficient with the product over a degree table,
@@ -725,12 +729,33 @@ def classical_wsigma_perms(a: DiagramAutomorphism) -> tuple[bytes, ...]:
     return tuple(out)
 
 
+def fixed_space_matrices(action: RootPermutationAction, simple_perm: tuple[int, ...],
+                         perms: Iterable[bytes]) -> tuple[Matrix, ...]:
+    """Integer matrices of elements of W^sigma on the fixed subspace, over
+    the projected simple roots beta_O = pi(alpha_j), j in O, where pi
+    averages over sigma's powers.  An element w commutes with sigma, hence
+    with pi, so w(beta_O') = pi(w(alpha_j)) for the first node j of O', and
+    pi sends a root c to its orbit sums (sum_{i in O} c_i)_O: column O'
+    holds the orbit sums of w(alpha_j).  The pipeline keeps one row of
+    each generator's matrix, read off the generator's walk
+    (:meth:`RootPermutationAction.fixed_space_rows`)."""
+    coords = action.root_system.roots
+    orbits = _perm_orbits(simple_perm)
+    firsts = [action.simple_indices[orb[0]] for orb in orbits]
+    out = []
+    for w in perms:
+        cols = [coords[w[s]] for s in firsts]
+        out.append(tuple(tuple(sum(c[i] for i in orb) for c in cols)
+                         for orb in orbits))
+    return tuple(out)
+
+
 def restricted_fixed_space_group(action: RootPermutationAction,
                                  simple_perm: tuple[int, ...],
                                  stab: Sequence[bytes]) -> FiniteMatrixGroup:
     """Image of the stabilizer on the fixed subspace, over the projected
     simple roots; elements acting alike there collapse to one matrix."""
-    images = dict.fromkeys(action.fixed_space_matrices(simple_perm, stab))
+    images = dict.fromkeys(fixed_space_matrices(action, simple_perm, stab))
     return FiniteMatrixGroup(len(_perm_orbits(simple_perm)), tuple(images))
 
 
@@ -738,6 +763,18 @@ def restricted_fixed_space_group(action: RootPermutationAction,
 # W^sigma element by element: the streamed walk, characteristic-polynomial
 # buckets from power traces, and the super-Molien average over them
 # ---------------------------------------------------------------------------
+
+def collapse_to_cohomological(s: BigradedSeries) -> tuple[int, ...]:
+    """Single grading: coefficient of u^n is the sum of (a, b) slots with
+    a + 2b = n.  Requires the series to have integer coefficients.  The
+    pipeline expands the single series over the degrees directly."""
+    out = [0] * (s.truncation + 1)
+    for (a, b), c in s.coefficients.items():
+        if not isinstance(c, int):
+            raise ValueError(f"non-integer coefficient {c} at {(a, b)}")
+        out[a + 2 * b] += c
+    return tuple(out)
+
 
 def dets_from_charpoly(cp: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
     """From cp = charpoly(M), return the coefficient lists (ascending) of

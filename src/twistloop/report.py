@@ -54,7 +54,7 @@ from .twist import (DiagramAutomorphism, OrbitCriterion, expected_folded_type,
                     wsigma_preserves_folded)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
                    RootPermutationAction, _perm_order, coset_indices,
-                   invariant_degrees, reflection_rows)
+                   invariant_degrees)
 
 # the series, its JSON and a bigraded series read on demand grow with it
 MAX_TRUNCATION = 10_000
@@ -257,13 +257,6 @@ def _excluded_primes(t: CartanType, simple_perm: tuple[int, ...],
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def _canonical_automorphism_echo(aut: DiagramAutomorphism,
-                                 spec: str | tuple[int, ...]) -> str:
-    if isinstance(spec, str):
-        return spec
-    return "perm=" + ",".join(str(i + 1) for i in spec)
-
-
 def _closed_form(ds: tuple[int, ...]) -> ClosedForm:
     return ClosedForm(tuple(2 * d - 1 for d in ds), tuple(2 * d for d in ds))
 
@@ -289,11 +282,27 @@ def _closed_form_or_note(certified: Sequence[int], truncation: int,
     return _closed_form(ds)
 
 
+def _check_order_cap(folded: CartanType, cap: int) -> None:
+    """Raise GroupTooLargeError when |W^sigma|, the product of the folded
+    type's degrees, passes cap.  They are multiplied in ascending order
+    until the product passes it, so the message gives the exact order only
+    when every degree went in, and never forms an order too long to print."""
+    ds = degrees(folded)
+    order = 1
+    for used, d in enumerate(ds, 1):
+        order *= d
+        if order > cap:
+            raise GroupTooLargeError(
+                f"W^sigma, the Weyl group of the folded type {folded}, has order "
+                f"{'' if used == len(ds) else 'at least '}{order}, past the "
+                f"element cap {cap}")
+
+
 def compute(spec: TwistSpec) -> TwistReport:
     """Run the full pipeline for one twist specification.
 
     The spec's knobs are bounded when it is made.  Here the twist is
-    checked against the Cartan matrix, and the order of W^sigma (the Weyl
+    checked on the Dynkin diagram, and the order of W^sigma (the Weyl
     group of the folded type) and the root count are checked against
     their caps, from the type alone and before anything is built.
     """
@@ -302,10 +311,8 @@ def compute(spec: TwistSpec) -> TwistReport:
     folded_type = expected_folded_type(t, tag)
     table_path = (t == CartanType("E", 8) and tag == "identity"
                   and weyl_order(t) > spec.element_cap)
-    if not table_path and weyl_order(folded_type) > spec.element_cap:
-        raise GroupTooLargeError(
-            f"W^sigma, the Weyl group of the folded type {folded_type}, has order "
-            f"{weyl_order(folded_type)}, past the element cap {spec.element_cap}")
+    if not table_path:
+        _check_order_cap(folded_type, spec.element_cap)
     if not table_path and root_count(t) > MAX_ROOTS:
         raise GroupTooLargeError(f"type {t} has {root_count(t)} roots, past the "
                                  f"{MAX_ROOTS} of the one-byte root encoding")
@@ -331,10 +338,9 @@ def compute(spec: TwistSpec) -> TwistReport:
     else:
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)
+        # each generator is a reflection on the fixed subspace: one row
+        rows = action.fixed_space_rows(aut.simple_perm, generators)
         try:
-            # each generator is a reflection on the fixed subspace: one row
-            rows = reflection_rows(action.fixed_space_matrices(aut.simple_perm,
-                                                               generators))
             indices = coset_indices(rows, weyl_order(folded_type))
             # the restriction to the fixed subspace is faithful
             stab_order = restricted_order = math.prod(indices)
@@ -376,7 +382,8 @@ def compute(spec: TwistSpec) -> TwistReport:
 
     return TwistReport(
         cartan_type=spec.cartan_type,
-        automorphism=_canonical_automorphism_echo(aut, spec.automorphism),
+        automorphism=(spec.automorphism if isinstance(spec.automorphism, str) else
+                      "perm=" + ",".join(str(i + 1) for i in spec.automorphism)),
         truncation=spec.truncation,
         folded_type=folded_type,
         orbit_criterion=criterion,
@@ -404,7 +411,7 @@ def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism,
     wsigma = oracle.wsigma_elements(action, aut.simple_perm, generators, order,
                                     spec.element_cap)
     group = oracle.FiniteMatrixGroup(
-        dim, action.fixed_space_matrices(aut.simple_perm, wsigma))
+        dim, oracle.fixed_space_matrices(action, aut.simple_perm, wsigma))
     max_deg = min(oracle.ORACLE_MAX_DEGREE, spec.truncation)
     dims = oracle.brute_force_invariant_dims(group, max_deg)
     for (a, b), c in dims.coefficients.items():

@@ -169,10 +169,10 @@ def cartan_from_gram(gram: Matrix) -> CartanMatrix:
 
 
 # The Cartan matrix and the root closure are read once per argument in a
-# process: compute() needs the input type's Cartan matrix to check the
-# twist before it builds the roots, and the folded type's Cartan matrix and
-# roots to certify the folding (the input type's again for an identity
-# twist).  The results are tuples, so sharing them is safe.
+# process: compute() needs the input type's to build the roots and the
+# folded type's to certify the folding (the input type's again for an
+# identity twist); an over-cap reject reads neither.  The results are
+# tuples, so sharing them is safe.
 _memo = lru_cache(maxsize=64)
 
 

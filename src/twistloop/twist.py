@@ -2,6 +2,7 @@
 
 The canonical representative of an outer automorphism class is the
 diagram automorphism sigma permuting the simple nodes, which preserves the
+Dynkin diagram, its edges and the lengths of the simple roots, and so the
 Cartan matrix.  Over the simple base sigma is a coordinate permutation,
 c'[perm[j]] = c[j], so it permutes the roots and preserves the positive
 system.  Its fixed subspace has the projected simple roots
@@ -38,8 +39,8 @@ from collections.abc import Sequence
 from operator import mul
 
 from .exact import Matrix, Record, Vector
-from .rootsys import (CartanMatrix, CartanType, RootSystem, _closure,
-                      cartan_from_gram, cartan_matrix, root_count)
+from .rootsys import (CartanType, RootSystem, _closure, cartan_from_gram,
+                      cartan_matrix, dynkin_diagram, root_count)
 from .weyl import _perm_orbits, _perm_order
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
@@ -60,12 +61,14 @@ class DiagramAutomorphism(Record):
         return _perm_orbits(self.simple_perm)
 
 
-def _is_diagram_symmetry(cartan: Sequence[Sequence[int]], perm: Sequence[int]) -> bool:
-    n = len(cartan)
-    if sorted(perm) != list(range(n)):
-        return False
-    return all(cartan[perm[i]][perm[j]] == cartan[i][j]
-               for i in range(n) for j in range(n))
+def _is_diagram_symmetry(t: CartanType, perm: Sequence[int]) -> bool:
+    """Whether the bijection perm keeps each simple root's squared length l
+    and the Dynkin diagram's edges, in O(r): off the diagonal A_ij is 0, or
+    -max(l_i, l_j) / l_j at an edge, so these preserve the Cartan matrix."""
+    lengths, edges = dynkin_diagram(t)
+    return (all(lengths[p] == length for p, length in zip(perm, lengths))
+            and {frozenset((perm[i], perm[j])) for i, j in edges}
+            == set(map(frozenset, edges)))
 
 
 def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
@@ -122,13 +125,9 @@ def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
 
 def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, ...], str]:
     """Node permutation and tag of a twist given as a tag or as explicit
-    simple-node images (0-based), checked to be a diagram symmetry.  Needs
-    only the type, not its roots."""
-    return _resolve_twist(t, spec, cartan_matrix(t))
-
-
-def _resolve_twist(t: CartanType, spec: str | Sequence[int],
-                   cartan: CartanMatrix) -> tuple[tuple[int, ...], str]:
+    simple-node images (0-based), checked to be a diagram symmetry on the
+    Dynkin diagram.  Needs only the type, not its roots or its Cartan
+    matrix."""
     if isinstance(spec, str):
         tag = spec
         perm = _simple_perm_for_tag(t, tag)
@@ -136,16 +135,16 @@ def _resolve_twist(t: CartanType, spec: str | Sequence[int],
         perm = tuple(spec)
         check_simple_perm(perm, t.rank)
         tag = _classify_perm(t, perm)
-    if not _is_diagram_symmetry(cartan, perm):
+    if not _is_diagram_symmetry(t, perm):
         raise ValueError("permutation does not preserve the Cartan matrix")
     return perm, tag
 
 
 def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutomorphism:
     """Build a diagram automorphism from a tag or an explicit permutation
-    of simple-root indices (0-based images), checked against the root
-    system's Cartan matrix."""
-    perm, tag = _resolve_twist(rs.cartan_type, spec, rs.cartan_matrix)
+    of simple-root indices (0-based images), checked on the Dynkin
+    diagram (:func:`resolve_twist`)."""
+    perm, tag = resolve_twist(rs.cartan_type, spec)
     inverse = _inverse(perm)  # c'[perm[j]] = c[j] reads c'[k] = c[inverse[k]]
     root_perm = tuple(rs.root_index[tuple(c[j] for j in inverse)] for c in rs.roots)
     return DiagramAutomorphism(rs, perm, _perm_order(perm), tag, root_perm)
@@ -313,7 +312,8 @@ def orbit_count_criterion(a: DiagramAutomorphism,
 def wsigma_preserves_folded(rows: Sequence[Vector],
                             folding: FoldingResult) -> bool:
     """Whether the group generated by the reflections with the given rows
-    on the fixed subspace (:func:`twistloop.weyl.reflection_rows`; row k
+    on the fixed subspace
+    (:meth:`twistloop.weyl.RootPermutationAction.fixed_space_rows`; row k
     changes coordinate k) permutes the folded root set.  A finite group
     permutes a finite set exactly when its generators do, so only the
     generators are checked, each against every folded root, as integer

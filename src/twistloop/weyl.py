@@ -3,13 +3,14 @@ root set, its order from coset indices, and the degrees of its basic
 invariants on the fixed subspace, certified from one Coxeter element.
 
 :class:`RootPermutationAction` writes the simple reflections of a Weyl
-group as permutations of the root set (one byte per root index), derives
-Steinberg's generators of the fixed subgroup W^sigma of a diagram
-automorphism sigma, one per sigma-orbit of simple nodes, and their
-matrices on the fixed subspace.  There each generator is a simple
-reflection of the folded Weyl group and changes one coordinate, so it is
-kept as one integer row (:func:`reflection_rows`), which the coset chain,
-the Jacobian and the preservation check read.  :func:`coset_indices`
+group as permutations of the root set (one byte per root index) and
+derives Steinberg's generators of the fixed subgroup W^sigma of a
+diagram automorphism sigma, one per sigma-orbit of simple nodes.  On the
+fixed subspace each generator is a simple reflection of the folded Weyl
+group and changes one coordinate, so it is kept as one integer row, read
+off the walk that built it (:meth:`RootPermutationAction.fixed_space_rows`);
+the coset chain, the Jacobian and the preservation check read those
+rows.  :func:`coset_indices`
 counts the cosets along the chain of subgroups the generators span as
 orbits of coordinate functionals, closed by one breadth-first search
 (:func:`_orbit_search`) bounded by the group order; the indices multiply
@@ -26,18 +27,18 @@ the report's series is the product over them
 expanded only when it is asked for.  No element of W^sigma is
 enumerated.
 
-The element-by-element references (coset representatives, the walk of
-W^sigma over them, its characteristic-polynomial buckets and their
-super-Molien average) live in :mod:`twistloop.oracle`.
+The element-by-element references (the dense matrices of elements on the
+fixed subspace, coset representatives, the walk of W^sigma over them,
+its characteristic-polynomial buckets and their super-Molien average)
+live in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
-from operator import sub
+from collections.abc import Iterator, Sequence
 
-from .exact import Matrix, Scalar, charpoly_from_power_traces
+from .exact import Scalar, charpoly_from_power_traces
 from .rootsys import RootSystem
 
 DEFAULT_ELEMENT_CAP = 10**7
@@ -45,7 +46,9 @@ MAX_ROOTS = 255  # one byte per root index
 
 
 class GroupTooLargeError(RuntimeError):
-    """Raised when a closure would exceed the configured element cap."""
+    """Raised by compute() from the type alone, before anything is built,
+    when |W^sigma| passes the element cap or the root count MAX_ROOTS, and
+    by the oracle's closures past their cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,50 +103,35 @@ class RootPermutationAction:
             generators.append(w)
         return tuple(generators)
 
-    def fixed_space_matrices(self, simple_perm: tuple[int, ...],
-                             perms: Iterable[bytes]) -> tuple[Matrix, ...]:
-        """Integer matrices of elements of W^sigma on the fixed subspace,
-        over the projected simple roots beta_O = pi(alpha_j), j in O, where
-        pi averages over sigma's powers.  An element w commutes with sigma,
-        hence with pi, so w(beta_O') = pi(w(alpha_j)) for the first node j
-        of O', and pi sends a root c to its orbit sums
-        (sum_{i in O} c_i)_O: column O' holds the orbit sums of
-        w(alpha_j)."""
+    def fixed_space_rows(self, simple_perm: tuple[int, ...],
+                         generators: Sequence[bytes]) -> tuple[tuple[int, ...], ...]:
+        """Row k of g_k - 1 for each Steinberg generator g_k
+        (:meth:`steinberg_generators`) on the fixed subspace, over the
+        projected simple roots beta_O.  g_k commutes with sigma, so
+        g_k(beta_O') is the orbit sums of w_k(alpha_j), j the first node of
+        O': entry O' of row k is the sum over O_k of w_k(alpha_j), less 1
+        when O' = O_k.  No other row of g_k - 1 is nonzero: w_k is a product
+        of the s_i with i in O_k, and s_i changes coordinate i alone, so
+        w_k keeps every orbit sum outside O_k.  So g_k sends a functional
+        phi to phi + phi_k row_k and changes a vector v in entry k alone,
+        by row_k . v.  :func:`twistloop.oracle.fixed_space_matrices` holds
+        the dense matrices as a test reference."""
         coords = self.root_system.roots
         orbits = _perm_orbits(simple_perm)
         firsts = [self.simple_indices[orb[0]] for orb in orbits]
-        out = []
-        for w in perms:
-            cols = [coords[w[s]] for s in firsts]
-            out.append(tuple(tuple(sum(c[i] for i in orb) for c in cols)
-                             for orb in orbits))
-        return tuple(out)
-
-
-def reflection_rows(matrices: Sequence[Matrix]) -> tuple[tuple[int, ...], ...]:
-    """Row k of g_k - 1 for each matrix g_k, the Steinberg generators on
-    the fixed subspace over the projected simple roots.  There they are
-    the simple reflections of the folded Weyl group, and s_k changes
-    coordinate k alone: a functional phi goes to phi + phi_k row_k, fixed
-    when phi_k is 0, and a vector v changes only in entry k, by
-    row_k . v.  Raises ValueError unless row k is the only nonzero row of
-    g_k - 1."""
-    rows = []
-    for k, g in enumerate(matrices):
-        n = len(g)
-        identity = [(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)]
-        changed = [r for r, (row, unit) in enumerate(zip(g, identity)) if row != unit]
-        if changed != [k]:
-            raise ValueError(f"generator {k} moves rows {changed} of the fixed "
-                             f"subspace, not row {k} alone as a simple reflection does")
-        rows.append(tuple(map(sub, g[k], identity[k])))
-    return tuple(rows)
+        rows = []
+        for k, (orb, w) in enumerate(zip(orbits, generators)):
+            row = [sum(coords[w[s]][i] for i in orb) for s in firsts]
+            row[k] -= 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def coset_indices(rows: Sequence[tuple[int, ...]], order: int) -> tuple[int, ...]:
     """[W_k : W_{k-1}] for k = 1..m, where W_k is generated by the first k
     reflections, the Steinberg generators on the fixed subspace in
-    sigma-orbit order, given by their rows (:func:`reflection_rows`).
+    sigma-orbit order, given by their rows
+    (:meth:`RootPermutationAction.fixed_space_rows`).
 
     There they are the simple reflections of the folded Weyl group.  The
     coordinate functional y_k, the fundamental coweight omega_k^vee, lies
@@ -209,7 +197,8 @@ def invariant_degrees(action: RootPermutationAction, simple_perm: tuple[int, ...
                       order: int, positive_roots: int) -> tuple[int, ...]:
     """Degrees of the basic invariants of W^sigma on the fixed subspace,
     read off one Coxeter element and certified without walking the group;
-    rows are the generators on the fixed subspace (:func:`reflection_rows`).
+    rows are the generators on the fixed subspace
+    (:meth:`RootPermutationAction.fixed_space_rows`).
 
     The product c of the Steinberg generators is a Coxeter element of
     W^sigma acting on the fixed subspace.  By Springer (Regular elements
@@ -322,8 +311,9 @@ def _divide_monic(p: Sequence[Scalar], q: Sequence[int]) -> tuple[list, list]:
 def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int]) -> int:
     """Find invariants of the degrees ds with a nonzero Jacobian
     determinant, for the group generated by the reflections with the given
-    rows (:func:`reflection_rows`) on the fixed subspace; return how many
-    functional orbits they needed, or raise ValueError.
+    rows (:meth:`RootPermutationAction.fixed_space_rows`) on the fixed
+    subspace; return how many functional orbits they needed, or raise
+    ValueError.
 
     U_j is the orbit of the coordinate functional y_j, and
 

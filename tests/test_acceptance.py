@@ -12,8 +12,8 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-from twistloop.exact import collapse_to_cohomological
 from twistloop.oracle import (WeylPermutationGroup, brute_force_invariant_dims,
+                              collapse_to_cohomological,
                               generate_group, matrix, reflection_matrix,
                               simple_root_vectors, super_molien)
 from twistloop.report import TwistSpec, compute

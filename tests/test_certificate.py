@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
-from twistloop.exact import collapse_to_cohomological
+from twistloop.oracle import collapse_to_cohomological
 from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
 from twistloop.twist import folded_root_system, make_automorphism
 from twistloop.weyl import (RootPermutationAction, certify_jacobian, coset_indices,
-                            invariant_degrees, reflection_rows)
+                            invariant_degrees)
 
 from test_acceptance import expected_series
 from test_wsigma import STREAMED, coset_inputs
@@ -30,9 +30,12 @@ TRUNC = 50
 PIPELINE = (cli, exact, report, rootsys, twist, weyl)
 MOVED_TO_ORACLE = ("_walk_products", "wsigma_elements", "fixed_space_charpoly_buckets",
                    "super_molien_from_buckets", "rational_function_series",
-                   "dets_from_charpoly", "wsigma_transversals")
-# the multi-row form of the generators, replaced by one row each
-DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit")
+                   "dets_from_charpoly", "wsigma_transversals", "fixed_space_matrices",
+                   "collapse_to_cohomological")
+# the multi-row form of the generators, replaced by one row each, and the
+# row read off a dense matrix, replaced by the row read off the walk
+DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit",
+           "reflection_rows")
 
 
 def certificate_inputs(family, rank, tag):
@@ -131,8 +134,7 @@ def test_dropped_generator_breaks_the_degree_product(family, rank, tag, monkeypa
 def test_orbit_search_is_bounded_by_the_group_order():
     # a stretch generates no finite group: its orbits would never close; the
     # coset chain and the Jacobian share one search and its bound
-    stretch = reflection_rows([((2,),)])
-    assert stretch == ((1,),)
+    stretch = ((1,),)  # row 0 of ((2,),) - 1
     with pytest.raises(ValueError, match="functional orbit passed 2 elements"):
         certify_jacobian(stretch, (2,))
     with pytest.raises(ValueError, match="functional orbit passed 2 elements"):

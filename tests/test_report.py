@@ -5,15 +5,16 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import twistloop
 from twistloop.cli import main
-from twistloop.exact import (collapse_to_cohomological, product_over_degrees,
-                             solomon_series)
+from twistloop.exact import product_over_degrees, solomon_series
 from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup,
-                              brute_force_invariant_dims, identity_matrix,
+                              brute_force_invariant_dims, collapse_to_cohomological,
+                              identity_matrix,
                               recognize_closed_form)
 from twistloop.report import (MAX_TRUNCATION, MAX_WORKERS, ClosedForm, TwistReport,
                               TwistSpec, _closed_form_or_note, compute,
@@ -22,6 +23,13 @@ from twistloop.rootsys import CartanType, build_root_system, degrees
 
 from conftest import cached_report
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES, expected_series
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """The environment of a child interpreter that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=str(SRC))
 
 
 class TestRecognizeClosedForm:
@@ -262,7 +270,7 @@ class TestCompute:
                 "twistloop.CartanType('D', 4), 'triality')); "
                 "print('twistloop.oracle' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
+                             text=True, check=True, env=src_env())
         assert out.stdout == "False\n"
 
     def test_pipeline_never_loads_dataclasses_inspect_or_typing(self):
@@ -392,6 +400,14 @@ class TestCli:
         d = json.loads(target.read_text())
         assert d["input"]["type"] == "A"
 
+    def test_out_to_an_unwritable_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert main(["--type", "A", "--rank", "2", "--out", str(target)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
     def test_check_flag_runs_oracle(self, capsys):
         code = main(["--type", "A", "--rank", "3", "--auto", "flip", "--check",
                      "--format", "json"])
@@ -402,8 +418,8 @@ class TestCli:
     def test_subprocess_byte_stability(self):
         cmd = [sys.executable, "-m", "twistloop", "--type", "D", "--rank", "4",
                "--auto", "triality", "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True, check=True).stdout
-        second = subprocess.run(cmd, capture_output=True, check=True).stdout
+        first = subprocess.run(cmd, capture_output=True, check=True, env=src_env()).stdout
+        second = subprocess.run(cmd, capture_output=True, check=True, env=src_env()).stdout
         assert first == second
 
 
@@ -414,7 +430,8 @@ class TestLimits:
     def test_a60_rejected_at_once(self):
         start = time.time()
         proc = subprocess.run([sys.executable, "-m", "twistloop", "--type", "A",
-                               "--rank", "60"], capture_output=True, text=True)
+                               "--rank", "60"], capture_output=True, text=True,
+                              env=src_env())
         assert time.time() - start < 1
         assert proc.returncode == 2
         assert proc.stderr.startswith("resource cap: W^sigma, the Weyl group of the "
@@ -450,12 +467,66 @@ class TestLimits:
         monkeypatch.setattr(rootsys, "_closure", refuse)
         monkeypatch.setattr(twist, "_closure", refuse)
         monkeypatch.setattr(rootsys, "RootSystem", refuse)
+        monkeypatch.setattr(rootsys, "simple_gram", refuse)
+        monkeypatch.setattr(rootsys, "cartan_matrix", refuse)
+        monkeypatch.setattr(twist, "cartan_matrix", refuse)
         for spec in (tag, perm):
             with pytest.raises(GroupTooLargeError):
                 compute(TwistSpec(t, spec))
         for auto in (tag, "perm=" + ",".join(str(i + 1) for i in perm)):
             assert main(["--type", family, "--rank", str(rank), "--auto", auto]) == 2
             assert capsys.readouterr().err.startswith("resource cap: ")
+
+    @pytest.mark.parametrize("family,rank,tag", [
+        ("A", 1700, "identity"), ("A", 3000, "flip"), ("B", 3000, "identity"),
+        ("D", 3000, "flip")])
+    def test_large_ranks_rejected_at_once(self, family, rank, tag, capsys):
+        # the exact orders have 4,300 digits and more, past what str() of an
+        # int may print; the cap stops multiplying degrees once it is passed
+        from twistloop.weyl import GroupTooLargeError
+
+        spec = TwistSpec(CartanType(family, rank), tag)
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLargeError, match=r"has order at least \d+, past"):
+            compute(spec)
+        assert time.perf_counter() - start < 0.05
+        assert main(["--type", family, "--rank", str(rank), "--auto", tag]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("resource cap: ")
+
+    def test_element_cap_implies_the_one_byte_limit(self):
+        # every spec admitted under the default cap has at most MAX_ROOTS
+        # roots, so the up-front root-count reject binds only when
+        # element_cap is raised.  |W^sigma| grows with the rank in every
+        # family and twist, so the ranks are walked until it passes the cap,
+        # which happens well below the walk's bound of 40.
+        from twistloop.rootsys import _RANK_BOUNDS, FAMILIES, root_count, weyl_order
+        from twistloop.twist import AUTOMORPHISM_TAGS, expected_folded_type, resolve_twist
+        from twistloop.weyl import DEFAULT_ELEMENT_CAP, MAX_ROOTS
+
+        admitted = {}
+        for family in FAMILIES:
+            lo, hi = _RANK_BOUNDS[family]
+            for tag in AUTOMORPHISM_TAGS:
+                for rank in range(lo, (hi or 40) + 1):
+                    t = CartanType(family, rank)
+                    try:
+                        resolve_twist(t, tag)
+                    except ValueError:  # no such twist of this type
+                        continue
+                    if t == CartanType("E", 8):
+                        # the table route encodes no permutation, and its
+                        # 240 roots would fit one byte anyway
+                        assert root_count(t) <= MAX_ROOTS
+                        continue
+                    if weyl_order(expected_folded_type(t, tag)) > DEFAULT_ELEMENT_CAP:
+                        break
+                    admitted[(family, rank, tag)] = root_count(t)
+        assert max(rank for _, rank, _ in admitted) < 40
+        assert max(admitted.values()) <= MAX_ROOTS
+        assert max(admitted, key=admitted.get) == ("A", 14, "flip")
+        assert admitted[("A", 14, "flip")] == 210
 
     def test_root_count_checked_up_front(self):
         from twistloop.weyl import GroupTooLargeError

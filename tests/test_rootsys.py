@@ -225,9 +225,9 @@ def test_invalid_types_rejected(family, rank):
                                                    ("E", 6, "flip", 2),
                                                    ("D", 4, "triality", 2)])
 def test_compute_reads_each_type_once(family, rank, tag, types):
-    # the input type is read to check the twist and to build the roots, the
-    # folded type to certify the folding; an identity twist folds to the
-    # input type itself.  The diagram's Gram matrix is not memoized: it is
+    # the input type is read to build the roots (the twist is checked on the
+    # Dynkin diagram), the folded type to certify the folding; an identity
+    # twist folds to the input type itself.  The diagram's Gram matrix is not memoized: it is
     # O(r^2) integers, read once per Cartan matrix and once per build.
     memoized = (rootsys.cartan_matrix, rootsys._closure)
     for fn in memoized:

@@ -1,18 +1,20 @@
 from fractions import Fraction
+from itertools import permutations
 from operator import mul
 
 import pytest
 
-from twistloop import twist
+from twistloop import rootsys, twist
 from twistloop.exact import mat_mul
 from twistloop.oracle import (WeylPermutationGroup, ambient_roots, ambient_vector,
                               automorphism_matrix, classify_folded_roots,
-                              fixed_space_stabilizer_perms, fixed_subspace,
+                              fixed_space_matrices, fixed_space_stabilizer_perms,
+                              fixed_subspace,
                               identity_matrix, mat_vec, orbit_sum_gram,
                               orbit_sum_projection, projected_gram, rank,
                               restricted_fixed_space_group, simple_root_vectors,
                               vec_add, vec_dot, vec_scale, vector)
-from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram
+from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, cartan_matrix
 from twistloop.twist import (check_folded_roots, fixed_group_info, folded_gram,
                              folded_root_system, make_automorphism,
                              orbit_count_criterion, orbits_on_roots,
@@ -93,15 +95,17 @@ class TestMakeAutomorphism:
         with pytest.raises(ValueError):
             make_automorphism(rs, (1, 0, 2, 3))  # breaks the Cartan matrix
 
-    def test_checked_against_the_built_cartan_matrix(self, monkeypatch):
-        # the root system holds its Cartan matrix: no second build from the
-        # realization
+    def test_checked_on_the_dynkin_diagram(self, monkeypatch):
+        # the twist is read off the diagram's lengths and edges: no Cartan
+        # or Gram matrix is built for it
         rs = build_root_system(CartanType("E", 6))
 
         def refuse(t):
-            raise AssertionError("Cartan matrix rebuilt from the realization")
+            raise AssertionError("a dense matrix built to check the twist")
 
         monkeypatch.setattr(twist, "cartan_matrix", refuse)
+        monkeypatch.setattr(rootsys, "cartan_matrix", refuse)
+        monkeypatch.setattr(rootsys, "simple_gram", refuse)
         assert make_automorphism(rs, "flip").simple_perm == (5, 1, 4, 3, 2, 0)
         with pytest.raises(ValueError, match="does not preserve the Cartan matrix"):
             make_automorphism(rs, (1, 0, 2, 3, 4, 5))
@@ -443,6 +447,25 @@ def test_fold_matches_the_oracle_projection_and_classifier(family, rank, tag):
     classify_folded_roots(fold.folded_roots, projected_gram(aut), fold.folded_type)
 
 
+def preserves_cartan(cartan, perm):
+    """The Cartan-matrix reference for the diagram check: A[perm i][perm j]
+    = A[i][j] for every pair of nodes, O(r^2)."""
+    n = len(cartan)
+    return all(cartan[perm[i]][perm[j]] == cartan[i][j]
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r in ALL_TYPES if r <= 6])
+def test_diagram_check_agrees_with_the_cartan_matrix(family, rank):
+    t = CartanType(family, rank)
+    cartan = cartan_matrix(t)
+    kept = [perm for perm in permutations(range(rank))
+            if twist._is_diagram_symmetry(t, perm)]
+    assert kept == [perm for perm in permutations(range(rank))
+                    if preserves_cartan(cartan, perm)]
+    assert tuple(range(rank)) in kept
+
+
 def test_fold_coordinates_and_fixed_space_matrices_are_integers():
     cases = ([(f, r, "identity") for f, r in SOLOMON_TYPES] +
              [("D", n, "flip") for n in D_FLIP_RANKS] +
@@ -455,10 +478,12 @@ def test_fold_coordinates_and_fixed_space_matrices_are_integers():
         assert all(type(c) is int for v, _ in fold.projected_roots for c in v)
         assert all(type(c) is int for v in fold.folded_roots for c in v)
         action = RootPermutationAction(rs)
-        matrices = action.fixed_space_matrices(
-            aut.simple_perm, action.steinberg_generators(aut.simple_perm))
+        generators = action.steinberg_generators(aut.simple_perm)
+        matrices = fixed_space_matrices(action, aut.simple_perm, generators)
         assert all(type(x) is int for m in matrices for row in m for x in row), \
             (family, rank, tag)
+        rows = action.fixed_space_rows(aut.simple_perm, generators)
+        assert all(type(x) is int for row in rows for x in row), (family, rank, tag)
 
 
 def test_fixed_group_info_component_counts():

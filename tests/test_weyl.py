@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistloop.exact import (BigradedSeries, collapse_to_cohomological, mat_mul,
-                             product_over_degrees)
-from twistloop.oracle import (FiniteMatrixGroup, SubspaceBasis,
+from twistloop.exact import BigradedSeries, mat_mul, product_over_degrees
+from twistloop.oracle import (FiniteMatrixGroup, SubspaceBasis, collapse_to_cohomological,
                               WeylPermutationGroup, charpoly, dets_from_charpoly,
                               fixed_space_stabilizer_perms, fixed_subspace,
                               generate_group, identity_matrix, mat_vec, matrix,
