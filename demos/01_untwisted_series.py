@@ -3,11 +3,12 @@
 For a compact simple group with Weyl degrees d_1..d_r, the cohomology of
 the classifying space of its (untwisted) loop group is free on one odd
 generator in each degree 2d-1 and one polynomial generator in each degree
-2d.  The engine does not take the degrees from a table: it reads them off
-one Coxeter element of the Weyl group, certifies them (their product is
-the group order, and invariants of those degrees have a nonzero Jacobian
-determinant), expands Solomon's product over them, and only then
-compares with the closed form over the table's degrees.
+2d.  The engine takes the degrees from the table but does not trust it:
+it certifies them (their product is the group order, counted as a chain
+of coset indices, and invariants of those degrees have a nonzero
+Jacobian determinant, which no other degrees with that product have),
+and only then expands the product over them.  Here the certified series
+is compared with the closed form over the table's degrees.
 """
 
 from twistloop import CartanType, TwistSpec, compute, degrees, product_over_degrees

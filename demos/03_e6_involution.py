@@ -8,10 +8,12 @@ on the fixed subspace as exactly the F4 Weyl group, and the series is the
 F4 loop-group series.
 
 That group is generated by four elements, one longest parabolic element
-per orbit of the flip on the simple nodes.  Their product is a Coxeter
-element of F4, whose eigenvalues give the degrees 2, 6, 8, 12; the order
-1152 is the product of the sizes of four orbits of coordinate functionals
-on the fixed subspace, and no element of either group is enumerated.
+per orbit of the flip on the simple nodes, each walked from the Cartan
+matrix on its images of the simple roots and kept as one row on the
+fixed subspace: a simple reflection of F4.  The order 1152 is the product
+of the sizes of four orbits of coordinate functionals there, and F4's
+degrees 2, 6, 8, 12, which multiply to it, are certified by a nonzero
+Jacobian determinant.  No element of either group is enumerated.
 """
 
 import time

@@ -1,12 +1,11 @@
-"""Exact integer vectors and matrices, characteristic polynomials from
-power traces, and truncated bigraded power series with Solomon's product
-over a degree multiset.
+"""Exact integer vectors and matrices, and truncated bigraded power
+series with Solomon's product over a degree multiset.
 
 The pipeline's scalars are Python ints: root coordinates, Gram and
-Cartan matrices, fixed-subspace rows, power traces and series
-coefficients.  A division that must come out exact (Newton's identities,
-a Cartan entry) is a divmod whose remainder is checked, so this package
-never imports ``fractions``; the references in :mod:`twistloop.oracle`
+Cartan matrices, fixed-subspace rows, Jacobian residues and series
+coefficients.  A division that must come out exact (a Cartan entry) is
+a divmod whose remainder is checked, so this package never imports
+``fractions``; the references in :mod:`twistloop.oracle`
 hold ``fractions.Fraction`` values, which :func:`normalize_scalar`,
 :func:`mat_mul` and :class:`BigradedSeries` also accept.  Vectors and
 matrices are immutable tuples, so every value is hashable and can be used
@@ -113,6 +112,13 @@ class Record:
         return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
+def check_int(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is an int (a bool,
+    though an int subclass, is refused)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def normalize_scalar(x: Scalar) -> Scalar:
     """Collapse integral Fractions to plain int (faster arithmetic
     downstream).  An int, the pipeline's only scalar, is tested first; a
@@ -133,30 +139,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
     return tuple(tuple(normalize_scalar(sum(x * y for x, y in zip(row, col))) for col in bt)
                  for row in a)
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomials from power traces, and the determinant
-# polynomials derived from them
-# ---------------------------------------------------------------------------
-
-def charpoly_from_power_traces(traces: Sequence[int], n: int) -> tuple[int, ...]:
-    """Recover the (monic, ascending) characteristic polynomial of an n x n
-    integer matrix from the traces of its first n powers, via Newton's
-    identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i.  The e_k of an integer
-    matrix are integers, so each division by k is exact; a remainder raises
-    ValueError."""
-    if len(traces) < n:
-        raise ValueError("need traces of powers 1..n")
-    e = [1]
-    for k in range(1, n + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1))
-        ek, rest = divmod(acc, k)
-        if rest:
-            raise ValueError(f"power traces {list(traces[:n])} are not those of an "
-                             f"integer matrix: e_{k} = {acc}/{k}")
-        e.append(ek)
-    return tuple((-1) ** k * e[k] for k in range(n, -1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ Berkowitz :func:`charpoly`; explicit matrix groups
 (:class:`FiniteMatrixGroup`, :func:`super_molien`,
 :func:`generate_group` of :func:`reflection_matrix` generators, the
 ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
+the simple reflections as byte permutations of the roots and
+Steinberg's generators of W^sigma walked over them
+(:class:`RootPermutationAction`), where the pipeline walks each
+generator on its images of the simple roots and keeps one row of it;
 the breadth-first closure :func:`close_permutations` of byte
 permutations, which keeps every element; all of W
 (:class:`WeylPermutationGroup`) with the full-enumeration fixed-subspace
@@ -41,7 +45,8 @@ breadth-first search over byte permutations of the roots
 as the size of an orbit of functionals), the walk of W^sigma over them
 (:func:`wsigma_elements`), its
 characteristic-polynomial buckets on the fixed subspace from power
-traces (:func:`fixed_space_charpoly_buckets`), and the super-Molien
+traces (:func:`fixed_space_charpoly_buckets`, by Newton's identities in
+:func:`charpoly_from_power_traces`), and the super-Molien
 average over them (:func:`super_molien_from_buckets`, with
 :func:`dets_from_charpoly` and the dense series algebra
 :func:`rational_function_series`, :func:`poly_inverse_series`,
@@ -71,16 +76,16 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import (BigradedSeries, Record, charpoly_from_power_traces,
-                    mat_mul, normalize_scalar, product_over_degrees)
+from .exact import (BigradedSeries, Record, mat_mul, normalize_scalar,
+                    product_over_degrees)
 from .report import ClosedForm
 from .rootsys import CartanType, RootSystem, build_root_system, cartan_from_gram
 from .twist import DiagramAutomorphism, _match_cartan
-from .weyl import (DEFAULT_ELEMENT_CAP, GroupTooLargeError, RootPermutationAction,
-                   _perm_orbits)
+from .weyl import DEFAULT_ELEMENT_CAP, GroupTooLargeError, _perm_orbits
 
 ORACLE_MAX_DIM = 3
 ORACLE_MAX_DEGREE = 12
+MAX_BYTE_ROOTS = 255  # one byte per root index
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
@@ -475,6 +480,25 @@ def charpoly(m: Matrix) -> tuple[Scalar, ...]:
     return tuple(normalize_scalar(c) for c in reversed(poly))
 
 
+def charpoly_from_power_traces(traces: Sequence[int], n: int) -> tuple[int, ...]:
+    """Recover the (monic, ascending) characteristic polynomial of an n x n
+    integer matrix from the traces of its first n powers, via Newton's
+    identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i.  The e_k of an integer
+    matrix are integers, so each division by k is exact; a remainder raises
+    ValueError."""
+    if len(traces) < n:
+        raise ValueError("need traces of powers 1..n")
+    e = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1))
+        ek, rest = divmod(acc, k)
+        if rest:
+            raise ValueError(f"power traces {list(traces[:n])} are not those of an "
+                             f"integer matrix: e_{k} = {acc}/{k}")
+        e.append(ek)
+    return tuple((-1) ** k * e[k] for k in range(n, -1, -1))
+
+
 class FiniteMatrixGroup:
     """Deduplicated set of exact matrices closed under product and inverse."""
 
@@ -593,6 +617,53 @@ def restrict_to_subspace(group: FiniteMatrixGroup, space: SubspaceBasis) -> Fini
             seen.add(restricted)
             images.append(restricted)
     return FiniteMatrixGroup(space.dim, images)
+
+
+class RootPermutationAction:
+    """The simple reflections of a Weyl group as permutations of the root set.
+
+    Each element is a bytes object p with p[i] = image index of root i, and
+    products compose right to left: (w g)[i] = w[g[i]].  The matrix of an
+    element over the simple-root basis has column j equal to the image of
+    simple root j, a root in its own coordinates.  The pipeline forms no
+    permutation: it walks Steinberg's generators on their columns alone
+    (:func:`twistloop.weyl.steinberg_rows`).
+    """
+
+    def __init__(self, root_system: RootSystem):
+        rs = root_system
+        if len(rs.roots) > MAX_BYTE_ROOTS:
+            raise GroupTooLargeError("root set too large for byte-permutation encoding")
+        self.root_system = rs
+        self.simple_indices = tuple(rs.root_index[a] for a in rs.simple_roots)
+        index = rs.root_index
+        self.simple_reflections = tuple(
+            bytes(index[images[i]] for images in rs.reflections)
+            for i in range(rs.cartan_type.rank))
+
+    def steinberg_generators(self, simple_perm: tuple[int, ...]) -> tuple[bytes, ...]:
+        """Generators of W^sigma, the elements commuting with the diagram
+        automorphism sigma that permutes the simple nodes by simple_perm:
+        the longest elements w_O of the parabolic subgroups W_O, one for
+        each sigma-orbit O of simple nodes, reached by the walk of
+        :func:`twistloop.weyl.steinberg_rows` (right-multiply by s_i, i in
+        O, while w(alpha_i) is positive), here over root permutations.
+        For sigma = identity these are the simple reflections, in node
+        order."""
+        positive = self.root_system.positive_mask
+        steps = len(self.root_system.roots) // 2  # no element is longer
+        generators = []
+        for orb in _perm_orbits(simple_perm):
+            w = bytes(range(len(positive)))
+            for _ in range(steps + 1):
+                i = next((i for i in orb if positive[w[self.simple_indices[i]]]), None)
+                if i is None:
+                    break
+                w = bytes(map(w.__getitem__, self.simple_reflections[i]))
+            else:
+                raise ValueError("parabolic longest element longer than the root count allows")
+            generators.append(w)
+        return tuple(generators)
 
 
 def close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ...]:
@@ -737,8 +808,8 @@ def fixed_space_matrices(action: RootPermutationAction, simple_perm: tuple[int, 
     with pi, so w(beta_O') = pi(w(alpha_j)) for the first node j of O', and
     pi sends a root c to its orbit sums (sum_{i in O} c_i)_O: column O'
     holds the orbit sums of w(alpha_j).  The pipeline keeps one row of
-    each generator's matrix, read off the generator's walk
-    (:meth:`RootPermutationAction.fixed_space_rows`)."""
+    each generator's matrix, walked from the Cartan matrix
+    (:func:`twistloop.weyl.steinberg_rows`)."""
     coords = action.root_system.roots
     orbits = _perm_orbits(simple_perm)
     firsts = [action.simple_indices[orb[0]] for orb in orbits]

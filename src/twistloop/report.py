@@ -4,28 +4,27 @@
 its folding, then certifies the invariant ring of the group the answer
 needs: W^sigma, the elements of the Weyl group that commute with sigma,
 generated by Steinberg's elements (one longest parabolic element per
-sigma-orbit of simple nodes; sigma = identity gives all of W).  W^sigma
-acts faithfully on the fixed subspace and realizes the folded Weyl group
-there.  Its order is the product of the indices along the chain of
+sigma-orbit of simple nodes; sigma = identity gives all of W), each
+walked from the Cartan matrix on its images of the simple roots.
+W^sigma acts faithfully on the fixed subspace and realizes the folded
+Weyl group there, each generator as a simple reflection, kept as one
+row.  Its order is the product of the indices along the chain of
 subgroups the generators span, each the size of one orbit of a
 coordinate functional on the fixed subspace.  The degrees of its basic
-invariants come from the characteristic polynomial of one Coxeter
-element, checked against that order, the folded root count and a
-Jacobian determinant modulo a large prime.  The invariant ring is then
-polynomial in those degrees, so the series the report emits is the
-product of (1 + u^(2d-1)) / (1 - u^(2d)) over them, expanded in
+invariants are the folded type's degree table, certified: they must
+multiply to that order, and invariants of those degrees must have a
+nonzero Jacobian determinant modulo a large prime.  The invariant ring
+is then polynomial in those degrees, so the series the report emits is
+the product of (1 + u^(2d-1)) / (1 - u^(2d)) over them, expanded in
 O(rank * truncation) integer steps.  That series is the dimension series
 of the cohomology of the classifying space of the corresponding twisted
 loop group, valid away from the reported excluded characteristics.  No
-element of W^sigma is enumerated, so the cost does not grow with its
-order.
+element of W^sigma is enumerated and no root is permuted, so the cost
+does not grow with its order.
 
-The closed form is decided on the degrees: it is the folded type's
-invariant-degree table exactly when the certified degrees equal that
-table, from truncation 4 max(d) + 1 on (below it a note says the
-truncation is too small).  By Solomon's theorem they always do; a miss
-would be a bug, so it yields no closed form and a note, never a search
-for other degrees.  The series-level comparison is a reference in
+The closed form is the product form over the certified degrees, from
+truncation 4 max(d) + 1 on (below it a note says the truncation is too
+small).  The series-level comparison is a reference in
 :mod:`twistloop.oracle` (``recognize_closed_form``).
 
 Solomon's bigraded series over the same degrees, the report's
@@ -43,18 +42,16 @@ from the elements of W^sigma; that module is imported only then.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
-from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record,
+from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
                     product_over_degrees, solomon_series)
 from .rootsys import CartanType, build_root_system, degrees, root_count, weyl_order
 from .twist import (DiagramAutomorphism, OrbitCriterion, expected_folded_type,
                     fixed_group_info, folded_root_system, make_automorphism,
                     orbit_count_criterion, positive_orbit_sizes, resolve_twist,
                     wsigma_preserves_folded)
-from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError,
-                   RootPermutationAction, _perm_order, coset_indices,
-                   invariant_degrees)
+from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError, _perm_order,
+                   certify_jacobian, coset_indices, steinberg_rows)
 
 # the series, its JSON and a bigraded series read on demand grow with it
 MAX_TRUNCATION = 10_000
@@ -74,6 +71,8 @@ class TwistSpec(Record):
                  "run_oracle": False, "workers": 1, "element_cap": DEFAULT_ELEMENT_CAP}
 
     def _check(self):
+        for name in ("truncation", "workers", "element_cap"):
+            check_int(name, getattr(self, name))
         if self.truncation < 0:
             raise ValueError("truncation must be non-negative")
         if self.truncation > MAX_TRUNCATION:
@@ -82,6 +81,8 @@ class TwistSpec(Record):
             raise ValueError("workers must be at least 1")
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
+        if self.element_cap < 1:
+            raise ValueError("element_cap must be at least 1")
 
 
 class ClosedForm(Record):
@@ -261,23 +262,15 @@ def _closed_form(ds: tuple[int, ...]) -> ClosedForm:
     return ClosedForm(tuple(2 * d - 1 for d in ds), tuple(2 * d for d in ds))
 
 
-def _closed_form_or_note(certified: Sequence[int], truncation: int,
-                         folded: CartanType, notes: list[str]) -> ClosedForm | None:
-    """The folded type's degree table as the closed form, when the certified
-    degrees are that table.  Both series are products over a degree
-    multiset, so they agree exactly when the multisets do.  Below
-    truncation 4 max(d) + 1 the closed form is skipped with a note, where
+def _closed_form_or_note(ds: tuple[int, ...], truncation: int,
+                         notes: list[str]) -> ClosedForm | None:
+    """The closed form over the certified degrees, the folded type's degree
+    table.  Below truncation 4 max(d) + 1 it is skipped with a note, where
     the series-level comparison
     (:func:`twistloop.oracle.recognize_closed_form`) raises."""
-    ds = degrees(folded)
     if truncation < 2 * max(2 * d for d in ds) + 1:
         notes.append("closed-form recognition skipped: truncation too small "
                      "for the folded degree table")
-        return None
-    # by Solomon's theorem the folded table always matches; a miss is a bug,
-    # reported as such rather than covered by a search for other degrees
-    if tuple(sorted(certified)) != ds:
-        notes.append("series does not match the folded degree table")
         return None
     return _closed_form(ds)
 
@@ -315,7 +308,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         _check_order_cap(folded_type, spec.element_cap)
     if not table_path and root_count(t) > MAX_ROOTS:
         raise GroupTooLargeError(f"type {t} has {root_count(t)} roots, past the "
-                                 f"{MAX_ROOTS} of the one-byte root encoding")
+                                 f"root cap {MAX_ROOTS}")
     rs = build_root_system(t)
     aut = make_automorphism(rs, spec.automorphism)
     folding = folded_root_system(aut)
@@ -336,21 +329,25 @@ def compute(spec: TwistSpec) -> TwistReport:
                      "skipped (group order exceeds the element cap)")
         closed = _closed_form(rs.degrees)
     else:
-        action = RootPermutationAction(rs)
-        generators = action.steinberg_generators(aut.simple_perm)
-        # each generator is a reflection on the fixed subspace: one row
-        rows = action.fixed_space_rows(aut.simple_perm, generators)
+        ds = degrees(folded_type)
         try:
+            # each of Steinberg's generators is a reflection on the fixed
+            # subspace: one row
+            rows = steinberg_rows(t, aut.simple_perm)
             indices = coset_indices(rows, weyl_order(folded_type))
             # the restriction to the fixed subspace is faithful
             stab_order = restricted_order = math.prod(indices)
-            ds = invariant_degrees(action, aut.simple_perm, generators, rows,
-                                   stab_order, len(folding.folded_roots) // 2)
+            # the certificate: the degrees multiply to the group order, and
+            # invariants of those degrees are algebraically independent
+            if math.prod(ds) != stab_order:
+                raise ValueError(f"degrees {list(ds)} multiply to {math.prod(ds)}, "
+                                 f"not the coset-chain order {stab_order}")
+            certify_jacobian(rows, ds)
         except ValueError as exc:
             raise ValueError(f"{t} {aut.tag}: {exc}") from None
         preserves = wsigma_preserves_folded(rows, folding)
         series = product_over_degrees(ds, spec.truncation)
-        closed = _closed_form_or_note(ds, spec.truncation, folded_type, notes)
+        closed = _closed_form_or_note(ds, spec.truncation, notes)
         # the oracle compares the bigraded series; otherwise it waits for a read
         bigraded = (solomon_series(ds, spec.truncation) if spec.run_oracle
                     else _DeferredSolomon(ds, spec.truncation))
@@ -377,8 +374,7 @@ def compute(spec: TwistSpec) -> TwistReport:
     if spec.run_oracle:
         notes.append("oracle skipped: no enumerated group on the table path"
                      if table_path else
-                     _oracle_note(spec, aut, action, generators, stab_order,
-                                  bigraded))
+                     _oracle_note(spec, aut, stab_order, bigraded))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -399,15 +395,17 @@ def compute(spec: TwistSpec) -> TwistReport:
     )
 
 
-def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism,
-                 action: RootPermutationAction, generators: Sequence[bytes],
-                 order: int, bigraded: BigradedSeries) -> str:
+def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism, order: int,
+                 bigraded: BigradedSeries) -> str:
     from . import oracle  # the references stay out of the pipeline's imports
 
     dim = len(aut.simple_orbits)
     if dim > oracle.ORACLE_MAX_DIM:
         return (f"oracle skipped: restricted dimension {dim} exceeds "
                 f"{oracle.ORACLE_MAX_DIM}")
+    # W^sigma element by element, over root permutations
+    action = oracle.RootPermutationAction(aut.base)
+    generators = action.steinberg_generators(aut.simple_perm)
     wsigma = oracle.wsigma_elements(action, aut.simple_perm, generators, order,
                                     spec.element_cap)
     group = oracle.FiniteMatrixGroup(

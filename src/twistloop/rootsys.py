@@ -29,7 +29,7 @@ import math
 from functools import lru_cache, total_ordering
 from operator import add
 
-from .exact import Matrix, Record
+from .exact import Matrix, Record, check_int
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -55,6 +55,7 @@ class CartanType(Record):
     def _check(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        check_int("rank", self.rank)
         lo, hi = _RANK_BOUNDS[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"rank {self.rank} out of range for family {self.family}")

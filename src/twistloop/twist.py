@@ -312,8 +312,7 @@ def orbit_count_criterion(a: DiagramAutomorphism,
 def wsigma_preserves_folded(rows: Sequence[Vector],
                             folding: FoldingResult) -> bool:
     """Whether the group generated by the reflections with the given rows
-    on the fixed subspace
-    (:meth:`twistloop.weyl.RootPermutationAction.fixed_space_rows`; row k
+    on the fixed subspace (:func:`twistloop.weyl.steinberg_rows`; row k
     changes coordinate k) permutes the folded root set.  A finite group
     permutes a finite set exactly when its generators do, so only the
     generators are checked, each against every folded root, as integer

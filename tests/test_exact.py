@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from twistloop.exact import (BigradedSeries, charpoly_from_power_traces, mat_mul,
-                             product_over_degrees, solomon_series)
-from twistloop.oracle import (charpoly, collapse_to_cohomological, dets_from_charpoly,
+from twistloop.exact import BigradedSeries, mat_mul, product_over_degrees, solomon_series
+from twistloop.oracle import (charpoly, charpoly_from_power_traces,
+                              collapse_to_cohomological, dets_from_charpoly,
                               identity_matrix, invert,
                               kernel_basis, mat_vec, matrix, poly_inverse_series,
                               poly_mul_trunc, rank, rational_function_series, solve)

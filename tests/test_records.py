@@ -15,7 +15,7 @@ from twistloop.report import ClosedForm, TwistReport, TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system
 from twistloop.twist import (DiagramAutomorphism, FixedGroupInfo, FoldingResult,
                              OrbitCriterion)
-from twistloop.weyl import DEFAULT_ELEMENT_CAP
+from twistloop.weyl import DEFAULT_ELEMENT_CAP, GroupTooLargeError
 
 E6 = CartanType("E", 6)
 _RS = build_root_system(CartanType("A", 1))
@@ -133,10 +133,29 @@ def test_records_are_slotted(cls, values):
     (lambda: TwistSpec(E6, workers=65), "workers must be at most 64"),
     (lambda: BigradedSeries(-1), "truncation must be non-negative"),
     (lambda: BigradedSeries(4, {(-1, 0): 1}), r"negative bidegree \(-1, 0\)"),
+    # a field that is no int is named, where a comparison raised a bare
+    # TypeError, for some only once compute() ran
+    (lambda: CartanType("A", 3.0), "rank must be an integer, got 3.0"),
+    (lambda: CartanType("A", "3"), "rank must be an integer, got '3'"),
+    (lambda: CartanType("A", True), "rank must be an integer, got True"),
+    (lambda: TwistSpec(E6, truncation=2.5), "truncation must be an integer, got 2.5"),
+    (lambda: TwistSpec(E6, truncation="50"), "truncation must be an integer, got '50'"),
+    (lambda: TwistSpec(E6, workers=1.0), "workers must be an integer, got 1.0"),
+    (lambda: TwistSpec(E6, element_cap="x"), "element_cap must be an integer, got 'x'"),
+    (lambda: TwistSpec(E6, element_cap=1e7), "element_cap must be an integer, got 10000000.0"),
+    (lambda: TwistSpec(E6, element_cap=0), "element_cap must be at least 1"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+def test_integer_fields_at_their_bounds_are_accepted():
+    assert CartanType("A", 1).rank == 1
+    spec = TwistSpec(E6, truncation=0, workers=64, element_cap=1)
+    assert (spec.truncation, spec.workers, spec.element_cap) == (0, 64, 1)
+    with pytest.raises(GroupTooLargeError, match="past the element cap 1"):
+        compute(spec)
 
 
 def test_series_normalized_at_construction():

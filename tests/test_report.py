@@ -51,11 +51,15 @@ class TestRecognizeClosedForm:
         with pytest.raises(ValueError):
             recognize_closed_form(series, [2, 6])
 
-    def test_unmatched_folded_table_gives_no_closed_form(self):
-        # C2 degrees checked against the G2 table: no search, a note
+    def test_closed_form_over_the_certified_degrees(self):
+        # the certified degrees are the folded table, so no comparison is
+        # left: only the truncation decides, at 4 max(d) + 1
         notes = []
-        assert _closed_form_or_note((2, 4), 50, CartanType("G", 2), notes) is None
-        assert notes == ["series does not match the folded degree table"]
+        assert _closed_form_or_note((2, 6), 25, notes) == ClosedForm((3, 11), (4, 12))
+        assert notes == []
+        assert _closed_form_or_note((2, 6), 24, notes) is None
+        assert notes == ["closed-form recognition skipped: truncation too small for "
+                         "the folded degree table"]
 
 
 class TestSeriesFromDegrees:
@@ -116,18 +120,6 @@ class TestSeriesFromDegrees:
                 assert ("closed-form recognition skipped: truncation too small for "
                         "the folded degree table") in rpt.notes, (family, rank, auto, trunc)
             assert rpt.closed_form == want, (family, rank, auto, trunc)
-
-    def test_wrong_certified_degrees_give_no_closed_form(self, monkeypatch):
-        import twistloop.report
-
-        monkeypatch.setattr(twistloop.report, "invariant_degrees",
-                            lambda *args, **kwargs: (2, 6, 8, 13))
-        rpt = compute(TwistSpec(CartanType("F", 4)))
-        assert rpt.closed_form is None
-        assert "series does not match the folded degree table" in rpt.notes
-        assert rpt.series == product_over_degrees((2, 6, 8, 13), 50)
-        assert recognize_closed_form(rpt.series, degrees(CartanType("F", 4))) is None
-        assert json.loads(rpt.to_json())["closed_form"] is None
 
     @pytest.mark.parametrize("family,rank,auto,trunc", [
         ("A", 1, "identity", 0), ("G", 2, "identity", 0), ("A", 1, "identity", 1),
@@ -497,7 +489,7 @@ class TestLimits:
 
     def test_element_cap_implies_the_one_byte_limit(self):
         # every spec admitted under the default cap has at most MAX_ROOTS
-        # roots, so the up-front root-count reject binds only when
+        # roots, so the up-front root-cap reject binds only when
         # element_cap is raised.  |W^sigma| grows with the rank in every
         # family and twist, so the ranks are walked until it passes the cap,
         # which happens well below the walk's bound of 40.
@@ -516,8 +508,8 @@ class TestLimits:
                     except ValueError:  # no such twist of this type
                         continue
                     if t == CartanType("E", 8):
-                        # the table route encodes no permutation, and its
-                        # 240 roots would fit one byte anyway
+                        # the table route walks no generators, and its
+                        # 240 roots are within the cap anyway
                         assert root_count(t) <= MAX_ROOTS
                         continue
                     if weyl_order(expected_folded_type(t, tag)) > DEFAULT_ELEMENT_CAP:

@@ -6,7 +6,8 @@ import pytest
 
 from twistloop import rootsys, twist
 from twistloop.exact import mat_mul
-from twistloop.oracle import (WeylPermutationGroup, ambient_roots, ambient_vector,
+from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
+                              ambient_roots, ambient_vector,
                               automorphism_matrix, classify_folded_roots,
                               fixed_space_matrices, fixed_space_stabilizer_perms,
                               fixed_subspace,
@@ -20,7 +21,7 @@ from twistloop.twist import (check_folded_roots, fixed_group_info, folded_gram,
                              orbit_count_criterion, orbits_on_roots,
                              positive_orbit_sizes, project_roots,
                              wsigma_preserves_folded)
-from twistloop.weyl import RootPermutationAction
+from twistloop.weyl import steinberg_rows
 
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
 from test_properties import IDENTITIES, TWISTS
@@ -482,7 +483,7 @@ def test_fold_coordinates_and_fixed_space_matrices_are_integers():
         matrices = fixed_space_matrices(action, aut.simple_perm, generators)
         assert all(type(x) is int for m in matrices for row in m for x in row), \
             (family, rank, tag)
-        rows = action.fixed_space_rows(aut.simple_perm, generators)
+        rows = steinberg_rows(rs.cartan_type, aut.simple_perm)
         assert all(type(x) is int for row in rows for x in row), (family, rank, tag)
 
 

@@ -1,10 +1,13 @@
 """W^sigma from Steinberg generators, checked against full enumeration.
 
-The pipeline enumerates no group: it takes W^sigma's order from the
-coset indices along the chain of subgroups spanned by the longest
-parabolic elements w_O, one per sigma-orbit O of simple nodes, each the
-size of an orbit of a coordinate functional on the fixed subspace.  The
-oracle finds coset representatives by a search over root permutations,
+The pipeline enumerates no group and permutes no root: it walks the
+longest parabolic elements w_O, one per sigma-orbit O of simple nodes,
+on their images of the simple roots and keeps one row of each on the
+fixed subspace, and takes W^sigma's order from the coset indices along
+the chain of subgroups they span, each the size of an orbit of a
+coordinate functional there.  The oracle walks the same elements over
+root permutations, whose dense matrices the rows must match, finds
+coset representatives by a search over those permutations,
 whose counts the indices must equal, streams W^sigma as products of
 them and buckets each element by power traces.  These tests enumerate W
 for every twisted case of the acceptance matrix (A_n and D_n flips from
@@ -27,11 +30,11 @@ from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, weyl_order
 from twistloop.twist import (expected_folded_type, folded_gram, folded_root_system,
                              make_automorphism, wsigma_preserves_folded)
-from twistloop.oracle import (WeylPermutationGroup, classical_wsigma_perms,
-                              close_permutations, fixed_space_charpoly_buckets,
-                              fixed_space_stabilizer_perms,
+from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
+                              classical_wsigma_perms, close_permutations,
+                              fixed_space_charpoly_buckets, fixed_space_stabilizer_perms,
                               restricted_fixed_space_group, wsigma_elements)
-from twistloop.weyl import GroupTooLargeError, RootPermutationAction, coset_indices
+from twistloop.weyl import GroupTooLargeError, coset_indices, steinberg_rows
 
 from test_acceptance import expected_series
 from test_rootsys import ALL_TYPES
@@ -93,13 +96,15 @@ def test_coset_search_stops_at_the_cap():
 
 
 def coset_inputs(family, rank, tag):
+    """The oracle's byte walk of the generators and their dense matrices
+    on the fixed subspace, and the pipeline's rows walked from the Cartan
+    matrix."""
     rs = build_root_system(CartanType(family, rank))
     aut = make_automorphism(rs, tag)
     action = RootPermutationAction(rs)
     generators = action.steinberg_generators(aut.simple_perm)
     matrices = oracle.fixed_space_matrices(action, aut.simple_perm, generators)
-    return aut, action, generators, matrices, action.fixed_space_rows(aut.simple_perm,
-                                                                       generators)
+    return aut, action, generators, matrices, steinberg_rows(rs.cartan_type, aut.simple_perm)
 
 
 def dense_image(m, v):
@@ -142,8 +147,8 @@ LOWERING = ([("A", r, "identity") for r in range(1, 9)] +
 
 
 def assert_rows_are_the_reflections(matrices, rows, gram):
-    """The rows read off the walk against the dense matrices g_k of the
-    oracle: row k of g_k - 1 is row k, every other row of g_k - 1 is zero,
+    """The rows walked from the Cartan matrix against the dense matrices
+    g_k of the oracle, built from its byte walk: row k of g_k - 1 is row k, every other row of g_k - 1 is zero,
     and, as s_k(v) = v - <v, beta_k^vee> beta_k, row k is minus column k
     of the folded Cartan matrix, which ties the W^sigma stage to the fold."""
     assert len(rows) == len(matrices)
@@ -162,12 +167,14 @@ def test_reflection_rows_are_the_folded_cartan_columns(family, rank, tag):
 
 def test_a_non_parabolic_generator_fails_the_row_check():
     # w_0 w_1 of the E6 flip changes the coordinates of two sigma-orbits, so
-    # its dense matrix moves two rows of the fixed subspace
-    aut, action, generators, _, _ = coset_inputs("E", 6, "flip")
+    # its dense matrix moves two rows of the fixed subspace, even with row 0
+    # taken from that matrix
+    aut, action, generators, _, rows = coset_inputs("E", 6, "flip")
     w0, w1 = generators[:2]
     foreign = (bytes(map(w0.__getitem__, w1)),) + generators[1:]
     matrices = oracle.fixed_space_matrices(action, aut.simple_perm, foreign)
-    rows = action.fixed_space_rows(aut.simple_perm, foreign)
+    moved = tuple(a - (j == 0) for j, a in enumerate(matrices[0][0]))
+    rows = (moved,) + rows[1:]
     with pytest.raises(AssertionError):
         assert_rows_are_the_reflections(matrices, rows, folded_gram(aut))
 
@@ -291,7 +298,7 @@ def test_wsigma_agrees_with_full_enumeration(family, rank, tag):
     assert buckets == restricted.charpoly_buckets
 
     on_generators = wsigma_preserves_folded(
-        action.fixed_space_rows(aut.simple_perm, generators), fold)
+        steinberg_rows(rs.cartan_type, aut.simple_perm), fold)
     roots = set(fold.folded_roots)
     # the fixed-space matrices are integers: no scalar normalization needed
     exhaustive = all(dense_image(g, v) in roots
