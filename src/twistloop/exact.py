@@ -6,11 +6,11 @@ Cartan matrices, fixed-subspace rows, Jacobian residues and series
 coefficients.  A division that must come out exact (a Cartan entry) is
 a divmod whose remainder is checked, so this package never imports
 ``fractions``; the references in :mod:`twistloop.oracle`
-hold ``fractions.Fraction`` values, which :func:`normalize_scalar`,
-:func:`mat_mul` and :class:`BigradedSeries` also accept.  Vectors and
-matrices are immutable tuples, so every value is hashable and can be used
-directly as a dictionary key.  No operation in this package ever touches
-floating point.
+hold ``fractions.Fraction`` values, which :func:`normalize_scalar` and
+:class:`BigradedSeries` also accept.  Vectors and matrices are immutable
+tuples, so every value is hashable and can be used directly as a
+dictionary key.  No operation in this package ever touches floating
+point.
 
 A :class:`Record` is an immutable value with named fields, the base of
 every record the pipeline passes between its stages (this series, the
@@ -128,17 +128,6 @@ def normalize_scalar(x: Scalar) -> Scalar:
     if getattr(x, "denominator", None) == 1:
         return int(x)
     return x
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product; raises ValueError on a dimension mismatch."""
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    if ca != rb:
-        raise ValueError(f"dimension mismatch: {ra}x{ca} times {rb}x{cb}")
-    bt = tuple(zip(*b))
-    return tuple(tuple(normalize_scalar(sum(x * y for x, y in zip(row, col))) for col in bt)
-                 for row in a)
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,30 @@ their half-integer realizations) and its Gram matrix
 off the Dynkin diagram; the simple reflection with its pairing summed
 from the Cartan matrix (:func:`simple_reflection`), where the root
 closure carries each root's pairings; exact rational vectors and matrices
-(:func:`vector`, :func:`matrix`, ``vec_*``, :func:`mat_vec`), exact
-Gaussian elimination, :class:`SubspaceBasis`, the Fraction root closure
-:func:`ambient_roots` under :func:`reflect`, the ambient matrix of a
-diagram automorphism and its ambient :func:`fixed_subspace`, where the
-pipeline works only in integer coordinates over the simple roots; the
+(:func:`vector`, :func:`matrix`, ``vec_*``, :func:`mat_vec`,
+:func:`mat_mul`), exact Gaussian elimination, :class:`SubspaceBasis`,
+the Fraction root closure :func:`ambient_roots` under :func:`reflect`,
+the ambient matrix of a diagram automorphism and its ambient
+:func:`fixed_subspace`, where the pipeline works only in integer
+coordinates over the simple roots; the
 projection of the roots as an average over sigma's powers over the orbit
 sums of simple roots (:func:`orbit_sum_projection`,
 :func:`orbit_sum_gram`), the Gram matrix of the projected simple roots
-in Fractions (:func:`projected_gram`) and a classifier of the folded set
-from scratch (:func:`classify_folded_roots`), where the pipeline sums
-orbit coordinates over the projected simple roots, scales their Gram
-matrix to integers and compares with the expected type's roots;
+in Fractions (:func:`projected_gram`) and an integer multiple of it
+summed from the Dynkin diagram (:func:`folded_gram`), and a classifier
+of the folded set from scratch (:func:`classify_folded_roots`), where
+the pipeline sums orbit coordinates over the projected simple roots,
+reads their Cartan matrix off the rows of Steinberg's generators and
+compares the set with the closure of that matrix;
 Berkowitz :func:`charpoly`; explicit matrix groups
 (:class:`FiniteMatrixGroup`, :func:`super_molien`,
 :func:`generate_group` of :func:`reflection_matrix` generators, the
 ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
-the simple reflections as byte permutations of the roots and
-Steinberg's generators of W^sigma walked over them
-(:class:`RootPermutationAction`), where the pipeline walks each
-generator on its images of the simple roots and keeps one row of it;
+the simple reflections as byte permutations of the roots, each image
+from :func:`simple_reflection`, and Steinberg's generators of W^sigma
+walked over them (:class:`RootPermutationAction`), where the pipeline
+walks each generator on its images of the simple roots and keeps one row
+of it;
 the breadth-first closure :func:`close_permutations` of byte
 permutations, which keeps every element; all of W
 (:class:`WeylPermutationGroup`) with the full-enumeration fixed-subspace
@@ -76,10 +80,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import (BigradedSeries, Record, mat_mul, normalize_scalar,
-                    product_over_degrees)
+from .exact import BigradedSeries, Record, normalize_scalar, product_over_degrees
 from .report import ClosedForm
-from .rootsys import CartanType, RootSystem, build_root_system, cartan_from_gram
+from .rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
+                      simple_gram)
 from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import DEFAULT_ELEMENT_CAP, GroupTooLargeError, _perm_orbits
 
@@ -135,6 +139,17 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     if cols != len(v):
         raise ValueError(f"dimension mismatch: {rows}x{cols} times vector of length {len(v)}")
     return tuple(normalize_scalar(sum(x * y for x, y in zip(row, v))) for row in a)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact matrix product; raises ValueError on a dimension mismatch."""
+    ra, ca = mat_shape(a)
+    rb, cb = mat_shape(b)
+    if ca != rb:
+        raise ValueError(f"dimension mismatch: {ra}x{ca} times {rb}x{cb}")
+    bt = tuple(zip(*b))
+    return tuple(tuple(normalize_scalar(sum(x * y for x, y in zip(row, col))) for col in bt)
+                 for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +407,25 @@ def orbit_sum_gram(a: DiagramAutomorphism) -> Matrix:
                        for p in orbits) for o in orbits)
 
 
+def folded_gram(a: DiagramAutomorphism) -> Matrix:
+    """n^2 times the Gram matrix of the projected simple roots, n the order
+    of sigma, summed from the diagram's integer Gram matrix: the reference
+    for the Cartan matrix the pipeline reads off the rows.  Every orbit size
+    divides n and n beta_O = (n/|O|) sum_{i in O} alpha_i, so entry (O, O')
+    is (n/|O|)(n/|O'|) times the sum of (alpha_i, alpha_j), i in O, j in O'."""
+    g = simple_gram(a.base.cartan_type)
+    n = a.order
+    orbits = a.simple_orbits
+    return tuple(tuple(n // len(o) * (n // len(p)) * sum(g[i][j] for i in o for j in p)
+                       for p in orbits) for o in orbits)
+
+
 def projected_gram(a: DiagramAutomorphism) -> Matrix:
     """Gram matrix of the projected simple roots in the ambient
     realization, in Fractions: (beta_O, beta_O') is the sum of
-    (alpha_i, alpha_j) over i in O and j in O', divided by |O||O'|.  The
-    pipeline's :func:`twistloop.twist.folded_gram` is an integer multiple
-    of the diagram's version of it."""
+    (alpha_i, alpha_j) over i in O and j in O', divided by |O||O'|.
+    :func:`folded_gram` is an integer multiple of the diagram's version
+    of it."""
     g = ambient_gram(a.base.cartan_type)
     orbits = a.simple_orbits
     return tuple(tuple(normalize_scalar(Fraction(sum(g[i][j] for i in o for j in p),
@@ -635,11 +663,11 @@ class RootPermutationAction:
         if len(rs.roots) > MAX_BYTE_ROOTS:
             raise GroupTooLargeError("root set too large for byte-permutation encoding")
         self.root_system = rs
-        self.simple_indices = tuple(rs.root_index[a] for a in rs.simple_roots)
-        index = rs.root_index
+        index, cartan, rank = rs.root_index, rs.cartan_matrix, rs.cartan_type.rank
+        self.simple_indices = tuple(index[_unit(rank, i)] for i in range(rank))
         self.simple_reflections = tuple(
-            bytes(index[images[i]] for images in rs.reflections)
-            for i in range(rs.cartan_type.rank))
+            bytes(index[simple_reflection(c, i, cartan)] for c in rs.roots)
+            for i in range(rank))
 
     def steinberg_generators(self, simple_perm: tuple[int, ...]) -> tuple[bytes, ...]:
         """Generators of W^sigma, the elements commuting with the diagram

@@ -8,11 +8,13 @@ sigma-orbit of simple nodes; sigma = identity gives all of W), each
 walked from the Cartan matrix on its images of the simple roots.
 W^sigma acts faithfully on the fixed subspace and realizes the folded
 Weyl group there, each generator as a simple reflection, kept as one
-row.  Its order is the product of the indices along the chain of
-subgroups the generators span, each the size of one orbit of a
-coordinate functional on the fixed subspace.  The degrees of its basic
-invariants are the folded type's degree table, certified: they must
-multiply to that order, and invariants of those degrees must have a
+row.  The folding walks the rows once and certifies the folded roots
+as the closure of their base under them, so ``preserves_folded`` holds
+on either route below.  The order of W^sigma is the product of the indices
+along the chain of subgroups the generators span, each the size of one
+orbit of a coordinate functional on the fixed subspace.  The degrees of
+its basic invariants are the folded type's degree table, certified: they
+must multiply to that order, and invariants of those degrees must have a
 nonzero Jacobian determinant modulo a large prime.  The invariant ring
 is then polynomial in those degrees, so the series the report emits is
 the product of (1 + u^(2d-1)) / (1 - u^(2d)) over them, expanded in
@@ -34,24 +36,27 @@ series and the JSON never need it.
 
 The one deliberate shortcut: untwisted E8 is answered from the
 invariant-degree table alone, because its Weyl group (order 696729600)
-exceeds the element cap.  With ``run_oracle`` the brute-force count of
-:mod:`twistloop.oracle` re-derives the low-degree invariant dimensions
-from the elements of W^sigma; that module is imported only then.
+exceeds the element cap; its folding is certified all the same.  With
+``run_oracle`` the brute-force count of :mod:`twistloop.oracle`
+re-derives the low-degree invariant dimensions from the elements of
+W^sigma; that module is imported only then.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
                     product_over_degrees, solomon_series)
-from .rootsys import CartanType, build_root_system, degrees, root_count, weyl_order
-from .twist import (DiagramAutomorphism, OrbitCriterion, expected_folded_type,
-                    fixed_group_info, folded_root_system, make_automorphism,
-                    orbit_count_criterion, positive_orbit_sizes, resolve_twist,
-                    wsigma_preserves_folded)
+from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
+                      root_count, weyl_order)
+from .twist import (DiagramAutomorphism, OrbitCriterion, check_tag,
+                    expected_folded_type, fixed_group_info, folded_root_system,
+                    make_automorphism, orbit_count_criterion, positive_orbit_sizes,
+                    resolve_twist)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError, _perm_order,
-                   certify_jacobian, coset_indices, steinberg_rows)
+                   certify_jacobian, coset_indices)
 
 # the series, its JSON and a bigraded series read on demand grow with it
 MAX_TRUNCATION = 10_000
@@ -71,6 +76,18 @@ class TwistSpec(Record):
                  "run_oracle": False, "workers": 1, "element_cap": DEFAULT_ELEMENT_CAP}
 
     def _check(self):
+        if not isinstance(self.cartan_type, CartanType):
+            raise ValueError(f"cartan_type must be a CartanType, got {self.cartan_type!r}")
+        auto = self.automorphism
+        if not isinstance(auto, str):
+            if not isinstance(auto, Sequence):
+                raise ValueError("automorphism must be a tag or a sequence of node "
+                                 f"images, got {auto!r}")
+            for x in auto:
+                check_int("automorphism image", x)
+            object.__setattr__(self, "automorphism", tuple(auto))
+        if type(self.run_oracle) is not bool:
+            raise ValueError(f"run_oracle must be a bool, got {self.run_oracle!r}")
         for name in ("truncation", "workers", "element_cap"):
             check_int(name, getattr(self, name))
         if self.truncation < 0:
@@ -94,8 +111,8 @@ class ClosedForm(Record):
 class TwistReport(Record, hidden=("bigraded",)):
     """The pipeline's answer for one spec.  ``bigraded`` (the bigraded
     series, None on the table route) is left out of ==, hash and repr;
-    :func:`compute` leaves it as a :class:`_DeferredSolomon`, expanded on
-    first read."""
+    :func:`compute` leaves it as the arguments of :func:`solomon_series`,
+    expanded on first read."""
 
     __slots__ = ("cartan_type", "automorphism", "truncation", "folded_type",
                  "orbit_criterion", "positive_orbit_sizes", "stabilizer_order",
@@ -191,24 +208,15 @@ class TwistReport(Record, hidden=("bigraded",)):
 # the bigraded series, expanded on first read
 # ---------------------------------------------------------------------------
 
-class _DeferredSolomon:
-    """Solomon's product over certified degrees, not yet expanded."""
-
-    __slots__ = ("degrees", "truncation")
-
-    def __init__(self, degrees: tuple[int, ...], truncation: int):
-        self.degrees = degrees
-        self.truncation = truncation
-
-
 def _bigraded_on_read(slot):
-    """A property over the ``bigraded`` slot: a deferred product is expanded
-    on first read and the slot keeps the series."""
+    """A property over the ``bigraded`` slot: a deferred product, the tuple
+    (degrees, truncation), is expanded on first read and the slot keeps the
+    series."""
 
     def read(self) -> BigradedSeries | None:
         value = slot.__get__(self, TwistReport)
-        if type(value) is _DeferredSolomon:
-            value = solomon_series(value.degrees, value.truncation)
+        if type(value) is tuple:
+            value = solomon_series(*value)
             slot.__set__(self, value)
         return value
 
@@ -277,30 +285,34 @@ def _closed_form_or_note(ds: tuple[int, ...], truncation: int,
 
 def _check_order_cap(folded: CartanType, cap: int) -> None:
     """Raise GroupTooLargeError when |W^sigma|, the product of the folded
-    type's degrees, passes cap.  They are multiplied in ascending order
-    until the product passes it, so the message gives the exact order only
-    when every degree went in, and never forms an order too long to print."""
-    ds = degrees(folded)
+    type's degrees, passes cap.  They are read and multiplied in ascending
+    order until the product passes it, so the message gives the exact order
+    only when every degree went in, and no order too long to print is formed."""
+    ds = ascending_degrees(folded)
     order = 1
-    for used, d in enumerate(ds, 1):
+    for d in ds:
         order *= d
         if order > cap:
+            exact = next(ds, None) is None
             raise GroupTooLargeError(
                 f"W^sigma, the Weyl group of the folded type {folded}, has order "
-                f"{'' if used == len(ds) else 'at least '}{order}, past the "
-                f"element cap {cap}")
+                f"{'' if exact else 'at least '}{order}, past the element cap {cap}")
 
 
 def compute(spec: TwistSpec) -> TwistReport:
     """Run the full pipeline for one twist specification.
 
-    The spec's knobs are bounded when it is made.  Here the twist is
-    checked on the Dynkin diagram, and the order of W^sigma (the Weyl
-    group of the folded type) and the root count are checked against
-    their caps, from the type alone and before anything is built.
+    The spec's fields are checked when it is made.  Here a tag is checked
+    against the type in O(1), explicit images on the Dynkin diagram, and
+    then |W^sigma| and the root count against their caps, from the type
+    and the tag alone, before anything is built.
     """
     t = spec.cartan_type
-    _, tag = resolve_twist(t, spec.automorphism)
+    if isinstance(spec.automorphism, str):
+        tag = spec.automorphism
+        check_tag(t, tag)
+    else:
+        _, tag = resolve_twist(t, spec.automorphism)
     folded_type = expected_folded_type(t, tag)
     table_path = (t == CartanType("E", 8) and tag == "identity"
                   and weyl_order(t) > spec.element_cap)
@@ -311,70 +323,58 @@ def compute(spec: TwistSpec) -> TwistReport:
                                  f"root cap {MAX_ROOTS}")
     rs = build_root_system(t)
     aut = make_automorphism(rs, spec.automorphism)
+    # the folding walks W^sigma's generators, one row each on the fixed
+    # subspace, and certifies with them that W^sigma permutes the folded roots
     folding = folded_root_system(aut)
-    criterion = orbit_count_criterion(aut, folding)
     pos_sizes = positive_orbit_sizes(aut)
-    info = fixed_group_info(t, aut.tag)
-    notes = [info.note]
+    notes = [fixed_group_info(t, tag).note]
     sizes_note = ", ".join(f"{pos_sizes.count(s)} of size {s}"
                            for s in sorted(set(pos_sizes)))
     notes.append(f"positive-root orbits: {len(pos_sizes)} ({sizes_note})")
 
+    ds = degrees(folded_type)
+    # |W^sigma|: the coset chain below raises unless its indices multiply to
+    # it, and the restriction to the fixed subspace is faithful
+    order = weyl_order(folded_type)
     if table_path:
-        series = product_over_degrees(rs.degrees, spec.truncation)
-        bigraded = None
-        stab_order = restricted_order = rs.weyl_order
-        preserves = True  # identity twist: the Weyl group permutes its own roots
         notes.append("series from the invariant-degree table; Weyl enumeration "
                      "skipped (group order exceeds the element cap)")
-        closed = _closed_form(rs.degrees)
+        closed, bigraded = _closed_form(ds), None
     else:
-        ds = degrees(folded_type)
         try:
-            # each of Steinberg's generators is a reflection on the fixed
-            # subspace: one row
-            rows = steinberg_rows(t, aut.simple_perm)
-            indices = coset_indices(rows, weyl_order(folded_type))
-            # the restriction to the fixed subspace is faithful
-            stab_order = restricted_order = math.prod(indices)
+            coset_indices(folding.rows, order)
             # the certificate: the degrees multiply to the group order, and
             # invariants of those degrees are algebraically independent
-            if math.prod(ds) != stab_order:
+            if math.prod(ds) != order:
                 raise ValueError(f"degrees {list(ds)} multiply to {math.prod(ds)}, "
-                                 f"not the coset-chain order {stab_order}")
-            certify_jacobian(rows, ds)
+                                 f"not the coset-chain order {order}")
+            certify_jacobian(folding.rows, ds)
         except ValueError as exc:
-            raise ValueError(f"{t} {aut.tag}: {exc}") from None
-        preserves = wsigma_preserves_folded(rows, folding)
-        series = product_over_degrees(ds, spec.truncation)
+            raise ValueError(f"{t} {tag}: {exc}") from None
         closed = _closed_form_or_note(ds, spec.truncation, notes)
         # the oracle compares the bigraded series; otherwise it waits for a read
         bigraded = (solomon_series(ds, spec.truncation) if spec.run_oracle
-                    else _DeferredSolomon(ds, spec.truncation))
+                    else (ds, spec.truncation))
+    series = product_over_degrees(ds, spec.truncation)
 
-    if restricted_order != weyl_order(folded_type):
-        notes.append(f"restricted stabilizer image has order {restricted_order}, "
-                     f"folded Weyl group has order {weyl_order(folded_type)}")
-    else:
-        notes.append("restricted stabilizer image matches the folded Weyl "
-                     f"group order {restricted_order}")
+    notes.append(f"restricted stabilizer image matches the folded Weyl group order {order}")
     notes.append("finite central covers and quotients of the group share this "
                  "series at the reported characteristics")
-    if aut.tag == "flip" and spec.cartan_type.family == "A":
+    if tag == "flip" and t.family == "A":
         notes.append("the unitary-group form of this twist has the same series "
                      "away from characteristic 2 and primes dividing the rank "
                      "plus one")
-        if spec.cartan_type.rank % 2 == 1:
+        if t.rank % 2 == 1:
             notes.append("an equivalent route through the even orthogonal group "
                          "extended by its diagram symmetry yields the same series")
-    if spec.cartan_type == CartanType("E", 6) and aut.tag == "flip":
+    if t == CartanType("E", 6) and tag == "flip":
         notes.append("every characteristic greater than 30 avoids the excluded "
                      "set {2, 3, 5}")
 
     if spec.run_oracle:
         notes.append("oracle skipped: no enumerated group on the table path"
                      if table_path else
-                     _oracle_note(spec, aut, stab_order, bigraded))
+                     _oracle_note(spec, aut, order, bigraded))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -382,14 +382,14 @@ def compute(spec: TwistSpec) -> TwistReport:
                       "perm=" + ",".join(str(i + 1) for i in spec.automorphism)),
         truncation=spec.truncation,
         folded_type=folded_type,
-        orbit_criterion=criterion,
+        orbit_criterion=orbit_count_criterion(aut, folding),
         positive_orbit_sizes=pos_sizes,
-        stabilizer_order=stab_order,
-        restricted_order=restricted_order,
-        preserves_folded=preserves,
+        stabilizer_order=order,
+        restricted_order=order,
+        preserves_folded=True,  # certified by the folding
         series=series,
         closed_form=closed,
-        excluded_characteristics=_excluded_primes(t, aut.simple_perm, aut.tag),
+        excluded_characteristics=_excluded_primes(t, aut.simple_perm, tag),
         notes=tuple(notes),
         bigraded=bigraded,
     )

@@ -13,8 +13,10 @@ are then the closure of the unit vectors under the integer simple
 reflections s_i(c) = c - <c, alpha_i^vee> e_i.  The closure carries each
 root's pairings (<c, alpha_i^vee>)_i and moves them by one row of the
 Cartan matrix per reflection, so an image costs O(r), and one the
-pairing leaves in place costs nothing.  Every later stage works in these
-coordinates.
+pairing leaves in place costs nothing.  It keeps the roots, not their
+images, and also certifies a folding
+(:func:`twistloop.twist.folded_root_system`).  Every later stage works
+in these coordinates.
 
 Every constructed system is self-verified: Cartan matrix entries, root
 count, uniform sign of root coordinates, closure under negation, and
@@ -26,6 +28,7 @@ its roots are test references in :mod:`twistloop.oracle`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache, total_ordering
 from operator import add
 
@@ -85,23 +88,28 @@ def weyl_order(t: CartanType) -> int:
 
 
 def degrees(t: CartanType) -> tuple[int, ...]:
-    """Degrees of the basic polynomial invariants of the Weyl group."""
+    """Degrees of the basic polynomial invariants of the Weyl group, ascending."""
+    return tuple(ascending_degrees(t))
+
+
+def ascending_degrees(t: CartanType) -> Iterator[int]:
+    """The degrees of :func:`degrees`, one at a time, ascending: a reader
+    that stops early, such as the order cap, does O(1) work per degree it
+    reads, whatever the rank."""
     r = t.rank
     if t.family == "A":
-        ds = range(2, r + 2)
+        yield from range(2, r + 2)
     elif t.family in ("B", "C"):
-        ds = range(2, 2 * r + 1, 2)
+        yield from range(2, 2 * r + 1, 2)
     elif t.family == "D":
-        ds = list(range(2, 2 * r - 1, 2)) + [r]
-    elif t.family == "G":
-        ds = [2, 6]
-    elif t.family == "F":
-        ds = [2, 6, 8, 12]
+        # the even degrees 2, 4, ..., 2r - 2, with r in its place among them
+        yield from range(2, r, 2)
+        yield r
+        yield from range(r + r % 2, 2 * r - 1, 2)
     else:
-        ds = {6: [2, 5, 6, 8, 9, 12],
-              7: [2, 6, 8, 10, 12, 14, 18],
-              8: [2, 8, 12, 14, 18, 20, 24, 30]}[r]
-    return tuple(sorted(ds))
+        yield from {"G2": (2, 6), "F4": (2, 6, 8, 12), "E6": (2, 5, 6, 8, 9, 12),
+                    "E7": (2, 6, 8, 10, 12, 14, 18),
+                    "E8": (2, 8, 12, 14, 18, 20, 24, 30)}[str(t)]
 
 
 def root_count(t: CartanType) -> int:
@@ -170,10 +178,11 @@ def cartan_from_gram(gram: Matrix) -> CartanMatrix:
 
 
 # The Cartan matrix and the root closure are read once per argument in a
-# process: compute() needs the input type's to build the roots and the
-# folded type's to certify the folding (the input type's again for an
-# identity twist); an over-cap reject reads neither.  The results are
-# tuples, so sharing them is safe.
+# process: compute() needs the input type's to build the roots and walk
+# W^sigma's rows, the folded type's to match the one read off the rows,
+# and the closure of that one to certify the folding (for an identity
+# twist, the input type's own); an over-cap reject reads neither.  The
+# results are tuples, so sharing them is safe.
 _memo = lru_cache(maxsize=64)
 
 
@@ -183,11 +192,9 @@ def cartan_matrix(t: CartanType) -> CartanMatrix:
 
 
 @_memo
-def _closure(cartan: CartanMatrix,
-             limit: int) -> tuple[tuple[Root, ...], tuple[tuple[Root, ...], ...]]:
+def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
     """Closure of the simple roots (unit vectors) under the simple
-    reflections, sorted, and the images s_i(c) of each root c it computed
-    on the way; more than limit roots is an error.
+    reflections, sorted; more than limit roots is an error.
 
     Each new root c comes with its pairings p_k = <c, alpha_k^vee>, row i
     of the Cartan matrix for alpha_i.  Then s_i(c) = c - p_i e_i, the
@@ -196,47 +203,37 @@ def _closure(cartan: CartanMatrix,
     """
     r = len(cartan)
     frontier = [(_unit(r, i), cartan[i]) for i in range(r)]
-    images = dict.fromkeys(c for c, _ in frontier)
+    roots = {c for c, _ in frontier}
     while frontier:
         nxt = []
         for c, pairing in frontier:
-            row = []
             for i, k in enumerate(pairing):
-                if not k:
-                    row.append(c)
-                    continue
-                d = list(c)
-                d[i] -= k
-                d = tuple(d)
-                row.append(d)
-                if d not in images:
-                    images[d] = None
-                    nxt.append((d, tuple([p - k * a for p, a in zip(pairing, cartan[i])])))
-            images[c] = tuple(row)
-        if len(images) > limit:
+                if k:
+                    d = list(c)
+                    d[i] -= k
+                    d = tuple(d)
+                    if d not in roots:
+                        roots.add(d)
+                        nxt.append((d, tuple([p - k * a for p, a in zip(pairing, cartan[i])])))
+        if len(roots) > limit:
             raise ValueError(f"root closure passed {limit} roots")
         frontier = nxt
-    roots = tuple(sorted(images))
-    return roots, tuple(images[c] for c in roots)
+    return tuple(sorted(roots))
 
 
 class RootSystem:
     """Immutable bundle of roots, Cartan data and the Weyl invariant-degree
     table.
 
-    ``roots[i]`` is root i as an integer vector over the simple base,
-    ``reflections[i][k]`` is s_k of it, and ``root_index`` inverts
-    ``roots``; ``simple_roots`` are the unit vectors, and ``gram`` holds
-    the inner products of the simple roots (:func:`simple_gram`).
+    ``roots[i]`` is root i as an integer vector over the simple base, and
+    ``root_index`` inverts ``roots``.
     """
 
     def __init__(self, cartan_type: CartanType):
         t = cartan_type
         self.cartan_type = t
-        self.gram = simple_gram(t)
         self.cartan_matrix = cartan_matrix(t)
-        self.roots, self.reflections = _closure(self.cartan_matrix, root_count(t))
-        self.simple_roots = tuple(_unit(t.rank, i) for i in range(t.rank))
+        self.roots = _closure(self.cartan_matrix, root_count(t))
         self.root_index = {c: i for i, c in enumerate(self.roots)}
         self.positive_mask = tuple(min(c) >= 0 for c in self.roots)
         self.weyl_order = weyl_order(t)

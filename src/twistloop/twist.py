@@ -9,11 +9,8 @@ system.  Its fixed subspace has the projected simple roots
 beta_O = pi(alpha_i), i in O, as a basis, one per sigma-orbit O of simple
 nodes, where pi is the average over sigma's powers (beta_O is the orbit
 sum of simple roots divided by |O|).  A root c projects to the integer
-vector of its orbit sums, (sum_{i in O} c_i)_O.  With n the order of
-sigma, each n beta_O is an integer combination of simple roots, so n^2
-times the Gram matrix of the beta_O is an integer matrix summed from the
-Gram matrix of the simple roots, and it has the folded Cartan matrix.
-Every step is integer arithmetic.
+vector of its orbit sums, (sum_{i in O} c_i)_O.  Every step is integer
+arithmetic.
 
 The folded root system is the set of indivisible projected roots (v with
 v/2 not a projection), which reproduces the classical folding table:
@@ -22,26 +19,27 @@ v/2 not a projection), which reproduces the classical folding table:
     A_{2m}  flip    -> B_m              D_n flip      -> B_{n-1}
     D_4 order three -> G_2              E_6 flip      -> F_4
 
-The beta_O are the folded system's own simple roots.  Each folded set is
-certified against the table's type: the Cartan matrix of the beta_O,
-from their inner products, must be the type's in some order of the
-nodes, and the set must equal the closure of the beta_O under their own
-simple reflections; the construction errors out otherwise.
-The ambient matrix of sigma, its ambient fixed subspace, the average over
-sigma's powers, the Gram matrix of the beta_O in Fractions and a
-from-scratch classifier of the folded set are test references in
+The beta_O are the folded system's own simple roots, and Steinberg's
+generators of W^sigma (:func:`twistloop.weyl.steinberg_rows`) act on the
+fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k,
+so the folded Cartan matrix is read off the rows, C_jk = -row_k[j].  It
+must be the table's type in some order of the nodes, and the folded set
+the closure of the beta_O under the rows' reflections, which then
+permute it; the construction errors out otherwise.  The ambient matrix
+of sigma, its ambient fixed subspace, the average over sigma's powers,
+the Gram matrix of the beta_O (an integer multiple and in Fractions)
+and a from-scratch classifier of the folded set are test references in
 :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import mul
 
-from .exact import Matrix, Record, Vector
-from .rootsys import (CartanType, RootSystem, _closure, cartan_from_gram,
-                      cartan_matrix, dynkin_diagram, root_count)
-from .weyl import _perm_orbits, _perm_order
+from .exact import Record, Vector
+from .rootsys import (CartanType, RootSystem, _closure, cartan_matrix,
+                      dynkin_diagram, root_count)
+from .weyl import _perm_orbits, _perm_order, steinberg_rows
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
 
@@ -75,24 +73,32 @@ def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
+def check_tag(t: CartanType, tag: str) -> None:
+    """Raise ValueError unless tag names a diagram symmetry of type t, in
+    O(1): the twist's node permutation is not built."""
+    if tag not in AUTOMORPHISM_TAGS:
+        raise ValueError(f"unknown automorphism spec {tag!r}")
+    fam, r = t.family, t.rank
+    if tag == "flip" and not ((fam == "A" and r >= 2) or fam == "D"
+                              or t == CartanType("E", 6)):
+        raise ValueError(f"no diagram flip for type {t}")
+    if tag in ("triality", "triality2") and t != CartanType("D", 4):
+        raise ValueError("triality exists only for D4")
+
+
 def _simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
+    check_tag(t, tag)
     fam, r = t.family, t.rank
     if tag == "identity":
         return tuple(range(r))
     if tag == "flip":
-        if fam == "A" and r >= 2:
+        if fam == "A":
             return tuple(r - 1 - i for i in range(r))
         if fam == "D":
             return tuple(range(r - 2)) + (r - 1, r - 2)
-        if fam == "E" and r == 6:
-            return (5, 1, 4, 3, 2, 0)
-        raise ValueError(f"no diagram flip for type {t}")
-    if tag in ("triality", "triality2"):
-        if fam == "D" and r == 4:
-            perm = (2, 1, 3, 0)  # nodes 1 -> 3 -> 4 -> 1, node 2 fixed
-            return perm if tag == "triality" else _inverse(perm)
-        raise ValueError("triality exists only for D4")
-    raise ValueError(f"unknown automorphism spec {tag!r}")
+        return (5, 1, 4, 3, 2, 0)  # E6
+    perm = (2, 1, 3, 0)  # D4: nodes 1 -> 3 -> 4 -> 1, node 2 fixed
+    return perm if tag == "triality" else _inverse(perm)
 
 
 def check_simple_perm(images: Sequence[int], rank: int, base: int = 0) -> None:
@@ -102,14 +108,15 @@ def check_simple_perm(images: Sequence[int], rank: int, base: int = 0) -> None:
     if len(images) != rank:
         raise ValueError(f"permutation has {len(images)} images, expected one "
                          f"per simple node ({rank})")
+    seen, repeated = set(), set()
     for x in images:
         if not base <= x < base + rank:
             raise ValueError(f"permutation image {x} out of range "
                              f"{base}..{base + rank - 1}")
-    if len(set(images)) != rank:
-        repeated = sorted({x for x in images if images.count(x) > 1})
+        (repeated if x in seen else seen).add(x)
+    if repeated:
         raise ValueError(f"permutation is not a bijection: "
-                         f"{', '.join(map(str, repeated))} named more than once")
+                         f"{', '.join(map(str, sorted(repeated)))} named more than once")
 
 
 def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
@@ -182,28 +189,16 @@ def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def folded_gram(a: DiagramAutomorphism) -> Matrix:
-    """n^2 times the Gram matrix of the projected simple roots, n the order
-    of sigma: an integer matrix with their Cartan matrix.  Every orbit size
-    divides n, and n beta_O = (n/|O|) sum_{i in O} alpha_i, so entry
-    (O, O') is (n/|O|)(n/|O'|) times the sum of (alpha_i, alpha_j) over
-    i in O and j in O'."""
-    g = a.base.gram
-    n = a.order
-    orbits = a.simple_orbits
-    return tuple(tuple(n // len(o) * (n // len(p)) * sum(g[i][j] for i in o for j in p)
-                       for p in orbits) for o in orbits)
-
-
 class FoldingResult(Record):
     """Projected roots with their multiplicities and the folded roots, both
-    as integer vectors over the projected simple roots, and the folded
-    type."""
+    as integer vectors over the projected simple roots, the folded type,
+    and the rows (:func:`twistloop.weyl.steinberg_rows`) that certified it."""
 
-    __slots__ = ("projected_roots", "folded_roots", "folded_type")
+    __slots__ = ("projected_roots", "folded_roots", "folded_type", "rows")
     projected_roots: tuple[tuple[Vector, int], ...]
     folded_roots: tuple[Vector, ...]
     folded_type: CartanType
+    rows: tuple[Vector, ...]
 
 
 def expected_folded_type(t: CartanType, tag: str) -> CartanType:
@@ -229,34 +224,34 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     folded = tuple(v for v, _ in projected
                    if any(c % 2 for c in v) or tuple(c // 2 for c in v) not in proj_set)
     expected = expected_folded_type(a.base.cartan_type, a.tag)
-    if len(a.simple_orbits) != expected.rank:
-        raise ValueError("fixed-subspace dimension differs from folded rank")
-    check_folded_roots(folded, folded_gram(a), expected)
-    return FoldingResult(projected, folded, expected)
+    # one row per sigma-orbit, checked against the folded rank below
+    rows = steinberg_rows(a.base.cartan_type, a.simple_perm)
+    check_folded_roots(folded, rows, expected)
+    return FoldingResult(projected, folded, expected, rows)
 
 
-def check_folded_roots(roots: Sequence[Vector], gram: Matrix,
+def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
                        expected: CartanType) -> None:
-    """Raise ValueError unless roots, integer vectors over a base whose
-    inner products are gram (up to a positive scale), are the root system
-    of the expected type with that base as its simple roots: the base's
-    Cartan matrix is the type's under some assignment of its vectors to the
-    type's nodes, and the closure of the base under its own simple
-    reflections, in its own coordinates, is exactly the set.  That closure
-    is the root system of a type with that Cartan matrix.  Linear in the
-    root count and the rank."""
-    cartan = cartan_from_gram(gram)
+    """Raise ValueError unless roots, integer vectors over a base, are the
+    root system of the expected type with that base as its simple roots
+    and the reflections with the given rows (row k changes coordinate k
+    alone, by row_k . v) as its simple reflections: the Cartan matrix
+    C_jk = -row_k[j] is the type's in some order of the nodes, and the set
+    is the closure of the base under those reflections, which their group
+    permutes.  Linear in the root count and the rank."""
+    n = expected.rank
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("folded rows act in the wrong dimension")
+    cartan = tuple(tuple(-row[j] for row in rows) for j in range(n))
     if _match_cartan(cartan, cartan_matrix(expected)) is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")
-    if set(_closure(cartan, root_count(expected))[0]) != set(roots):
+    if set(_closure(cartan, root_count(expected))) != set(roots):
         raise ValueError(f"folded set is not the root system of {expected}")
 
 
 def _match_cartan(cand: Sequence[Sequence[int]],
                   std: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     n = len(std)
-    if len(cand) != n:
-        return None
     if sorted(tuple(sorted(r)) for r in cand) != sorted(tuple(sorted(r)) for r in std):
         return None
 
@@ -307,31 +302,6 @@ def orbit_count_criterion(a: DiagramAutomorphism,
     if folding is None:
         folding = folded_root_system(a)
     return OrbitCriterion(len(orbits_on_roots(a)), len(folding.folded_roots))
-
-
-def wsigma_preserves_folded(rows: Sequence[Vector],
-                            folding: FoldingResult) -> bool:
-    """Whether the group generated by the reflections with the given rows
-    on the fixed subspace (:func:`twistloop.weyl.steinberg_rows`; row k
-    changes coordinate k) permutes the folded root set.  A finite group
-    permutes a finite set exactly when its generators do, so only the
-    generators are checked, each against every folded root, as integer
-    vectors over the projected simple roots: v changes in entry k alone,
-    by row_k . v."""
-    rank = folding.folded_type.rank
-    if len(rows) > rank or any(len(row) != rank for row in rows):
-        raise ValueError("restricted group acts in the wrong dimension")
-    roots = folding.folded_roots
-    root_set = set(roots)
-    for k, row in enumerate(rows):
-        for v in roots:
-            d = sum(map(mul, row, v))
-            if d:
-                image = list(v)
-                image[k] += d
-                if tuple(image) not in root_set:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

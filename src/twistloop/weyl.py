@@ -7,8 +7,9 @@ subgroup W^sigma of a diagram automorphism sigma, one longest parabolic
 element per sigma-orbit of simple nodes, on their images of the simple
 roots, one Cartan-matrix entry per column and step.  On the fixed
 subspace each generator is a simple reflection of the folded Weyl group
-and changes one coordinate, so it is kept as one integer row; the coset
-chain, the Jacobian and the preservation check read those rows.
+and changes one coordinate, so it is kept as one integer row; the fold
+certificate (:func:`twistloop.twist.folded_root_system`), the coset
+chain and the Jacobian read those rows.
 :func:`coset_indices` counts the cosets along the chain of subgroups the
 generators span as orbits of coordinate functionals, closed by one
 breadth-first search (:func:`_orbit_search`) bounded by the group order;

@@ -8,7 +8,7 @@ by its characteristic polynomial on the fixed subspace and averages the
 super-Molien series; the two routes must give the same order, bigraded
 series and single-graded series.  Wrong degrees with the right product
 fail the Jacobian, a wrong product fails the order check, and a dropped
-generator fails the coset chain.
+generator fails the fold certificate and the coset chain.
 """
 
 import inspect
@@ -35,14 +35,16 @@ MOVED_TO_ORACLE = ("_walk_products", "wsigma_elements", "fixed_space_charpoly_bu
                    "super_molien_from_buckets", "rational_function_series",
                    "dets_from_charpoly", "wsigma_transversals", "fixed_space_matrices",
                    "collapse_to_cohomological", "RootPermutationAction",
-                   "charpoly_from_power_traces")
+                   "charpoly_from_power_traces", "folded_gram", "mat_mul")
 # the multi-row form of the generators, replaced by one row each; the row
 # read off a dense matrix, then off a walk over root permutations,
-# replaced by the row walked from the Cartan matrix; and the degrees read
-# off a Coxeter element, replaced by the certified degree table
+# replaced by the row walked from the Cartan matrix; the degrees read off
+# a Coxeter element, replaced by the certified degree table; and the
+# preservation check, replaced by the fold certificate on the rows
 DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit",
            "reflection_rows", "fixed_space_rows", "invariant_degrees",
-           "_fixed_space_traces", "_exponents", "_cyclotomic", "_divide_monic")
+           "_fixed_space_traces", "_exponents", "_cyclotomic", "_divide_monic",
+           "wsigma_preserves_folded")
 
 
 def certificate_inputs(family, rank, tag):
@@ -166,19 +168,25 @@ def test_zero_jacobian_point_exits_one(monkeypatch, capsys):
 @pytest.mark.parametrize("family,rank,tag", [("E", 6, "identity"), ("A", 5, "flip"),
                                              ("D", 4, "triality"), ("B", 3, "identity")])
 def test_dropped_generator_breaks_the_coset_chain(family, rank, tag, monkeypatch):
-    # a zero row is the identity in place of the last generator: the chain
-    # then ends in an index of 1, and its order falls short of the folded
-    # Weyl group's
-    walked = report.steinberg_rows
+    # a zero row is the identity in place of the last generator: its Cartan
+    # column has no 2 on the diagonal, so the fold refuses the rows, and
+    # the chain they span ends in an index of 1, short of the folded Weyl
+    # group's order
+    walked = twist.steinberg_rows
+    zeroed = []
 
     def zero_last(t, simple_perm):
         rows = walked(t, simple_perm)
-        return rows[:-1] + ((0,) * len(rows),)
+        zeroed.append(rows[:-1] + ((0,) * len(rows),))
+        return zeroed[-1]
 
-    monkeypatch.setattr(report, "steinberg_rows", zero_last)
-    with pytest.raises(ValueError, match=rf"^{family}{rank} {tag}: coset counts \[.*, 1\] "
-                                         r"do not multiply to the group order \d+$"):
+    monkeypatch.setattr(twist, "steinberg_rows", zero_last)
+    folded = expected_folded_type(CartanType(family, rank), tag)
+    with pytest.raises(ValueError, match=f"^folded Cartan matrix does not match {folded}$"):
         compute(TwistSpec(CartanType(family, rank), tag))
+    with pytest.raises(ValueError, match=r"^coset counts \[.*, 1\] "
+                                         r"do not multiply to the group order \d+$"):
+        coset_indices(zeroed[-1], weyl_order(folded))
 
 
 def test_orbit_search_is_bounded_by_the_group_order():

@@ -25,7 +25,7 @@ SAMPLES = [
     (BigradedSeries, (4, {(0, 0): 1, (1, 1): 2})),
     (CartanType, ("E", 6)),
     (DiagramAutomorphism, (_RS, (0,), 1, "identity", (0, 1))),
-    (FoldingResult, ((((1,), 1), ((-1,), 1)), ((-1,), (1,)), CartanType("A", 1))),
+    (FoldingResult, ((((1,), 1), ((-1,), 1)), ((-1,), (1,)), CartanType("A", 1), ((-2,),))),
     (OrbitCriterion, (2, 2)),
     (FixedGroupInfo, ("connected", (1,))),
     (TwistSpec, (E6, "flip", 60, False, 2, 1000)),
@@ -144,6 +144,19 @@ def test_records_are_slotted(cls, values):
     (lambda: TwistSpec(E6, element_cap="x"), "element_cap must be an integer, got 'x'"),
     (lambda: TwistSpec(E6, element_cap=1e7), "element_cap must be an integer, got 10000000.0"),
     (lambda: TwistSpec(E6, element_cap=0), "element_cap must be at least 1"),
+    # the type and the twist are checked when the spec is made, where a
+    # string type failed in compute() with an AttributeError, an int twist
+    # with a TypeError, and a float image as a tuple index
+    (lambda: TwistSpec("E6"), "cartan_type must be a CartanType, got 'E6'"),
+    (lambda: TwistSpec(("E", 6)), r"cartan_type must be a CartanType, got \('E', 6\)"),
+    (lambda: TwistSpec(E6, 3),
+     "automorphism must be a tag or a sequence of node images, got 3"),
+    (lambda: TwistSpec(E6, {0, 1}),
+     r"automorphism must be a tag or a sequence of node images, got \{0, 1\}"),
+    (lambda: TwistSpec(E6, (2.0, 1, 0)), "automorphism image must be an integer, got 2.0"),
+    (lambda: TwistSpec(E6, [0, True]), "automorphism image must be an integer, got True"),
+    (lambda: TwistSpec(E6, run_oracle="yes"), "run_oracle must be a bool, got 'yes'"),
+    (lambda: TwistSpec(E6, run_oracle=1), "run_oracle must be a bool, got 1"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -156,6 +169,16 @@ def test_integer_fields_at_their_bounds_are_accepted():
     assert (spec.truncation, spec.workers, spec.element_cap) == (0, 64, 1)
     with pytest.raises(GroupTooLargeError, match="past the element cap 1"):
         compute(spec)
+
+
+def test_a_listed_twist_is_stored_as_a_tuple():
+    listed = TwistSpec(E6, [5, 1, 4, 3, 2, 0])
+    assert listed.automorphism == (5, 1, 4, 3, 2, 0)
+    assert listed == TwistSpec(E6, (5, 1, 4, 3, 2, 0))
+    assert hash(listed) == hash(TwistSpec(E6, (5, 1, 4, 3, 2, 0)))
+    rpt = compute(listed)
+    assert rpt.automorphism == "perm=6,2,5,4,3,1"
+    assert rpt == compute(TwistSpec(E6, (5, 1, 4, 3, 2, 0)))
 
 
 def test_series_normalized_at_construction():

@@ -471,10 +471,12 @@ class TestLimits:
 
     @pytest.mark.parametrize("family,rank,tag", [
         ("A", 1700, "identity"), ("A", 3000, "flip"), ("B", 3000, "identity"),
-        ("D", 3000, "flip")])
+        ("D", 3000, "flip"), ("A", 10**6, "identity"), ("A", 10**6, "flip"),
+        ("A", 10**12, "identity"), ("A", 10**12, "flip")])
     def test_large_ranks_rejected_at_once(self, family, rank, tag, capsys):
         # the exact orders have 4,300 digits and more, past what str() of an
-        # int may print; the cap stops multiplying degrees once it is passed
+        # int may print; the cap stops reading degrees once it is passed, and
+        # a tag is checked without building the twist's node permutation
         from twistloop.weyl import GroupTooLargeError
 
         spec = TwistSpec(CartanType(family, rank), tag)
@@ -486,6 +488,15 @@ class TestLimits:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("resource cap: ")
+
+    def test_a_tag_without_the_twist_is_refused_at_once(self, capsys):
+        spec = TwistSpec(CartanType("A", 10**6), "triality")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^triality exists only for D4$"):
+            compute(spec)
+        assert time.perf_counter() - start < 0.05
+        assert main(["--type", "A", "--rank", str(10**6), "--auto", "triality"]) == 1
+        assert capsys.readouterr().err == "error: triality exists only for D4\n"
 
     def test_element_cap_implies_the_one_byte_limit(self):
         # every spec admitted under the default cap has at most MAX_ROOTS

@@ -36,6 +36,7 @@ def test_degree_product_is_weyl_order(family, rank):
     ds = degrees(t)
     assert math.prod(ds) == weyl_order(t)
     assert len(ds) == rank
+    assert list(ds) == sorted(ds)  # the order cap reads them ascending
     assert sum(d - 1 for d in ds) == root_count(t) // 2
 
 
@@ -104,11 +105,19 @@ def test_integer_reflection_matches_ambient_reflection(family, rank):
     rs = build_root_system(t)
     simple = simple_root_vectors(t)
     ambient = [ambient_vector(t, c) for c in rs.roots]
-    # the closure's reflection table holds the same images
-    for c, v, images in zip(rs.roots, ambient, rs.reflections, strict=True):
+    # the integer image of each root is a root, the ambient image's
+    for c, v in zip(rs.roots, ambient, strict=True):
         for i, alpha in enumerate(simple):
-            assert images[i] == simple_reflection(c, i, rs.cartan_matrix)
-            assert ambient[rs.root_index[images[i]]] == reflect(v, alpha)
+            image = simple_reflection(c, i, rs.cartan_matrix)
+            assert ambient[rs.root_index[image]] == reflect(v, alpha)
+
+
+def test_root_data_hold_no_reflection_table():
+    # the closure keeps no images: the pipeline reads none, and the oracle
+    # permutes the roots through simple_reflection
+    rs = build_root_system(CartanType("E", 6))
+    assert not hasattr(rs, "reflections")
+    assert rootsys._closure(rs.cartan_matrix, 72) == rs.roots
 
 
 @pytest.mark.parametrize("family,rank", DIAGRAM_CHECKED)
@@ -232,7 +241,7 @@ def test_compute_reads_each_type_once(family, rank, tag, types):
     # the input type is read to build the roots (the twist is checked on the
     # Dynkin diagram), the folded type to certify the folding; an identity
     # twist folds to the input type itself.  The diagram's Gram matrix is not memoized: it is
-    # O(r^2) integers, read once per Cartan matrix and once per build.
+    # O(r^2) integers, read once per Cartan matrix.
     memoized = (rootsys.cartan_matrix, rootsys._closure)
     for fn in memoized:
         fn.cache_clear()

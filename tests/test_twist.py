@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
@@ -5,22 +6,20 @@ from operator import mul
 import pytest
 
 from twistloop import rootsys, twist
-from twistloop.exact import mat_mul
 from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
                               ambient_roots, ambient_vector,
                               automorphism_matrix, classify_folded_roots,
                               fixed_space_matrices, fixed_space_stabilizer_perms,
-                              fixed_subspace,
-                              identity_matrix, mat_vec, orbit_sum_gram,
+                              fixed_subspace, folded_gram,
+                              identity_matrix, mat_mul, mat_vec, orbit_sum_gram,
                               orbit_sum_projection, projected_gram, rank,
                               restricted_fixed_space_group, simple_root_vectors,
                               vec_add, vec_dot, vec_scale, vector)
 from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, cartan_matrix
-from twistloop.twist import (check_folded_roots, fixed_group_info, folded_gram,
+from twistloop.twist import (check_folded_roots, fixed_group_info,
                              folded_root_system, make_automorphism,
                              orbit_count_criterion, orbits_on_roots,
-                             positive_orbit_sizes, project_roots,
-                             wsigma_preserves_folded)
+                             positive_orbit_sizes, project_roots)
 from twistloop.weyl import steinberg_rows
 
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
@@ -30,11 +29,24 @@ from test_wsigma import TWISTED, coset_inputs
 
 
 def permutes_folded_roots(matrices, fold):
-    """Dense reference for the preservation check: every matrix sends every
-    folded root to a folded root."""
+    """Dense reference for what the fold certificate implies: every matrix
+    sends every folded root to a folded root."""
     roots = set(fold.folded_roots)
     return all(tuple(sum(map(mul, row, v)) for row in g) in roots
                for g in matrices for v in roots)
+
+
+def gram_rows(gram):
+    """The rows of the simple reflections of a base with this Gram matrix,
+    s_k(v) = v + (row_k . v) e_k: row k is minus column k of its Cartan
+    matrix."""
+    return tuple(tuple(-a for a in col) for col in zip(*cartan_from_gram(gram)))
+
+
+def dense_rows(matrices):
+    """Row k of g_k - 1 for dense matrices g_k on the fixed subspace."""
+    return tuple(tuple(a - (j == k) for j, a in enumerate(g[k]))
+                 for k, g in enumerate(matrices))
 
 
 def ambient_projection_set(aut):
@@ -121,6 +133,17 @@ class TestMakeAutomorphism:
         rs = build_root_system(CartanType("A", 3))
         with pytest.raises(ValueError, match=message):
             make_automorphism(rs, perm)
+
+    def test_repeated_images_found_in_one_pass(self):
+        # counting each image's repeats scanned all the images once per image
+        n = 10**5
+        images = list(range(n))
+        images[-2:] = [5, 0]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^permutation is not a bijection: "
+                                             r"0, 5 named more than once$"):
+            twist.check_simple_perm(images, n)
+        assert time.perf_counter() - start < 0.5
 
     def test_positive_system_preserved(self):
         for fam, rk, tag in [("A", 4, "flip"), ("D", 5, "flip"),
@@ -288,45 +311,60 @@ class TestFolding:
     def test_folded_check_rejects_a_wrong_set_or_type(self):
         rs = build_root_system(CartanType("E", 6))
         aut = make_automorphism(rs, "flip")
-        roots = folded_root_system(aut).folded_roots
-        gram = projected_gram(aut)
-        check_folded_roots(roots, gram, CartanType("F", 4))
+        fold = folded_root_system(aut)
+        roots, rows = fold.folded_roots, fold.rows
+        # the rows walked from the Cartan matrix are the reflections of the
+        # projected simple roots, whose Gram matrix the oracle sums
+        assert rows == gram_rows(projected_gram(aut)) == gram_rows(folded_gram(aut))
+        check_folded_roots(roots, rows, CartanType("F", 4))
         # the highest root and its negative: the set stays symmetric and
         # keeps its simple base, so only the comparison with F4's roots fails
         top = max(roots, key=sum)
         neg = tuple(-c for c in top)
         with pytest.raises(ValueError, match="not the root system of F4"):
             check_folded_roots([v for v in roots if v not in (top, neg)],
-                               gram, CartanType("F", 4))
+                               rows, CartanType("F", 4))
         with pytest.raises(ValueError):
-            check_folded_roots([v for v in roots if v != top], gram, CartanType("F", 4))
+            check_folded_roots([v for v in roots if v != top], rows, CartanType("F", 4))
         for wrong in (CartanType("B", 4), CartanType("C", 4), CartanType("G", 2)):
             with pytest.raises(ValueError):
-                check_folded_roots(roots, gram, wrong)
+                check_folded_roots(roots, rows, wrong)
         # the orbit sums b_O = |O| beta_O as the base: F4 in the reverse
         # node order, whose roots are not the set
         with pytest.raises(ValueError, match="not the root system of F4"):
-            check_folded_roots(roots, orbit_sum_gram(aut), CartanType("F", 4))
+            check_folded_roots(roots, gram_rows(orbit_sum_gram(aut)), CartanType("F", 4))
         # a set missing a simple root
         unit = (0, 1, 0, 0)
         assert unit in roots
         with pytest.raises(ValueError, match="not the root system of F4"):
-            check_folded_roots([v for v in roots if v != unit], gram, CartanType("F", 4))
+            check_folded_roots([v for v in roots if v != unit], rows, CartanType("F", 4))
 
     def test_folded_check_rejects_a_doubled_short_root(self):
         # A4 flip: the projections hold 2v next to each short root v of B2
         aut = make_automorphism(build_root_system(CartanType("A", 4)), "flip")
         fold = folded_root_system(aut)
-        gram = projected_gram(aut)
+        rows = fold.rows
         proj = {v for v, _ in fold.projected_roots}
         short = [v for v in fold.folded_roots if tuple(2 * c for c in v) in proj]
         assert len(short) == 4
         swapped = [tuple(2 * c for c in v) if v == short[0] else v
                    for v in fold.folded_roots]
         with pytest.raises(ValueError, match="not the root system of B2"):
-            check_folded_roots(swapped, gram, CartanType("B", 2))
+            check_folded_roots(swapped, rows, CartanType("B", 2))
         with pytest.raises(ValueError):
-            check_folded_roots(sorted(proj), gram, CartanType("B", 2))
+            check_folded_roots(sorted(proj), rows, CartanType("B", 2))
+
+    @pytest.mark.parametrize("family,rank,tag,folded", [("A", 5, "flip", "C3"),
+                                                        ("B", 3, "identity", "B3")])
+    def test_folded_check_rejects_transposed_rows(self, family, rank, tag, folded):
+        # rows read as columns give the transposed Cartan matrix, the dual
+        # type's: B and C swap
+        fold = folded_root_system(make_automorphism(
+            build_root_system(CartanType(family, rank)), tag))
+        transposed = tuple(zip(*fold.rows))
+        assert transposed != fold.rows
+        with pytest.raises(ValueError, match=f"folded Cartan matrix does not match {folded}"):
+            check_folded_roots(fold.folded_roots, transposed, fold.folded_type)
 
 
 class TestCriteria:
@@ -356,7 +394,8 @@ class TestCriteria:
             stab = fixed_space_stabilizer_perms(w, aut.simple_perm)
             restricted = restricted_fixed_space_group(w, aut.simple_perm, stab)
             assert permutes_folded_roots(restricted.elements, fold)
-            assert wsigma_preserves_folded(coset_inputs(fam, rk, tag)[-1], fold)
+            # the fold certified the rows of the oracle's dense generators
+            assert dense_rows(coset_inputs(fam, rk, tag)[3]) == fold.rows
 
     def test_identity_weyl_permutes_own_roots(self):
         rs = build_root_system(CartanType("A", 2))
@@ -364,7 +403,7 @@ class TestCriteria:
         fold = folded_root_system(aut)
         w = WeylPermutationGroup(rs)
         assert permutes_folded_roots(w.to_matrix_group().elements, fold)
-        assert wsigma_preserves_folded(coset_inputs("A", 2, "identity")[-1], fold)
+        assert dense_rows(coset_inputs("A", 2, "identity")[3]) == fold.rows
 
 
 class TestProjectionEquivariance:

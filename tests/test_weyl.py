@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from twistloop.exact import BigradedSeries, mat_mul, product_over_degrees
+from twistloop.exact import BigradedSeries, product_over_degrees
 from twistloop.oracle import (FiniteMatrixGroup, SubspaceBasis, collapse_to_cohomological,
                               WeylPermutationGroup, charpoly, dets_from_charpoly,
                               fixed_space_stabilizer_perms, fixed_subspace,
-                              generate_group, identity_matrix, mat_vec, matrix,
+                              generate_group, identity_matrix, mat_mul, mat_vec, matrix,
                               rational_function_series, reflection_matrix,
                               restrict_to_subspace, restricted_fixed_space_group,
                               simple_root_vectors, solve, subspace_stabilizer,

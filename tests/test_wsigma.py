@@ -14,9 +14,10 @@ for every twisted case of the acceptance matrix (A_n and D_n flips from
 their classical (signed) permutations, the others by closing all of W)
 and compare: the element set with the centralizer or fixed-subspace
 stabilizer, the restricted image with W^sigma, the power-trace buckets
-with the Berkowitz buckets, and the generator-only preservation check
-with the exhaustive one.  The stream itself is compared with the
-breadth-first closure of the same generators.
+with the Berkowitz buckets, and the rows the fold certificate accepted
+with an exhaustive check that the whole group permutes the folded roots.
+The stream itself is compared with the breadth-first closure of the same
+generators.
 """
 
 import time
@@ -28,10 +29,10 @@ import pytest
 from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
 from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, weyl_order
-from twistloop.twist import (expected_folded_type, folded_gram, folded_root_system,
-                             make_automorphism, wsigma_preserves_folded)
+from twistloop.twist import (check_folded_roots, expected_folded_type,
+                             folded_root_system, make_automorphism)
 from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
-                              classical_wsigma_perms, close_permutations,
+                              classical_wsigma_perms, close_permutations, folded_gram,
                               fixed_space_charpoly_buckets, fixed_space_stabilizer_perms,
                               restricted_fixed_space_group, wsigma_elements)
 from twistloop.weyl import GroupTooLargeError, coset_indices, steinberg_rows
@@ -297,14 +298,13 @@ def test_wsigma_agrees_with_full_enumeration(family, rank, tag):
     buckets = fixed_space_charpoly_buckets(action, aut.simple_perm, wsigma)
     assert buckets == restricted.charpoly_buckets
 
-    on_generators = wsigma_preserves_folded(
-        steinberg_rows(rs.cartan_type, aut.simple_perm), fold)
+    # the fold certified the walked rows, so the report says W^sigma
+    # preserves the folded roots: every element of it does
+    assert fold.rows == steinberg_rows(rs.cartan_type, aut.simple_perm)
     roots = set(fold.folded_roots)
     # the fixed-space matrices are integers: no scalar normalization needed
-    exhaustive = all(dense_image(g, v) in roots
-                     for g in restricted.elements for v in fold.folded_roots)
-    assert exhaustive
-    assert on_generators == exhaustive
+    assert all(dense_image(g, v) in roots
+               for g in restricted.elements for v in fold.folded_roots)
 
 
 @pytest.mark.parametrize("family,rank,tag", TWISTED[:4] + TWISTED[-3:])
@@ -334,13 +334,16 @@ def test_identity_twist_is_the_full_weyl_group(family, rank):
 
 
 def test_preservation_check_rejects_a_foreign_generator():
+    # the fold certificate is the preservation check: rows that pass it are
+    # the folded type's simple reflections, and no others pass
     aut, _, _, _, rows = coset_inputs("A", 3, "flip")
     fold = folded_root_system(aut)
-    assert wsigma_preserves_folded(rows, fold)
+    check_folded_roots(fold.folded_roots, rows, fold.folded_type)
     stretch = (1, 0)  # v_0 -> 2 v_0: row 0 of ((2, 0), (0, 1)) - 1
-    assert not wsigma_preserves_folded((stretch,) + rows[1:], fold)
-    with pytest.raises(ValueError):
-        wsigma_preserves_folded(((1,),), fold)
+    with pytest.raises(ValueError, match="folded Cartan matrix does not match C2"):
+        check_folded_roots(fold.folded_roots, (stretch,) + rows[1:], fold.folded_type)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        check_folded_roots(fold.folded_roots, ((1,),), fold.folded_type)
 
 
 @pytest.mark.parametrize("foreign", [
@@ -353,11 +356,14 @@ def test_preservation_check_rejects_non_symmetries(foreign):
     fold = folded_root_system(aut)
     k, row = foreign
     assert row not in rows
-    assert wsigma_preserves_folded(rows, fold)
-    assert wsigma_preserves_folded(((0, 0, 0),), fold)  # the identity
-    assert not wsigma_preserves_folded(rows[:k] + (row,) + rows[k + 1:], fold)
-    with pytest.raises(ValueError, match="wrong dimension"):
-        wsigma_preserves_folded((row[:2],), fold)
+    check_folded_roots(fold.folded_roots, rows, fold.folded_type)
+    with pytest.raises(ValueError, match="folded Cartan matrix does not match B3"):
+        check_folded_roots(fold.folded_roots, rows[:k] + (row,) + rows[k + 1:],
+                           fold.folded_type)
+    # a short row, alone or among full ones, is refused before it is read
+    for short in ((row[:2],), rows[:k] + (row[:2],) + rows[k + 1:]):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            check_folded_roots(fold.folded_roots, short, fold.folded_type)
 
 
 def test_a9_flip_without_full_enumeration():
