@@ -7,8 +7,7 @@ from .report import (ClosedForm, TwistReport, TwistSpec, compute,
 from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, FoldingResult, folded_root_system,
-                    make_automorphism, orbit_count_criterion, orbits_on_roots,
-                    project_roots)
+                    make_automorphism, orbit_count_criterion, project_roots)
 from .weyl import GroupTooLargeError, coset_indices, steinberg_rows
 
 __all__ = [
@@ -18,7 +17,7 @@ __all__ = [
     "TwistSpec", "build_root_system", "compute", "coset_indices",
     "degrees", "excluded_characteristics", "folded_root_system",
     "make_automorphism",
-    "orbit_count_criterion", "orbits_on_roots", "product_over_degrees",
+    "orbit_count_criterion", "product_over_degrees",
     "project_roots", "root_count",
     "solomon_series", "steinberg_rows", "weyl_order",
 ]

@@ -50,19 +50,17 @@ class Record:
     ``Sub(*args, **kwargs)`` binds arguments to fields as a function with
     those parameters would, takes ``_defaults`` for the rest, then calls
     ``_check``, which may normalize a field with ``object.__setattr__``.
-    Equality, hashing and repr use the fields in order, except those the
-    class statement names in ``hidden``: ``class R(Record, hidden=("x",))``.
-    The compared values are kept as one tuple, so == and hash() read two
-    slots instead of every field.
+    Equality, hashing and repr use the fields in order.  The compared
+    values are kept as one tuple, so == and hash() read two slots instead
+    of every field.
     """
 
     __slots__ = ("_key",)
     _defaults: dict = {}
 
-    def __init_subclass__(cls, hidden=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._compared = tuple(n for n in cls.__slots__ if n not in hidden)
-        cls._values = attrgetter(*cls._compared)
+        cls._values = attrgetter(*cls.__slots__)
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -105,7 +103,7 @@ class Record:
         return hash(self._key)
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._compared)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -15,9 +15,10 @@ closure carries each root's pairings; exact rational vectors and matrices
 the Fraction root closure :func:`ambient_roots` under :func:`reflect`,
 the ambient matrix of a diagram automorphism and its ambient
 :func:`fixed_subspace`, where the pipeline works only in integer
-coordinates over the simple roots; the
-projection of the roots as an average over sigma's powers over the orbit
-sums of simple roots (:func:`orbit_sum_projection`,
+coordinates over the simple roots; sigma's permutation of the roots
+(:func:`root_permutation`), where the pipeline counts the positive roots
+sigma fixes; the projection of the roots as an average over sigma's
+powers over the orbit sums of simple roots (:func:`orbit_sum_projection`,
 :func:`orbit_sum_gram`), the Gram matrix of the projected simple roots
 in Fractions (:func:`projected_gram`) and an integer multiple of it
 summed from the Dynkin diagram (:func:`folded_gram`), and a classifier
@@ -83,7 +84,7 @@ from itertools import combinations
 from .exact import BigradedSeries, Record, normalize_scalar, product_over_degrees
 from .report import ClosedForm
 from .rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
-                      simple_gram)
+                      simple_gram, weyl_order)
 from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import DEFAULT_ELEMENT_CAP, GroupTooLargeError, _perm_orbits
 
@@ -377,6 +378,17 @@ def fixed_subspace(a: DiagramAutomorphism) -> SubspaceBasis:
     return SubspaceBasis(len(simple[0]), tuple(basis))
 
 
+def root_permutation(a: DiagramAutomorphism) -> tuple[int, ...]:
+    """sigma on the root indices, each image looked up in an index of the
+    roots: root c goes to c' with c'[perm[j]] = c[j].  The pipeline counts
+    sigma's orbits from its fixed roots instead
+    (:func:`twistloop.twist.positive_orbit_sizes`)."""
+    roots, perm = a.base.roots, a.simple_perm
+    index = {c: i for i, c in enumerate(roots)}
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple(index[tuple(c[j] for j in inverse)] for c in roots)
+
+
 def orbit_sum_projection(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     """Averages of the roots over the automorphism's powers, written in the
     orbit-sum basis b_O = sum_{i in O} alpha_i of the fixed subspace;
@@ -385,6 +397,7 @@ def orbit_sum_projection(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ..
     rs = a.base
     r = rs.cartan_type.rank
     reps = [orb[0] for orb in a.simple_orbits]
+    sigma = root_permutation(a)
     counts: dict[Vector, int] = {}
     for idx in range(len(rs.roots)):
         avg = [0] * r
@@ -392,7 +405,7 @@ def orbit_sum_projection(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ..
         for _ in range(a.order):
             for i, c in enumerate(rs.roots[j]):
                 avg[i] += c
-            j = a.root_perm[j]
+            j = sigma[j]
         coords = vector(Fraction(avg[rep], a.order) for rep in reps)
         counts[coords] = counts.get(coords, 0) + 1
     return tuple(sorted(counts.items()))
@@ -663,7 +676,9 @@ class RootPermutationAction:
         if len(rs.roots) > MAX_BYTE_ROOTS:
             raise GroupTooLargeError("root set too large for byte-permutation encoding")
         self.root_system = rs
-        index, cartan, rank = rs.root_index, rs.cartan_matrix, rs.cartan_type.rank
+        self.positive = tuple(min(c) >= 0 for c in rs.roots)
+        index = {c: i for i, c in enumerate(rs.roots)}
+        cartan, rank = rs.cartan_matrix, rs.cartan_type.rank
         self.simple_indices = tuple(index[_unit(rank, i)] for i in range(rank))
         self.simple_reflections = tuple(
             bytes(index[simple_reflection(c, i, cartan)] for c in rs.roots)
@@ -678,7 +693,7 @@ class RootPermutationAction:
         O, while w(alpha_i) is positive), here over root permutations.
         For sigma = identity these are the simple reflections, in node
         order."""
-        positive = self.root_system.positive_mask
+        positive = self.positive
         steps = len(self.root_system.roots) // 2  # no element is longer
         generators = []
         for orb in _perm_orbits(simple_perm):
@@ -728,14 +743,13 @@ class WeylPermutationGroup(RootPermutationAction):
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_ELEMENT_CAP):
         super().__init__(root_system)
-        rs = root_system
-        if rs.weyl_order > cap:
-            raise GroupTooLargeError(
-                f"Weyl group of order {rs.weyl_order} exceeds the cap {cap}")
+        order = weyl_order(root_system.cartan_type)
+        if order > cap:
+            raise GroupTooLargeError(f"Weyl group of order {order} exceeds the cap {cap}")
         self.elements = close_permutations(self.simple_reflections, cap)
-        if len(self.elements) != rs.weyl_order:
+        if len(self.elements) != order:
             raise ValueError(f"enumerated {len(self.elements)} elements, "
-                             f"expected {rs.weyl_order}")
+                             f"expected {order}")
 
     def __len__(self):
         return len(self.elements)

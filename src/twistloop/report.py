@@ -30,8 +30,9 @@ small).  The series-level comparison is a reference in
 :mod:`twistloop.oracle` (``recognize_closed_form``).
 
 Solomon's bigraded series over the same degrees, the report's
-``bigraded`` field, is expanded only when it is read (or under
-``run_oracle``, which compares it with a brute-force count); the single
+``bigraded`` property, is computed on each read from the report's folded
+type and truncation (and under ``run_oracle``, which compares it with a
+brute-force count); the report stores no bigraded series, and the single
 series and the JSON never need it.
 
 The one deliberate shortcut: untwisted E8 is answered from the
@@ -53,8 +54,7 @@ from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, OrbitCriterion, check_tag,
                     expected_folded_type, fixed_group_info, folded_root_system,
-                    make_automorphism, orbit_count_criterion, positive_orbit_sizes,
-                    resolve_twist)
+                    make_automorphism, positive_orbit_sizes, resolve_twist)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError, _perm_order,
                    certify_jacobian, coset_indices)
 
@@ -108,16 +108,13 @@ class ClosedForm(Record):
     y_degrees: tuple[int, ...]
 
 
-class TwistReport(Record, hidden=("bigraded",)):
-    """The pipeline's answer for one spec.  ``bigraded`` (the bigraded
-    series, None on the table route) is left out of ==, hash and repr;
-    :func:`compute` leaves it as the arguments of :func:`solomon_series`,
-    expanded on first read."""
+class TwistReport(Record):
+    """The pipeline's answer for one spec."""
 
     __slots__ = ("cartan_type", "automorphism", "truncation", "folded_type",
                  "orbit_criterion", "positive_orbit_sizes", "stabilizer_order",
                  "restricted_order", "preserves_folded", "series", "closed_form",
-                 "excluded_characteristics", "notes", "bigraded")
+                 "excluded_characteristics", "notes")
     cartan_type: CartanType
     automorphism: str
     truncation: int
@@ -131,8 +128,12 @@ class TwistReport(Record, hidden=("bigraded",)):
     closed_form: ClosedForm | None
     excluded_characteristics: tuple[int, ...]
     notes: tuple[str, ...]
-    bigraded: BigradedSeries | None
-    _defaults = {"bigraded": None}
+
+    @property
+    def bigraded(self) -> BigradedSeries:
+        """Solomon's bigraded series over the folded type's degrees, expanded
+        to the report's truncation on each read."""
+        return solomon_series(degrees(self.folded_type), self.truncation)
 
     def to_json_dict(self) -> dict:
         return self._json_dict(list(self.series))
@@ -205,28 +206,6 @@ class TwistReport(Record, hidden=("bigraded",)):
 
 
 # ---------------------------------------------------------------------------
-# the bigraded series, expanded on first read
-# ---------------------------------------------------------------------------
-
-def _bigraded_on_read(slot):
-    """A property over the ``bigraded`` slot: a deferred product, the tuple
-    (degrees, truncation), is expanded on first read and the slot keeps the
-    series."""
-
-    def read(self) -> BigradedSeries | None:
-        value = slot.__get__(self, TwistReport)
-        if type(value) is tuple:
-            value = solomon_series(*value)
-            slot.__set__(self, value)
-        return value
-
-    return property(read, slot.__set__)
-
-
-TwistReport.bigraded = _bigraded_on_read(TwistReport.bigraded)
-
-
-# ---------------------------------------------------------------------------
 # excluded characteristics
 # ---------------------------------------------------------------------------
 
@@ -249,16 +228,17 @@ def excluded_characteristics(cartan_type: CartanType,
     """Primes dividing the Weyl order, the twist order, or the component
     count of the fixed subgroup (taken over both documented
     representatives, so the guarantee is conservative).  Read from the
-    type and the twist alone; no root system is built."""
+    type and the twist alone; no root system is built, and the Weyl order,
+    the product of the degrees, is not formed: its primes are theirs."""
     perm, tag = resolve_twist(cartan_type, automorphism)
     return _excluded_primes(cartan_type, perm, tag)
 
 
 def _excluded_primes(t: CartanType, simple_perm: tuple[int, ...],
                      tag: str) -> tuple[int, ...]:
-    primes = _prime_factors(weyl_order(t)) | _prime_factors(_perm_order(simple_perm))
-    for c in fixed_group_info(t, tag).component_counts:
-        primes |= _prime_factors(c)
+    primes = _prime_factors(_perm_order(simple_perm))
+    for n in {*ascending_degrees(t), *fixed_group_info(t, tag).component_counts}:
+        primes |= _prime_factors(n)
     return tuple(sorted(primes))
 
 
@@ -327,6 +307,8 @@ def compute(spec: TwistSpec) -> TwistReport:
     # subspace, and certifies with them that W^sigma permutes the folded roots
     folding = folded_root_system(aut)
     pos_sizes = positive_orbit_sizes(aut)
+    # negation commutes with sigma: as many orbits on the negative roots
+    criterion = OrbitCriterion(2 * len(pos_sizes), len(folding.folded_roots))
     notes = [fixed_group_info(t, tag).note]
     sizes_note = ", ".join(f"{pos_sizes.count(s)} of size {s}"
                            for s in sorted(set(pos_sizes)))
@@ -339,7 +321,7 @@ def compute(spec: TwistSpec) -> TwistReport:
     if table_path:
         notes.append("series from the invariant-degree table; Weyl enumeration "
                      "skipped (group order exceeds the element cap)")
-        closed, bigraded = _closed_form(ds), None
+        closed = _closed_form(ds)
     else:
         try:
             coset_indices(folding.rows, order)
@@ -352,9 +334,6 @@ def compute(spec: TwistSpec) -> TwistReport:
         except ValueError as exc:
             raise ValueError(f"{t} {tag}: {exc}") from None
         closed = _closed_form_or_note(ds, spec.truncation, notes)
-        # the oracle compares the bigraded series; otherwise it waits for a read
-        bigraded = (solomon_series(ds, spec.truncation) if spec.run_oracle
-                    else (ds, spec.truncation))
     series = product_over_degrees(ds, spec.truncation)
 
     notes.append(f"restricted stabilizer image matches the folded Weyl group order {order}")
@@ -374,7 +353,7 @@ def compute(spec: TwistSpec) -> TwistReport:
     if spec.run_oracle:
         notes.append("oracle skipped: no enumerated group on the table path"
                      if table_path else
-                     _oracle_note(spec, aut, order, bigraded))
+                     _oracle_note(spec, aut, order, solomon_series(ds, spec.truncation)))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -382,7 +361,7 @@ def compute(spec: TwistSpec) -> TwistReport:
                       "perm=" + ",".join(str(i + 1) for i in spec.automorphism)),
         truncation=spec.truncation,
         folded_type=folded_type,
-        orbit_criterion=orbit_count_criterion(aut, folding),
+        orbit_criterion=criterion,
         positive_orbit_sizes=pos_sizes,
         stabilizer_order=order,
         restricted_order=order,
@@ -391,7 +370,6 @@ def compute(spec: TwistSpec) -> TwistReport:
         closed_form=closed,
         excluded_characteristics=_excluded_primes(t, aut.simple_perm, tag),
         notes=tuple(notes),
-        bigraded=bigraded,
     )
 
 

@@ -13,16 +13,20 @@ are then the closure of the unit vectors under the integer simple
 reflections s_i(c) = c - <c, alpha_i^vee> e_i.  The closure carries each
 root's pairings (<c, alpha_i^vee>)_i and moves them by one row of the
 Cartan matrix per reflection, so an image costs O(r), and one the
-pairing leaves in place costs nothing.  It keeps the roots, not their
-images, and also certifies a folding
+pairing leaves in place costs nothing.  It keeps the roots, sorted, not
+their images, and also certifies a folding
 (:func:`twistloop.twist.folded_root_system`).  Every later stage works
 in these coordinates.
 
 Every constructed system is self-verified: Cartan matrix entries, root
 count, uniform sign of root coordinates, closure under negation, and
-product-of-degrees == Weyl order.  The classical realization of the
-simple roots in ambient coordinates, its Gram matrix and the closure of
-its roots are test references in :mod:`twistloop.oracle`.
+product-of-degrees == Weyl order.  Sorted, uniformly signed and closed
+under negation, the roots hold the negative ones in their first half and
+the positive ones in their second, so no index of the roots and no sign
+mask is kept.  The classical realization of the simple roots in ambient
+coordinates, its Gram matrix, the closure of its roots and the index of
+the roots that permuting them needs are test references in
+:mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -222,11 +226,11 @@ def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
 
 
 class RootSystem:
-    """Immutable bundle of roots, Cartan data and the Weyl invariant-degree
-    table.
+    """Immutable bundle of a type, its Cartan matrix and its roots.
 
-    ``roots[i]`` is root i as an integer vector over the simple base, and
-    ``root_index`` inverts ``roots``.
+    ``roots[i]`` is root i as an integer vector over the simple base.  The
+    roots are sorted and closed under negation, so the negative roots are
+    the first half and the positive roots the second.
     """
 
     def __init__(self, cartan_type: CartanType):
@@ -234,19 +238,14 @@ class RootSystem:
         self.cartan_type = t
         self.cartan_matrix = cartan_matrix(t)
         self.roots = _closure(self.cartan_matrix, root_count(t))
-        self.root_index = {c: i for i, c in enumerate(self.roots)}
-        self.positive_mask = tuple(min(c) >= 0 for c in self.roots)
-        self.weyl_order = weyl_order(t)
-        self.degrees = degrees(t)
         self._validate()
 
     def _validate(self):
-        roots = self.roots
-        expected = root_count(self.cartan_type)
+        t, roots = self.cartan_type, self.roots
+        expected = root_count(t)
         if len(roots) != expected:
-            raise ValueError(f"{self.cartan_type}: built {len(roots)} roots, "
-                             f"expected {expected}")
-        if math.prod(self.degrees) != self.weyl_order:
+            raise ValueError(f"{t}: built {len(roots)} roots, expected {expected}")
+        if math.prod(degrees(t)) != weyl_order(t):
             raise ValueError("degree product disagrees with Weyl order")
         # Negation reverses the lexicographic order, so a sorted set (the
         # closure returns the roots sorted) is closed under it exactly when
@@ -260,7 +259,7 @@ class RootSystem:
                 raise ValueError("root set not closed under negation")
 
     def positive_roots(self) -> tuple[Root, ...]:
-        return tuple(c for c, pos in zip(self.roots, self.positive_mask) if pos)
+        return self.roots[len(self.roots) // 2:]
 
     def __repr__(self):
         return f"RootSystem({self.cartan_type}, {len(self.roots)} roots)"

@@ -5,12 +5,15 @@ diagram automorphism sigma permuting the simple nodes, which preserves the
 Dynkin diagram, its edges and the lengths of the simple roots, and so the
 Cartan matrix.  Over the simple base sigma is a coordinate permutation,
 c'[perm[j]] = c[j], so it permutes the roots and preserves the positive
-system.  Its fixed subspace has the projected simple roots
-beta_O = pi(alpha_i), i in O, as a basis, one per sigma-orbit O of simple
-nodes, where pi is the average over sigma's powers (beta_O is the orbit
-sum of simple roots divided by |O|).  A root c projects to the integer
-vector of its orbit sums, (sum_{i in O} c_i)_O.  Every step is integer
-arithmetic.
+system.  That permutation is never formed: sigma has order 1, 2 or 3, so
+each of its orbits on the roots is one fixed root or has as many roots
+as its order, and the orbit sizes follow from the number of fixed
+positive roots (:func:`positive_orbit_sizes`).  Its fixed subspace has
+the projected simple roots beta_O = pi(alpha_i), i in O, as a basis, one
+per sigma-orbit O of simple nodes, where pi is the average over sigma's
+powers (beta_O is the orbit sum of simple roots divided by |O|).  A root
+c projects to the integer vector of its orbit sums, (sum_{i in O} c_i)_O.
+Every step is integer arithmetic.
 
 The folded root system is the set of indivisible projected roots (v with
 v/2 not a projection), which reproduces the classical folding table:
@@ -27,9 +30,9 @@ must be the table's type in some order of the nodes, and the folded set
 the closure of the beta_O under the rows' reflections, which then
 permute it; the construction errors out otherwise.  The ambient matrix
 of sigma, its ambient fixed subspace, the average over sigma's powers,
-the Gram matrix of the beta_O (an integer multiple and in Fractions)
-and a from-scratch classifier of the folded set are test references in
-:mod:`twistloop.oracle`.
+the Gram matrix of the beta_O (an integer multiple and in Fractions),
+a from-scratch classifier of the folded set and sigma's permutation of
+the roots are test references in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -45,14 +48,14 @@ AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
 
 
 class DiagramAutomorphism(Record):
-    """A Dynkin-diagram symmetry and the permutation it induces on the roots."""
+    """A Dynkin-diagram symmetry of a root system: its node permutation,
+    order and tag."""
 
-    __slots__ = ("base", "simple_perm", "order", "tag", "root_perm")
+    __slots__ = ("base", "simple_perm", "order", "tag")
     base: RootSystem
     simple_perm: tuple[int, ...]
     order: int
     tag: str
-    root_perm: tuple[int, ...]
 
     @property
     def simple_orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -67,10 +70,6 @@ def _is_diagram_symmetry(t: CartanType, perm: Sequence[int]) -> bool:
     return (all(lengths[p] == length for p, length in zip(perm, lengths))
             and {frozenset((perm[i], perm[j])) for i, j in edges}
             == set(map(frozenset, edges)))
-
-
-def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def check_tag(t: CartanType, tag: str) -> None:
@@ -97,8 +96,8 @@ def _simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
         if fam == "D":
             return tuple(range(r - 2)) + (r - 1, r - 2)
         return (5, 1, 4, 3, 2, 0)  # E6
-    perm = (2, 1, 3, 0)  # D4: nodes 1 -> 3 -> 4 -> 1, node 2 fixed
-    return perm if tag == "triality" else _inverse(perm)
+    # D4: nodes 1 -> 3 -> 4 -> 1 with node 2 fixed, or the inverse cycle
+    return (2, 1, 3, 0) if tag == "triality" else (3, 1, 0, 2)
 
 
 def check_simple_perm(images: Sequence[int], rank: int, base: int = 0) -> None:
@@ -150,27 +149,26 @@ def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, 
 def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutomorphism:
     """Build a diagram automorphism from a tag or an explicit permutation
     of simple-root indices (0-based images), checked on the Dynkin
-    diagram (:func:`resolve_twist`)."""
+    diagram (:func:`resolve_twist`).  The roots are not permuted."""
     perm, tag = resolve_twist(rs.cartan_type, spec)
-    inverse = _inverse(perm)  # c'[perm[j]] = c[j] reads c'[k] = c[inverse[k]]
-    root_perm = tuple(rs.root_index[tuple(c[j] for j in inverse)] for c in rs.roots)
-    return DiagramAutomorphism(rs, perm, _perm_order(perm), tag, root_perm)
+    return DiagramAutomorphism(rs, perm, _perm_order(perm), tag)
 
 
 # ---------------------------------------------------------------------------
 # orbits, projection, folding
 # ---------------------------------------------------------------------------
 
-def orbits_on_roots(a: DiagramAutomorphism) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the root indices under the automorphism."""
-    return _perm_orbits(a.root_perm)
-
-
 def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
-    """Sorted orbit sizes of the action on the positive roots."""
-    mask = a.base.positive_mask
-    sizes = [len(orb) for orb in orbits_on_roots(a) if mask[orb[0]]]
-    return tuple(sorted(sizes))
+    """Sorted orbit sizes of the automorphism on the positive roots, the
+    second half of the sorted roots.  Its order is 1, 2 or 3, so an orbit
+    is one root that sigma fixes (c[i] == c[perm[i]] for every node i) or
+    has as many roots as its order: only the fixed roots are counted, and
+    no root is permuted."""
+    roots = a.base.roots
+    positive = roots[len(roots) // 2:]
+    moved = [(i, p) for i, p in enumerate(a.simple_perm) if i != p]
+    fixed = sum(all(c[i] == c[p] for i, p in moved) for c in positive)
+    return (1,) * fixed + (a.order,) * ((len(positive) - fixed) // a.order)
 
 
 def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
@@ -298,10 +296,12 @@ def orbit_count_criterion(a: DiagramAutomorphism,
                           folding: FoldingResult | None = None) -> OrbitCriterion:
     """Compare the number of automorphism orbits on the roots with the size
     of the folded system.  Equality implies the projected and folded
-    systems coincide; inequality is inconclusive, not a failure."""
+    systems coincide; inequality is inconclusive, not a failure.  Negation
+    commutes with sigma, so the orbits on the negative roots mirror those
+    on the positive ones."""
     if folding is None:
         folding = folded_root_system(a)
-    return OrbitCriterion(len(orbits_on_roots(a)), len(folding.folded_roots))
+    return OrbitCriterion(2 * len(positive_orbit_sizes(a)), len(folding.folded_roots))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ large prime.  With the degrees multiplying to |W^sigma|, the invariant
 ring is then polynomial in them, so the report's series is the product
 over them (:func:`twistloop.exact.product_over_degrees`), and Solomon's
 product (:func:`twistloop.exact.solomon_series`), the bigraded series,
-is expanded only when it is asked for.  No element of W^sigma is
-enumerated and no root is permuted.
+is expanded on each read of the report's ``bigraded``.  No element of
+W^sigma is enumerated and no root is permuted.
 
 The element-by-element references (the simple reflections as byte
 permutations of the roots and the walk of Steinberg's generators over

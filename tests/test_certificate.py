@@ -18,19 +18,21 @@ from pathlib import Path
 
 import pytest
 
+import twistloop
 from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
 from twistloop.oracle import collapse_to_cohomological
-from twistloop.report import TwistSpec, compute
+from twistloop.report import TwistReport, TwistSpec, compute
 from twistloop.oracle import RootPermutationAction
 from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
-from twistloop.twist import expected_folded_type, folded_root_system, make_automorphism
+from twistloop.twist import (DiagramAutomorphism, expected_folded_type, folded_root_system,
+                             make_automorphism)
 from twistloop.weyl import certify_jacobian, coset_indices, steinberg_rows
 
 from test_acceptance import expected_series
 from test_wsigma import STREAMED
 
 TRUNC = 50
-PIPELINE = (cli, exact, report, rootsys, twist, weyl)
+PIPELINE = (twistloop, cli, exact, report, rootsys, twist, weyl)
 MOVED_TO_ORACLE = ("_walk_products", "wsigma_elements", "fixed_space_charpoly_buckets",
                    "super_molien_from_buckets", "rational_function_series",
                    "dets_from_charpoly", "wsigma_transversals", "fixed_space_matrices",
@@ -39,12 +41,13 @@ MOVED_TO_ORACLE = ("_walk_products", "wsigma_elements", "fixed_space_charpoly_bu
 # the multi-row form of the generators, replaced by one row each; the row
 # read off a dense matrix, then off a walk over root permutations,
 # replaced by the row walked from the Cartan matrix; the degrees read off
-# a Coxeter element, replaced by the certified degree table; and the
-# preservation check, replaced by the fold certificate on the rows
+# a Coxeter element, replaced by the certified degree table; the
+# preservation check, replaced by the fold certificate on the rows; and
+# sigma's orbits on the roots, replaced by the count of its fixed roots
 DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit",
            "reflection_rows", "fixed_space_rows", "invariant_degrees",
            "_fixed_space_traces", "_exponents", "_cyclotomic", "_divide_monic",
-           "wsigma_preserves_folded")
+           "wsigma_preserves_folded", "orbits_on_roots")
 
 
 def certificate_inputs(family, rank, tag):
@@ -102,12 +105,21 @@ def test_compute_never_walks_the_group(monkeypatch):
 
 
 def test_compute_forms_no_root_permutation(monkeypatch):
-    # the rows are walked from the Cartan matrix; only --check, through the
-    # oracle, permutes the roots
+    # the rows are walked from the Cartan matrix and sigma's orbits counted
+    # from its fixed roots; only --check, through the oracle, permutes the
+    # roots.  The records hold no permutation, index, sign mask or bigraded
+    # series.
+    assert "root_perm" not in DiagramAutomorphism.__slots__
+    rs = build_root_system(CartanType("E", 6))
+    assert not hasattr(rs, "root_index") and not hasattr(rs, "positive_mask")
+    assert TwistReport.__slots__[-1] == "notes"
+    assert "hidden" not in inspect.signature(exact.Record.__init_subclass__).parameters
+
     def refuse(*args, **kwargs):
         raise AssertionError("root permutations on the pipeline path")
 
     monkeypatch.setattr(RootPermutationAction, "__init__", refuse)
+    monkeypatch.setattr(oracle, "root_permutation", refuse)
     for family, rank, tag in STREAMED:
         rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=TRUNC))
         assert rpt.stabilizer_order == weyl_order(rpt.folded_type), (family, rank, tag)

@@ -20,10 +20,13 @@ change log:
 
 import hashlib
 import json
+from functools import cache
 from pathlib import Path
 
 from twistloop import CartanType
-from twistloop.report import TwistSpec, compute
+from twistloop.exact import solomon_series
+from twistloop.report import TwistReport, TwistSpec, compute
+from twistloop.rootsys import degrees
 
 from conftest import cached_report
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
@@ -51,7 +54,8 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digests() -> dict[str, dict[str, str]]:
+@cache
+def golden_reports() -> dict[str, TwistReport]:
     reports = {f"{f}{r} {tag} T50": cached_report(f, r, tag) for f, r, tag in MATRIX}
     for f, r, tag in CHECKED:
         reports[f"{f}{r} {tag} T50 --check"] = compute(
@@ -59,8 +63,12 @@ def digests() -> dict[str, dict[str, str]]:
     for f, r, auto, t in EXTRA:
         rpt = cached_report(f, r, auto, t)
         reports[f"{f}{r} {rpt.automorphism} T{t}"] = rpt
+    return reports
+
+
+def digests() -> dict[str, dict[str, str]]:
     return {name: {"json": _sha(rpt.to_json()), "text": _sha(rpt.to_text())}
-            for name, rpt in reports.items()}
+            for name, rpt in golden_reports().items()}
 
 
 def test_reports_match_golden_digests():
@@ -69,6 +77,13 @@ def test_reports_match_golden_digests():
     differing = sorted(name for name in want.keys() | got.keys()
                        if want.get(name) != got.get(name))
     assert not differing, f"reports differ from the golden digests: {differing}"
+
+
+def test_bigraded_series_read_off_the_report_fields():
+    # the report stores no bigraded series: each read expands Solomon's
+    # product over the folded type's degrees, the E8 table route's too
+    for name, rpt in golden_reports().items():
+        assert rpt.bigraded == solomon_series(degrees(rpt.folded_type), rpt.truncation), name
 
 
 if __name__ == "__main__":

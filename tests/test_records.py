@@ -1,15 +1,15 @@
 """The contract of the pipeline's immutable records (:class:`twistloop.exact.Record`):
 construction by position and by keyword with the same defaults, value
-equality and hashing, ordering of Cartan types, fields left out of the
-comparison, refusal of assignment and deletion, and the validation
-messages."""
+equality and hashing, ordering of Cartan types, the report's bigraded
+series derived from its fields, refusal of assignment and deletion, and
+the validation messages."""
 
 import copy
 import pickle
 
 import pytest
 
-from twistloop.exact import DEFAULT_TRUNCATION, BigradedSeries, Record
+from twistloop.exact import DEFAULT_TRUNCATION, BigradedSeries, Record, solomon_series
 from twistloop.oracle import SubspaceBasis
 from twistloop.report import ClosedForm, TwistReport, TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system
@@ -24,7 +24,7 @@ _RS = build_root_system(CartanType("A", 1))
 SAMPLES = [
     (BigradedSeries, (4, {(0, 0): 1, (1, 1): 2})),
     (CartanType, ("E", 6)),
-    (DiagramAutomorphism, (_RS, (0,), 1, "identity", (0, 1))),
+    (DiagramAutomorphism, (_RS, (0,), 1, "identity")),
     (FoldingResult, ((((1,), 1), ((-1,), 1)), ((-1,), (1,)), CartanType("A", 1), ((-2,),))),
     (OrbitCriterion, (2, 2)),
     (FixedGroupInfo, ("connected", (1,))),
@@ -106,15 +106,17 @@ def test_cartan_types_are_ordered_dict_keys():
     assert E6 != ("E", 6) and E6 != ClosedForm("E", 6)
 
 
-def test_reports_differing_only_in_bigraded_compare_equal():
+def test_bigraded_is_derived_from_the_report_fields():
     rpt = compute(TwistSpec(CartanType("G", 2)))
     values = {n: getattr(rpt, n) for n in TwistReport.__slots__}
-    without = TwistReport(**dict(values, bigraded=None))
-    assert rpt.bigraded is not None
-    assert without == rpt and hash(without) == hash(rpt)
-    assert repr(without) == repr(rpt) and "bigraded" not in repr(rpt)
-    assert TwistReport(*(values[n] for n in TwistReport.__slots__[:-1])).bigraded is None
-    assert TwistReport(**dict(values, truncation=51)) != rpt
+    same = TwistReport(**values)
+    assert same == rpt and hash(same) == hash(rpt) and repr(same) == repr(rpt)
+    assert "bigraded" not in repr(rpt)
+    assert rpt.bigraded == same.bigraded == solomon_series((2, 6), 50)
+    longer = TwistReport(**dict(values, truncation=51))
+    assert longer != rpt and longer.bigraded == solomon_series((2, 6), 51)
+    with pytest.raises(TypeError, match="unexpected or repeated argument 'bigraded'"):
+        TwistReport(**values, bigraded=rpt.bigraded)
 
 
 @each_record

@@ -26,6 +26,7 @@ def test_classical_root_count(family, rank):
     rs = build_root_system(CartanType(family, rank))
     assert len(rs.roots) == root_count(rs.cartan_type)
     assert len(rs.positive_roots()) == len(rs.roots) // 2
+    assert all(min(c) >= 0 for c in rs.positive_roots())
 
 
 @pytest.mark.parametrize("family,rank", DIAGRAM_CHECKED)
@@ -104,12 +105,12 @@ def test_integer_reflection_matches_ambient_reflection(family, rank):
     t = CartanType(family, rank)
     rs = build_root_system(t)
     simple = simple_root_vectors(t)
-    ambient = [ambient_vector(t, c) for c in rs.roots]
+    ambient = {c: ambient_vector(t, c) for c in rs.roots}
     # the integer image of each root is a root, the ambient image's
-    for c, v in zip(rs.roots, ambient, strict=True):
+    for c, v in ambient.items():
         for i, alpha in enumerate(simple):
             image = simple_reflection(c, i, rs.cartan_matrix)
-            assert ambient[rs.root_index[image]] == reflect(v, alpha)
+            assert ambient[image] == reflect(v, alpha)
 
 
 def test_root_data_hold_no_reflection_table():
@@ -166,10 +167,8 @@ def test_uniform_sign_coordinates(family, rank):
 
 def _mutated(rs, remove, add=()):
     """rs with its roots replaced by a sorted set, as the constructor
-    leaves them, and the index rebuilt."""
-    roots = tuple(sorted((set(rs.roots) - set(remove)) | set(add)))
-    rs.roots = roots
-    rs.root_index = {c: i for i, c in enumerate(roots)}
+    leaves them."""
+    rs.roots = tuple(sorted((set(rs.roots) - set(remove)) | set(add)))
     return rs
 
 
@@ -192,7 +191,7 @@ def test_validate_rejects_mixed_signs(family, rank):
     rs = build_root_system(CartanType(family, rank))
     c = rs.roots[-1]
     v = (1, -1) + (0,) * (rank - 2)
-    assert v not in rs.root_index
+    assert v not in rs.roots
     # a mixed vector and its negative replace a root pair: the count and
     # the negation still hold
     _mutated(rs, [c, tuple(-x for x in c)], [v, tuple(-x for x in v)])
@@ -205,7 +204,7 @@ def test_validate_rejects_a_set_not_closed_under_negation(family, rank):
     rs = build_root_system(CartanType(family, rank))
     c = rs.roots[-1]
     v = tuple(2 * x for x in c)
-    assert v not in rs.root_index
+    assert v not in rs.roots
     # one positive root doubled: the count and the signs still hold
     _mutated(rs, [c], [v])
     with pytest.raises(ValueError, match="^root set not closed under negation$"):

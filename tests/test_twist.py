@@ -13,14 +13,14 @@ from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
                               fixed_subspace, folded_gram,
                               identity_matrix, mat_mul, mat_vec, orbit_sum_gram,
                               orbit_sum_projection, projected_gram, rank,
-                              restricted_fixed_space_group, simple_root_vectors,
-                              vec_add, vec_dot, vec_scale, vector)
-from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, cartan_matrix
-from twistloop.twist import (check_folded_roots, fixed_group_info,
-                             folded_root_system, make_automorphism,
-                             orbit_count_criterion, orbits_on_roots,
-                             positive_orbit_sizes, project_roots)
-from twistloop.weyl import steinberg_rows
+                              restricted_fixed_space_group, root_permutation,
+                              simple_root_vectors, vec_add, vec_dot, vec_scale, vector)
+from twistloop.rootsys import (_RANK_BOUNDS, FAMILIES, CartanType, build_root_system,
+                               cartan_from_gram, cartan_matrix, root_count)
+from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
+                             fixed_group_info, folded_root_system, make_automorphism,
+                             orbit_count_criterion, positive_orbit_sizes, project_roots)
+from twistloop.weyl import MAX_ROOTS, _perm_orbits, steinberg_rows
 
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
 from test_properties import IDENTITIES, TWISTS
@@ -149,18 +149,53 @@ class TestMakeAutomorphism:
         for fam, rk, tag in [("A", 4, "flip"), ("D", 5, "flip"),
                              ("D", 4, "triality"), ("E", 6, "flip")]:
             rs = build_root_system(CartanType(fam, rk))
-            aut = make_automorphism(rs, tag)
-            for i, pos in enumerate(rs.positive_mask):
-                if pos:
-                    assert rs.positive_mask[aut.root_perm[i]]
+            sigma = root_permutation(make_automorphism(rs, tag))
+            for c, image in zip(rs.roots, sigma):
+                if min(c) >= 0:
+                    assert min(rs.roots[image]) >= 0
+
+
+def admitted_within_root_cap():
+    """Every (family, rank, tag) with a diagram symmetry of that tag and at
+    most MAX_ROOTS roots; the root count grows with the rank."""
+    cases = []
+    for family in FAMILIES:
+        lo, hi = _RANK_BOUNDS[family]
+        for rank in range(lo, (hi or MAX_ROOTS) + 1):
+            t = CartanType(family, rank)
+            if root_count(t) > MAX_ROOTS:
+                break
+            for tag in AUTOMORPHISM_TAGS:
+                try:
+                    check_tag(t, tag)
+                except ValueError:  # no such twist of this type
+                    continue
+                cases.append((family, rank, tag))
+    return cases
 
 
 class TestOrbits:
     def test_identity_singletons(self):
-        rs = build_root_system(CartanType("A", 2))
-        aut = make_automorphism(rs, "identity")
-        assert len(orbits_on_roots(aut)) == 6
-        assert all(len(o) == 1 for o in orbits_on_roots(aut))
+        aut = make_automorphism(build_root_system(CartanType("A", 2)), "identity")
+        orbits = _perm_orbits(root_permutation(aut))
+        assert len(orbits) == 6
+        assert all(len(o) == 1 for o in orbits)
+        assert positive_orbit_sizes(aut) == (1, 1, 1)
+
+    def test_counts_match_the_root_permutation(self):
+        # sigma's fixed positive roots give every orbit size; the oracle
+        # permutes the roots through an index and closes each orbit
+        cases = admitted_within_root_cap()
+        assert len(cases) == 79
+        for family, rank, tag in cases:
+            rs = build_root_system(CartanType(family, rank))
+            # the positive roots are the second half of the sorted roots
+            assert rs.roots[:len(rs.roots) // 2] == tuple(c for c in rs.roots if min(c) < 0)
+            aut = make_automorphism(rs, tag)
+            orbits = _perm_orbits(root_permutation(aut))
+            want = tuple(sorted(len(o) for o in orbits if min(rs.roots[o[0]]) >= 0))
+            assert positive_orbit_sizes(aut) == want, (family, rank, tag)
+            assert orbit_count_criterion(aut).orbit_count == len(orbits), (family, rank, tag)
 
     def test_triality_positive_orbits(self):
         rs = build_root_system(CartanType("D", 4))
@@ -176,9 +211,10 @@ class TestOrbits:
         for fam, rk, tag in [("A", 5, "flip"), ("D", 4, "triality"), ("E", 6, "flip")]:
             rs = build_root_system(CartanType(fam, rk))
             aut = make_automorphism(rs, tag)
-            orbits = orbits_on_roots(aut)
+            orbits = _perm_orbits(root_permutation(aut))
             assert sum(len(o) for o in orbits) == len(rs.roots)
             assert all(aut.order % len(o) == 0 for o in orbits)
+            assert all(aut.order % s == 0 for s in positive_orbit_sizes(aut))
 
 
 class TestFixedSubspace:
@@ -441,9 +477,9 @@ class TestAmbientReference:
             m = automorphism_matrix(aut)
             for j, alpha in enumerate(simple):
                 assert mat_vec(m, alpha) == simple[aut.simple_perm[j]]
-            for i, c in enumerate(rs.roots):
+            for c, image in zip(rs.roots, root_permutation(aut), strict=True):
                 assert mat_vec(m, ambient_vector(t, c)) == \
-                    ambient_vector(t, rs.roots[aut.root_perm[i]])
+                    ambient_vector(t, rs.roots[image])
             power = m
             for _ in range(aut.order - 1):
                 assert power != identity_matrix(len(m))

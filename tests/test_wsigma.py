@@ -34,7 +34,8 @@ from twistloop.twist import (check_folded_roots, expected_folded_type,
 from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
                               classical_wsigma_perms, close_permutations, folded_gram,
                               fixed_space_charpoly_buckets, fixed_space_stabilizer_perms,
-                              restricted_fixed_space_group, wsigma_elements)
+                              restricted_fixed_space_group, root_permutation,
+                              wsigma_elements)
 from twistloop.weyl import GroupTooLargeError, coset_indices, steinberg_rows
 
 from test_acceptance import expected_series
@@ -314,7 +315,7 @@ def test_steinberg_generators_commute_with_sigma(family, rank, tag):
     action = RootPermutationAction(rs)
     generators = action.steinberg_generators(aut.simple_perm)
     assert len(generators) == len(aut.simple_orbits)
-    sigma = aut.root_perm
+    sigma = root_permutation(aut)
     for w in generators:
         assert bytes(w[i] for i in w) == bytes(range(len(w)))  # w_O is an involution
         assert all(w[sigma[i]] == sigma[w[i]] for i in range(len(w)))
