@@ -6,26 +6,20 @@ invariant dimensions.  The brute-force
 route builds the induced action on each (exterior degree a) x (polynomial
 degree b) piece and computes the joint fixed subspace by exact kernels;
 it is only feasible in low dimension and degree, which is exactly what
-makes it a trustworthy referee for the fast route.
+makes it a trustworthy referee for the fast route.  Its group is W^sigma
+from the definition: the elements of the enumerated Weyl group that
+preserve the fixed subspace, with no Steinberg generator.
 """
 
 from twistloop import (CartanType, TwistSpec, build_root_system, compute,
                        make_automorphism)
-from twistloop.oracle import (WeylPermutationGroup, brute_force_invariant_dims,
-                              fixed_space_stabilizer_perms,
-                              restricted_fixed_space_group)
+from twistloop.oracle import brute_force_invariant_dims, wsigma_by_definition
 
 for family, rank, tag in [("A", 2, "identity"), ("A", 3, "flip"),
                           ("D", 4, "triality")]:
     report = compute(TwistSpec(CartanType(family, rank), tag))
-    rs = build_root_system(CartanType(family, rank))
-    weyl = WeylPermutationGroup(rs)
-    if tag == "identity":
-        group = weyl.to_matrix_group()
-    else:
-        aut = make_automorphism(rs, tag)
-        stab = fixed_space_stabilizer_perms(weyl, aut.simple_perm)
-        group = restricted_fixed_space_group(weyl, aut.simple_perm, stab)
+    aut = make_automorphism(build_root_system(CartanType(family, rank)), tag)
+    group = wsigma_by_definition(aut)
     dims = brute_force_invariant_dims(group, 12)
     agree = all(report.bigraded[key] == value
                 for key, value in dims.coefficients.items())

@@ -41,8 +41,8 @@ def build_parser() -> _Parser:
                         f"(at most {MAX_TRUNCATION})")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--check", action="store_true",
-                   help="also run the brute-force invariant-dimension oracle "
-                        "when within its guard")
+                   help="also recount the invariants by brute force over W^sigma "
+                        "from its definition (fixed subspace of dimension <= 3)")
     p.add_argument("--workers", type=int, default=1,
                    help=f"accepted worker count (1 to {MAX_WORKERS}); it does "
                         "not change the output, which is computed in one thread")

@@ -1,90 +1,77 @@
-"""Independent reference routes, kept out of the pipeline.
+"""Independent references for the pipeline's facts, kept out of the pipeline.
 
-No pipeline module imports this one at load time.  ``--check``, the tests
-and demo 05 compare the pipeline against: the classical ambient
-realization of the simple roots (:func:`simple_root_vectors`, A_r in the
-sum-zero hyperplane of (r+1)-space, B/C/D in signed coordinates of
-r-space, G_2 in the sum-zero plane of 3-space, F_4 and E_6/E_7/E_8 in
-their half-integer realizations) and its Gram matrix
-(:func:`ambient_gram`), where the pipeline reads an integer Gram matrix
-off the Dynkin diagram; the simple reflection with its pairing summed
-from the Cartan matrix (:func:`simple_reflection`), where the root
-closure carries each root's pairings; exact rational vectors and matrices
-(:func:`vector`, :func:`matrix`, ``vec_*``, :func:`mat_vec`,
-:func:`mat_mul`), exact Gaussian elimination, :class:`SubspaceBasis`,
-the Fraction root closure :func:`ambient_roots` under :func:`reflect`,
-the ambient matrix of a diagram automorphism and its ambient
-:func:`fixed_subspace`, where the pipeline works only in integer
-coordinates over the simple roots; sigma's permutation of the roots
-(:func:`root_permutation`), where the pipeline counts the positive roots
-sigma fixes; the projection of the roots as an average over sigma's
-powers over the orbit sums of simple roots (:func:`orbit_sum_projection`,
-:func:`orbit_sum_gram`), the Gram matrix of the projected simple roots
-in Fractions (:func:`projected_gram`) and an integer multiple of it
-summed from the Dynkin diagram (:func:`folded_gram`), and a classifier
-of the folded set from scratch (:func:`classify_folded_roots`), where
-the pipeline sums orbit coordinates over the projected simple roots,
-reads their Cartan matrix off the rows of Steinberg's generators and
-compares the set with the closure of that matrix;
-Berkowitz :func:`charpoly`; explicit matrix groups
-(:class:`FiniteMatrixGroup`, :func:`super_molien`,
-:func:`generate_group` of :func:`reflection_matrix` generators, the
-ambient :func:`subspace_stabilizer` and :func:`restrict_to_subspace`);
-the simple reflections as byte permutations of the roots, each image
-from :func:`simple_reflection`, and Steinberg's generators of W^sigma
-walked over them (:class:`RootPermutationAction`), where the pipeline
-walks each generator on its images of the simple roots and keeps one row
-of it;
-the breadth-first closure :func:`close_permutations` of byte
-permutations, which keeps every element; all of W
-(:class:`WeylPermutationGroup`) with the full-enumeration fixed-subspace
-stabilizer and its image, the dense matrices of elements on the fixed
-subspace (:func:`fixed_space_matrices`), where the pipeline keeps one
-row of each generator; W^sigma of the A_n and D_n flips from the
-classical (signed) permutations (:func:`classical_wsigma_perms`); the
-element-by-element route to the invariant series, where the pipeline
-certifies the invariant degrees instead: coset representatives along
-the chain of subgroups the Steinberg generators span, found by a
-breadth-first search over byte permutations of the roots
-(:func:`wsigma_transversals`, where the pipeline counts each coset index
-as the size of an orbit of functionals), the walk of W^sigma over them
-(:func:`wsigma_elements`), its
-characteristic-polynomial buckets on the fixed subspace from power
-traces (:func:`fixed_space_charpoly_buckets`, by Newton's identities in
-:func:`charpoly_from_power_traces`), and the super-Molien
-average over them (:func:`super_molien_from_buckets`, with
-:func:`dets_from_charpoly` and the dense series algebra
-:func:`rational_function_series`, :func:`poly_inverse_series`,
-:func:`poly_mul_trunc`) and its collapse to one grading
-(:func:`collapse_to_cohomological`), where the pipeline expands the
-single series over the degrees; and :func:`brute_force_invariant_dims`,
-invariant dimensions from explicit monomial bases instead of the
-super-Molien average; and :func:`recognize_closed_form`, which compares a
-series coefficient by coefficient with the product over a degree table,
-where the pipeline compares the certified degrees with the table.
+No pipeline module imports this one at load time; ``--check``, the tests
+and demo 05 do.  W^sigma is the group of Weyl group elements that commute
+with the diagram automorphism sigma.  Each fact the pipeline computes has
+one reference here.  The table names it, with what the pipeline relies on
+for that fact and the reference does not.
 
-The super-Molien series of a group G acting on an n-dimensional space is
+===============  ==================================  =====================================
+fact             reference                           the pipeline alone relies on
+===============  ==================================  =====================================
+roots            ``ambient_roots``: the classical    the Cartan matrix read off the Dynkin
+                 simple roots closed under           diagram, and a closure that carries
+                 Euclidean reflections, in           each root's pairings
+                 Fractions
+twist check      ``automorphism_matrix``: sigma as   a symmetry of the Dynkin diagram
+                 an ambient linear map, which must   extends to an automorphism of the
+                 permute the ambient roots           root system
+sigma's orbits   ``root_permutation``: sigma on      sigma has order 1, 2 or 3, so its
+                 the roots, its orbits walked        orbit sizes follow from the number of
+                                                     roots it fixes
+fold             ``classify_folded_roots``: the      the rows are the folded simple
+                 ``orbit_sum_projection`` of the     reflections, so the folded Cartan
+                 roots, its base found from          matrix can be read off them
+                 scratch under ``projected_gram``
+                 and matched to the expected type
+rows             ``projected_gram``: row k is minus  Steinberg (1968): the walk reaches
+                 column k of the Cartan matrix of    the longest element w_O, which acts
+                 the projected simple roots, from    on the fixed subspace as the
+                 the ambient inner products          reflection in the projected root
+|W^sigma|        ``wsigma_by_definition``: the       Steinberg: the w_O generate W^sigma,
+                 stabilizer of the fixed subspace    and W^sigma is the Weyl group of the
+                 in the enumerated W, restricted     folded type
+coset indices    ``close_permutations``: the         the stabilizer in W_k of the k-th
+                 orders of the subgroups the first   coordinate functional is W_(k-1), so
+                 k generators close to, divided      each index is the size of its orbit
+degrees, series  ``super_molien_from_buckets``:      Chevalley: the invariant ring is
+                 Molien's average over the           polynomial, in degrees certified by
+                 elements of W^sigma, bucketed by    their product and a Jacobian mod p;
+                 characteristic polynomial           Solomon: the series is their product
+--check series   ``brute_force_invariant_dims``      all of the rows above
+                 over ``wsigma_by_definition``:
+                 invariants counted on explicit
+                 monomial bases
+closed form      ``recognize_closed_form``: the      the series is the product over the
+                 series and the product compared     certified degrees
+                 coefficient by coefficient
+excluded primes  ``WeylPermutationGroup``: it       |W| is the product of the degrees
+                 counts W and checks the count
+                 against the order formula, whose
+                 primes the tests compare
+===============  ==================================  =====================================
 
-    P(s, t) = 1/|G| * sum_g det(1 + s g) / det(1 - t g),
-
-the bigraded dimension series of the invariants of (exterior algebra) x
-(polynomial algebra).  Both determinants depend only on charpoly(g), so
-the sum is taken per bucket.
+The buckets come from power traces (:func:`fixed_space_charpoly_buckets`),
+checked against Berkowitz :func:`charpoly` on the definition's matrices.
+Both stay: power traces are 18 to 35 times faster on W(E6), W(B6) and
+W(A7), which the certificate test walks.  The rest of the module is what
+these references are built from: exact rational vectors and matrices,
+Gaussian elimination, the classical realization, explicit matrix groups,
+the simple reflections as byte permutations of the roots, and dense
+series algebra.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 
 from .exact import BigradedSeries, Record, normalize_scalar, product_over_degrees
 from .report import ClosedForm
 from .rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
-                      simple_gram, weyl_order)
+                      weyl_order)
 from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import DEFAULT_ELEMENT_CAP, GroupTooLargeError, _perm_orbits
 
@@ -420,25 +407,12 @@ def orbit_sum_gram(a: DiagramAutomorphism) -> Matrix:
                        for p in orbits) for o in orbits)
 
 
-def folded_gram(a: DiagramAutomorphism) -> Matrix:
-    """n^2 times the Gram matrix of the projected simple roots, n the order
-    of sigma, summed from the diagram's integer Gram matrix: the reference
-    for the Cartan matrix the pipeline reads off the rows.  Every orbit size
-    divides n and n beta_O = (n/|O|) sum_{i in O} alpha_i, so entry (O, O')
-    is (n/|O|)(n/|O'|) times the sum of (alpha_i, alpha_j), i in O, j in O'."""
-    g = simple_gram(a.base.cartan_type)
-    n = a.order
-    orbits = a.simple_orbits
-    return tuple(tuple(n // len(o) * (n // len(p)) * sum(g[i][j] for i in o for j in p)
-                       for p in orbits) for o in orbits)
-
-
 def projected_gram(a: DiagramAutomorphism) -> Matrix:
     """Gram matrix of the projected simple roots in the ambient
     realization, in Fractions: (beta_O, beta_O') is the sum of
     (alpha_i, alpha_j) over i in O and j in O', divided by |O||O'|.
-    :func:`folded_gram` is an integer multiple of the diagram's version
-    of it."""
+    The reference for the folded Cartan matrix the pipeline reads off the
+    rows; it shares no Gram matrix with the pipeline."""
     g = ambient_gram(a.base.cartan_type)
     orbits = a.simple_orbits
     return tuple(tuple(normalize_scalar(Fraction(sum(g[i][j] for i in o for j in p),
@@ -712,9 +686,8 @@ class RootPermutationAction:
 def close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ...]:
     """Breadth-first closure of byte permutations under right multiplication,
     in discovery order, every element kept in a tuple and a set.  Raises
-    GroupTooLargeError past the cap.  :func:`wsigma_elements` streams
-    W^sigma from coset representatives instead.  The product w g is
-    g.translate(w) once w is padded to a 256-byte table."""
+    GroupTooLargeError past the cap.  The product w g is g.translate(w)
+    once w is padded to a 256-byte table."""
     n = len(generators[0])
     ident = bytes(range(n))
     tail = bytes(range(n, 256))
@@ -803,45 +776,6 @@ def fixed_space_stabilizer_perms(weyl: WeylPermutationGroup,
     return tuple(kept)
 
 
-def classical_wsigma_perms(a: DiagramAutomorphism) -> tuple[bytes, ...]:
-    """W^sigma for a flip of A_n or D_n, from the classical description of
-    the Weyl group rather than a closure of it, as root permutations.
-
-    W(A_n) permutes the n+1 ambient coordinates (enumerated with
-    itertools.permutations), and the flip acts there as minus the
-    reversal, so W^sigma is the centralizer of the reversal.  W(D_n) is
-    the signed permutations of n coordinates with an even number of sign
-    changes, and the flip negates the last coordinate, so W^sigma is the
-    signed permutations that fix the last coordinate up to sign.  Each
-    element becomes a root permutation by moving the ambient roots.
-    """
-    rs = a.base
-    t = rs.cartan_type
-    if a.tag != "flip" or t.family not in "AD":
-        raise ValueError(f"no classical centralizer for {t} with {a.tag!r}")
-    index = {ambient_vector(t, c): i for i, c in enumerate(rs.roots)}
-    if set(index) != set(ambient_roots(t)):
-        raise ValueError("integer and ambient root systems disagree")
-    n = len(simple_root_vectors(t)[0])
-    if t.family == "A":
-        kept = [(p, (1,) * n) for p in itertools.permutations(range(n))
-                if all(p[n - 1 - i] == n - 1 - p[i] for i in range(n))]
-    else:
-        kept = [(p, signs) for p in itertools.permutations(range(n)) if p[-1] == n - 1
-                for signs in itertools.product((1, -1), repeat=n)
-                if signs.count(-1) % 2 == 0]
-    out = []
-    for p, signs in kept:
-        perm = []
-        for v in index:  # in root order
-            image = [0] * n
-            for i, (x, e) in enumerate(zip(v, signs)):
-                image[p[i]] = e * x
-            perm.append(index[tuple(image)])
-        out.append(bytes(perm))
-    return tuple(out)
-
-
 def fixed_space_matrices(action: RootPermutationAction, simple_perm: tuple[int, ...],
                          perms: Iterable[bytes]) -> tuple[Matrix, ...]:
     """Integer matrices of elements of W^sigma on the fixed subspace, over
@@ -872,9 +806,22 @@ def restricted_fixed_space_group(action: RootPermutationAction,
     return FiniteMatrixGroup(len(_perm_orbits(simple_perm)), tuple(images))
 
 
+def wsigma_by_definition(aut: DiagramAutomorphism) -> FiniteMatrixGroup:
+    """W^sigma on the fixed subspace, from its definition and no
+    generators: the elements of the enumerated Weyl group that preserve
+    sigma's fixed subspace, as matrices over the projected simple roots.
+    Such an element w commutes with sigma: sigma w sigma^-1 agrees with w on
+    the fixed subspace, which holds the regular vector rho, and only the
+    identity of W fixes rho.  For sigma = identity every element is kept,
+    as its lattice matrix."""
+    weyl = WeylPermutationGroup(aut.base)
+    perm = aut.simple_perm
+    return restricted_fixed_space_group(weyl, perm, fixed_space_stabilizer_perms(weyl, perm))
+
+
 # ---------------------------------------------------------------------------
-# W^sigma element by element: the streamed walk, characteristic-polynomial
-# buckets from power traces, and the super-Molien average over them
+# W^sigma element by element: characteristic-polynomial buckets from power
+# traces, and the super-Molien average over them
 # ---------------------------------------------------------------------------
 
 def collapse_to_cohomological(s: BigradedSeries) -> tuple[int, ...]:
@@ -952,9 +899,15 @@ def poly_mul_trunc(p: Sequence[Scalar], q: Sequence[Scalar], nterms: int) -> lis
 
 def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
                               truncation: int) -> BigradedSeries:
-    """Average the per-charpoly expansions.  Buckets are processed in sorted
-    key order and integer sums commute exactly, so the result does not
-    depend on the order the buckets were filled in."""
+    """The super-Molien series of a group G on an n-dimensional space,
+
+        P(s, t) = 1/|G| * sum_g det(1 + s g) / det(1 - t g),
+
+    the bigraded dimension series of the invariants of (exterior algebra)
+    x (polynomial algebra).  Both determinants depend only on charpoly(g),
+    so the sum is taken per bucket, in sorted key order; integer sums
+    commute exactly, so the result does not depend on the order the
+    buckets were filled in."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     if order <= 0:
@@ -972,93 +925,6 @@ def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
             raise ValueError("non-integer invariant dimension: input is not a group")
         averaged[k] = int(v)
     return BigradedSeries(truncation, averaged)
-
-
-def wsigma_transversals(action: RootPermutationAction, simple_perm: tuple[int, ...],
-                        generators: Sequence[bytes], order: int,
-                        cap: int) -> tuple[tuple[bytes, ...], ...]:
-    """Right coset representatives of W_{k-1} in W_k for k = 1..m, each
-    found by a breadth-first search over the cosets, checked against the
-    expected order of W^sigma.
-
-    W_k is the subgroup generated by the first k Steinberg generators
-    w_O, taken in sigma-orbit order.  Every element of W^sigma = W_m is a
-    unique product x_1 x_2 ... x_m of right coset representatives x_k of
-    W_{k-1} in W_k (Humphreys, Reflection Groups and Coxeter Groups,
-    1.10), so |W^sigma| is the product of the transversal sizes.
-
-    A coset W_{k-1} x is keyed by the coordinate at the first node of
-    orbit O_k of x(alpha_i), over the simple roots alpha_i.  A simple
-    reflection s_j changes only coordinate j, and W_{k-1} is made of s_j
-    with j outside O_k, so the key is constant on the coset.  Two elements
-    with the same key differ by an element of W^sigma fixing that
-    coordinate functional, hence (it commutes with sigma) every
-    coordinate functional of O_k; such an element lies in the parabolic
-    subgroup without O_k, and within W_k that is W_{k-1}.
-
-    Raises GroupTooLargeError when a coset search passes the cap, and
-    ValueError when the coset counts do not multiply to order, the
-    expected |W^sigma|: then the generators are not Steinberg's.
-    """
-    coords = action.root_system.roots
-    ident = bytes(range(len(coords)))
-    transversals = []
-    for k, orb in enumerate(_perm_orbits(simple_perm)[:len(generators)]):
-        column = tuple(c[orb[0]] for c in coords)
-        reps = [ident]
-        seen = {tuple(column[s] for s in action.simple_indices)}
-        for x in reps:  # reps grows while it is read: a breadth-first search
-            for g in generators[:k + 1]:
-                y = bytes(map(x.__getitem__, g))
-                key = tuple(column[y[s]] for s in action.simple_indices)
-                if key not in seen:
-                    if len(reps) >= cap:
-                        raise GroupTooLargeError(f"group too large (cap {cap})")
-                    seen.add(key)
-                    reps.append(y)
-        transversals.append(tuple(reps))
-    if math.prod(map(len, transversals)) != order:
-        raise ValueError(f"coset counts {[len(x) for x in transversals]} do not "
-                         f"multiply to the group order {order}")
-    return tuple(transversals)
-
-
-def wsigma_elements(action: RootPermutationAction, simple_perm: tuple[int, ...],
-                    generators: Sequence[bytes], order: int,
-                    cap: int) -> Iterator[bytes]:
-    """Stream W^sigma, each element once, with no element stored: walk
-    the tree of products x_1 x_2 ... x_m of the coset representatives of
-    :func:`wsigma_transversals` (which raises before the walk on a wrong
-    generator set or past the cap), with one composition per tree node."""
-    return _walk_products(wsigma_transversals(action, simple_perm, generators,
-                                              order, cap))
-
-
-def _walk_products(transversals: Sequence[Sequence[bytes]]) -> Iterator[bytes]:
-    """Every product x_1 x_2 ... x_m with x_k in transversals[k-1].
-
-    A product p x is x.translate(p) once p is padded to a 256-byte table
-    (the identity past the roots); the inner prefixes are kept padded, and
-    a leaf comes out as long as its last factor.  Consecutive choices of
-    the inner factors share their leading prefixes, so each prefix is
-    composed once.
-    """
-    *inner, last = transversals
-    tail = bytes(range(len(last[0]), 256))
-    inner = [[x + tail for x in xs] for xs in inner]
-    prefixes = [bytes(range(256))]  # prefixes[j] = x_1 ... x_j
-    previous: tuple[bytes, ...] = ()
-    for choice in itertools.product(*inner):
-        j = 0
-        while j < len(previous) and choice[j] is previous[j]:
-            j += 1
-        del prefixes[j + 1:]
-        for x in choice[j:]:
-            prefixes.append(x.translate(prefixes[-1]))
-        p = prefixes[-1]
-        for x in last:
-            yield x.translate(p)
-        previous = choice
 
 
 def fixed_space_charpoly_buckets(action: RootPermutationAction,

@@ -39,8 +39,10 @@ The one deliberate shortcut: untwisted E8 is answered from the
 invariant-degree table alone, because its Weyl group (order 696729600)
 exceeds the element cap; its folding is certified all the same.  With
 ``run_oracle`` the brute-force count of :mod:`twistloop.oracle`
-re-derives the low-degree invariant dimensions from the elements of
-W^sigma; that module is imported only then.
+re-derives the low-degree invariant dimensions from W^sigma taken from
+its definition, the stabilizer of the fixed subspace in the enumerated
+Weyl group, so the check shares no Steinberg generator with the
+pipeline; that module is imported only then.
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ def compute(spec: TwistSpec) -> TwistReport:
     if spec.run_oracle:
         notes.append("oracle skipped: no enumerated group on the table path"
                      if table_path else
-                     _oracle_note(spec, aut, order, solomon_series(ds, spec.truncation)))
+                     _oracle_note(aut, solomon_series(ds, spec.truncation)))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -373,22 +375,15 @@ def compute(spec: TwistSpec) -> TwistReport:
     )
 
 
-def _oracle_note(spec: TwistSpec, aut: DiagramAutomorphism, order: int,
-                 bigraded: BigradedSeries) -> str:
+def _oracle_note(aut: DiagramAutomorphism, bigraded: BigradedSeries) -> str:
     from . import oracle  # the references stay out of the pipeline's imports
 
     dim = len(aut.simple_orbits)
     if dim > oracle.ORACLE_MAX_DIM:
         return (f"oracle skipped: restricted dimension {dim} exceeds "
                 f"{oracle.ORACLE_MAX_DIM}")
-    # W^sigma element by element, over root permutations
-    action = oracle.RootPermutationAction(aut.base)
-    generators = action.steinberg_generators(aut.simple_perm)
-    wsigma = oracle.wsigma_elements(action, aut.simple_perm, generators, order,
-                                    spec.element_cap)
-    group = oracle.FiniteMatrixGroup(
-        dim, oracle.fixed_space_matrices(action, aut.simple_perm, wsigma))
-    max_deg = min(oracle.ORACLE_MAX_DEGREE, spec.truncation)
+    group = oracle.wsigma_by_definition(aut)
+    max_deg = min(oracle.ORACLE_MAX_DEGREE, bigraded.truncation)
     dims = oracle.brute_force_invariant_dims(group, max_deg)
     for (a, b), c in dims.coefficients.items():
         if bigraded[(a, b)] != c:

@@ -12,12 +12,12 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-from twistloop.oracle import (WeylPermutationGroup, brute_force_invariant_dims,
-                              collapse_to_cohomological,
+from twistloop.oracle import (brute_force_invariant_dims, collapse_to_cohomological,
                               generate_group, matrix, reflection_matrix,
-                              simple_root_vectors, super_molien)
+                              simple_root_vectors, super_molien, wsigma_by_definition)
 from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, degrees
+from twistloop.twist import make_automorphism
 
 from conftest import cached_report
 
@@ -167,17 +167,8 @@ def test_criterion_7_oracle_equivalence():
         cases = [("A", 2, "identity"), ("A", 3, "flip"), ("D", 4, "triality")]
         for family, rank, tag in cases:
             rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=TRUNC))
-            rs = build_root_system(CartanType(family, rank))
-            weyl = WeylPermutationGroup(rs)
-            if tag == "identity":
-                group = weyl.to_matrix_group()
-            else:
-                from twistloop.twist import make_automorphism
-                from twistloop.oracle import (fixed_space_stabilizer_perms,
-                                              restricted_fixed_space_group)
-                aut = make_automorphism(rs, tag)
-                stab = fixed_space_stabilizer_perms(weyl, aut.simple_perm)
-                group = restricted_fixed_space_group(weyl, aut.simple_perm, stab)
+            aut = make_automorphism(build_root_system(CartanType(family, rank)), tag)
+            group = wsigma_by_definition(aut)
             dims = brute_force_invariant_dims(group, 12)
             for (a, b), c in dims.coefficients.items():
                 assert rpt.bigraded[(a, b)] == c, (family, rank, tag, a, b)

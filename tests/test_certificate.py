@@ -3,16 +3,19 @@
 The pipeline takes the folded type's degree table, checks its product
 against the coset-chain order, certifies it with a Jacobian determinant
 modulo a prime, and expands the product over the degrees.  Here the
-oracle walks every element of W^sigma over root permutations, buckets it
-by its characteristic polynomial on the fixed subspace and averages the
-super-Molien series; the two routes must give the same order, bigraded
-series and single-graded series.  Wrong degrees with the right product
-fail the Jacobian, a wrong product fails the order check, and a dropped
-generator fails the fold certificate and the coset chain.
+oracle closes Steinberg's generators over root permutations, buckets each
+element of W^sigma by its characteristic polynomial on the fixed subspace
+and averages the super-Molien series; the two routes must give the same
+order, bigraded series and single-graded series.  Wrong degrees with the
+right product fail the Jacobian, a wrong product fails the order check,
+and a dropped generator fails the fold certificate and the coset chain.
+Names moved to the oracle stay out of the pipeline, deleted names stay
+deleted, and every reference the oracle's fact table names exists.
 """
 
 import inspect
 import math
+import re
 import time
 from pathlib import Path
 
@@ -33,21 +36,24 @@ from test_wsigma import STREAMED
 
 TRUNC = 50
 PIPELINE = (twistloop, cli, exact, report, rootsys, twist, weyl)
-MOVED_TO_ORACLE = ("_walk_products", "wsigma_elements", "fixed_space_charpoly_buckets",
-                   "super_molien_from_buckets", "rational_function_series",
-                   "dets_from_charpoly", "wsigma_transversals", "fixed_space_matrices",
-                   "collapse_to_cohomological", "RootPermutationAction",
-                   "charpoly_from_power_traces", "folded_gram", "mat_mul")
+MOVED_TO_ORACLE = ("fixed_space_charpoly_buckets", "super_molien_from_buckets",
+                   "rational_function_series", "dets_from_charpoly",
+                   "fixed_space_matrices", "collapse_to_cohomological",
+                   "RootPermutationAction", "charpoly_from_power_traces", "mat_mul")
 # the multi-row form of the generators, replaced by one row each; the row
 # read off a dense matrix, then off a walk over root permutations,
 # replaced by the row walked from the Cartan matrix; the degrees read off
 # a Coxeter element, replaced by the certified degree table; the
-# preservation check, replaced by the fold certificate on the rows; and
-# sigma's orbits on the roots, replaced by the count of its fixed roots
+# preservation check, replaced by the fold certificate on the rows;
+# sigma's orbits on the roots, replaced by the count of its fixed roots;
+# and the oracle's second and third routes to W^sigma (the transversal
+# stream, the classical centralizer) and its diagram Gram matrix, replaced
+# by W^sigma's definition and the ambient Gram matrix
 DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit",
            "reflection_rows", "fixed_space_rows", "invariant_degrees",
            "_fixed_space_traces", "_exponents", "_cyclotomic", "_divide_monic",
-           "wsigma_preserves_folded", "orbits_on_roots")
+           "wsigma_preserves_folded", "orbits_on_roots", "wsigma_transversals",
+           "wsigma_elements", "_walk_products", "classical_wsigma_perms", "folded_gram")
 
 
 def certificate_inputs(family, rank, tag):
@@ -72,8 +78,8 @@ def test_certificate_agrees_with_enumeration(family, rank, tag):
     assert sum(d - 1 for d in ds) == positive
 
     rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=TRUNC))
-    stream = oracle.wsigma_elements(action, aut.simple_perm, generators, order, 10**7)
-    buckets = oracle.fixed_space_charpoly_buckets(action, aut.simple_perm, stream)
+    elements = oracle.close_permutations(generators, 10**7)
+    buckets = oracle.fixed_space_charpoly_buckets(action, aut.simple_perm, elements)
     enumerated = sum(buckets.values())
     molien = oracle.super_molien_from_buckets(buckets, enumerated, TRUNC)
     assert rpt.stabilizer_order == rpt.restricted_order == enumerated == order
@@ -92,16 +98,42 @@ def test_compute_never_walks_the_group(monkeypatch):
             assert not hasattr(module, name), (module.__name__, name)
             assert f"def {name}(" not in source and f"class {name}" not in source, \
                 (module.__name__, name)
+    for module in PIPELINE + (oracle,):
+        source = Path(module.__file__).read_text()
         for name in DELETED:
             assert not hasattr(module, name), (module.__name__, name)
             assert f"def {name}(" not in source and f"{name} =" not in source, \
                 (module.__name__, name)
     assert "cap" not in inspect.signature(coset_indices).parameters
-    monkeypatch.setattr(oracle, "_walk_products", refuse)
-    monkeypatch.setattr(oracle, "wsigma_elements", refuse)
+    # the oracle's element walks of W^sigma
+    monkeypatch.setattr(oracle, "close_permutations", refuse)
+    monkeypatch.setattr(oracle, "fixed_space_stabilizer_perms", refuse)
     for family, rank, tag in STREAMED:
         rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=TRUNC))
         assert rpt.series == expected_series(degrees(rpt.folded_type)), (family, rank, tag)
+
+
+def test_every_fact_table_reference_exists():
+    # the reference column of the oracle's fact table: its span is read off
+    # the table's rules of '=' signs, and a row's continuation lines leave
+    # the first column blank
+    lines = oracle.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line and set(line) <= {"=", " "}]
+    assert len(rules) == 3, rules
+    (_, start, end) = [m.start() for m in re.finditer("=+", lines[rules[0]])]
+    rows: dict[str, list[str]] = {}
+    for line in lines[rules[1] + 1:rules[2]]:
+        if line[:start].strip():
+            rows[line[:start].strip()] = names = []
+        names.extend(re.findall(r"``(\w+)``", line[start:end]))
+    assert list(rows) == ["roots", "twist check", "sigma's orbits", "fold", "rows",
+                          "|W^sigma|", "coset indices", "degrees, series", "--check series",
+                          "closed form", "excluded primes"]
+    for fact, names in rows.items():
+        assert names, fact
+        for name in names:
+            assert hasattr(oracle, name), (fact, name)
+            assert not any(hasattr(module, name) for module in PIPELINE), (fact, name)
 
 
 def test_compute_forms_no_root_permutation(monkeypatch):

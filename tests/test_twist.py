@@ -10,7 +10,7 @@ from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
                               ambient_roots, ambient_vector,
                               automorphism_matrix, classify_folded_roots,
                               fixed_space_matrices, fixed_space_stabilizer_perms,
-                              fixed_subspace, folded_gram,
+                              fixed_subspace,
                               identity_matrix, mat_mul, mat_vec, orbit_sum_gram,
                               orbit_sum_projection, projected_gram, rank,
                               restricted_fixed_space_group, root_permutation,
@@ -351,7 +351,7 @@ class TestFolding:
         roots, rows = fold.folded_roots, fold.rows
         # the rows walked from the Cartan matrix are the reflections of the
         # projected simple roots, whose Gram matrix the oracle sums
-        assert rows == gram_rows(projected_gram(aut)) == gram_rows(folded_gram(aut))
+        assert rows == gram_rows(projected_gram(aut))
         check_folded_roots(roots, rows, CartanType("F", 4))
         # the highest root and its negative: the set stays symmetric and
         # keeps its simple base, so only the comparison with F4's roots fails
@@ -496,9 +496,6 @@ class TestAmbientReference:
                  zip(aut.simple_orbits, fixed_subspace(aut).basis_vectors)]
         assert projected_gram(aut) == tuple(tuple(vec_dot(x, y) for y in basis)
                                             for x in basis)
-        # the pipeline's integer Gram matrix has the reference's Cartan matrix
-        assert all(type(x) is int for row in folded_gram(aut) for x in row)
-        assert cartan_from_gram(folded_gram(aut)) == cartan_from_gram(projected_gram(aut))
 
         def ambient(v):
             total = tuple(0 for _ in basis[0])

@@ -1,23 +1,20 @@
-"""W^sigma from Steinberg generators, checked against full enumeration.
+"""W^sigma from Steinberg generators, checked against its definition.
 
 The pipeline enumerates no group and permutes no root: it walks the
 longest parabolic elements w_O, one per sigma-orbit O of simple nodes,
 on their images of the simple roots and keeps one row of each on the
 fixed subspace, and takes W^sigma's order from the coset indices along
 the chain of subgroups they span, each the size of an orbit of a
-coordinate functional there.  The oracle walks the same elements over
-root permutations, whose dense matrices the rows must match, finds
-coset representatives by a search over those permutations,
-whose counts the indices must equal, streams W^sigma as products of
-them and buckets each element by power traces.  These tests enumerate W
-for every twisted case of the acceptance matrix (A_n and D_n flips from
-their classical (signed) permutations, the others by closing all of W)
-and compare: the element set with the centralizer or fixed-subspace
-stabilizer, the restricted image with W^sigma, the power-trace buckets
-with the Berkowitz buckets, and the rows the fold certificate accepted
-with an exhaustive check that the whole group permutes the folded roots.
-The stream itself is compared with the breadth-first closure of the same
-generators.
+coordinate functional there.  These tests check the rows against the
+Cartan matrix of the projected simple roots, summed from the ambient
+inner products (``projected_gram``), and against the dense matrices of
+the same generators walked over root permutations; each coset index
+against the ratio of the orders of the subgroups the first generators
+close to; and that closure against W^sigma's definition, the stabilizer
+of the fixed subspace in the enumerated W, for every twisted case of the
+acceptance matrix, with its power-trace buckets against the Berkowitz
+buckets and an exhaustive check that the whole group permutes the folded
+roots.  ``--check`` takes W^sigma from its definition alone.
 """
 
 import time
@@ -32,11 +29,11 @@ from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, w
 from twistloop.twist import (check_folded_roots, expected_folded_type,
                              folded_root_system, make_automorphism)
 from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
-                              classical_wsigma_perms, close_permutations, folded_gram,
-                              fixed_space_charpoly_buckets, fixed_space_stabilizer_perms,
+                              close_permutations, fixed_space_charpoly_buckets,
+                              fixed_space_stabilizer_perms, projected_gram,
                               restricted_fixed_space_group, root_permutation,
-                              wsigma_elements)
-from twistloop.weyl import GroupTooLargeError, coset_indices, steinberg_rows
+                              wsigma_by_definition)
+from twistloop.weyl import coset_indices, steinberg_rows
 
 from test_acceptance import expected_series
 from test_rootsys import ALL_TYPES
@@ -55,46 +52,21 @@ def folded_order(aut):
 
 
 def wsigma_of(rs, aut):
+    """The tests' W^sigma: the closure of Steinberg's generators over root
+    permutations, in discovery order."""
     action = RootPermutationAction(rs)
     generators = action.steinberg_generators(aut.simple_perm)
-    stream = wsigma_elements(action, aut.simple_perm, generators,
-                             folded_order(aut), 10**7)
-    return action, generators, tuple(stream)
+    return action, generators, close_permutations(generators, 10**7)
 
 
 @pytest.mark.parametrize("family,rank,tag", STREAMED)
 def test_stream_is_the_closure_of_the_generators(family, rank, tag):
+    # the element sequence the certificate test buckets: the closure of the
+    # generators, each element once, as many as the folded Weyl group has
     rs = build_root_system(CartanType(family, rank))
     aut = make_automorphism(rs, tag)
-    _, generators, wsigma = wsigma_of(rs, aut)
-    assert len(wsigma) == folded_order(aut)
-    assert len(set(wsigma)) == len(wsigma)  # each element once
-    assert set(wsigma) == set(close_permutations(generators, 10**7))
-
-
-@pytest.mark.parametrize("family,rank,tag", [("E", 6, "identity"), ("A", 5, "flip"),
-                                             ("D", 4, "triality")])
-def test_wrong_generator_set_is_refused_before_the_walk(family, rank, tag):
-    rs = build_root_system(CartanType(family, rank))
-    aut = make_automorphism(rs, tag)
-    action = RootPermutationAction(rs)
-    generators = action.steinberg_generators(aut.simple_perm)
-    dropped = generators[:-1]
-    duplicated = generators[:1] + generators[:-1]
-    for wrong in (dropped, duplicated):
-        with pytest.raises(ValueError, match="do not multiply to the group order"):
-            wsigma_elements(action, aut.simple_perm, wrong, folded_order(aut), 10**7)
-
-
-def test_coset_search_stops_at_the_cap():
-    rs = build_root_system(CartanType("A", 5))
-    aut = make_automorphism(rs, "identity")
-    action = RootPermutationAction(rs)
-    generators = action.steinberg_generators(aut.simple_perm)
-    # the last coset search of W(A5) over W(A4) finds 6 representatives
-    wsigma_elements(action, aut.simple_perm, generators, 720, 6)
-    with pytest.raises(GroupTooLargeError):
-        wsigma_elements(action, aut.simple_perm, generators, 720, 5)
+    _, _, wsigma = wsigma_of(rs, aut)
+    assert len(wsigma) == len(set(wsigma)) == folded_order(aut)
 
 
 def coset_inputs(family, rank, tag):
@@ -150,9 +122,11 @@ LOWERING = ([("A", r, "identity") for r in range(1, 9)] +
 
 def assert_rows_are_the_reflections(matrices, rows, gram):
     """The rows walked from the Cartan matrix against the dense matrices
-    g_k of the oracle, built from its byte walk: row k of g_k - 1 is row k, every other row of g_k - 1 is zero,
-    and, as s_k(v) = v - <v, beta_k^vee> beta_k, row k is minus column k
-    of the folded Cartan matrix, which ties the W^sigma stage to the fold."""
+    g_k of the oracle, built from its byte walk: row k of g_k - 1 is row k,
+    every other row of g_k - 1 is zero, and, as s_k(v) = v - <v, beta_k^vee>
+    beta_k, row k is minus column k of the Cartan matrix of gram, the
+    projected simple roots' inner products: this ties the W^sigma stage to
+    the fold without the pipeline's Gram matrix."""
     assert len(rows) == len(matrices)
     for k, g in enumerate(matrices):
         moved = [tuple(a - (i == j) for j, a in enumerate(row)) for i, row in enumerate(g)]
@@ -164,7 +138,7 @@ def assert_rows_are_the_reflections(matrices, rows, gram):
 @pytest.mark.parametrize("family,rank,tag", sorted(set(STREAMED + LOWERING)))
 def test_reflection_rows_are_the_folded_cartan_columns(family, rank, tag):
     aut, _, _, matrices, rows = coset_inputs(family, rank, tag)
-    assert_rows_are_the_reflections(matrices, rows, folded_gram(aut))
+    assert_rows_are_the_reflections(matrices, rows, projected_gram(aut))
 
 
 def test_a_non_parabolic_generator_fails_the_row_check():
@@ -178,7 +152,7 @@ def test_a_non_parabolic_generator_fails_the_row_check():
     moved = tuple(a - (j == 0) for j, a in enumerate(matrices[0][0]))
     rows = (moved,) + rows[1:]
     with pytest.raises(AssertionError):
-        assert_rows_are_the_reflections(matrices, rows, folded_gram(aut))
+        assert_rows_are_the_reflections(matrices, rows, projected_gram(aut))
 
 
 def full_orbit(start, matrices):
@@ -209,15 +183,27 @@ def test_lowering_steps_find_the_full_orbits_in_order(family, rank, tag):
     assert list(weyl._coordinate_orbits(rows, 10**7)) == full
 
 
-@pytest.mark.parametrize("family,rank,tag", STREAMED + [
-    ("E", 7, "identity"), ("D", 8, "identity"), ("A", 14, "flip")])
+# [W_k : W_(k-1)] for the parabolic subgroups W_k of the folded type on its
+# first k nodes, in the generators' order, where closing the groups costs
+# seconds
+PARABOLIC_RATIOS = {("E", 7, "identity"): (2, 2, 3, 10, 16, 27, 56),
+                    ("D", 8, "identity"): (2, 3, 4, 5, 6, 7, 8, 128),
+                    ("A", 14, "flip"): (2, 3, 4, 5, 6, 7, 128)}
+
+
+@pytest.mark.parametrize("family,rank,tag", STREAMED + list(PARABOLIC_RATIOS))
 def test_coset_indices_are_the_transversal_sizes(family, rank, tag):
-    aut, action, generators, _, rows = coset_inputs(family, rank, tag)
-    order = folded_order(aut)
-    indices = coset_indices(rows, order)
-    transversals = oracle.wsigma_transversals(action, aut.simple_perm, generators,
-                                              order, 10**7)
-    assert indices == tuple(map(len, transversals))
+    # a transversal of W_(k-1) in W_k, W_k the subgroup the first k
+    # generators close to, has |W_k| / |W_(k-1)| elements
+    aut, _, generators, _, rows = coset_inputs(family, rank, tag)
+    indices = coset_indices(rows, folded_order(aut))
+    if (family, rank, tag) in PARABOLIC_RATIOS:
+        assert indices == PARABOLIC_RATIOS[family, rank, tag]
+        return
+    orders = [1] + [len(close_permutations(generators[:k], 10**7))
+                    for k in range(1, len(generators) + 1)]
+    assert all(big % small == 0 for small, big in zip(orders, orders[1:]))
+    assert indices == tuple(big // small for small, big in zip(orders, orders[1:]))
 
 
 @pytest.mark.parametrize("family,rank,tag", [("E", 6, "identity"), ("A", 5, "flip"),
@@ -253,12 +239,13 @@ def test_compute_never_calls_the_closure(monkeypatch):
     for module in (cli, exact, report, rootsys, twist, weyl):
         assert not hasattr(module, "close_permutations"), module.__name__
     monkeypatch.setattr(oracle, "close_permutations", refuse)
-    # the --check oracle is run where its brute-force count is cheap
-    for family, rank, tag, check in [("G", 2, "identity", True), ("A", 4, "flip", True),
-                                     ("D", 4, "triality", True), ("E", 6, "flip", False),
-                                     ("B", 4, "identity", False)]:
-        rpt = compute(TwistSpec(CartanType(family, rank), tag, run_oracle=check))
+    # only the pipeline path: --check closes all of W by design
+    for family, rank, tag in [("G", 2, "identity"), ("A", 4, "flip"), ("D", 4, "triality"),
+                              ("E", 6, "flip"), ("B", 4, "identity")]:
+        rpt = compute(TwistSpec(CartanType(family, rank), tag))
         assert rpt.closed_form is not None
+    with pytest.raises(AssertionError, match="breadth-first closure"):
+        compute(TwistSpec(CartanType("G", 2), run_oracle=True))
 
 
 def test_e6_identity_memory_stays_below_the_element_store():
@@ -282,17 +269,13 @@ def test_wsigma_agrees_with_full_enumeration(family, rank, tag):
     fold = folded_root_system(aut)
     action, generators, wsigma = wsigma_of(rs, aut)
 
-    if family in "AD" and tag == "flip":
-        # the classical (signed) permutations enumerate W(A_n) and W(D_n)
-        # faster than a closure of all of W
-        stab = classical_wsigma_perms(aut)
-    else:
-        stab = fixed_space_stabilizer_perms(WeylPermutationGroup(rs), aut.simple_perm)
-    assert len(set(wsigma)) == len(wsigma)
+    # the closure of Steinberg's generators is W^sigma as defined: the
+    # elements of W that preserve the fixed subspace
+    stab = fixed_space_stabilizer_perms(WeylPermutationGroup(rs), aut.simple_perm)
     assert set(wsigma) == set(stab)
 
     # the two element sets are equal, so one restricted group, built from the
-    # enumerated stabilizer, serves both the stream and the reference
+    # enumerated stabilizer, serves both the closure and the reference
     restricted = restricted_fixed_space_group(action, aut.simple_perm, stab)
     assert len(restricted) == len(wsigma)  # the restriction is faithful
 
@@ -325,13 +308,14 @@ def test_steinberg_generators_commute_with_sigma(family, rank, tag):
 def test_identity_twist_is_the_full_weyl_group(family, rank):
     rs = build_root_system(CartanType(family, rank))
     aut = make_automorphism(rs, "identity")
-    action, generators, wsigma = wsigma_of(rs, aut)
     weyl = WeylPermutationGroup(rs)
-    assert generators == weyl.simple_reflections
-    assert len(wsigma) == len(weyl.elements)
-    assert set(wsigma) == set(weyl.elements)  # the stream is not in BFS order
-    assert fixed_space_charpoly_buckets(action, aut.simple_perm, wsigma) == \
-        weyl.to_matrix_group().charpoly_buckets
+    assert RootPermutationAction(rs).steinberg_generators(aut.simple_perm) == \
+        weyl.simple_reflections
+    # the definition keeps every element, as its lattice matrix
+    group = wsigma_by_definition(aut)
+    assert group.elements == weyl.to_matrix_group().elements
+    assert fixed_space_charpoly_buckets(weyl, aut.simple_perm, weyl.elements) == \
+        group.charpoly_buckets
 
 
 def test_preservation_check_rejects_a_foreign_generator():
@@ -379,12 +363,59 @@ def test_a9_flip_without_full_enumeration():
 
 def test_twisted_cases_never_enumerate_all_of_w(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("full Weyl enumeration on the pipeline path")
+        raise AssertionError("full Weyl enumeration")
 
     monkeypatch.setattr(WeylPermutationGroup, "__init__", refuse)
-    # the --check oracle also stays on W^sigma; it is run where its
-    # brute-force count is cheap (fixed subspace of dimension two)
-    for family, rank, tag, oracle in [("D", 5, "flip", False), ("D", 4, "triality", True),
-                                      ("A", 4, "flip", True)]:
-        rpt = compute(TwistSpec(CartanType(family, rank), tag, run_oracle=oracle))
+    # only the pipeline path: --check enumerates W by design
+    for family, rank, tag in [("D", 5, "flip"), ("D", 4, "triality"), ("A", 4, "flip")]:
+        rpt = compute(TwistSpec(CartanType(family, rank), tag))
         assert rpt.preserves_folded
+    with pytest.raises(AssertionError, match="full Weyl enumeration"):
+        compute(TwistSpec(CartanType("A", 4), "flip", run_oracle=True))
+
+
+ORACLE_NOTE = "oracle: brute-force invariant dimensions match the series through total degree"
+
+
+@pytest.mark.parametrize("family,rank,tag", [("A", 2, "identity"), ("A", 3, "flip")])
+@pytest.mark.parametrize("wrong", ["raised", "dropped"])
+def test_check_catches_a_wrong_series(family, rank, tag, wrong, monkeypatch, capsys):
+    # a coefficient the count finds zero, raised, is caught by the loop
+    # over the series; one it finds nonzero, dropped, by the loop over the
+    # count
+    solomon = report.solomon_series
+
+    def wrong_series(ds, truncation):
+        coefficients = dict(solomon(ds, truncation).coefficients)
+        key = (0, 1) if wrong == "raised" else (0, 0)
+        coefficients[key] = 1 - coefficients.get(key, 0)
+        return exact.BigradedSeries(truncation, coefficients)
+
+    monkeypatch.setattr(report, "solomon_series", wrong_series)
+    t = CartanType(family, rank)
+    compute(TwistSpec(t, tag, truncation=9))  # the pipeline never reads the bigraded series
+    with pytest.raises(ValueError, match="oracle mismatch at bidegree"):
+        compute(TwistSpec(t, tag, truncation=9, run_oracle=True))
+    args = ["--type", family, "--rank", str(rank), "--auto", tag, "--truncate", "9"]
+    assert cli.main(args) == 0
+    assert cli.main(args + ["--check"]) == 1
+    assert "error: oracle mismatch at bidegree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,rank,tag", [("A", 2, "flip"), ("A", 4, "flip"),
+                                             ("A", 6, "flip"), ("D", 4, "triality")])
+def test_check_takes_wsigma_from_its_definition(family, rank, tag, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Steinberg's generators under --check")
+
+    monkeypatch.setattr(RootPermutationAction, "steinberg_generators", refuse)
+    rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=6, run_oracle=True))
+    assert rpt.notes[-1] == f"{ORACLE_NOTE} 6"
+
+
+def test_check_ignores_the_element_cap():
+    # |W^sigma| = 48 passes the cap; the enumerated W(A5) has 720 elements,
+    # bounded by the oracle's dimension guard instead
+    spec = TwistSpec(CartanType("A", 5), "flip", truncation=6, element_cap=48,
+                     run_oracle=True)
+    assert compute(spec).notes[-1] == f"{ORACLE_NOTE} 6"
