@@ -11,10 +11,11 @@ Weyl group there, each generator as a simple reflection, kept as one
 row.  The folding walks the rows once and certifies the folded roots
 as the closure of their base under them, so ``preserves_folded`` holds
 on either route below.  The order of W^sigma is the product of the indices
-along the chain of subgroups the generators span, each the size of one
-orbit of a coordinate functional on the fixed subspace.  The degrees of
-its basic invariants are the folded type's degree table, certified: they
-must multiply to that order, and invariants of those degrees must have a
+along the chain of subgroups the generators span, taken in the folded
+type's order, each the size of one orbit of a coordinate functional on
+the fixed subspace.  The degrees of its basic invariants are the folded
+type's degree table, certified: they must multiply to that order, and
+invariants of those degrees on the chain's last orbit must have a
 nonzero Jacobian determinant modulo a large prime.  The invariant ring
 is then polynomial in those degrees, so the series the report emits is
 the product of (1 + u^(2d-1)) / (1 - u^(2d)) over them, expanded in
@@ -54,7 +55,7 @@ from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
                     product_over_degrees, solomon_series)
 from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
-from .twist import (DiagramAutomorphism, OrbitCriterion, check_tag,
+from .twist import (DiagramAutomorphism, FoldingResult, OrbitCriterion, check_tag,
                     expected_folded_type, fixed_group_info, folded_root_system,
                     make_automorphism, positive_orbit_sizes, resolve_twist)
 from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError, _perm_order,
@@ -281,6 +282,17 @@ def _check_order_cap(folded: CartanType, cap: int) -> None:
                 f"{'' if exact else 'at least '}{order}, past the element cap {cap}")
 
 
+def _chain_rows(folding: FoldingResult) -> tuple[tuple[int, ...], ...]:
+    """The folding's rows in the coset chain's order: the folded type's
+    nodes n..1 for B, C and D, 1..n otherwise, each a coordinate too.  Any
+    order multiplies to |W^sigma|; this one ends in the smallest coordinate
+    orbit (n + 1 for A_n, 2n for B_n, C_n and D_n, 27, 56 and 240 for E6,
+    E7 and E8, 24 for F4, 6 for G2), which the Jacobian reuses, and keeps
+    the indices' sum, the functionals the chain closes, polynomial in n."""
+    nodes = folding.nodes[::-1] if folding.folded_type.family in "BCD" else folding.nodes
+    return tuple(tuple(folding.rows[a][b] for b in nodes) for a in nodes)
+
+
 def compute(spec: TwistSpec) -> TwistReport:
     """Run the full pipeline for one twist specification.
 
@@ -326,13 +338,14 @@ def compute(spec: TwistSpec) -> TwistReport:
         closed = _closed_form(ds)
     else:
         try:
-            coset_indices(folding.rows, order)
+            rows = _chain_rows(folding)
+            _, orbit = coset_indices(rows, order)
             # the certificate: the degrees multiply to the group order, and
             # invariants of those degrees are algebraically independent
             if math.prod(ds) != order:
                 raise ValueError(f"degrees {list(ds)} multiply to {math.prod(ds)}, "
                                  f"not the coset-chain order {order}")
-            certify_jacobian(folding.rows, ds)
+            certify_jacobian(rows, ds, orbit)
         except ValueError as exc:
             raise ValueError(f"{t} {tag}: {exc}") from None
         closed = _closed_form_or_note(ds, spec.truncation, notes)

@@ -190,13 +190,15 @@ def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
 class FoldingResult(Record):
     """Projected roots with their multiplicities and the folded roots, both
     as integer vectors over the projected simple roots, the folded type,
-    and the rows (:func:`twistloop.weyl.steinberg_rows`) that certified it."""
+    the rows (:func:`twistloop.weyl.steinberg_rows`) that certified it, and
+    the row matched to each node of the folded type's Dynkin diagram."""
 
-    __slots__ = ("projected_roots", "folded_roots", "folded_type", "rows")
+    __slots__ = ("projected_roots", "folded_roots", "folded_type", "rows", "nodes")
     projected_roots: tuple[tuple[Vector, int], ...]
     folded_roots: tuple[Vector, ...]
     folded_type: CartanType
     rows: tuple[Vector, ...]
+    nodes: tuple[int, ...]
 
 
 def expected_folded_type(t: CartanType, tag: str) -> CartanType:
@@ -224,27 +226,30 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     expected = expected_folded_type(a.base.cartan_type, a.tag)
     # one row per sigma-orbit, checked against the folded rank below
     rows = steinberg_rows(a.base.cartan_type, a.simple_perm)
-    check_folded_roots(folded, rows, expected)
-    return FoldingResult(projected, folded, expected, rows)
+    nodes = check_folded_roots(folded, rows, expected)
+    return FoldingResult(projected, folded, expected, rows, nodes)
 
 
 def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
-                       expected: CartanType) -> None:
+                       expected: CartanType) -> tuple[int, ...]:
     """Raise ValueError unless roots, integer vectors over a base, are the
     root system of the expected type with that base as its simple roots
     and the reflections with the given rows (row k changes coordinate k
     alone, by row_k . v) as its simple reflections: the Cartan matrix
     C_jk = -row_k[j] is the type's in some order of the nodes, and the set
     is the closure of the base under those reflections, which their group
-    permutes.  Linear in the root count and the rank."""
+    permutes.  Linear in the root count and the rank.  Returns that order:
+    the row matched to each node of the type's Dynkin diagram."""
     n = expected.rank
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("folded rows act in the wrong dimension")
     cartan = tuple(tuple(-row[j] for row in rows) for j in range(n))
-    if _match_cartan(cartan, cartan_matrix(expected)) is None:
+    nodes = _match_cartan(cartan, cartan_matrix(expected))
+    if nodes is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")
     if set(_closure(cartan, root_count(expected))) != set(roots):
         raise ValueError(f"folded set is not the root system of {expected}")
+    return nodes
 
 
 def _match_cartan(cand: Sequence[Sequence[int]],

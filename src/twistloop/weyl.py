@@ -2,39 +2,29 @@
 the fixed subspace, its order from coset indices, and the certificate
 that its invariant ring is polynomial in the folded type's degrees.
 
-:func:`steinberg_rows` walks Steinberg's generators of the fixed
-subgroup W^sigma of a diagram automorphism sigma, one longest parabolic
-element per sigma-orbit of simple nodes, on their images of the simple
-roots, one Cartan-matrix entry per column and step.  On the fixed
-subspace each generator is a simple reflection of the folded Weyl group
-and changes one coordinate, so it is kept as one integer row; the fold
-certificate (:func:`twistloop.twist.folded_root_system`), the coset
-chain and the Jacobian read those rows.
-:func:`coset_indices` counts the cosets along the chain of subgroups the
-generators span as orbits of coordinate functionals, closed by one
-breadth-first search (:func:`_orbit_search`) bounded by the group order;
-the indices multiply to |W^sigma|.  :func:`certify_jacobian` finds
-power-sum invariants of the folded type's degrees, over a few orbits of
-coordinate functionals, with a nonzero Jacobian determinant modulo a
-large prime.  With the degrees multiplying to |W^sigma|, the invariant
-ring is then polynomial in them, so the report's series is the product
-over them (:func:`twistloop.exact.product_over_degrees`), and Solomon's
-product (:func:`twistloop.exact.solomon_series`), the bigraded series,
-is expanded on each read of the report's ``bigraded``.  No element of
-W^sigma is enumerated and no root is permuted.
-
-The element-by-element references (the simple reflections as byte
-permutations of the roots and the walk of Steinberg's generators over
-them, the dense matrices of elements on the fixed subspace, coset
-representatives, the walk of W^sigma over them, its
-characteristic-polynomial buckets and their super-Molien average) live
-in :mod:`twistloop.oracle`.
+:func:`steinberg_rows` walks Steinberg's generators of W^sigma, the fixed
+subgroup of a diagram automorphism sigma, from the Cartan matrix.  On the
+fixed subspace each is a simple reflection of the folded Weyl group and
+changes one coordinate, so it is kept as one integer row, which the fold
+certificate (:func:`twistloop.twist.folded_root_system`), the coset chain
+and the Jacobian read.  :func:`coset_indices` counts the cosets along the
+chain of subgroups the generators span as orbits of coordinate
+functionals, each closed by one breadth-first search
+(:func:`_orbit_search`) bounded by the group order; the indices multiply
+to |W^sigma|.  :func:`certify_jacobian` finds invariants of the folded
+type's degrees with a nonzero Jacobian determinant modulo a large prime
+on the chain's last orbit: its power sums and, for D_n, the Pfaffian, the
+product over half of it.  The invariant ring is then polynomial in those
+degrees, so the report's series is the product over them
+(:func:`twistloop.exact.product_over_degrees`).  No element of W^sigma is
+enumerated and no root is permuted.  The element-by-element references
+live in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .rootsys import CartanType, cartan_matrix, root_count
 
@@ -44,9 +34,8 @@ MAX_ROOTS = 255  # the largest root set compute() builds
 
 class GroupTooLargeError(RuntimeError):
     """Raised by compute() from the type alone, before anything is built,
-    when |W^sigma| passes the element cap or the root count passes
-    MAX_ROOTS, and by the oracle's closures and root permutations past
-    their caps."""
+    when |W^sigma| passes the element cap or the root count MAX_ROOTS, and
+    by the oracle's closures and root permutations past their caps."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +68,8 @@ def steinberg_rows(t: CartanType, simple_perm: tuple[int, ...]) -> tuple[tuple[i
     nonzero: w_k is a product of the s_i with i in O_k, and s_i changes
     coordinate i alone, so w_k keeps every orbit sum outside O_k.  So g_k
     sends a functional phi to phi + phi_k row_k and changes a vector v in
-    entry k alone, by row_k . v.  :func:`twistloop.oracle.fixed_space_matrices`
-    holds the dense matrices, from the oracle's root permutations, as a
-    test reference.
+    entry k alone, by row_k . v; the oracle's dense matrices
+    (:func:`twistloop.oracle.fixed_space_matrices`) are the test reference.
     """
     cartan = cartan_matrix(t)
     steps = root_count(t) // 2
@@ -108,10 +96,12 @@ def steinberg_rows(t: CartanType, simple_perm: tuple[int, ...]) -> tuple[tuple[i
     return tuple(rows)
 
 
-def coset_indices(rows: Sequence[tuple[int, ...]], order: int) -> tuple[int, ...]:
+def coset_indices(rows: Sequence[tuple[int, ...]],
+                  order: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """[W_k : W_{k-1}] for k = 1..m, where W_k is generated by the first k
-    reflections, the Steinberg generators on the fixed subspace in
-    sigma-orbit order, given by their rows (:func:`steinberg_rows`).
+    Steinberg generators on the fixed subspace, in the order given, by
+    their rows (:func:`steinberg_rows`), and the chain's last orbit, that
+    of y_m under all of them, which :func:`certify_jacobian` starts from.
 
     There they are the simple reflections of the folded Weyl group.  The
     coordinate functional y_k, the fundamental coweight omega_k^vee, lies
@@ -124,19 +114,18 @@ def coset_indices(rows: Sequence[tuple[int, ...]], order: int) -> tuple[int, ...
     |W^sigma|, which each index divides, or when the indices do not
     multiply to it: then the generators are not Steinberg's.
     """
-    indices = [sum(1 for _ in _orbit_search(k, rows[:k + 1], order))
-               for k in range(len(rows))]
+    orbits = [_orbit_search(k, rows[:k + 1], order) for k in range(len(rows))]
+    indices = tuple(map(len, orbits))
     if math.prod(indices) != order:
-        raise ValueError(f"coset counts {indices} do not multiply to the group "
+        raise ValueError(f"coset counts {list(indices)} do not multiply to the group "
                          f"order {order}")
-    return tuple(indices)
+    return indices, orbits[-1]
 
 
 def _orbit_search(k: int, rows: Sequence[tuple[int, ...]],
-                  limit: int) -> Iterator[tuple[int, ...]]:
-    """The orbit of the coordinate functional y_k under the reflections
-    with the given rows, in breadth-first order, yielding each functional
-    once its images are queued; ValueError when the orbit passes limit.
+                  limit: int) -> list[tuple[int, ...]]:
+    """The orbit of y_k under the reflections with the given rows, in
+    breadth-first order; ValueError when it passes limit.
 
     Only lowering steps are taken, phi -> phi s_r with phi_r > 0.  y_k is
     dominant: y_k(beta_j) >= 0 for every j.  Any functional w y_k of its
@@ -161,7 +150,7 @@ def _orbit_search(k: int, rows: Sequence[tuple[int, ...]],
                         raise ValueError(f"a functional orbit passed {limit} elements")
                     seen.add(psi)
                     orbit.append(psi)
-        yield phi
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -172,82 +161,97 @@ JACOBIAN_PRIME = 2**61 - 1
 JACOBIAN_ATTEMPTS = 4
 
 
-def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int]) -> int:
+def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
+                     orbit: Sequence[tuple[int, ...]]) -> int:
     """Find invariants of the degrees ds with a nonzero Jacobian
     determinant, for the group generated by the reflections with the given
     rows (:func:`steinberg_rows`) on the fixed subspace; return how many
     functional orbits they needed, or raise ValueError.
 
-    U_j is the orbit of the coordinate functional y_j, and
-
-        f_i = sum_j c_ij sum_{phi in U_j} phi^(d_i)
-
-    is invariant of degree d_i.  Its partial derivatives are
-    d_i sum_j c_ij sum_phi phi(x)^(d_i - 1) phi_k; the unit d_i is left
-    out.  The weights c_ij and the point x are seeded residues modulo the
-    prime JACOBIAN_PRIME, the weights differing per row so that equal
-    degrees give different invariants.  Orbits join smallest first until
-    the determinant is nonzero mod the prime; then the integer Jacobian
-    determinant is a nonzero polynomial.  Each of JACOBIAN_ATTEMPTS
-    seeded points may use every orbit.  No orbit is larger than the group,
-    whose order the degrees multiply to; a search past it raises.
+    U_1 is orbit, the coset chain's last (:func:`coset_indices`), enough
+    in the folded type's chain order for every admissible case but D2; the
+    orbits of y_1, y_2, ... follow, each searched, within the degrees'
+    product, only once those before fail.  f_i = sum_j c_ij sum_{phi in
+    U_j} phi^(d_i), plus e_i P_j when P_j, the product over U_j's half H_j,
+    is invariant of degree d_i (:func:`_half_product`), is invariant of
+    degree d_i.  Its gradient (the unit d_i left out) forms one power per
+    functional and distinct degree, over its nonzero entries, and P_j's
+    from prefix and suffix products, with no inverse.  The weights and the
+    point x are seeded residues modulo the prime JACOBIAN_PRIME, differing
+    per row so that equal degrees give different invariants.  Orbits join
+    until the determinant is nonzero mod the prime, so the integer one is
+    a nonzero polynomial.  Each of JACOBIAN_ATTEMPTS seeded points may use
+    every orbit.
 
     When ds multiply to the group order, this certifies the invariant
     ring.  Invariants with a nonzero Jacobian determinant are
-    algebraically independent.  Homogeneous algebraically independent
-    invariants whose degrees multiply to the group order generate the
-    invariant ring: the rational functions have degree at most that
-    product over the field the invariants generate, with equality only
-    when the invariants have no common zero but the origin (then the
-    polynomials are finite over them), and degree |G| over the invariant
-    field.  So the two fields agree, and the invariant ring, finite over
-    the polynomial ring in the invariants and inside its fraction field,
-    equals that integrally closed ring.  Algebraically independent
-    invariants, sorted by degree, have degrees at least the basic ones,
-    entry by entry (were the k-th smaller, the first k would lie in the
-    algebra of fewer than k basic invariants), so other degrees with the same
-    product have no such invariants, and their Jacobian vanishes at every
-    point.
+    algebraically independent, and homogeneous algebraically independent
+    invariants whose degrees multiply to |G| generate the invariant ring:
+    the rational functions have degree at most that product over the
+    field they generate, with equality only when they have no common zero
+    but the origin (then the polynomials are finite over them), and degree
+    |G| over the invariant field.  So the two fields agree, and the
+    invariant ring, finite over the polynomial ring in the invariants and
+    inside its fraction field, equals that integrally closed ring.
+    Algebraically independent invariants, sorted by degree, have degrees at
+    least the basic ones, entry by entry (were the k-th smaller, the first
+    k would lie in the algebra of fewer than k basic invariants), so other
+    degrees with the same product have no such invariants, and their
+    Jacobian vanishes at every point.
     """
-    dim = len(ds)
+    p, dim = JACOBIAN_PRIME, len(ds)
+    searches = (_orbit_search(k, rows, math.prod(ds)) for k in range(dim - 1))
+    orbits = [orbit]
     for attempt in range(JACOBIAN_ATTEMPTS):
         point = _jacobian_point(attempt, dim)
-        weights = _seeded(2 * attempt + 2, dim * dim)
+        weights = _seeded(2 * attempt + 2, dim * dim + dim)
         jacobian = [[0] * dim for _ in range(dim)]
-        for j, orbit in enumerate(_coordinate_orbits(rows, math.prod(ds))):
-            for phi in orbit:
-                v = sum(a * x for a, x in zip(phi, point)) % JACOBIAN_PRIME
-                for i, d in enumerate(ds):
-                    c = weights[i * dim + j] * pow(v, d - 1, JACOBIAN_PRIME) % JACOBIAN_PRIME
-                    row = jacobian[i]
-                    for k, a in enumerate(phi):
-                        row[k] += c * a
-            if _nonsingular_mod(jacobian, JACOBIAN_PRIME):
+        for j in range(dim):
+            if j == len(orbits):
+                orbits.append(next(searches))
+            half = _half_product(orbits[j], rows, ds)
+            grads = {d: [0] * dim for d in ds}
+            for phi in orbits[j]:
+                entries = [(k, a) for k, a in enumerate(phi) if a]
+                v = sum(a * point[k] for k, a in entries) % p
+                for d, grad in grads.items():
+                    c = pow(v, d - 1, p)
+                    for k, a in entries:
+                        grad[k] += c * a
+            values = [sum(a * x for a, x in zip(phi, point)) % p for phi in half]
+            others = [math.prod(values[:h]) * math.prod(values[h + 1:]) % p
+                      for h in range(len(half))]
+            extra = [sum(c * phi[k] for c, phi in zip(others, half)) % p for k in range(dim)]
+            for i, d in enumerate(ds):
+                c, e = weights[i * dim + j], weights[dim * dim + i] * (len(half) == d)
+                jacobian[i] = [(a + c * g + e * h) % p
+                               for a, g, h in zip(jacobian[i], grads[d], extra)]
+            if _nonsingular_mod(jacobian, p):
                 return j + 1
     raise ValueError(f"no invariants of degrees {list(ds)} with a nonzero Jacobian "
                      f"at {JACOBIAN_ATTEMPTS} seeded points")
 
 
-def _coordinate_orbits(rows: Sequence[tuple[int, ...]],
-                       limit: int) -> Iterator[list[tuple[int, ...]]]:
-    """The orbits of the coordinate functionals y_0, y_1, ... under the
-    reflections with the given rows, smallest first, ties in node order; an
-    orbit growing past limit raises ValueError.
-
-    One :func:`_orbit_search` per coordinate, all advanced in step, one
-    functional each per round, so an orbit of n functionals is complete
-    after n rounds: orbits come out in order of size, and a caller that
-    stops early never finishes the larger ones.
+def _half_product(orbit: Sequence[tuple[int, ...]], rows: Sequence[tuple[int, ...]],
+                  ds: Sequence[int]) -> list[tuple[int, ...]]:
+    """H, the members of the orbit U whose first nonzero entry is positive,
+    when |H| is in ds, U = -U and each row sends an even number of them out
+    of H; else [].  Then the product P over H is invariant: each g permutes
+    U and commutes with negation, so g P = (-1)^n(g) P, n(g) the number of
+    members of H that g sends out of H, and the character g -> (-1)^n(g)
+    is trivial when it is on the generators.  For D_n and U = {+-e_i}, P is
+    the Pfaffian x_1...x_n; for B_n and C_n the last node's reflection
+    sends e_n alone out, and P is only a semi-invariant.
     """
-    running = {j: ([], _orbit_search(j, rows, limit)) for j in range(len(rows))}
-    while running:
-        for j, (orbit, search) in tuple(running.items()):
-            phi = next(search, None)
-            if phi is None:
-                del running[j]
-                yield orbit
-            else:
-                orbit.append(phi)
+    if len(orbit) // 2 not in ds or tuple(-a for a in orbit[0]) not in orbit:
+        return []
+    half = [phi for phi in orbit if next(a for a in phi if a) > 0]
+    members = set(half)
+    for r, row in enumerate(rows):
+        if sum(tuple([a + phi[r] * b for a, b in zip(phi, row)]) not in members
+               for phi in half if phi[r]) % 2:
+            return []
+    return half
 
 
 def _jacobian_point(attempt: int, dim: int) -> list[int]:
@@ -257,8 +261,7 @@ def _jacobian_point(attempt: int, dim: int) -> list[int]:
 def _seeded(seed: int, count: int) -> list[int]:
     """count residues mod JACOBIAN_PRIME from a linear congruential stream
     (Knuth's MMIX constants) started at seed."""
-    out = []
-    x = seed
+    out, x = [], seed
     for _ in range(count):
         x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
         out.append(x % JACOBIAN_PRIME)
@@ -283,19 +286,14 @@ def _nonsingular_mod(rows: Sequence[Sequence[int]], p: int) -> bool:
 
 
 def _perm_orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    seen = set()
-    orbits = []
+    orbits, seen = [], set()
     for start in range(len(perm)):
-        if start in seen:
-            continue
-        orb = [start]
-        seen.add(start)
-        j = perm[start]
-        while j != start:
-            orb.append(j)
-            seen.add(j)
-            j = perm[j]
-        orbits.append(tuple(orb))
+        if start not in seen:
+            orb = [start]
+            while perm[orb[-1]] != start:
+                orb.append(perm[orb[-1]])
+            seen.update(orb)
+            orbits.append(tuple(orb))
     return tuple(orbits)
 
 

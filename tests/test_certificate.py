@@ -17,6 +17,7 @@ import inspect
 import math
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from twistloop.oracle import RootPermutationAction
 from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
 from twistloop.twist import (DiagramAutomorphism, expected_folded_type, folded_root_system,
                              make_automorphism)
-from twistloop.weyl import certify_jacobian, coset_indices, steinberg_rows
+from twistloop.weyl import MAX_ROOTS, certify_jacobian, coset_indices
 
 from test_acceptance import expected_series
 from test_wsigma import STREAMED
@@ -71,10 +72,11 @@ def test_certificate_agrees_with_enumeration(family, rank, tag):
     aut, fold, action, generators = certificate_inputs(family, rank, tag)
     order = weyl_order(fold.folded_type)
     positive = sum(all(c >= 0 for c in v) for v in fold.folded_roots)
-    rows = steinberg_rows(aut.base.cartan_type, aut.simple_perm)
+    rows = report._chain_rows(fold)
     ds = degrees(fold.folded_type)
-    assert math.prod(coset_indices(rows, order)) == math.prod(ds) == order
-    assert certify_jacobian(rows, ds) >= 1
+    indices, orbit = coset_indices(rows, order)
+    assert math.prod(indices) == math.prod(ds) == order
+    assert certify_jacobian(rows, ds, orbit) >= 1
     assert sum(d - 1 for d in ds) == positive
 
     rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=TRUNC))
@@ -159,31 +161,143 @@ def test_compute_forms_no_root_permutation(monkeypatch):
         compute(TwistSpec(CartanType("A", 2), run_oracle=True))
 
 
+def chain_inputs(family, rank, tag):
+    """compute()'s rows in the coset chain's order, the folded type's
+    degrees and the chain's indices and last orbit."""
+    fold = folded_root_system(make_automorphism(build_root_system(CartanType(family, rank)),
+                                                tag))
+    rows = report._chain_rows(fold)
+    return rows, degrees(fold.folded_type), *coset_indices(rows, weyl_order(fold.folded_type))
+
+
+# the size of the chain's last orbit, the first the Jacobian uses
+FIRST_ORBIT = {("E", 6, "identity"): 27, ("D", 6, "identity"): 12, ("D", 8, "identity"): 16,
+               ("A", 7, "flip"): 8, ("D", 4, "triality"): 6, ("D", 2, "identity"): 2}
+
+
+# one orbit, with the Pfaffian for D_n, except for D2 = A1 x A1, whose first
+# orbit is one coordinate's +- pair
 @pytest.mark.parametrize("family,rank,tag,orbits", [
-    ("E", 6, "identity", 1), ("D", 6, "identity", 2), ("D", 8, "identity", 3),
-    ("A", 7, "flip", 1), ("D", 4, "triality", 1)])
+    ("E", 6, "identity", 1), ("D", 6, "identity", 1), ("D", 8, "identity", 1),
+    ("A", 7, "flip", 1), ("D", 4, "triality", 1), ("D", 2, "identity", 2)])
 def test_jacobian_needs_few_orbits(family, rank, tag, orbits):
-    t = CartanType(family, rank)
-    aut = make_automorphism(build_root_system(t), tag)
-    rows = steinberg_rows(t, aut.simple_perm)
-    assert certify_jacobian(rows, degrees(expected_folded_type(t, aut.tag))) == orbits
+    rows, ds, _, orbit = chain_inputs(family, rank, tag)
+    assert len(orbit) == FIRST_ORBIT[family, rank, tag]
+    assert certify_jacobian(rows, ds, orbit) == orbits
+
+
+# [W_k : W_(k-1)] in compute()'s chain order: nodes n..1 for B, C and D,
+# 1..n otherwise
+CHAIN_INDICES = ([(("A", n), tuple(range(2, n + 2))) for n in range(1, 16)] +
+                 [((f, n), tuple(range(2, 2 * n + 1, 2))) for f in "BC" for n in range(1, 12)] +
+                 [(("D", 2), (2, 2))] +
+                 [(("D", n), (2, 2) + tuple(range(6, 2 * n + 1, 2))) for n in range(3, 12)] +
+                 [(("E", 6), (2, 2, 3, 10, 16, 27)), (("E", 7), (2, 2, 3, 10, 16, 27, 56))])
+
+
+@pytest.mark.parametrize("family,rank,indices", [(f, n, i) for (f, n), i in CHAIN_INDICES])
+def test_chain_indices_have_their_closed_forms(family, rank, indices):
+    assert chain_inputs(family, rank, "identity")[2] == indices
+
+
+def positive_half(orbit):
+    return [phi for phi in orbit if next(a for a in phi if a) > 0]
+
+
+def product_ratios(rows, half):
+    """P(s_r x) / P(x) for P the product of the functionals in half, at a
+    point x, over the reflections s_r with the given rows, evaluated
+    directly."""
+    x = [3 ** k + 2 * k + 1 for k in range(len(rows))]
+
+    def product(v):
+        return math.prod(sum(a * b for a, b in zip(phi, v)) for phi in half)
+
+    assert product(x)
+    ratios = set()
+    for r, row in enumerate(rows):
+        image = list(x)
+        image[r] += sum(a * b for a, b in zip(row, x))
+        ratios.add(Fraction(product(image), product(x)))
+    return ratios
+
+
+@pytest.mark.parametrize("family", "BCD")
+@pytest.mark.parametrize("rank", range(3, 9))
+def test_half_product_is_the_pfaffian_for_d_only(family, rank):
+    # the chain's last orbit is +-e_i: its positive half multiplies to
+    # x_1...x_n, invariant for D_n and sent to its negative by the last
+    # node's reflection for B_n and C_n
+    rows, _, _, orbit = chain_inputs(family, rank, "identity")
+    half = positive_half(orbit)
+    assert len(orbit) == 2 * len(half) == 2 * rank
+    assert product_ratios(rows, half) == ({1} if family == "D" else {1, -1})
+    assert weyl._half_product(orbit, rows, (rank,)) == (half if family == "D" else [])
+
+
+def test_half_product_needs_an_orbit_closed_under_negation():
+    # a half-spin orbit of D5 is not -U, yet every generator moves an even
+    # number of its 8 positive-first members out of them, and 8 is a degree:
+    # only the U = -U test refuses their product, which is not invariant
+    rows, ds, _, _ = chain_inputs("D", 5, "identity")
+    orbit = weyl._orbit_search(0, rows, 10**7)
+    half = positive_half(orbit)
+    assert len(orbit) == 16 and len(half) == 8 and 8 in ds
+    assert tuple(-a for a in orbit[0]) not in orbit
+    assert product_ratios(rows, half) != {1}
+    assert weyl._half_product(orbit, rows, ds) == []
+
+
+def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
+    # every type and twist with at most MAX_ROOTS roots, E8 identity among
+    # them with the cap past |W(A15)| = 16!, goes through the certificate
+    # on the chain's last orbit alone, but D2 = A1 x A1
+    ranks = {"A": range(1, 16), "B": range(1, 12), "C": range(1, 12), "D": range(2, 12),
+             "E": (6, 7, 8), "F": (4,), "G": (2,)}
+    cases = []
+    for family, rs in ranks.items():
+        for t in (CartanType(family, r) for r in rs):
+            for tag in twist.AUTOMORPHISM_TAGS:
+                try:
+                    twist.check_tag(t, tag)
+                except ValueError:
+                    continue
+                cases.append((t, tag))
+    assert max(rootsys.root_count(t) for t, _ in cases) <= MAX_ROOTS
+    assert all(rootsys.root_count(CartanType(f, max(rs) + 1)) > MAX_ROOTS
+               for f, rs in ranks.items() if f in "ABCD")
+    used = []
+
+    def counted(rows, ds, orbit):
+        used.append(certify_jacobian(rows, ds, orbit))
+        return used[-1]
+
+    monkeypatch.setattr(report, "certify_jacobian", counted)
+    start = time.perf_counter()
+    for t, tag in cases:
+        rpt = compute(TwistSpec(t, tag, truncation=TRUNC, element_cap=10**14))
+        assert rpt.series == expected_series(degrees(rpt.folded_type)), (t, tag)
+    assert time.perf_counter() - start < 1
+    assert len(used) == len(cases) == 79
+    assert {case: n for case, n in zip(cases, used) if n != 1} == \
+        {(CartanType("D", 2), "identity"): 2}
 
 
 @pytest.mark.parametrize("family,rank,tag,wrong", [
     ("F", 4, "identity", (3, 4, 8, 12)), ("E", 6, "identity", (3, 4, 5, 8, 9, 12)),
     ("E", 6, "flip", (3, 4, 8, 12)), ("D", 4, "identity", (2, 2, 6, 8)),
-    ("D", 4, "triality", (3, 4)), ("B", 3, "identity", (3, 4, 4))])
+    ("D", 4, "triality", (3, 4)), ("B", 3, "identity", (3, 4, 4)),
+    ("B", 4, "identity", (2, 4, 4, 12))])
 def test_wrong_degrees_with_the_right_product_fail_the_jacobian(family, rank, tag, wrong):
-    # the coset-chain order alone would pass these degrees
-    t = CartanType(family, rank)
-    aut = make_automorphism(build_root_system(t), tag)
-    rows = steinberg_rows(t, aut.simple_perm)
-    right = degrees(expected_folded_type(t, aut.tag))
-    assert math.prod(wrong) == math.prod(coset_indices(rows, math.prod(right)))
+    # the coset-chain order alone would pass these degrees; so would the
+    # Jacobian for B4's, with x_1 x_2 x_3 x_4, a semi-invariant, taken for a
+    # second invariant of degree 4
+    rows, right, indices, orbit = chain_inputs(family, rank, tag)
+    assert math.prod(wrong) == math.prod(indices)
     assert tuple(sorted(wrong)) != right
-    certify_jacobian(rows, right)
+    certify_jacobian(rows, right, orbit)
     with pytest.raises(ValueError, match="no invariants of degrees .* nonzero Jacobian"):
-        certify_jacobian(rows, wrong)
+        certify_jacobian(rows, wrong, orbit)
 
 
 def test_a_wrong_degree_product_fails_the_order_check(monkeypatch):
@@ -235,12 +349,14 @@ def test_dropped_generator_breaks_the_coset_chain(family, rank, tag, monkeypatch
 
 def test_orbit_search_is_bounded_by_the_group_order():
     # a stretch generates no finite group: its orbits would never close; the
-    # coset chain and the Jacobian share one search and its bound
+    # coset chain and the Jacobian's further orbits share one search and its
+    # bound, the group order, which the Jacobian takes from the degrees
     stretch = ((1,),)  # row 0 of ((2,),) - 1
     with pytest.raises(ValueError, match="functional orbit passed 2 elements"):
-        certify_jacobian(stretch, (2,))
-    with pytest.raises(ValueError, match="functional orbit passed 2 elements"):
         coset_indices(stretch, 2)
+    # +-y_2 alone has a singular Jacobian, so the orbit of y_1 is searched
+    with pytest.raises(ValueError, match="functional orbit passed 4 elements"):
+        certify_jacobian(((1, 0), (0, 0)), (2, 2), [(0, 1), (0, -1)])
 
 
 @pytest.mark.parametrize("family,rank", [("E", 7), ("D", 8)])

@@ -25,7 +25,8 @@ SAMPLES = [
     (BigradedSeries, (4, {(0, 0): 1, (1, 1): 2})),
     (CartanType, ("E", 6)),
     (DiagramAutomorphism, (_RS, (0,), 1, "identity")),
-    (FoldingResult, ((((1,), 1), ((-1,), 1)), ((-1,), (1,)), CartanType("A", 1), ((-2,),))),
+    (FoldingResult, ((((1,), 1), ((-1,), 1)), ((-1,), (1,)), CartanType("A", 1), ((-2,),),
+                     (0,))),
     (OrbitCriterion, (2, 2)),
     (FixedGroupInfo, ("connected", (1,))),
     (TwistSpec, (E6, "flip", 60, False, 2, 1000)),

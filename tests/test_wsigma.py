@@ -173,14 +173,16 @@ def full_orbit(start, matrices):
 def test_lowering_steps_find_the_full_orbits_in_order(family, rank, tag):
     # the coset searches and the Jacobian's orbits step only where phi_r > 0;
     # the ordered orbit lists must be those of the full search
-    _, _, _, matrices, rows = coset_inputs(family, rank, tag)
+    aut, _, _, matrices, rows = coset_inputs(family, rank, tag)
     dim = len(matrices)
     units = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
     for k in range(dim):
         assert list(weyl._orbit_search(k, rows[:k + 1], 10**7)) == \
             full_orbit(units[k], matrices[:k + 1])
-    full = sorted((full_orbit(u, matrices) for u in units), key=len)  # stable: ties by node
-    assert list(weyl._coordinate_orbits(rows, 10**7)) == full
+    # the chain's last orbit and the Jacobian's further ones, one search each
+    assert coset_indices(rows, folded_order(aut))[1] == full_orbit(units[-1], matrices)
+    assert [list(weyl._orbit_search(k, rows, 10**7)) for k in range(dim)] == \
+        [full_orbit(u, matrices) for u in units]
 
 
 # [W_k : W_(k-1)] for the parabolic subgroups W_k of the folded type on its
@@ -196,7 +198,7 @@ def test_coset_indices_are_the_transversal_sizes(family, rank, tag):
     # a transversal of W_(k-1) in W_k, W_k the subgroup the first k
     # generators close to, has |W_k| / |W_(k-1)| elements
     aut, _, generators, _, rows = coset_inputs(family, rank, tag)
-    indices = coset_indices(rows, folded_order(aut))
+    indices, _ = coset_indices(rows, folded_order(aut))
     if (family, rank, tag) in PARABOLIC_RATIOS:
         assert indices == PARABOLIC_RATIOS[family, rank, tag]
         return
@@ -224,7 +226,7 @@ def test_coset_indices_stop_at_the_cap(family, rank, tag):
     # the searches are bounded by the expected group order, which every
     # index divides: an order below the largest index stops its search
     aut, _, _, _, rows = coset_inputs(family, rank, tag)
-    largest = max(coset_indices(rows, folded_order(aut)))
+    largest = max(coset_indices(rows, folded_order(aut))[0])
     assert largest < folded_order(aut)
     with pytest.raises(ValueError, match="do not multiply to the group order"):
         coset_indices(rows, largest)
