@@ -139,9 +139,6 @@ class TwistReport(Record):
         return solomon_series(degrees(self.folded_type), self.truncation)
 
     def to_json_dict(self) -> dict:
-        return self._json_dict(list(self.series))
-
-    def _json_dict(self, series: list[int] | None) -> dict:
         return {
             "input": {
                 "type": self.cartan_type.family,
@@ -160,7 +157,7 @@ class TwistReport(Record):
                 "restricted_order": self.restricted_order,
                 "preserves_folded": self.preserves_folded,
             },
-            "series": series,
+            "series": list(self.series),
             "closed_form": (None if self.closed_form is None else {
                 "x_degrees": list(self.closed_form.x_degrees),
                 "y_degrees": list(self.closed_form.y_degrees),
@@ -170,16 +167,32 @@ class TwistReport(Record):
         }
 
     def to_json(self) -> str:
-        """The bytes of ``json.dumps(self.to_json_dict(), indent=2)``.  With an
-        indent json encodes in pure Python, so the series list, the bulk of
-        the report, is written here in the same layout: one entry per line,
-        at the depth of a top-level value."""
-        import json  # loaded on first use: compute() and the text report need none
-
-        head, tail = json.dumps(self._json_dict(None), indent=2).split(
-            '"series": null', 1)
-        return (head + '"series": [\n    ' + ",\n    ".join(map(str, self.series))
-                + "\n  ]" + tail)
+        """The bytes of ``json.dumps(self.to_json_dict(), indent=2)``, laid
+        out here for this one shape: each member and list entry on its own
+        line, indented two spaces per level, ``[]`` for an empty list, and
+        strings escaped as json's ``ensure_ascii`` does (:func:`_json_str`).
+        json's indented encoder runs in pure Python, and importing json
+        takes longer than most cases take to compute."""
+        t, crit, cf = self.cartan_type, self.orbit_criterion, self.closed_form
+        closed = "null" if cf is None else (
+            f'{{\n    "x_degrees": {_json_list(cf.x_degrees, 6)},\n'
+            f'    "y_degrees": {_json_list(cf.y_degrees, 6)}\n  }}')
+        return (
+            f'{{\n  "input": {{\n    "type": {_json_str(t.family)},\n'
+            f'    "rank": {t.rank},\n'
+            f'    "automorphism": {_json_str(self.automorphism)},\n'
+            f'    "truncation": {self.truncation}\n  }},\n'
+            f'  "folded_type": {_json_str(str(self.folded_type))},\n'
+            f'  "orbit_criterion": {{\n    "orbits": {crit.orbit_count},\n'
+            f'    "folded_roots": {crit.folded_root_count},\n'
+            f'    "holds": {str(crit.holds).lower()}\n  }},\n'
+            f'  "wsigma": {{\n    "order": {self.stabilizer_order},\n'
+            f'    "restricted_order": {self.restricted_order},\n'
+            f'    "preserves_folded": {str(self.preserves_folded).lower()}\n  }},\n'
+            f'  "series": {_json_list(self.series, 4)},\n'
+            f'  "closed_form": {closed},\n'
+            f'  "excluded_characteristics": {_json_list(self.excluded_characteristics, 4)},\n'
+            f'  "notes": {_json_list(self.notes, 4, _json_str)}\n}}')
 
     def to_text(self) -> str:
         lines = [
@@ -206,6 +219,41 @@ class TwistReport(Record):
         lines.append("notes:")
         lines.extend(f"  - {n}" for n in self.notes)
         return "\n".join(lines) + "\n"
+
+
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                 "\r": "\\r", "\t": "\\t"}
+
+
+def _json_str(s: str) -> str:
+    """s as a JSON string with json's ``ensure_ascii`` escapes: the quote,
+    the backslash and \\b \\f \\n \\r \\t by name, any other character
+    outside ' '..'~' as \\u and four lowercase hex digits, one beyond the
+    BMP as its UTF-16 surrogate pair."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    out = []
+    for ch in s:
+        n = ord(ch)
+        if ch in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[ch])
+        elif 0x20 <= n < 0x7F:
+            out.append(ch)
+        elif n < 0x10000:
+            out.append(f"\\u{n:04x}")
+        else:
+            n -= 0x10000
+            out.append(f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json_list(values: Sequence, indent: int, item=str) -> str:
+    """A list of ints, or of what item writes, one entry per line at indent
+    spaces and its closing bracket two spaces less; ``[]`` when empty."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(map(item, values)) + pad[:-2] + "]"
 
 
 # ---------------------------------------------------------------------------

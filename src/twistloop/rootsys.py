@@ -8,13 +8,15 @@ A, D and E) and 4 or 6 for the long ones (B, C, F and G).  Nodes joined by
 an edge have inner product minus half the larger squared length, other
 distinct nodes 0, so the Gram matrix of the simple roots is an integer
 matrix, and the Cartan matrix A_ij = 2 (alpha_i, alpha_j) /
-(alpha_j, alpha_j) follows from it in O(r^2) integer steps.  The roots
-are then the closure of the unit vectors under the integer simple
-reflections s_i(c) = c - <c, alpha_i^vee> e_i.  The closure carries each
-root's pairings (<c, alpha_i^vee>)_i and moves them by one row of the
-Cartan matrix per reflection, so an image costs O(r), and one the
-pairing leaves in place costs nothing.  It keeps the roots, sorted, not
-their images, and also certifies a folding
+(alpha_j, alpha_j) follows from it in O(r^2) integer steps.  The
+positive roots are then the closure of the unit vectors under the
+raising integer simple reflections, s_i(c) = c - <c, alpha_i^vee> e_i
+with <c, alpha_i^vee> < 0, and the negative roots are their negatives,
+one negation each: the closure never steps onto a negative root.  It
+carries each root's pairings (<c, alpha_i^vee>)_i and moves them by one
+row of the Cartan matrix per step, so an image costs O(r), and a
+reflection that fixes or lowers the root costs a sign test.  It keeps
+the roots, sorted, not their images, and also certifies a folding
 (:func:`twistloop.twist.folded_root_system`).  Every later stage works
 in these coordinates.
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from functools import lru_cache, total_ordering
-from operator import add
+from operator import add, neg
 
 from .exact import Matrix, Record, check_int
 
@@ -197,32 +199,42 @@ def cartan_matrix(t: CartanType) -> CartanMatrix:
 
 @_memo
 def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
-    """Closure of the simple roots (unit vectors) under the simple
-    reflections, sorted; more than limit roots is an error.
+    """The roots of the Cartan matrix, sorted: the closure of the simple
+    roots (unit vectors) under raising steps, which is the positive roots,
+    with their negatives in front; more than limit roots is an error.
 
     Each new root c comes with its pairings p_k = <c, alpha_k^vee>, row i
-    of the Cartan matrix for alpha_i.  Then s_i(c) = c - p_i e_i, the
-    image is c itself when p_i = 0, and the pairings of s_i(c) are
-    p - p_i (A_i0, ..., A_i,r-1).
+    of the Cartan matrix for alpha_i.  Then s_i(c) = c - p_i e_i, and the
+    pairings of s_i(c) are p - p_i (A_i0, ..., A_i,r-1).  Only raising
+    steps, p_i < 0, are taken.  s_i permutes the positive roots other than
+    alpha_i, so a raising step from a positive root lands on one.  Every
+    positive root c but a simple one has some p_i > 0, and s_i(c) is a
+    positive root of smaller height with pairing -p_i < 0, one raising step
+    below c: by induction on the height the steps reach every positive
+    root.  Negation reverses the lexicographic order, and a nonpositive
+    vector sorts before every nonnegative one, so the negated positive
+    roots, reversed, followed by the sorted positive roots are all the
+    roots in order.
     """
     r = len(cartan)
     frontier = [(_unit(r, i), cartan[i]) for i in range(r)]
-    roots = {c for c, _ in frontier}
+    positive = {c for c, _ in frontier}
     while frontier:
         nxt = []
         for c, pairing in frontier:
             for i, k in enumerate(pairing):
-                if k:
+                if k < 0:
                     d = list(c)
                     d[i] -= k
                     d = tuple(d)
-                    if d not in roots:
-                        roots.add(d)
+                    if d not in positive:
+                        positive.add(d)
                         nxt.append((d, tuple([p - k * a for p, a in zip(pairing, cartan[i])])))
-        if len(roots) > limit:
+        if 2 * len(positive) > limit:
             raise ValueError(f"root closure passed {limit} roots")
         frontier = nxt
-    return tuple(sorted(roots))
+    ordered = sorted(positive)
+    return tuple([tuple(map(neg, c)) for c in reversed(ordered)] + ordered)
 
 
 class RootSystem:

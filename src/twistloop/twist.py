@@ -38,6 +38,7 @@ the roots are test references in :mod:`twistloop.oracle`.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import add, neg
 
 from .exact import Record, Vector
 from .rootsys import (CartanType, RootSystem, _closure, cartan_matrix,
@@ -174,17 +175,34 @@ def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
 def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     """Projections of the roots over the projected simple roots beta_O:
     root c goes to its orbit sums (sum_{i in O} c_i)_O.  Deduplicated,
-    multiplicities retained."""
+    multiplicities retained, sorted.
+
+    Only the positive roots, the second half, are summed.  The projection
+    commutes with negation, so the negative roots project to the negated
+    vectors with the same multiplicities, and a nonpositive vector sorts
+    before every nonnegative one: the negated positive projections,
+    reversed, come first.  Each orbit sum is read through one index list
+    per position in the orbits, a padded 0 standing in past a short
+    orbit's end."""
+    roots = a.base.roots
     if a.order == 1:
         # every orbit is one node, in node order: each root is its own
         # projection, and the roots are sorted and distinct
-        return tuple((c, 1) for c in a.base.roots)
+        return tuple((c, 1) for c in roots)
     orbits = a.simple_orbits
+    pad = len(a.simple_perm)
+    first, *rest = [[orb[p] if p < len(orb) else pad for orb in orbits]
+                    for p in range(a.order)]
     counts: dict[Vector, int] = {}
-    for c in a.base.roots:
-        v = tuple(sum(c[i] for i in orb) for orb in orbits)
+    for c in roots[len(roots) // 2:]:
+        get = (c + (0,)).__getitem__
+        v = map(get, first)
+        for index in rest:
+            v = map(add, v, map(get, index))
+        v = tuple(v)
         counts[v] = counts.get(v, 0) + 1
-    return tuple(sorted(counts.items()))
+    positive = sorted(counts.items())
+    return tuple([(tuple(map(neg, v)), m) for v, m in reversed(positive)] + positive)
 
 
 class FoldingResult(Record):
@@ -219,10 +237,15 @@ def expected_folded_type(t: CartanType, tag: str) -> CartanType:
 
 
 def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
+    """Fold the roots: the projections v with v/2 not a projection, read
+    on the positive half, the negative half mirroring it."""
     projected = project_roots(a)
-    proj_set = {v for v, _ in projected}
-    folded = tuple(v for v, _ in projected
-                   if any(c % 2 for c in v) or tuple(c // 2 for c in v) not in proj_set)
+    half = len(projected) // 2
+    positive = {v for v, _ in projected[half:]}
+    kept = [j for j, (v, _) in enumerate(projected[half:])
+            if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in positive]
+    folded = tuple([projected[half - 1 - j][0] for j in reversed(kept)]
+                   + [projected[half + j][0] for j in kept])
     expected = expected_folded_type(a.base.cartan_type, a.tag)
     # one row per sigma-orbit, checked against the folded rank below
     rows = steinberg_rows(a.base.cartan_type, a.simple_perm)
@@ -232,14 +255,16 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
 
 def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
                        expected: CartanType) -> tuple[int, ...]:
-    """Raise ValueError unless roots, integer vectors over a base, are the
-    root system of the expected type with that base as its simple roots
-    and the reflections with the given rows (row k changes coordinate k
-    alone, by row_k . v) as its simple reflections: the Cartan matrix
-    C_jk = -row_k[j] is the type's in some order of the nodes, and the set
-    is the closure of the base under those reflections, which their group
-    permutes.  Linear in the root count and the rank.  Returns that order:
-    the row matched to each node of the type's Dynkin diagram."""
+    """Raise ValueError unless roots, integer vectors over a base in
+    ascending order, are the root system of the expected type with that
+    base as its simple roots and the reflections with the given rows (row
+    k changes coordinate k alone, by row_k . v) as its simple reflections:
+    the Cartan matrix C_jk = -row_k[j] is the type's in some order of the
+    nodes, and the roots are the closure of the base under those
+    reflections, which their group permutes, as the closure sorts it: one
+    tuple comparison.  Linear in the root count and the rank.  Returns
+    that order: the row matched to each node of the type's Dynkin
+    diagram."""
     n = expected.rank
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("folded rows act in the wrong dimension")
@@ -247,7 +272,7 @@ def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
     nodes = _match_cartan(cartan, cartan_matrix(expected))
     if nodes is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")
-    if set(_closure(cartan, root_count(expected))) != set(roots):
+    if _closure(cartan, root_count(expected)) != tuple(roots):
         raise ValueError(f"folded set is not the root system of {expected}")
     return nodes
 

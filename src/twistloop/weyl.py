@@ -55,31 +55,37 @@ def steinberg_rows(t: CartanType, simple_perm: tuple[int, ...]) -> tuple[tuple[i
     reached from the identity by right-multiplying with a simple
     reflection s_i, i in O, while w(alpha_i) is positive: each step
     lengthens w, and the walk stops once every simple root of O is sent
-    negative.  For sigma = identity w_O is the simple reflection s_k.  The
-    walk keeps w's columns w(alpha_j), roots over the simple base, for j
-    in O and for the first node of each orbit, and moves them one Cartan
-    entry each per step: (w s_i)(alpha_j) = w(alpha_j) - A_ji w(alpha_i).
-    No element is longer than the positive roots are many, which bounds
-    the walk.
+    negative.  For sigma = identity w_O is the simple reflection s_k.  No
+    element is longer than the positive roots are many, which bounds the
+    walk.
+
+    w is a product of the s_i with i in O, and s_i changes coordinate i
+    alone, so w(alpha_j) differs from alpha_j only on O.  The walk keeps
+    the coordinates of O alone, of the columns w(alpha_j) for j in O and
+    for the first nodes j of the orbits next to O in the Dynkin diagram,
+    and moves them one Cartan entry each per step: (w s_i)(alpha_j) =
+    w(alpha_j) - A_ji w(alpha_i).  Any other column has A_ji = 0 for every
+    i in O, so it stays alpha_j, 0 on O.  w(alpha_i), i in O, lies in the
+    span of O, and a root's coordinates share one sign.
 
     g_k commutes with sigma, so g_k(beta_O') is the orbit sums of
     w_k(alpha_j), j the first node of O': entry O' of row k is the sum over
-    O_k of w_k(alpha_j), less 1 when O' = O_k.  No other row of g_k - 1 is
-    nonzero: w_k is a product of the s_i with i in O_k, and s_i changes
-    coordinate i alone, so w_k keeps every orbit sum outside O_k.  So g_k
-    sends a functional phi to phi + phi_k row_k and changes a vector v in
-    entry k alone, by row_k . v; the oracle's dense matrices
-    (:func:`twistloop.oracle.fixed_space_matrices`) are the test reference.
+    O_k of w_k(alpha_j), less 1 when O' = O_k, and 0 off O_k and its
+    neighbours.  No other row of g_k - 1 is nonzero, since w_k keeps every
+    orbit sum outside O_k.  So g_k sends a functional phi to phi + phi_k
+    row_k and changes a vector v in entry k alone, by row_k . v; the
+    oracle's dense matrices (:func:`twistloop.oracle.fixed_space_matrices`)
+    are the test reference.
     """
     cartan = cartan_matrix(t)
     steps = root_count(t) // 2
     orbits = _perm_orbits(simple_perm)
-    firsts = [orb[0] for orb in orbits]
+    slot = {orb[0]: k for k, orb in enumerate(orbits)}
     rows = []
     for k, orb in enumerate(orbits):
-        cols = {j: [int(i == j) for i in range(t.rank)] for j in (*orb, *firsts)}
+        near = [j for i in orb for j, a in enumerate(cartan[i]) if a and j in slot]
+        cols = {j: [int(i == j) for i in orb] for j in (*orb, *near)}
         for _ in range(steps + 1):
-            # a root's coordinates share one sign
             i = next((i for i in orb if max(cols[i]) > 0), None)
             if i is None:
                 break
@@ -90,7 +96,10 @@ def steinberg_rows(t: CartanType, simple_perm: tuple[int, ...]) -> tuple[tuple[i
                     cols[j] = [x - a * y for x, y in zip(col, image)]
         else:
             raise ValueError("parabolic longest element longer than the root count allows")
-        row = [sum(cols[j][i] for i in orb) for j in firsts]
+        row = [0] * len(orbits)
+        for j, col in cols.items():
+            if j in slot:
+                row[slot[j]] = sum(col)
         row[k] -= 1
         rows.append(tuple(row))
     return tuple(rows)

@@ -33,7 +33,7 @@ from twistloop.twist import (DiagramAutomorphism, expected_folded_type, folded_r
 from twistloop.weyl import MAX_ROOTS, certify_jacobian, coset_indices
 
 from test_acceptance import expected_series
-from test_wsigma import STREAMED
+from test_wsigma import ADMISSIBLE, ADMISSIBLE_RANKS, STREAMED
 
 TRUNC = 50
 PIPELINE = (twistloop, cli, exact, report, rootsys, twist, weyl)
@@ -249,23 +249,13 @@ def test_half_product_needs_an_orbit_closed_under_negation():
 
 
 def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
-    # every type and twist with at most MAX_ROOTS roots, E8 identity among
-    # them with the cap past |W(A15)| = 16!, goes through the certificate
-    # on the chain's last orbit alone, but D2 = A1 x A1
-    ranks = {"A": range(1, 16), "B": range(1, 12), "C": range(1, 12), "D": range(2, 12),
-             "E": (6, 7, 8), "F": (4,), "G": (2,)}
-    cases = []
-    for family, rs in ranks.items():
-        for t in (CartanType(family, r) for r in rs):
-            for tag in twist.AUTOMORPHISM_TAGS:
-                try:
-                    twist.check_tag(t, tag)
-                except ValueError:
-                    continue
-                cases.append((t, tag))
+    # every admissible case, E8 identity among them with the cap past
+    # |W(A15)| = 16!, goes through the certificate on the chain's last
+    # orbit alone, but D2 = A1 x A1
+    cases = [(CartanType(family, rank), tag) for family, rank, tag in ADMISSIBLE]
     assert max(rootsys.root_count(t) for t, _ in cases) <= MAX_ROOTS
     assert all(rootsys.root_count(CartanType(f, max(rs) + 1)) > MAX_ROOTS
-               for f, rs in ranks.items() if f in "ABCD")
+               for f, rs in ADMISSIBLE_RANKS.items() if f in "ABCD")
     used = []
 
     def counted(rows, ds, orbit):

@@ -3,8 +3,8 @@
 Everything a pipeline module imports when it is loaded is on a short
 allow-list.  The references (``.oracle``), ``fractions`` (the pipeline's
 scalars are ints), ``dataclasses``, ``typing`` and ``inspect`` (the
-records are plain slotted classes) and ``json`` (imported by
-``to_json()`` on first use) stay out.  An import inside a function runs
+records are plain slotted classes) and ``json`` (``to_json()`` writes
+the report itself) stay out.  An import inside a function runs
 only when it is called, so it is not counted; one in a class body runs at
 load time, so it is.  No subprocess: the subprocess tests in
 test_report.py check the modules a run really loads.

@@ -286,8 +286,8 @@ class TestCompute:
         assert out.stdout == "False\n"
 
     def test_pipeline_never_loads_dataclasses_inspect_or_typing(self):
-        # the records are plain slotted classes, json is imported by
-        # to_json(), and the pipeline's scalars are ints, so neither
+        # the records are plain slotted classes, to_json() writes the
+        # report itself, and the pipeline's scalars are ints, so neither
         # fractions nor the decimal it loads comes in; -S keeps site hooks
         # out, and only modules new since before the import count, in case
         # something still preloads one.  E8 takes the table route.
@@ -301,6 +301,19 @@ class TestCompute:
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout == "[]\n"
+
+    def test_json_output_never_loads_json(self):
+        # to_json() writes the report itself, so a --format json run leaves
+        # json out of sys.modules; -S keeps site hooks out
+        code = ("import sys; from twistloop.cli import main; "
+                "code = main(['--type', 'E', '--rank', '6', '--auto', 'flip', "
+                "'--format', 'json']); print('json' in sys.modules, code, file=sys.stderr)")
+        src = os.path.dirname(os.path.dirname(twistloop.__file__))
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stderr == "False 0\n"
+        rpt = compute(TwistSpec(CartanType("E", 6), "flip"))
+        assert out.stdout == json.dumps(rpt.to_json_dict(), indent=2) + "\n"
 
     def test_explicit_permutation_echo(self):
         rpt = compute(TwistSpec(CartanType("A", 3), (2, 1, 0)))
@@ -345,6 +358,40 @@ class TestJsonSchema:
         d = rpt.to_json_dict()
         assert d["closed_form"] is None
         assert any("truncation too small" in n for n in rpt.notes)
+
+    def test_json_is_the_indented_dump_on_every_golden_case(self):
+        # null closed forms, truncations 0 and 1, perm= spellings, the E8
+        # table route and the longest series among them
+        from test_golden_reports import golden_reports
+
+        reports = golden_reports()
+        assert {"A1 identity T0", "A3 perm=3,2,1 T50", "F4 identity T10000"} <= set(reports)
+        assert any(rpt.closed_form is None for rpt in reports.values())
+        for name, rpt in reports.items():
+            assert rpt.to_json() == json.dumps(rpt.to_json_dict(), indent=2), name
+
+    @pytest.mark.parametrize("notes,excluded,series,closed", [
+        ((), (), (1, 0, 1), ClosedForm((3,), (4,))),
+        (('say "twisted"', "a\\b", "caf\u00e9 \u03c3 \u2192 W^\u03c3", "\U0001d54e"),
+         (2,), (), None),
+        (("",), (2, 3, 5), (1,), ClosedForm((), ())),
+    ])
+    def test_json_layout_of_a_built_report(self, notes, excluded, series, closed):
+        # empty lists come out as [], and the notes go through the escapes
+        base = compute(TwistSpec(CartanType("A", 2), "flip"))
+        rpt = TwistReport(base.cartan_type, "perm=2,1", 0, base.folded_type,
+                          base.orbit_criterion, base.positive_orbit_sizes, 6, 6, False,
+                          series, closed, excluded, notes)
+        assert rpt.to_json() == json.dumps(rpt.to_json_dict(), indent=2)
+
+    def test_strings_are_escaped_as_json_does(self):
+        from twistloop.report import _json_str
+
+        samples = ['"', "\\", "\b\f\n\r\t", "".join(map(chr, range(32))), "\x7f",
+                   "plain ASCII ~ text", "caf\u00e9", "\u00ff\u0100\u07ff\u0800\uffff",
+                   "\U0001d54e and \U0010ffff", "\ud800 lone", 'mixed "q" \\ \u00e9\n\U0001f600']
+        for text in samples + ["".join(samples), "".join(map(chr, range(0x2100)))]:
+            assert _json_str(text) == json.dumps(text), repr(text)
 
 
 class TestCli:

@@ -121,6 +121,26 @@ def test_root_data_hold_no_reflection_table():
     assert rootsys._closure(rs.cartan_matrix, 72) == rs.roots
 
 
+@pytest.mark.parametrize("cartan", [((2, -2), (-2, 2)),
+                                    ((2, -1, 0), (-1, 2, -2), (0, -2, 2))],
+                         ids=["affine A1", "indefinite rank 3"])
+@pytest.mark.parametrize("limit", [1, 10, 255])
+def test_an_infinite_closure_raises_at_the_limit(cartan, limit):
+    # neither matrix has a finite root system: the raising steps never stop
+    with pytest.raises(ValueError, match=f"root closure passed {limit} roots"):
+        rootsys._closure(cartan, limit)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_the_closure_limit_binds_on_the_root_count(family, rank):
+    # the positive closure counts its mirror: the type's root count passes
+    # and one fewer raises
+    cartan, count = cartan_matrix(CartanType(family, rank)), root_count(CartanType(family, rank))
+    assert len(rootsys._closure(cartan, count)) == count
+    with pytest.raises(ValueError, match=f"root closure passed {count - 1} roots"):
+        rootsys._closure(cartan, count - 1)
+
+
 @pytest.mark.parametrize("family,rank", DIAGRAM_CHECKED)
 def test_diagram_data_match_the_realization(family, rank):
     # the Cartan matrix read off the Dynkin diagram is the realization's,
