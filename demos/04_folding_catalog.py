@@ -8,17 +8,16 @@ detects exactly this difference: it holds when the projection is already
 reduced and is inconclusive otherwise.
 """
 
-from twistloop import (CartanType, build_root_system, folded_root_system,
-                       make_automorphism, orbit_count_criterion, project_roots)
+from twistloop import (CartanType, TwistSpec, build_root_system, compute,
+                       folded_root_system, make_automorphism, project_roots)
 
 for rank in range(2, 8):
-    rs = build_root_system(CartanType("A", rank))
-    aut = make_automorphism(rs, "flip")
-    fold = folded_root_system(aut)
-    crit = orbit_count_criterion(aut, fold)
-    distinct = len(project_roots(aut))
+    t = CartanType("A", rank)
+    rpt = compute(TwistSpec(t, "flip"))
+    crit = rpt.orbit_criterion
+    distinct = len(project_roots(make_automorphism(build_root_system(t), "flip")))
     print(f"A{rank} flip (SU({rank + 1})): projections {distinct}, "
-          f"folded {fold.folded_type} with {len(fold.folded_roots)} roots, "
+          f"folded {rpt.folded_type} with {crit.folded_root_count} roots, "
           f"orbit criterion {'holds' if crit.holds else 'inconclusive'}")
 
 print()

@@ -7,7 +7,7 @@ from .report import (ClosedForm, TwistReport, TwistSpec, compute,
 from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, FoldingResult, folded_root_system,
-                    make_automorphism, orbit_count_criterion, project_roots)
+                    make_automorphism, project_roots)
 from .weyl import GroupTooLargeError, coset_indices, steinberg_rows
 
 __all__ = [
@@ -16,8 +16,6 @@ __all__ = [
     "RootSystem", "TwistReport",
     "TwistSpec", "build_root_system", "compute", "coset_indices",
     "degrees", "excluded_characteristics", "folded_root_system",
-    "make_automorphism",
-    "orbit_count_criterion", "product_over_degrees",
-    "project_roots", "root_count",
+    "make_automorphism", "product_over_degrees", "project_roots", "root_count",
     "solomon_series", "steinberg_rows", "weyl_order",
 ]

@@ -84,7 +84,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = rpt.to_json() + "\n" if args.format == "json" else rpt.to_text()
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)

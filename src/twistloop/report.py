@@ -53,13 +53,13 @@ from collections.abc import Sequence
 
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
                     product_over_degrees, solomon_series)
+from . import weyl
 from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, FoldingResult, OrbitCriterion, check_tag,
                     expected_folded_type, fixed_group_info, folded_root_system,
                     make_automorphism, positive_orbit_sizes, resolve_twist)
-from .weyl import (DEFAULT_ELEMENT_CAP, MAX_ROOTS, GroupTooLargeError, _perm_order,
-                   certify_jacobian, coset_indices)
+from .weyl import MAX_ROOTS, GroupTooLargeError, _perm_order, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
 MAX_TRUNCATION = 10_000
@@ -67,16 +67,14 @@ MAX_WORKERS = 64
 
 
 class TwistSpec(Record):
-    __slots__ = ("cartan_type", "automorphism", "truncation", "run_oracle",
-                 "workers", "element_cap")
+    __slots__ = ("cartan_type", "automorphism", "truncation", "run_oracle", "workers")
     cartan_type: CartanType
     automorphism: str | tuple[int, ...]
     truncation: int
     run_oracle: bool
     workers: int
-    element_cap: int
     _defaults = {"automorphism": "identity", "truncation": DEFAULT_TRUNCATION,
-                 "run_oracle": False, "workers": 1, "element_cap": DEFAULT_ELEMENT_CAP}
+                 "run_oracle": False, "workers": 1}
 
     def _check(self):
         if not isinstance(self.cartan_type, CartanType):
@@ -91,7 +89,7 @@ class TwistSpec(Record):
             object.__setattr__(self, "automorphism", tuple(auto))
         if type(self.run_oracle) is not bool:
             raise ValueError(f"run_oracle must be a bool, got {self.run_oracle!r}")
-        for name in ("truncation", "workers", "element_cap"):
+        for name in ("truncation", "workers"):
             check_int(name, getattr(self, name))
         if self.truncation < 0:
             raise ValueError("truncation must be non-negative")
@@ -101,8 +99,6 @@ class TwistSpec(Record):
             raise ValueError("workers must be at least 1")
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
-        if self.element_cap < 1:
-            raise ValueError("element_cap must be at least 1")
 
 
 class ClosedForm(Record):
@@ -138,39 +134,11 @@ class TwistReport(Record):
         to the report's truncation on each read."""
         return solomon_series(degrees(self.folded_type), self.truncation)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "input": {
-                "type": self.cartan_type.family,
-                "rank": self.cartan_type.rank,
-                "automorphism": self.automorphism,
-                "truncation": self.truncation,
-            },
-            "folded_type": str(self.folded_type),
-            "orbit_criterion": {
-                "orbits": self.orbit_criterion.orbit_count,
-                "folded_roots": self.orbit_criterion.folded_root_count,
-                "holds": self.orbit_criterion.holds,
-            },
-            "wsigma": {
-                "order": self.stabilizer_order,
-                "restricted_order": self.restricted_order,
-                "preserves_folded": self.preserves_folded,
-            },
-            "series": list(self.series),
-            "closed_form": (None if self.closed_form is None else {
-                "x_degrees": list(self.closed_form.x_degrees),
-                "y_degrees": list(self.closed_form.y_degrees),
-            }),
-            "excluded_characteristics": list(self.excluded_characteristics),
-            "notes": list(self.notes),
-        }
-
     def to_json(self) -> str:
-        """The bytes of ``json.dumps(self.to_json_dict(), indent=2)``, laid
-        out here for this one shape: each member and list entry on its own
-        line, indented two spaces per level, ``[]`` for an empty list, and
-        strings escaped as json's ``ensure_ascii`` does (:func:`_json_str`).
+        """The report as JSON, the bytes ``json.dumps(..., indent=2)`` gives
+        for this one shape, laid out here: each member and list entry on its
+        own line, indented two spaces per level, ``[]`` for an empty list,
+        and strings escaped as json's ``ensure_ascii`` does (:func:`_json_str`).
         json's indented encoder runs in pure Python, and importing json
         takes longer than most cases take to compute."""
         t, crit, cf = self.cartan_type, self.orbit_criterion, self.closed_form
@@ -282,13 +250,14 @@ def excluded_characteristics(cartan_type: CartanType,
     type and the twist alone; no root system is built, and the Weyl order,
     the product of the degrees, is not formed: its primes are theirs."""
     perm, tag = resolve_twist(cartan_type, automorphism)
-    return _excluded_primes(cartan_type, perm, tag)
+    return _excluded_primes(cartan_type, _perm_order(perm),
+                            fixed_group_info(cartan_type, tag).component_counts)
 
 
-def _excluded_primes(t: CartanType, simple_perm: tuple[int, ...],
-                     tag: str) -> tuple[int, ...]:
-    primes = _prime_factors(_perm_order(simple_perm))
-    for n in {*ascending_degrees(t), *fixed_group_info(t, tag).component_counts}:
+def _excluded_primes(t: CartanType, twist_order: int,
+                     component_counts: tuple[int, ...]) -> tuple[int, ...]:
+    primes = _prime_factors(twist_order)
+    for n in {*ascending_degrees(t), *component_counts}:
         primes |= _prime_factors(n)
     return tuple(sorted(primes))
 
@@ -356,10 +325,10 @@ def compute(spec: TwistSpec) -> TwistReport:
     else:
         _, tag = resolve_twist(t, spec.automorphism)
     folded_type = expected_folded_type(t, tag)
-    table_path = (t == CartanType("E", 8) and tag == "identity"
-                  and weyl_order(t) > spec.element_cap)
+    cap = weyl.DEFAULT_ELEMENT_CAP
+    table_path = t == CartanType("E", 8) and tag == "identity" and weyl_order(t) > cap
     if not table_path:
-        _check_order_cap(folded_type, spec.element_cap)
+        _check_order_cap(folded_type, cap)
     if not table_path and root_count(t) > MAX_ROOTS:
         raise GroupTooLargeError(f"type {t} has {root_count(t)} roots, past the "
                                  f"root cap {MAX_ROOTS}")
@@ -371,15 +340,15 @@ def compute(spec: TwistSpec) -> TwistReport:
     pos_sizes = positive_orbit_sizes(aut)
     # negation commutes with sigma: as many orbits on the negative roots
     criterion = OrbitCriterion(2 * len(pos_sizes), len(folding.folded_roots))
-    notes = [fixed_group_info(t, tag).note]
+    info = fixed_group_info(t, tag)
+    notes = [info.note]
     sizes_note = ", ".join(f"{pos_sizes.count(s)} of size {s}"
                            for s in sorted(set(pos_sizes)))
     notes.append(f"positive-root orbits: {len(pos_sizes)} ({sizes_note})")
 
     ds = degrees(folded_type)
-    # |W^sigma|: the coset chain below raises unless its indices multiply to
-    # it, and the restriction to the fixed subspace is faithful
-    order = weyl_order(folded_type)
+    # |W^sigma|, the restriction to the fixed subspace being faithful
+    order = math.prod(ds)
     if table_path:
         notes.append("series from the invariant-degree table; Weyl enumeration "
                      "skipped (group order exceeds the element cap)")
@@ -387,12 +356,10 @@ def compute(spec: TwistSpec) -> TwistReport:
     else:
         try:
             rows = _chain_rows(folding)
+            # the certificate: the coset chain raises unless its indices, the
+            # group order, are the degrees' product, and invariants of those
+            # degrees are algebraically independent
             _, orbit = coset_indices(rows, order)
-            # the certificate: the degrees multiply to the group order, and
-            # invariants of those degrees are algebraically independent
-            if math.prod(ds) != order:
-                raise ValueError(f"degrees {list(ds)} multiply to {math.prod(ds)}, "
-                                 f"not the coset-chain order {order}")
             certify_jacobian(rows, ds, orbit)
         except ValueError as exc:
             raise ValueError(f"{t} {tag}: {exc}") from None
@@ -431,7 +398,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves_folded=True,  # certified by the folding
         series=series,
         closed_form=closed,
-        excluded_characteristics=_excluded_primes(t, aut.simple_perm, tag),
+        excluded_characteristics=_excluded_primes(t, aut.order, info.component_counts),
         notes=tuple(notes),
     )
 

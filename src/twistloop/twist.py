@@ -185,10 +185,6 @@ def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     per position in the orbits, a padded 0 standing in past a short
     orbit's end."""
     roots = a.base.roots
-    if a.order == 1:
-        # every orbit is one node, in node order: each root is its own
-        # projection, and the roots are sorted and distinct
-        return tuple((c, 1) for c in roots)
     orbits = a.simple_orbits
     pad = len(a.simple_perm)
     first, *rest = [[orb[p] if p < len(orb) else pad for orb in orbits]
@@ -206,13 +202,12 @@ def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
 
 
 class FoldingResult(Record):
-    """Projected roots with their multiplicities and the folded roots, both
-    as integer vectors over the projected simple roots, the folded type,
-    the rows (:func:`twistloop.weyl.steinberg_rows`) that certified it, and
-    the row matched to each node of the folded type's Dynkin diagram."""
+    """The folded roots, integer vectors over the projected simple roots,
+    the folded type, the rows (:func:`twistloop.weyl.steinberg_rows`) that
+    certified it, and the row matched to each node of the folded type's
+    Dynkin diagram."""
 
-    __slots__ = ("projected_roots", "folded_roots", "folded_type", "rows", "nodes")
-    projected_roots: tuple[tuple[Vector, int], ...]
+    __slots__ = ("folded_roots", "folded_type", "rows", "nodes")
     folded_roots: tuple[Vector, ...]
     folded_type: CartanType
     rows: tuple[Vector, ...]
@@ -238,19 +233,23 @@ def expected_folded_type(t: CartanType, tag: str) -> CartanType:
 
 def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     """Fold the roots: the projections v with v/2 not a projection, read
-    on the positive half, the negative half mirroring it."""
-    projected = project_roots(a)
-    half = len(projected) // 2
-    positive = {v for v, _ in projected[half:]}
-    kept = [j for j, (v, _) in enumerate(projected[half:])
-            if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in positive]
-    folded = tuple([projected[half - 1 - j][0] for j in reversed(kept)]
-                   + [projected[half + j][0] for j in kept])
+    on the positive half, the negative half mirroring it.  For sigma =
+    identity, the roots themselves: a reduced root system drops nothing."""
+    if a.order == 1:
+        folded = a.base.roots
+    else:
+        projected = project_roots(a)
+        half = len(projected) // 2
+        positive = {v for v, _ in projected[half:]}
+        kept = [j for j, (v, _) in enumerate(projected[half:])
+                if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in positive]
+        folded = tuple([projected[half - 1 - j][0] for j in reversed(kept)]
+                       + [projected[half + j][0] for j in kept])
     expected = expected_folded_type(a.base.cartan_type, a.tag)
     # one row per sigma-orbit, checked against the folded rank below
     rows = steinberg_rows(a.base.cartan_type, a.simple_perm)
     nodes = check_folded_roots(folded, rows, expected)
-    return FoldingResult(projected, folded, expected, rows, nodes)
+    return FoldingResult(folded, expected, rows, nodes)
 
 
 def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
@@ -313,6 +312,9 @@ def _match_cartan(cand: Sequence[Sequence[int]],
 # ---------------------------------------------------------------------------
 
 class OrbitCriterion(Record):
+    """sigma's orbits on the roots against the folded roots: equality implies
+    the projected and folded systems coincide; inequality is inconclusive."""
+
     __slots__ = ("orbit_count", "folded_root_count")
     orbit_count: int
     folded_root_count: int
@@ -320,18 +322,6 @@ class OrbitCriterion(Record):
     @property
     def holds(self) -> bool:
         return self.orbit_count == self.folded_root_count
-
-
-def orbit_count_criterion(a: DiagramAutomorphism,
-                          folding: FoldingResult | None = None) -> OrbitCriterion:
-    """Compare the number of automorphism orbits on the roots with the size
-    of the folded system.  Equality implies the projected and folded
-    systems coincide; inequality is inconclusive, not a failure.  Negation
-    commutes with sigma, so the orbits on the negative roots mirror those
-    on the positive ones."""
-    if folding is None:
-        folding = folded_root_system(a)
-    return OrbitCriterion(2 * len(positive_orbit_sizes(a)), len(folding.folded_roots))
 
 
 # ---------------------------------------------------------------------------

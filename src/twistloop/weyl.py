@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 from .rootsys import CartanType, cartan_matrix, root_count
 
-DEFAULT_ELEMENT_CAP = 10**7
+DEFAULT_ELEMENT_CAP = 10**7  # the largest |W^sigma| compute() accepts, read per call
 MAX_ROOTS = 255  # the largest root set compute() builds
 
 

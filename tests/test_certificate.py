@@ -263,9 +263,10 @@ def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
         return used[-1]
 
     monkeypatch.setattr(report, "certify_jacobian", counted)
+    monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 10**14)
     start = time.perf_counter()
     for t, tag in cases:
-        rpt = compute(TwistSpec(t, tag, truncation=TRUNC, element_cap=10**14))
+        rpt = compute(TwistSpec(t, tag, truncation=TRUNC))
         assert rpt.series == expected_series(degrees(rpt.folded_type)), (t, tag)
     assert time.perf_counter() - start < 1
     assert len(used) == len(cases) == 79
@@ -291,10 +292,13 @@ def test_wrong_degrees_with_the_right_product_fail_the_jacobian(family, rank, ta
 
 
 def test_a_wrong_degree_product_fails_the_order_check(monkeypatch):
-    monkeypatch.setattr(report, "degrees", lambda t: (2, 6, 8, 13))
-    with pytest.raises(ValueError, match=r"^F4 identity: degrees \[2, 6, 8, 13\] multiply "
-                                         r"to 1248, not the coset-chain order 1152$"):
-        compute(TwistSpec(CartanType("F", 4)))
+    # compute() takes |W^sigma| as the degrees' product, so the coset chain,
+    # whose indices multiply to 1152 for F4, refuses a product above or below it
+    for wrong, product in (((2, 6, 8, 13), 1248), ((2, 6, 8, 11), 1056)):
+        monkeypatch.setattr(report, "degrees", lambda t: wrong)
+        with pytest.raises(ValueError, match=r"^F4 identity: coset counts \[2, 3, 8, 24\] do "
+                                             rf"not multiply to the group order {product}$"):
+            compute(TwistSpec(CartanType("F", 4)))
 
 
 @pytest.mark.parametrize("family,rank,tag", [("E", 6, "flip"), ("D", 4, "triality"),

@@ -32,6 +32,14 @@ def src_env():
     return dict(os.environ, PYTHONPATH=str(SRC))
 
 
+def read_json(text):
+    """The report JSON text read back, after checking that it is laid out
+    byte for byte as ``json.dumps(..., indent=2)`` lays out what it holds."""
+    d = json.loads(text)
+    assert json.dumps(d, indent=2) == text
+    return d
+
+
 class TestRecognizeClosedForm:
     def test_g2_degrees_match(self):
         series = product_over_degrees([2, 6], 50)
@@ -125,7 +133,7 @@ class TestSeriesFromDegrees:
     def test_json_is_the_indented_dump(self, family, rank, auto, trunc):
         rpt = cached_report(family, rank, auto, trunc)
         assert len(rpt.series) == trunc + 1
-        assert rpt.to_json() == json.dumps(rpt.to_json_dict(), indent=2)
+        assert read_json(rpt.to_json())["series"] == list(rpt.series)
 
 
 class TestExcludedCharacteristics:
@@ -272,10 +280,12 @@ class TestCompute:
         with pytest.raises(GroupTooLargeError):
             compute(TwistSpec(CartanType("A", 11)))
 
-    def test_small_cap_respected(self):
+    def test_small_cap_respected(self, monkeypatch):
         from twistloop.weyl import GroupTooLargeError
-        with pytest.raises(GroupTooLargeError):
-            compute(TwistSpec(CartanType("A", 3), element_cap=10))
+        # compute() reads the cap when it is called
+        monkeypatch.setattr(twistloop.weyl, "DEFAULT_ELEMENT_CAP", 10)
+        with pytest.raises(GroupTooLargeError, match="has order 24, past the element cap 10$"):
+            compute(TwistSpec(CartanType("A", 3)))
 
     def test_pipeline_never_loads_the_oracle(self):
         code = ("import sys, twistloop; twistloop.compute(twistloop.TwistSpec("
@@ -313,7 +323,8 @@ class TestCompute:
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
         assert out.stderr == "False 0\n"
         rpt = compute(TwistSpec(CartanType("E", 6), "flip"))
-        assert out.stdout == json.dumps(rpt.to_json_dict(), indent=2) + "\n"
+        assert out.stdout == rpt.to_json() + "\n"
+        assert read_json(out.stdout[:-1])["folded_type"] == "F4"
 
     def test_explicit_permutation_echo(self):
         rpt = compute(TwistSpec(CartanType("A", 3), (2, 1, 0)))
@@ -337,25 +348,28 @@ class TestDeterminism:
 class TestJsonSchema:
     def test_field_order_and_content(self):
         rpt = compute(TwistSpec(CartanType("D", 4), "triality"))
-        d = rpt.to_json_dict()
+        d = read_json(rpt.to_json())
         assert list(d.keys()) == ["input", "folded_type", "orbit_criterion",
                                   "wsigma", "series", "closed_form",
                                   "excluded_characteristics", "notes"]
-        assert d["input"] == {"type": "D", "rank": 4,
-                              "automorphism": "triality", "truncation": 50}
+        # the members' order inside each object, which dict equality ignores
+        assert list(d["input"].items()) == [("type", "D"), ("rank", 4),
+                                            ("automorphism", "triality"), ("truncation", 50)]
         assert d["folded_type"] == "G2"
-        assert d["orbit_criterion"] == {"orbits": 12, "folded_roots": 12, "holds": True}
-        assert d["wsigma"] == {"order": 12, "restricted_order": 12,
-                               "preserves_folded": True}
+        assert list(d["orbit_criterion"].items()) == [("orbits", 12), ("folded_roots", 12),
+                                                      ("holds", True)]
+        assert list(d["wsigma"].items()) == [("order", 12), ("restricted_order", 12),
+                                             ("preserves_folded", True)]
         assert d["series"] == list(product_over_degrees([2, 6], 50))
-        assert d["closed_form"] == {"x_degrees": [3, 11], "y_degrees": [4, 12]}
+        assert list(d["closed_form"].items()) == [("x_degrees", [3, 11]),
+                                                  ("y_degrees", [4, 12])]
         assert d["excluded_characteristics"] == [2, 3]
         assert all(isinstance(n, str) for n in d["notes"])
 
     def test_closed_form_null_when_unrecognized(self):
         # degrees {2} need truncation >= 2*4+1 = 9 before recognition may run
         rpt = compute(TwistSpec(CartanType("A", 1), truncation=8))
-        d = rpt.to_json_dict()
+        d = read_json(rpt.to_json())
         assert d["closed_form"] is None
         assert any("truncation too small" in n for n in rpt.notes)
 
@@ -368,7 +382,8 @@ class TestJsonSchema:
         assert {"A1 identity T0", "A3 perm=3,2,1 T50", "F4 identity T10000"} <= set(reports)
         assert any(rpt.closed_form is None for rpt in reports.values())
         for name, rpt in reports.items():
-            assert rpt.to_json() == json.dumps(rpt.to_json_dict(), indent=2), name
+            d = read_json(rpt.to_json())
+            assert (d["series"], d["notes"]) == (list(rpt.series), list(rpt.notes)), name
 
     @pytest.mark.parametrize("notes,excluded,series,closed", [
         ((), (), (1, 0, 1), ClosedForm((3,), (4,))),
@@ -382,7 +397,14 @@ class TestJsonSchema:
         rpt = TwistReport(base.cartan_type, "perm=2,1", 0, base.folded_type,
                           base.orbit_criterion, base.positive_orbit_sizes, 6, 6, False,
                           series, closed, excluded, notes)
-        assert rpt.to_json() == json.dumps(rpt.to_json_dict(), indent=2)
+        d = read_json(rpt.to_json())
+        assert d["input"]["automorphism"] == "perm=2,1"
+        assert d["wsigma"] == {"order": 6, "restricted_order": 6, "preserves_folded": False}
+        assert d["series"] == list(series)
+        assert d["closed_form"] == (None if closed is None else {
+            "x_degrees": list(closed.x_degrees), "y_degrees": list(closed.y_degrees)})
+        assert d["excluded_characteristics"] == list(excluded)
+        assert d["notes"] == list(notes)
 
     def test_strings_are_escaped_as_json_does(self):
         from twistloop.report import _json_str
@@ -466,6 +488,13 @@ class TestCli:
         assert out.out == ""
         assert out.err == f"error: cannot write {target}: No such file or directory\n"
         assert not target.parent.exists()
+
+    def test_out_to_an_empty_path(self, capsys):
+        # an empty path is a path that cannot be written, not a request for stdout
+        assert main(["--type", "A", "--rank", "3", "--out", ""]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: cannot write : No such file or directory\n"
 
     def test_check_flag_runs_oracle(self, capsys):
         code = main(["--type", "A", "--rank", "3", "--auto", "flip", "--check",
@@ -568,7 +597,7 @@ class TestLimits:
     def test_element_cap_implies_the_one_byte_limit(self):
         # every spec admitted under the default cap has at most MAX_ROOTS
         # roots, so the up-front root-cap reject binds only when
-        # element_cap is raised.  |W^sigma| grows with the rank in every
+        # the element cap is raised.  |W^sigma| grows with the rank in every
         # family and twist, so the ranks are walked until it passes the cap,
         # which happens well below the walk's bound of 40.
         from twistloop.rootsys import _RANK_BOUNDS, FAMILIES, root_count, weyl_order
@@ -598,11 +627,12 @@ class TestLimits:
         assert max(admitted, key=admitted.get) == ("A", 14, "flip")
         assert admitted[("A", 14, "flip")] == 210
 
-    def test_root_count_checked_up_front(self):
+    def test_root_count_checked_up_front(self, monkeypatch):
         from twistloop.weyl import GroupTooLargeError
         # W^sigma = W(B8) fits a raised cap, but A16 has 272 roots
+        monkeypatch.setattr(twistloop.weyl, "DEFAULT_ELEMENT_CAP", 10**8)
         with pytest.raises(GroupTooLargeError, match="272 roots"):
-            compute(TwistSpec(CartanType("A", 16), "flip", element_cap=10**8))
+            compute(TwistSpec(CartanType("A", 16), "flip"))
 
     @pytest.mark.parametrize("flags,message", [
         (["--auto", "perm=1,2"], "permutation has 2 images"),

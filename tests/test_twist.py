@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from twistloop import rootsys, twist
+from twistloop import rootsys, twist, weyl
 from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
                               ambient_roots, ambient_vector,
                               automorphism_matrix, classify_folded_roots,
@@ -15,11 +15,12 @@ from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
                               orbit_sum_projection, projected_gram, rank,
                               restricted_fixed_space_group, root_permutation,
                               simple_root_vectors, vec_add, vec_dot, vec_scale, vector)
+from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import (_RANK_BOUNDS, FAMILIES, CartanType, build_root_system,
                                cartan_from_gram, cartan_matrix, root_count)
 from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
                              fixed_group_info, folded_root_system, make_automorphism,
-                             orbit_count_criterion, positive_orbit_sizes, project_roots)
+                             positive_orbit_sizes, project_roots)
 from twistloop.weyl import MAX_ROOTS, _perm_orbits, steinberg_rows
 
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
@@ -182,9 +183,11 @@ class TestOrbits:
         assert all(len(o) == 1 for o in orbits)
         assert positive_orbit_sizes(aut) == (1, 1, 1)
 
-    def test_counts_match_the_root_permutation(self):
+    def test_counts_match_the_root_permutation(self, monkeypatch):
         # sigma's fixed positive roots give every orbit size; the oracle
-        # permutes the roots through an index and closes each orbit
+        # permutes the roots through an index and closes each orbit.  The
+        # report's criterion counts them, with the element cap past every case
+        monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 10**14)
         cases = admitted_within_root_cap()
         assert len(cases) == 79
         for family, rank, tag in cases:
@@ -195,7 +198,8 @@ class TestOrbits:
             orbits = _perm_orbits(root_permutation(aut))
             want = tuple(sorted(len(o) for o in orbits if min(rs.roots[o[0]]) >= 0))
             assert positive_orbit_sizes(aut) == want, (family, rank, tag)
-            assert orbit_count_criterion(aut).orbit_count == len(orbits), (family, rank, tag)
+            crit = compute(TwistSpec(rs.cartan_type, tag, truncation=0)).orbit_criterion
+            assert crit.orbit_count == len(orbits), (family, rank, tag)
 
     def test_triality_positive_orbits(self):
         rs = build_root_system(CartanType("D", 4))
@@ -285,13 +289,39 @@ class TestProjection:
         aut = make_automorphism(rs, "identity")
         proj = project_roots(aut)
         assert proj == tuple((c, 1) for c in rs.roots)
-        assert all(v is c for (v, _), c in zip(proj, rs.roots))
         # the orbit sums over one-node orbits, as a twisted case takes them
         sums = {}
         for c in rs.roots:
             v = tuple(sum(c[i] for i in orb) for orb in aut.simple_orbits)
             sums[v] = sums.get(v, 0) + 1
         assert proj == tuple(sorted(sums.items()))
+
+    @pytest.mark.parametrize("family,rank", ALL_TYPES)
+    def test_identity_fold_is_the_root_set_itself(self, family, rank):
+        # the fold takes the roots themselves for sigma = identity, and does
+        # not project them
+        rs = build_root_system(CartanType(family, rank))
+        assert folded_root_system(make_automorphism(rs, "identity")).folded_roots is rs.roots
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                             ("G", 2), ("F", 4), ("E", 6)])
+    def test_identity_fold_refuses_a_perturbed_row(self, family, rank, monkeypatch):
+        # the identity fold skips the projection, so the certificate on the
+        # rows is what catches one wrong entry of one Steinberg row
+        t = CartanType(family, rank)
+        aut = make_automorphism(build_root_system(t), "identity")
+        rows = steinberg_rows(t, aut.simple_perm)
+        for k in range(rank):
+            for j in range(rank):
+                for delta in (1, -1):
+                    bad = tuple(tuple(x + delta if (a, b) == (k, j) else x
+                                      for b, x in enumerate(row))
+                                for a, row in enumerate(rows))
+                    monkeypatch.setattr(twist, "steinberg_rows", lambda t, perm: bad)
+                    with pytest.raises(ValueError, match=f"does not match {t}$"):
+                        folded_root_system(aut)
+        monkeypatch.setattr(twist, "steinberg_rows", lambda t, perm: rows)
+        assert folded_root_system(aut).rows == rows
 
     def test_multiplicities_account_for_all_roots(self):
         rs = build_root_system(CartanType("E", 6))
@@ -340,9 +370,9 @@ class TestFolding:
     def test_folded_roots_inside_projections(self):
         for fam, rk, tag in [("A", 4, "flip"), ("D", 4, "triality"), ("E", 6, "flip")]:
             rs = build_root_system(CartanType(fam, rk))
-            fold = folded_root_system(make_automorphism(rs, tag))
-            proj = {v for v, _ in fold.projected_roots}
-            assert set(fold.folded_roots) <= proj
+            aut = make_automorphism(rs, tag)
+            proj = {v for v, _ in project_roots(aut)}
+            assert set(folded_root_system(aut).folded_roots) <= proj
 
     def test_folded_check_rejects_a_wrong_set_or_type(self):
         rs = build_root_system(CartanType("E", 6))
@@ -380,7 +410,7 @@ class TestFolding:
         aut = make_automorphism(build_root_system(CartanType("A", 4)), "flip")
         fold = folded_root_system(aut)
         rows = fold.rows
-        proj = {v for v, _ in fold.projected_roots}
+        proj = {v for v, _ in project_roots(aut)}
         short = [v for v in fold.folded_roots if tuple(2 * c for c in v) in proj]
         assert len(short) == 4
         swapped = [tuple(2 * c for c in v) if v == short[0] else v
@@ -405,19 +435,16 @@ class TestFolding:
 
 class TestCriteria:
     def test_triality_orbit_criterion(self):
-        rs = build_root_system(CartanType("D", 4))
-        crit = orbit_count_criterion(make_automorphism(rs, "triality"))
+        crit = compute(TwistSpec(CartanType("D", 4), "triality")).orbit_criterion
         assert crit.orbit_count == 12 and crit.folded_root_count == 12
         assert crit.holds
 
     def test_e6_orbit_criterion(self):
-        rs = build_root_system(CartanType("E", 6))
-        crit = orbit_count_criterion(make_automorphism(rs, "flip"))
+        crit = compute(TwistSpec(CartanType("E", 6), "flip")).orbit_criterion
         assert crit.orbit_count == 48 and crit.holds
 
     def test_a4_criterion_inconclusive(self):
-        rs = build_root_system(CartanType("A", 4))
-        crit = orbit_count_criterion(make_automorphism(rs, "flip"))
+        crit = compute(TwistSpec(CartanType("A", 4), "flip")).orbit_criterion
         assert crit.orbit_count == 12 and crit.folded_root_count == 8
         assert not crit.holds
 
@@ -548,7 +575,7 @@ def test_fold_coordinates_and_fixed_space_matrices_are_integers():
         rs = build_root_system(CartanType(family, rank))
         aut = make_automorphism(rs, tag)
         fold = folded_root_system(aut)
-        assert all(type(c) is int for v, _ in fold.projected_roots for c in v)
+        assert all(type(c) is int for v, _ in project_roots(aut) for c in v)
         assert all(type(c) is int for v in fold.folded_roots for c in v)
         action = RootPermutationAction(rs)
         generators = action.steinberg_generators(aut.simple_perm)

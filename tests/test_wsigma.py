@@ -439,9 +439,9 @@ def test_check_takes_wsigma_from_its_definition(family, rank, tag, monkeypatch):
     assert rpt.notes[-1] == f"{ORACLE_NOTE} 6"
 
 
-def test_check_ignores_the_element_cap():
+def test_check_ignores_the_element_cap(monkeypatch):
     # |W^sigma| = 48 passes the cap; the enumerated W(A5) has 720 elements,
     # bounded by the oracle's dimension guard instead
-    spec = TwistSpec(CartanType("A", 5), "flip", truncation=6, element_cap=48,
-                     run_oracle=True)
+    monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 48)
+    spec = TwistSpec(CartanType("A", 5), "flip", truncation=6, run_oracle=True)
     assert compute(spec).notes[-1] == f"{ORACLE_NOTE} 6"
