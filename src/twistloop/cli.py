@@ -89,7 +89,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+            print(f"error: cannot write {args.out!r}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 1
     else:

@@ -73,9 +73,10 @@ from .report import ClosedForm
 from .rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
                       weyl_order)
 from .twist import DiagramAutomorphism, _match_cartan
-from .weyl import DEFAULT_ELEMENT_CAP, GroupTooLargeError, _perm_orbits
+from .weyl import GroupTooLargeError, _perm_orbits
 
 ORACLE_MAX_DIM = 3
+ORACLE_ELEMENT_CAP = 10**7  # the references' own bound on a group they close
 ORACLE_MAX_DEGREE = 12
 MAX_BYTE_ROOTS = 255  # one byte per root index
 
@@ -546,7 +547,7 @@ def super_molien(group: FiniteMatrixGroup, truncation: int) -> BigradedSeries:
 
 
 def generate_group(generators: Sequence[Matrix],
-                   cap: int = DEFAULT_ELEMENT_CAP) -> FiniteMatrixGroup:
+                   cap: int = ORACLE_ELEMENT_CAP) -> FiniteMatrixGroup:
     """Breadth-first closure of the generators under right multiplication.
 
     Matrices are deduplicated by their (normalized, hashable) entry tuples,
@@ -714,7 +715,7 @@ class WeylPermutationGroup(RootPermutationAction):
     reference the tests check W^sigma and its buckets against.
     """
 
-    def __init__(self, root_system: RootSystem, cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, root_system: RootSystem, cap: int = ORACLE_ELEMENT_CAP):
         super().__init__(root_system)
         order = weyl_order(root_system.cartan_type)
         if order > cap:
@@ -997,7 +998,8 @@ def recognize_closed_form(series: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _det(m: list[list]) -> Scalar:
-    # cofactor expansion; only ever called on blocks of size <= ORACLE_MAX_DIM
+    # cofactor expansion, O(n!): the invariant counts call it on blocks of size
+    # <= ORACLE_MAX_DIM, and the elimination test on sparse matrices up to n = 9
     n = len(m)
     if n == 0:
         return 1

@@ -10,7 +10,10 @@ W^sigma acts faithfully on the fixed subspace and realizes the folded
 Weyl group there, each generator as a simple reflection, kept as one
 row.  The folding walks the rows once and certifies the folded roots
 as the closure of their base under them, so ``preserves_folded`` holds
-on either route below.  The order of W^sigma is the product of the indices
+on either route below.  A twist that resolves to the identity builds no
+root: its rows are certified on the Cartan matrix
+(:func:`twistloop.twist.untwisted_rows`), and each root is an orbit.
+The order of W^sigma is the product of the indices
 along the chain of subgroups the generators span, taken in the folded
 type's order, each the size of one orbit of a coordinate functional on
 the fixed subspace.  The degrees of its basic invariants are the folded
@@ -38,7 +41,7 @@ series and the JSON never need it.
 
 The one deliberate shortcut: untwisted E8 is answered from the
 invariant-degree table alone, because its Weyl group (order 696729600)
-exceeds the element cap; its folding is certified all the same.  With
+exceeds the element cap; its rows are certified all the same.  With
 ``run_oracle`` the brute-force count of :mod:`twistloop.oracle`
 re-derives the low-degree invariant dimensions from W^sigma taken from
 its definition, the stabilizer of the fixed subspace in the enumerated
@@ -56,9 +59,9 @@ from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
 from . import weyl
 from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
-from .twist import (DiagramAutomorphism, FoldingResult, OrbitCriterion, check_tag,
-                    expected_folded_type, fixed_group_info, folded_root_system,
-                    make_automorphism, positive_orbit_sizes, resolve_twist)
+from .twist import (DiagramAutomorphism, OrbitCriterion, check_tag, expected_folded_type,
+                    fixed_group_info, folded_root_system, make_automorphism,
+                    positive_orbit_sizes, resolve_twist, untwisted_rows)
 from .weyl import MAX_ROOTS, GroupTooLargeError, _perm_order, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
@@ -299,15 +302,16 @@ def _check_order_cap(folded: CartanType, cap: int) -> None:
                 f"{'' if exact else 'at least '}{order}, past the element cap {cap}")
 
 
-def _chain_rows(folding: FoldingResult) -> tuple[tuple[int, ...], ...]:
-    """The folding's rows in the coset chain's order: the folded type's
-    nodes n..1 for B, C and D, 1..n otherwise, each a coordinate too.  Any
-    order multiplies to |W^sigma|; this one ends in the smallest coordinate
-    orbit (n + 1 for A_n, 2n for B_n, C_n and D_n, 27, 56 and 240 for E6,
-    E7 and E8, 24 for F4, 6 for G2), which the Jacobian reuses, and keeps
-    the indices' sum, the functionals the chain closes, polynomial in n."""
-    nodes = folding.nodes[::-1] if folding.folded_type.family in "BCD" else folding.nodes
-    return tuple(tuple(folding.rows[a][b] for b in nodes) for a in nodes)
+def _chain_rows(rows, nodes, folded: CartanType) -> tuple[tuple[int, ...], ...]:
+    """The rows matched to the folded type's nodes, in the coset chain's
+    order: nodes n..1 for B, C and D, 1..n otherwise, each a coordinate
+    too.  Any order multiplies to |W^sigma|; this one ends in the smallest
+    coordinate orbit (n + 1 for A_n, 2n for B_n, C_n and D_n, 27, 56 and
+    240 for E6, E7 and E8, 24 for F4, 6 for G2), which the Jacobian reuses,
+    and keeps the indices' sum, the functionals the chain closes,
+    polynomial in n."""
+    nodes = nodes[::-1] if folded.family in "BCD" else nodes
+    return tuple(tuple(rows[a][b] for b in nodes) for a in nodes)
 
 
 def compute(spec: TwistSpec) -> TwistReport:
@@ -316,7 +320,8 @@ def compute(spec: TwistSpec) -> TwistReport:
     The spec's fields are checked when it is made.  Here a tag is checked
     against the type in O(1), explicit images on the Dynkin diagram, and
     then |W^sigma| and the root count against their caps, from the type
-    and the tag alone, before anything is built.
+    and the tag alone, before anything is built.  The identity, by tag or
+    by images, builds roots only under ``run_oracle``.
     """
     t = spec.cartan_type
     if isinstance(spec.automorphism, str):
@@ -332,14 +337,19 @@ def compute(spec: TwistSpec) -> TwistReport:
     if not table_path and root_count(t) > MAX_ROOTS:
         raise GroupTooLargeError(f"type {t} has {root_count(t)} roots, past the "
                                  f"root cap {MAX_ROOTS}")
-    rs = build_root_system(t)
-    aut = make_automorphism(rs, spec.automorphism)
-    # the folding walks W^sigma's generators, one row each on the fixed
-    # subspace, and certifies with them that W^sigma permutes the folded roots
-    folding = folded_root_system(aut)
-    pos_sizes = positive_orbit_sizes(aut)
+    if tag == "identity":
+        rows, nodes, twist_order = untwisted_rows(t), range(t.rank), 1
+        pos_sizes = (1,) * (root_count(t) // 2)
+    else:
+        aut = make_automorphism(build_root_system(t), spec.automorphism)
+        # the folding walks W^sigma's generators, one row each on the fixed
+        # subspace, and certifies with them that W^sigma permutes the folded roots
+        folding = folded_root_system(aut)
+        rows, nodes = folding.rows, folding.nodes
+        pos_sizes = positive_orbit_sizes(aut)
+        twist_order = aut.order
     # negation commutes with sigma: as many orbits on the negative roots
-    criterion = OrbitCriterion(2 * len(pos_sizes), len(folding.folded_roots))
+    criterion = OrbitCriterion(2 * len(pos_sizes), root_count(folded_type))
     info = fixed_group_info(t, tag)
     notes = [info.note]
     sizes_note = ", ".join(f"{pos_sizes.count(s)} of size {s}"
@@ -355,7 +365,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         closed = _closed_form(ds)
     else:
         try:
-            rows = _chain_rows(folding)
+            rows = _chain_rows(rows, nodes, folded_type)
             # the certificate: the coset chain raises unless its indices, the
             # group order, are the degrees' product, and invariants of those
             # degrees are algebraically independent
@@ -383,7 +393,8 @@ def compute(spec: TwistSpec) -> TwistReport:
     if spec.run_oracle:
         notes.append("oracle skipped: no enumerated group on the table path"
                      if table_path else
-                     _oracle_note(aut, solomon_series(ds, spec.truncation)))
+                     _oracle_note(make_automorphism(build_root_system(t), spec.automorphism),
+                                  solomon_series(ds, spec.truncation)))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -398,7 +409,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves_folded=True,  # certified by the folding
         series=series,
         closed_form=closed,
-        excluded_characteristics=_excluded_primes(t, aut.order, info.component_counts),
+        excluded_characteristics=_excluded_primes(t, twist_order, info.component_counts),
         notes=tuple(notes),
     )
 

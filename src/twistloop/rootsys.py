@@ -184,11 +184,11 @@ def cartan_from_gram(gram: Matrix) -> CartanMatrix:
 
 
 # The Cartan matrix and the root closure are read once per argument in a
-# process: compute() needs the input type's to build the roots and walk
-# W^sigma's rows, the folded type's to match the one read off the rows,
-# and the closure of that one to certify the folding (for an identity
-# twist, the input type's own); an over-cap reject reads neither.  The
-# results are tuples, so sharing them is safe.
+# process: compute() needs the input type's to walk W^sigma's rows and,
+# for a twist other than the identity, to build the roots, the folded
+# type's to match the one read off the rows, and the closure of that one
+# to certify the folding; an over-cap reject reads neither.  The results
+# are tuples, so sharing them is safe.
 _memo = lru_cache(maxsize=64)
 
 

@@ -28,7 +28,8 @@ fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k,
 so the folded Cartan matrix is read off the rows, C_jk = -row_k[j].  It
 must be the table's type in some order of the nodes, and the folded set
 the closure of the beta_O under the rows' reflections, which then
-permute it; the construction errors out otherwise.  The ambient matrix
+permute it; the construction errors out otherwise.  For sigma = identity
+that is one comparison, with no root (:func:`untwisted_rows`).  The ambient matrix
 of sigma, its ambient fixed subspace, the average over sigma's powers,
 the Gram matrix of the beta_O (an integer multiple and in Fractions),
 a from-scratch classifier of the folded set and sigma's permutation of
@@ -235,21 +236,36 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     """Fold the roots: the projections v with v/2 not a projection, read
     on the positive half, the negative half mirroring it.  For sigma =
     identity, the roots themselves: a reduced root system drops nothing."""
+    t = a.base.cartan_type
     if a.order == 1:
-        folded = a.base.roots
-    else:
-        projected = project_roots(a)
-        half = len(projected) // 2
-        positive = {v for v, _ in projected[half:]}
-        kept = [j for j, (v, _) in enumerate(projected[half:])
-                if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in positive]
-        folded = tuple([projected[half - 1 - j][0] for j in reversed(kept)]
-                       + [projected[half + j][0] for j in kept])
-    expected = expected_folded_type(a.base.cartan_type, a.tag)
+        return FoldingResult(a.base.roots, t, untwisted_rows(t), tuple(range(t.rank)))
+    projected = project_roots(a)
+    half = len(projected) // 2
+    positive = {v for v, _ in projected[half:]}
+    kept = [j for j, (v, _) in enumerate(projected[half:])
+            if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in positive]
+    folded = tuple([projected[half - 1 - j][0] for j in reversed(kept)]
+                   + [projected[half + j][0] for j in kept])
+    expected = expected_folded_type(t, a.tag)
     # one row per sigma-orbit, checked against the folded rank below
-    rows = steinberg_rows(a.base.cartan_type, a.simple_perm)
+    rows = steinberg_rows(t, a.simple_perm)
     nodes = check_folded_roots(folded, rows, expected)
     return FoldingResult(folded, expected, rows, nodes)
+
+
+def untwisted_rows(t: CartanType) -> tuple[Vector, ...]:
+    """Steinberg's rows for sigma = identity, certified without a root:
+    their Cartan matrix must be t's, node for node, so their closure is
+    t's roots."""
+    rows = steinberg_rows(t, tuple(range(t.rank)))
+    if _rows_cartan(rows) != cartan_matrix(t):
+        raise ValueError(f"folded Cartan matrix does not match {t}")
+    return rows
+
+
+def _rows_cartan(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix C_jk = -row_k[j] of the reflections with these rows."""
+    return tuple(zip(*[map(neg, row) for row in rows]))
 
 
 def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
@@ -267,7 +283,7 @@ def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
     n = expected.rank
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("folded rows act in the wrong dimension")
-    cartan = tuple(tuple(-row[j] for row in rows) for j in range(n))
+    cartan = _rows_cartan(rows)
     nodes = _match_cartan(cartan, cartan_matrix(expected))
     if nodes is None:
         raise ValueError(f"folded Cartan matrix does not match {expected}")

@@ -183,14 +183,14 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
     product, only once those before fail.  f_i = sum_j c_ij sum_{phi in
     U_j} phi^(d_i), plus e_i P_j when P_j, the product over U_j's half H_j,
     is invariant of degree d_i (:func:`_half_product`), is invariant of
-    degree d_i.  Its gradient (the unit d_i left out) forms one power per
-    functional and distinct degree, over its nonzero entries, and P_j's
-    from prefix and suffix products, with no inverse.  The weights and the
-    point x are seeded residues modulo the prime JACOBIAN_PRIME, differing
-    per row so that equal degrees give different invariants.  Orbits join
-    until the determinant is nonzero mod the prime, so the integer one is
-    a nonzero polynomial.  Each of JACOBIAN_ATTEMPTS seeded points may use
-    every orbit.
+    degree d_i.  Its gradient (the unit d_i left out) reads phi(x)^(d-1)
+    off one running product per functional, over its nonzero entries, and
+    P_j's from prefix and suffix products, with no inverse.  The weights
+    and the point x are seeded residues modulo the prime JACOBIAN_PRIME,
+    differing per row so that equal degrees give different invariants.
+    Orbits join until the determinant is nonzero mod the prime, so the
+    integer one is a nonzero polynomial.  Each of JACOBIAN_ATTEMPTS seeded
+    points may use every orbit.
 
     When ds multiply to the group order, this certifies the invariant
     ring.  Invariants with a nonzero Jacobian determinant are
@@ -208,7 +208,7 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
     degrees with the same product have no such invariants, and their
     Jacobian vanishes at every point.
     """
-    p, dim = JACOBIAN_PRIME, len(ds)
+    p, dim, top = JACOBIAN_PRIME, len(ds), max(ds)
     searches = (_orbit_search(k, rows, math.prod(ds)) for k in range(dim - 1))
     orbits = [orbit]
     for attempt in range(JACOBIAN_ATTEMPTS):
@@ -223,8 +223,11 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
             for phi in orbits[j]:
                 entries = [(k, a) for k, a in enumerate(phi) if a]
                 v = sum(a * point[k] for k, a in entries) % p
+                powers = [1]  # v^0 .. v^(top - 1)
+                for _ in range(1, top):
+                    powers.append(powers[-1] * v % p)
                 for d, grad in grads.items():
-                    c = pow(v, d - 1, p)
+                    c = powers[d - 1]
                     for k, a in entries:
                         grad[k] += c * a
             values = [sum(a * x for a, x in zip(phi, point)) % p for phi in half]
@@ -278,19 +281,18 @@ def _seeded(seed: int, count: int) -> list[int]:
 
 
 def _nonsingular_mod(rows: Sequence[Sequence[int]], p: int) -> bool:
-    """Whether the square integer matrix is invertible mod the prime p."""
+    """Whether the square integer matrix is invertible mod the prime p: a
+    row (q, *head) with q nonzero is the pivot, and each other row (f,
+    *rest) becomes rest - (f / q) head, on the trailing columns alone."""
     rows = [[a % p for a in row] for row in rows]
-    n = len(rows)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
+    while rows:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
             return False
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[c])]
+        q, *head = rows.pop(k)
+        inv = pow(q, -1, p)
+        rows = [[(a - g * b) % p for a, b in zip(rest, head)] if (g := f * inv % p) else rest
+                for f, *rest in rows]
     return True
 
 

@@ -15,6 +15,7 @@ deleted, and every reference the oracle's fact table names exists.
 
 import inspect
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -72,7 +73,7 @@ def test_certificate_agrees_with_enumeration(family, rank, tag):
     aut, fold, action, generators = certificate_inputs(family, rank, tag)
     order = weyl_order(fold.folded_type)
     positive = sum(all(c >= 0 for c in v) for v in fold.folded_roots)
-    rows = report._chain_rows(fold)
+    rows = report._chain_rows(fold.rows, fold.nodes, fold.folded_type)
     ds = degrees(fold.folded_type)
     indices, orbit = coset_indices(rows, order)
     assert math.prod(indices) == math.prod(ds) == order
@@ -166,7 +167,7 @@ def chain_inputs(family, rank, tag):
     degrees and the chain's indices and last orbit."""
     fold = folded_root_system(make_automorphism(build_root_system(CartanType(family, rank)),
                                                 tag))
-    rows = report._chain_rows(fold)
+    rows = report._chain_rows(fold.rows, fold.nodes, fold.folded_type)
     return rows, degrees(fold.folded_type), *coset_indices(rows, weyl_order(fold.folded_type))
 
 
@@ -362,3 +363,47 @@ def test_large_identity_cases_are_fast(family, rank):
     assert time.perf_counter() - start < 5
     assert rpt.stabilizer_order == weyl_order(t)
     assert rpt.series == expected_series(degrees(t))
+
+
+def _seeded_square_matrices(p):
+    """Seeded n x n integer matrices, n = 1..9, each entry 0 one time in
+    three (which keeps the cofactor expansion short at n = 9): residues mod
+    p, entries in -3p..3p, and each of these with a last row that is a
+    combination of the others mod p, with a leading entry p, which is 0 mod
+    p and forces a row swap, and with one column of multiples of p."""
+    rng = random.Random(p)
+
+    def matrix(n, lo, hi):
+        return [[0 if rng.random() < 1 / 3 else rng.randrange(lo, hi) for _ in range(n)]
+                for _ in range(n)]
+
+    for n in range(1, 10):
+        for kind, m in (("residues", matrix(n, 0, p)), ("wide", matrix(n, -3 * p, 3 * p))):
+            yield n, kind, m
+            weights = [rng.randrange(-5, 6) for _ in range(n - 1)]
+            dependent = [row[:] for row in m[:-1]]
+            dependent.append([sum(w * row[j] for w, row in zip(weights, dependent)) + p * (j == 0)
+                              for j in range(n)])
+            yield n, kind + ", dependent row", dependent
+            swap = [row[:] for row in m]
+            swap[0][0] = p
+            yield n, kind + ", zero leading entry", swap
+            column = rng.randrange(n)
+            zero = [[rng.randrange(-2, 3) * p if j == column else a for j, a in enumerate(row)]
+                    for row in m]
+            yield n, kind + ", zero column", zero
+
+
+@pytest.mark.parametrize("p", [weyl.JACOBIAN_PRIME, 5])
+def test_nonsingular_mod_agrees_with_the_determinant(p):
+    # the trailing-column elimination against the oracle's cofactor expansion, at a
+    # large prime and at a small one, where random matrices are often singular
+    verdicts = set()
+    for n, kind, m in _seeded_square_matrices(p):
+        expected = oracle._det(m) % p != 0
+        assert weyl._nonsingular_mod(m, p) == expected, (n, kind, m)
+        verdicts.add(expected)
+        if kind.endswith(("dependent row", "zero column")):
+            assert not expected
+    assert verdicts == {True, False}
+

@@ -486,7 +486,7 @@ class TestCli:
         assert main(["--type", "A", "--rank", "2", "--out", str(target)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"error: cannot write {target}: No such file or directory\n"
+        assert out.err == f"error: cannot write {str(target)!r}: No such file or directory\n"
         assert not target.parent.exists()
 
     def test_out_to_an_empty_path(self, capsys):
@@ -494,7 +494,7 @@ class TestCli:
         assert main(["--type", "A", "--rank", "3", "--out", ""]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: cannot write : No such file or directory\n"
+        assert out.err == "error: cannot write '': No such file or directory\n"
 
     def test_check_flag_runs_oracle(self, capsys):
         code = main(["--type", "A", "--rank", "3", "--auto", "flip", "--check",
@@ -564,6 +564,43 @@ class TestLimits:
         for auto in (tag, "perm=" + ",".join(str(i + 1) for i in perm)):
             assert main(["--type", family, "--rank", str(rank), "--auto", auto]) == 2
             assert capsys.readouterr().err.startswith("resource cap: ")
+
+    @pytest.mark.parametrize("family,rank", SOLOMON_TYPES + [("E", 8)])
+    def test_identity_route_builds_no_roots(self, family, rank, monkeypatch, capsys):
+        # an identity twist, by tag or by perm=, certifies its rows on the
+        # Cartan matrix and reads its root counts off the type
+        from twistloop import rootsys, twist
+        from twistloop.rootsys import root_count, weyl_order
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("roots built for an identity twist")
+
+        t = CartanType(family, rank)
+        monkeypatch.setattr(rootsys, "_closure", refuse)
+        monkeypatch.setattr(twist, "_closure", refuse)
+        monkeypatch.setattr(rootsys, "RootSystem", refuse)
+        n = root_count(t)
+        for auto in ("identity", tuple(range(rank))):
+            rpt = compute(TwistSpec(t, auto))
+            crit = rpt.orbit_criterion
+            assert (crit.orbit_count, crit.folded_root_count, crit.holds) == (n, n, True)
+            assert rpt.positive_orbit_sizes == (1,) * (n // 2)
+            assert rpt.folded_type == t
+            assert rpt.stabilizer_order == weyl_order(t)
+            assert rpt.series == expected_series(degrees(t))
+        perm = "perm=" + ",".join(str(i + 1) for i in range(rank))
+        assert main(["--type", family, "--rank", str(rank), "--auto", perm]) == 0
+        assert capsys.readouterr().out == rpt.to_text()
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+    def test_identity_oracle_still_computes(self, family, rank):
+        # --check takes W^sigma from the enumerated Weyl group, so it builds
+        # the roots the identity route leaves out
+        for auto in ("identity", tuple(range(rank))):
+            rpt = compute(TwistSpec(CartanType(family, rank), auto, truncation=6,
+                                    run_oracle=True))
+            assert rpt.notes[-1] == ("oracle: brute-force invariant dimensions "
+                                     "match the series through total degree 6")
 
     @pytest.mark.parametrize("family,rank,tag", [
         ("A", 1700, "identity"), ("A", 3000, "flip"), ("B", 3000, "identity"),

@@ -33,7 +33,7 @@ from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
                               fixed_space_stabilizer_perms, projected_gram,
                               restricted_fixed_space_group, root_permutation,
                               wsigma_by_definition)
-from twistloop.weyl import coset_indices, steinberg_rows
+from twistloop.weyl import GroupTooLargeError, coset_indices, steinberg_rows
 
 from test_acceptance import expected_series
 from test_rootsys import ALL_TYPES
@@ -445,3 +445,15 @@ def test_check_ignores_the_element_cap(monkeypatch):
     monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 48)
     spec = TwistSpec(CartanType("A", 5), "flip", truncation=6, run_oracle=True)
     assert compute(spec).notes[-1] == f"{ORACLE_NOTE} 6"
+
+
+def test_the_oracle_keeps_its_own_cap(monkeypatch):
+    # the references close groups up to ORACLE_ELEMENT_CAP, whatever element
+    # cap compute() reads: W(A3) is enumerated with the pipeline's cap at 10
+    monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 10)
+    assert len(WeylPermutationGroup(build_root_system(CartanType("A", 3)))) == 24
+    assert oracle.ORACLE_ELEMENT_CAP == 10**7
+    assert not hasattr(oracle, "DEFAULT_ELEMENT_CAP")
+    with pytest.raises(GroupTooLargeError, match="Weyl group of order 24 exceeds the cap 23"):
+        WeylPermutationGroup(build_root_system(CartanType("A", 3)), cap=23)
+
