@@ -15,7 +15,7 @@ for rank in range(2, 8):
     t = CartanType("A", rank)
     rpt = compute(TwistSpec(t, "flip"))
     crit = rpt.orbit_criterion
-    distinct = len(project_roots(make_automorphism(build_root_system(t), "flip")))
+    distinct = 2 * len(project_roots(make_automorphism(build_root_system(t), "flip")))
     print(f"A{rank} flip (SU({rank + 1})): projections {distinct}, "
           f"folded {rpt.folded_type} with {crit.folded_root_count} roots, "
           f"orbit criterion {'holds' if crit.holds else 'inconclusive'}")
@@ -26,7 +26,7 @@ for rank in range(2, 7):
     aut = make_automorphism(rs, "flip")
     fold = folded_root_system(aut)
     print(f"D{rank} flip (SO({2 * rank})): folded {fold.folded_type} with "
-          f"{len(fold.folded_roots)} roots = 2(n-1)^2 = {2 * (rank - 1) ** 2}")
+          f"{2 * len(fold.folded_roots)} roots = 2(n-1)^2 = {2 * (rank - 1) ** 2}")
 
 print()
 rs = build_root_system(CartanType("D", 4))

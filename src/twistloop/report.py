@@ -192,30 +192,14 @@ class TwistReport(Record):
         return "\n".join(lines) + "\n"
 
 
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
-                 "\r": "\\r", "\t": "\\t"}
-
-
 def _json_str(s: str) -> str:
-    """s as a JSON string with json's ``ensure_ascii`` escapes: the quote,
-    the backslash and \\b \\f \\n \\r \\t by name, any other character
-    outside ' '..'~' as \\u and four lowercase hex digits, one beyond the
-    BMP as its UTF-16 surrogate pair."""
+    """s as ``json.dumps`` writes it: printable ASCII with no quote or
+    backslash, every string compute() writes, is quoted as it stands; any
+    other string goes through json, imported only then."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    out = []
-    for ch in s:
-        n = ord(ch)
-        if ch in _JSON_ESCAPES:
-            out.append(_JSON_ESCAPES[ch])
-        elif 0x20 <= n < 0x7F:
-            out.append(ch)
-        elif n < 0x10000:
-            out.append(f"\\u{n:04x}")
-        else:
-            n -= 0x10000
-            out.append(f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}")
-    return '"' + "".join(out) + '"'
+    import json
+    return json.dumps(s)
 
 
 def _json_list(values: Sequence, indent: int, item=str) -> str:

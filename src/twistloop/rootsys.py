@@ -11,32 +11,30 @@ matrix, and the Cartan matrix A_ij = 2 (alpha_i, alpha_j) /
 (alpha_j, alpha_j) follows from it in O(r^2) integer steps.  The
 positive roots are then the closure of the unit vectors under the
 raising integer simple reflections, s_i(c) = c - <c, alpha_i^vee> e_i
-with <c, alpha_i^vee> < 0, and the negative roots are their negatives,
-one negation each: the closure never steps onto a negative root.  It
-carries each root's pairings (<c, alpha_i^vee>)_i and moves them by one
-row of the Cartan matrix per step, so an image costs O(r), and a
+with <c, alpha_i^vee> < 0: the closure never steps onto a negative root.
+It carries each root's pairings (<c, alpha_i^vee>)_i and moves them by
+one row of the Cartan matrix per step, so an image costs O(r), and a
 reflection that fixes or lowers the root costs a sign test.  It keeps
-the roots, sorted, not their images, and also certifies a folding
-(:func:`twistloop.twist.folded_root_system`).  Every later stage works
-in these coordinates.
+the positive roots, sorted, not their images, and also certifies a
+folding (:func:`twistloop.twist.folded_root_system`).  Every later stage
+works in these coordinates, on the positive roots alone: a twist's
+orbits and projection commute with negation.
 
-Every constructed system is self-verified: Cartan matrix entries, root
-count, uniform sign of root coordinates, closure under negation, and
-product-of-degrees == Weyl order.  Sorted, uniformly signed and closed
-under negation, the roots hold the negative ones in their first half and
-the positive ones in their second, so no index of the roots and no sign
-mask is kept.  The classical realization of the simple roots in ambient
-coordinates, its Gram matrix, the closure of its roots and the index of
-the roots that permuting them needs are test references in
-:mod:`twistloop.oracle`.
+Every constructed system is checked on its positive roots: the root
+count, one sign per root, and product-of-degrees == Weyl order.  The
+whole root system, negative roots first, is formed from them by
+negation on first read, for the test references alone.  The classical
+realization of the simple roots in ambient coordinates, its Gram matrix,
+the closure of its roots and the index of the roots that permuting them
+needs are test references in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from functools import lru_cache, total_ordering
-from operator import add, neg
+from functools import cached_property, lru_cache, total_ordering
+from operator import neg
 
 from .exact import Matrix, Record, check_int
 
@@ -199,9 +197,9 @@ def cartan_matrix(t: CartanType) -> CartanMatrix:
 
 @_memo
 def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
-    """The roots of the Cartan matrix, sorted: the closure of the simple
-    roots (unit vectors) under raising steps, which is the positive roots,
-    with their negatives in front; more than limit roots is an error.
+    """The positive roots of the Cartan matrix, sorted: the closure of the
+    simple roots (unit vectors) under raising steps; a closure past limit
+    roots, counting each positive root and its negative, is an error.
 
     Each new root c comes with its pairings p_k = <c, alpha_k^vee>, row i
     of the Cartan matrix for alpha_i.  Then s_i(c) = c - p_i e_i, and the
@@ -211,10 +209,7 @@ def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
     positive root c but a simple one has some p_i > 0, and s_i(c) is a
     positive root of smaller height with pairing -p_i < 0, one raising step
     below c: by induction on the height the steps reach every positive
-    root.  Negation reverses the lexicographic order, and a nonpositive
-    vector sorts before every nonnegative one, so the negated positive
-    roots, reversed, followed by the sorted positive roots are all the
-    roots in order.
+    root.
     """
     r = len(cartan)
     frontier = [(_unit(r, i), cartan[i]) for i in range(r)]
@@ -233,48 +228,38 @@ def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
         if 2 * len(positive) > limit:
             raise ValueError(f"root closure passed {limit} roots")
         frontier = nxt
-    ordered = sorted(positive)
-    return tuple([tuple(map(neg, c)) for c in reversed(ordered)] + ordered)
+    return tuple(sorted(positive))
 
 
 class RootSystem:
-    """Immutable bundle of a type, its Cartan matrix and its roots.
+    """Immutable bundle of a type, its Cartan matrix and its positive roots.
 
-    ``roots[i]`` is root i as an integer vector over the simple base.  The
-    roots are sorted and closed under negation, so the negative roots are
-    the first half and the positive roots the second.
+    ``positive[i]`` is positive root i as an integer vector over the simple
+    base, in sorted order.  ``roots``, all the roots sorted, is formed on
+    first read: negation reverses the lexicographic order and a nonpositive
+    vector sorts before every nonnegative one, so the negated positive
+    roots, reversed, come first.
     """
 
     def __init__(self, cartan_type: CartanType):
         t = cartan_type
         self.cartan_type = t
         self.cartan_matrix = cartan_matrix(t)
-        self.roots = _closure(self.cartan_matrix, root_count(t))
-        self._validate()
-
-    def _validate(self):
-        t, roots = self.cartan_type, self.roots
         expected = root_count(t)
-        if len(roots) != expected:
-            raise ValueError(f"{t}: built {len(roots)} roots, expected {expected}")
+        self.positive = _closure(self.cartan_matrix, expected)
+        if 2 * len(self.positive) != expected:
+            raise ValueError(f"{t}: built {2 * len(self.positive)} roots, expected {expected}")
+        if min(map(min, self.positive)) < 0:
+            raise ValueError("root coordinates of mixed sign")
         if math.prod(degrees(t)) != weyl_order(t):
             raise ValueError("degree product disagrees with Weyl order")
-        # Negation reverses the lexicographic order, so a sorted set (the
-        # closure returns the roots sorted) is closed under it exactly when
-        # its i-th and i-th-from-last members add up to zero.  One pass over
-        # those pairs checks every root's signs once and every pair's sum,
-        # with no negated copy.
-        for c, d in zip(roots[:len(roots) // 2], reversed(roots)):
-            if min(c) < 0 < max(c) or min(d) < 0 < max(d):
-                raise ValueError("root coordinates of mixed sign")
-            if any(map(add, c, d)):
-                raise ValueError("root set not closed under negation")
 
-    def positive_roots(self) -> tuple[Root, ...]:
-        return self.roots[len(self.roots) // 2:]
+    @cached_property
+    def roots(self) -> tuple[Root, ...]:
+        return tuple([tuple(map(neg, c)) for c in reversed(self.positive)]) + self.positive
 
     def __repr__(self):
-        return f"RootSystem({self.cartan_type}, {len(self.roots)} roots)"
+        return f"RootSystem({self.cartan_type}, {2 * len(self.positive)} roots)"
 
 
 def build_root_system(t: CartanType) -> RootSystem:

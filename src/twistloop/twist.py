@@ -5,15 +5,16 @@ diagram automorphism sigma permuting the simple nodes, which preserves the
 Dynkin diagram, its edges and the lengths of the simple roots, and so the
 Cartan matrix.  Over the simple base sigma is a coordinate permutation,
 c'[perm[j]] = c[j], so it permutes the roots and preserves the positive
-system.  That permutation is never formed: sigma has order 1, 2 or 3, so
-each of its orbits on the roots is one fixed root or has as many roots
-as its order, and the orbit sizes follow from the number of fixed
-positive roots (:func:`positive_orbit_sizes`).  Its fixed subspace has
-the projected simple roots beta_O = pi(alpha_i), i in O, as a basis, one
-per sigma-orbit O of simple nodes, where pi is the average over sigma's
-powers (beta_O is the orbit sum of simple roots divided by |O|).  A root
-c projects to the integer vector of its orbit sums, (sum_{i in O} c_i)_O.
-Every step is integer arithmetic.
+system, and it commutes with negation, so every step below reads the
+positive roots alone.  That permutation is never formed: sigma has order
+1, 2 or 3, so each of its orbits on the roots is one fixed root or has
+as many roots as its order, and the orbit sizes follow from the number
+of fixed positive roots (:func:`positive_orbit_sizes`).  Its fixed
+subspace has the projected simple roots beta_O = pi(alpha_i), i in O, as
+a basis, one per sigma-orbit O of simple nodes, where pi is the average
+over sigma's powers (beta_O is the orbit sum of simple roots divided by
+|O|).  A root c projects to the integer vector of its orbit sums,
+(sum_{i in O} c_i)_O.  Every step is integer arithmetic.
 
 The folded root system is the set of indivisible projected roots (v with
 v/2 not a projection), which reproduces the classical folding table:
@@ -26,9 +27,10 @@ The beta_O are the folded system's own simple roots, and Steinberg's
 generators of W^sigma (:func:`twistloop.weyl.steinberg_rows`) act on the
 fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k,
 so the folded Cartan matrix is read off the rows, C_jk = -row_k[j].  It
-must be the table's type in some order of the nodes, and the folded set
-the closure of the beta_O under the rows' reflections, which then
-permute it; the construction errors out otherwise.  For sigma = identity
+must be the table's type in some order of the nodes, and the folded
+positive roots the closure of the beta_O under the rows' raising
+reflections, whose group then permutes the folded roots; the
+construction errors out otherwise.  For sigma = identity
 that is one comparison, with no root (:func:`untwisted_rows`).  The ambient matrix
 of sigma, its ambient fixed subspace, the average over sigma's powers,
 the Gram matrix of the beta_O (an integer multiple and in Fractions),
@@ -161,52 +163,43 @@ def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutom
 # ---------------------------------------------------------------------------
 
 def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
-    """Sorted orbit sizes of the automorphism on the positive roots, the
-    second half of the sorted roots.  Its order is 1, 2 or 3, so an orbit
-    is one root that sigma fixes (c[i] == c[perm[i]] for every node i) or
-    has as many roots as its order: only the fixed roots are counted, and
-    no root is permuted."""
-    roots = a.base.roots
-    positive = roots[len(roots) // 2:]
+    """Sorted orbit sizes of the automorphism on the positive roots.  Its
+    order is 1, 2 or 3, so an orbit is one root that sigma fixes
+    (c[i] == c[perm[i]] for every node i) or has as many roots as its
+    order: only the fixed roots are counted, and no root is permuted."""
+    positive = a.base.positive
     moved = [(i, p) for i, p in enumerate(a.simple_perm) if i != p]
     fixed = sum(all(c[i] == c[p] for i, p in moved) for c in positive)
     return (1,) * fixed + (a.order,) * ((len(positive) - fixed) // a.order)
 
 
 def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
-    """Projections of the roots over the projected simple roots beta_O:
-    root c goes to its orbit sums (sum_{i in O} c_i)_O.  Deduplicated,
-    multiplicities retained, sorted.
-
-    Only the positive roots, the second half, are summed.  The projection
-    commutes with negation, so the negative roots project to the negated
-    vectors with the same multiplicities, and a nonpositive vector sorts
-    before every nonnegative one: the negated positive projections,
-    reversed, come first.  Each orbit sum is read through one index list
-    per position in the orbits, a padded 0 standing in past a short
-    orbit's end."""
-    roots = a.base.roots
+    """Projections of the positive roots over the projected simple roots
+    beta_O, with their multiplicities, sorted: root c goes to its orbit
+    sums (sum_{i in O} c_i)_O.  The projection commutes with negation, so
+    the negative roots' are these negated.  Each orbit sum is read through
+    one index list per position in the orbits, a padded 0 standing in past
+    a short orbit's end."""
     orbits = a.simple_orbits
     pad = len(a.simple_perm)
     first, *rest = [[orb[p] if p < len(orb) else pad for orb in orbits]
                     for p in range(a.order)]
     counts: dict[Vector, int] = {}
-    for c in roots[len(roots) // 2:]:
+    for c in a.base.positive:
         get = (c + (0,)).__getitem__
         v = map(get, first)
         for index in rest:
             v = map(add, v, map(get, index))
         v = tuple(v)
         counts[v] = counts.get(v, 0) + 1
-    positive = sorted(counts.items())
-    return tuple([(tuple(map(neg, v)), m) for v, m in reversed(positive)] + positive)
+    return tuple(sorted(counts.items()))
 
 
 class FoldingResult(Record):
-    """The folded roots, integer vectors over the projected simple roots,
-    the folded type, the rows (:func:`twistloop.weyl.steinberg_rows`) that
-    certified it, and the row matched to each node of the folded type's
-    Dynkin diagram."""
+    """The folded positive roots, integer vectors over the projected simple
+    roots and sorted, the folded type, the rows
+    (:func:`twistloop.weyl.steinberg_rows`) that certified it, and the row
+    matched to each node of the folded type's Dynkin diagram."""
 
     __slots__ = ("folded_roots", "folded_type", "rows", "nodes")
     folded_roots: tuple[Vector, ...]
@@ -233,19 +226,16 @@ def expected_folded_type(t: CartanType, tag: str) -> CartanType:
 
 
 def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
-    """Fold the roots: the projections v with v/2 not a projection, read
-    on the positive half, the negative half mirroring it.  For sigma =
-    identity, the roots themselves: a reduced root system drops nothing."""
+    """Fold the positive roots: the projections v with v/2 not a
+    projection.  For sigma = identity, the positive roots themselves: a
+    reduced root system drops nothing."""
     t = a.base.cartan_type
     if a.order == 1:
-        return FoldingResult(a.base.roots, t, untwisted_rows(t), tuple(range(t.rank)))
+        return FoldingResult(a.base.positive, t, untwisted_rows(t), tuple(range(t.rank)))
     projected = project_roots(a)
-    half = len(projected) // 2
-    positive = {v for v, _ in projected[half:]}
-    kept = [j for j, (v, _) in enumerate(projected[half:])
-            if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in positive]
-    folded = tuple([projected[half - 1 - j][0] for j in reversed(kept)]
-                   + [projected[half + j][0] for j in kept])
+    found = {v for v, _ in projected}
+    folded = tuple([v for v, _ in projected
+                    if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in found])
     expected = expected_folded_type(t, a.tag)
     # one row per sigma-orbit, checked against the folded rank below
     rows = steinberg_rows(t, a.simple_perm)
@@ -271,13 +261,14 @@ def _rows_cartan(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
 def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
                        expected: CartanType) -> tuple[int, ...]:
     """Raise ValueError unless roots, integer vectors over a base in
-    ascending order, are the root system of the expected type with that
+    ascending order, are the positive roots of the expected type with that
     base as its simple roots and the reflections with the given rows (row
     k changes coordinate k alone, by row_k . v) as its simple reflections:
     the Cartan matrix C_jk = -row_k[j] is the type's in some order of the
     nodes, and the roots are the closure of the base under those
-    reflections, which their group permutes, as the closure sorts it: one
-    tuple comparison.  Linear in the root count and the rank.  Returns
+    reflections' raising steps, as the closure sorts it: one tuple
+    comparison.  The group then permutes the roots and their negatives.
+    Linear in the root count and the rank.  Returns
     that order: the row matched to each node of the type's Dynkin
     diagram."""
     n = expected.rank

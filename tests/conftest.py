@@ -15,6 +15,16 @@ def cached_report(family: str, rank: int, automorphism: str = "identity",
     return compute(spec)
 
 
+def mirrored(positive):
+    """Sorted positive vectors with their negatives, reversed, in front: the
+    whole sorted set.  Entries may be (vector, multiplicity) pairs, as
+    project_roots gives them; a pair's multiplicity is kept."""
+    def negate(v):
+        return ((negate(v[0]), v[1]) if isinstance(v[0], tuple)
+                else tuple(-c for c in v))
+    return tuple(map(negate, reversed(positive))) + tuple(positive)
+
+
 @pytest.fixture
 def report():
     return cached_report

@@ -1,4 +1,5 @@
-"""Every shipped demo runs to completion."""
+"""Every shipped demo runs to completion and prints what it printed when
+its expected output under ``demo_stdout/`` was recorded."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).with_name("demo_stdout")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -17,3 +19,4 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == (EXPECTED / demo.with_suffix(".txt").name).read_text()

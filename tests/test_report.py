@@ -602,6 +602,36 @@ class TestLimits:
             assert rpt.notes[-1] == ("oracle: brute-force invariant dimensions "
                                      "match the series through total degree 6")
 
+    @pytest.mark.parametrize("family,rank,tag",
+                             [("D", n, "flip") for n in D_FLIP_RANKS] +
+                             [("A", r, "flip") for r in A_FLIP_RANKS] +
+                             [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
+    def test_twisted_route_forms_no_negative_root(self, family, rank, tag, monkeypatch):
+        # sigma's orbits and its projection commute with negation, so a twist,
+        # by tag or by perm=, reads the positive roots alone
+        from twistloop import twist
+        from twistloop.rootsys import RootSystem
+
+        def refuse(self):
+            raise AssertionError("negative roots formed on the pipeline path")
+
+        t = CartanType(family, rank)
+        perm, _ = twist.resolve_twist(t, tag)
+        monkeypatch.setattr(RootSystem, "roots", property(refuse))
+        reports = [compute(TwistSpec(t, auto)) for auto in (tag, perm)]
+        monkeypatch.undo()
+        for auto, rpt in zip((tag, perm), reports):
+            assert rpt == compute(TwistSpec(t, auto))
+
+    @pytest.mark.parametrize("family,rank,tag", [("A", 3, "flip"), ("A", 4, "flip"),
+                                                 ("D", 4, "triality")])
+    def test_twisted_oracle_still_computes(self, family, rank, tag):
+        # --check's references read the whole root system
+        rpt = compute(TwistSpec(CartanType(family, rank), tag, truncation=6,
+                                run_oracle=True))
+        assert rpt.notes[-1] == ("oracle: brute-force invariant dimensions "
+                                 "match the series through total degree 6")
+
     @pytest.mark.parametrize("family,rank,tag", [
         ("A", 1700, "identity"), ("A", 3000, "flip"), ("B", 3000, "identity"),
         ("D", 3000, "flip"), ("A", 10**6, "identity"), ("A", 10**6, "flip"),

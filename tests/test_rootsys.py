@@ -1,4 +1,6 @@
+import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -8,7 +10,7 @@ from twistloop import rootsys
 from twistloop.oracle import (ambient_gram, ambient_roots, ambient_vector, reflect,
                               simple_reflection, simple_root_vectors, vec_dot)
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import (CartanType, build_root_system, cartan_from_gram,
+from twistloop.rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
                                cartan_matrix, degrees, root_count, simple_gram,
                                weyl_order)
 
@@ -25,8 +27,8 @@ DIAGRAM_CHECKED = ([("A", r) for r in range(1, 31)] + [("B", r) for r in range(1
 def test_classical_root_count(family, rank):
     rs = build_root_system(CartanType(family, rank))
     assert len(rs.roots) == root_count(rs.cartan_type)
-    assert len(rs.positive_roots()) == len(rs.roots) // 2
-    assert all(min(c) >= 0 for c in rs.positive_roots())
+    assert len(rs.positive) == len(rs.roots) // 2
+    assert all(min(c) >= 0 for c in rs.positive)
 
 
 @pytest.mark.parametrize("family,rank", DIAGRAM_CHECKED)
@@ -44,12 +46,12 @@ def test_degree_product_is_weyl_order(family, rank):
 def test_paper_counts():
     assert len(build_root_system(CartanType("A", 2)).roots) == 6
     d4 = build_root_system(CartanType("D", 4))
-    assert len(d4.roots) == 24 and len(d4.positive_roots()) == 12
+    assert len(d4.roots) == 24 and len(d4.positive) == 12
     g2 = build_root_system(CartanType("G", 2))
-    assert len(g2.roots) == 12 and len(g2.positive_roots()) == 6
+    assert len(g2.roots) == 12 and len(g2.positive) == 6
     f4 = build_root_system(CartanType("F", 4))
-    assert len(f4.positive_roots()) == 24
-    assert len(build_root_system(CartanType("E", 6)).positive_roots()) == 36
+    assert len(f4.positive) == 24
+    assert len(build_root_system(CartanType("E", 6)).positive) == 36
 
 
 def test_weyl_order_table():
@@ -118,7 +120,7 @@ def test_root_data_hold_no_reflection_table():
     # permutes the roots through simple_reflection
     rs = build_root_system(CartanType("E", 6))
     assert not hasattr(rs, "reflections")
-    assert rootsys._closure(rs.cartan_matrix, 72) == rs.roots
+    assert rootsys._closure(rs.cartan_matrix, 72) == rs.positive
 
 
 @pytest.mark.parametrize("cartan", [((2, -2), (-2, 2)),
@@ -136,7 +138,7 @@ def test_the_closure_limit_binds_on_the_root_count(family, rank):
     # the positive closure counts its mirror: the type's root count passes
     # and one fewer raises
     cartan, count = cartan_matrix(CartanType(family, rank)), root_count(CartanType(family, rank))
-    assert len(rootsys._closure(cartan, count)) == count
+    assert 2 * len(rootsys._closure(cartan, count)) == count
     with pytest.raises(ValueError, match=f"root closure passed {count - 1} roots"):
         rootsys._closure(cartan, count - 1)
 
@@ -185,50 +187,78 @@ def test_uniform_sign_coordinates(family, rank):
         assert all(isinstance(c, int) for c in lc)
 
 
-def _mutated(rs, remove, add=()):
-    """rs with its roots replaced by a sorted set, as the constructor
-    leaves them."""
-    rs.roots = tuple(sorted((set(rs.roots) - set(remove)) | set(add)))
-    return rs
-
-
 VALIDATED = [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
 
 
-@pytest.mark.parametrize("family,rank", VALIDATED)
-def test_validate_rejects_a_wrong_root_count(family, rank):
-    rs = build_root_system(CartanType(family, rank))
-    c = rs.roots[-1]
-    # a root and its negative go: signs and negation still hold
-    _mutated(rs, [c, tuple(-x for x in c)])
-    with pytest.raises(ValueError, match=f"^{family}{rank}: built {root_count(rs.cartan_type) - 2} "
-                                         f"roots, expected {root_count(rs.cartan_type)}$"):
-        rs._validate()
+def _patch_closure(monkeypatch, positive):
+    """Make RootSystem read the given positive roots from its closure."""
+    monkeypatch.setattr(rootsys, "_closure", lambda cartan, limit: tuple(sorted(positive)))
+
+
+def _flipped_closure():
+    """rootsys._closure with the sign of its raising step flipped, d[i] += k
+    for d[i] -= k: a mutant of the library's own source, not memoized."""
+    source = textwrap.dedent(inspect.getsource(rootsys._closure.__wrapped__))
+    assert source.startswith("@_memo\n") and source.count("d[i] -= k") == 1
+    scope = dict(vars(rootsys))
+    exec(source.removeprefix("@_memo\n").replace("d[i] -= k", "d[i] += k"), scope)
+    return scope["_closure"]
 
 
 @pytest.mark.parametrize("family,rank", VALIDATED)
-def test_validate_rejects_mixed_signs(family, rank):
-    rs = build_root_system(CartanType(family, rank))
-    c = rs.roots[-1]
+def test_validate_rejects_a_wrong_root_count(family, rank, monkeypatch):
+    t = CartanType(family, rank)
+    positive = rootsys._closure(cartan_matrix(t), root_count(t))
+    # one positive root goes: the signs still hold
+    _patch_closure(monkeypatch, positive[:-1])
+    with pytest.raises(ValueError, match=f"^{family}{rank}: built {root_count(t) - 2} "
+                                         f"roots, expected {root_count(t)}$"):
+        RootSystem(t)
+
+
+@pytest.mark.parametrize("family,rank", VALIDATED)
+def test_validate_rejects_mixed_signs(family, rank, monkeypatch):
+    t = CartanType(family, rank)
+    positive = rootsys._closure(cartan_matrix(t), root_count(t))
     v = (1, -1) + (0,) * (rank - 2)
-    assert v not in rs.roots
-    # a mixed vector and its negative replace a root pair: the count and
-    # the negation still hold
-    _mutated(rs, [c, tuple(-x for x in c)], [v, tuple(-x for x in v)])
+    # a mixed vector replaces a positive root: the count still holds
+    _patch_closure(monkeypatch, (v,) + positive[1:])
     with pytest.raises(ValueError, match="^root coordinates of mixed sign$"):
-        rs._validate()
+        RootSystem(t)
 
 
-@pytest.mark.parametrize("family,rank", VALIDATED)
-def test_validate_rejects_a_set_not_closed_under_negation(family, rank):
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("G", 2)])
+def test_root_system_rejects_a_sign_flipped_closure(family, rank, monkeypatch):
+    # the flipped closure has the type's root count, and the degree product
+    # reads no root: only the sign check on the positive roots catches it
+    t = CartanType(family, rank)
+    flipped = _flipped_closure()
+    positive = flipped(cartan_matrix(t), root_count(t))
+    assert 2 * len(positive) == root_count(t)
+    if t == CartanType("B", 2):
+        assert positive == ((-1, 1), (0, 1), (1, -2), (1, 0))
+    monkeypatch.setattr(rootsys, "_closure", flipped)
+    with pytest.raises(ValueError, match="^root coordinates of mixed sign$"):
+        RootSystem(t)
+
+
+def test_root_system_rejects_a_sign_flipped_closure_past_its_limit(monkeypatch):
+    # on E6 the flipped steps never stop: the closure's limit catches them
+    monkeypatch.setattr(rootsys, "_closure", _flipped_closure())
+    with pytest.raises(ValueError, match="^root closure passed 72 roots$"):
+        RootSystem(CartanType("E", 6))
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_roots_mirror_the_positive_roots(family, rank):
+    # the whole system, sorted, is the positive roots' negatives, reversed,
+    # then the positive roots, and reading it once forms it once
     rs = build_root_system(CartanType(family, rank))
-    c = rs.roots[-1]
-    v = tuple(2 * x for x in c)
-    assert v not in rs.roots
-    # one positive root doubled: the count and the signs still hold
-    _mutated(rs, [c], [v])
-    with pytest.raises(ValueError, match="^root set not closed under negation$"):
-        rs._validate()
+    negative = tuple(tuple(-x for x in c) for c in rs.positive)
+    assert rs.roots == tuple(sorted(negative + rs.positive))
+    assert rs.roots[:len(rs.positive)] == negative[::-1]
+    assert rs.roots[len(rs.positive):] == rs.positive
+    assert rs.roots is rs.roots
 
 
 def test_roots_closed_under_negation():

@@ -23,6 +23,7 @@ from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
                              positive_orbit_sizes, project_roots)
 from twistloop.weyl import MAX_ROOTS, _perm_orbits, steinberg_rows
 
+from conftest import mirrored
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
 from test_properties import IDENTITIES, TWISTS
 from test_rootsys import ALL_TYPES
@@ -32,7 +33,7 @@ from test_wsigma import TWISTED, coset_inputs
 def permutes_folded_roots(matrices, fold):
     """Dense reference for what the fold certificate implies: every matrix
     sends every folded root to a folded root."""
-    roots = set(fold.folded_roots)
+    roots = set(mirrored(fold.folded_roots))
     return all(tuple(sum(map(mul, row, v)) for row in g) in roots
                for g in matrices for v in roots)
 
@@ -279,7 +280,7 @@ class TestProjection:
     def test_identity_projects_to_roots(self):
         rs = build_root_system(CartanType("B", 2))
         aut = make_automorphism(rs, "identity")
-        coords = project_roots(aut)
+        coords = mirrored(project_roots(aut))
         assert sum(mult for _, mult in coords) == len(rs.roots)
         assert all(mult == 1 for _, mult in coords)
 
@@ -287,7 +288,7 @@ class TestProjection:
     def test_identity_projection_is_the_root_set_itself(self, family, rank):
         rs = build_root_system(CartanType(family, rank))
         aut = make_automorphism(rs, "identity")
-        proj = project_roots(aut)
+        proj = mirrored(project_roots(aut))
         assert proj == tuple((c, 1) for c in rs.roots)
         # the orbit sums over one-node orbits, as a twisted case takes them
         sums = {}
@@ -298,10 +299,10 @@ class TestProjection:
 
     @pytest.mark.parametrize("family,rank", ALL_TYPES)
     def test_identity_fold_is_the_root_set_itself(self, family, rank):
-        # the fold takes the roots themselves for sigma = identity, and does
-        # not project them
+        # the fold takes the positive roots themselves for sigma = identity,
+        # and does not project them
         rs = build_root_system(CartanType(family, rank))
-        assert folded_root_system(make_automorphism(rs, "identity")).folded_roots is rs.roots
+        assert folded_root_system(make_automorphism(rs, "identity")).folded_roots is rs.positive
 
     @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
                                              ("G", 2), ("F", 4), ("E", 6)])
@@ -326,7 +327,7 @@ class TestProjection:
     def test_multiplicities_account_for_all_roots(self):
         rs = build_root_system(CartanType("E", 6))
         aut = make_automorphism(rs, "flip")
-        coords = project_roots(aut)
+        coords = mirrored(project_roots(aut))
         assert sum(mult for _, mult in coords) == 72
         assert len(coords) == 48
 
@@ -337,19 +338,19 @@ class TestFolding:
         rs = build_root_system(CartanType("D", n))
         fold = folded_root_system(make_automorphism(rs, "flip"))
         assert fold.folded_type == CartanType("B", n - 1)
-        assert len(fold.folded_roots) == 2 * (n - 1) ** 2
+        assert len(mirrored(fold.folded_roots)) == 2 * (n - 1) ** 2
 
     def test_triality_folds_to_g2(self):
         rs = build_root_system(CartanType("D", 4))
         fold = folded_root_system(make_automorphism(rs, "triality"))
         assert fold.folded_type == CartanType("G", 2)
-        assert len(fold.folded_roots) == 12
+        assert len(mirrored(fold.folded_roots)) == 12
 
     def test_e6_folds_to_f4(self):
         rs = build_root_system(CartanType("E", 6))
         fold = folded_root_system(make_automorphism(rs, "flip"))
         assert fold.folded_type == CartanType("F", 4)
-        assert len(fold.folded_roots) == 48
+        assert len(mirrored(fold.folded_roots)) == 48
 
     @pytest.mark.parametrize("rank,expected", [(2, ("B", 1)), (3, ("C", 2)),
                                                (4, ("B", 2)), (5, ("C", 3)),
@@ -383,15 +384,15 @@ class TestFolding:
         # projected simple roots, whose Gram matrix the oracle sums
         assert rows == gram_rows(projected_gram(aut))
         check_folded_roots(roots, rows, CartanType("F", 4))
-        # the highest root and its negative: the set stays symmetric and
-        # keeps its simple base, so only the comparison with F4's roots fails
+        # the highest root goes: the set stays positive and keeps its simple
+        # base, so only the comparison with F4's roots fails
         top = max(roots, key=sum)
         neg = tuple(-c for c in top)
         with pytest.raises(ValueError, match="not the root system of F4"):
-            check_folded_roots([v for v in roots if v not in (top, neg)],
-                               rows, CartanType("F", 4))
-        with pytest.raises(ValueError):
             check_folded_roots([v for v in roots if v != top], rows, CartanType("F", 4))
+        # its negative joins: the set is no longer the positive roots
+        with pytest.raises(ValueError):
+            check_folded_roots(sorted(roots + (neg,)), rows, CartanType("F", 4))
         for wrong in (CartanType("B", 4), CartanType("C", 4), CartanType("G", 2)):
             with pytest.raises(ValueError):
                 check_folded_roots(roots, rows, wrong)
@@ -410,15 +411,16 @@ class TestFolding:
         aut = make_automorphism(build_root_system(CartanType("A", 4)), "flip")
         fold = folded_root_system(aut)
         rows = fold.rows
-        proj = {v for v, _ in project_roots(aut)}
-        short = [v for v in fold.folded_roots if tuple(2 * c for c in v) in proj]
+        proj = {v for v, _ in mirrored(project_roots(aut))}
+        short = [v for v in mirrored(fold.folded_roots) if tuple(2 * c for c in v) in proj]
         assert len(short) == 4
-        swapped = [tuple(2 * c for c in v) if v == short[0] else v
+        # a positive short root doubled
+        swapped = [tuple(2 * c for c in v) if v == short[-1] else v
                    for v in fold.folded_roots]
         with pytest.raises(ValueError, match="not the root system of B2"):
             check_folded_roots(swapped, rows, CartanType("B", 2))
         with pytest.raises(ValueError):
-            check_folded_roots(sorted(proj), rows, CartanType("B", 2))
+            check_folded_roots([v for v, _ in project_roots(aut)], rows, CartanType("B", 2))
 
     @pytest.mark.parametrize("family,rank,tag,folded", [("A", 5, "flip", "C3"),
                                                         ("B", 3, "identity", "B3")])
@@ -530,7 +532,8 @@ class TestAmbientReference:
                 total = vec_add(total, vec_scale(c, b))
             return total
 
-        assert {ambient(v) for v, _ in project_roots(aut)} == ambient_projection_set(aut)
+        assert {ambient(v) for v, _ in mirrored(project_roots(aut))} == \
+            ambient_projection_set(aut)
 
 
 ORACLE_FOLDS = TWISTED + [(f, r, "identity") for f, r in ALL_TYPES]
@@ -542,9 +545,9 @@ def test_fold_matches_the_oracle_projection_and_classifier(family, rank, tag):
     sizes = [len(orb) for orb in aut.simple_orbits]
     scaled = sorted((tuple(c * n for c, n in zip(v, sizes)), mult)
                     for v, mult in orbit_sum_projection(aut))
-    assert list(project_roots(aut)) == scaled
+    assert list(mirrored(project_roots(aut))) == scaled
     fold = folded_root_system(aut)
-    classify_folded_roots(fold.folded_roots, projected_gram(aut), fold.folded_type)
+    classify_folded_roots(mirrored(fold.folded_roots), projected_gram(aut), fold.folded_type)
 
 
 def preserves_cartan(cartan, perm):
