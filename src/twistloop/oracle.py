@@ -56,13 +56,16 @@ checked against Berkowitz :func:`charpoly` on the definition's matrices.
 Both stay: power traces are 18 to 35 times faster on W(E6), W(B6) and
 W(A7), which the certificate test walks.  The rest of the module is what
 these references are built from: exact rational vectors and matrices,
-Gaussian elimination, the classical realization, explicit matrix groups,
-the simple reflections as byte permutations of the roots, and dense
-series algebra.
+Gaussian elimination, the classical realization, the simple reflections
+as byte permutations of the roots, and dense series algebra.  Every group
+is enumerated by one closure, :func:`close_permutations`, on those
+permutations; the acceptance suite's extended even orthogonal route
+(criterion 5) closes W(D_m) with its diagram flip there too.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -142,7 +145,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination: rank, kernels, solving, inverses
+# exact Gaussian elimination: rank, kernels, inverses
 # ---------------------------------------------------------------------------
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -189,19 +192,6 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
             v[pc] = -red[r][fc]
         basis.append(vector(v))
     return tuple(basis)
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    nrows, ncols = mat_shape(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b, strict=True)]
-    red, pivots = _rref(rows)
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return vector(x)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -458,9 +448,8 @@ def _lex_positive(v: Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials and explicit matrix groups
+# characteristic polynomials, and groups of matrices and of root permutations
 # ---------------------------------------------------------------------------
-
 
 def charpoly(m: Matrix) -> tuple[Scalar, ...]:
     """Coefficients of det(lambda*I - M), ascending; cp[n] = 1.
@@ -535,104 +524,12 @@ class FiniteMatrixGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, m: Matrix) -> bool:
-        return m in set(self.elements)
-
     def __repr__(self):
         return f"FiniteMatrixGroup(dim={self.dim}, order={len(self)})"
 
 
 def super_molien(group: FiniteMatrixGroup, truncation: int) -> BigradedSeries:
     return super_molien_from_buckets(group.charpoly_buckets, len(group), truncation)
-
-
-def generate_group(generators: Sequence[Matrix],
-                   cap: int = ORACLE_ELEMENT_CAP) -> FiniteMatrixGroup:
-    """Breadth-first closure of the generators under right multiplication.
-
-    Matrices are deduplicated by their (normalized, hashable) entry tuples,
-    so equality is exact.  Raises GroupTooLargeError past the cap.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    dim = len(generators[0])
-    gens = []
-    for g in generators:
-        if len(g) != dim or any(len(row) != dim for row in g):
-            raise ValueError("generators must be square matrices of equal size")
-        gens.append(matrix(g))
-    ident = identity_matrix(dim)
-    seen = {ident}
-    order = [ident]
-    queue = deque([ident])
-    while queue:
-        w = queue.popleft()
-        for g in gens:
-            c = mat_mul(w, g)
-            if c not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLargeError(f"group too large (cap {cap})")
-                seen.add(c)
-                order.append(c)
-                queue.append(c)
-    return FiniteMatrixGroup(dim, order)
-
-
-def reflection_matrix(root: Vector) -> Matrix:
-    """Matrix of x |-> x - 2<x,a>/<a,a> a in the ambient coordinates."""
-    if all(c == 0 for c in root):
-        raise ValueError("cannot reflect through the zero vector")
-    n = len(root)
-    den = vec_dot(root, root)
-    rows = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        coeff = Fraction(2 * Fraction(root[i]), 1) / den
-        rows.append(vec_sub(e, vec_scale(coeff, root)))
-    # built row-wise from images of basis vectors: transpose to act as x -> Mx
-    return tuple(zip(*rows))
-
-
-def subspace_stabilizer(group: FiniteMatrixGroup, space: SubspaceBasis) -> FiniteMatrixGroup:
-    """Subgroup of elements mapping span(space) onto itself.
-
-    Membership of each image vector in the span is tested exactly; since
-    elements are invertible, preserving the span is equivalent to mapping
-    every basis vector into it.
-    """
-    if space.ambient_dim != group.dim:
-        raise ValueError("subspace lives in a different ambient space")
-    if space.dim == 0:
-        return group
-    base = matrix(zip(*space.basis_vectors))  # columns span the subspace
-    kept = []
-    for m in group.elements:
-        if all(solve(base, mat_vec(m, b)) is not None for b in space.basis_vectors):
-            kept.append(m)
-    return FiniteMatrixGroup(group.dim, kept)
-
-
-def restrict_to_subspace(group: FiniteMatrixGroup, space: SubspaceBasis) -> FiniteMatrixGroup:
-    """Effective image of the action on span(space), in the given basis.
-
-    Elements acting identically on the subspace collapse; passing to the
-    image leaves the invariant theory of the action unchanged.
-    """
-    base = matrix(zip(*space.basis_vectors))
-    seen = set()
-    images = []
-    for m in group.elements:
-        cols = []
-        for b in space.basis_vectors:
-            x = solve(base, mat_vec(m, b))
-            if x is None:
-                raise ValueError("element does not preserve the subspace")
-            cols.append(x)
-        restricted = tuple(zip(*cols))
-        if restricted not in seen:
-            seen.add(restricted)
-            images.append(restricted)
-    return FiniteMatrixGroup(space.dim, images)
 
 
 class RootPermutationAction:
@@ -1064,21 +961,25 @@ def _exponent_tuples(n: int, total: int) -> list[tuple[int, ...]]:
 
 def _joint_fixed_dimension(mats: Sequence[list[list[Scalar]]]) -> int:
     """Dimension of the common fixed space, by iterated exact kernels of
-    the (g - I) blocks."""
+    the (g - I) blocks on the current basis B.  Each kernel vector is
+    scaled by the lcm of its denominators, so B stays integral, and an
+    element with (g - I) B = 0 fixes all of span(B) and is passed over."""
     dim = len(mats[0])
     basis_cols = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
     for g in mats:
         if not basis_cols:
             return 0
-        rows = []
-        for i in range(dim):
-            rows.append(tuple(
-                sum((g[i][k] - (1 if i == k else 0)) * col[k] for k in range(dim))
-                for col in basis_cols))
-        ker = kernel_basis(tuple(rows))
-        basis_cols = [tuple(sum(col[k] * kv[idx] for idx, col in enumerate(basis_cols))
+        rows = tuple(tuple(sum(g[i][k] * col[k] for k in range(dim)) - col[i]
+                           for col in basis_cols) for i in range(dim))
+        if not any(map(any, rows)):
+            continue
+        kernel = []
+        for kv in kernel_basis(rows):
+            scale = math.lcm(*(x.denominator for x in kv))
+            kernel.append([int(x * scale) for x in kv])
+        basis_cols = [tuple(sum(c * col[k] for c, col in zip(kv, basis_cols))
                             for k in range(dim))
-                      for kv in ker]
+                      for kv in kernel]
     return len(basis_cols)
 
 

@@ -62,7 +62,7 @@ from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
 from .twist import (DiagramAutomorphism, OrbitCriterion, check_tag, expected_folded_type,
                     fixed_group_info, folded_root_system, make_automorphism,
                     positive_orbit_sizes, resolve_twist, untwisted_rows)
-from .weyl import MAX_ROOTS, GroupTooLargeError, _perm_order, certify_jacobian, coset_indices
+from .weyl import GroupTooLargeError, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
 MAX_TRUNCATION = 10_000
@@ -231,20 +231,17 @@ def _prime_factors(n: int) -> set[int]:
 def excluded_characteristics(cartan_type: CartanType,
                              automorphism: str | tuple[int, ...] = "identity",
                              ) -> tuple[int, ...]:
-    """Primes dividing the Weyl order, the twist order, or the component
-    count of the fixed subgroup (taken over both documented
-    representatives, so the guarantee is conservative).  Read from the
-    type and the twist alone; no root system is built, and the Weyl order,
-    the product of the degrees, is not formed: its primes are theirs."""
-    perm, tag = resolve_twist(cartan_type, automorphism)
-    return _excluded_primes(cartan_type, _perm_order(perm),
-                            fixed_group_info(cartan_type, tag).component_counts)
-
-
-def _excluded_primes(t: CartanType, twist_order: int,
-                     component_counts: tuple[int, ...]) -> tuple[int, ...]:
-    primes = _prime_factors(twist_order)
-    for n in {*ascending_degrees(t), *component_counts}:
+    """Primes dividing the Weyl order or the component count of the fixed
+    subgroup (taken over both documented representatives, so the guarantee
+    is conservative).  They hold the twist order's prime: every Weyl group
+    has the degree 2, and 3 divides |W(D4)|, the one type with a twist of
+    order three.  Read from the type and the twist alone; no root system
+    is built, and the Weyl order, the product of the degrees, is not
+    formed: its primes are theirs."""
+    _, tag = resolve_twist(cartan_type, automorphism)
+    primes = set()
+    for n in {*ascending_degrees(cartan_type),
+              *fixed_group_info(cartan_type, tag).component_counts}:
         primes |= _prime_factors(n)
     return tuple(sorted(primes))
 
@@ -303,9 +300,9 @@ def compute(spec: TwistSpec) -> TwistReport:
 
     The spec's fields are checked when it is made.  Here a tag is checked
     against the type in O(1), explicit images on the Dynkin diagram, and
-    then |W^sigma| and the root count against their caps, from the type
-    and the tag alone, before anything is built.  The identity, by tag or
-    by images, builds roots only under ``run_oracle``.
+    then |W^sigma| against the element cap, from the type and the tag
+    alone, before anything is built.  The identity, by tag or by images,
+    builds roots only under ``run_oracle``.
     """
     t = spec.cartan_type
     if isinstance(spec.automorphism, str):
@@ -318,11 +315,8 @@ def compute(spec: TwistSpec) -> TwistReport:
     table_path = t == CartanType("E", 8) and tag == "identity" and weyl_order(t) > cap
     if not table_path:
         _check_order_cap(folded_type, cap)
-    if not table_path and root_count(t) > MAX_ROOTS:
-        raise GroupTooLargeError(f"type {t} has {root_count(t)} roots, past the "
-                                 f"root cap {MAX_ROOTS}")
     if tag == "identity":
-        rows, nodes, twist_order = untwisted_rows(t), range(t.rank), 1
+        rows, nodes = untwisted_rows(t), range(t.rank)
         pos_sizes = (1,) * (root_count(t) // 2)
     else:
         aut = make_automorphism(build_root_system(t), spec.automorphism)
@@ -331,7 +325,6 @@ def compute(spec: TwistSpec) -> TwistReport:
         folding = folded_root_system(aut)
         rows, nodes = folding.rows, folding.nodes
         pos_sizes = positive_orbit_sizes(aut)
-        twist_order = aut.order
     # negation commutes with sigma: as many orbits on the negative roots
     criterion = OrbitCriterion(2 * len(pos_sizes), root_count(folded_type))
     info = fixed_group_info(t, tag)
@@ -393,7 +386,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves_folded=True,  # certified by the folding
         series=series,
         closed_form=closed,
-        excluded_characteristics=_excluded_primes(t, twist_order, info.component_counts),
+        excluded_characteristics=excluded_characteristics(t, spec.automorphism),
         notes=tuple(notes),
     )
 

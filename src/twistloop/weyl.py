@@ -29,13 +29,12 @@ from collections.abc import Sequence
 from .rootsys import CartanType, cartan_matrix, root_count
 
 DEFAULT_ELEMENT_CAP = 10**7  # the largest |W^sigma| compute() accepts, read per call
-MAX_ROOTS = 255  # the largest root set compute() builds
 
 
 class GroupTooLargeError(RuntimeError):
     """Raised by compute() from the type alone, before anything is built,
-    when |W^sigma| passes the element cap or the root count MAX_ROOTS, and
-    by the oracle's closures and root permutations past their caps."""
+    when |W^sigma| passes the element cap, and by the oracle's closures
+    and root permutations past their caps."""
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
-from twistloop.oracle import (brute_force_invariant_dims, collapse_to_cohomological,
-                              generate_group, matrix, reflection_matrix,
-                              simple_root_vectors, super_molien, wsigma_by_definition)
+from twistloop.oracle import (ORACLE_ELEMENT_CAP, RootPermutationAction,
+                              brute_force_invariant_dims, close_permutations,
+                              collapse_to_cohomological, fixed_space_charpoly_buckets,
+                              root_permutation, super_molien_from_buckets,
+                              wsigma_by_definition)
 from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import CartanType, build_root_system, degrees
 from twistloop.twist import make_automorphism
@@ -124,16 +126,18 @@ def test_criterion_5_special_unitary_flips():
             assert rpt.closed_form.x_degrees == tuple(4 * i - 1 for i in range(1, m + 1))
             assert rpt.closed_form.y_degrees == tuple(4 * i for i in range(1, m + 1))
             if n % 2 == 0 and m <= 4:
-                # independent route: even orthogonal Weyl group extended by
-                # its diagram symmetry, generated explicitly in m-space
-                gens = [reflection_matrix(a)
-                        for a in simple_root_vectors(CartanType("D", m))]
-                flip = matrix([[(-1 if i == j == m - 1 else (1 if i == j else 0))
-                                for j in range(m)] for i in range(m)])
-                extended = generate_group(gens + [flip])
-                assert len(extended) == 2 ** m * math.factorial(m)
-                series = collapse_to_cohomological(super_molien(extended, TRUNC))
-                assert series == rpt.series
+                # independent route: the even orthogonal Weyl group W(D_m)
+                # extended by its diagram flip, closed on the roots of D_m
+                rs = build_root_system(CartanType("D", m))
+                action = RootPermutationAction(rs)
+                flip = bytes(root_permutation(make_automorphism(rs, "flip")))
+                extended = close_permutations(action.simple_reflections + (flip,),
+                                              ORACLE_ELEMENT_CAP)
+                order = len(extended)
+                assert order == 2 ** m * math.factorial(m)
+                buckets = fixed_space_charpoly_buckets(action, tuple(range(m)), extended)
+                series = super_molien_from_buckets(buckets, order, TRUNC)
+                assert collapse_to_cohomological(series) == rpt.series
 
 
 def test_criterion_6_criterion_honesty():

@@ -31,7 +31,7 @@ from twistloop.oracle import RootPermutationAction
 from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
 from twistloop.twist import (DiagramAutomorphism, expected_folded_type, folded_root_system,
                              make_automorphism)
-from twistloop.weyl import MAX_ROOTS, certify_jacobian, coset_indices
+from twistloop.weyl import certify_jacobian, coset_indices
 
 from test_acceptance import expected_series
 from test_wsigma import ADMISSIBLE, ADMISSIBLE_RANKS, STREAMED
@@ -50,12 +50,16 @@ MOVED_TO_ORACLE = ("fixed_space_charpoly_buckets", "super_molien_from_buckets",
 # sigma's orbits on the roots, replaced by the count of its fixed roots;
 # and the oracle's second and third routes to W^sigma (the transversal
 # stream, the classical centralizer) and its diagram Gram matrix, replaced
-# by W^sigma's definition and the ambient Gram matrix
+# by W^sigma's definition and the ambient Gram matrix; the oracle's
+# closure of ambient matrices, replaced by the closure of root
+# permutations; and the root cap, which no stage needs
 DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit",
            "reflection_rows", "fixed_space_rows", "invariant_degrees",
            "_fixed_space_traces", "_exponents", "_cyclotomic", "_divide_monic",
            "wsigma_preserves_folded", "orbits_on_roots", "wsigma_transversals",
-           "wsigma_elements", "_walk_products", "classical_wsigma_perms", "folded_gram")
+           "wsigma_elements", "_walk_products", "classical_wsigma_perms", "folded_gram",
+           "generate_group", "reflection_matrix", "subspace_stabilizer",
+           "restrict_to_subspace", "solve", "MAX_ROOTS")
 
 
 def certificate_inputs(family, rank, tag):
@@ -254,8 +258,8 @@ def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
     # |W(A15)| = 16!, goes through the certificate on the chain's last
     # orbit alone, but D2 = A1 x A1
     cases = [(CartanType(family, rank), tag) for family, rank, tag in ADMISSIBLE]
-    assert max(rootsys.root_count(t) for t, _ in cases) <= MAX_ROOTS
-    assert all(rootsys.root_count(CartanType(f, max(rs) + 1)) > MAX_ROOTS
+    assert max(rootsys.root_count(t) for t, _ in cases) <= oracle.MAX_BYTE_ROOTS
+    assert all(rootsys.root_count(CartanType(f, max(rs) + 1)) > oracle.MAX_BYTE_ROOTS
                for f, rs in ADMISSIBLE_RANKS.items() if f in "ABCD")
     used = []
 

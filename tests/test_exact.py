@@ -8,7 +8,7 @@ from twistloop.oracle import (charpoly, charpoly_from_power_traces,
                               collapse_to_cohomological, dets_from_charpoly,
                               identity_matrix, invert,
                               kernel_basis, mat_mul, mat_vec, matrix, poly_inverse_series,
-                              poly_mul_trunc, rank, rational_function_series, solve)
+                              poly_mul_trunc, rank, rational_function_series)
 
 I2 = identity_matrix(2)
 DIAG = matrix([[1, 0], [0, -1]])
@@ -245,11 +245,8 @@ class TestElimination:
         assert mat_vec(m, basis[0]) == (0, 0)
 
     def test_rank_and_solve(self):
-        m = matrix([[2, 1], [1, 1]])
-        assert rank(m) == 2
-        x = solve(m, (3, 2))
-        assert mat_vec(m, x) == (3, 2)
-        assert solve(matrix([[1, 1], [1, 1]]), (0, 1)) is None
+        assert rank(matrix([[2, 1], [1, 1]])) == 2
+        assert rank(matrix([[1, 1], [1, 1]])) == 1
 
     def test_invert(self):
         m = matrix([[2, 1], [1, 1]])

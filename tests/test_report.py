@@ -512,8 +512,8 @@ class TestCli:
 
 
 class TestLimits:
-    """Resource limits bind before any work: the cap on |W^sigma| and the
-    root count from the type alone, the two knobs when the spec is made."""
+    """Resource limits bind before any work: the cap on |W^sigma| from the
+    type alone, the two knobs when the spec is made."""
 
     def test_a60_rejected_at_once(self):
         start = time.time()
@@ -662,14 +662,15 @@ class TestLimits:
         assert capsys.readouterr().err == "error: triality exists only for D4\n"
 
     def test_element_cap_implies_the_one_byte_limit(self):
-        # every spec admitted under the default cap has at most MAX_ROOTS
-        # roots, so the up-front root-cap reject binds only when
-        # the element cap is raised.  |W^sigma| grows with the rank in every
-        # family and twist, so the ranks are walked until it passes the cap,
-        # which happens well below the walk's bound of 40.
+        # every spec admitted under the default cap has at most
+        # MAX_BYTE_ROOTS roots, so the oracle's byte permutations encode
+        # the roots of every admitted case.  |W^sigma| grows with the rank
+        # in every family and twist, so the ranks are walked until it passes
+        # the cap, which happens well below the walk's bound of 40.
+        from twistloop.oracle import MAX_BYTE_ROOTS
         from twistloop.rootsys import _RANK_BOUNDS, FAMILIES, root_count, weyl_order
         from twistloop.twist import AUTOMORPHISM_TAGS, expected_folded_type, resolve_twist
-        from twistloop.weyl import DEFAULT_ELEMENT_CAP, MAX_ROOTS
+        from twistloop.weyl import DEFAULT_ELEMENT_CAP
 
         admitted = {}
         for family in FAMILIES:
@@ -683,23 +684,31 @@ class TestLimits:
                         continue
                     if t == CartanType("E", 8):
                         # the table route walks no generators, and its
-                        # 240 roots are within the cap anyway
-                        assert root_count(t) <= MAX_ROOTS
+                        # 240 roots fit one byte anyway
+                        assert root_count(t) <= MAX_BYTE_ROOTS
                         continue
                     if weyl_order(expected_folded_type(t, tag)) > DEFAULT_ELEMENT_CAP:
                         break
                     admitted[(family, rank, tag)] = root_count(t)
         assert max(rank for _, rank, _ in admitted) < 40
-        assert max(admitted.values()) <= MAX_ROOTS
+        assert max(admitted.values()) <= MAX_BYTE_ROOTS
         assert max(admitted, key=admitted.get) == ("A", 14, "flip")
         assert admitted[("A", 14, "flip")] == 210
 
-    def test_root_count_checked_up_front(self, monkeypatch):
-        from twistloop.weyl import GroupTooLargeError
-        # W^sigma = W(B8) fits a raised cap, but A16 has 272 roots
-        monkeypatch.setattr(twistloop.weyl, "DEFAULT_ELEMENT_CAP", 10**8)
-        with pytest.raises(GroupTooLargeError, match="272 roots"):
-            compute(TwistSpec(CartanType("A", 16), "flip"))
+    def test_root_count_not_capped(self, monkeypatch):
+        # A16 has 272 roots, past one byte: with the element cap raised past
+        # W(B8) for its flip and past W(A16) = 17! for the identity, both
+        # compute the product over the folded degrees
+        from twistloop.oracle import MAX_BYTE_ROOTS
+        from twistloop.rootsys import root_count
+
+        t = CartanType("A", 16)
+        assert root_count(t) == 272 > MAX_BYTE_ROOTS
+        for cap, tag in ((10**8, "flip"), (10**15, "identity")):
+            monkeypatch.setattr(twistloop.weyl, "DEFAULT_ELEMENT_CAP", cap)
+            rpt = compute(TwistSpec(t, tag))
+            assert rpt.series == product_over_degrees(degrees(rpt.folded_type),
+                                                      rpt.truncation)
 
     @pytest.mark.parametrize("flags,message", [
         (["--auto", "perm=1,2"], "permutation has 2 images"),

@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from twistloop import rootsys, twist, weyl
-from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
+from twistloop.oracle import (MAX_BYTE_ROOTS, RootPermutationAction, WeylPermutationGroup,
                               ambient_roots, ambient_vector,
                               automorphism_matrix, classify_folded_roots,
                               fixed_space_matrices, fixed_space_stabilizer_perms,
@@ -21,7 +21,7 @@ from twistloop.rootsys import (_RANK_BOUNDS, FAMILIES, CartanType, build_root_sy
 from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
                              fixed_group_info, folded_root_system, make_automorphism,
                              positive_orbit_sizes, project_roots)
-from twistloop.weyl import MAX_ROOTS, _perm_orbits, steinberg_rows
+from twistloop.weyl import _perm_orbits, steinberg_rows
 
 from conftest import mirrored
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
@@ -157,15 +157,16 @@ class TestMakeAutomorphism:
                     assert min(rs.roots[image]) >= 0
 
 
-def admitted_within_root_cap():
+def admitted_within_byte_roots():
     """Every (family, rank, tag) with a diagram symmetry of that tag and at
-    most MAX_ROOTS roots; the root count grows with the rank."""
+    most MAX_BYTE_ROOTS roots, the oracle's byte limit; the root count
+    grows with the rank."""
     cases = []
     for family in FAMILIES:
         lo, hi = _RANK_BOUNDS[family]
-        for rank in range(lo, (hi or MAX_ROOTS) + 1):
+        for rank in range(lo, (hi or MAX_BYTE_ROOTS) + 1):
             t = CartanType(family, rank)
-            if root_count(t) > MAX_ROOTS:
+            if root_count(t) > MAX_BYTE_ROOTS:
                 break
             for tag in AUTOMORPHISM_TAGS:
                 try:
@@ -189,7 +190,7 @@ class TestOrbits:
         # permutes the roots through an index and closes each orbit.  The
         # report's criterion counts them, with the element cap past every case
         monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 10**14)
-        cases = admitted_within_root_cap()
+        cases = admitted_within_byte_roots()
         assert len(cases) == 79
         for family, rank, tag in cases:
             rs = build_root_system(CartanType(family, rank))

@@ -3,21 +3,19 @@ from fractions import Fraction
 import pytest
 
 from twistloop.exact import BigradedSeries, product_over_degrees
-from twistloop.oracle import (FiniteMatrixGroup, SubspaceBasis, collapse_to_cohomological,
-                              WeylPermutationGroup, charpoly, dets_from_charpoly,
-                              fixed_space_stabilizer_perms, fixed_subspace,
-                              generate_group, identity_matrix, mat_mul, mat_vec, matrix,
-                              rational_function_series, reflection_matrix,
-                              restrict_to_subspace, restricted_fixed_space_group,
-                              simple_root_vectors, solve, subspace_stabilizer,
+from twistloop.oracle import (ORACLE_ELEMENT_CAP, FiniteMatrixGroup, RootPermutationAction,
+                              WeylPermutationGroup, charpoly, close_permutations,
+                              collapse_to_cohomological, dets_from_charpoly,
+                              fixed_space_stabilizer_perms, identity_matrix,
+                              rational_function_series, reflect, restricted_fixed_space_group,
                               super_molien, super_molien_from_buckets)
 from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
 from twistloop.twist import make_automorphism
 from twistloop.weyl import GroupTooLargeError
 
 
-def ambient_reflections(rs):
-    return [reflection_matrix(a) for a in simple_root_vectors(rs.cartan_type)]
+def closure(rs, cap=ORACLE_ELEMENT_CAP):
+    return close_permutations(RootPermutationAction(rs).simple_reflections, cap)
 
 
 def molien_element_by_element(mats, trunc: int) -> BigradedSeries:
@@ -32,32 +30,29 @@ def molien_element_by_element(mats, trunc: int) -> BigradedSeries:
 
 
 class TestGenerateGroup:
+    """close_permutations, the oracle's one group closure, generates the
+    Weyl group from the simple reflections as root permutations."""
+
     def test_single_reflection(self):
-        rs = build_root_system(CartanType("A", 1))
-        g = generate_group(ambient_reflections(rs))
-        assert len(g) == 2
+        assert len(closure(build_root_system(CartanType("A", 1)))) == 2
 
     @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3),
                                              ("C", 3), ("D", 4), ("G", 2), ("F", 4),
                                              ("D", 5), ("A", 5)])
     def test_orders_match_table(self, family, rank):
         rs = build_root_system(CartanType(family, rank))
-        g = generate_group(ambient_reflections(rs))
-        assert len(g) == weyl_order(rs.cartan_type)
+        assert len(closure(rs)) == weyl_order(rs.cartan_type)
 
     def test_d4_order(self):
-        rs = build_root_system(CartanType("D", 4))
-        assert len(generate_group(ambient_reflections(rs))) == 192 == 2**3 * 24
+        assert len(closure(build_root_system(CartanType("D", 4)))) == 192 == 2**3 * 24
 
     def test_cap(self):
-        rs = build_root_system(CartanType("A", 4))
         with pytest.raises(GroupTooLargeError):
-            generate_group(ambient_reflections(rs), cap=10)
+            closure(build_root_system(CartanType("A", 4)), cap=10)
 
     def test_bucket_multiplicities_sum_to_order(self):
-        rs = build_root_system(CartanType("B", 3))
-        g = generate_group(ambient_reflections(rs))
-        assert sum(g.charpoly_buckets.values()) == len(g)
+        w = WeylPermutationGroup(build_root_system(CartanType("B", 3)))
+        assert sum(w.charpoly_buckets().values()) == len(w) == 48
 
 
 class TestPermutationEnumeration:
@@ -78,87 +73,49 @@ class TestPermutationEnumeration:
 
 
 class TestReflectionMatrix:
+    """The ambient reflection the roots reference closes under."""
+
     def test_coordinate_swap(self):
-        m = reflection_matrix((1, -1, 0))
-        assert m == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        for v, image in [((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)), ((0, 0, 1), (0, 0, 1))]:
+            assert reflect(v, (1, -1, 0)) == image
 
     def test_involution(self):
-        m = reflection_matrix((2, -1, 3))
-        assert mat_mul(m, m) == identity_matrix(3)
+        root = (2, -1, 3)
+        for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)]:
+            assert reflect(reflect(v, root), root) == v
 
     def test_fixes_orthogonal_hyperplane(self):
         root = (1, 1, 0)
-        m = reflection_matrix(root)
         for v in [(1, -1, 0), (0, 0, 1)]:
-            assert mat_vec(m, v) == v
-        assert mat_vec(m, root) == (-1, -1, 0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            reflection_matrix((0, 0))
+            assert reflect(v, root) == v
+        assert reflect(root, root) == (-1, -1, 0)
 
 
 class TestSubspaceStabilizer:
-    def test_full_space(self):
-        rs = build_root_system(CartanType("A", 2))
-        g = generate_group(ambient_reflections(rs))
-        full = SubspaceBasis(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        assert len(subspace_stabilizer(g, full)) == len(g)
+    """The stabilizer of sigma's fixed subspace, on root permutations."""
 
-    def test_zero_dimensional(self):
-        rs = build_root_system(CartanType("A", 2))
-        g = generate_group(ambient_reflections(rs))
-        assert len(subspace_stabilizer(g, SubspaceBasis(3, ()))) == len(g)
+    def test_full_space(self):
+        # sigma = identity fixes the whole space, which every element keeps
+        w = WeylPermutationGroup(build_root_system(CartanType("A", 2)))
+        assert fixed_space_stabilizer_perms(w, (0, 1)) == w.elements
 
     def test_triality_plane(self):
         rs = build_root_system(CartanType("D", 4))
         aut = make_automorphism(rs, "triality")
-        g = generate_group(ambient_reflections(rs))
-        stab = subspace_stabilizer(g, fixed_subspace(aut))
-        restricted = restrict_to_subspace(stab, fixed_subspace(aut))
-        assert len(restricted) == 12 == weyl_order(CartanType("G", 2))
-
-    def test_generic_route_matches_fast_route(self):
-        rs = build_root_system(CartanType("A", 3))
-        aut = make_automorphism(rs, "flip")
-        g = generate_group(ambient_reflections(rs))
-        stab = subspace_stabilizer(g, fixed_subspace(aut))
         w = WeylPermutationGroup(rs)
-        fast = fixed_space_stabilizer_perms(w, aut.simple_perm)
-        assert len(stab) == len(fast)
-        restricted = restrict_to_subspace(stab, fixed_subspace(aut))
-        fast_restricted = restricted_fixed_space_group(w, aut.simple_perm, fast)
-        assert len(restricted) == len(fast_restricted) == 8
-        assert restricted.charpoly_buckets == fast_restricted.charpoly_buckets
+        stab = fixed_space_stabilizer_perms(w, aut.simple_perm)
+        restricted = restricted_fixed_space_group(w, aut.simple_perm, stab)
+        assert len(restricted) == len(stab) == 12 == weyl_order(CartanType("G", 2))
 
 
 class TestRestrictToSubspace:
     def test_trivial_group(self):
-        g = FiniteMatrixGroup(3, [identity_matrix(3)])
-        r = restrict_to_subspace(g, SubspaceBasis(3, ((1, 1, 0),)))
-        assert len(r) == 1 and r.dim == 1
-
-    def test_error_when_not_preserved(self):
-        swap = matrix([[0, 1], [1, 0]])
-        g = FiniteMatrixGroup(2, [identity_matrix(2), swap])
-        with pytest.raises(ValueError):
-            restrict_to_subspace(g, SubspaceBasis(2, ((1, 0),)))
-
-    def test_kernel_collapse_keeps_series(self):
-        # stabilizer of span(e1) in W(B2): reflections in e2 act trivially there
-        rs = build_root_system(CartanType("B", 2))
-        g = generate_group(ambient_reflections(rs))
-        line = SubspaceBasis(2, ((1, 0),))
-        stab = subspace_stabilizer(g, line)
-        restricted = restrict_to_subspace(stab, line)
-        assert len(restricted) < len(stab)
-        # non-deduplicated average over the stabilizer equals the image series
-        cols = matrix(zip(*line.basis_vectors))
-        mats = []
-        for m in stab.elements:
-            mats.append(tuple(zip(*[solve(cols, mat_vec(m, b))
-                                    for b in line.basis_vectors])))
-        assert molien_element_by_element(mats, 20) == super_molien(restricted, 20)
+        rs = build_root_system(CartanType("A", 3))
+        aut = make_automorphism(rs, "flip")
+        action = RootPermutationAction(rs)
+        r = restricted_fixed_space_group(action, aut.simple_perm, [bytes(range(len(rs.roots)))])
+        assert len(r) == 1 and r.dim == 2
+        assert r.elements == (identity_matrix(2),)
 
 
 class TestSuperMolien:

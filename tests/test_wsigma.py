@@ -44,7 +44,7 @@ TWISTED = ([("A", r, "flip") for r in range(2, 9)] +
            [("E", 6, "flip"), ("D", 4, "triality"), ("D", 4, "triality2")])
 
 
-# every type and twist with at most MAX_ROOTS roots, the classical
+# every type and twist with at most MAX_BYTE_ROOTS roots, the classical
 # families up to the last rank below it
 ADMISSIBLE_RANKS = {"A": range(1, 16), "B": range(1, 12), "C": range(1, 12),
                     "D": range(2, 12), "E": (6, 7, 8), "F": (4,), "G": (2,)}
