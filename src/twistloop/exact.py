@@ -5,12 +5,11 @@ The pipeline's scalars are Python ints: root coordinates, Gram and
 Cartan matrices, fixed-subspace rows, Jacobian residues and series
 coefficients.  A division that must come out exact (a Cartan entry) is
 a divmod whose remainder is checked, so this package never imports
-``fractions``; the references in :mod:`twistloop.oracle`
-hold ``fractions.Fraction`` values, which :func:`normalize_scalar` and
-:class:`BigradedSeries` also accept.  Vectors and matrices are immutable
-tuples, so every value is hashable and can be used directly as a
-dictionary key.  No operation in this package ever touches floating
-point.
+``fractions``; only the references in :mod:`twistloop.oracle` hold
+``fractions.Fraction`` values, and a :class:`BigradedSeries` refuses
+them.  Vectors and matrices are immutable tuples, so every value is
+hashable and can be used directly as a dictionary key.  No operation in
+this package ever touches floating point.
 
 A :class:`Record` is an immutable value with named fields, the base of
 every record the pipeline passes between its stages (this series, the
@@ -37,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from operator import attrgetter
 
-Scalar = int  # the oracle's references also pass fractions.Fraction values
+Scalar = int  # the pipeline's only scalar; the oracle declares its own, int | Fraction
 Vector = tuple[Scalar, ...]
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -117,33 +116,23 @@ def check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def normalize_scalar(x: Scalar) -> Scalar:
-    """Collapse integral Fractions to plain int (faster arithmetic
-    downstream).  An int, the pipeline's only scalar, is tested first; a
-    Fraction is known by its denominator, without importing fractions."""
-    if type(x) is int or isinstance(x, int):
-        return x
-    if getattr(x, "denominator", None) == 1:
-        return int(x)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # truncated bigraded series
 # ---------------------------------------------------------------------------
 
 class BigradedSeries(Record):
-    """Sparse bigraded series with exact coefficients.
+    """Sparse bigraded series with integer coefficients.
 
     Keys are (exterior degree a, polynomial degree b); only keys with
     a + 2b <= truncation are stored, and zero coefficients are dropped.
-    Well-formed invariant-ring series have non-negative integer
-    coefficients; the oracle's intermediate arithmetic may hold Fractions.
+    Any coefficient but an int is refused with a ValueError naming its
+    bidegree.  Well-formed invariant-ring series have non-negative
+    coefficients.
     """
 
     __slots__ = ("truncation", "coefficients")
     truncation: int
-    coefficients: Mapping[tuple[int, int], Scalar]
+    coefficients: Mapping[tuple[int, int], int]
     _defaults = {"coefficients": {}}  # never mutated: _check stores a new dict
 
     def _check(self):
@@ -153,12 +142,13 @@ class BigradedSeries(Record):
         for (a, b), c in self.coefficients.items():
             if a < 0 or b < 0:
                 raise ValueError(f"negative bidegree {(a, b)}")
-            c = normalize_scalar(c)
+            if type(c) is not int:
+                check_int(f"coefficient at {(a, b)}", c)
             if c != 0 and a + 2 * b <= self.truncation:
                 cleaned[(a, b)] = c
         object.__setattr__(self, "coefficients", cleaned)
 
-    def __getitem__(self, key: tuple[int, int]) -> Scalar:
+    def __getitem__(self, key: tuple[int, int]) -> int:
         return self.coefficients.get(key, 0)
 
 

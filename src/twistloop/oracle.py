@@ -56,11 +56,13 @@ checked against Berkowitz :func:`charpoly` on the definition's matrices.
 Both stay: power traces are 18 to 35 times faster on W(E6), W(B6) and
 W(A7), which the certificate test walks.  The rest of the module is what
 these references are built from: exact rational vectors and matrices,
-Gaussian elimination, the classical realization, the simple reflections
-as byte permutations of the roots, and dense series algebra.  Every group
-is enumerated by one closure, :func:`close_permutations`, on those
+Gaussian elimination, the classical realization and the simple
+reflections as byte permutations of the roots.  Every group is
+enumerated by one closure, :func:`close_permutations`, on those
 permutations; the acceptance suite's extended even orthogonal route
-(criterion 5) closes W(D_m) with its diagram flip there too.
+(criterion 5) closes W(D_m) with its diagram flip there too.  Molien's
+average is one integer expansion per bucket, read off the characteristic
+polynomial, and forms no Fraction.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import BigradedSeries, Record, normalize_scalar, product_over_degrees
+from .exact import BigradedSeries, Record, product_over_degrees
 from .report import ClosedForm
 from .rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
                       weyl_order)
@@ -92,6 +94,14 @@ CharPoly = tuple[Scalar, ...]
 # ---------------------------------------------------------------------------
 # exact rational vectors and matrices
 # ---------------------------------------------------------------------------
+
+def normalize_scalar(x: Scalar) -> Scalar:
+    """Collapse an integral Fraction to a plain int (faster arithmetic
+    downstream); any other value is returned as it is."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
 
 def vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(normalize_scalar(Fraction(e) if not isinstance(e, (int, Fraction)) else e)
@@ -724,75 +734,12 @@ def wsigma_by_definition(aut: DiagramAutomorphism) -> FiniteMatrixGroup:
 
 def collapse_to_cohomological(s: BigradedSeries) -> tuple[int, ...]:
     """Single grading: coefficient of u^n is the sum of (a, b) slots with
-    a + 2b = n.  Requires the series to have integer coefficients.  The
-    pipeline expands the single series over the degrees directly."""
+    a + 2b = n.  The pipeline expands the single series over the degrees
+    directly."""
     out = [0] * (s.truncation + 1)
     for (a, b), c in s.coefficients.items():
-        if not isinstance(c, int):
-            raise ValueError(f"non-integer coefficient {c} at {(a, b)}")
         out[a + 2 * b] += c
     return tuple(out)
-
-
-def dets_from_charpoly(cp: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
-    """From cp = charpoly(M), return the coefficient lists (ascending) of
-    det(1 + s*M) in s and det(1 - t*M) in t.
-
-    With eigenvalues mu_i, det(1 + s*M) = prod(1 + s*mu_i) and
-    det(1 - t*M) = prod(1 - t*mu_i); both are plain reversals of cp up to
-    alternating signs.
-    """
-    n = len(cp) - 1
-    if cp[n] != 1:
-        raise ValueError("characteristic polynomial must be monic")
-    num_s = tuple(normalize_scalar((-1) ** j * cp[n - j]) for j in range(n + 1))
-    den_t = tuple(normalize_scalar(cp[n - j]) for j in range(n + 1))
-    return num_s, den_t
-
-
-def poly_inverse_series(den: Sequence[Scalar], nterms: int) -> list[Scalar]:
-    """Power-series reciprocal of a polynomial with nonzero constant term."""
-    if not den or den[0] == 0:
-        raise ValueError("denominator has zero constant term")
-    d0 = den[0]
-    inv: list[Scalar] = []
-    for k in range(nterms + 1):
-        acc = 1 if k == 0 else 0
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * inv[k - i]
-        inv.append(normalize_scalar(Fraction(acc, 1) / d0))
-    return inv
-
-
-def rational_function_series(num_s: Sequence[Scalar], den_t: Sequence[Scalar],
-                             truncation: int) -> BigradedSeries:
-    """Expansion of num(s)/den(t) as a bigraded series, truncated at
-    cohomological degree a + 2b <= truncation."""
-    if truncation < 0:
-        raise ValueError("truncation must be non-negative")
-    inv = poly_inverse_series(den_t, truncation // 2)
-    coeffs: dict[tuple[int, int], Scalar] = {}
-    for a, na in enumerate(num_s):
-        if na == 0 or a > truncation:
-            continue
-        for b in range((truncation - a) // 2 + 1):
-            c = na * inv[b]
-            if c != 0:
-                coeffs[(a, b)] = c
-    return BigradedSeries(truncation, coeffs)
-
-
-def poly_mul_trunc(p: Sequence[Scalar], q: Sequence[Scalar], nterms: int) -> list[Scalar]:
-    out = [0] * (nterms + 1)
-    for i, a in enumerate(p):
-        if a == 0 or i > nterms:
-            continue
-        for j, b in enumerate(q):
-            if i + j > nterms:
-                break
-            if b:
-                out[i + j] += a * b
-    return [normalize_scalar(c) for c in out]
 
 
 def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
@@ -802,26 +749,42 @@ def super_molien_from_buckets(buckets: dict[CharPoly, int], order: int,
         P(s, t) = 1/|G| * sum_g det(1 + s g) / det(1 - t g),
 
     the bigraded dimension series of the invariants of (exterior algebra)
-    x (polynomial algebra).  Both determinants depend only on charpoly(g),
-    so the sum is taken per bucket, in sorted key order; integer sums
-    commute exactly, so the result does not depend on the order the
-    buckets were filled in."""
+    x (polynomial algebra).  Both determinants depend only on cp =
+    charpoly(g), monic and ascending, so the sum is taken per bucket:
+    det(1 + s g) has the coefficients e_a = (-1)^a cp[n - a], and
+    1/det(1 - t g) = sum_b h_b t^b with h_0 = 1 and
+    h_b = -sum_(j >= 1) cp[n - j] h_(b - j).  Every step is an integer
+    one; the only division is the average, exact for a group, so a
+    remainder raises ValueError."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     if order <= 0:
         raise ValueError("empty group")
-    total: dict[tuple[int, int], Scalar] = {}
-    for cp, mult in sorted(buckets.items()):
-        num_s, den_t = dets_from_charpoly(cp)
-        term = rational_function_series(num_s, den_t, truncation)
-        for k, c in term.coefficients.items():
-            total[k] = total.get(k, 0) + mult * c
+    width = truncation // 2 + 1
+    zeros = [0] * width
+    # a -> the coefficients of s^a t^b, b < width, summed over g; the
+    # series drops those past the truncation
+    rows: dict[int, list[int]] = {}
+    for cp, mult in buckets.items():
+        n = len(cp) - 1
+        if cp[n] != 1:
+            raise ValueError("characteristic polynomial must be monic")
+        den = cp[:n][::-1]  # cp[n - j] for j = 1..n
+        h = [1]
+        for _ in range(1, width):
+            h.append(-sum(c * x for c, x in zip(den, reversed(h))))
+        for a in range(n + 1):
+            e = mult * (-1) ** a * cp[n - a]
+            if e:
+                rows[a] = [x + e * y for x, y in zip(rows.get(a, zeros), h)]
     averaged = {}
-    for k, c in total.items():
-        v = Fraction(c, order)
-        if v.denominator != 1:
-            raise ValueError("non-integer invariant dimension: input is not a group")
-        averaged[k] = int(v)
+    for a, row in sorted(rows.items()):
+        for b, c in enumerate(row):
+            v, rest = divmod(c, order)
+            if rest:
+                raise ValueError("non-integer invariant dimension: input is not a group")
+            if v:
+                averaged[(a, b)] = v
     return BigradedSeries(truncation, averaged)
 
 
@@ -989,20 +952,21 @@ def brute_force_invariant_dims(group: FiniteMatrixGroup,
     super-Molien route: for each bidegree (a, b) with a + 2b within range,
     the induced action on (exterior degree a) x (polynomial degree b) is
     assembled elementwise and the joint fixed subspace is computed by
-    exact kernel elimination."""
+    exact kernel elimination.  The at most ORACLE_MAX_DIM + 1 exterior
+    powers are built first and kept, so each symmetric power is built once."""
     if group.dim > ORACLE_MAX_DIM:
         raise ValueError(f"oracle guard: dimension {group.dim} exceeds {ORACLE_MAX_DIM}")
     if max_total_degree > ORACLE_MAX_DEGREE:
         raise ValueError(f"oracle guard: degree {max_total_degree} exceeds "
                          f"{ORACLE_MAX_DEGREE}")
-    n = group.dim
+    top = min(group.dim, max_total_degree)
+    exts = [[_exterior_action(g, a) for g in group.elements] for a in range(top + 1)]
     dims: dict[tuple[int, int], int] = {}
-    for a in range(0, min(n, max_total_degree) + 1):
-        ext = [_exterior_action(g, a) for g in group.elements]
-        for b in range((max_total_degree - a) // 2 + 1):
-            sym = [_symmetric_action(g, b) for g in group.elements]
+    for b in range(max_total_degree // 2 + 1):
+        sym = [_symmetric_action(g, b) for g in group.elements]
+        for a in range(min(top, max_total_degree - 2 * b) + 1):
             tensored = []
-            for e, s in zip(ext, sym):
+            for e, s in zip(exts[a], sym):
                 de, ds = len(e), len(s)
                 t = [[e[i][j] * s[k][l] for j in range(de) for l in range(ds)]
                      for i in range(de) for k in range(ds)]

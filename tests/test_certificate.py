@@ -39,9 +39,9 @@ from test_wsigma import ADMISSIBLE, ADMISSIBLE_RANKS, STREAMED
 TRUNC = 50
 PIPELINE = (twistloop, cli, exact, report, rootsys, twist, weyl)
 MOVED_TO_ORACLE = ("fixed_space_charpoly_buckets", "super_molien_from_buckets",
-                   "rational_function_series", "dets_from_charpoly",
                    "fixed_space_matrices", "collapse_to_cohomological",
-                   "RootPermutationAction", "charpoly_from_power_traces", "mat_mul")
+                   "RootPermutationAction", "charpoly_from_power_traces", "mat_mul",
+                   "normalize_scalar")
 # the multi-row form of the generators, replaced by one row each; the row
 # read off a dense matrix, then off a walk over root permutations,
 # replaced by the row walked from the Cartan matrix; the degrees read off
@@ -52,14 +52,16 @@ MOVED_TO_ORACLE = ("fixed_space_charpoly_buckets", "super_molien_from_buckets",
 # stream, the classical centralizer) and its diagram Gram matrix, replaced
 # by W^sigma's definition and the ambient Gram matrix; the oracle's
 # closure of ambient matrices, replaced by the closure of root
-# permutations; and the root cap, which no stage needs
+# permutations; the root cap, which no stage needs; and the oracle's dense
+# Fraction series algebra, replaced by one integer expansion per bucket
 DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit",
            "reflection_rows", "fixed_space_rows", "invariant_degrees",
            "_fixed_space_traces", "_exponents", "_cyclotomic", "_divide_monic",
            "wsigma_preserves_folded", "orbits_on_roots", "wsigma_transversals",
            "wsigma_elements", "_walk_products", "classical_wsigma_perms", "folded_gram",
            "generate_group", "reflection_matrix", "subspace_stabilizer",
-           "restrict_to_subspace", "solve", "MAX_ROOTS")
+           "restrict_to_subspace", "solve", "MAX_ROOTS", "dets_from_charpoly",
+           "poly_inverse_series", "rational_function_series", "poly_mul_trunc")
 
 
 def certificate_inputs(family, rank, tag):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +6,9 @@ import pytest
 
 from twistloop.exact import BigradedSeries, product_over_degrees, solomon_series
 from twistloop.oracle import (charpoly, charpoly_from_power_traces,
-                              collapse_to_cohomological, dets_from_charpoly,
-                              identity_matrix, invert,
-                              kernel_basis, mat_mul, mat_vec, matrix, poly_inverse_series,
-                              poly_mul_trunc, rank, rational_function_series)
+                              collapse_to_cohomological, identity_matrix, invert,
+                              kernel_basis, mat_mul, mat_vec, matrix, rank,
+                              super_molien_from_buckets)
 
 I2 = identity_matrix(2)
 DIAG = matrix([[1, 0], [0, -1]])
@@ -16,14 +16,6 @@ DIAG = matrix([[1, 0], [0, -1]])
 COMPANION = matrix([[0, 1], [1, 1]])
 # order-3 rotation: Coxeter element of the rank-2 chain type over its root basis
 ROT3 = matrix([[0, -1], [1, -1]])
-
-
-def naive_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j] * naive_det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(n))
 
 
 def mat_sub(a, b):
@@ -37,11 +29,42 @@ def mat_pow(a, k):
     return result
 
 
-def series_add(s, t):
-    out = dict(s.coefficients)
-    for k, c in t.coefficients.items():
-        out[k] = out.get(k, 0) + c
-    return BigradedSeries(min(s.truncation, t.truncation), out)
+def expansion(cp, truncation):
+    """det(1 + s M) / det(1 - t M) for any M with charpoly cp: the
+    super-Molien average over a group of order 1."""
+    return super_molien_from_buckets({tuple(cp): 1}, 1, truncation)
+
+
+def dense_mul(p, q, nterms):
+    """Product of two ascending integer polynomials, truncated."""
+    out = [0] * (nterms + 1)
+    for i, a in enumerate(p[:nterms + 1]):
+        for j, b in enumerate(q[:nterms + 1 - i]):
+            out[i + j] += a * b
+    return out
+
+
+def dense_inverse(den, nterms):
+    """Power-series reciprocal of an integer polynomial with constant term 1."""
+    assert den[0] == 1
+    inv = [1]
+    for k in range(1, nterms + 1):
+        inv.append(-sum(den[i] * inv[k - i] for i in range(1, min(k, len(den) - 1) + 1)))
+    return inv
+
+
+def poly_det(m):
+    """Cofactor determinant of a matrix whose entries are ascending integer
+    polynomials of degree <= 1, as len(m) + 1 coefficients."""
+    n = len(m)
+    if n == 0:
+        return [1]
+    total = [0] * (n + 1)
+    for j, entry in enumerate(m[0]):
+        minor = poly_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for k, c in enumerate(dense_mul(entry, minor, n)):
+            total[k] += (-1) ** j * c
+    return total
 
 
 def series_mul(s, t):
@@ -121,80 +144,94 @@ class TestCharpoly:
 
 
 class TestDetsFromCharpoly:
+    """det(1 + s M) and det(1 - t M) read off charpoly(M), as the
+    one-bucket expansion det(1 + s M) / det(1 - t M)."""
+
     def test_one_dim_identity(self):
-        assert dets_from_charpoly((-1, 1)) == ((1, 1), (1, -1))
+        # (1 + s) / (1 - t)
+        assert expansion((-1, 1), 2).coefficients == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
 
     def test_reflection(self):
-        assert dets_from_charpoly((-1, 0, 1)) == ((1, 0, -1), (1, 0, -1))
+        # (1 - s^2) / (1 - t^2)
+        assert expansion((-1, 0, 1), 4).coefficients == {(0, 0): 1, (2, 0): -1, (0, 2): 1}
 
     def test_rotation(self):
-        assert dets_from_charpoly((1, 1, 1)) == ((1, -1, 1), (1, 1, 1))
+        # (1 - s + s^2) / (1 + t + t^2), and 1 / (1 + t + t^2) = (1 - t) / (1 - t^3)
+        assert expansion((1, 1, 1), 4).coefficients == {
+            (0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1, (2, 0): 1, (2, 1): -1}
 
     def test_against_cofactor_determinants(self):
-        # independent check: evaluate det(1 + s*M) and det(1 - t*M) at
-        # rational sample points by cofactor expansion
+        # independent check: det(1 + s M) and det(1 - t M) multiplied out by
+        # cofactors over polynomial entries; the expansion times the second
+        # is the first, through the truncation
         rng = random.Random(99)
-        points = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3)]
+        trunc = 15
         for _ in range(25):
             n = rng.randint(1, 4)
             m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-            num_s, den_t = dets_from_charpoly(charpoly(matrix(m)))
-            for x in points:
-                plus = [[(1 if i == j else 0) + x * m[i][j] for j in range(n)]
-                        for i in range(n)]
-                minus = [[(1 if i == j else 0) - x * m[i][j] for j in range(n)]
-                         for i in range(n)]
-                assert naive_det(plus) == sum(c * x**k for k, c in enumerate(num_s))
-                assert naive_det(minus) == sum(c * x**k for k, c in enumerate(den_t))
+            plus = poly_det([[[int(i == j), m[i][j]] for j in range(n)] for i in range(n)])
+            minus = poly_det([[[int(i == j), -m[i][j]] for j in range(n)] for i in range(n)])
+            den = BigradedSeries(trunc, {(0, b): c for b, c in enumerate(minus)})
+            num = BigradedSeries(trunc, {(a, 0): c for a, c in enumerate(plus)})
+            assert series_mul(expansion(charpoly(matrix(m)), trunc), den) == num
 
     def test_requires_monic(self):
-        with pytest.raises(ValueError):
-            dets_from_charpoly((1, 2))
+        with pytest.raises(ValueError, match="monic"):
+            expansion((1, 2), 5)
 
 
 class TestSeries:
     def test_hand_expansion_truncated_at_four(self):
-        s = rational_function_series((1, 1), (1, -1), 4)
+        s = expansion((-1, 1), 4)
         assert s.coefficients == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1, (0, 2): 1}
 
     def test_multiply_by_inverse_pair(self):
+        # a 3-cycle's (1 + s^3) / (1 - t^3), times 1 - t and then the line's
+        # (1 + s) / (1 - t), is multiplied by 1 + s
         trunc = 12
-        s = rational_function_series((1, 1, 1), (1, 0, 0, -1), trunc)
+        s = expansion((-1, 0, 0, 1), trunc)
         one_minus = BigradedSeries(trunc, {(0, 0): 1, (0, 1): -1})
-        inverse = rational_function_series((1,), (1, -1), trunc)
-        assert series_mul(series_mul(s, one_minus), inverse) == s
+        inverse = expansion((-1, 1), trunc)
+        one_plus = BigradedSeries(trunc, {(0, 0): 1, (1, 0): 1})
+        assert series_mul(series_mul(s, one_minus), inverse) == series_mul(s, one_plus)
 
 
 class TestRationalFunctionSeries:
     def test_all_ones(self):
-        s = rational_function_series((1, 1), (1, -1), 9)
+        s = expansion((-1, 1), 9)
         for a in (0, 1):
             for b in range((9 - a) // 2 + 1):
                 assert s[(a, b)] == 1
 
     def test_geometric_with_signs(self):
-        s = rational_function_series((1, 0, -1), (1, 0, -1), 12)
+        s = expansion((-1, 0, 1), 12)
         for b in range(7):
             assert s[(0, b)] == (1 if b % 2 == 0 else 0)
             if 2 + 2 * b <= 12:
                 assert s[(2, b)] == (-1 if b % 2 == 0 else 0)
 
     def test_binomial_row(self):
-        s = rational_function_series((1,), (1, -2, 1), 20)
-        for b in range(11):
-            assert s[(0, b)] == b + 1
+        # (1 + s)^2 / (1 - t)^2
+        s = expansion((1, -2, 1), 20)
+        for a in range(3):
+            for b in range((20 - a) // 2 + 1):
+                assert s[(a, b)] == math.comb(2, a) * (b + 1)
 
     def test_zero_constant_term_rejected(self):
-        with pytest.raises(ValueError):
-            rational_function_series((1,), (0, 1), 5)
+        # det(1 - t M) has constant term cp[n], which a monic cp makes 1
+        with pytest.raises(ValueError, match="monic"):
+            expansion((1, 0), 5)
 
 
 class TestUnivariateHelpers:
     def test_poly_inverse_roundtrip(self):
+        # row s^0 of the expansion is 1 / det(1 - t M), whose coefficients
+        # are cp reversed; so is the dense reciprocal the tests below use
         den = [1, -1, 0, 2]
-        inv = poly_inverse_series(den, 15)
-        back = poly_mul_trunc(den, inv, 15)
-        assert back == [1] + [0] * 15
+        s = expansion(den[::-1], 30)
+        inv = [s[(0, b)] for b in range(16)]
+        assert dense_mul(den, inv, 15) == [1] + [0] * 15
+        assert dense_inverse(den, 15) == inv
 
     def test_product_over_degrees_single(self):
         # (1+u^3)/(1-u^4): coefficient 1 exactly in degrees 0,3,4,7,8,11,...
@@ -209,9 +246,9 @@ class TestUnivariateHelpers:
         trunc = 150
         num, den = [1], [1]
         for d in degs:
-            num = poly_mul_trunc(num, [1] + [0] * (2 * d - 2) + [1], trunc)
-            den = poly_mul_trunc(den, [1] + [0] * (2 * d - 1) + [-1], trunc)
-        dense = poly_mul_trunc(num, poly_inverse_series(den, trunc), trunc)
+            num = dense_mul(num, [1] + [0] * (2 * d - 2) + [1], trunc)
+            den = dense_mul(den, [1] + [0] * (2 * d - 1) + [-1], trunc)
+        dense = dense_mul(num, dense_inverse(den, trunc), trunc)
         assert product_over_degrees(degs, trunc) == tuple(dense)
 
     @pytest.mark.parametrize("degs", [(2,), (2, 6), (2, 4, 4, 6), (2, 5, 6, 8, 9, 12)])
@@ -226,8 +263,8 @@ class TestUnivariateHelpers:
             for (a, b), c in num.items():
                 nxt[(a + 1, b + d - 1)] = nxt.get((a + 1, b + d - 1), 0) + c
             num = nxt
-            den = poly_mul_trunc(den, [1] + [0] * (d - 1) + [-1], trunc)
-        inv = poly_inverse_series(den, trunc)
+            den = dense_mul(den, [1] + [0] * (d - 1) + [-1], trunc)
+        inv = dense_inverse(den, trunc)
         expanded = {}
         for (a, b0), c in num.items():
             for b in range(b0, trunc // 2 + 1):
@@ -255,10 +292,8 @@ class TestElimination:
             invert(matrix([[1, 1], [1, 1]]))
 
 
-def test_all_coefficients_stay_normalized():
-    # Fractions that reduce to integers must be stored as ints
-    s = BigradedSeries(6, {(0, 1): Fraction(4, 2), (1, 1): Fraction(1, 2)})
-    assert s[(0, 1)] == 2 and isinstance(s[(0, 1)], int)
-    doubled = series_add(BigradedSeries(6, {(1, 1): Fraction(1, 2)}),
-                         BigradedSeries(6, {(1, 1): Fraction(1, 2)}))
-    assert isinstance(doubled[(1, 1)], int)
+def test_a_non_integer_coefficient_is_refused():
+    # an integral Fraction is refused too: the series holds ints only
+    for c in (Fraction(1, 2), Fraction(4, 2), 2.0, True):
+        with pytest.raises(ValueError, match=r"coefficient at \(1, 1\) must be an integer"):
+            BigradedSeries(6, {(1, 1): c})

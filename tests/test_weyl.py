@@ -1,14 +1,15 @@
-from fractions import Fraction
+import math
 
 import pytest
 
-from twistloop.exact import BigradedSeries, product_over_degrees
+from twistloop import oracle
+from twistloop.exact import BigradedSeries, product_over_degrees, solomon_series
 from twistloop.oracle import (ORACLE_ELEMENT_CAP, FiniteMatrixGroup, RootPermutationAction,
                               WeylPermutationGroup, charpoly, close_permutations,
-                              collapse_to_cohomological, dets_from_charpoly,
-                              fixed_space_stabilizer_perms, identity_matrix,
-                              rational_function_series, reflect, restricted_fixed_space_group,
-                              super_molien, super_molien_from_buckets)
+                              collapse_to_cohomological, fixed_space_charpoly_buckets,
+                              fixed_space_stabilizer_perms, identity_matrix, reflect,
+                              restricted_fixed_space_group, super_molien,
+                              super_molien_from_buckets)
 from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
 from twistloop.twist import make_automorphism
 from twistloop.weyl import GroupTooLargeError
@@ -19,14 +20,17 @@ def closure(rs, cap=ORACLE_ELEMENT_CAP):
 
 
 def molien_element_by_element(mats, trunc: int) -> BigradedSeries:
-    """Unbucketed reference evaluation: expand every matrix separately and
-    average over the list, duplicates included."""
+    """Unbucketed reference evaluation: expand every matrix separately, as
+    a group of order 1, and average over the list, duplicates included."""
     total = {}
     for m in mats:
-        num, den = dets_from_charpoly(charpoly(m))
-        for k, c in rational_function_series(num, den, trunc).coefficients.items():
+        for k, c in super_molien_from_buckets({charpoly(m): 1}, 1, trunc).coefficients.items():
             total[k] = total.get(k, 0) + c
-    return BigradedSeries(trunc, {k: Fraction(c, len(mats)) for k, c in total.items()})
+    averaged = {}
+    for k, c in total.items():
+        averaged[k], rest = divmod(c, len(mats))
+        assert rest == 0, k
+    return BigradedSeries(trunc, averaged)
 
 
 class TestGenerateGroup:
@@ -122,7 +126,9 @@ class TestSuperMolien:
     def test_trivial_group(self):
         g = FiniteMatrixGroup(2, [identity_matrix(2)])
         s = super_molien(g, 8)
-        expected = rational_function_series((1, 2, 1), (1, -2, 1), 8)
+        # (1 + s)^2 / (1 - t)^2
+        expected = BigradedSeries(8, {(a, b): math.comb(2, a) * (b + 1)
+                                      for a in range(3) for b in range(5)})
         assert s == expected
 
     def test_sign_group_on_line(self):
@@ -168,6 +174,35 @@ class TestSuperMolien:
         g = FiniteMatrixGroup(1, [((1,),)])
         with pytest.raises(ValueError):
             super_molien(g, -1)
+
+    def test_refuses_what_is_no_group(self):
+        with pytest.raises(ValueError, match="empty group"):
+            super_molien_from_buckets({(-1, 1): 1}, 0, 5)
+        # one element averaged over an order of 2: the s^0 t^0 slot is 1/2
+        with pytest.raises(ValueError, match="input is not a group"):
+            super_molien_from_buckets({(-1, 1): 1}, 2, 5)
+
+    def test_forms_no_fraction(self, monkeypatch):
+        # the average is one integer expansion per bucket and one exact
+        # divmod: W(B3), W(F4), and the E6 flip's W^sigma on its fixed subspace
+        b3, f4 = CartanType("B", 3), CartanType("F", 4)
+        cases = []
+        for t, tag, folded in [(b3, "identity", b3), (f4, "identity", f4),
+                               (CartanType("E", 6), "flip", f4)]:
+            rs = build_root_system(t)
+            perm = make_automorphism(rs, tag).simple_perm
+            action = RootPermutationAction(rs)
+            elements = close_permutations(action.steinberg_generators(perm), ORACLE_ELEMENT_CAP)
+            buckets = fixed_space_charpoly_buckets(action, perm, elements)
+            cases.append((buckets, len(elements), folded))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction formed in the super-Molien average")
+
+        monkeypatch.setattr(oracle, "Fraction", refuse)
+        for buckets, order, folded in cases:
+            s = super_molien_from_buckets(buckets, order, 60)
+            assert s == solomon_series(degrees(folded), 60)
 
 
 class TestCohomologicalSeries:
