@@ -9,21 +9,27 @@ for that fact and the reference does not.
 ===============  ==================================  =====================================
 fact             reference                           the pipeline alone relies on
 ===============  ==================================  =====================================
-roots            ``ambient_roots``: the classical    the Cartan matrix read off the Dynkin
-                 simple roots closed under           diagram, and a closure that carries
-                 Euclidean reflections, in           each root's pairings
-                 Fractions
+roots            ``ambient_roots``: the classical    the root count formulas: compute()
+                 simple roots closed under           forms no root; the closure that
+                 Euclidean reflections, in           carries each root's pairings, from
+                 Fractions                           the Cartan matrix read off the Dynkin
+                                                     diagram, serves the references
 twist check      ``automorphism_matrix``: sigma as   a symmetry of the Dynkin diagram
                  an ambient linear map, which must   extends to an automorphism of the
                  permute the ambient roots           root system
-sigma's orbits   ``root_permutation``: sigma on      sigma has order 1, 2 or 3, so its
-                 the roots, its orbits walked        orbit sizes follow from the number of
-                                                     roots it fixes
-fold             ``classify_folded_roots``: the      the rows are the folded simple
-                 ``orbit_sum_projection`` of the     reflections, so the folded Cartan
-                 roots, its base found from          matrix can be read off them
-                 scratch under ``projected_gram``
-                 and matched to the expected type
+sigma's orbits   ``root_permutation``: sigma on      the orbit formula: sigma has order
+                 the roots, its orbits walked        o = 1, 2 or 3 and distinct orbits
+                                                     project to distinct vectors, so of
+                                                     the N positive roots it fixes
+                                                     (o k - N) / (o - 1), k the folded
+                                                     type's positive root count (plus its
+                                                     rank for an A_2m flip)
+fold             ``classify_folded_roots``: the      the folding table and the Cartan
+                 ``orbit_sum_projection`` of the     match: the rows are the folded
+                 roots, its base found from          simple reflections, and their Cartan
+                 scratch under ``projected_gram``    matrix is the table's type in some
+                 and matched to the expected type    order of the nodes, so the folded
+                                                     roots are that type's closure
 rows             ``projected_gram``: row k is minus  Steinberg (1968): the walk reaches
                  column k of the Cartan matrix of    the longest element w_O, which acts
                  the projected simple roots, from    on the fixed subspace as the
@@ -368,9 +374,11 @@ def fixed_subspace(a: DiagramAutomorphism) -> SubspaceBasis:
 
 def root_permutation(a: DiagramAutomorphism) -> tuple[int, ...]:
     """sigma on the root indices, each image looked up in an index of the
-    roots: root c goes to c' with c'[perm[j]] = c[j].  The pipeline counts
-    sigma's orbits from its fixed roots instead
-    (:func:`twistloop.twist.positive_orbit_sizes`)."""
+    roots: root c goes to c' with c'[perm[j]] = c[j].  The pipeline reads
+    sigma's orbit sizes off the types instead
+    (:func:`twistloop.twist.orbit_sizes`), and
+    :func:`twistloop.twist.positive_orbit_sizes` counts them from its
+    fixed roots."""
     roots, perm = a.base.roots, a.simple_perm
     index = {c: i for i, c in enumerate(roots)}
     inverse = sorted(range(len(perm)), key=perm.__getitem__)

@@ -1,28 +1,29 @@
 """End-to-end pipeline: from a twist specification to a serialized report.
 
-:func:`compute` builds the root system, the diagram automorphism sigma and
-its folding, then certifies the invariant ring of the group the answer
-needs: W^sigma, the elements of the Weyl group that commute with sigma,
-generated by Steinberg's elements (one longest parabolic element per
-sigma-orbit of simple nodes; sigma = identity gives all of W), each
+:func:`compute` builds no root.  From the type and the diagram
+automorphism sigma it certifies the invariant ring of the group the
+answer needs: W^sigma, the elements of the Weyl group that commute with
+sigma, generated by Steinberg's elements (one longest parabolic element
+per sigma-orbit of simple nodes; sigma = identity gives all of W), each
 walked from the Cartan matrix on its images of the simple roots.
 W^sigma acts faithfully on the fixed subspace and realizes the folded
 Weyl group there, each generator as a simple reflection, kept as one
-row.  The folding walks the rows once and certifies the folded roots
-as the closure of their base under them, so ``preserves_folded`` holds
-on either route below.  A twist that resolves to the identity builds no
-root: its rows are certified on the Cartan matrix
-(:func:`twistloop.twist.untwisted_rows`), and each root is an orbit.
-The order of W^sigma is the product of the indices
-along the chain of subgroups the generators span, taken in the folded
-type's order, each the size of one orbit of a coordinate functional on
-the fixed subspace.  The degrees of its basic invariants are the folded
-type's degree table, certified: they must multiply to that order, and
-invariants of those degrees on the chain's last orbit must have a
-nonzero Jacobian determinant modulo a large prime.  The invariant ring
-is then polynomial in those degrees, so the series the report emits is
-the product of (1 + u^(2d-1)) / (1 - u^(2d)) over them, expanded in
-O(rank * truncation) integer steps.  That series is the dimension series
+row.  The rows' Cartan matrix must be the folded type's, node for node
+for the identity and in some order of the nodes for a twist
+(:func:`twistloop.twist.twist_rows`); W^sigma is then the folded Weyl
+group, which permutes the folded roots, so ``preserves_folded`` holds.
+sigma's orbit sizes on the positive roots and the orbit count follow
+from the root counts of the input and folded types and the order of
+sigma (:func:`twistloop.twist.orbit_sizes`).  The order of W^sigma is
+the product of the indices along the chain of subgroups the generators
+span, taken in the folded type's order, each the size of one orbit of a
+coordinate functional on the fixed subspace.  The degrees of its basic
+invariants are the folded type's degree table, certified: they must
+multiply to that order, and invariants of those degrees on the chain's
+last orbit must have a nonzero Jacobian determinant modulo a large
+prime.  The invariant ring is then polynomial in those degrees, so the
+series the report emits is the product of (1 + u^(2d-1)) / (1 - u^(2d))
+over them, expanded in O(rank * truncation) integer steps.  That series is the dimension series
 of the cohomology of the classifying space of the corresponding twisted
 loop group, valid away from the reported excluded characteristics.  No
 element of W^sigma is enumerated and no root is permuted, so the cost
@@ -60,8 +61,8 @@ from . import weyl
 from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, OrbitCriterion, check_tag, expected_folded_type,
-                    fixed_group_info, folded_root_system, make_automorphism,
-                    positive_orbit_sizes, resolve_twist, untwisted_rows)
+                    fixed_group_info, make_automorphism, orbit_sizes, resolve_twist,
+                    twist_rows)
 from .weyl import GroupTooLargeError, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
@@ -301,30 +302,25 @@ def compute(spec: TwistSpec) -> TwistReport:
     The spec's fields are checked when it is made.  Here a tag is checked
     against the type in O(1), explicit images on the Dynkin diagram, and
     then |W^sigma| against the element cap, from the type and the tag
-    alone, before anything is built.  The identity, by tag or by images,
-    builds roots only under ``run_oracle``.
+    alone, before anything is built.  No twist builds a root: the rows
+    are matched to the folded type's Cartan matrix, and the orbit sizes
+    and root counts are read off the types.  Only ``run_oracle`` builds
+    the roots, for its references.
     """
     t = spec.cartan_type
     if isinstance(spec.automorphism, str):
-        tag = spec.automorphism
+        perm, tag = None, spec.automorphism
         check_tag(t, tag)
     else:
-        _, tag = resolve_twist(t, spec.automorphism)
+        perm, tag = resolve_twist(t, spec.automorphism)
     folded_type = expected_folded_type(t, tag)
     cap = weyl.DEFAULT_ELEMENT_CAP
     table_path = t == CartanType("E", 8) and tag == "identity" and weyl_order(t) > cap
     if not table_path:
         _check_order_cap(folded_type, cap)
-    if tag == "identity":
-        rows, nodes = untwisted_rows(t), range(t.rank)
-        pos_sizes = (1,) * (root_count(t) // 2)
-    else:
-        aut = make_automorphism(build_root_system(t), spec.automorphism)
-        # the folding walks W^sigma's generators, one row each on the fixed
-        # subspace, and certifies with them that W^sigma permutes the folded roots
-        folding = folded_root_system(aut)
-        rows, nodes = folding.rows, folding.nodes
-        pos_sizes = positive_orbit_sizes(aut)
+    # a tag's node permutation is formed only now, once the cap has passed
+    rows, nodes = twist_rows(t, tag, perm)
+    pos_sizes = orbit_sizes(t, tag)
     # negation commutes with sigma: as many orbits on the negative roots
     criterion = OrbitCriterion(2 * len(pos_sizes), root_count(folded_type))
     info = fixed_group_info(t, tag)
@@ -383,7 +379,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         positive_orbit_sizes=pos_sizes,
         stabilizer_order=order,
         restricted_order=order,
-        preserves_folded=True,  # certified by the folding
+        preserves_folded=True,  # W^sigma is the folded Weyl group, matched on the rows
         series=series,
         closed_form=closed,
         excluded_characteristics=excluded_characteristics(t, spec.automorphism),

@@ -15,10 +15,12 @@ with <c, alpha_i^vee> < 0: the closure never steps onto a negative root.
 It carries each root's pairings (<c, alpha_i^vee>)_i and moves them by
 one row of the Cartan matrix per step, so an image costs O(r), and a
 reflection that fixes or lowers the root costs a sign test.  It keeps
-the positive roots, sorted, not their images, and also certifies a
-folding (:func:`twistloop.twist.folded_root_system`).  Every later stage
-works in these coordinates, on the positive roots alone: a twist's
-orbits and projection commute with negation.
+the positive roots, sorted, not their images.  No stage of
+:func:`twistloop.report.compute` builds them: the roots serve the test
+references, ``--check`` and a folding's check
+(:func:`twistloop.twist.folded_root_system`), and they read the
+positive roots alone, since a twist's orbits and projection commute with
+negation.
 
 Every constructed system is checked on its positive roots: the root
 count, one sign per root, and product-of-degrees == Weyl order.  The
@@ -182,11 +184,12 @@ def cartan_from_gram(gram: Matrix) -> CartanMatrix:
 
 
 # The Cartan matrix and the root closure are read once per argument in a
-# process: compute() needs the input type's to walk W^sigma's rows and,
-# for a twist other than the identity, to build the roots, the folded
-# type's to match the one read off the rows, and the closure of that one
-# to certify the folding; an over-cap reject reads neither.  The results
-# are tuples, so sharing them is safe.
+# process: compute() needs the input type's Cartan matrix to walk W^sigma's
+# rows and, for a twist other than the identity, the folded type's to
+# match the one read off the rows; an over-cap reject reads neither, and
+# only the references close roots (the oracle, the tests, and a folding's
+# check that the indivisible projections are the folded type's closure).
+# The results are tuples, so sharing them is safe.
 _memo = lru_cache(maxsize=64)
 
 

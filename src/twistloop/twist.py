@@ -1,23 +1,20 @@
-"""Diagram automorphisms, root projections and folded root systems.
+"""Diagram automorphisms, their rows on the fixed subspace, and the
+folding they read off the types alone.
 
 The canonical representative of an outer automorphism class is the
 diagram automorphism sigma permuting the simple nodes, which preserves the
 Dynkin diagram, its edges and the lengths of the simple roots, and so the
 Cartan matrix.  Over the simple base sigma is a coordinate permutation,
 c'[perm[j]] = c[j], so it permutes the roots and preserves the positive
-system, and it commutes with negation, so every step below reads the
-positive roots alone.  That permutation is never formed: sigma has order
-1, 2 or 3, so each of its orbits on the roots is one fixed root or has
-as many roots as its order, and the orbit sizes follow from the number
-of fixed positive roots (:func:`positive_orbit_sizes`).  Its fixed
-subspace has the projected simple roots beta_O = pi(alpha_i), i in O, as
-a basis, one per sigma-orbit O of simple nodes, where pi is the average
-over sigma's powers (beta_O is the orbit sum of simple roots divided by
-|O|).  A root c projects to the integer vector of its orbit sums,
-(sum_{i in O} c_i)_O.  Every step is integer arithmetic.
+system, and it commutes with negation.  Its fixed subspace has the
+projected simple roots beta_O = pi(alpha_i), i in O, as a basis, one per
+sigma-orbit O of simple nodes, where pi is the average over sigma's
+powers (beta_O is the orbit sum of simple roots divided by |O|).  A root
+c projects to the integer vector of its orbit sums, (sum_{i in O} c_i)_O.
 
 The folded root system is the set of indivisible projected roots (v with
-v/2 not a projection), which reproduces the classical folding table:
+v/2 not a projection), which reproduces the classical folding table
+(:func:`expected_folded_type`):
 
     identity        -> same type        A_{2m-1} flip -> C_m
     A_{2m}  flip    -> B_m              D_n flip      -> B_{n-1}
@@ -26,12 +23,22 @@ v/2 not a projection), which reproduces the classical folding table:
 The beta_O are the folded system's own simple roots, and Steinberg's
 generators of W^sigma (:func:`twistloop.weyl.steinberg_rows`) act on the
 fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k,
-so the folded Cartan matrix is read off the rows, C_jk = -row_k[j].  It
-must be the table's type in some order of the nodes, and the folded
-positive roots the closure of the beta_O under the rows' raising
-reflections, whose group then permutes the folded roots; the
-construction errors out otherwise.  For sigma = identity
-that is one comparison, with no root (:func:`untwisted_rows`).  The ambient matrix
+so the folded Cartan matrix is read off the rows, C_jk = -row_k[j].  The
+pipeline (:func:`twist_rows`) requires it to be the table's type, node
+for node for sigma = identity and in some order of the nodes otherwise;
+the rows' reflections then generate the folded Weyl group, which
+permutes the folded roots.  It builds no root.  sigma has order 1, 2 or
+3, so each of its orbits on the positive roots is one fixed root or has
+as many roots as its order; distinct orbits have distinct projections,
+so the orbit count is the number of positive projections, and the
+orbit sizes follow from the two types' root counts
+(:func:`orbit_sizes`).
+
+The measured forms of these facts run in the tests and under the
+oracle: :func:`positive_orbit_sizes` counts the fixed positive roots,
+:func:`project_roots` projects them, and :func:`folded_root_system`
+checks that the indivisible projections are the closure of the folded
+Cartan matrix under the rows' raising reflections.  The ambient matrix
 of sigma, its ambient fixed subspace, the average over sigma's powers,
 the Gram matrix of the beta_O (an integer multiple and in Fractions),
 a from-scratch classifier of the folded set and sigma's permutation of
@@ -173,6 +180,26 @@ def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
     return (1,) * fixed + (a.order,) * ((len(positive) - fixed) // a.order)
 
 
+def orbit_sizes(t: CartanType, tag: str) -> tuple[int, ...]:
+    """The sorted sizes of :func:`positive_orbit_sizes`, from the types
+    alone.  sigma, of order o, sends an orbit to one projection, and
+    distinct orbits to distinct ones, so the N positive roots form k
+    orbits, k the number of positive projections: the folded type's
+    positive roots, and for an A_2m flip the m doubled short ones too (the
+    projections form BC_m).  Each orbit is one fixed root or has o roots,
+    so sigma fixes (o k - N) / (o - 1) of them."""
+    n = root_count(t) // 2
+    if tag == "identity":
+        return (1,) * n
+    order = 2 if tag == "flip" else 3
+    folded = expected_folded_type(t, tag)
+    k = root_count(folded) // 2
+    if tag == "flip" and t.family == "A" and t.rank % 2 == 0:
+        k += folded.rank
+    fixed = (order * k - n) // (order - 1)
+    return (1,) * fixed + (order,) * ((n - fixed) // order)
+
+
 def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     """Projections of the positive roots over the projected simple roots
     beta_O, with their multiplicities, sorted: root c goes to its orbit
@@ -231,7 +258,7 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     reduced root system drops nothing."""
     t = a.base.cartan_type
     if a.order == 1:
-        return FoldingResult(a.base.positive, t, untwisted_rows(t), tuple(range(t.rank)))
+        return FoldingResult(a.base.positive, t, *twist_rows(t, a.tag, a.simple_perm))
     projected = project_roots(a)
     found = {v for v, _ in projected}
     folded = tuple([v for v, _ in projected
@@ -243,14 +270,29 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     return FoldingResult(folded, expected, rows, nodes)
 
 
-def untwisted_rows(t: CartanType) -> tuple[Vector, ...]:
-    """Steinberg's rows for sigma = identity, certified without a root:
-    their Cartan matrix must be t's, node for node, so their closure is
-    t's roots."""
-    rows = steinberg_rows(t, tuple(range(t.rank)))
-    if _rows_cartan(rows) != cartan_matrix(t):
-        raise ValueError(f"folded Cartan matrix does not match {t}")
-    return rows
+def twist_rows(t: CartanType, tag: str, perm: tuple[int, ...] | None = None,
+               ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Steinberg's rows for the twist of type t with this tag that permutes
+    the simple nodes by perm (by default the tag's own permutation), and
+    the row matched to each node of the folded type's Dynkin diagram,
+    certified without a root: the rows' Cartan matrix C_jk = -row_k[j]
+    must be the folded type's, node for node for sigma = identity and in
+    some order of the nodes otherwise (:func:`_match_cartan`).  The rows'
+    reflections then generate the folded type's Weyl group, whose roots
+    are the closure of that matrix.
+    """
+    if perm is None:
+        perm = _simple_perm_for_tag(t, tag)
+    folded = expected_folded_type(t, tag)
+    rows = steinberg_rows(t, perm)
+    cartan = _rows_cartan(rows)
+    if tag == "identity":
+        nodes = tuple(range(t.rank)) if cartan == cartan_matrix(t) else None
+    else:
+        nodes = _match_cartan(cartan, cartan_matrix(folded))
+    if nodes is None:
+        raise ValueError(f"folded Cartan matrix does not match {folded}")
+    return rows, nodes
 
 
 def _rows_cartan(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:

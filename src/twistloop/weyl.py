@@ -5,9 +5,9 @@ that its invariant ring is polynomial in the folded type's degrees.
 :func:`steinberg_rows` walks Steinberg's generators of W^sigma, the fixed
 subgroup of a diagram automorphism sigma, from the Cartan matrix.  On the
 fixed subspace each is a simple reflection of the folded Weyl group and
-changes one coordinate, so it is kept as one integer row, which the fold
-certificate (:func:`twistloop.twist.folded_root_system`), the coset chain
-and the Jacobian read.  :func:`coset_indices` counts the cosets along the
+changes one coordinate, so it is kept as one integer row, which the
+Cartan match (:func:`twistloop.twist.twist_rows`), the coset chain and
+the Jacobian read.  :func:`coset_indices` counts the cosets along the
 chain of subgroups the generators span as orbits of coordinate
 functionals, each closed by one breadth-first search
 (:func:`_orbit_search`) bounded by the group order; the indices multiply
@@ -208,6 +208,9 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
     Jacobian vanishes at every point.
     """
     p, dim, top = JACOBIAN_PRIME, len(ds), max(ds)
+    # only the powers v^(d-1) are read: when every degree is even, the odd
+    # ones v, v^3, .., v^(top-1), stepping by v^2; else v^0 .. v^(top-1)
+    step = 2 if all(d % 2 == 0 for d in ds) else 1
     searches = (_orbit_search(k, rows, math.prod(ds)) for k in range(dim - 1))
     orbits = [orbit]
     for attempt in range(JACOBIAN_ATTEMPTS):
@@ -219,14 +222,15 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
                 orbits.append(next(searches))
             half = _half_product(orbits[j], rows, ds)
             grads = {d: [0] * dim for d in ds}
+            reads = [((d - 1) // step, grad) for d, grad in grads.items()]
             for phi in orbits[j]:
                 entries = [(k, a) for k, a in enumerate(phi) if a]
                 v = sum(a * point[k] for k, a in entries) % p
-                powers = [1]  # v^0 .. v^(top - 1)
-                for _ in range(1, top):
-                    powers.append(powers[-1] * v % p)
-                for d, grad in grads.items():
-                    c = powers[d - 1]
+                powers, stride = ([v], v * v % p) if step == 2 else ([1], v)
+                for _ in range(1, top // step):
+                    powers.append(powers[-1] * stride % p)
+                for at, grad in reads:
+                    c = powers[at]
                     for k, a in entries:
                         grad[k] += c * a
             values = [sum(a * x for a, x in zip(phi, point)) % p for phi in half]

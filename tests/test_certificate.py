@@ -8,7 +8,10 @@ element of W^sigma by its characteristic polynomial on the fixed subspace
 and averages the super-Molien series; the two routes must give the same
 order, bigraded series and single-graded series.  Wrong degrees with the
 right product fail the Jacobian, a wrong product fails the order check,
-and a dropped generator fails the fold certificate and the coset chain.
+a dropped generator fails the Cartan match and the coset chain, and the
+rows of the dual type, which pass the chain and the Jacobian, fail the
+Cartan match.  The Jacobian reads each degree's power, stepping by v^2
+when every degree is even, as a plain pow() reference does.
 Names moved to the oracle stay out of the pipeline, deleted names stay
 deleted, and every reference the oracle's fact table names exists.
 """
@@ -48,6 +51,7 @@ MOVED_TO_ORACLE = ("fixed_space_charpoly_buckets", "super_molien_from_buckets",
 # a Coxeter element, replaced by the certified degree table; the
 # preservation check, replaced by the fold certificate on the rows;
 # sigma's orbits on the roots, replaced by the count of its fixed roots;
+# the identity's row check, replaced by one row check for every twist;
 # and the oracle's second and third routes to W^sigma (the transversal
 # stream, the classical centralizer) and its diagram Gram matrix, replaced
 # by W^sigma's definition and the ambient Gram matrix; the oracle's
@@ -61,7 +65,8 @@ DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "
            "wsigma_elements", "_walk_products", "classical_wsigma_perms", "folded_gram",
            "generate_group", "reflection_matrix", "subspace_stabilizer",
            "restrict_to_subspace", "solve", "MAX_ROOTS", "dets_from_charpoly",
-           "poly_inverse_series", "rational_function_series", "poly_mul_trunc")
+           "poly_inverse_series", "rational_function_series", "poly_mul_trunc",
+           "untwisted_rows")
 
 
 def certificate_inputs(family, rank, tag):
@@ -281,6 +286,44 @@ def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
         {(CartanType("D", 2), "identity"): 2}
 
 
+def reference_jacobian(rows, ds, orbit):
+    """The first seeded point's Jacobian on one orbit U, entry by entry with
+    pow(): row i is c_i grad sum_{phi in U} phi^(d_i), plus e_i times the
+    gradient of the half product when it is invariant of degree d_i."""
+    p, dim = weyl.JACOBIAN_PRIME, len(ds)
+    point, weights = weyl._jacobian_point(0, dim), weyl._seeded(2, dim * dim + dim)
+    value = {phi: sum(a * x for a, x in zip(phi, point)) % p for phi in orbit}
+    half = weyl._half_product(orbit, rows, ds)
+    extra = [sum(phi[k] * math.prod(value[psi] for psi in half if psi != phi)
+                 for phi in half) for k in range(dim)]
+    return [[(weights[i * dim] * sum(phi[k] * pow(value[phi], d - 1, p) for phi in orbit)
+              + weights[dim * dim + i] * (len(half) == d) * extra[k]) % p
+             for k in range(dim)] for i, d in enumerate(ds)]
+
+
+@pytest.mark.parametrize("family,rank,tag,even", [
+    ("B", 3, "identity", True), ("C", 4, "identity", True), ("G", 2, "identity", True),
+    ("F", 4, "identity", True), ("D", 4, "identity", True), ("A", 7, "flip", True),
+    ("D", 4, "triality", True), ("E", 6, "flip", True), ("A", 4, "identity", False),
+    ("D", 5, "identity", False), ("E", 6, "identity", False)])
+def test_jacobian_reads_the_power_of_each_degree(family, rank, tag, even, monkeypatch):
+    # every degree even (B, C, G2, F4, D4 and the twists, which fold to
+    # them) steps the powers by v^2; a mixed table steps by v.  Either way
+    # the gradient of phi^d reads phi^(d-1)
+    rows, ds, _, orbit = chain_inputs(family, rank, tag)
+    seen = []
+
+    def spy(matrix, p):
+        seen.append([row[:] for row in matrix])
+        return nonsingular(matrix, p)
+
+    nonsingular = weyl._nonsingular_mod
+    monkeypatch.setattr(weyl, "_nonsingular_mod", spy)
+    assert certify_jacobian(rows, ds, orbit) == 1
+    assert seen == [reference_jacobian(rows, ds, orbit)]
+    assert all(d % 2 == 0 for d in ds) == even
+
+
 @pytest.mark.parametrize("family,rank,tag,wrong", [
     ("F", 4, "identity", (3, 4, 8, 12)), ("E", 6, "identity", (3, 4, 5, 8, 9, 12)),
     ("E", 6, "flip", (3, 4, 8, 12)), ("D", 4, "identity", (2, 2, 6, 8)),
@@ -346,6 +389,26 @@ def test_dropped_generator_breaks_the_coset_chain(family, rank, tag, monkeypatch
     with pytest.raises(ValueError, match=r"^coset counts \[.*, 1\] "
                                          r"do not multiply to the group order \d+$"):
         coset_indices(zeroed[-1], weyl_order(folded))
+
+
+@pytest.mark.parametrize("family,rank,tag,other", [
+    ("A", 5, "flip", ("B", 3)), ("A", 7, "flip", ("B", 4)), ("A", 6, "flip", ("C", 3)),
+    ("D", 5, "flip", ("C", 4)), ("B", 4, "identity", ("C", 4)),
+    ("C", 3, "identity", ("B", 3))])
+def test_rows_of_the_dual_type_fail_the_cartan_match(family, rank, tag, other, monkeypatch):
+    # B_n and C_n share their Weyl group, its order and its degrees, so
+    # the coset chain and the Jacobian pass the other type's rows; only the
+    # match of the rows' Cartan matrix with the folded type's refuses them
+    t = CartanType(family, rank)
+    folded = expected_folded_type(t, tag)
+    dual = CartanType(*other)
+    rows = twist.steinberg_rows(dual, tuple(range(dual.rank)))
+    chain = report._chain_rows(rows, range(dual.rank), folded)
+    _, orbit = coset_indices(chain, weyl_order(folded))
+    assert certify_jacobian(chain, degrees(folded), orbit) == 1
+    monkeypatch.setattr(twist, "steinberg_rows", lambda t, simple_perm: rows)
+    with pytest.raises(ValueError, match=f"^folded Cartan matrix does not match {folded}$"):
+        compute(TwistSpec(t, tag))
 
 
 def test_orbit_search_is_bounded_by_the_group_order():

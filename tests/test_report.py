@@ -606,22 +606,30 @@ class TestLimits:
                              [("D", n, "flip") for n in D_FLIP_RANKS] +
                              [("A", r, "flip") for r in A_FLIP_RANKS] +
                              [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
-    def test_twisted_route_forms_no_negative_root(self, family, rank, tag, monkeypatch):
-        # sigma's orbits and its projection commute with negation, so a twist,
-        # by tag or by perm=, reads the positive roots alone
-        from twistloop import twist
-        from twistloop.rootsys import RootSystem
+    def test_twisted_route_forms_no_negative_root(self, family, rank, tag, monkeypatch,
+                                                  capsys):
+        # a twist, by tag or by perm=, builds no root at all: its rows are
+        # matched to the folded Cartan matrix, and its orbit sizes and root
+        # counts are read off the types
+        from twistloop import rootsys, twist
 
-        def refuse(self):
-            raise AssertionError("negative roots formed on the pipeline path")
+        def refuse(*args, **kwargs):
+            raise AssertionError("roots built on the twisted route")
 
         t = CartanType(family, rank)
         perm, _ = twist.resolve_twist(t, tag)
-        monkeypatch.setattr(RootSystem, "roots", property(refuse))
-        reports = [compute(TwistSpec(t, auto)) for auto in (tag, perm)]
-        monkeypatch.undo()
-        for auto, rpt in zip((tag, perm), reports):
-            assert rpt == compute(TwistSpec(t, auto))
+        with monkeypatch.context() as m:
+            m.setattr(rootsys, "_closure", refuse)
+            m.setattr(twist, "_closure", refuse)
+            m.setattr(rootsys, "RootSystem", refuse)
+            reports = [compute(TwistSpec(t, auto)) for auto in (tag, perm)]
+            cli_perm = "perm=" + ",".join(str(i + 1) for i in perm)
+            assert main(["--type", family, "--rank", str(rank), "--auto", cli_perm]) == 0
+            assert capsys.readouterr().out == reports[1].to_text()
+        aut = twist.make_automorphism(build_root_system(t), tag)
+        for rpt in reports:
+            assert rpt.positive_orbit_sizes == twist.positive_orbit_sizes(aut)
+            assert rpt.orbit_criterion.orbit_count == 2 * len(twist.project_roots(aut))
 
     @pytest.mark.parametrize("family,rank,tag", [("A", 3, "flip"), ("A", 4, "flip"),
                                                  ("D", 4, "triality")])

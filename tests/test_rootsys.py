@@ -287,15 +287,14 @@ def test_invalid_types_rejected(family, rank):
                                                    ("E", 6, "flip", 2),
                                                    ("D", 4, "triality", 2)])
 def test_compute_reads_each_type_once(family, rank, tag, types):
-    # the input type is read to build the roots (the twist is checked on the
-    # Dynkin diagram), the folded type to certify the folding; an identity
-    # twist folds to the input type itself and closes no roots: its rows are
-    # certified on the Cartan matrix.  The diagram's Gram matrix is not
-    # memoized: it is O(r^2) integers, read once per Cartan matrix.
+    # the input type's Cartan matrix is read to walk the rows (the twist is
+    # checked on the Dynkin diagram), the folded type's to match the rows'
+    # one; an identity twist folds to the input type itself.  No route
+    # closes a root.  The diagram's Gram matrix is not memoized: it is
+    # O(r^2) integers, read once per Cartan matrix.
     memoized = (rootsys.cartan_matrix, rootsys._closure)
     for fn in memoized:
         fn.cache_clear()
     compute(TwistSpec(CartanType(family, rank), tag))
-    closures = 0 if tag == "identity" else types
-    assert [fn.cache_info().misses for fn in memoized] == [types, closures]
+    assert [fn.cache_info().misses for fn in memoized] == [types, 0]
     assert not hasattr(rootsys.simple_gram, "cache_info")

@@ -20,7 +20,7 @@ from twistloop.rootsys import (_RANK_BOUNDS, FAMILIES, CartanType, build_root_sy
                                cartan_from_gram, cartan_matrix, root_count)
 from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
                              fixed_group_info, folded_root_system, make_automorphism,
-                             positive_orbit_sizes, project_roots)
+                             orbit_sizes, positive_orbit_sizes, project_roots, twist_rows)
 from twistloop.weyl import _perm_orbits, steinberg_rows
 
 from conftest import mirrored
@@ -200,8 +200,30 @@ class TestOrbits:
             orbits = _perm_orbits(root_permutation(aut))
             want = tuple(sorted(len(o) for o in orbits if min(rs.roots[o[0]]) >= 0))
             assert positive_orbit_sizes(aut) == want, (family, rank, tag)
-            crit = compute(TwistSpec(rs.cartan_type, tag, truncation=0)).orbit_criterion
-            assert crit.orbit_count == len(orbits), (family, rank, tag)
+            # compute() derives the sizes from the types
+            rpt = compute(TwistSpec(rs.cartan_type, tag, truncation=0))
+            assert rpt.positive_orbit_sizes == orbit_sizes(rs.cartan_type, tag) == want
+            assert rpt.orbit_criterion.orbit_count == len(orbits), (family, rank, tag)
+
+    def test_derived_orbits_are_the_measured_ones(self):
+        # the A2-A30 flips, the D4-D30 flips, both trialities and the E6
+        # flip: sigma's orbit sizes follow from the folded type and the
+        # order of sigma, the orbits are the positive projections, and the
+        # indivisible ones are the closure of the folded Cartan matrix
+        # (folded_root_system compares them), matched on the rows as
+        # compute() matches them
+        cases = ([("A", r, "flip") for r in range(2, 31)] +
+                 [("D", r, "flip") for r in range(4, 31)] +
+                 [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
+        assert len(cases) == 59
+        for family, rank, tag in cases:
+            t = CartanType(family, rank)
+            aut = make_automorphism(build_root_system(t), tag)
+            sizes = orbit_sizes(t, tag)
+            assert sizes == positive_orbit_sizes(aut), (family, rank, tag)
+            assert len(sizes) == len(project_roots(aut)), (family, rank, tag)
+            fold = folded_root_system(aut)
+            assert (fold.rows, fold.nodes) == twist_rows(t, tag, aut.simple_perm)
 
     def test_triality_positive_orbits(self):
         rs = build_root_system(CartanType("D", 4))
