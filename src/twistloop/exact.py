@@ -1,15 +1,14 @@
-"""Exact integer vectors and matrices, and truncated bigraded power
-series with Solomon's product over a degree multiset.
+"""Exact integer records, and truncated power series with Solomon's
+product over a degree multiset.
 
-The pipeline's scalars are Python ints: root coordinates, Gram and
-Cartan matrices, fixed-subspace rows, Jacobian residues and series
-coefficients.  A division that must come out exact (a Cartan entry) is
-a divmod whose remainder is checked, so this package never imports
-``fractions``; only the references in :mod:`twistloop.oracle` hold
-``fractions.Fraction`` values, and a :class:`BigradedSeries` refuses
-them.  Vectors and matrices are immutable tuples, so every value is
-hashable and can be used directly as a dictionary key.  No operation in
-this package ever touches floating point.
+The pipeline's scalars are Python ints: root coordinates, Cartan
+matrices, fixed-subspace rows, Jacobian residues and series
+coefficients.  This package never imports ``fractions``; only the
+references in :mod:`twistloop.oracle` hold ``fractions.Fraction``
+values, and a :class:`BigradedSeries` refuses them.  Vectors are
+immutable tuples, so every value is hashable and can be used directly as
+a dictionary key.  No operation in this package ever touches floating
+point.
 
 A :class:`Record` is an immutable value with named fields, the base of
 every record the pipeline passes between its stages (this series, the
@@ -28,17 +27,18 @@ an (exterior algebra) x (polynomial algebra) as a sparse map
     (exterior degree a, polynomial degree b) -> coefficient
 
 truncated at cohomological degree a + 2b <= truncation.  The exterior
-part contributes degree a, the polynomial part degree 2b.
+part contributes degree a, the polynomial part degree 2b.  Both series
+are expanded with one C-level list operation per step, not per entry.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from operator import attrgetter
+from itertools import accumulate
+from operator import add, attrgetter
 
 Scalar = int  # the pipeline's only scalar; the oracle declares its own, int | Fraction
 Vector = tuple[Scalar, ...]
-Matrix = tuple[tuple[Scalar, ...], ...]
 
 DEFAULT_TRUNCATION = 50
 
@@ -153,7 +153,7 @@ class BigradedSeries(Record):
 
 
 # ---------------------------------------------------------------------------
-# Solomon's product over a degree multiset, as strided integer updates
+# Solomon's product over a degree multiset, one list operation per step
 # ---------------------------------------------------------------------------
 
 def solomon_series(degrees: Sequence[int], truncation: int) -> BigradedSeries:
@@ -164,9 +164,8 @@ def solomon_series(degrees: Sequence[int], truncation: int) -> BigradedSeries:
     bigraded invariant series of a reflection group whose invariant ring
     is polynomial in the given degrees.  Row a holds the coefficients of
     s^a; a factor (1 + s t^(d-1)) adds row a, shifted by d - 1, into row
-    a + 1 (rows taken from the top down), and 1/(1 - t^d) is a running
-    sum with stride d along each row.  Every step is an integer update,
-    O(rank * truncation) per factor.
+    a + 1 (rows taken from the top down), and each row is then divided by
+    the denominators (:func:`_divide_out`).
     """
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
@@ -174,15 +173,9 @@ def solomon_series(degrees: Sequence[int], truncation: int) -> BigradedSeries:
     rows = [[1] + [0] * (width - 1)] + [[0] * width for _ in degrees]
     for k, d in enumerate(degrees):
         for a in range(k, -1, -1):
-            src, dst = rows[a], rows[a + 1]
-            for b in range(width - d + 1):
-                dst[b + d - 1] += src[b]
-    for d in degrees:
-        for row in rows:
-            for b in range(d, width):
-                row[b] += row[b - d]
+            rows[a + 1][d - 1:] = map(add, rows[a + 1][d - 1:], rows[a])
     return BigradedSeries(truncation, {(a, b): c for a, row in enumerate(rows)
-                                       for b, c in enumerate(row) if c})
+                                       for b, c in enumerate(_divide_out(row, degrees)) if c})
 
 
 def product_over_degrees(degrees: Iterable[int], truncation: int) -> tuple[int, ...]:
@@ -191,17 +184,31 @@ def product_over_degrees(degrees: Iterable[int], truncation: int) -> tuple[int, 
     This is the single-graded closed form of the invariant ring attached to
     a degree multiset: one odd generator in degree 2d-1 and one polynomial
     generator in degree 2d per entry, and the series a report emits, over
-    the certified degrees.  It equals the collapse of
-    :func:`solomon_series` over the same degrees, at O(rank) updates per
-    term instead of O(rank^2).  Each factor is two strided integer
-    updates: the numerator adds the series shifted by 2d - 1, and the
-    denominator is a running sum with stride 2d.
+    the certified degrees, and the collapse of :func:`solomon_series`.
+    The denominators have even exponents only, so they are divided out on
+    the even degrees alone (:func:`_divide_out`).  Each numerator factor
+    1 + u^a then adds the series, shifted by a, onto itself: a slice
+    assignment reads the whole ``map`` before it writes.
     """
-    out = [1] + [0] * truncation
+    degrees = tuple(degrees)
+    out = [0] * (truncation + 1)
+    out[::2] = _divide_out([1] + [0] * (truncation // 2), degrees)
     for d in degrees:
-        odd, even = 2 * d - 1, 2 * d
-        for n in range(truncation, odd - 1, -1):
-            out[n] += out[n - odd]
-        for n in range(even, truncation + 1):
-            out[n] += out[n - even]
+        out[2 * d - 1:] = map(add, out[2 * d - 1:], out)
     return tuple(out)
+
+
+def _divide_out(series: list[int], degrees: Sequence[int]) -> list[int]:
+    """series / prod_d (1 - v^d), in place, to its length n.  1 / (1 - v^d)
+    is a running sum with stride d: one ``accumulate`` over each residue
+    class mod d, or, once d^2 passes n and the classes are shorter than d,
+    one ``map(add)`` per block of d entries onto the block before it."""
+    n = len(series)
+    for d in degrees:
+        if d * d <= n:
+            for r in range(d):
+                series[r::d] = accumulate(series[r::d])
+        else:
+            for b in range(d, n, d):
+                series[b:b + d] = map(add, series[b:b + d], series[b - d:b])
+    return series

@@ -14,6 +14,10 @@ roots            ``ambient_roots``: the classical    the root count formulas: co
                  Euclidean reflections, in           carries each root's pairings, from
                  Fractions                           the Cartan matrix read off the Dynkin
                                                      diagram, serves the references
+Cartan matrix    ``cartan_from_gram`` of             the Dynkin diagram: -max(l_i, l_j) /
+                 ``simple_gram``, the diagram's      l_j at an edge, l the squared
+                 integer Gram matrix, one divmod     lengths, and 0 off the edges
+                 per entry
 twist check      ``automorphism_matrix``: sigma as   a symmetry of the Dynkin diagram
                  an ambient linear map, which must   extends to an automorphism of the
                  permute the ambient roots           root system
@@ -62,7 +66,8 @@ checked against Berkowitz :func:`charpoly` on the definition's matrices.
 Both stay: power traces are 18 to 35 times faster on W(E6), W(B6) and
 W(A7), which the certificate test walks.  The rest of the module is what
 these references are built from: exact rational vectors and matrices,
-Gaussian elimination, the classical realization and the simple
+Gaussian elimination (fraction-free, :func:`integer_kernel`, for the
+brute-force count's fixed spaces), the classical realization and the simple
 reflections as byte permutations of the roots.  Every group is
 enumerated by one closure, :func:`close_permutations`, on those
 permutations; the acceptance suite's extended even orthogonal route
@@ -78,11 +83,11 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .exact import BigradedSeries, Record, product_over_degrees
 from .report import ClosedForm
-from .rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
-                      weyl_order)
+from .rootsys import CartanType, RootSystem, build_root_system, dynkin_diagram, weyl_order
 from .twist import DiagramAutomorphism, _match_cartan
 from .weyl import GroupTooLargeError, _perm_orbits
 
@@ -210,6 +215,47 @@ def kernel_basis(m: Matrix) -> tuple[Vector, ...]:
     return tuple(basis)
 
 
+def integer_kernel(m: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """:func:`kernel_basis` of an integer matrix, each vector scaled to a
+    primitive integer one, positive at its free column, with no Fraction.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): a step with
+    pivot q replaces every other row by (q row - f pivot row) / p, f the
+    row's entry in the pivot column and p the previous step's pivot.  The
+    division is exact, since every entry is then a minor of the matrix,
+    and every pivot ends equal to the last one, d.  A free column c gives
+    the vector with d at c and minus row r's entry in column c at row r's
+    pivot column.  Zero and repeated rows change neither the reduced
+    echelon form nor its kernel: repeated rows are dropped at the start,
+    zero rows as they appear."""
+    ncols = len(m[0]) if m else 0
+    rows = list(dict.fromkeys(tuple(row) for row in m if any(row)))
+    pivots, prev = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        head = rows[r]
+        q = head[c]
+        rows = [head if i == r else [(q * x - row[c] * y) // prev for x, y in zip(row, head)]
+                for i, row in enumerate(rows)]
+        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
+        pivots.append(c)
+        prev = q
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [0] * ncols
+            v[c] = prev
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[c]
+            g = math.gcd(*v) * (1 if prev > 0 else -1)
+            basis.append(tuple(x // g for x in v))
+    return basis
+
+
 def invert(m: Matrix) -> Matrix:
     n = len(m)
     rows = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
@@ -302,6 +348,40 @@ def ambient_gram(t: CartanType) -> Matrix:
     diagram's integer Gram matrix up to a positive scale (1/2 for B and F)."""
     simple = simple_root_vectors(t)
     return tuple(tuple(vec_dot(a, b) for b in simple) for a in simple)
+
+
+def simple_gram(t: CartanType) -> Matrix:
+    """Inner products (alpha_i, alpha_j) of the simple roots, an integer
+    matrix read off the Dynkin diagram: the squared lengths on the
+    diagonal, minus half the larger of the two at an edge (a single, double
+    or triple bond between roots whose squared lengths are equal, in ratio
+    2 or in ratio 3), and 0 elsewhere.  With :func:`cartan_from_gram` it is
+    the reference for :func:`twistloop.rootsys.cartan_matrix`."""
+    lengths, edges = dynkin_diagram(t)
+    gram = [[0] * len(lengths) for _ in lengths]
+    for i, length in enumerate(lengths):
+        gram[i][i] = length
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -(max(lengths[i], lengths[j]) // 2)
+    return tuple(map(tuple, gram))
+
+
+def cartan_from_gram(gram: Matrix) -> tuple[tuple[int, ...], ...]:
+    """A_ij = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), checked to be a
+    Cartan matrix: integral, 2 on the diagonal, 0..-3 off it.  The entries
+    of gram may be ints or Fractions; each quotient is one divmod."""
+    cm = []
+    for i, row in enumerate(gram):
+        entries = []
+        for j, g in enumerate(row):
+            c, rest = divmod(2 * g, gram[j][j])
+            if rest:
+                raise ValueError("non-integral Cartan entry")
+            if c not in ((2,) if i == j else (0, -1, -2, -3)):
+                raise ValueError(f"Cartan entry {c} out of range at {(i, j)}")
+            entries.append(c)
+        cm.append(tuple(entries))
+    return tuple(cm)
 
 def reflect(x: Vector, root: Vector) -> Vector:
     """Reflection of x through the hyperplane orthogonal to root."""
@@ -932,25 +1012,22 @@ def _exponent_tuples(n: int, total: int) -> list[tuple[int, ...]]:
 
 def _joint_fixed_dimension(mats: Sequence[list[list[Scalar]]]) -> int:
     """Dimension of the common fixed space, by iterated exact kernels of
-    the (g - I) blocks on the current basis B.  Each kernel vector is
-    scaled by the lcm of its denominators, so B stays integral, and an
-    element with (g - I) B = 0 fixes all of span(B) and is passed over."""
+    the (g - I) blocks on the current basis B, in integers
+    (:func:`integer_kernel`), so B stays integral, and an element with
+    (g - I) B = 0 fixes all of span(B) and is passed over."""
     dim = len(mats[0])
     basis_cols = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
     for g in mats:
         if not basis_cols:
             return 0
-        rows = tuple(tuple(sum(g[i][k] * col[k] for k in range(dim)) - col[i]
-                           for col in basis_cols) for i in range(dim))
+        images = [[sum(map(mul, row, col)) for row in g] for col in basis_cols]
+        rows = [tuple(image[i] - col[i] for image, col in zip(images, basis_cols))
+                for i in range(dim)]
         if not any(map(any, rows)):
             continue
-        kernel = []
-        for kv in kernel_basis(rows):
-            scale = math.lcm(*(x.denominator for x in kv))
-            kernel.append([int(x * scale) for x in kv])
         basis_cols = [tuple(sum(c * col[k] for c, col in zip(kv, basis_cols))
                             for k in range(dim))
-                      for kv in kernel]
+                      for kv in integer_kernel(rows)]
     return len(basis_cols)
 
 

@@ -23,9 +23,10 @@ multiply to that order, and invariants of those degrees on the chain's
 last orbit must have a nonzero Jacobian determinant modulo a large
 prime.  The invariant ring is then polynomial in those degrees, so the
 series the report emits is the product of (1 + u^(2d-1)) / (1 - u^(2d))
-over them, expanded in O(rank * truncation) integer steps.  That series is the dimension series
-of the cohomology of the classifying space of the corresponding twisted
-loop group, valid away from the reported excluded characteristics.  No
+over them, O(rank) list operations of the truncation's length.  That
+series is the dimension series of the cohomology of the classifying
+space of the corresponding twisted loop group, valid away from the
+reported excluded characteristics.  No
 element of W^sigma is enumerated and no root is permuted, so the cost
 does not grow with its order.
 
@@ -60,9 +61,9 @@ from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
 from . import weyl
 from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
-from .twist import (DiagramAutomorphism, OrbitCriterion, check_tag, expected_folded_type,
-                    fixed_group_info, make_automorphism, orbit_sizes, resolve_twist,
-                    twist_rows)
+from .twist import (DiagramAutomorphism, FixedGroupInfo, OrbitCriterion, check_tag,
+                    expected_folded_type, fixed_group_info, make_automorphism, orbit_sizes,
+                    resolve_twist, twist_rows)
 from .weyl import GroupTooLargeError, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
@@ -216,19 +217,6 @@ def _json_list(values: Sequence, indent: int, item=str) -> str:
 # excluded characteristics
 # ---------------------------------------------------------------------------
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def excluded_characteristics(cartan_type: CartanType,
                              automorphism: str | tuple[int, ...] = "identity",
                              ) -> tuple[int, ...]:
@@ -240,10 +228,21 @@ def excluded_characteristics(cartan_type: CartanType,
     is built, and the Weyl order, the product of the degrees, is not
     formed: its primes are theirs."""
     _, tag = resolve_twist(cartan_type, automorphism)
+    return _excluded_primes(cartan_type, fixed_group_info(cartan_type, tag))
+
+
+def _excluded_primes(t: CartanType, info: FixedGroupInfo) -> tuple[int, ...]:
+    """:func:`excluded_characteristics` for a resolved twist's entry."""
     primes = set()
-    for n in {*ascending_degrees(cartan_type),
-              *fixed_group_info(cartan_type, tag).component_counts}:
-        primes |= _prime_factors(n)
+    for n in {*ascending_degrees(t), *info.component_counts}:
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                primes.add(d)
+                n //= d
+            d += 1
+        if n > 1:
+            primes.add(n)
     return tuple(sorted(primes))
 
 
@@ -315,7 +314,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         perm, tag = resolve_twist(t, spec.automorphism)
     folded_type = expected_folded_type(t, tag)
     cap = weyl.DEFAULT_ELEMENT_CAP
-    table_path = t == CartanType("E", 8) and tag == "identity" and weyl_order(t) > cap
+    table_path = (t.family, t.rank, tag) == ("E", 8, "identity") and weyl_order(t) > cap
     if not table_path:
         _check_order_cap(folded_type, cap)
     # a tag's node permutation is formed only now, once the cap has passed
@@ -359,7 +358,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         if t.rank % 2 == 1:
             notes.append("an equivalent route through the even orthogonal group "
                          "extended by its diagram symmetry yields the same series")
-    if t == CartanType("E", 6) and tag == "flip":
+    if (t.family, t.rank, tag) == ("E", 6, "flip"):
         notes.append("every characteristic greater than 30 avoids the excluded "
                      "set {2, 3, 5}")
 
@@ -382,7 +381,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves_folded=True,  # W^sigma is the folded Weyl group, matched on the rows
         series=series,
         closed_form=closed,
-        excluded_characteristics=excluded_characteristics(t, spec.automorphism),
+        excluded_characteristics=_excluded_primes(t, info),
         notes=tuple(notes),
     )
 

@@ -4,13 +4,10 @@ simple base, read off the Dynkin diagram.
 Each type's data are its invariant-degree table, its Weyl order, its root
 count and its Dynkin diagram: the edges between the simple nodes and the
 squared length of each simple root, 2 for the short roots (every root of
-A, D and E) and 4 or 6 for the long ones (B, C, F and G).  Nodes joined by
-an edge have inner product minus half the larger squared length, other
-distinct nodes 0, so the Gram matrix of the simple roots is an integer
-matrix, and the Cartan matrix A_ij = 2 (alpha_i, alpha_j) /
-(alpha_j, alpha_j) follows from it in O(r^2) integer steps.  The
-positive roots are then the closure of the unit vectors under the
-raising integer simple reflections, s_i(c) = c - <c, alpha_i^vee> e_i
+A, D and E) and 4 or 6 for the long ones (B, C, F and G), from which the
+Cartan matrix is written (:func:`cartan_matrix`).  The positive roots
+are then the closure of the unit vectors under the raising integer
+simple reflections, s_i(c) = c - <c, alpha_i^vee> e_i
 with <c, alpha_i^vee> < 0: the closure never steps onto a negative root.
 It carries each root's pairings (<c, alpha_i^vee>)_i and moves them by
 one row of the Cartan matrix per step, so an image costs O(r), and a
@@ -27,8 +24,9 @@ count, one sign per root, and product-of-degrees == Weyl order.  The
 whole root system, negative roots first, is formed from them by
 negation on first read, for the test references alone.  The classical
 realization of the simple roots in ambient coordinates, its Gram matrix,
-the closure of its roots and the index of the roots that permuting them
-needs are test references in :mod:`twistloop.oracle`.
+the closure of its roots, the index of the roots that permuting them
+needs, and the diagram's integer Gram matrix with the Cartan matrix
+divided out of it are test references in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from collections.abc import Iterator
 from functools import cached_property, lru_cache, total_ordering
 from operator import neg
 
-from .exact import Matrix, Record, check_int
+from .exact import Record, check_int
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -125,10 +123,6 @@ def root_count(t: CartanType) -> int:
             "E": {6: 72, 7: 126, 8: 240}.get(r, 0)}[t.family]
 
 
-def _unit(n: int, i: int) -> Root:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 # Node orders follow the classical realization: a chain, with for B and C
 # the short or long node last, for D the fork as the last two nodes, and
 # for E (Bourbaki's numbering, from 0) node 1 the branch attached to node 3.
@@ -150,39 +144,6 @@ def dynkin_diagram(t: CartanType) -> tuple[tuple[int, ...], tuple[tuple[int, int
     return lengths, chain
 
 
-def simple_gram(t: CartanType) -> Matrix:
-    """Inner products (alpha_i, alpha_j) of the simple roots, an integer
-    matrix read off the Dynkin diagram: the squared lengths on the
-    diagonal, minus half the larger of the two at an edge (a single, double
-    or triple bond between roots whose squared lengths are equal, in ratio
-    2 or in ratio 3), and 0 elsewhere."""
-    lengths, edges = dynkin_diagram(t)
-    gram = [[0] * len(lengths) for _ in lengths]
-    for i, length in enumerate(lengths):
-        gram[i][i] = length
-    for i, j in edges:
-        gram[i][j] = gram[j][i] = -(max(lengths[i], lengths[j]) // 2)
-    return tuple(map(tuple, gram))
-
-
-def cartan_from_gram(gram: Matrix) -> CartanMatrix:
-    """A_ij = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), checked to be a
-    Cartan matrix: integral, 2 on the diagonal, 0..-3 off it.  The entries
-    of gram may be ints or Fractions; each quotient is one divmod."""
-    cm = []
-    for i, row in enumerate(gram):
-        entries = []
-        for j, g in enumerate(row):
-            c, rest = divmod(2 * g, gram[j][j])
-            if rest:
-                raise ValueError("non-integral Cartan entry")
-            if c not in ((2,) if i == j else (0, -1, -2, -3)):
-                raise ValueError(f"Cartan entry {c} out of range at {(i, j)}")
-            entries.append(c)
-        cm.append(tuple(entries))
-    return tuple(cm)
-
-
 # The Cartan matrix and the root closure are read once per argument in a
 # process: compute() needs the input type's Cartan matrix to walk W^sigma's
 # rows and, for a twist other than the identity, the folded type's to
@@ -195,7 +156,16 @@ _memo = lru_cache(maxsize=64)
 
 @_memo
 def cartan_matrix(t: CartanType) -> CartanMatrix:
-    return cartan_from_gram(simple_gram(t))
+    """A_ij = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), read off the Dynkin
+    diagram: 2 on the diagonal, -max(l_i, l_j) / l_j at an edge, l the
+    squared lengths, and 0 elsewhere, so only O(r) entries are computed."""
+    lengths, edges = dynkin_diagram(t)
+    r = len(lengths)
+    rows = [[0] * i + [2] + [0] * (r - 1 - i) for i in range(r)]
+    for i, j in edges:
+        big = max(lengths[i], lengths[j])
+        rows[i][j], rows[j][i] = -(big // lengths[j]), -(big // lengths[i])
+    return tuple(map(tuple, rows))
 
 
 @_memo
@@ -215,7 +185,7 @@ def _closure(cartan: CartanMatrix, limit: int) -> tuple[Root, ...]:
     root.
     """
     r = len(cartan)
-    frontier = [(_unit(r, i), cartan[i]) for i in range(r)]
+    frontier = [(tuple(int(j == i) for j in range(r)), cartan[i]) for i in range(r)]
     positive = {c for c, _ in frontier}
     while frontier:
         nxt = []

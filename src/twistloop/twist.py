@@ -89,10 +89,9 @@ def check_tag(t: CartanType, tag: str) -> None:
     if tag not in AUTOMORPHISM_TAGS:
         raise ValueError(f"unknown automorphism spec {tag!r}")
     fam, r = t.family, t.rank
-    if tag == "flip" and not ((fam == "A" and r >= 2) or fam == "D"
-                              or t == CartanType("E", 6)):
+    if tag == "flip" and not ((fam == "A" and r >= 2) or fam == "D" or (fam, r) == ("E", 6)):
         raise ValueError(f"no diagram flip for type {t}")
-    if tag in ("triality", "triality2") and t != CartanType("D", 4):
+    if tag in ("triality", "triality2") and (fam, r) != ("D", 4):
         raise ValueError("triality exists only for D4")
 
 
@@ -135,7 +134,7 @@ def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
         return "identity"
     if order == 2:
         return "flip"
-    if order == 3 and t == CartanType("D", 4):
+    if order == 3 and (t.family, t.rank) == ("D", 4):
         return "triality"
     raise ValueError(f"permutation of order {order} is not a supported diagram symmetry")
 

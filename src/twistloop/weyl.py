@@ -12,13 +12,13 @@ chain of subgroups the generators span as orbits of coordinate
 functionals, each closed by one breadth-first search
 (:func:`_orbit_search`) bounded by the group order; the indices multiply
 to |W^sigma|.  :func:`certify_jacobian` finds invariants of the folded
-type's degrees with a nonzero Jacobian determinant modulo a large prime
-on the chain's last orbit: its power sums and, for D_n, the Pfaffian, the
-product over half of it.  The invariant ring is then polynomial in those
-degrees, so the report's series is the product over them
-(:func:`twistloop.exact.product_over_degrees`).  No element of W^sigma is
-enumerated and no root is permuted.  The element-by-element references
-live in :mod:`twistloop.oracle`.
+type's degrees on the chain's last orbit, its power sums and, for D_n,
+the Pfaffian, the product over half of it, with a Jacobian determinant
+nonzero mod 2^61 - 1, one packed int per row (:func:`_nonsingular_mod`).
+The invariant ring is then polynomial in those degrees, so the report's
+series is the product over them (:func:`twistloop.exact.product_over_degrees`).
+No element of W^sigma is enumerated and no root is permuted.  The
+element-by-element references live in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -167,6 +167,7 @@ def _orbit_search(k: int, rows: Sequence[tuple[int, ...]],
 
 JACOBIAN_PRIME = 2**61 - 1
 JACOBIAN_ATTEMPTS = 4
+SLOT = 128  # bits per entry of a row packed by _nonsingular_mod
 
 
 def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
@@ -284,18 +285,42 @@ def _seeded(seed: int, count: int) -> list[int]:
 
 
 def _nonsingular_mod(rows: Sequence[Sequence[int]], p: int) -> bool:
-    """Whether the square integer matrix is invertible mod the prime p: a
-    row (q, *head) with q nonzero is the pivot, and each other row (f,
-    *rest) becomes rest - (f / q) head, on the trailing columns alone."""
-    rows = [[a % p for a in row] for row in rows]
-    while rows:
-        k = next((k for k, row in enumerate(rows) if row[0]), None)
-        if k is None:
+    """Whether the square integer matrix is invertible mod p, a prime
+    2^k - 1 with 3 <= k <= 61; ValueError for any other p.
+
+    A row is one int, entry j in slot j, the current column lowest, and
+    only that column is read out (mask, ``% p``).  A pivot row (q, *head)
+    has q nonzero; each other row (f, *rest) becomes q rest + f (2p -
+    head), q rest - f head mod p scaled by the unit q, with no inverse.
+    Stored slots are at most 2p, so 2p - head borrows from no neighbour,
+    and new ones below (p - 1) 4p < 2^(2k+2) <= 2^124: no carry crosses a
+    slot.  As 2^k = 1 mod p, the fold (x & P) + ((x >> k) & H), P and H
+    masking each slot's low k bits and its next SLOT - k, keeps residues;
+    one fold brings a slot below 5 2^k, a second to at most p + 4 <= 2p.
+    """
+    k = p.bit_length()
+    if p != (1 << k) - 1 or not 3 <= k <= 61:
+        raise ValueError(f"p must be 2^k - 1 with 3 <= k <= 61, got {p}")
+    ones = sum(1 << SLOT * j for j in range(len(rows)))
+    low, high, twice = p * ones, ((1 << SLOT - k) - 1) * ones, 2 * p * ones
+    cell = (1 << SLOT) - 1
+    packed = [sum((a % p) << SLOT * j for j, a in enumerate(row)) for row in rows]
+    while packed:
+        leads = [(x & cell) % p for x in packed]
+        i = next((i for i, q in enumerate(leads) if q), None)
+        if i is None:
             return False
-        q, *head = rows.pop(k)
-        inv = pow(q, -1, p)
-        rows = [[(a - g * b) % p for a, b in zip(rest, head)] if (g := f * inv % p) else rest
-                for f, *rest in rows]
+        q, twice = leads.pop(i), twice >> SLOT
+        neg = twice - (packed.pop(i) >> SLOT)
+        out = []
+        for x, f in zip(packed, leads):
+            x >>= SLOT
+            if f:
+                x = q * x + f * neg
+                x = (x & low) + ((x >> k) & high)
+                x = (x & low) + ((x >> k) & high)
+            out.append(x)
+        packed = out
     return True
 
 

@@ -10,7 +10,6 @@ polynomial arithmetic.
 import math
 import time
 from contextlib import contextmanager
-from itertools import combinations
 
 from twistloop.oracle import (ORACLE_ELEMENT_CAP, RootPermutationAction,
                               brute_force_invariant_dims, close_permutations,
@@ -33,21 +32,16 @@ A_FLIP_RANKS = range(2, 9)
 
 
 def expected_series(degs, truncation=TRUNC):
-    """Independent expansion of prod (1+u^(2d-1))/(1-u^(2d)): unlimited
-    coin-change count for the polynomial part, subset sum for the exterior
-    part."""
-    ways = [0] * (truncation + 1)
-    ways[0] = 1
-    for coin in (2 * d for d in degs):
+    """Independent expansion of prod (1+u^(2d-1))/(1-u^(2d)), one entry at a
+    time: subset-sum counts for the exterior part, then an unlimited
+    coin-change count over the coins 2d for the polynomial part."""
+    out = [1] + [0] * truncation
+    for odd in (2 * d - 1 for d in degs):  # subsets: each odd degree used at most once
+        for n in range(truncation, odd - 1, -1):
+            out[n] += out[n - odd]
+    for coin in (2 * d for d in degs):  # any number of each coin
         for n in range(coin, truncation + 1):
-            ways[n] += ways[n - coin]
-    out = [0] * (truncation + 1)
-    for k in range(len(degs) + 1):
-        for subset in combinations(range(len(degs)), k):
-            base = sum(2 * degs[i] - 1 for i in subset)
-            if base <= truncation:
-                for n in range(base, truncation + 1):
-                    out[n] += ways[n - base]
+            out[n] += out[n - coin]
     return tuple(out)
 
 

@@ -140,7 +140,7 @@ def test_every_fact_table_reference_exists():
         if line[:start].strip():
             rows[line[:start].strip()] = names = []
         names.extend(re.findall(r"``(\w+)``", line[start:end]))
-    assert list(rows) == ["roots", "twist check", "sigma's orbits", "fold", "rows",
+    assert list(rows) == ["roots", "Cartan matrix", "twist check", "sigma's orbits", "fold", "rows",
                           "|W^sigma|", "coset indices", "degrees, series", "--check series",
                           "closed form", "excluded primes"]
     for fact, names in rows.items():
@@ -463,9 +463,9 @@ def _seeded_square_matrices(p):
             yield n, kind + ", zero column", zero
 
 
-@pytest.mark.parametrize("p", [weyl.JACOBIAN_PRIME, 5])
+@pytest.mark.parametrize("p", [weyl.JACOBIAN_PRIME, 7])
 def test_nonsingular_mod_agrees_with_the_determinant(p):
-    # the trailing-column elimination against the oracle's cofactor expansion, at a
+    # the packed elimination against the oracle's cofactor expansion, at a
     # large prime and at a small one, where random matrices are often singular
     verdicts = set()
     for n, kind, m in _seeded_square_matrices(p):
@@ -475,4 +475,46 @@ def test_nonsingular_mod_agrees_with_the_determinant(p):
         if kind.endswith(("dependent row", "zero column")):
             assert not expected
     assert verdicts == {True, False}
+
+
+def _plain_nonsingular_mod(m, p):
+    """Gaussian elimination mod p, one entry at a time, with inverses."""
+    rows = [[a % p for a in row] for row in m]
+    for c in range(len(rows)):
+        k = next((k for k in range(c, len(rows)) if rows[k][c]), None)
+        if k is None:
+            return False
+        rows[c], rows[k] = rows[k], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        for row in rows[c + 1:]:
+            f = row[c] * inv % p
+            for j in range(c, len(rows)):
+                row[j] = (row[j] - f * rows[c][j]) % p
+    return True
+
+
+@pytest.mark.parametrize("p", [weyl.JACOBIAN_PRIME, 7])
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_packed_elimination_agrees_with_a_plain_one(n, p):
+    # seeded n x n matrices: residues and entries in -3p..3p, with a zero
+    # leading entry, and with a last row that is a combination of the others
+    rng = random.Random(n * p)
+    verdicts = set()
+    for lo in (0, -3 * p):
+        m = [[rng.randrange(lo, 3 * p if lo else p) for _ in range(n)] for _ in range(n)]
+        m[0][0] = p
+        weights = [rng.randrange(-5, 6) for _ in range(n - 1)]
+        dependent = m[:-1] + [[sum(w * row[j] for w, row in zip(weights, m)) for j in range(n)]]
+        for matrix in (m, dependent):
+            expected = _plain_nonsingular_mod(matrix, p)
+            assert weyl._nonsingular_mod(matrix, p) == expected, (n, p, lo)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 11, 2**61 + 1, 3, 2**62 - 1, 2**64 - 1])
+def test_packed_elimination_refuses_other_moduli(p):
+    # the fold needs p = 2^k - 1, and a 128-bit slot holds its products for k <= 61
+    with pytest.raises(ValueError, match=r"p must be 2\^k - 1"):
+        weyl._nonsingular_mod([[1, 0], [0, 1]], p)
 

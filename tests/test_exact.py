@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 
 from twistloop.exact import BigradedSeries, product_over_degrees, solomon_series
+from twistloop.report import MAX_TRUNCATION
+from twistloop.rootsys import CartanType, degrees
 from twistloop.oracle import (charpoly, charpoly_from_power_traces,
-                              collapse_to_cohomological, identity_matrix, invert,
-                              kernel_basis, mat_mul, mat_vec, matrix, rank,
+                              collapse_to_cohomological, identity_matrix, integer_kernel,
+                              invert, kernel_basis, mat_mul, mat_vec, matrix, rank,
                               super_molien_from_buckets)
+
+from test_acceptance import expected_series
 
 I2 = identity_matrix(2)
 DIAG = matrix([[1, 0], [0, -1]])
@@ -274,6 +278,28 @@ class TestUnivariateHelpers:
         assert collapse_to_cohomological(s) == product_over_degrees(degs, trunc)
 
 
+SERIES_TABLES = ([("A", r) for r in range(1, 17)] + [("B", r) for r in range(1, 13)] +
+                 [("C", r) for r in range(1, 13)] + [("D", r) for r in range(2, 13)] +
+                 [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+SERIES_DEGREES = {**{f"{f}{r}": degrees(CartanType(f, r)) for f, r in SERIES_TABLES},
+                  "(1, 3)": (1, 3), "(2, 4, 4, 6)": (2, 4, 4, 6)}
+
+
+@pytest.mark.parametrize("degs", SERIES_DEGREES.values(), ids=SERIES_DEGREES.keys())
+def test_strided_product_matches_the_coin_change_expansion(degs):
+    # every truncation to 130 and a few deep ones: below the smallest degree,
+    # odd and even, and on both sides of d^2 = truncation // 2 + 1, where
+    # residue-class sums give way to block steps; a truncation is a prefix
+    full = expected_series(degs, 1000)
+    for trunc in (*range(131), 599, 600, 601, 1000):
+        assert product_over_degrees(degs, trunc) == full[:trunc + 1], trunc
+
+
+def test_strided_product_at_the_largest_truncation():
+    degs = degrees(CartanType("A", 80))
+    assert product_over_degrees(degs, MAX_TRUNCATION) == expected_series(degs, MAX_TRUNCATION)
+
+
 class TestElimination:
     def test_kernel_of_singular(self):
         m = matrix([[1, 1], [1, 1]])
@@ -290,6 +316,26 @@ class TestElimination:
         assert mat_mul(m, invert(m)) == identity_matrix(2)
         with pytest.raises(ValueError):
             invert(matrix([[1, 1], [1, 1]]))
+
+
+def test_integer_kernel_is_the_scaled_rational_kernel():
+    # Bareiss's fraction-free elimination against the Fraction one, on seeded
+    # integer matrices of every rank, with zero and repeated rows; each
+    # rational basis vector, scaled by the lcm of its denominators, is primitive
+    rng = random.Random(11)
+    for trial in range(400):
+        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 7)
+        r = rng.randrange(min(nrows, ncols) + 1)
+        left = [[rng.randrange(-4, 5) for _ in range(r)] for _ in range(nrows)]
+        right = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(r)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else
+             [0] * ncols for row in left]
+        if trial % 4 == 0:
+            m = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(ncols)] for _ in range(nrows)]
+            m += m[:2]
+        want = [tuple(int(x * math.lcm(*(Fraction(y).denominator for y in kv))) for x in kv)
+                for kv in kernel_basis(matrix(m))]
+        assert integer_kernel(m) == want, m
 
 
 def test_a_non_integer_coefficient_is_refused():

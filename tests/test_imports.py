@@ -19,8 +19,8 @@ import twistloop
 
 PACKAGE = Path(twistloop.__file__).parent
 PIPELINE = ("__init__", "__main__", "cli", "exact", "report", "rootsys", "twist", "weyl")
-ALLOWED = {"__future__", "argparse", "collections.abc", "functools", "math", "operator",
-           "sys", ".cli", ".exact", ".report", ".rootsys", ".twist", ".weyl"}
+ALLOWED = {"__future__", "argparse", "collections.abc", "functools", "itertools", "math",
+           "operator", "sys", ".cli", ".exact", ".report", ".rootsys", ".twist", ".weyl"}
 FORBIDDEN = {"fractions", "dataclasses", "typing", "inspect", "json", ".oracle"}
 
 

@@ -177,6 +177,33 @@ class TestExcludedCharacteristics:
         assert excluded_characteristics(CartanType("D", 4), "triality") == (2, 3)
         assert excluded_characteristics(CartanType("A", 5), (4, 3, 2, 1, 0)) == (2, 3, 5)
 
+    @pytest.mark.parametrize("family,rank,spec,folded", [
+        ("E", 8, "identity", None), ("A", 12, "identity", None), ("E", 6, "identity", None),
+        ("E", 6, "flip", "F4"), ("D", 4, "triality", "G2"),
+        ("E", 6, (5, 1, 4, 3, 2, 0), "F4")])
+    def test_compute_resolves_the_twist_once(self, family, rank, spec, folded, monkeypatch):
+        # a tag is checked in O(1) and explicit images are resolved once; the
+        # excluded primes reuse the resolved tag, and the type tests compare
+        # (family, rank), so the only type records built are the folded type's
+        from twistloop import report
+        from twistloop.weyl import GroupTooLargeError
+
+        t = CartanType(family, rank)
+        resolved, made = [], []
+        resolve, check = report.resolve_twist, CartanType._check
+        monkeypatch.setattr(report, "resolve_twist",
+                            lambda *args: resolved.append(args) or resolve(*args))
+        monkeypatch.setattr(CartanType, "_check", lambda self: made.append(self) or check(self))
+        try:
+            rpt = compute(TwistSpec(t, spec))
+        except GroupTooLargeError:
+            rpt = None
+        assert len(resolved) == (not isinstance(spec, str))
+        assert {str(u) for u in made} == ({folded} if folded else set()), made
+        if rpt is not None:
+            monkeypatch.undo()
+            assert rpt.excluded_characteristics == excluded_characteristics(t, spec)
+
     def test_a6_has_factorial_primes(self):
         # |W(A6)| = 7!: primes 2, 3, 5, 7
         assert excluded_characteristics(CartanType("A", 6), "flip") == (2, 3, 5, 7)
@@ -229,9 +256,17 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_invariant_dims(g2, 13)
 
-    def test_a2_identity_matches_molien(self):
+    def test_a2_identity_matches_molien(self, monkeypatch):
+        # the joint fixed spaces are found in integers, by fraction-free
+        # elimination: no Fraction kernel is formed
+        from twistloop import oracle
+
+        def refuse(m):
+            raise AssertionError("a Fraction kernel formed for a fixed space")
+
         rs = build_root_system(CartanType("A", 2))
         g = WeylPermutationGroup(rs).to_matrix_group()
+        monkeypatch.setattr(oracle, "kernel_basis", refuse)
         dims = brute_force_invariant_dims(g, 10)
         rpt = compute(TwistSpec(CartanType("A", 2), truncation=30))
         for (a, b), c in dims.coefficients.items():
@@ -555,7 +590,6 @@ class TestLimits:
         monkeypatch.setattr(rootsys, "_closure", refuse)
         monkeypatch.setattr(twist, "_closure", refuse)
         monkeypatch.setattr(rootsys, "RootSystem", refuse)
-        monkeypatch.setattr(rootsys, "simple_gram", refuse)
         monkeypatch.setattr(rootsys, "cartan_matrix", refuse)
         monkeypatch.setattr(twist, "cartan_matrix", refuse)
         for spec in (tag, perm):

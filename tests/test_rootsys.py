@@ -7,12 +7,12 @@ import pytest
 from fractions import Fraction
 
 from twistloop import rootsys
-from twistloop.oracle import (ambient_gram, ambient_roots, ambient_vector, reflect,
-                              simple_reflection, simple_root_vectors, vec_dot)
+from twistloop.oracle import (ambient_gram, ambient_roots, ambient_vector, cartan_from_gram,
+                              reflect, simple_gram, simple_reflection, simple_root_vectors,
+                              vec_dot)
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import (CartanType, RootSystem, build_root_system, cartan_from_gram,
-                               cartan_matrix, degrees, root_count, simple_gram,
-                               weyl_order)
+from twistloop.rootsys import (CartanType, RootSystem, build_root_system, cartan_matrix,
+                               degrees, root_count, weyl_order)
 
 ALL_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)] +
              [("C", r) for r in range(1, 7)] + [("D", r) for r in range(2, 7)] +
@@ -145,11 +145,12 @@ def test_the_closure_limit_binds_on_the_root_count(family, rank):
 
 @pytest.mark.parametrize("family,rank", DIAGRAM_CHECKED)
 def test_diagram_data_match_the_realization(family, rank):
-    # the Cartan matrix read off the Dynkin diagram is the realization's,
-    # and the diagram's integer Gram matrix is the realization's up to scale
+    # the Cartan matrix read off the Dynkin diagram is the one divided out
+    # of the diagram's integer Gram matrix and the realization's, and the
+    # diagram's Gram matrix is the realization's up to scale
     t = CartanType(family, rank)
     gram, ambient = simple_gram(t), ambient_gram(t)
-    assert cartan_matrix(t) == cartan_from_gram(ambient)
+    assert cartan_matrix(t) == cartan_from_gram(gram) == cartan_from_gram(ambient)
     assert all(type(x) is int for row in gram for x in row)
     scale = Fraction(gram[0][0]) / ambient[0][0]
     assert scale > 0
@@ -290,11 +291,11 @@ def test_compute_reads_each_type_once(family, rank, tag, types):
     # the input type's Cartan matrix is read to walk the rows (the twist is
     # checked on the Dynkin diagram), the folded type's to match the rows'
     # one; an identity twist folds to the input type itself.  No route
-    # closes a root.  The diagram's Gram matrix is not memoized: it is
-    # O(r^2) integers, read once per Cartan matrix.
+    # closes a root.  The Cartan matrix is read off the Dynkin diagram: the
+    # pipeline forms no Gram matrix.
     memoized = (rootsys.cartan_matrix, rootsys._closure)
     for fn in memoized:
         fn.cache_clear()
     compute(TwistSpec(CartanType(family, rank), tag))
     assert [fn.cache_info().misses for fn in memoized] == [types, 0]
-    assert not hasattr(rootsys.simple_gram, "cache_info")
+    assert not hasattr(rootsys, "simple_gram") and not hasattr(rootsys, "cartan_from_gram")

@@ -25,11 +25,12 @@ import pytest
 
 from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import CartanType, build_root_system, cartan_from_gram, weyl_order
+from twistloop.rootsys import CartanType, build_root_system, weyl_order
 from twistloop.twist import (check_folded_roots, expected_folded_type,
                              folded_root_system, make_automorphism)
 from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
-                              close_permutations, fixed_space_charpoly_buckets,
+                              cartan_from_gram, close_permutations,
+                              fixed_space_charpoly_buckets,
                               fixed_space_stabilizer_perms, projected_gram,
                               restricted_fixed_space_group, root_permutation,
                               wsigma_by_definition)
