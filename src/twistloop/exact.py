@@ -60,27 +60,29 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls.__slots__)
+        # each field's index and its slot's setter, which bypasses __setattr__
+        cls._index = {n: i for i, n in enumerate(cls.__slots__)}
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if len(args) > len(names):
-            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, "
-                            f"got {len(args)}")
-        values = dict(zip(names, args))
+        setters, given = self._setters, len(args)
+        if given > len(setters):
+            raise TypeError(f"{type(self).__name__}() takes {len(setters)} arguments, "
+                            f"got {given}")
+        for setter, value in zip(setters, args):
+            setter(self, value)
         for name, value in kwargs.items():
-            if name not in names or name in values:
+            i = self._index.get(name, -1)
+            if i < given:  # no such field, or one bound by position
                 raise TypeError(f"{type(self).__name__}() got an unexpected or "
                                 f"repeated argument {name!r}")
-            values[name] = value
-        defaults = self._defaults
-        for name in names:
-            if name in values:
-                value = values[name]
-            elif name in defaults:
-                value = defaults[name]
-            else:
-                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
-            object.__setattr__(self, name, value)
+            setters[i](self, value)
+        if given + len(kwargs) < len(setters):  # some field takes its default
+            for name, setter in zip(self.__slots__[given:], setters[given:]):
+                if name not in kwargs:
+                    if name not in self._defaults:
+                        raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+                    setter(self, self._defaults[name])
         self._check()
         object.__setattr__(self, "_key", self._values(self))
 

@@ -975,28 +975,27 @@ def _exterior_action(g: Matrix, a: int) -> list[list[Scalar]]:
     return out
 
 
-def _symmetric_action(g: Matrix, b: int) -> list[list[Scalar]]:
+def _symmetric_action(g: Matrix, b: int, lower: list[list[Scalar]]) -> list[list[Scalar]]:
+    """g on the degree-b monomials (b >= 1), in :func:`_exponent_tuples`
+    order, from lower, g on those of degree b - 1: a monomial x_v m, v its
+    first variable, maps to the linear form g x_v times the image of m,
+    column m of lower, one product per column."""
     n = len(g)
-    monomials = _exponent_tuples(n, b)
+    monomials, below = _exponent_tuples(n, b), _exponent_tuples(n, b - 1)
     index = {m: i for i, m in enumerate(monomials)}
+    rest = {m: i for i, m in enumerate(below)}
+    # up[j][i]: the index of monomial j of degree b - 1 times x_i
+    up = [[index[m[:i] + (m[i] + 1,) + m[i + 1:]] for i in range(n)] for m in below]
     out = [[0] * len(monomials) for _ in monomials]
     for col, expo in enumerate(monomials):
-        # product over variables of (image linear form)^multiplicity
-        poly: dict[tuple[int, ...], Scalar] = {(0,) * n: 1}
-        for var, mult in enumerate(expo):
-            for _ in range(mult):
-                nxt: dict[tuple[int, ...], Scalar] = {}
-                for mono, coeff in poly.items():
-                    for i in range(n):
-                        c = g[i][var]
-                        if c == 0:
-                            continue
-                        key = tuple(e + (1 if k == i else 0)
-                                    for k, e in enumerate(mono))
-                        nxt[key] = nxt.get(key, 0) + coeff * c
-                poly = nxt
-        for mono, coeff in poly.items():
-            out[index[mono]][col] = coeff
+        v = next(i for i, e in enumerate(expo) if e)
+        m = rest[expo[:v] + (expo[v] - 1,) + expo[v + 1:]]
+        form = [(i, g[i][v]) for i in range(n) if g[i][v]]
+        for row, targets in zip(lower, up):
+            c = row[m]
+            if c:
+                for i, a in form:
+                    out[targets[i]][col] += c * a
     return out
 
 
@@ -1038,7 +1037,8 @@ def brute_force_invariant_dims(group: FiniteMatrixGroup,
     the induced action on (exterior degree a) x (polynomial degree b) is
     assembled elementwise and the joint fixed subspace is computed by
     exact kernel elimination.  The at most ORACLE_MAX_DIM + 1 exterior
-    powers are built first and kept, so each symmetric power is built once."""
+    powers are built first and kept, so each symmetric power is built once,
+    from the one below it (:func:`_symmetric_action`)."""
     if group.dim > ORACLE_MAX_DIM:
         raise ValueError(f"oracle guard: dimension {group.dim} exceeds {ORACLE_MAX_DIM}")
     if max_total_degree > ORACLE_MAX_DEGREE:
@@ -1047,8 +1047,10 @@ def brute_force_invariant_dims(group: FiniteMatrixGroup,
     top = min(group.dim, max_total_degree)
     exts = [[_exterior_action(g, a) for g in group.elements] for a in range(top + 1)]
     dims: dict[tuple[int, int], int] = {}
+    sym = [[[1]] for _ in group.elements]  # each g on the degree-0 monomial
     for b in range(max_total_degree // 2 + 1):
-        sym = [_symmetric_action(g, b) for g in group.elements]
+        if b:
+            sym = [_symmetric_action(g, b, s) for g, s in zip(group.elements, sym)]
         for a in range(min(top, max_total_degree - 2 * b) + 1):
             tensored = []
             for e, s in zip(exts[a], sym):

@@ -63,7 +63,7 @@ from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, FixedGroupInfo, OrbitCriterion, check_tag,
                     expected_folded_type, fixed_group_info, make_automorphism, orbit_sizes,
-                    resolve_twist, twist_rows)
+                    resolve_twist, simple_perm_for_tag, twist_rows)
 from .weyl import GroupTooLargeError, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
@@ -165,7 +165,7 @@ class TwistReport(Record):
             f'  "series": {_json_list(self.series, 4)},\n'
             f'  "closed_form": {closed},\n'
             f'  "excluded_characteristics": {_json_list(self.excluded_characteristics, 4)},\n'
-            f'  "notes": {_json_list(self.notes, 4, _json_str)}\n}}')
+            f'  "notes": {_json_list(tuple(map(_json_str, self.notes)), 4, "%s")}\n}}')
 
     def to_text(self) -> str:
         lines = [
@@ -204,13 +204,13 @@ def _json_str(s: str) -> str:
     return json.dumps(s)
 
 
-def _json_list(values: Sequence, indent: int, item=str) -> str:
-    """A list of ints, or of what item writes, one entry per line at indent
-    spaces and its closing bracket two spaces less; ``[]`` when empty."""
+def _json_list(values: Sequence, indent: int, item: str = "%d") -> str:
+    """A list, each entry by the % template item (ints by default) on its own
+    line at indent spaces, the bracket closed two less; ``[]`` when empty."""
     if not values:
         return "[]"
     pad = "\n" + " " * indent
-    return "[" + pad + ("," + pad).join(map(item, values)) + pad[:-2] + "]"
+    return "[" + ((pad + item + ",") * len(values))[:-1] % tuple(values) + pad[:-2] + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +318,8 @@ def compute(spec: TwistSpec) -> TwistReport:
     if not table_path:
         _check_order_cap(folded_type, cap)
     # a tag's node permutation is formed only now, once the cap has passed
-    rows, nodes = twist_rows(t, tag, perm)
-    pos_sizes = orbit_sizes(t, tag)
+    rows, nodes = twist_rows(t, folded_type, perm or simple_perm_for_tag(t, tag))
+    pos_sizes = orbit_sizes(t, folded_type)
     # negation commutes with sigma: as many orbits on the negative roots
     criterion = OrbitCriterion(2 * len(pos_sizes), root_count(folded_type))
     info = fixed_group_info(t, tag)

@@ -135,8 +135,8 @@ def dynkin_diagram(t: CartanType) -> tuple[tuple[int, ...], tuple[tuple[int, int
     diagram as node pairs."""
     fam, r = t.family, t.rank
     chain = tuple((i, i + 1) for i in range(r - 1))
-    lengths = {"B": (4,) * (r - 1) + (2,), "C": (2,) * (r - 1) + (4,),
-               "F": (4, 4, 2, 2), "G": (2, 6)}.get(fam, (2,) * r)
+    lengths = ((4,) * (r - 1) + (2,) if fam == "B" else (2,) * (r - 1) + (4,) if fam == "C"
+               else (4, 4, 2, 2) if fam == "F" else (2, 6) if fam == "G" else (2,) * r)
     if fam == "D":
         return lengths, chain[:r - 2] + (((r - 3, r - 1),) if r >= 3 else ())
     if fam == "E":

@@ -95,8 +95,8 @@ def check_tag(t: CartanType, tag: str) -> None:
         raise ValueError("triality exists only for D4")
 
 
-def _simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
-    check_tag(t, tag)
+def simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
+    """The node permutation of a tag that :func:`check_tag` has passed."""
     fam, r = t.family, t.rank
     if tag == "identity":
         return tuple(range(r))
@@ -146,7 +146,8 @@ def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, 
     matrix."""
     if isinstance(spec, str):
         tag = spec
-        perm = _simple_perm_for_tag(t, tag)
+        check_tag(t, tag)
+        perm = simple_perm_for_tag(t, tag)
     else:
         perm = tuple(spec)
         check_simple_perm(perm, t.rank)
@@ -179,21 +180,20 @@ def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
     return (1,) * fixed + (a.order,) * ((len(positive) - fixed) // a.order)
 
 
-def orbit_sizes(t: CartanType, tag: str) -> tuple[int, ...]:
-    """The sorted sizes of :func:`positive_orbit_sizes`, from the types
-    alone.  sigma, of order o, sends an orbit to one projection, and
+def orbit_sizes(t: CartanType, folded: CartanType) -> tuple[int, ...]:
+    """The sorted sizes of :func:`positive_orbit_sizes`, from t and its
+    twist's folded type: t for the identity, G2 for a triality (o = 3),
+    else a flip's (o = 2).  sigma sends an orbit to one projection, and
     distinct orbits to distinct ones, so the N positive roots form k
-    orbits, k the number of positive projections: the folded type's
-    positive roots, and for an A_2m flip the m doubled short ones too (the
-    projections form BC_m).  Each orbit is one fixed root or has o roots,
-    so sigma fixes (o k - N) / (o - 1) of them."""
+    orbits, k the number of positive projections: the folded type's, and
+    for an A_2m flip the m doubled short ones too (they form BC_m).  Each
+    orbit is one fixed root or has o roots: sigma fixes (o k - N) / (o - 1)."""
     n = root_count(t) // 2
-    if tag == "identity":
+    if folded == t:
         return (1,) * n
-    order = 2 if tag == "flip" else 3
-    folded = expected_folded_type(t, tag)
+    order = 3 if folded.family == "G" else 2
     k = root_count(folded) // 2
-    if tag == "flip" and t.family == "A" and t.rank % 2 == 0:
+    if t.family == "A" and t.rank % 2 == 0:
         k += folded.rank
     fixed = (order * k - n) // (order - 1)
     return (1,) * fixed + (order,) * ((n - fixed) // order)
@@ -257,7 +257,7 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     reduced root system drops nothing."""
     t = a.base.cartan_type
     if a.order == 1:
-        return FoldingResult(a.base.positive, t, *twist_rows(t, a.tag, a.simple_perm))
+        return FoldingResult(a.base.positive, t, *twist_rows(t, t, a.simple_perm))
     projected = project_roots(a)
     found = {v for v, _ in projected}
     folded = tuple([v for v, _ in projected
@@ -269,23 +269,19 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     return FoldingResult(folded, expected, rows, nodes)
 
 
-def twist_rows(t: CartanType, tag: str, perm: tuple[int, ...] | None = None,
+def twist_rows(t: CartanType, folded: CartanType, perm: tuple[int, ...],
                ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Steinberg's rows for the twist of type t with this tag that permutes
-    the simple nodes by perm (by default the tag's own permutation), and
-    the row matched to each node of the folded type's Dynkin diagram,
-    certified without a root: the rows' Cartan matrix C_jk = -row_k[j]
-    must be the folded type's, node for node for sigma = identity and in
-    some order of the nodes otherwise (:func:`_match_cartan`).  The rows'
-    reflections then generate the folded type's Weyl group, whose roots
-    are the closure of that matrix.
-    """
-    if perm is None:
-        perm = _simple_perm_for_tag(t, tag)
-    folded = expected_folded_type(t, tag)
+    """Steinberg's rows for the twist of type t that permutes the simple
+    nodes by perm, and the row matched to each node of the Dynkin diagram
+    of its folded type (:func:`expected_folded_type`), certified without a
+    root: the rows' Cartan matrix C_jk = -row_k[j] must be the folded
+    type's, node for node for sigma = identity, whose folded type is t,
+    and in some order of the nodes otherwise (:func:`_match_cartan`).  The
+    rows' reflections then generate the folded type's Weyl group, whose
+    roots are the closure of that matrix."""
     rows = steinberg_rows(t, perm)
     cartan = _rows_cartan(rows)
-    if tag == "identity":
+    if folded == t:
         nodes = tuple(range(t.rank)) if cartan == cartan_matrix(t) else None
     else:
         nodes = _match_cartan(cartan, cartan_matrix(folded))

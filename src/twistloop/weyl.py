@@ -3,21 +3,15 @@ the fixed subspace, its order from coset indices, and the certificate
 that its invariant ring is polynomial in the folded type's degrees.
 
 :func:`steinberg_rows` walks Steinberg's generators of W^sigma, the fixed
-subgroup of a diagram automorphism sigma, from the Cartan matrix.  On the
-fixed subspace each is a simple reflection of the folded Weyl group and
-changes one coordinate, so it is kept as one integer row, which the
-Cartan match (:func:`twistloop.twist.twist_rows`), the coset chain and
-the Jacobian read.  :func:`coset_indices` counts the cosets along the
-chain of subgroups the generators span as orbits of coordinate
-functionals, each closed by one breadth-first search
-(:func:`_orbit_search`) bounded by the group order; the indices multiply
-to |W^sigma|.  :func:`certify_jacobian` finds invariants of the folded
-type's degrees on the chain's last orbit, its power sums and, for D_n,
-the Pfaffian, the product over half of it, with a Jacobian determinant
-nonzero mod 2^61 - 1, one packed int per row (:func:`_nonsingular_mod`).
-The invariant ring is then polynomial in those degrees, so the report's
-series is the product over them (:func:`twistloop.exact.product_over_degrees`).
-No element of W^sigma is enumerated and no root is permuted.  The
+subgroup of a diagram automorphism sigma, from the Cartan matrix, each
+one integer row on the fixed subspace, which the Cartan match
+(:func:`twistloop.twist.twist_rows`), the coset chain
+(:func:`coset_indices`) and the Jacobian (:func:`certify_jacobian`) read.
+The chain's indices, sizes of orbits of coordinate functionals, multiply
+to |W^sigma|; invariants of the folded type's degrees on its last orbit
+with a Jacobian nonzero mod 2^61 - 1 make the report's series the
+product over those degrees (:func:`twistloop.exact.product_over_degrees`).
+No element of W^sigma is enumerated and no root is permuted; the
 element-by-element references live in :mod:`twistloop.oracle`.
 """
 
@@ -70,11 +64,10 @@ def steinberg_rows(t: CartanType, simple_perm: tuple[int, ...]) -> tuple[tuple[i
     g_k commutes with sigma, so g_k(beta_O') is the orbit sums of
     w_k(alpha_j), j the first node of O': entry O' of row k is the sum over
     O_k of w_k(alpha_j), less 1 when O' = O_k, and 0 off O_k and its
-    neighbours.  No other row of g_k - 1 is nonzero, since w_k keeps every
-    orbit sum outside O_k.  So g_k sends a functional phi to phi + phi_k
-    row_k and changes a vector v in entry k alone, by row_k . v; the
-    oracle's dense matrices (:func:`twistloop.oracle.fixed_space_matrices`)
-    are the test reference.
+    neighbours; w_k keeps every orbit sum outside O_k, so no other row of
+    g_k - 1 is nonzero.  g_k sends phi to phi + phi_k row_k and changes a
+    vector v in entry k alone, by row_k . v; the oracle's dense matrices
+    (:func:`twistloop.oracle.fixed_space_matrices`) are the test reference.
     """
     cartan = cartan_matrix(t)
     steps = root_count(t) // 2
@@ -122,7 +115,8 @@ def coset_indices(rows: Sequence[tuple[int, ...]],
     |W^sigma|, which each index divides, or when the indices do not
     multiply to it: then the generators are not Steinberg's.
     """
-    orbits = [_orbit_search(k, rows[:k + 1], order) for k in range(len(rows))]
+    dim, steps = len(rows), _sparse_rows(rows)
+    orbits = [_orbit_search(k, dim, steps[:k + 1], order) for k in range(dim)]
     indices = tuple(map(len, orbits))
     if math.prod(indices) != order:
         raise ValueError(f"coset counts {list(indices)} do not multiply to the group "
@@ -130,30 +124,35 @@ def coset_indices(rows: Sequence[tuple[int, ...]],
     return indices, orbits[-1]
 
 
-def _orbit_search(k: int, rows: Sequence[tuple[int, ...]],
+def _sparse_rows(rows: Sequence[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
+    """Each row's nonzero entries (i, b), at most four for Steinberg's rows."""
+    return [[(i, b) for i, b in enumerate(row) if b] for row in rows]
+
+
+def _orbit_search(k: int, dim: int, steps: Sequence[Sequence[tuple[int, int]]],
                   limit: int) -> list[tuple[int, ...]]:
-    """The orbit of y_k under the reflections with the given rows, in
-    breadth-first order; ValueError when it passes limit.
+    """The orbit of y_k in dimension dim under the reflections with the sparse
+    rows steps, in breadth-first order; ValueError when it passes limit.
 
     Only lowering steps are taken, phi -> phi s_r with phi_r > 0.  y_k is
-    dominant: y_k(beta_j) >= 0 for every j.  Any functional w y_k of its
-    orbit, with w of minimal length, is reached by such steps: for a
-    reduced w = s_r w', w'^-1 beta_r is a positive root, so (w' y_k)(beta_r)
-    >= 0, and it is not 0, since s_r moves w' y_k (Humphreys, Reflection
-    Groups and Coxeter Groups, 1.6-1.10).  A breadth-first search thus meets
-    each functional at its minimal length; a step with phi_r < 0 leads one
-    length back, to a functional the search has already met, and phi_r = 0
-    fixes phi.  Skipping both keeps every orbit and the order of its
-    elements.
-    """
-    orbit = [tuple(int(i == k) for i in range(len(rows[0])))]
+    dominant: y_k(beta_j) >= 0 for every j.  Any w y_k, w of minimal
+    length, is reached by such steps: for a reduced w = s_r w', w'^-1
+    beta_r is a positive root, so (w' y_k)(beta_r) >= 0, and it is not 0,
+    since s_r moves w' y_k (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.6-1.10).  So a breadth-first search meets each functional at
+    its minimal length; a step with phi_r < 0 leads back to one already
+    met, and phi_r = 0 fixes phi: skipping both keeps every orbit and its
+    order."""
+    orbit = [tuple(int(i == k) for i in range(dim))]
     seen = set(orbit)
     for phi in orbit:  # orbit grows while it is read: a breadth-first search
-        for r, row in enumerate(rows):
+        for r, entries in enumerate(steps):
             c = phi[r]
             if c > 0:
-                psi = tuple([a + c * b for a, b in zip(phi, row)])
-                if psi not in seen:
+                psi = list(phi)
+                for i, b in entries:
+                    psi[i] += c * b
+                if (psi := tuple(psi)) not in seen:
                     if len(orbit) >= limit:
                         raise ValueError(f"a functional orbit passed {limit} elements")
                     seen.add(psi)
@@ -182,8 +181,9 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
     orbits of y_1, y_2, ... follow, each searched, within the degrees'
     product, only once those before fail.  f_i = sum_j c_ij sum_{phi in
     U_j} phi^(d_i), plus e_i P_j when P_j, the product over U_j's half H_j,
-    is invariant of degree d_i (:func:`_half_product`), is invariant of
-    degree d_i.  Its gradient (the unit d_i left out) reads phi(x)^(d-1)
+    is invariant of degree d_i (:func:`_half_product`).  As -phi gives
+    (-1)^d phi(x)^(d-1) phi mod p, a sum over U_j = -U_j is twice that
+    over H_j for even d and 0 for odd d.  The gradient reads phi(x)^(d-1)
     off one running product per functional, over its nonzero entries, and
     P_j's from prefix and suffix products, with no inverse.  The weights
     and the point x are seeded residues modulo the prime JACOBIAN_PRIME,
@@ -208,11 +208,8 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
     degrees with the same product have no such invariants, and their
     Jacobian vanishes at every point.
     """
-    p, dim, top = JACOBIAN_PRIME, len(ds), max(ds)
-    # only the powers v^(d-1) are read: when every degree is even, the odd
-    # ones v, v^3, .., v^(top-1), stepping by v^2; else v^0 .. v^(top-1)
-    step = 2 if all(d % 2 == 0 for d in ds) else 1
-    searches = (_orbit_search(k, rows, math.prod(ds)) for k in range(dim - 1))
+    p, dim, top, steps = JACOBIAN_PRIME, len(ds), max(ds), _sparse_rows(rows)
+    searches = (_orbit_search(k, dim, steps, math.prod(ds)) for k in range(dim - 1))
     orbits = [orbit]
     for attempt in range(JACOBIAN_ATTEMPTS):
         point = _jacobian_point(attempt, dim)
@@ -221,10 +218,12 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
         for j in range(dim):
             if j == len(orbits):
                 orbits.append(next(searches))
-            half = _half_product(orbits[j], rows, ds)
-            grads = {d: [0] * dim for d in ds}
+            half, product = _half_product(orbits[j], rows, ds)
+            # only v^(d-1) is read, for even d alone on H: by v^2 when every d read is even
+            grads = {d: [0] * dim for d in ds if half is None or d % 2 == 0}
+            step = 2 if all(d % 2 == 0 for d in grads) else 1
             reads = [((d - 1) // step, grad) for d, grad in grads.items()]
-            for phi in orbits[j]:
+            for phi in orbits[j] if half is None else half:
                 entries = [(k, a) for k, a in enumerate(phi) if a]
                 v = sum(a * point[k] for k, a in entries) % p
                 powers, stride = ([v], v * v % p) if step == 2 else ([1], v)
@@ -234,14 +233,19 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
                     c = powers[at]
                     for k, a in entries:
                         grad[k] += c * a
-            values = [sum(a * x for a, x in zip(phi, point)) % p for phi in half]
-            others = [math.prod(values[:h]) * math.prod(values[h + 1:]) % p
-                      for h in range(len(half))]
-            extra = [sum(c * phi[k] for c, phi in zip(others, half)) % p for k in range(dim)]
+            if product:
+                values = [sum(a * x for a, x in zip(phi, point)) % p for phi in product]
+                others = [math.prod(values[:h]) * math.prod(values[h + 1:]) % p
+                          for h in range(len(product))]
+                extra = [sum(c * phi[k] for c, phi in zip(others, product)) % p
+                         for k in range(dim)]
             for i, d in enumerate(ds):
-                c, e = weights[i * dim + j], weights[dim * dim + i] * (len(half) == d)
-                jacobian[i] = [(a + c * g + e * h) % p
-                               for a, g, h in zip(jacobian[i], grads[d], extra)]
+                if d in grads:
+                    c = weights[i * dim + j] << (half is not None)
+                    jacobian[i] = [(a + c * g) % p for a, g in zip(jacobian[i], grads[d])]
+                if len(product) == d:
+                    e = weights[dim * dim + i]
+                    jacobian[i] = [(a + e * h) % p for a, h in zip(jacobian[i], extra)]
             if _nonsingular_mod(jacobian, p):
                 return j + 1
     raise ValueError(f"no invariants of degrees {list(ds)} with a nonzero Jacobian "
@@ -249,25 +253,23 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
 
 
 def _half_product(orbit: Sequence[tuple[int, ...]], rows: Sequence[tuple[int, ...]],
-                  ds: Sequence[int]) -> list[tuple[int, ...]]:
-    """H, the members of the orbit U whose first nonzero entry is positive,
-    when |H| is in ds, U = -U and each row sends an even number of them out
-    of H; else [].  Then the product P over H is invariant: each g permutes
-    U and commutes with negation, so g P = (-1)^n(g) P, n(g) the number of
-    members of H that g sends out of H, and the character g -> (-1)^n(g)
-    is trivial when it is on the generators.  For D_n and U = {+-e_i}, P is
-    the Pfaffian x_1...x_n; for B_n and C_n the last node's reflection
-    sends e_n alone out, and P is only a semi-invariant.
-    """
-    if len(orbit) // 2 not in ds or tuple(-a for a in orbit[0]) not in orbit:
-        return []
-    half = [phi for phi in orbit if next(a for a in phi if a) > 0]
+                  ds: Sequence[int]) -> tuple[list[tuple[int, ...]] | None, list]:
+    """H, the members of the orbit U above 0 (first nonzero entry positive),
+    or None unless U = -U, that is unless -U meets U; and H again when |H|
+    is in ds and each row sends an even number of its members out of H,
+    else [].  Then the product P over H is invariant: g permutes U and
+    commutes with negation, so g P = (-1)^n(g) P, n(g) how many members of
+    H g sends out, a character trivial when it is on the generators.  For
+    D_n and U = {+-e_i}, P is the Pfaffian x_1...x_n; for B_n and C_n the
+    last reflection sends e_n alone out: P is only a semi-invariant."""
+    if tuple([-a for a in orbit[0]]) not in orbit:
+        return None, []
+    zero = (0,) * len(orbit[0])
+    half = [phi for phi in orbit if phi > zero]
     members = set(half)
-    for r, row in enumerate(rows):
-        if sum(tuple([a + phi[r] * b for a, b in zip(phi, row)]) not in members
-               for phi in half if phi[r]) % 2:
-            return []
-    return half
+    return half, half if len(half) in ds and not any(
+        sum(tuple([a + phi[r] * b for a, b in zip(phi, row)]) not in members
+            for phi in half if phi[r]) % 2 for r, row in enumerate(rows)) else []
 
 
 def _jacobian_point(attempt: int, dim: int) -> list[int]:

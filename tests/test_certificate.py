@@ -244,7 +244,7 @@ def test_half_product_is_the_pfaffian_for_d_only(family, rank):
     half = positive_half(orbit)
     assert len(orbit) == 2 * len(half) == 2 * rank
     assert product_ratios(rows, half) == ({1} if family == "D" else {1, -1})
-    assert weyl._half_product(orbit, rows, (rank,)) == (half if family == "D" else [])
+    assert weyl._half_product(orbit, rows, (rank,)) == (half, half if family == "D" else [])
 
 
 def test_half_product_needs_an_orbit_closed_under_negation():
@@ -252,12 +252,12 @@ def test_half_product_needs_an_orbit_closed_under_negation():
     # number of its 8 positive-first members out of them, and 8 is a degree:
     # only the U = -U test refuses their product, which is not invariant
     rows, ds, _, _ = chain_inputs("D", 5, "identity")
-    orbit = weyl._orbit_search(0, rows, 10**7)
+    orbit = weyl._orbit_search(0, len(rows), weyl._sparse_rows(rows), 10**7)
     half = positive_half(orbit)
     assert len(orbit) == 16 and len(half) == 8 and 8 in ds
     assert tuple(-a for a in orbit[0]) not in orbit
     assert product_ratios(rows, half) != {1}
-    assert weyl._half_product(orbit, rows, ds) == []
+    assert weyl._half_product(orbit, rows, ds) == (None, [])
 
 
 def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
@@ -287,18 +287,62 @@ def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
 
 
 def reference_jacobian(rows, ds, orbit):
-    """The first seeded point's Jacobian on one orbit U, entry by entry with
-    pow(): row i is c_i grad sum_{phi in U} phi^(d_i), plus e_i times the
-    gradient of the half product when it is invariant of degree d_i."""
+    """The first seeded point's Jacobian on the whole orbit U, entry by entry
+    with pow(): row i is c_i grad sum_{phi in U} phi^(d_i), plus e_i times
+    the gradient of the product over U's positive half when U = -U and that
+    product is invariant (product_ratios) of degree d_i."""
     p, dim = weyl.JACOBIAN_PRIME, len(ds)
     point, weights = weyl._jacobian_point(0, dim), weyl._seeded(2, dim * dim + dim)
     value = {phi: sum(a * x for a, x in zip(phi, point)) % p for phi in orbit}
-    half = weyl._half_product(orbit, rows, ds)
+    half = positive_half(orbit)
+    if not (tuple(-a for a in orbit[0]) in orbit and len(half) in ds
+            and product_ratios(rows, half) == {1}):
+        half = []
     extra = [sum(phi[k] * math.prod(value[psi] for psi in half if psi != phi)
                  for phi in half) for k in range(dim)]
     return [[(weights[i * dim] * sum(phi[k] * pow(value[phi], d - 1, p) for phi in orbit)
               + weights[dim * dim + i] * (len(half) == d) * extra[k]) % p
              for k in range(dim)] for i, d in enumerate(ds)]
+
+
+def jacobians(rows, ds, orbit, monkeypatch):
+    """Every Jacobian certify_jacobian forms, one per orbit it tries, and
+    the half _half_product gave for each orbit: H, or None for the whole
+    orbit."""
+    seen, halves = [], []
+
+    def spy(matrix, p):
+        seen.append([row[:] for row in matrix])
+        return nonsingular(matrix, p)
+
+    def half_spy(orbit, rows, ds):
+        halves.append(half_product(orbit, rows, ds)[0])
+        return half_product(orbit, rows, ds)
+
+    nonsingular, half_product = weyl._nonsingular_mod, weyl._half_product
+    monkeypatch.setattr(weyl, "_nonsingular_mod", spy)
+    monkeypatch.setattr(weyl, "_half_product", half_spy)
+    certify_jacobian(rows, ds, orbit)
+    return seen, halves
+
+
+@pytest.mark.parametrize("family,rank,tag", [c for c in ADMISSIBLE if c[1] <= 12])
+def test_half_orbit_jacobian_is_the_full_orbit_one(family, rank, tag, monkeypatch):
+    # an orbit U = -U is summed over its positive half H, twice for an even
+    # degree and not at all for an odd one; mod p the Jacobian is the one
+    # the whole orbit gives.  Every twisted case folds to B, C, F4 or G2,
+    # whose chain ends in such an orbit, and so do B, C, D, E7, E8, F4 and
+    # G2; A_n (n >= 2) and E6 keep the whole orbit (U != -U), and D5 and D7
+    # take their odd degree from the Pfaffian alone
+    rows, ds, _, orbit = chain_inputs(family, rank, tag)
+    seen, halves = jacobians(rows, ds, orbit, monkeypatch)
+    jacobian, half = seen[0], halves[0]
+    assert jacobian == reference_jacobian(rows, ds, orbit)
+    full = tag == "identity" and (family == "A" and rank >= 2 or (family, rank) == ("E", 6))
+    assert (half is None) == full
+    if half is not None:
+        assert len(orbit) == 2 * len(half) and set(orbit) == {
+            v for phi in half for v in (phi, tuple(-a for a in phi))}
 
 
 @pytest.mark.parametrize("family,rank,tag,even", [
@@ -307,19 +351,11 @@ def reference_jacobian(rows, ds, orbit):
     ("D", 4, "triality", True), ("E", 6, "flip", True), ("A", 4, "identity", False),
     ("D", 5, "identity", False), ("E", 6, "identity", False)])
 def test_jacobian_reads_the_power_of_each_degree(family, rank, tag, even, monkeypatch):
-    # every degree even (B, C, G2, F4, D4 and the twists, which fold to
-    # them) steps the powers by v^2; a mixed table steps by v.  Either way
-    # the gradient of phi^d reads phi^(d-1)
+    # every degree read even (B, C, G2, F4, D4 and the twists, which fold to
+    # them, and D5's half orbit) steps the powers by v^2; a mixed table on a
+    # whole orbit steps by v.  Either way the gradient of phi^d reads phi^(d-1)
     rows, ds, _, orbit = chain_inputs(family, rank, tag)
-    seen = []
-
-    def spy(matrix, p):
-        seen.append([row[:] for row in matrix])
-        return nonsingular(matrix, p)
-
-    nonsingular = weyl._nonsingular_mod
-    monkeypatch.setattr(weyl, "_nonsingular_mod", spy)
-    assert certify_jacobian(rows, ds, orbit) == 1
+    seen, _ = jacobians(rows, ds, orbit, monkeypatch)
     assert seen == [reference_jacobian(rows, ds, orbit)]
     assert all(d % 2 == 0 for d in ds) == even
 

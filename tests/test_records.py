@@ -5,6 +5,7 @@ series derived from its fields, refusal of assignment and deletion, and
 the validation messages."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -77,6 +78,59 @@ def test_bad_arguments_are_type_errors():
         CartanType("E", family="E")
     with pytest.raises(TypeError, match="'size'"):
         CartanType("E", size=6)
+
+
+def signature_of(cls):
+    """The function signature whose binding a record's constructor follows."""
+    return inspect.Signature([
+        inspect.Parameter(n, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=cls._defaults.get(n, inspect.Parameter.empty))
+        for n in cls.__slots__])
+
+
+@pytest.mark.parametrize("cls,args,kwargs", [
+    (CartanType, ("E", 6), {}), (CartanType, ("E",), {"rank": 6}),
+    (CartanType, (), {"rank": 6, "family": "E"}),
+    (TwistSpec, (E6,), {}), (TwistSpec, (E6, "flip"), {"workers": 2}),
+    (TwistSpec, (), {"truncation": 70, "cartan_type": E6}),
+    (TwistSpec, (E6, (5, 1, 4, 3, 2, 0), 60, True, 3), {}),
+    (TwistSpec, (E6,), {"run_oracle": True, "automorphism": "flip"}),
+    (BigradedSeries, (4,), {}), (BigradedSeries, (), {"coefficients": {(0, 1): 2},
+                                                      "truncation": 4}),
+    (ClosedForm, (), {"y_degrees": (4,), "x_degrees": (3,)}),
+])
+def test_arguments_bind_as_a_function_binds_them(cls, args, kwargs):
+    # positional, keyword and mixed, with the trailing defaults filled in
+    bound = signature_of(cls).bind(*args, **kwargs)
+    bound.apply_defaults()
+    record = cls(*args, **kwargs)
+    assert [getattr(record, n) for n in cls.__slots__] == list(bound.arguments.values())
+    assert record == cls(**bound.arguments)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: CartanType(), "CartanType() missing argument 'family'"),
+    (lambda: CartanType("E"), "CartanType() missing argument 'rank'"),
+    (lambda: CartanType(rank=6), "CartanType() missing argument 'family'"),
+    (lambda: CartanType("E", 6, 7), "CartanType() takes 2 arguments, got 3"),
+    (lambda: TwistSpec(E6, "flip", 50, False, 1, 2), "TwistSpec() takes 5 arguments, got 6"),
+    (lambda: CartanType("E", family="E"),
+     "CartanType() got an unexpected or repeated argument 'family'"),
+    (lambda: TwistSpec(E6, cartan_type=E6, truncation=7),
+     "TwistSpec() got an unexpected or repeated argument 'cartan_type'"),
+    # an unexpected or repeated argument is named before a missing one
+    (lambda: CartanType(size=6), "CartanType() got an unexpected or repeated argument 'size'"),
+    (lambda: CartanType("E", size=6),
+     "CartanType() got an unexpected or repeated argument 'size'"),
+    (lambda: TwistSpec(workers=2, bogus=1),
+     "TwistSpec() got an unexpected or repeated argument 'bogus'"),
+    (lambda: BigradedSeries(coefficients={}, truncation=3, extra=None),
+     "BigradedSeries() got an unexpected or repeated argument 'extra'"),
+])
+def test_binding_errors_keep_their_messages(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_spec_defaults_and_the_benchmark_keyword_form():

@@ -182,24 +182,29 @@ class TestExcludedCharacteristics:
         ("E", 6, "flip", "F4"), ("D", 4, "triality", "G2"),
         ("E", 6, (5, 1, 4, 3, 2, 0), "F4")])
     def test_compute_resolves_the_twist_once(self, family, rank, spec, folded, monkeypatch):
-        # a tag is checked in O(1) and explicit images are resolved once; the
-        # excluded primes reuse the resolved tag, and the type tests compare
-        # (family, rank), so the only type records built are the folded type's
-        from twistloop import report
+        # a tag is checked once, in O(1), and explicit images are resolved
+        # once; the excluded primes reuse the resolved tag, the rows and the
+        # orbit sizes the folded type, and the type tests compare (family,
+        # rank), so the only type record built is the folded type, once
+        from twistloop import report, twist
         from twistloop.weyl import GroupTooLargeError
 
         t = CartanType(family, rank)
-        resolved, made = [], []
-        resolve, check = report.resolve_twist, CartanType._check
+        resolved, checked, made = [], [], []
+        resolve, check_tag, check = report.resolve_twist, twist.check_tag, CartanType._check
         monkeypatch.setattr(report, "resolve_twist",
                             lambda *args: resolved.append(args) or resolve(*args))
+        for module in (report, twist):
+            monkeypatch.setattr(module, "check_tag",
+                                lambda *args: checked.append(args) or check_tag(*args))
         monkeypatch.setattr(CartanType, "_check", lambda self: made.append(self) or check(self))
         try:
             rpt = compute(TwistSpec(t, spec))
         except GroupTooLargeError:
             rpt = None
         assert len(resolved) == (not isinstance(spec, str))
-        assert {str(u) for u in made} == ({folded} if folded else set()), made
+        assert len(checked) == isinstance(spec, str)
+        assert [str(u) for u in made] == ([folded] if folded else []), made
         if rpt is not None:
             monkeypatch.undo()
             assert rpt.excluded_characteristics == excluded_characteristics(t, spec)
@@ -449,6 +454,20 @@ class TestJsonSchema:
                    "\U0001d54e and \U0010ffff", "\ud800 lone", 'mixed "q" \\ \u00e9\n\U0001f600']
         for text in samples + ["".join(samples), "".join(map(chr, range(0x2100)))]:
             assert _json_str(text) == json.dumps(text), repr(text)
+
+    @pytest.mark.parametrize("values", [
+        [], [7], [0], [-1, 0, -25, 3], [10**399 + 1, -(10**399)], list(range(-5000, 5001))],
+        ids=["empty", "one", "zero", "negative", "400-digit", "10001"])
+    def test_int_lists_are_laid_out_as_json_does(self, values):
+        # one %d template, at the top level and nested as the report nests them
+        from twistloop.report import _json_list
+
+        assert _json_list(tuple(values), 2) == json.dumps(values, indent=2)
+        nested = json.dumps({"series": values}, indent=2)
+        assert nested == '{\n  "series": ' + _json_list(values, 4) + "\n}"
+        strings = [f"note {v}" for v in values[:50]]
+        assert _json_list(tuple(map(json.dumps, strings)), 2, "%s") == \
+            json.dumps(strings, indent=2)
 
 
 class TestCli:

@@ -19,8 +19,9 @@ from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import (_RANK_BOUNDS, FAMILIES, CartanType, build_root_system,
                                cartan_matrix, root_count)
 from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
-                             fixed_group_info, folded_root_system, make_automorphism,
-                             orbit_sizes, positive_orbit_sizes, project_roots, twist_rows)
+                             expected_folded_type, fixed_group_info, folded_root_system,
+                             make_automorphism, orbit_sizes, positive_orbit_sizes,
+                             project_roots, twist_rows)
 from twistloop.weyl import _perm_orbits, steinberg_rows
 
 from conftest import mirrored
@@ -201,7 +202,8 @@ class TestOrbits:
             assert positive_orbit_sizes(aut) == want, (family, rank, tag)
             # compute() derives the sizes from the types
             rpt = compute(TwistSpec(rs.cartan_type, tag, truncation=0))
-            assert rpt.positive_orbit_sizes == orbit_sizes(rs.cartan_type, tag) == want
+            assert rpt.positive_orbit_sizes == want == \
+                orbit_sizes(rs.cartan_type, rpt.folded_type)
             assert rpt.orbit_criterion.orbit_count == len(orbits), (family, rank, tag)
 
     def test_derived_orbits_are_the_measured_ones(self):
@@ -218,11 +220,12 @@ class TestOrbits:
         for family, rank, tag in cases:
             t = CartanType(family, rank)
             aut = make_automorphism(build_root_system(t), tag)
-            sizes = orbit_sizes(t, tag)
+            folded = expected_folded_type(t, tag)
+            sizes = orbit_sizes(t, folded)
             assert sizes == positive_orbit_sizes(aut), (family, rank, tag)
             assert len(sizes) == len(project_roots(aut)), (family, rank, tag)
             fold = folded_root_system(aut)
-            assert (fold.rows, fold.nodes) == twist_rows(t, tag, aut.simple_perm)
+            assert (fold.rows, fold.nodes) == twist_rows(t, folded, aut.simple_perm)
 
     def test_triality_positive_orbits(self):
         rs = build_root_system(CartanType("D", 4))

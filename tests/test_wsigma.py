@@ -203,11 +203,12 @@ def test_lowering_steps_find_the_full_orbits_in_order(family, rank, tag):
     dim = len(matrices)
     units = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
     for k in range(dim):
-        assert list(weyl._orbit_search(k, rows[:k + 1], 10**7)) == \
+        assert list(weyl._orbit_search(k, dim, weyl._sparse_rows(rows[:k + 1]), 10**7)) == \
             full_orbit(units[k], matrices[:k + 1])
     # the chain's last orbit and the Jacobian's further ones, one search each
     assert coset_indices(rows, folded_order(aut))[1] == full_orbit(units[-1], matrices)
-    assert [list(weyl._orbit_search(k, rows, 10**7)) for k in range(dim)] == \
+    assert [list(weyl._orbit_search(k, dim, weyl._sparse_rows(rows), 10**7))
+            for k in range(dim)] == \
         [full_orbit(u, matrices) for u in units]
 
 
