@@ -37,7 +37,10 @@ fold             ``classify_folded_roots``: the      the folding table and the C
 rows             ``projected_gram``: row k is minus  Steinberg (1968): the walk reaches
                  column k of the Cartan matrix of    the longest element w_O, which acts
                  the projected simple roots, from    on the fixed subspace as the
-                 the ambient inner products          reflection in the projected root
+                 the ambient inner products          reflection in the projected root;
+                                                     for the identity, the definition:
+                                                     s_k's row is minus column k of the
+                                                     Cartan matrix, with no walk
 |W^sigma|        ``wsigma_by_definition``: the       Steinberg: the w_O generate W^sigma,
                  stabilizer of the fixed subspace    and W^sigma is the Weyl group of the
                  in the enumerated W, restricted     folded type
@@ -1009,17 +1012,20 @@ def _exponent_tuples(n: int, total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _joint_fixed_dimension(mats: Sequence[list[list[Scalar]]]) -> int:
-    """Dimension of the common fixed space, by iterated exact kernels of
-    the (g - I) blocks on the current basis B, in integers
-    (:func:`integer_kernel`), so B stays integral, and an element with
-    (g - I) B = 0 fixes all of span(B) and is passed over."""
-    dim = len(mats[0])
+def _joint_fixed_dimension(pairs: Sequence[tuple[list[list[Scalar]], list[list[Scalar]]]],
+                           ) -> int:
+    """Dimension of the common fixed space of the e (x) s over the pairs
+    (e, s), by iterated exact kernels of the (e (x) s - I) blocks on the
+    current basis B, in integers (:func:`integer_kernel`), so B stays
+    integral, and an element with (e (x) s - I) B = 0 fixes all of span(B)
+    and is passed over.  No tensor product is formed: each basis column
+    goes through e and s one at a time (:func:`_tensor_image`)."""
+    dim = len(pairs[0][0]) * len(pairs[0][1])
     basis_cols = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    for g in mats:
+    for e, s in pairs:
         if not basis_cols:
             return 0
-        images = [[sum(map(mul, row, col)) for row in g] for col in basis_cols]
+        images = [_tensor_image(e, s, col) for col in basis_cols]
         rows = [tuple(image[i] - col[i] for image, col in zip(images, basis_cols))
                 for i in range(dim)]
         if not any(map(any, rows)):
@@ -1030,15 +1036,27 @@ def _joint_fixed_dimension(mats: Sequence[list[list[Scalar]]]) -> int:
     return len(basis_cols)
 
 
+def _tensor_image(e: list[list[Scalar]], s: list[list[Scalar]],
+                  col: Sequence[Scalar]) -> list[Scalar]:
+    """(e (x) s) col, col read as the de x ds matrix M with entry (i, k) at
+    i ds + k: e M s^T, flattened the same way."""
+    ds = len(s)
+    m = [col[j:j + ds] for j in range(0, len(col), ds)]
+    m_st = [[sum(map(mul, row, s_row)) for s_row in s] if any(row) else [0] * ds
+            for row in m]
+    return [sum(map(mul, e_row, column)) for e_row in e for column in zip(*m_st)]
+
+
 def brute_force_invariant_dims(group: FiniteMatrixGroup,
                                max_total_degree: int) -> BigradedSeries:
     """Invariant dimensions by explicit monomial bases, independent of the
     super-Molien route: for each bidegree (a, b) with a + 2b within range,
-    the induced action on (exterior degree a) x (polynomial degree b) is
-    assembled elementwise and the joint fixed subspace is computed by
-    exact kernel elimination.  The at most ORACLE_MAX_DIM + 1 exterior
-    powers are built first and kept, so each symmetric power is built once,
-    from the one below it (:func:`_symmetric_action`)."""
+    the joint fixed subspace of the induced action on (exterior degree a)
+    x (polynomial degree b) is computed by exact kernel elimination, each
+    element applied through its two factors (:func:`_joint_fixed_dimension`).
+    The at most ORACLE_MAX_DIM + 1 exterior powers are built first and
+    kept, so each symmetric power is built once, from the one below it
+    (:func:`_symmetric_action`)."""
     if group.dim > ORACLE_MAX_DIM:
         raise ValueError(f"oracle guard: dimension {group.dim} exceeds {ORACLE_MAX_DIM}")
     if max_total_degree > ORACLE_MAX_DEGREE:
@@ -1052,11 +1070,5 @@ def brute_force_invariant_dims(group: FiniteMatrixGroup,
         if b:
             sym = [_symmetric_action(g, b, s) for g, s in zip(group.elements, sym)]
         for a in range(min(top, max_total_degree - 2 * b) + 1):
-            tensored = []
-            for e, s in zip(exts[a], sym):
-                de, ds = len(e), len(s)
-                t = [[e[i][j] * s[k][l] for j in range(de) for l in range(ds)]
-                     for i in range(de) for k in range(ds)]
-                tensored.append(t)
-            dims[(a, b)] = _joint_fixed_dimension(tensored)
+            dims[(a, b)] = _joint_fixed_dimension(list(zip(exts[a], sym)))
     return BigradedSeries(max_total_degree, dims)

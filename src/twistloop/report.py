@@ -4,14 +4,14 @@
 automorphism sigma it certifies the invariant ring of the group the
 answer needs: W^sigma, the elements of the Weyl group that commute with
 sigma, generated by Steinberg's elements (one longest parabolic element
-per sigma-orbit of simple nodes; sigma = identity gives all of W), each
-walked from the Cartan matrix on its images of the simple roots.
-W^sigma acts faithfully on the fixed subspace and realizes the folded
-Weyl group there, each generator as a simple reflection, kept as one
-row.  The rows' Cartan matrix must be the folded type's, node for node
-for the identity and in some order of the nodes for a twist
-(:func:`twistloop.twist.twist_rows`); W^sigma is then the folded Weyl
-group, which permutes the folded roots, so ``preserves_folded`` holds.
+per sigma-orbit of simple nodes).  W^sigma acts faithfully on the fixed
+subspace and realizes the folded Weyl group there, each generator as a
+simple reflection, kept as one row.  For sigma = identity they are W's
+simple reflections, and row k is column k of the Cartan matrix negated,
+read by definition; a twist's rows are walked from the Cartan matrix,
+and their Cartan matrix must be the folded type's in some order of the
+nodes (:func:`twistloop.twist.twist_rows`).  W^sigma is then the folded
+Weyl group, which permutes the folded roots, so ``preserves_folded`` holds.
 sigma's orbit sizes on the positive roots and the orbit count follow
 from the root counts of the input and folded types and the order of
 sigma (:func:`twistloop.twist.orbit_sizes`).  The order of W^sigma is
@@ -43,7 +43,7 @@ series and the JSON never need it.
 
 The one deliberate shortcut: untwisted E8 is answered from the
 invariant-degree table alone, because its Weyl group (order 696729600)
-exceeds the element cap; its rows are certified all the same.  With
+exceeds the element cap; that route forms no row.  With
 ``run_oracle`` the brute-force count of :mod:`twistloop.oracle`
 re-derives the low-degree invariant dimensions from W^sigma taken from
 its definition, the stabilizer of the fixed subspace in the enumerated
@@ -301,10 +301,10 @@ def compute(spec: TwistSpec) -> TwistReport:
     The spec's fields are checked when it is made.  Here a tag is checked
     against the type in O(1), explicit images on the Dynkin diagram, and
     then |W^sigma| against the element cap, from the type and the tag
-    alone, before anything is built.  No twist builds a root: the rows
-    are matched to the folded type's Cartan matrix, and the orbit sizes
-    and root counts are read off the types.  Only ``run_oracle`` builds
-    the roots, for its references.
+    alone, before anything is built.  No twist builds a root: the
+    identity's rows are read off the Cartan matrix, a twist's are matched
+    to the folded type's, and the orbit sizes and root counts are read off
+    the types.  Only ``run_oracle`` builds the roots, for its references.
     """
     t = spec.cartan_type
     if isinstance(spec.automorphism, str):
@@ -317,8 +317,6 @@ def compute(spec: TwistSpec) -> TwistReport:
     table_path = (t.family, t.rank, tag) == ("E", 8, "identity") and weyl_order(t) > cap
     if not table_path:
         _check_order_cap(folded_type, cap)
-    # a tag's node permutation is formed only now, once the cap has passed
-    rows, nodes = twist_rows(t, folded_type, perm or simple_perm_for_tag(t, tag))
     pos_sizes = orbit_sizes(t, folded_type)
     # negation commutes with sigma: as many orbits on the negative roots
     criterion = OrbitCriterion(2 * len(pos_sizes), root_count(folded_type))
@@ -336,6 +334,9 @@ def compute(spec: TwistSpec) -> TwistReport:
                      "skipped (group order exceeds the element cap)")
         closed = _closed_form(ds)
     else:
+        if perm is None and folded_type != t:  # a twist's tag, past the cap
+            perm = simple_perm_for_tag(t, tag)
+        rows, nodes = twist_rows(t, folded_type, perm)
         try:
             rows = _chain_rows(rows, nodes, folded_type)
             # the certificate: the coset chain raises unless its indices, the

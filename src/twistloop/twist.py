@@ -24,25 +24,25 @@ The beta_O are the folded system's own simple roots, and Steinberg's
 generators of W^sigma (:func:`twistloop.weyl.steinberg_rows`) act on the
 fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k,
 so the folded Cartan matrix is read off the rows, C_jk = -row_k[j].  The
-pipeline (:func:`twist_rows`) requires it to be the table's type, node
-for node for sigma = identity and in some order of the nodes otherwise;
-the rows' reflections then generate the folded Weyl group, which
-permutes the folded roots.  It builds no root.  sigma has order 1, 2 or
-3, so each of its orbits on the positive roots is one fixed root or has
-as many roots as its order; distinct orbits have distinct projections,
-so the orbit count is the number of positive projections, and the
-orbit sizes follow from the two types' root counts
-(:func:`orbit_sizes`).
+pipeline (:func:`twist_rows`) reads the identity's rows off t's Cartan
+matrix by that definition, and requires a twist's walked rows to give the
+table's type in some order of the nodes; the rows' reflections then
+generate the folded Weyl group, which permutes the folded roots.  It
+builds no root.  sigma has order 1, 2 or 3, so each of its orbits on the
+positive roots is one fixed root or has as many roots as its order;
+distinct orbits have distinct projections, so the orbit count is the
+number of positive projections, and the orbit sizes follow from the two
+types' root counts (:func:`orbit_sizes`).
 
 The measured forms of these facts run in the tests and under the
 oracle: :func:`positive_orbit_sizes` counts the fixed positive roots,
 :func:`project_roots` projects them, and :func:`folded_root_system`
-checks that the indivisible projections are the closure of the folded
-Cartan matrix under the rows' raising reflections.  The ambient matrix
-of sigma, its ambient fixed subspace, the average over sigma's powers,
-the Gram matrix of the beta_O (an integer multiple and in Fractions),
-a from-scratch classifier of the folded set and sigma's permutation of
-the roots are test references in :mod:`twistloop.oracle`.
+checks that the folded roots are the closure of the walked rows' Cartan
+matrix under their raising reflections.  The ambient matrix of sigma,
+its ambient fixed subspace, the average over sigma's powers, the Gram
+matrix of the beta_O (an integer multiple and in Fractions), a
+from-scratch classifier of the folded set and sigma's permutation of the
+roots are test references in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -252,39 +252,38 @@ def expected_folded_type(t: CartanType, tag: str) -> CartanType:
 
 
 def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
-    """Fold the positive roots: the projections v with v/2 not a
-    projection.  For sigma = identity, the positive roots themselves: a
-    reduced root system drops nothing."""
+    """Fold the positive roots, certified on the walked rows
+    (:func:`check_folded_roots`): the projections v with v/2 not a
+    projection; for sigma = identity the positive roots, none dropped."""
     t = a.base.cartan_type
     if a.order == 1:
-        return FoldingResult(a.base.positive, t, *twist_rows(t, t, a.simple_perm))
-    projected = project_roots(a)
-    found = {v for v, _ in projected}
-    folded = tuple([v for v, _ in projected
-                    if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in found])
-    expected = expected_folded_type(t, a.tag)
-    # one row per sigma-orbit, checked against the folded rank below
-    rows = steinberg_rows(t, a.simple_perm)
-    nodes = check_folded_roots(folded, rows, expected)
-    return FoldingResult(folded, expected, rows, nodes)
+        folded, expected = a.base.positive, t
+    else:
+        projected = project_roots(a)
+        found = {v for v, _ in projected}
+        folded = tuple([v for v, _ in projected
+                        if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in found])
+        expected = expected_folded_type(t, a.tag)
+    rows = steinberg_rows(t, a.simple_perm)  # one per sigma-orbit
+    return FoldingResult(folded, expected, rows, check_folded_roots(folded, rows, expected))
 
 
-def twist_rows(t: CartanType, folded: CartanType, perm: tuple[int, ...],
+def twist_rows(t: CartanType, folded: CartanType, perm: tuple[int, ...] | None,
                ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Steinberg's rows for the twist of type t that permutes the simple
     nodes by perm, and the row matched to each node of the Dynkin diagram
-    of its folded type (:func:`expected_folded_type`), certified without a
-    root: the rows' Cartan matrix C_jk = -row_k[j] must be the folded
-    type's, node for node for sigma = identity, whose folded type is t,
-    and in some order of the nodes otherwise (:func:`_match_cartan`).  The
-    rows' reflections then generate the folded type's Weyl group, whose
-    roots are the closure of that matrix."""
-    rows = steinberg_rows(t, perm)
-    cartan = _rows_cartan(rows)
+    of its folded type (:func:`expected_folded_type`), without a root.
+    For sigma = identity, whose folded type is t, row k of s_k is column k
+    of t's Cartan matrix negated (C_jk = -row_k[j]): it is read, node for
+    node, and perm is not.  Otherwise the walked rows' Cartan matrix must
+    be the folded type's in some order of the nodes (:func:`_match_cartan`).
+    The rows' reflections then generate the folded type's Weyl group,
+    whose roots are the closure of that matrix."""
     if folded == t:
-        nodes = tuple(range(t.rank)) if cartan == cartan_matrix(t) else None
-    else:
-        nodes = _match_cartan(cartan, cartan_matrix(folded))
+        return (tuple(tuple(map(neg, col)) for col in zip(*cartan_matrix(t))),
+                tuple(range(t.rank)))
+    rows = steinberg_rows(t, perm)
+    nodes = _match_cartan(_rows_cartan(rows), cartan_matrix(folded))
     if nodes is None:
         raise ValueError(f"folded Cartan matrix does not match {folded}")
     return rows, nodes

@@ -7,8 +7,8 @@ import pytest
 from twistloop.exact import BigradedSeries, product_over_degrees, solomon_series
 from twistloop.report import MAX_TRUNCATION
 from twistloop.rootsys import CartanType, degrees
-from twistloop.oracle import (_exponent_tuples, _symmetric_action, charpoly,
-                              charpoly_from_power_traces,
+from twistloop.oracle import (_exponent_tuples, _symmetric_action, _tensor_image,
+                              charpoly, charpoly_from_power_traces,
                               collapse_to_cohomological, identity_matrix, integer_kernel,
                               invert, kernel_basis, mat_mul, mat_vec, matrix, rank,
                               super_molien_from_buckets)
@@ -376,6 +376,23 @@ def test_symmetric_powers_step_up_one_degree_at_a_time():
         for b in range(1, 7):
             lower = _symmetric_action(g, b, lower)
             assert lower == expanded_symmetric_action(g, b), (g, b)
+
+
+def test_tensor_image_is_the_kronecker_product():
+    # (e (x) s) v through e and s one at a time, against the dense Kronecker
+    # matrix entry (i ds + k, j ds + l) = e[i][j] s[k][l], on seeded integer
+    # and Fraction matrices of sizes 1-4 with zero entries
+    rng = random.Random(30)
+    entries = (0, 0, 1, -1, 2, -3, Fraction(1, 2))
+    for de in (1, 2, 3, 4):
+        for ds in (1, 2, 3, 4):
+            e = [[rng.choice(entries) for _ in range(de)] for _ in range(de)]
+            s = [[rng.choice(entries) for _ in range(ds)] for _ in range(ds)]
+            v = [rng.choice(entries) for _ in range(de * ds)]
+            dense = [[e[i][j] * s[k][l] for j in range(de) for l in range(ds)]
+                     for i in range(de) for k in range(ds)]
+            assert _tensor_image(e, s, v) == [sum(a * x for a, x in zip(row, v))
+                                              for row in dense], (e, s, v)
 
 
 def test_a_non_integer_coefficient_is_refused():

@@ -620,18 +620,24 @@ class TestLimits:
 
     @pytest.mark.parametrize("family,rank", SOLOMON_TYPES + [("E", 8)])
     def test_identity_route_builds_no_roots(self, family, rank, monkeypatch, capsys):
-        # an identity twist, by tag or by perm=, certifies its rows on the
-        # Cartan matrix and reads its root counts off the type
+        # an identity twist, by tag or by perm=, reads its rows off the
+        # Cartan matrix, with no walk and no match, and its root counts off
+        # the type
         from twistloop import rootsys, twist
         from twistloop.rootsys import root_count, weyl_order
 
         def refuse(*args, **kwargs):
             raise AssertionError("roots built for an identity twist")
 
+        def refuse_walk(*args, **kwargs):
+            raise AssertionError("rows walked or matched for an identity twist")
+
         t = CartanType(family, rank)
         monkeypatch.setattr(rootsys, "_closure", refuse)
         monkeypatch.setattr(twist, "_closure", refuse)
         monkeypatch.setattr(rootsys, "RootSystem", refuse)
+        for name in ("steinberg_rows", "_match_cartan", "_rows_cartan"):
+            monkeypatch.setattr(twist, name, refuse_walk)
         n = root_count(t)
         for auto in ("identity", tuple(range(rank))):
             rpt = compute(TwistSpec(t, auto))

@@ -27,7 +27,7 @@ from twistloop.weyl import _perm_orbits, steinberg_rows
 from conftest import mirrored
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
 from test_properties import IDENTITIES, TWISTS
-from test_rootsys import ALL_TYPES
+from test_rootsys import ALL_TYPES, CROSS_CHECKED
 from test_wsigma import TWISTED, coset_inputs
 
 
@@ -348,6 +348,14 @@ class TestProjection:
                         folded_root_system(aut)
         monkeypatch.setattr(twist, "steinberg_rows", lambda t, perm: rows)
         assert folded_root_system(aut).rows == rows
+
+    @pytest.mark.parametrize("family,rank", CROSS_CHECKED + [(f, 40) for f in "ABCD"])
+    def test_identity_rows_read_are_the_walked_rows(self, family, rank):
+        # compute() reads the identity's rows off the Cartan matrix, row k
+        # of s_k its column k negated; the walk of s_k must give them
+        t = CartanType(family, rank)
+        nodes = tuple(range(rank))
+        assert twist_rows(t, t, None) == (steinberg_rows(t, nodes), nodes)
 
     def test_multiplicities_account_for_all_roots(self):
         rs = build_root_system(CartanType("E", 6))
