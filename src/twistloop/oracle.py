@@ -28,19 +28,18 @@ sigma's orbits   ``root_permutation``: sigma on      the orbit formula: sigma ha
                                                      (o k - N) / (o - 1), k the folded
                                                      type's positive root count (plus its
                                                      rank for an A_2m flip)
-fold             ``classify_folded_roots``: the      the folding table and the Cartan
-                 ``orbit_sum_projection`` of the     match: the rows are the folded
-                 roots, its base found from          simple reflections, and their Cartan
-                 scratch under ``projected_gram``    matrix is the table's type in some
-                 and matched to the expected type    order of the nodes, so the folded
-                                                     roots are that type's closure
-rows             ``projected_gram``: row k is minus  Steinberg (1968): the walk reaches
-                 column k of the Cartan matrix of    the longest element w_O, which acts
-                 the projected simple roots, from    on the fixed subspace as the
-                 the ambient inner products          reflection in the projected root;
-                                                     for the identity, the definition:
-                                                     s_k's row is minus column k of the
-                                                     Cartan matrix, with no walk
+fold             ``classify_folded_roots``: the      the folding table: the rows are the
+                 ``orbit_sum_projection`` of the     table type's simple reflections,
+                 roots, its base found from          read off its Cartan matrix, so the
+                 scratch under ``projected_gram``    folded roots are that type's
+                 and matched to the expected type    closure
+rows             ``projected_gram``: row k is minus  Steinberg (1968): each w_O acts on
+                 column k of the Cartan matrix of    the fixed subspace as the simple
+                 the projected simple roots, from    reflection in the projected root,
+                 the ambient inner products          so row k is minus column k of the
+                                                     folded type's Cartan matrix, read
+                                                     with no walk and no match; for the
+                                                     identity, the definition
 |W^sigma|        ``wsigma_by_definition``: the       Steinberg: the w_O generate W^sigma,
                  stabilizer of the fixed subspace    and W^sigma is the Weyl group of the
                  in the enumerated W, restricted     folded type
@@ -1030,8 +1029,10 @@ def _joint_fixed_dimension(pairs: Sequence[tuple[list[list[Scalar]], list[list[S
                 for i in range(dim)]
         if not any(map(any, rows)):
             continue
-        basis_cols = [tuple(sum(c * col[k] for c, col in zip(kv, basis_cols))
-                            for k in range(dim))
+        # each kernel vector's nonzero coefficients scale whole columns,
+        # summed entry by entry
+        basis_cols = [tuple(map(sum, zip(*[[c * x for x in col]
+                                           for c, col in zip(kv, basis_cols) if c])))
                       for kv in integer_kernel(rows)]
     return len(basis_cols)
 

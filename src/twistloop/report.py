@@ -6,12 +6,14 @@ answer needs: W^sigma, the elements of the Weyl group that commute with
 sigma, generated by Steinberg's elements (one longest parabolic element
 per sigma-orbit of simple nodes).  W^sigma acts faithfully on the fixed
 subspace and realizes the folded Weyl group there, each generator as a
-simple reflection, kept as one row.  For sigma = identity they are W's
-simple reflections, and row k is column k of the Cartan matrix negated,
-read by definition; a twist's rows are walked from the Cartan matrix,
-and their Cartan matrix must be the folded type's in some order of the
-nodes (:func:`twistloop.twist.twist_rows`).  W^sigma is then the folded
-Weyl group, which permutes the folded roots, so ``preserves_folded`` holds.
+simple reflection in a projected simple root (Steinberg 1968), kept as
+one row: row k is column k of the folded type's Cartan matrix negated,
+read off that matrix for every twist (:func:`twistloop.twist.twist_rows`);
+for sigma = identity they are W's simple reflections, by definition.
+No row is walked or matched; the walk and the match are the reference
+fold's (:func:`twistloop.twist.folded_root_system`).  W^sigma is the
+folded Weyl group, which permutes the folded roots, so
+``preserves_folded`` holds.
 sigma's orbit sizes on the positive roots and the orbit count follow
 from the root counts of the input and folded types and the order of
 sigma (:func:`twistloop.twist.orbit_sizes`).  The order of W^sigma is
@@ -63,7 +65,7 @@ from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
                       root_count, weyl_order)
 from .twist import (DiagramAutomorphism, FixedGroupInfo, OrbitCriterion, check_tag,
                     expected_folded_type, fixed_group_info, make_automorphism, orbit_sizes,
-                    resolve_twist, simple_perm_for_tag, twist_rows)
+                    resolve_twist, twist_rows)
 from .weyl import GroupTooLargeError, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
@@ -301,17 +303,17 @@ def compute(spec: TwistSpec) -> TwistReport:
     The spec's fields are checked when it is made.  Here a tag is checked
     against the type in O(1), explicit images on the Dynkin diagram, and
     then |W^sigma| against the element cap, from the type and the tag
-    alone, before anything is built.  No twist builds a root: the
-    identity's rows are read off the Cartan matrix, a twist's are matched
-    to the folded type's, and the orbit sizes and root counts are read off
-    the types.  Only ``run_oracle`` builds the roots, for its references.
+    alone, before anything is built.  No twist builds a root or walks a
+    row: every twist's rows are read off the folded type's Cartan matrix,
+    and the orbit sizes and root counts off the types.  Only
+    ``run_oracle`` builds the roots, for its references.
     """
     t = spec.cartan_type
     if isinstance(spec.automorphism, str):
-        perm, tag = None, spec.automorphism
+        tag = spec.automorphism
         check_tag(t, tag)
     else:
-        perm, tag = resolve_twist(t, spec.automorphism)
+        _, tag = resolve_twist(t, spec.automorphism)
     folded_type = expected_folded_type(t, tag)
     cap = weyl.DEFAULT_ELEMENT_CAP
     table_path = (t.family, t.rank, tag) == ("E", 8, "identity") and weyl_order(t) > cap
@@ -334,11 +336,8 @@ def compute(spec: TwistSpec) -> TwistReport:
                      "skipped (group order exceeds the element cap)")
         closed = _closed_form(ds)
     else:
-        if perm is None and folded_type != t:  # a twist's tag, past the cap
-            perm = simple_perm_for_tag(t, tag)
-        rows, nodes = twist_rows(t, folded_type, perm)
+        rows = _chain_rows(twist_rows(folded_type), range(folded_type.rank), folded_type)
         try:
-            rows = _chain_rows(rows, nodes, folded_type)
             # the certificate: the coset chain raises unless its indices, the
             # group order, are the degrees' product, and invariants of those
             # degrees are algebraically independent
@@ -379,7 +378,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         positive_orbit_sizes=pos_sizes,
         stabilizer_order=order,
         restricted_order=order,
-        preserves_folded=True,  # W^sigma is the folded Weyl group, matched on the rows
+        preserves_folded=True,  # W^sigma is the folded Weyl group (Steinberg)
         series=series,
         closed_form=closed,
         excluded_characteristics=_excluded_primes(t, info),

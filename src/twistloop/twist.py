@@ -22,27 +22,30 @@ v/2 not a projection), which reproduces the classical folding table
 
 The beta_O are the folded system's own simple roots, and Steinberg's
 generators of W^sigma (:func:`twistloop.weyl.steinberg_rows`) act on the
-fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k,
-so the folded Cartan matrix is read off the rows, C_jk = -row_k[j].  The
-pipeline (:func:`twist_rows`) reads the identity's rows off t's Cartan
-matrix by that definition, and requires a twist's walked rows to give the
-table's type in some order of the nodes; the rows' reflections then
-generate the folded Weyl group, which permutes the folded roots.  It
-builds no root.  sigma has order 1, 2 or 3, so each of its orbits on the
-positive roots is one fixed root or has as many roots as its order;
-distinct orbits have distinct projections, so the orbit count is the
-number of positive projections, and the orbit sizes follow from the two
-types' root counts (:func:`orbit_sizes`).
+fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k
+(Steinberg 1968), so the rows are the folded Cartan matrix's columns
+negated, C_jk = -row_k[j].  The pipeline (:func:`twist_rows`) reads every
+twist's rows off the folded type's Cartan matrix by that fact, for
+sigma = identity the definition of the simple reflections; it walks and
+matches no row and builds no root.  The rows' reflections generate the
+folded Weyl group, which permutes the folded roots.  sigma has order 1,
+2 or 3, so each of its orbits on the positive roots is one fixed root or
+has as many roots as its order; distinct orbits have distinct
+projections, so the orbit count is the number of positive projections,
+and the orbit sizes follow from the two types' root counts
+(:func:`orbit_sizes`).
 
 The measured forms of these facts run in the tests and under the
 oracle: :func:`positive_orbit_sizes` counts the fixed positive roots,
 :func:`project_roots` projects them, and :func:`folded_root_system`
-checks that the folded roots are the closure of the walked rows' Cartan
-matrix under their raising reflections.  The ambient matrix of sigma,
-its ambient fixed subspace, the average over sigma's powers, the Gram
-matrix of the beta_O (an integer multiple and in Fractions), a
-from-scratch classifier of the folded set and sigma's permutation of the
-roots are test references in :mod:`twistloop.oracle`.
+walks the rows, matches their Cartan matrix to the folded type's in
+some order of the nodes and checks that the folded roots are its
+closure under their raising reflections; the tests compare the matched
+rows with the rows read.  The ambient matrix of sigma, its ambient fixed
+subspace, the average over sigma's powers, the Gram matrix of the beta_O
+(an integer multiple and in Fractions), a from-scratch classifier of the
+folded set and sigma's permutation of the roots are test references in
+:mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
@@ -268,25 +271,18 @@ def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
     return FoldingResult(folded, expected, rows, check_folded_roots(folded, rows, expected))
 
 
-def twist_rows(t: CartanType, folded: CartanType, perm: tuple[int, ...] | None,
-               ) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Steinberg's rows for the twist of type t that permutes the simple
-    nodes by perm, and the row matched to each node of the Dynkin diagram
-    of its folded type (:func:`expected_folded_type`), without a root.
-    For sigma = identity, whose folded type is t, row k of s_k is column k
-    of t's Cartan matrix negated (C_jk = -row_k[j]): it is read, node for
-    node, and perm is not.  Otherwise the walked rows' Cartan matrix must
-    be the folded type's in some order of the nodes (:func:`_match_cartan`).
-    The rows' reflections then generate the folded type's Weyl group,
-    whose roots are the closure of that matrix."""
-    if folded == t:
-        return (tuple(tuple(map(neg, col)) for col in zip(*cartan_matrix(t))),
-                tuple(range(t.rank)))
-    rows = steinberg_rows(t, perm)
-    nodes = _match_cartan(_rows_cartan(rows), cartan_matrix(folded))
-    if nodes is None:
-        raise ValueError(f"folded Cartan matrix does not match {folded}")
-    return rows, nodes
+def twist_rows(folded: CartanType) -> tuple[Vector, ...]:
+    """Steinberg's rows for any twist whose folded type
+    (:func:`expected_folded_type`) is folded, one per node of its Dynkin
+    diagram, read off its Cartan matrix: W^sigma acts on the fixed
+    subspace as the folded Weyl group, each generator as the simple
+    reflection in a projected simple root (Steinberg 1968), so row k of
+    s_k is column k of the folded Cartan matrix negated (C_jk = -row_k[j]).
+    For sigma = identity the folded type is the input type.  No row is walked
+    or matched and no root is built; that the walk
+    (:func:`twistloop.weyl.steinberg_rows`) gives these rows in some order
+    of the nodes is the reference fold's check (:func:`folded_root_system`)."""
+    return tuple(tuple(map(neg, col)) for col in zip(*cartan_matrix(folded)))
 
 
 def _rows_cartan(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:

@@ -4,9 +4,11 @@ that its invariant ring is polynomial in the folded type's degrees.
 
 :func:`steinberg_rows` walks Steinberg's generators of W^sigma, the fixed
 subgroup of a diagram automorphism sigma, from the Cartan matrix, one
-integer row each on the fixed subspace; :func:`twistloop.twist.twist_rows`
-reads sigma = identity's off it.  The coset chain (:func:`coset_indices`)
-and the Jacobian (:func:`certify_jacobian`) read the rows.
+integer row each on the fixed subspace, for the reference fold;
+the pipeline reads the same rows, matched to the folded type's nodes,
+off the folded Cartan matrix (:func:`twistloop.twist.twist_rows`).  The
+coset chain (:func:`coset_indices`) and the Jacobian
+(:func:`certify_jacobian`) read the rows.
 The chain's indices, sizes of orbits of coordinate functionals, multiply
 to |W^sigma|; invariants of the folded type's degrees on its last orbit
 with a Jacobian nonzero mod 2^61 - 1 make the report's series the

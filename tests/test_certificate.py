@@ -151,10 +151,10 @@ def test_every_fact_table_reference_exists():
 
 
 def test_compute_forms_no_root_permutation(monkeypatch):
-    # the rows are walked from the Cartan matrix and sigma's orbits counted
-    # from its fixed roots; only --check, through the oracle, permutes the
-    # roots.  The records hold no permutation, index, sign mask or bigraded
-    # series.
+    # the rows are read off the folded Cartan matrix and sigma's orbits
+    # counted from the root counts; only --check, through the oracle,
+    # permutes the roots.  The records hold no permutation, index, sign
+    # mask or bigraded series.
     assert "root_perm" not in DiagramAutomorphism.__slots__
     rs = build_root_system(CartanType("E", 6))
     assert not hasattr(rs, "root_index") and not hasattr(rs, "positive_mask")
@@ -409,8 +409,9 @@ def test_dropped_generator_breaks_the_coset_chain(family, rank, tag, monkeypatch
     # a zero row is the identity in place of the last generator: its Cartan
     # column has no 2 on the diagonal, so the fold refuses the rows, and
     # the chain they span ends in an index of 1, short of the folded Weyl
-    # group's order.  compute() reads the identity's rows and walks none,
-    # so the reference fold, which walks them, is what refuses them there
+    # group's order.  compute() reads every twist's rows off the folded
+    # Cartan matrix and walks none, so the reference fold, which walks
+    # them, is what refuses them
     walked = twist.steinberg_rows
     zeroed = []
 
@@ -422,7 +423,7 @@ def test_dropped_generator_breaks_the_coset_chain(family, rank, tag, monkeypatch
     monkeypatch.setattr(twist, "steinberg_rows", zero_last)
     folded = expected_folded_type(CartanType(family, rank), tag)
     with pytest.raises(ValueError, match=f"^folded Cartan matrix does not match {folded}$"):
-        _fold_or_compute(CartanType(family, rank), tag)
+        _reference_fold(CartanType(family, rank), tag)
     with pytest.raises(ValueError, match=r"^coset counts \[.*, 1\] "
                                          r"do not multiply to the group order \d+$"):
         coset_indices(zeroed[-1], weyl_order(folded))
@@ -436,7 +437,7 @@ def test_rows_of_the_dual_type_fail_the_cartan_match(family, rank, tag, other, m
     # B_n and C_n share their Weyl group, its order and its degrees, so
     # the coset chain and the Jacobian pass the other type's rows; only the
     # match of the rows' Cartan matrix with the folded type's refuses them,
-    # for the identity in the reference fold, the one place its rows are walked
+    # in the reference fold, the one place a twist's rows are walked
     t = CartanType(family, rank)
     folded = expected_folded_type(t, tag)
     dual = CartanType(*other)
@@ -446,15 +447,13 @@ def test_rows_of_the_dual_type_fail_the_cartan_match(family, rank, tag, other, m
     assert certify_jacobian(chain, degrees(folded), orbit) == 1
     monkeypatch.setattr(twist, "steinberg_rows", lambda t, simple_perm: rows)
     with pytest.raises(ValueError, match=f"^folded Cartan matrix does not match {folded}$"):
-        _fold_or_compute(t, tag)
+        _reference_fold(t, tag)
 
 
-def _fold_or_compute(t, tag):
-    """The route that walks a twist's rows: compute() for a twist, the
-    reference fold for the identity, whose rows compute() reads."""
-    if tag == "identity":
-        return folded_root_system(make_automorphism(build_root_system(t), tag))
-    return compute(TwistSpec(t, tag))
+def _reference_fold(t, tag):
+    """The route that walks a twist's rows and matches them to the folded
+    type's: the reference fold, since compute() reads them."""
+    return folded_root_system(make_automorphism(build_root_system(t), tag))
 
 
 def test_orbit_search_is_bounded_by_the_group_order():

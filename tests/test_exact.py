@@ -256,6 +256,11 @@ class TestUnivariateHelpers:
         dense = dense_mul(num, dense_inverse(den, trunc), trunc)
         assert product_over_degrees(degs, trunc) == tuple(dense)
 
+    def test_solomon_series_refuses_a_negative_truncation(self):
+        assert solomon_series((2,), 0) == BigradedSeries(0, {(0, 0): 1})
+        with pytest.raises(ValueError, match="^truncation must be non-negative$"):
+            solomon_series((2,), -1)
+
     @pytest.mark.parametrize("degs", [(2,), (2, 6), (2, 4, 4, 6), (2, 5, 6, 8, 9, 12)])
     def test_solomon_series_matches_the_rational_expansion(self, degs):
         # prod (1 + s t^(d-1)) / (1 - t^d) multiplied out as one rational

@@ -565,6 +565,19 @@ class TestCli:
         assert first == second
 
 
+def _refuse_walk(patch):
+    """Make the walk of a twist's rows, their match to a Cartan matrix and
+    a tag's node permutation raise, through a monkeypatch or its context:
+    compute() reads every twist's rows off the folded Cartan matrix."""
+    from twistloop import twist
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows walked or matched, or a tag's permutation formed")
+
+    for name in ("steinberg_rows", "_match_cartan", "_rows_cartan", "simple_perm_for_tag"):
+        patch.setattr(twist, name, refuse)
+
+
 class TestLimits:
     """Resource limits bind before any work: the cap on |W^sigma| from the
     type alone, the two knobs when the spec is made."""
@@ -629,15 +642,11 @@ class TestLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("roots built for an identity twist")
 
-        def refuse_walk(*args, **kwargs):
-            raise AssertionError("rows walked or matched for an identity twist")
-
         t = CartanType(family, rank)
         monkeypatch.setattr(rootsys, "_closure", refuse)
         monkeypatch.setattr(twist, "_closure", refuse)
         monkeypatch.setattr(rootsys, "RootSystem", refuse)
-        for name in ("steinberg_rows", "_match_cartan", "_rows_cartan"):
-            monkeypatch.setattr(twist, name, refuse_walk)
+        _refuse_walk(monkeypatch)
         n = root_count(t)
         for auto in ("identity", tuple(range(rank))):
             rpt = compute(TwistSpec(t, auto))
@@ -667,9 +676,10 @@ class TestLimits:
                              [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
     def test_twisted_route_forms_no_negative_root(self, family, rank, tag, monkeypatch,
                                                   capsys):
-        # a twist, by tag or by perm=, builds no root at all: its rows are
-        # matched to the folded Cartan matrix, and its orbit sizes and root
-        # counts are read off the types
+        # a twist, by tag, by perm= or on the command line, builds no root
+        # at all and walks and matches no row: its rows are read off the
+        # folded Cartan matrix, the tag forms no node permutation, and its
+        # orbit sizes and root counts are read off the types
         from twistloop import rootsys, twist
 
         def refuse(*args, **kwargs):
@@ -681,10 +691,12 @@ class TestLimits:
             m.setattr(rootsys, "_closure", refuse)
             m.setattr(twist, "_closure", refuse)
             m.setattr(rootsys, "RootSystem", refuse)
+            _refuse_walk(m)
             reports = [compute(TwistSpec(t, auto)) for auto in (tag, perm)]
-            cli_perm = "perm=" + ",".join(str(i + 1) for i in perm)
-            assert main(["--type", family, "--rank", str(rank), "--auto", cli_perm]) == 0
-            assert capsys.readouterr().out == reports[1].to_text()
+            for auto, rpt in zip((tag, "perm=" + ",".join(str(i + 1) for i in perm)),
+                                 reports):
+                assert main(["--type", family, "--rank", str(rank), "--auto", auto]) == 0
+                assert capsys.readouterr().out == rpt.to_text()
         aut = twist.make_automorphism(build_root_system(t), tag)
         for rpt in reports:
             assert rpt.positive_orbit_sizes == twist.positive_orbit_sizes(aut)

@@ -13,6 +13,7 @@ from twistloop.oracle import (ambient_gram, ambient_roots, ambient_vector, carta
 from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import (CartanType, RootSystem, build_root_system, cartan_matrix,
                                degrees, root_count, weyl_order)
+from twistloop.twist import expected_folded_type
 
 ALL_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)] +
              [("C", r) for r in range(1, 7)] + [("D", r) for r in range(2, 7)] +
@@ -288,14 +289,20 @@ def test_invalid_types_rejected(family, rank):
                                                    ("E", 6, "flip", 2),
                                                    ("D", 4, "triality", 2)])
 def test_compute_reads_each_type_once(family, rank, tag, types):
-    # the input type's Cartan matrix is read to walk the rows (the twist is
-    # checked on the Dynkin diagram), the folded type's to match the rows'
-    # one; an identity twist folds to the input type itself.  No route
-    # closes a root.  The Cartan matrix is read off the Dynkin diagram: the
-    # pipeline forms no Gram matrix.
+    # of the types a case names, the input and the folded type, only the
+    # folded type's Cartan matrix is read, once: the rows are read off it,
+    # and the twist is checked on the input type's Dynkin diagram.  An
+    # identity twist folds to the input type itself.  No route closes a
+    # root.  The Cartan matrix is read off the Dynkin diagram: the pipeline
+    # forms no Gram matrix.
     memoized = (rootsys.cartan_matrix, rootsys._closure)
     for fn in memoized:
         fn.cache_clear()
-    compute(TwistSpec(CartanType(family, rank), tag))
-    assert [fn.cache_info().misses for fn in memoized] == [types, 0]
+    t = CartanType(family, rank)
+    folded = expected_folded_type(t, tag)
+    assert len({t, folded}) == types
+    compute(TwistSpec(t, tag))
+    assert [fn.cache_info().misses for fn in memoized] == [1, 0]
+    rootsys.cartan_matrix(folded)
+    assert rootsys.cartan_matrix.cache_info().misses == 1
     assert not hasattr(rootsys, "simple_gram") and not hasattr(rootsys, "cartan_from_gram")

@@ -15,7 +15,7 @@ from twistloop.oracle import (MAX_BYTE_ROOTS, RootPermutationAction, WeylPermuta
                               orbit_sum_projection, projected_gram, rank,
                               restricted_fixed_space_group, root_permutation,
                               simple_root_vectors, vec_add, vec_dot, vec_scale, vector)
-from twistloop.report import TwistSpec, compute
+from twistloop.report import TwistSpec, _chain_rows, compute
 from twistloop.rootsys import (_RANK_BOUNDS, FAMILIES, CartanType, build_root_system,
                                cartan_matrix, root_count)
 from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
@@ -37,6 +37,12 @@ def permutes_folded_roots(matrices, fold):
     roots = set(mirrored(fold.folded_roots))
     return all(tuple(sum(map(mul, row, v)) for row in g) in roots
                for g in matrices for v in roots)
+
+
+def read_chain_rows(folded):
+    """The rows compute() certifies a twist on: the folded type's, read off
+    its Cartan matrix, in the coset chain's order."""
+    return _chain_rows(twist_rows(folded), range(folded.rank), folded)
 
 
 def gram_rows(gram):
@@ -211,8 +217,9 @@ class TestOrbits:
         # flip: sigma's orbit sizes follow from the folded type and the
         # order of sigma, the orbits are the positive projections, and the
         # indivisible ones are the closure of the folded Cartan matrix
-        # (folded_root_system compares them), matched on the rows as
-        # compute() matches them
+        # (folded_root_system compares them); the walked rows it matches
+        # to the folded type's nodes are, in the coset chain's order, the
+        # rows compute() reads off the folded Cartan matrix
         cases = ([("A", r, "flip") for r in range(2, 31)] +
                  [("D", r, "flip") for r in range(4, 31)] +
                  [("D", 4, "triality"), ("D", 4, "triality2"), ("E", 6, "flip")])
@@ -225,7 +232,7 @@ class TestOrbits:
             assert sizes == positive_orbit_sizes(aut), (family, rank, tag)
             assert len(sizes) == len(project_roots(aut)), (family, rank, tag)
             fold = folded_root_system(aut)
-            assert (fold.rows, fold.nodes) == twist_rows(t, folded, aut.simple_perm)
+            assert _chain_rows(fold.rows, fold.nodes, folded) == read_chain_rows(folded)
 
     def test_triality_positive_orbits(self):
         rs = build_root_system(CartanType("D", 4))
@@ -354,8 +361,27 @@ class TestProjection:
         # compute() reads the identity's rows off the Cartan matrix, row k
         # of s_k its column k negated; the walk of s_k must give them
         t = CartanType(family, rank)
-        nodes = tuple(range(rank))
-        assert twist_rows(t, t, None) == (steinberg_rows(t, nodes), nodes)
+        assert twist_rows(t) == steinberg_rows(t, tuple(range(rank)))
+
+    def test_twisted_rows_read_are_the_walked_rows(self):
+        # compute() reads every twist's rows off the folded type's Cartan
+        # matrix; on the A2-A60 flips, the D2-D60 flips, the E6 flip and
+        # both trialities the walk of Steinberg's w_O (one per sigma-orbit)
+        # must give them, matched to the folded type's nodes, in the coset
+        # chain's order.  No root is built.
+        cases = ([("A", r, "flip") for r in range(2, 61)] +
+                 [("D", r, "flip") for r in range(2, 61)] +
+                 [("E", 6, "flip"), ("D", 4, "triality"), ("D", 4, "triality2")])
+        assert len(cases) == 121
+        for family, rank, tag in cases:
+            t = CartanType(family, rank)
+            perm, _ = twist.resolve_twist(t, tag)
+            folded = expected_folded_type(t, tag)
+            rows = steinberg_rows(t, perm)
+            nodes = twist._match_cartan(twist._rows_cartan(rows), cartan_matrix(folded))
+            assert nodes is not None, (family, rank, tag)
+            assert _chain_rows(rows, nodes, folded) == read_chain_rows(folded), \
+                (family, rank, tag)
 
     def test_multiplicities_account_for_all_roots(self):
         rs = build_root_system(CartanType("E", 6))
@@ -620,6 +646,20 @@ def test_fold_coordinates_and_fixed_space_matrices_are_integers():
             (family, rank, tag)
         rows = steinberg_rows(rs.cartan_type, aut.simple_perm)
         assert all(type(x) is int for row in rows for x in row), (family, rank, tag)
+
+
+def test_an_unknown_tag_is_refused_by_name():
+    with pytest.raises(ValueError, match="^unknown automorphism spec 'swap'$"):
+        check_tag(CartanType("A", 3), "swap")
+
+
+@pytest.mark.parametrize("table,message", [(expected_folded_type, "folding"),
+                                           (fixed_group_info, "fixed-subgroup")])
+def test_the_twist_tables_refuse_a_type_without_the_twist(table, message):
+    # the pipeline reaches both tables after check_tag, which refuses B3's
+    # flip first; called directly, each table has no entry for it
+    with pytest.raises(ValueError, match=f"^no {message} entry for B3 with 'flip'$"):
+        table(CartanType("B", 3), "flip")
 
 
 def test_fixed_group_info_component_counts():

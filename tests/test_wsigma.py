@@ -1,9 +1,10 @@
 """W^sigma from Steinberg generators, checked against its definition.
 
-The pipeline enumerates no group and permutes no root: it walks the
-longest parabolic elements w_O, one per sigma-orbit O of simple nodes,
-on their images of the simple roots and keeps one row of each on the
-fixed subspace, and takes W^sigma's order from the coset indices along
+The pipeline enumerates no group and permutes no root: it reads one row
+per generator of W^sigma on the fixed subspace off the folded type's
+Cartan matrix, the row the walk of the longest parabolic element w_O,
+one per sigma-orbit O of simple nodes, on its images of the simple
+roots gives, and takes W^sigma's order from the coset indices along
 the chain of subgroups they span, each the size of an orbit of a
 coordinate functional there.  These tests check the rows against the
 Cartan matrix of the projected simple roots, summed from the ambient
@@ -94,8 +95,8 @@ def test_stream_is_the_closure_of_the_generators(family, rank, tag):
 
 def coset_inputs(family, rank, tag):
     """The oracle's byte walk of the generators and their dense matrices
-    on the fixed subspace, and the pipeline's rows walked from the Cartan
-    matrix."""
+    on the fixed subspace, and the rows walked from the Cartan matrix,
+    which the pipeline reads off the folded one."""
     rs = build_root_system(CartanType(family, rank))
     aut = make_automorphism(rs, tag)
     action = RootPermutationAction(rs)
@@ -179,6 +180,19 @@ def test_a_non_parabolic_generator_fails_the_row_check():
     rows = (moved,) + rows[1:]
     with pytest.raises(AssertionError):
         assert_rows_are_the_reflections(matrices, rows, projected_gram(aut))
+
+
+def test_the_walk_is_bounded_by_the_positive_root_count(monkeypatch):
+    # no element of W is longer than the positive roots are many, and the
+    # A2 flip's one generator, the longest element of W(A2), is that long:
+    # with a bound one step shorter the walk refuses it
+    t, perm = CartanType("A", 2), (1, 0)
+    assert steinberg_rows(t, perm) == ((-2,),)
+    count = weyl.root_count
+    monkeypatch.setattr(weyl, "root_count", lambda t: count(t) - 2)
+    with pytest.raises(ValueError, match="^parabolic longest element longer than the "
+                                         "root count allows$"):
+        steinberg_rows(t, perm)
 
 
 def full_orbit(start, matrices):
