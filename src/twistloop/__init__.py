@@ -4,11 +4,8 @@ of twisted loop groups of compact simple Lie groups."""
 from .exact import BigradedSeries, DEFAULT_TRUNCATION, product_over_degrees, solomon_series
 from .report import (ClosedForm, TwistReport, TwistSpec, compute,
                      excluded_characteristics)
-from .rootsys import (CartanType, RootSystem, build_root_system, degrees,
-                      root_count, weyl_order)
-from .twist import (DiagramAutomorphism, FoldingResult, folded_root_system,
-                    make_automorphism, project_roots)
-from .weyl import GroupTooLargeError, coset_indices, steinberg_rows
+from .rootsys import CartanType, degrees, root_count, weyl_order
+from .weyl import GroupTooLargeError, coset_indices
 
 __all__ = [
     "BigradedSeries", "CartanType", "ClosedForm", "DiagramAutomorphism",
@@ -19,3 +16,14 @@ __all__ = [
     "make_automorphism", "product_over_degrees", "project_roots", "root_count",
     "solomon_series", "steinberg_rows", "weyl_order",
 ]
+
+# the references' names, resolved in twistloop.oracle, which loads on first use
+_ORACLE_NAMES = {"DiagramAutomorphism", "FoldingResult", "RootSystem", "build_root_system",
+                 "folded_root_system", "make_automorphism", "project_roots", "steinberg_rows"}
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

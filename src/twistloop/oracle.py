@@ -1,19 +1,21 @@
 """Independent references for the pipeline's facts, kept out of the pipeline.
 
-No pipeline module imports this one at load time; ``--check``, the tests
-and demo 05 do.  W^sigma is the group of Weyl group elements that commute
-with the diagram automorphism sigma.  Each fact the pipeline computes has
-one reference here.  The table names it, with what the pipeline relies on
-for that fact and the reference does not.
+No pipeline module imports this one at load time: ``--check`` does when
+it runs, the package resolves the names it re-exports from here on first
+use, and the tests and demos 04 and 05 import it.  W^sigma is the group
+of Weyl group elements that commute with the diagram automorphism sigma.
+Each fact the pipeline computes has one reference here.  The table names
+it, with what the pipeline relies on for that fact and the reference
+does not.
 
 ===============  ==================================  =====================================
 fact             reference                           the pipeline alone relies on
 ===============  ==================================  =====================================
 roots            ``ambient_roots``: the classical    the root count formulas: compute()
-                 simple roots closed under           forms no root; the closure that
-                 Euclidean reflections, in           carries each root's pairings, from
-                 Fractions                           the Cartan matrix read off the Dynkin
-                                                     diagram, serves the references
+                 simple roots closed under           forms no root
+                 Euclidean reflections, in
+                 Fractions; ``build_root_system``,
+                 closed from the Cartan matrix
 Cartan matrix    ``cartan_from_gram`` of             the Dynkin diagram: -max(l_i, l_j) /
                  ``simple_gram``, the diagram's      l_j at an edge, l the squared
                  integer Gram matrix, one divmod     lengths, and 0 off the edges
@@ -22,9 +24,9 @@ twist check      ``automorphism_matrix``: sigma as   a symmetry of the Dynkin di
                  an ambient linear map, which must   extends to an automorphism of the
                  permute the ambient roots           root system
 sigma's orbits   ``root_permutation``: sigma on      the orbit formula: sigma has order
-                 the roots, its orbits walked        o = 1, 2 or 3 and distinct orbits
-                                                     project to distinct vectors, so of
-                                                     the N positive roots it fixes
+                 the roots, its orbits walked;       o = 1, 2 or 3 and distinct orbits
+                 ``positive_orbit_sizes``: its       project to distinct vectors, so of
+                 fixed positive roots counted        the N positive roots it fixes
                                                      (o k - N) / (o - 1), k the folded
                                                      type's positive root count (plus its
                                                      rank for an A_2m flip)
@@ -32,14 +34,18 @@ fold             ``classify_folded_roots``: the      the folding table: the rows
                  ``orbit_sum_projection`` of the     table type's simple reflections,
                  roots, its base found from          read off its Cartan matrix, so the
                  scratch under ``projected_gram``    folded roots are that type's
-                 and matched to the expected type    closure
+                 and matched to the expected type;   closure
+                 ``folded_root_system``: the
+                 indivisible ``project_roots``,
+                 closed under the walked rows
 rows             ``projected_gram``: row k is minus  Steinberg (1968): each w_O acts on
                  column k of the Cartan matrix of    the fixed subspace as the simple
                  the projected simple roots, from    reflection in the projected root,
-                 the ambient inner products          so row k is minus column k of the
-                                                     folded type's Cartan matrix, read
-                                                     with no walk and no match; for the
-                                                     identity, the definition
+                 the ambient inner products;         so row k is minus column k of the
+                 ``steinberg_rows``: each w_O        folded type's Cartan matrix, read
+                 walked from the Cartan matrix,      with no walk and no match; for the
+                 its rows matched to the folded      identity, the definition
+                 type's (``check_folded_roots``)
 |W^sigma|        ``wsigma_by_definition``: the       Steinberg: the w_O generate W^sigma,
                  stabilizer of the fixed subspace    and W^sigma is the Weyl group of the
                  in the enumerated W, restricted     folded type
@@ -67,9 +73,10 @@ The buckets come from power traces (:func:`fixed_space_charpoly_buckets`),
 checked against Berkowitz :func:`charpoly` on the definition's matrices.
 Both stay: power traces are 18 to 35 times faster on W(E6), W(B6) and
 W(A7), which the certificate test walks.  The rest of the module is what
-these references are built from: exact rational vectors and matrices,
-Gaussian elimination (fraction-free, :func:`integer_kernel`, for the
-brute-force count's fixed spaces), the classical realization and the simple
+these references are built from: the integer root closure, the twist
+and the reference fold, exact rational vectors and matrices, Gaussian
+elimination (fraction-free, :func:`integer_kernel`, for the brute-force
+count's fixed spaces), the classical realization and the simple
 reflections as byte permutations of the roots.  Every group is
 enumerated by one closure, :func:`close_permutations`, on those
 permutations; the acceptance suite's extended even orthogonal route
@@ -84,14 +91,16 @@ import math
 from collections import deque
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import mul
+from operator import add, mul, neg
 
 from .exact import BigradedSeries, Record, product_over_degrees
 from .report import ClosedForm
-from .rootsys import CartanType, RootSystem, build_root_system, dynkin_diagram, weyl_order
-from .twist import DiagramAutomorphism, _match_cartan
-from .weyl import GroupTooLargeError, _perm_orbits
+from .rootsys import (CartanType, cartan_matrix, degrees, dynkin_diagram, root_count,
+                      weyl_order)
+from .twist import _perm_orbits, _perm_order, expected_folded_type, resolve_twist
+from .weyl import GroupTooLargeError
 
 ORACLE_MAX_DIM = 3
 ORACLE_ELEMENT_CAP = 10**7  # the references' own bound on a group they close
@@ -288,6 +297,292 @@ class SubspaceBasis(Record):
 
 
 # ---------------------------------------------------------------------------
+# the integer root system, the twist and the fold, measured
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _closure(cartan: tuple[tuple[int, ...], ...], limit: int) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of the Cartan matrix, sorted: the closure of the
+    simple roots (unit vectors) under raising steps; a closure past limit
+    roots, counting each positive root and its negative, is an error.
+
+    Each new root c comes with its pairings p_k = <c, alpha_k^vee>, row i
+    of the Cartan matrix for alpha_i.  Then s_i(c) = c - p_i e_i, and the
+    pairings of s_i(c) are p - p_i (A_i0, ..., A_i,r-1).  Only raising
+    steps, p_i < 0, are taken.  s_i permutes the positive roots other than
+    alpha_i, so a raising step from a positive root lands on one.  Every
+    positive root c but a simple one has some p_i > 0, and s_i(c) is a
+    positive root of smaller height with pairing -p_i < 0, one raising step
+    below c: by induction on the height the steps reach every positive
+    root.
+    """
+    r = len(cartan)
+    frontier = [(tuple(int(j == i) for j in range(r)), cartan[i]) for i in range(r)]
+    positive = {c for c, _ in frontier}
+    while frontier:
+        nxt = []
+        for c, pairing in frontier:
+            for i, k in enumerate(pairing):
+                if k < 0:
+                    d = list(c)
+                    d[i] -= k
+                    d = tuple(d)
+                    if d not in positive:
+                        positive.add(d)
+                        nxt.append((d, tuple([p - k * a for p, a in zip(pairing, cartan[i])])))
+        if 2 * len(positive) > limit:
+            raise ValueError(f"root closure passed {limit} roots")
+        frontier = nxt
+    return tuple(sorted(positive))
+
+
+class RootSystem:
+    """Immutable bundle of a type, its Cartan matrix and its positive roots,
+    checked on them: the root count, one sign per root, and
+    product-of-degrees == Weyl order.
+
+    ``positive[i]`` is positive root i as an integer vector over the simple
+    base, in sorted order.  ``roots``, all the roots sorted, is formed on
+    first read: negation reverses the lexicographic order and a nonpositive
+    vector sorts before every nonnegative one, so the negated positive
+    roots, reversed, come first.
+    """
+
+    def __init__(self, cartan_type: CartanType):
+        t = cartan_type
+        self.cartan_type = t
+        self.cartan_matrix = cartan_matrix(t)
+        expected = root_count(t)
+        self.positive = _closure(self.cartan_matrix, expected)
+        if 2 * len(self.positive) != expected:
+            raise ValueError(f"{t}: built {2 * len(self.positive)} roots, expected {expected}")
+        if min(map(min, self.positive)) < 0:
+            raise ValueError("root coordinates of mixed sign")
+        if math.prod(degrees(t)) != weyl_order(t):
+            raise ValueError("degree product disagrees with Weyl order")
+
+    @cached_property
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([tuple(map(neg, c)) for c in reversed(self.positive)]) + self.positive
+
+    def __repr__(self):
+        return f"RootSystem({self.cartan_type}, {2 * len(self.positive)} roots)"
+
+
+def build_root_system(t: CartanType) -> RootSystem:
+    return RootSystem(t)
+
+
+class DiagramAutomorphism(Record):
+    """A Dynkin-diagram symmetry of a root system: its node permutation,
+    order and tag."""
+
+    __slots__ = ("base", "simple_perm", "order", "tag")
+    base: RootSystem
+    simple_perm: tuple[int, ...]
+    order: int
+    tag: str
+
+    @property
+    def simple_orbits(self) -> tuple[tuple[int, ...], ...]:
+        return _perm_orbits(self.simple_perm)
+
+
+def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutomorphism:
+    """Build a diagram automorphism from a tag or an explicit permutation
+    of simple-root indices (0-based images), checked on the Dynkin
+    diagram (:func:`twistloop.twist.resolve_twist`).  The roots are not
+    permuted."""
+    perm, tag = resolve_twist(rs.cartan_type, spec)
+    return DiagramAutomorphism(rs, perm, _perm_order(perm), tag)
+
+
+def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
+    """Sorted orbit sizes of the automorphism on the positive roots.  Its
+    order is 1, 2 or 3, so an orbit is one root that sigma fixes
+    (c[i] == c[perm[i]] for every node i) or has as many roots as its
+    order: only the fixed roots are counted, and no root is permuted."""
+    positive = a.base.positive
+    moved = [(i, p) for i, p in enumerate(a.simple_perm) if i != p]
+    fixed = sum(all(c[i] == c[p] for i, p in moved) for c in positive)
+    return (1,) * fixed + (a.order,) * ((len(positive) - fixed) // a.order)
+
+
+def project_roots(a: DiagramAutomorphism) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Projections of the positive roots over the projected simple roots
+    beta_O, with their multiplicities, sorted: root c goes to its orbit
+    sums (sum_{i in O} c_i)_O.  The projection commutes with negation, so
+    the negative roots' are these negated.  Each orbit sum is read through
+    one index list per position in the orbits, a padded 0 standing in past
+    a short orbit's end."""
+    orbits = a.simple_orbits
+    pad = len(a.simple_perm)
+    first, *rest = [[orb[p] if p < len(orb) else pad for orb in orbits]
+                    for p in range(a.order)]
+    counts: dict[tuple[int, ...], int] = {}
+    for c in a.base.positive:
+        get = (c + (0,)).__getitem__
+        v = map(get, first)
+        for index in rest:
+            v = map(add, v, map(get, index))
+        v = tuple(v)
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+class FoldingResult(Record):
+    """The folded positive roots, integer vectors over the projected simple
+    roots and sorted, the folded type, the rows (:func:`steinberg_rows`)
+    that certified it, and the row matched to each node of the folded
+    type's Dynkin diagram."""
+
+    __slots__ = ("folded_roots", "folded_type", "rows", "nodes")
+    folded_roots: tuple[tuple[int, ...], ...]
+    folded_type: CartanType
+    rows: tuple[tuple[int, ...], ...]
+    nodes: tuple[int, ...]
+
+
+def steinberg_rows(t: CartanType, simple_perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row k of g_k - 1 for each of Steinberg's generators g_k of W^sigma,
+    the elements of the Weyl group of type t commuting with the diagram
+    automorphism sigma that permutes the simple nodes by simple_perm, on
+    the fixed subspace over the projected simple roots beta_O, k in
+    sigma-orbit order.
+
+    By Steinberg (Endomorphisms of linear algebraic groups, 1968),
+    W^sigma is generated by the longest elements w_O of the parabolic
+    subgroups W_O, one for each sigma-orbit O of simple nodes.  w_O is
+    reached from the identity by right-multiplying with a simple
+    reflection s_i, i in O, while w(alpha_i) is positive: each step
+    lengthens w, and the walk stops once every simple root of O is sent
+    negative.  For sigma = identity w_O is the simple reflection s_k.  No
+    element is longer than the positive roots are many, which bounds the
+    walk.
+
+    w is a product of the s_i with i in O, and s_i changes coordinate i
+    alone, so w(alpha_j) differs from alpha_j only on O.  The walk keeps
+    the coordinates of O alone, of the columns w(alpha_j) for j in O and
+    for the first nodes j of the orbits next to O in the Dynkin diagram,
+    and moves them one Cartan entry each per step: (w s_i)(alpha_j) =
+    w(alpha_j) - A_ji w(alpha_i).  Any other column has A_ji = 0 for every
+    i in O, so it stays alpha_j, 0 on O.  w(alpha_i), i in O, lies in the
+    span of O, and a root's coordinates share one sign.
+
+    g_k commutes with sigma, so g_k(beta_O') is the orbit sums of
+    w_k(alpha_j), j the first node of O': entry O' of row k is the sum over
+    O_k of w_k(alpha_j), less 1 when O' = O_k, and 0 off O_k and its
+    neighbours; w_k keeps every orbit sum outside O_k, so no other row of
+    g_k - 1 is nonzero.  g_k sends phi to phi + phi_k row_k and changes a
+    vector v in entry k alone, by row_k . v; the dense matrices
+    (:func:`fixed_space_matrices`) are its reference.
+    """
+    cartan = cartan_matrix(t)
+    steps = root_count(t) // 2
+    orbits = _perm_orbits(simple_perm)
+    slot = {orb[0]: k for k, orb in enumerate(orbits)}
+    rows = []
+    for k, orb in enumerate(orbits):
+        near = [j for i in orb for j, a in enumerate(cartan[i]) if a and j in slot]
+        cols = {j: [int(i == j) for i in orb] for j in (*orb, *near)}
+        for _ in range(steps + 1):
+            i = next((i for i in orb if max(cols[i]) > 0), None)
+            if i is None:
+                break
+            image = cols[i]
+            for j, col in cols.items():
+                a = cartan[j][i]
+                if a:
+                    cols[j] = [x - a * y for x, y in zip(col, image)]
+        else:
+            raise ValueError("parabolic longest element longer than the root count allows")
+        row = [0] * len(orbits)
+        for j, col in cols.items():
+            if j in slot:
+                row[slot[j]] = sum(col)
+        row[k] -= 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
+    """Fold the positive roots, certified on the walked rows
+    (:func:`check_folded_roots`): the projections v with v/2 not a
+    projection; for sigma = identity the positive roots, none dropped."""
+    t = a.base.cartan_type
+    if a.order == 1:
+        folded, expected = a.base.positive, t
+    else:
+        projected = project_roots(a)
+        found = {v for v, _ in projected}
+        folded = tuple([v for v, _ in projected
+                        if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in found])
+        expected = expected_folded_type(t, a.tag)
+    rows = steinberg_rows(t, a.simple_perm)  # one per sigma-orbit
+    return FoldingResult(folded, expected, rows, check_folded_roots(folded, rows, expected))
+
+
+def _rows_cartan(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix C_jk = -row_k[j] of the reflections with these rows."""
+    return tuple(zip(*[map(neg, row) for row in rows]))
+
+
+def check_folded_roots(roots: Sequence[Sequence[int]], rows: Sequence[Sequence[int]],
+                       expected: CartanType) -> tuple[int, ...]:
+    """Raise ValueError unless roots, integer vectors over a base in
+    ascending order, are the positive roots of the expected type with that
+    base as its simple roots and the reflections with the given rows (row
+    k changes coordinate k alone, by row_k . v) as its simple reflections:
+    the Cartan matrix C_jk = -row_k[j] is the type's in some order of the
+    nodes, and the roots are the closure of the base under those
+    reflections' raising steps, as the closure sorts it: one tuple
+    comparison.  The group then permutes the roots and their negatives.
+    Linear in the root count and the rank.  Returns that order: the row
+    matched to each node of the type's Dynkin diagram."""
+    n = expected.rank
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("folded rows act in the wrong dimension")
+    cartan = _rows_cartan(rows)
+    nodes = _match_cartan(cartan, cartan_matrix(expected))
+    if nodes is None:
+        raise ValueError(f"folded Cartan matrix does not match {expected}")
+    if _closure(cartan, root_count(expected)) != tuple(roots):
+        raise ValueError(f"folded set is not the root system of {expected}")
+    return nodes
+
+
+def _match_cartan(cand: Sequence[Sequence[int]],
+                  std: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    n = len(std)
+    if sorted(tuple(sorted(r)) for r in cand) != sorted(tuple(sorted(r)) for r in std):
+        return None
+
+    assignment: list[int] = []
+    used = [False] * n
+
+    def extend() -> bool:
+        i = len(assignment)
+        if i == n:
+            return True
+        for c in range(n):
+            if used[c]:
+                continue
+            if cand[c][c] != std[i][i]:
+                continue
+            if all(cand[c][assignment[j]] == std[i][j]
+                   and cand[assignment[j]][c] == std[j][i] for j in range(i)):
+                assignment.append(c)
+                used[c] = True
+                if extend():
+                    return True
+                assignment.pop()
+                used[c] = False
+        return False
+
+    return tuple(assignment) if extend() else None
+
+
+# ---------------------------------------------------------------------------
 # the classical ambient realization
 # ---------------------------------------------------------------------------
 
@@ -459,8 +754,7 @@ def root_permutation(a: DiagramAutomorphism) -> tuple[int, ...]:
     roots: root c goes to c' with c'[perm[j]] = c[j].  The pipeline reads
     sigma's orbit sizes off the types instead
     (:func:`twistloop.twist.orbit_sizes`), and
-    :func:`twistloop.twist.positive_orbit_sizes` counts them from its
-    fixed roots."""
+    :func:`positive_orbit_sizes` counts them from its fixed roots."""
     roots, perm = a.base.roots, a.simple_perm
     index = {c: i for i, c in enumerate(roots)}
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
@@ -470,8 +764,8 @@ def root_permutation(a: DiagramAutomorphism) -> tuple[int, ...]:
 def orbit_sum_projection(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
     """Averages of the roots over the automorphism's powers, written in the
     orbit-sum basis b_O = sum_{i in O} alpha_i of the fixed subspace;
-    deduplicated, multiplicities retained.  Coordinate O is the pipeline's
-    (:func:`twistloop.twist.project_roots`) divided by |O|."""
+    deduplicated, multiplicities retained.  Coordinate O is
+    :func:`project_roots`' divided by |O|."""
     rs = a.base
     r = rs.cartan_type.rank
     reps = [orb[0] for orb in a.simple_orbits]
@@ -502,8 +796,8 @@ def projected_gram(a: DiagramAutomorphism) -> Matrix:
     """Gram matrix of the projected simple roots in the ambient
     realization, in Fractions: (beta_O, beta_O') is the sum of
     (alpha_i, alpha_j) over i in O and j in O', divided by |O||O'|.
-    The reference for the folded Cartan matrix the pipeline reads off the
-    rows; it shares no Gram matrix with the pipeline."""
+    The reference for the folded Cartan matrix the pipeline reads its rows
+    off; it shares no Gram matrix with the pipeline."""
     g = ambient_gram(a.base.cartan_type)
     orbits = a.simple_orbits
     return tuple(tuple(normalize_scalar(Fraction(sum(g[i][j] for i in o for j in p),
@@ -638,9 +932,9 @@ class RootPermutationAction:
     Each element is a bytes object p with p[i] = image index of root i, and
     products compose right to left: (w g)[i] = w[g[i]].  The matrix of an
     element over the simple-root basis has column j equal to the image of
-    simple root j, a root in its own coordinates.  The pipeline forms no
-    permutation: it walks Steinberg's generators on their columns alone
-    (:func:`twistloop.weyl.steinberg_rows`).
+    simple root j, a root in its own coordinates.  The walk of
+    Steinberg's generators on their columns alone is
+    :func:`steinberg_rows`.
     """
 
     def __init__(self, root_system: RootSystem):
@@ -661,8 +955,8 @@ class RootPermutationAction:
         automorphism sigma that permutes the simple nodes by simple_perm:
         the longest elements w_O of the parabolic subgroups W_O, one for
         each sigma-orbit O of simple nodes, reached by the walk of
-        :func:`twistloop.weyl.steinberg_rows` (right-multiply by s_i, i in
-        O, while w(alpha_i) is positive), here over root permutations.
+        :func:`steinberg_rows` (right-multiply by s_i, i in O, while
+        w(alpha_i) is positive), here over root permutations.
         For sigma = identity these are the simple reflections, in node
         order."""
         positive = self.positive
@@ -708,7 +1002,7 @@ def close_permutations(generators: Sequence[bytes], cap: int) -> tuple[bytes, ..
 class WeylPermutationGroup(RootPermutationAction):
     """All of the Weyl group, closed from the simple reflections.
 
-    The pipeline enumerates only W^sigma; this full enumeration is the
+    The pipeline enumerates no element; this full enumeration is the
     reference the tests check W^sigma and its buckets against.
     """
 
@@ -781,9 +1075,8 @@ def fixed_space_matrices(action: RootPermutationAction, simple_perm: tuple[int, 
     averages over sigma's powers.  An element w commutes with sigma, hence
     with pi, so w(beta_O') = pi(w(alpha_j)) for the first node j of O', and
     pi sends a root c to its orbit sums (sum_{i in O} c_i)_O: column O'
-    holds the orbit sums of w(alpha_j).  The pipeline keeps one row of
-    each generator's matrix, walked from the Cartan matrix
-    (:func:`twistloop.weyl.steinberg_rows`)."""
+    holds the orbit sums of w(alpha_j).  The walk keeps one row of each
+    generator's matrix (:func:`steinberg_rows`)."""
     coords = action.root_system.roots
     orbits = _perm_orbits(simple_perm)
     firsts = [action.simple_indices[orb[0]] for orb in orbits]
@@ -1073,3 +1366,26 @@ def brute_force_invariant_dims(group: FiniteMatrixGroup,
         for a in range(min(top, max_total_degree - 2 * b) + 1):
             dims[(a, b)] = _joint_fixed_dimension(list(zip(exts[a], sym)))
     return BigradedSeries(max_total_degree, dims)
+
+
+def check_note(t: CartanType, automorphism: str | Sequence[int],
+               bigraded: BigradedSeries) -> str:
+    """``--check``: the brute-force invariant dimensions of W^sigma, taken
+    from its definition, against the pipeline's bigraded series, through
+    total degree ORACLE_MAX_DEGREE; the report's note, or ValueError at
+    the first mismatch.  Skipped past dimension ORACLE_MAX_DIM."""
+    aut = make_automorphism(build_root_system(t), automorphism)
+    dim = len(aut.simple_orbits)
+    if dim > ORACLE_MAX_DIM:
+        return f"oracle skipped: restricted dimension {dim} exceeds {ORACLE_MAX_DIM}"
+    max_deg = min(ORACLE_MAX_DEGREE, bigraded.truncation)
+    dims = brute_force_invariant_dims(wsigma_by_definition(aut), max_deg)
+    for (a, b), c in dims.coefficients.items():
+        if bigraded[(a, b)] != c:
+            raise ValueError(f"oracle mismatch at bidegree {(a, b)}: "
+                             f"{c} vs {bigraded[(a, b)]}")
+    for (a, b), c in bigraded.coefficients.items():
+        if a + 2 * b <= max_deg and dims[(a, b)] != c:
+            raise ValueError(f"oracle mismatch at bidegree {(a, b)}")
+    return (f"oracle: brute-force invariant dimensions match the series "
+            f"through total degree {max_deg}")

@@ -11,7 +11,7 @@ one row: row k is column k of the folded type's Cartan matrix negated,
 read off that matrix for every twist (:func:`twistloop.twist.twist_rows`);
 for sigma = identity they are W's simple reflections, by definition.
 No row is walked or matched; the walk and the match are the reference
-fold's (:func:`twistloop.twist.folded_root_system`).  W^sigma is the
+fold's (:func:`twistloop.oracle.folded_root_system`).  W^sigma is the
 folded Weyl group, which permutes the folded roots, so
 ``preserves_folded`` holds.
 sigma's orbit sizes on the positive roots and the orbit count follow
@@ -61,11 +61,9 @@ from collections.abc import Sequence
 from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
                     product_over_degrees, solomon_series)
 from . import weyl
-from .rootsys import (CartanType, ascending_degrees, build_root_system, degrees,
-                      root_count, weyl_order)
-from .twist import (DiagramAutomorphism, FixedGroupInfo, OrbitCriterion, check_tag,
-                    expected_folded_type, fixed_group_info, make_automorphism, orbit_sizes,
-                    resolve_twist, twist_rows)
+from .rootsys import CartanType, ascending_degrees, degrees, root_count, weyl_order
+from .twist import (FixedGroupInfo, OrbitCriterion, check_tag, expected_folded_type,
+                    fixed_group_info, orbit_sizes, resolve_twist, twist_rows)
 from .weyl import GroupTooLargeError, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
@@ -363,10 +361,11 @@ def compute(spec: TwistSpec) -> TwistReport:
                      "set {2, 3, 5}")
 
     if spec.run_oracle:
-        notes.append("oracle skipped: no enumerated group on the table path"
-                     if table_path else
-                     _oracle_note(make_automorphism(build_root_system(t), spec.automorphism),
-                                  solomon_series(ds, spec.truncation)))
+        if table_path:
+            notes.append("oracle skipped: no enumerated group on the table path")
+        else:
+            from .oracle import check_note  # the references load only here
+            notes.append(check_note(t, spec.automorphism, solomon_series(ds, spec.truncation)))
 
     return TwistReport(
         cartan_type=spec.cartan_type,
@@ -385,23 +384,3 @@ def compute(spec: TwistSpec) -> TwistReport:
         notes=tuple(notes),
     )
 
-
-def _oracle_note(aut: DiagramAutomorphism, bigraded: BigradedSeries) -> str:
-    from . import oracle  # the references stay out of the pipeline's imports
-
-    dim = len(aut.simple_orbits)
-    if dim > oracle.ORACLE_MAX_DIM:
-        return (f"oracle skipped: restricted dimension {dim} exceeds "
-                f"{oracle.ORACLE_MAX_DIM}")
-    group = oracle.wsigma_by_definition(aut)
-    max_deg = min(oracle.ORACLE_MAX_DEGREE, bigraded.truncation)
-    dims = oracle.brute_force_invariant_dims(group, max_deg)
-    for (a, b), c in dims.coefficients.items():
-        if bigraded[(a, b)] != c:
-            raise ValueError(f"oracle mismatch at bidegree {(a, b)}: "
-                             f"{c} vs {bigraded[(a, b)]}")
-    for (a, b), c in bigraded.coefficients.items():
-        if a + 2 * b <= max_deg and dims[(a, b)] != c:
-            raise ValueError(f"oracle mismatch at bidegree {(a, b)}")
-    return (f"oracle: brute-force invariant dimensions match the series "
-            f"through total degree {max_deg}")

@@ -21,59 +21,32 @@ v/2 not a projection), which reproduces the classical folding table
     D_4 order three -> G_2              E_6 flip      -> F_4
 
 The beta_O are the folded system's own simple roots, and Steinberg's
-generators of W^sigma (:func:`twistloop.weyl.steinberg_rows`) act on the
-fixed subspace as their simple reflections, s_k(v) = v + (row_k . v) e_k
-(Steinberg 1968), so the rows are the folded Cartan matrix's columns
-negated, C_jk = -row_k[j].  The pipeline (:func:`twist_rows`) reads every
-twist's rows off the folded type's Cartan matrix by that fact, for
-sigma = identity the definition of the simple reflections; it walks and
-matches no row and builds no root.  The rows' reflections generate the
-folded Weyl group, which permutes the folded roots.  sigma has order 1,
-2 or 3, so each of its orbits on the positive roots is one fixed root or
-has as many roots as its order; distinct orbits have distinct
-projections, so the orbit count is the number of positive projections,
-and the orbit sizes follow from the two types' root counts
-(:func:`orbit_sizes`).
-
-The measured forms of these facts run in the tests and under the
-oracle: :func:`positive_orbit_sizes` counts the fixed positive roots,
-:func:`project_roots` projects them, and :func:`folded_root_system`
-walks the rows, matches their Cartan matrix to the folded type's in
-some order of the nodes and checks that the folded roots are its
-closure under their raising reflections; the tests compare the matched
-rows with the rows read.  The ambient matrix of sigma, its ambient fixed
-subspace, the average over sigma's powers, the Gram matrix of the beta_O
-(an integer multiple and in Fractions), a from-scratch classifier of the
-folded set and sigma's permutation of the roots are test references in
-:mod:`twistloop.oracle`.
+generators of W^sigma, the longest elements w_O of the parabolic
+subgroups, one per sigma-orbit O, act on the fixed subspace as their
+simple reflections, s_k(v) = v + (row_k . v) e_k (Steinberg 1968), so the
+rows are the folded Cartan matrix's columns negated, C_jk = -row_k[j].
+The pipeline (:func:`twist_rows`) reads every twist's rows off the
+folded type's Cartan matrix by that fact, for sigma = identity the
+definition of the simple reflections; it walks and matches no row and
+builds no root.  sigma has order 1, 2 or 3, so each of its orbits on the
+positive roots is one fixed root or has as many roots as its order;
+distinct orbits have distinct projections, so the orbit count is the
+number of positive projections, and the orbit sizes follow from the two
+types' root counts (:func:`orbit_sizes`).  The walk, the match, the
+projection and every other measured form of these facts are references
+in :mod:`twistloop.oracle`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from operator import add, neg
+from operator import neg
 
 from .exact import Record, Vector
-from .rootsys import (CartanType, RootSystem, _closure, cartan_matrix,
-                      dynkin_diagram, root_count)
-from .weyl import _perm_orbits, _perm_order, steinberg_rows
+from .rootsys import CartanType, cartan_matrix, dynkin_diagram, root_count
 
 AUTOMORPHISM_TAGS = ("identity", "flip", "triality", "triality2")
-
-
-class DiagramAutomorphism(Record):
-    """A Dynkin-diagram symmetry of a root system: its node permutation,
-    order and tag."""
-
-    __slots__ = ("base", "simple_perm", "order", "tag")
-    base: RootSystem
-    simple_perm: tuple[int, ...]
-    order: int
-    tag: str
-
-    @property
-    def simple_orbits(self) -> tuple[tuple[int, ...], ...]:
-        return _perm_orbits(self.simple_perm)
 
 
 def _is_diagram_symmetry(t: CartanType, perm: Sequence[int]) -> bool:
@@ -131,6 +104,23 @@ def check_simple_perm(images: Sequence[int], rank: int, base: int = 0) -> None:
                          f"{', '.join(map(str, sorted(repeated)))} named more than once")
 
 
+def _perm_orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    orbits, seen = [], set()
+    for start in range(len(perm)):
+        if start not in seen:
+            orb = [start]
+            while perm[orb[-1]] != start:
+                orb.append(perm[orb[-1]])
+            seen.update(orb)
+            orbits.append(tuple(orb))
+    return tuple(orbits)
+
+
+def _perm_order(perm: Sequence[int]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    return math.lcm(*map(len, _perm_orbits(perm)))
+
+
 def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
     order = _perm_order(perm)
     if order == 1:
@@ -160,32 +150,13 @@ def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, 
     return perm, tag
 
 
-def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutomorphism:
-    """Build a diagram automorphism from a tag or an explicit permutation
-    of simple-root indices (0-based images), checked on the Dynkin
-    diagram (:func:`resolve_twist`).  The roots are not permuted."""
-    perm, tag = resolve_twist(rs.cartan_type, spec)
-    return DiagramAutomorphism(rs, perm, _perm_order(perm), tag)
-
-
 # ---------------------------------------------------------------------------
-# orbits, projection, folding
+# orbits and folding
 # ---------------------------------------------------------------------------
-
-def positive_orbit_sizes(a: DiagramAutomorphism) -> tuple[int, ...]:
-    """Sorted orbit sizes of the automorphism on the positive roots.  Its
-    order is 1, 2 or 3, so an orbit is one root that sigma fixes
-    (c[i] == c[perm[i]] for every node i) or has as many roots as its
-    order: only the fixed roots are counted, and no root is permuted."""
-    positive = a.base.positive
-    moved = [(i, p) for i, p in enumerate(a.simple_perm) if i != p]
-    fixed = sum(all(c[i] == c[p] for i, p in moved) for c in positive)
-    return (1,) * fixed + (a.order,) * ((len(positive) - fixed) // a.order)
-
 
 def orbit_sizes(t: CartanType, folded: CartanType) -> tuple[int, ...]:
-    """The sorted sizes of :func:`positive_orbit_sizes`, from t and its
-    twist's folded type: t for the identity, G2 for a triality (o = 3),
+    """The sorted sizes of sigma's orbits on the positive roots, from t and
+    its twist's folded type: t for the identity, G2 for a triality (o = 3),
     else a flip's (o = 2).  sigma sends an orbit to one projection, and
     distinct orbits to distinct ones, so the N positive roots form k
     orbits, k the number of positive projections: the folded type's, and
@@ -200,41 +171,6 @@ def orbit_sizes(t: CartanType, folded: CartanType) -> tuple[int, ...]:
         k += folded.rank
     fixed = (order * k - n) // (order - 1)
     return (1,) * fixed + (order,) * ((n - fixed) // order)
-
-
-def project_roots(a: DiagramAutomorphism) -> tuple[tuple[Vector, int], ...]:
-    """Projections of the positive roots over the projected simple roots
-    beta_O, with their multiplicities, sorted: root c goes to its orbit
-    sums (sum_{i in O} c_i)_O.  The projection commutes with negation, so
-    the negative roots' are these negated.  Each orbit sum is read through
-    one index list per position in the orbits, a padded 0 standing in past
-    a short orbit's end."""
-    orbits = a.simple_orbits
-    pad = len(a.simple_perm)
-    first, *rest = [[orb[p] if p < len(orb) else pad for orb in orbits]
-                    for p in range(a.order)]
-    counts: dict[Vector, int] = {}
-    for c in a.base.positive:
-        get = (c + (0,)).__getitem__
-        v = map(get, first)
-        for index in rest:
-            v = map(add, v, map(get, index))
-        v = tuple(v)
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-class FoldingResult(Record):
-    """The folded positive roots, integer vectors over the projected simple
-    roots and sorted, the folded type, the rows
-    (:func:`twistloop.weyl.steinberg_rows`) that certified it, and the row
-    matched to each node of the folded type's Dynkin diagram."""
-
-    __slots__ = ("folded_roots", "folded_type", "rows", "nodes")
-    folded_roots: tuple[Vector, ...]
-    folded_type: CartanType
-    rows: tuple[Vector, ...]
-    nodes: tuple[int, ...]
 
 
 def expected_folded_type(t: CartanType, tag: str) -> CartanType:
@@ -254,23 +190,6 @@ def expected_folded_type(t: CartanType, tag: str) -> CartanType:
     raise ValueError(f"no folding entry for {t} with {tag!r}")
 
 
-def folded_root_system(a: DiagramAutomorphism) -> FoldingResult:
-    """Fold the positive roots, certified on the walked rows
-    (:func:`check_folded_roots`): the projections v with v/2 not a
-    projection; for sigma = identity the positive roots, none dropped."""
-    t = a.base.cartan_type
-    if a.order == 1:
-        folded, expected = a.base.positive, t
-    else:
-        projected = project_roots(a)
-        found = {v for v, _ in projected}
-        folded = tuple([v for v, _ in projected
-                        if any(c % 2 for c in v) or tuple([c // 2 for c in v]) not in found])
-        expected = expected_folded_type(t, a.tag)
-    rows = steinberg_rows(t, a.simple_perm)  # one per sigma-orbit
-    return FoldingResult(folded, expected, rows, check_folded_roots(folded, rows, expected))
-
-
 def twist_rows(folded: CartanType) -> tuple[Vector, ...]:
     """Steinberg's rows for any twist whose folded type
     (:func:`expected_folded_type`) is folded, one per node of its Dynkin
@@ -278,72 +197,11 @@ def twist_rows(folded: CartanType) -> tuple[Vector, ...]:
     subspace as the folded Weyl group, each generator as the simple
     reflection in a projected simple root (Steinberg 1968), so row k of
     s_k is column k of the folded Cartan matrix negated (C_jk = -row_k[j]).
-    For sigma = identity the folded type is the input type.  No row is walked
-    or matched and no root is built; that the walk
-    (:func:`twistloop.weyl.steinberg_rows`) gives these rows in some order
-    of the nodes is the reference fold's check (:func:`folded_root_system`)."""
+    For sigma = identity the folded type is the input type.  No row is
+    walked or matched and no root is built; that the walk gives these rows
+    in some order of the nodes is the reference fold's check
+    (:func:`twistloop.oracle.folded_root_system`)."""
     return tuple(tuple(map(neg, col)) for col in zip(*cartan_matrix(folded)))
-
-
-def _rows_cartan(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """The Cartan matrix C_jk = -row_k[j] of the reflections with these rows."""
-    return tuple(zip(*[map(neg, row) for row in rows]))
-
-
-def check_folded_roots(roots: Sequence[Vector], rows: Sequence[Vector],
-                       expected: CartanType) -> tuple[int, ...]:
-    """Raise ValueError unless roots, integer vectors over a base in
-    ascending order, are the positive roots of the expected type with that
-    base as its simple roots and the reflections with the given rows (row
-    k changes coordinate k alone, by row_k . v) as its simple reflections:
-    the Cartan matrix C_jk = -row_k[j] is the type's in some order of the
-    nodes, and the roots are the closure of the base under those
-    reflections' raising steps, as the closure sorts it: one tuple
-    comparison.  The group then permutes the roots and their negatives.
-    Linear in the root count and the rank.  Returns
-    that order: the row matched to each node of the type's Dynkin
-    diagram."""
-    n = expected.rank
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError("folded rows act in the wrong dimension")
-    cartan = _rows_cartan(rows)
-    nodes = _match_cartan(cartan, cartan_matrix(expected))
-    if nodes is None:
-        raise ValueError(f"folded Cartan matrix does not match {expected}")
-    if _closure(cartan, root_count(expected)) != tuple(roots):
-        raise ValueError(f"folded set is not the root system of {expected}")
-    return nodes
-
-
-def _match_cartan(cand: Sequence[Sequence[int]],
-                  std: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    n = len(std)
-    if sorted(tuple(sorted(r)) for r in cand) != sorted(tuple(sorted(r)) for r in std):
-        return None
-
-    assignment: list[int] = []
-    used = [False] * n
-
-    def extend() -> bool:
-        i = len(assignment)
-        if i == n:
-            return True
-        for c in range(n):
-            if used[c]:
-                continue
-            if cand[c][c] != std[i][i]:
-                continue
-            if all(cand[c][assignment[j]] == std[i][j]
-                   and cand[assignment[j]][c] == std[j][i] for j in range(i)):
-                assignment.append(c)
-                used[c] = True
-                if extend():
-                    return True
-                assignment.pop()
-                used[c] = False
-        return False
-
-    return tuple(assignment) if extend() else None
 
 
 # ---------------------------------------------------------------------------

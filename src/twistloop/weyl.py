@@ -1,28 +1,22 @@
-"""The Weyl-group route of the pipeline: W^sigma's generators as rows on
-the fixed subspace, its order from coset indices, and the certificate
-that its invariant ring is polynomial in the folded type's degrees.
+"""The Weyl-group route of the pipeline: W^sigma's order from coset
+indices, and the certificate that its invariant ring is polynomial in the
+folded type's degrees.
 
-:func:`steinberg_rows` walks Steinberg's generators of W^sigma, the fixed
-subgroup of a diagram automorphism sigma, from the Cartan matrix, one
-integer row each on the fixed subspace, for the reference fold;
-the pipeline reads the same rows, matched to the folded type's nodes,
-off the folded Cartan matrix (:func:`twistloop.twist.twist_rows`).  The
-coset chain (:func:`coset_indices`) and the Jacobian
-(:func:`certify_jacobian`) read the rows.
-The chain's indices, sizes of orbits of coordinate functionals, multiply
-to |W^sigma|; invariants of the folded type's degrees on its last orbit
-with a Jacobian nonzero mod 2^61 - 1 make the report's series the
-product over those degrees (:func:`twistloop.exact.product_over_degrees`).
-No element of W^sigma is enumerated and no root is permuted; the
-element-by-element references live in :mod:`twistloop.oracle`.
+Both read W^sigma's generators as rows on the fixed subspace, one per
+node of the folded type's Dynkin diagram, read off its Cartan matrix
+(:func:`twistloop.twist.twist_rows`).  The coset chain
+(:func:`coset_indices`)'s indices, sizes of orbits of coordinate
+functionals, multiply to |W^sigma|; invariants of the folded type's
+degrees on its last orbit with a Jacobian nonzero mod 2^61 - 1
+(:func:`certify_jacobian`) make the report's series the product over
+those degrees (:func:`twistloop.exact.product_over_degrees`).  No
+element of W^sigma is enumerated and no root is permuted.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-
-from .rootsys import CartanType, cartan_matrix, root_count
 
 DEFAULT_ELEMENT_CAP = 10**7  # the largest |W^sigma| compute() accepts, read per call
 
@@ -33,78 +27,13 @@ class GroupTooLargeError(RuntimeError):
     and root permutations past their caps."""
 
 
-# ---------------------------------------------------------------------------
-# Steinberg's generators of W^sigma, as rows on the fixed subspace
-# ---------------------------------------------------------------------------
-
-def steinberg_rows(t: CartanType, simple_perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Row k of g_k - 1 for each of Steinberg's generators g_k of W^sigma,
-    the elements of the Weyl group of type t commuting with the diagram
-    automorphism sigma that permutes the simple nodes by simple_perm, on
-    the fixed subspace over the projected simple roots beta_O, k in
-    sigma-orbit order.
-
-    By Steinberg (Endomorphisms of linear algebraic groups, 1968),
-    W^sigma is generated by the longest elements w_O of the parabolic
-    subgroups W_O, one for each sigma-orbit O of simple nodes.  w_O is
-    reached from the identity by right-multiplying with a simple
-    reflection s_i, i in O, while w(alpha_i) is positive: each step
-    lengthens w, and the walk stops once every simple root of O is sent
-    negative.  For sigma = identity w_O is the simple reflection s_k.  No
-    element is longer than the positive roots are many, which bounds the
-    walk.
-
-    w is a product of the s_i with i in O, and s_i changes coordinate i
-    alone, so w(alpha_j) differs from alpha_j only on O.  The walk keeps
-    the coordinates of O alone, of the columns w(alpha_j) for j in O and
-    for the first nodes j of the orbits next to O in the Dynkin diagram,
-    and moves them one Cartan entry each per step: (w s_i)(alpha_j) =
-    w(alpha_j) - A_ji w(alpha_i).  Any other column has A_ji = 0 for every
-    i in O, so it stays alpha_j, 0 on O.  w(alpha_i), i in O, lies in the
-    span of O, and a root's coordinates share one sign.
-
-    g_k commutes with sigma, so g_k(beta_O') is the orbit sums of
-    w_k(alpha_j), j the first node of O': entry O' of row k is the sum over
-    O_k of w_k(alpha_j), less 1 when O' = O_k, and 0 off O_k and its
-    neighbours; w_k keeps every orbit sum outside O_k, so no other row of
-    g_k - 1 is nonzero.  g_k sends phi to phi + phi_k row_k and changes a
-    vector v in entry k alone, by row_k . v; the oracle's dense matrices
-    (:func:`twistloop.oracle.fixed_space_matrices`) are the test reference.
-    """
-    cartan = cartan_matrix(t)
-    steps = root_count(t) // 2
-    orbits = _perm_orbits(simple_perm)
-    slot = {orb[0]: k for k, orb in enumerate(orbits)}
-    rows = []
-    for k, orb in enumerate(orbits):
-        near = [j for i in orb for j, a in enumerate(cartan[i]) if a and j in slot]
-        cols = {j: [int(i == j) for i in orb] for j in (*orb, *near)}
-        for _ in range(steps + 1):
-            i = next((i for i in orb if max(cols[i]) > 0), None)
-            if i is None:
-                break
-            image = cols[i]
-            for j, col in cols.items():
-                a = cartan[j][i]
-                if a:
-                    cols[j] = [x - a * y for x, y in zip(col, image)]
-        else:
-            raise ValueError("parabolic longest element longer than the root count allows")
-        row = [0] * len(orbits)
-        for j, col in cols.items():
-            if j in slot:
-                row[slot[j]] = sum(col)
-        row[k] -= 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def coset_indices(rows: Sequence[tuple[int, ...]],
                   order: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """[W_k : W_{k-1}] for k = 1..m, where W_k is generated by the first k
     Steinberg generators on the fixed subspace, in the order given, by
-    their rows (:func:`steinberg_rows`), and the chain's last orbit, that
-    of y_m under all of them, which :func:`certify_jacobian` starts from.
+    their rows (:func:`twistloop.twist.twist_rows`), and the chain's last
+    orbit, that of y_m under all of them, which :func:`certify_jacobian`
+    starts from.
 
     There they are the simple reflections of the folded Weyl group.  The
     coordinate functional y_k, the fundamental coweight omega_k^vee, lies
@@ -175,8 +104,8 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
                      orbit: Sequence[tuple[int, ...]]) -> int:
     """Find invariants of the degrees ds with a nonzero Jacobian
     determinant, for the group generated by the reflections with the given
-    rows (:func:`steinberg_rows`) on the fixed subspace; return how many
-    functional orbits they needed, or raise ValueError.
+    rows (:func:`twistloop.twist.twist_rows`) on the fixed subspace;
+    return how many functional orbits they needed, or raise ValueError.
 
     U_1 is orbit, the coset chain's last (:func:`coset_indices`), enough
     in the folded type's chain order for every admissible case but D2; the
@@ -327,19 +256,3 @@ def _nonsingular_mod(rows: Sequence[Sequence[int]], p: int) -> bool:
         packed = out
     return True
 
-
-def _perm_orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    orbits, seen = [], set()
-    for start in range(len(perm)):
-        if start not in seen:
-            orb = [start]
-            while perm[orb[-1]] != start:
-                orb.append(perm[orb[-1]])
-            seen.update(orb)
-            orbits.append(tuple(orb))
-    return tuple(orbits)
-
-
-def _perm_order(perm: Sequence[int]) -> int:
-    """The order of a permutation: the lcm of its cycle lengths."""
-    return math.lcm(*map(len, _perm_orbits(perm)))

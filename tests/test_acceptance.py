@@ -12,13 +12,13 @@ import time
 from contextlib import contextmanager
 
 from twistloop.oracle import (ORACLE_ELEMENT_CAP, RootPermutationAction,
-                              brute_force_invariant_dims, close_permutations,
-                              collapse_to_cohomological, fixed_space_charpoly_buckets,
+                              brute_force_invariant_dims, build_root_system,
+                              close_permutations, collapse_to_cohomological,
+                              fixed_space_charpoly_buckets, make_automorphism,
                               root_permutation, super_molien_from_buckets,
                               wsigma_by_definition)
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import CartanType, build_root_system, degrees
-from twistloop.twist import make_automorphism
+from twistloop.rootsys import CartanType, degrees
 
 from conftest import cached_report
 

@@ -4,7 +4,9 @@ Everything a pipeline module imports when it is loaded is on a short
 allow-list.  The references (``.oracle``), ``fractions`` (the pipeline's
 scalars are ints), ``dataclasses``, ``typing`` and ``inspect`` (the
 records are plain slotted classes) and ``json`` (``to_json()`` writes
-the report itself) stay out.  An import inside a function runs
+the report itself) stay out.  The row kernels (``weyl``) import no
+module of the package, and the twist (``twist``) does not import them.
+An import inside a function runs
 only when it is called, so it is not counted; one in a class body runs at
 load time, so it is.  No subprocess: the subprocess tests in
 test_report.py check the modules a run really loads.
@@ -22,6 +24,8 @@ PIPELINE = ("__init__", "__main__", "cli", "exact", "report", "rootsys", "twist"
 ALLOWED = {"__future__", "argparse", "collections.abc", "functools", "itertools", "math",
            "operator", "sys", ".cli", ".exact", ".report", ".rootsys", ".twist", ".weyl"}
 FORBIDDEN = {"fractions", "dataclasses", "typing", "inspect", "json", ".oracle"}
+# per module, the package modules it may import, where fewer than all
+PACKAGE_IMPORTS = {"weyl": set(), "twist": {".exact", ".rootsys"}}
 
 
 def load_time_imports(tree):
@@ -64,3 +68,6 @@ def test_pipeline_module_imports_are_allowed(name):
     assert imports, name
     assert not set(imports) & FORBIDDEN, name
     assert set(imports) <= ALLOWED, (name, sorted(set(imports) - ALLOWED))
+    if name in PACKAGE_IMPORTS:
+        package = {i for i in imports if i.startswith(".")}
+        assert package <= PACKAGE_IMPORTS[name], (name, sorted(package))

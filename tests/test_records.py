@@ -11,11 +11,11 @@ import pickle
 import pytest
 
 from twistloop.exact import DEFAULT_TRUNCATION, BigradedSeries, Record, solomon_series
-from twistloop.oracle import SubspaceBasis
+from twistloop.oracle import (DiagramAutomorphism, FoldingResult, SubspaceBasis,
+                              build_root_system)
 from twistloop.report import ClosedForm, TwistReport, TwistSpec, compute
-from twistloop.rootsys import CartanType, build_root_system
-from twistloop.twist import (DiagramAutomorphism, FixedGroupInfo, FoldingResult,
-                             OrbitCriterion)
+from twistloop.rootsys import CartanType
+from twistloop.twist import FixedGroupInfo, OrbitCriterion
 from twistloop import weyl
 from twistloop.weyl import GroupTooLargeError
 

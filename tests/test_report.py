@@ -13,13 +13,13 @@ import twistloop
 from twistloop.cli import main
 from twistloop.exact import product_over_degrees, solomon_series
 from twistloop.oracle import (FiniteMatrixGroup, WeylPermutationGroup,
-                              brute_force_invariant_dims, collapse_to_cohomological,
-                              identity_matrix,
+                              brute_force_invariant_dims, build_root_system,
+                              collapse_to_cohomological, identity_matrix,
                               recognize_closed_form)
 from twistloop.report import (MAX_TRUNCATION, MAX_WORKERS, ClosedForm, TwistReport,
                               TwistSpec, _closed_form_or_note, compute,
                               excluded_characteristics)
-from twistloop.rootsys import CartanType, build_root_system, degrees
+from twistloop.rootsys import CartanType, degrees
 
 from conftest import cached_report
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES, expected_series
@@ -161,19 +161,17 @@ class TestExcludedCharacteristics:
                 cached_report(family, rank, tag).excluded_characteristics
 
     def test_read_from_the_type_alone(self, monkeypatch):
-        import twistloop.report
-        import twistloop.rootsys
-        import twistloop.twist
+        from twistloop import oracle, report, rootsys, twist
 
         def refuse(*args, **kwargs):
             raise AssertionError("root system built for the excluded primes")
 
-        for module in (twistloop.report, twistloop.rootsys):
-            monkeypatch.setattr(module, "build_root_system", refuse)
-        # twist does not import the builder; every build goes through
-        # the RootSystem constructor
-        assert not hasattr(twistloop.twist, "build_root_system")
-        monkeypatch.setattr(twistloop.rootsys.RootSystem, "__init__", refuse)
+        # no pipeline module holds the builder; every build goes through the
+        # oracle's RootSystem constructor
+        for module in (report, rootsys, twist):
+            assert "build_root_system" not in vars(module), module.__name__
+        monkeypatch.setattr(oracle, "build_root_system", refuse)
+        monkeypatch.setattr(oracle.RootSystem, "__init__", refuse)
         assert excluded_characteristics(CartanType("D", 4), "triality") == (2, 3)
         assert excluded_characteristics(CartanType("A", 5), (4, 3, 2, 1, 0)) == (2, 3, 5)
 
@@ -328,12 +326,28 @@ class TestCompute:
             compute(TwistSpec(CartanType("A", 3)))
 
     def test_pipeline_never_loads_the_oracle(self):
-        code = ("import sys, twistloop; twistloop.compute(twistloop.TwistSpec("
-                "twistloop.CartanType('D', 4), 'triality')); "
-                "print('twistloop.oracle' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=src_env())
-        assert out.stdout == "False\n"
+        # the package re-exports 8 of the oracle's names and resolves them on
+        # first use: a triality, a flip, an identity and the E8 table route
+        # load no reference, and each name then is the oracle's own object;
+        # -S keeps site hooks out
+        code = ("import sys, twistloop; "
+                "[twistloop.compute(twistloop.TwistSpec(twistloop.CartanType(f, r), a)) "
+                "for f, r, a in (('D', 4, 'triality'), ('E', 6, 'flip'), "
+                "('B', 3, 'identity'), ('E', 8, 'identity'))]; "
+                "print('twistloop.oracle' in sys.modules); "
+                "names = ('RootSystem', 'build_root_system', 'DiagramAutomorphism', "
+                "'FoldingResult', 'folded_root_system', 'make_automorphism', "
+                "'project_roots', 'steinberg_rows'); "
+                "lazy = [getattr(twistloop, n) for n in names]; "
+                "import twistloop.oracle as oracle; "
+                "print(all(x is getattr(oracle, n) for x, n in zip(lazy, names)), "
+                "[n for n in names if n in vars(twistloop)]); "
+                "from twistloop import *; "
+                "print(all(n in globals() for n in twistloop.__all__))")
+        src = os.path.dirname(os.path.dirname(twistloop.__file__))
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout == "False\nTrue []\nTrue\n"
 
     def test_pipeline_never_loads_dataclasses_inspect_or_typing(self):
         # the records are plain slotted classes, to_json() writes the
@@ -566,16 +580,26 @@ class TestCli:
 
 
 def _refuse_walk(patch):
-    """Make the walk of a twist's rows, their match to a Cartan matrix and
-    a tag's node permutation raise, through a monkeypatch or its context:
-    compute() reads every twist's rows off the folded Cartan matrix."""
-    from twistloop import twist
+    """Make the walk of a twist's rows, their match to a Cartan matrix, in
+    the oracle, and a tag's node permutation raise, through a monkeypatch
+    or its context: compute() reads every twist's rows off the folded
+    Cartan matrix."""
+    from twistloop import oracle, twist
 
     def refuse(*args, **kwargs):
         raise AssertionError("rows walked or matched, or a tag's permutation formed")
 
-    for name in ("steinberg_rows", "_match_cartan", "_rows_cartan", "simple_perm_for_tag"):
-        patch.setattr(twist, name, refuse)
+    for name in ("steinberg_rows", "_match_cartan", "_rows_cartan"):
+        patch.setattr(oracle, name, refuse)
+    patch.setattr(twist, "simple_perm_for_tag", refuse)
+
+
+def _refuse_roots(patch, refuse):
+    """Make the root closure and the root system, in the oracle, raise."""
+    from twistloop import oracle
+
+    patch.setattr(oracle, "_closure", refuse)
+    patch.setattr(oracle, "RootSystem", refuse)
 
 
 class TestLimits:
@@ -619,9 +643,7 @@ class TestLimits:
 
         t = CartanType(family, rank)
         perm, _ = twist.resolve_twist(t, tag)
-        monkeypatch.setattr(rootsys, "_closure", refuse)
-        monkeypatch.setattr(twist, "_closure", refuse)
-        monkeypatch.setattr(rootsys, "RootSystem", refuse)
+        _refuse_roots(monkeypatch, refuse)
         monkeypatch.setattr(rootsys, "cartan_matrix", refuse)
         monkeypatch.setattr(twist, "cartan_matrix", refuse)
         for spec in (tag, perm):
@@ -636,16 +658,13 @@ class TestLimits:
         # an identity twist, by tag or by perm=, reads its rows off the
         # Cartan matrix, with no walk and no match, and its root counts off
         # the type
-        from twistloop import rootsys, twist
         from twistloop.rootsys import root_count, weyl_order
 
         def refuse(*args, **kwargs):
             raise AssertionError("roots built for an identity twist")
 
         t = CartanType(family, rank)
-        monkeypatch.setattr(rootsys, "_closure", refuse)
-        monkeypatch.setattr(twist, "_closure", refuse)
-        monkeypatch.setattr(rootsys, "RootSystem", refuse)
+        _refuse_roots(monkeypatch, refuse)
         _refuse_walk(monkeypatch)
         n = root_count(t)
         for auto in ("identity", tuple(range(rank))):
@@ -680,7 +699,7 @@ class TestLimits:
         # at all and walks and matches no row: its rows are read off the
         # folded Cartan matrix, the tag forms no node permutation, and its
         # orbit sizes and root counts are read off the types
-        from twistloop import rootsys, twist
+        from twistloop import oracle, twist
 
         def refuse(*args, **kwargs):
             raise AssertionError("roots built on the twisted route")
@@ -688,19 +707,17 @@ class TestLimits:
         t = CartanType(family, rank)
         perm, _ = twist.resolve_twist(t, tag)
         with monkeypatch.context() as m:
-            m.setattr(rootsys, "_closure", refuse)
-            m.setattr(twist, "_closure", refuse)
-            m.setattr(rootsys, "RootSystem", refuse)
+            _refuse_roots(m, refuse)
             _refuse_walk(m)
             reports = [compute(TwistSpec(t, auto)) for auto in (tag, perm)]
             for auto, rpt in zip((tag, "perm=" + ",".join(str(i + 1) for i in perm)),
                                  reports):
                 assert main(["--type", family, "--rank", str(rank), "--auto", auto]) == 0
                 assert capsys.readouterr().out == rpt.to_text()
-        aut = twist.make_automorphism(build_root_system(t), tag)
+        aut = oracle.make_automorphism(build_root_system(t), tag)
         for rpt in reports:
-            assert rpt.positive_orbit_sizes == twist.positive_orbit_sizes(aut)
-            assert rpt.orbit_criterion.orbit_count == 2 * len(twist.project_roots(aut))
+            assert rpt.positive_orbit_sizes == oracle.positive_orbit_sizes(aut)
+            assert rpt.orbit_criterion.orbit_count == 2 * len(oracle.project_roots(aut))
 
     @pytest.mark.parametrize("family,rank,tag", [("A", 3, "flip"), ("A", 4, "flip"),
                                                  ("D", 4, "triality")])

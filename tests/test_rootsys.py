@@ -6,13 +6,12 @@ import pytest
 
 from fractions import Fraction
 
-from twistloop import rootsys
-from twistloop.oracle import (ambient_gram, ambient_roots, ambient_vector, cartan_from_gram,
-                              reflect, simple_gram, simple_reflection, simple_root_vectors,
-                              vec_dot)
+from twistloop import oracle, rootsys
+from twistloop.oracle import (RootSystem, ambient_gram, ambient_roots, ambient_vector,
+                              build_root_system, cartan_from_gram, reflect, simple_gram,
+                              simple_reflection, simple_root_vectors, vec_dot)
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import (CartanType, RootSystem, build_root_system, cartan_matrix,
-                               degrees, root_count, weyl_order)
+from twistloop.rootsys import CartanType, cartan_matrix, degrees, root_count, weyl_order
 from twistloop.twist import expected_folded_type
 
 ALL_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 7)] +
@@ -121,7 +120,7 @@ def test_root_data_hold_no_reflection_table():
     # permutes the roots through simple_reflection
     rs = build_root_system(CartanType("E", 6))
     assert not hasattr(rs, "reflections")
-    assert rootsys._closure(rs.cartan_matrix, 72) == rs.positive
+    assert oracle._closure(rs.cartan_matrix, 72) == rs.positive
 
 
 @pytest.mark.parametrize("cartan", [((2, -2), (-2, 2)),
@@ -131,7 +130,7 @@ def test_root_data_hold_no_reflection_table():
 def test_an_infinite_closure_raises_at_the_limit(cartan, limit):
     # neither matrix has a finite root system: the raising steps never stop
     with pytest.raises(ValueError, match=f"root closure passed {limit} roots"):
-        rootsys._closure(cartan, limit)
+        oracle._closure(cartan, limit)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -139,9 +138,9 @@ def test_the_closure_limit_binds_on_the_root_count(family, rank):
     # the positive closure counts its mirror: the type's root count passes
     # and one fewer raises
     cartan, count = cartan_matrix(CartanType(family, rank)), root_count(CartanType(family, rank))
-    assert 2 * len(rootsys._closure(cartan, count)) == count
+    assert 2 * len(oracle._closure(cartan, count)) == count
     with pytest.raises(ValueError, match=f"root closure passed {count - 1} roots"):
-        rootsys._closure(cartan, count - 1)
+        oracle._closure(cartan, count - 1)
 
 
 @pytest.mark.parametrize("family,rank", DIAGRAM_CHECKED)
@@ -194,23 +193,24 @@ VALIDATED = [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6
 
 def _patch_closure(monkeypatch, positive):
     """Make RootSystem read the given positive roots from its closure."""
-    monkeypatch.setattr(rootsys, "_closure", lambda cartan, limit: tuple(sorted(positive)))
+    monkeypatch.setattr(oracle, "_closure", lambda cartan, limit: tuple(sorted(positive)))
 
 
 def _flipped_closure():
-    """rootsys._closure with the sign of its raising step flipped, d[i] += k
-    for d[i] -= k: a mutant of the library's own source, not memoized."""
-    source = textwrap.dedent(inspect.getsource(rootsys._closure.__wrapped__))
-    assert source.startswith("@_memo\n") and source.count("d[i] -= k") == 1
-    scope = dict(vars(rootsys))
-    exec(source.removeprefix("@_memo\n").replace("d[i] -= k", "d[i] += k"), scope)
+    """oracle._closure with the sign of its raising step flipped, d[i] += k
+    for d[i] -= k: a mutant of the oracle's own source, not memoized."""
+    memo = "@lru_cache(maxsize=64)\n"
+    source = textwrap.dedent(inspect.getsource(oracle._closure.__wrapped__))
+    assert source.startswith(memo) and source.count("d[i] -= k") == 1
+    scope = dict(vars(oracle))
+    exec(source.removeprefix(memo).replace("d[i] -= k", "d[i] += k"), scope)
     return scope["_closure"]
 
 
 @pytest.mark.parametrize("family,rank", VALIDATED)
 def test_validate_rejects_a_wrong_root_count(family, rank, monkeypatch):
     t = CartanType(family, rank)
-    positive = rootsys._closure(cartan_matrix(t), root_count(t))
+    positive = oracle._closure(cartan_matrix(t), root_count(t))
     # one positive root goes: the signs still hold
     _patch_closure(monkeypatch, positive[:-1])
     with pytest.raises(ValueError, match=f"^{family}{rank}: built {root_count(t) - 2} "
@@ -221,11 +221,22 @@ def test_validate_rejects_a_wrong_root_count(family, rank, monkeypatch):
 @pytest.mark.parametrize("family,rank", VALIDATED)
 def test_validate_rejects_mixed_signs(family, rank, monkeypatch):
     t = CartanType(family, rank)
-    positive = rootsys._closure(cartan_matrix(t), root_count(t))
+    positive = oracle._closure(cartan_matrix(t), root_count(t))
     v = (1, -1) + (0,) * (rank - 2)
     # a mixed vector replaces a positive root: the count still holds
     _patch_closure(monkeypatch, (v,) + positive[1:])
     with pytest.raises(ValueError, match="^root coordinates of mixed sign$"):
+        RootSystem(t)
+
+
+@pytest.mark.parametrize("family,rank", VALIDATED)
+def test_validate_rejects_a_wrong_weyl_order(family, rank, monkeypatch):
+    # the roots, their count and their signs hold: only the product of the
+    # degrees, against the Weyl order RootSystem reads, catches the order
+    t = CartanType(family, rank)
+    order = oracle.weyl_order
+    monkeypatch.setattr(oracle, "weyl_order", lambda t: order(t) + 1)
+    with pytest.raises(ValueError, match="^degree product disagrees with Weyl order$"):
         RootSystem(t)
 
 
@@ -239,14 +250,14 @@ def test_root_system_rejects_a_sign_flipped_closure(family, rank, monkeypatch):
     assert 2 * len(positive) == root_count(t)
     if t == CartanType("B", 2):
         assert positive == ((-1, 1), (0, 1), (1, -2), (1, 0))
-    monkeypatch.setattr(rootsys, "_closure", flipped)
+    monkeypatch.setattr(oracle, "_closure", flipped)
     with pytest.raises(ValueError, match="^root coordinates of mixed sign$"):
         RootSystem(t)
 
 
 def test_root_system_rejects_a_sign_flipped_closure_past_its_limit(monkeypatch):
     # on E6 the flipped steps never stop: the closure's limit catches them
-    monkeypatch.setattr(rootsys, "_closure", _flipped_closure())
+    monkeypatch.setattr(oracle, "_closure", _flipped_closure())
     with pytest.raises(ValueError, match="^root closure passed 72 roots$"):
         RootSystem(CartanType("E", 6))
 
@@ -295,7 +306,7 @@ def test_compute_reads_each_type_once(family, rank, tag, types):
     # identity twist folds to the input type itself.  No route closes a
     # root.  The Cartan matrix is read off the Dynkin diagram: the pipeline
     # forms no Gram matrix.
-    memoized = (rootsys.cartan_matrix, rootsys._closure)
+    memoized = (rootsys.cartan_matrix, oracle._closure)
     for fn in memoized:
         fn.cache_clear()
     t = CartanType(family, rank)

@@ -5,24 +5,23 @@ from operator import mul
 
 import pytest
 
-from twistloop import rootsys, twist, weyl
+from twistloop import oracle, rootsys, twist, weyl
 from twistloop.oracle import (MAX_BYTE_ROOTS, RootPermutationAction, WeylPermutationGroup,
                               ambient_roots, ambient_vector,
-                              automorphism_matrix, cartan_from_gram, classify_folded_roots,
+                              automorphism_matrix, build_root_system, cartan_from_gram,
+                              check_folded_roots, classify_folded_roots,
                               fixed_space_matrices, fixed_space_stabilizer_perms,
-                              fixed_subspace,
-                              identity_matrix, mat_mul, mat_vec, orbit_sum_gram,
-                              orbit_sum_projection, projected_gram, rank,
+                              fixed_subspace, folded_root_system,
+                              identity_matrix, make_automorphism, mat_mul, mat_vec,
+                              orbit_sum_gram, orbit_sum_projection, positive_orbit_sizes,
+                              project_roots, projected_gram, rank,
                               restricted_fixed_space_group, root_permutation,
-                              simple_root_vectors, vec_add, vec_dot, vec_scale, vector)
+                              simple_root_vectors, steinberg_rows, vec_add, vec_dot,
+                              vec_scale, vector)
 from twistloop.report import TwistSpec, _chain_rows, compute
-from twistloop.rootsys import (_RANK_BOUNDS, FAMILIES, CartanType, build_root_system,
-                               cartan_matrix, root_count)
-from twistloop.twist import (AUTOMORPHISM_TAGS, check_folded_roots, check_tag,
-                             expected_folded_type, fixed_group_info, folded_root_system,
-                             make_automorphism, orbit_sizes, positive_orbit_sizes,
-                             project_roots, twist_rows)
-from twistloop.weyl import _perm_orbits, steinberg_rows
+from twistloop.rootsys import _RANK_BOUNDS, FAMILIES, CartanType, cartan_matrix, root_count
+from twistloop.twist import (AUTOMORPHISM_TAGS, _perm_orbits, check_tag, expected_folded_type,
+                             fixed_group_info, orbit_sizes, twist_rows)
 
 from conftest import mirrored
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
@@ -125,8 +124,8 @@ class TestMakeAutomorphism:
         def refuse(t):
             raise AssertionError("a dense matrix built to check the twist")
 
-        monkeypatch.setattr(twist, "cartan_matrix", refuse)
-        monkeypatch.setattr(rootsys, "cartan_matrix", refuse)
+        for module in (oracle, rootsys, twist):
+            monkeypatch.setattr(module, "cartan_matrix", refuse)
         assert make_automorphism(rs, "flip").simple_perm == (5, 1, 4, 3, 2, 0)
         with pytest.raises(ValueError, match="does not preserve the Cartan matrix"):
             make_automorphism(rs, (1, 0, 2, 3, 4, 5))
@@ -350,10 +349,10 @@ class TestProjection:
                     bad = tuple(tuple(x + delta if (a, b) == (k, j) else x
                                       for b, x in enumerate(row))
                                 for a, row in enumerate(rows))
-                    monkeypatch.setattr(twist, "steinberg_rows", lambda t, perm: bad)
+                    monkeypatch.setattr(oracle, "steinberg_rows", lambda t, perm: bad)
                     with pytest.raises(ValueError, match=f"does not match {t}$"):
                         folded_root_system(aut)
-        monkeypatch.setattr(twist, "steinberg_rows", lambda t, perm: rows)
+        monkeypatch.setattr(oracle, "steinberg_rows", lambda t, perm: rows)
         assert folded_root_system(aut).rows == rows
 
     @pytest.mark.parametrize("family,rank", CROSS_CHECKED + [(f, 40) for f in "ABCD"])
@@ -378,7 +377,7 @@ class TestProjection:
             perm, _ = twist.resolve_twist(t, tag)
             folded = expected_folded_type(t, tag)
             rows = steinberg_rows(t, perm)
-            nodes = twist._match_cartan(twist._rows_cartan(rows), cartan_matrix(folded))
+            nodes = oracle._match_cartan(oracle._rows_cartan(rows), cartan_matrix(folded))
             assert nodes is not None, (family, rank, tag)
             assert _chain_rows(rows, nodes, folded) == read_chain_rows(folded), \
                 (family, rank, tag)

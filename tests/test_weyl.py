@@ -5,13 +5,13 @@ import pytest
 from twistloop import oracle
 from twistloop.exact import BigradedSeries, product_over_degrees, solomon_series
 from twistloop.oracle import (ORACLE_ELEMENT_CAP, FiniteMatrixGroup, RootPermutationAction,
-                              WeylPermutationGroup, charpoly, close_permutations,
-                              collapse_to_cohomological, fixed_space_charpoly_buckets,
-                              fixed_space_stabilizer_perms, identity_matrix, reflect,
+                              WeylPermutationGroup, build_root_system, charpoly,
+                              close_permutations, collapse_to_cohomological,
+                              fixed_space_charpoly_buckets, fixed_space_stabilizer_perms,
+                              identity_matrix, make_automorphism, reflect,
                               restricted_fixed_space_group, super_molien,
                               super_molien_from_buckets)
-from twistloop.rootsys import CartanType, build_root_system, degrees, weyl_order
-from twistloop.twist import make_automorphism
+from twistloop.rootsys import CartanType, degrees, weyl_order
 from twistloop.weyl import GroupTooLargeError
 
 

@@ -26,16 +26,16 @@ import pytest
 
 from twistloop import cli, exact, oracle, report, rootsys, twist, weyl
 from twistloop.report import TwistSpec, compute
-from twistloop.rootsys import CartanType, build_root_system, weyl_order
-from twistloop.twist import (check_folded_roots, expected_folded_type,
-                             folded_root_system, make_automorphism)
+from twistloop.rootsys import CartanType, weyl_order
+from twistloop.twist import expected_folded_type
 from twistloop.oracle import (RootPermutationAction, WeylPermutationGroup,
-                              cartan_from_gram, close_permutations,
-                              fixed_space_charpoly_buckets,
-                              fixed_space_stabilizer_perms, projected_gram,
+                              build_root_system, cartan_from_gram, check_folded_roots,
+                              close_permutations, fixed_space_charpoly_buckets,
+                              fixed_space_stabilizer_perms, folded_root_system,
+                              make_automorphism, projected_gram,
                               restricted_fixed_space_group, root_permutation,
-                              wsigma_by_definition)
-from twistloop.weyl import GroupTooLargeError, coset_indices, steinberg_rows
+                              steinberg_rows, wsigma_by_definition)
+from twistloop.weyl import GroupTooLargeError, coset_indices
 
 from conftest import mirrored
 from test_acceptance import expected_series
@@ -188,8 +188,8 @@ def test_the_walk_is_bounded_by_the_positive_root_count(monkeypatch):
     # with a bound one step shorter the walk refuses it
     t, perm = CartanType("A", 2), (1, 0)
     assert steinberg_rows(t, perm) == ((-2,),)
-    count = weyl.root_count
-    monkeypatch.setattr(weyl, "root_count", lambda t: count(t) - 2)
+    count = oracle.root_count
+    monkeypatch.setattr(oracle, "root_count", lambda t: count(t) - 2)
     with pytest.raises(ValueError, match="^parabolic longest element longer than the "
                                          "root count allows$"):
         steinberg_rows(t, perm)
