@@ -67,9 +67,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        auto = _parse_automorphism(args.auto, args.rank)
-        spec = TwistSpec(cartan_type=CartanType(args.family, args.rank),
-                         automorphism=auto,
+        # the type first: a rank out of range is reported before the twist
+        t = CartanType(args.family, args.rank)
+        spec = TwistSpec(cartan_type=t, automorphism=_parse_automorphism(args.auto, t.rank),
                          truncation=args.truncate,
                          run_oracle=args.check,
                          workers=args.workers)

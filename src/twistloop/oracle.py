@@ -20,9 +20,13 @@ Cartan matrix    ``cartan_from_gram`` of             the Dynkin diagram: -max(l_
                  ``simple_gram``, the diagram's      l_j at an edge, l the squared
                  integer Gram matrix, one divmod     lengths, and 0 off the edges
                  per entry
-twist check      ``automorphism_matrix``: sigma as   a symmetry of the Dynkin diagram
-                 an ambient linear map, which must   extends to an automorphism of the
-                 permute the ambient roots           root system
+twist check      ``automorphism_matrix``: sigma as   a tag names a diagram symmetry
+                 an ambient linear map, which must   exactly where the folding table
+                 permute the ambient roots           (``expected_folded_type``) has
+                                                     its entry; explicit images:
+                                                     a symmetry of the Dynkin diagram
+                                                     extends to an automorphism of the
+                                                     root system
 sigma's orbits   ``root_permutation``: sigma on      the orbit formula: sigma has order
                  the roots, its orbits walked;       o = 1, 2 or 3 and distinct orbits
                  ``positive_orbit_sizes``: its       project to distinct vectors, so of

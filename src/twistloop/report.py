@@ -62,8 +62,7 @@ from .exact import (BigradedSeries, DEFAULT_TRUNCATION, Record, check_int,
                     product_over_degrees, solomon_series)
 from . import weyl
 from .rootsys import CartanType, ascending_degrees, degrees, root_count, weyl_order
-from .twist import (FixedGroupInfo, OrbitCriterion, check_tag, expected_folded_type,
-                    fixed_group_info, orbit_sizes, resolve_twist, twist_rows)
+from .twist import OrbitCriterion, orbit_sizes, twist_entry, twist_of, twist_rows
 from .weyl import GroupTooLargeError, certify_jacobian, coset_indices
 
 # the series, its JSON and a bigraded series read on demand grow with it
@@ -227,14 +226,14 @@ def excluded_characteristics(cartan_type: CartanType,
     order three.  Read from the type and the twist alone; no root system
     is built, and the Weyl order, the product of the degrees, is not
     formed: its primes are theirs."""
-    _, tag = resolve_twist(cartan_type, automorphism)
-    return _excluded_primes(cartan_type, fixed_group_info(cartan_type, tag))
+    _, folded = twist_of(cartan_type, automorphism)
+    return _excluded_primes(cartan_type, twist_entry(cartan_type, folded)[1])
 
 
-def _excluded_primes(t: CartanType, info: FixedGroupInfo) -> tuple[int, ...]:
-    """:func:`excluded_characteristics` for a resolved twist's entry."""
+def _excluded_primes(t: CartanType, component_counts: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`excluded_characteristics` for a resolved twist's component counts."""
     primes = set()
-    for n in {*ascending_degrees(t), *info.component_counts}:
+    for n in {*ascending_degrees(t), *component_counts}:
         d = 2
         while d * d <= n:
             while n % d == 0:
@@ -283,45 +282,32 @@ def _check_order_cap(folded: CartanType, cap: int) -> None:
                 f"{'' if exact else 'at least '}{order}, past the element cap {cap}")
 
 
-def _chain_rows(rows, nodes, folded: CartanType) -> tuple[tuple[int, ...], ...]:
-    """The rows matched to the folded type's nodes, in the coset chain's
-    order: nodes n..1 for B, C and D, 1..n otherwise, each a coordinate
-    too.  Any order multiplies to |W^sigma|; this one ends in the smallest
-    coordinate orbit (n + 1 for A_n, 2n for B_n, C_n and D_n, 27, 56 and
-    240 for E6, E7 and E8, 24 for F4, 6 for G2), which the Jacobian reuses,
-    and keeps the indices' sum, the functionals the chain closes,
-    polynomial in n."""
-    nodes = nodes[::-1] if folded.family in "BCD" else nodes
-    return tuple(tuple(rows[a][b] for b in nodes) for a in nodes)
-
-
 def compute(spec: TwistSpec) -> TwistReport:
     """Run the full pipeline for one twist specification.
 
-    The spec's fields are checked when it is made.  Here a tag is checked
-    against the type in O(1), explicit images on the Dynkin diagram, and
-    then |W^sigma| against the element cap, from the type and the tag
-    alone, before anything is built.  No twist builds a root or walks a
+    The spec's fields are checked when it is made.  Here the twist is
+    resolved once to its tag and folded type
+    (:func:`twistloop.twist.twist_of`), a tag in O(1) and explicit images
+    on the Dynkin diagram, and then |W^sigma| is checked against the
+    element cap, from the folded type alone, before anything else is
+    built.  The twist's notes and component counts are its one entry of
+    :data:`twistloop.twist.TWISTS`.  No twist builds a root or walks a
     row: every twist's rows are read off the folded type's Cartan matrix,
-    and the orbit sizes and root counts off the types.  Only
-    ``run_oracle`` builds the roots, for its references.
+    in the coset chain's order, and the orbit sizes and root counts off
+    the types.  Only ``run_oracle`` builds the roots, for its references.
     """
     t = spec.cartan_type
-    if isinstance(spec.automorphism, str):
-        tag = spec.automorphism
-        check_tag(t, tag)
-    else:
-        _, tag = resolve_twist(t, spec.automorphism)
-    folded_type = expected_folded_type(t, tag)
+    tag, folded_type = twist_of(t, spec.automorphism)
     cap = weyl.DEFAULT_ELEMENT_CAP
-    table_path = (t.family, t.rank, tag) == ("E", 8, "identity") and weyl_order(t) > cap
+    # E8 has no diagram symmetry: its one twist is the identity
+    table_path = (t.family, t.rank) == ("E", 8) and weyl_order(t) > cap
     if not table_path:
         _check_order_cap(folded_type, cap)
     pos_sizes = orbit_sizes(t, folded_type)
     # negation commutes with sigma: as many orbits on the negative roots
     criterion = OrbitCriterion(2 * len(pos_sizes), root_count(folded_type))
-    info = fixed_group_info(t, tag)
-    notes = [info.note]
+    note, component_counts, twist_notes = twist_entry(t, folded_type)
+    notes = [note]
     sizes_note = ", ".join(f"{pos_sizes.count(s)} of size {s}"
                            for s in sorted(set(pos_sizes)))
     notes.append(f"positive-root orbits: {len(pos_sizes)} ({sizes_note})")
@@ -334,7 +320,7 @@ def compute(spec: TwistSpec) -> TwistReport:
                      "skipped (group order exceeds the element cap)")
         closed = _closed_form(ds)
     else:
-        rows = _chain_rows(twist_rows(folded_type), range(folded_type.rank), folded_type)
+        rows = twist_rows(folded_type)
         try:
             # the certificate: the coset chain raises unless its indices, the
             # group order, are the degrees' product, and invariants of those
@@ -349,16 +335,7 @@ def compute(spec: TwistSpec) -> TwistReport:
     notes.append(f"restricted stabilizer image matches the folded Weyl group order {order}")
     notes.append("finite central covers and quotients of the group share this "
                  "series at the reported characteristics")
-    if tag == "flip" and t.family == "A":
-        notes.append("the unitary-group form of this twist has the same series "
-                     "away from characteristic 2 and primes dividing the rank "
-                     "plus one")
-        if t.rank % 2 == 1:
-            notes.append("an equivalent route through the even orthogonal group "
-                         "extended by its diagram symmetry yields the same series")
-    if (t.family, t.rank, tag) == ("E", 6, "flip"):
-        notes.append("every characteristic greater than 30 avoids the excluded "
-                     "set {2, 3, 5}")
+    notes.extend(twist_notes)
 
     if spec.run_oracle:
         if table_path:
@@ -380,7 +357,7 @@ def compute(spec: TwistSpec) -> TwistReport:
         preserves_folded=True,  # W^sigma is the folded Weyl group (Steinberg)
         series=series,
         closed_form=closed,
-        excluded_characteristics=_excluded_primes(t, info),
+        excluded_characteristics=_excluded_primes(t, component_counts),
         notes=tuple(notes),
     )
 

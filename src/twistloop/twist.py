@@ -35,6 +35,11 @@ number of positive projections, and the orbit sizes follow from the two
 types' root counts (:func:`orbit_sizes`).  The walk, the match, the
 projection and every other measured form of these facts are references
 in :mod:`twistloop.oracle`.
+
+The folding table is the only check of a tag; a twist is resolved once,
+to its tag and folded type (:func:`twist_of`), and every other fact the
+report states of it (the fixed subgroup's note, its component counts,
+the further notes) is its one entry of :data:`TWISTS` (:func:`twist_entry`).
 """
 
 from __future__ import annotations
@@ -59,20 +64,9 @@ def _is_diagram_symmetry(t: CartanType, perm: Sequence[int]) -> bool:
             == set(map(frozenset, edges)))
 
 
-def check_tag(t: CartanType, tag: str) -> None:
-    """Raise ValueError unless tag names a diagram symmetry of type t, in
-    O(1): the twist's node permutation is not built."""
-    if tag not in AUTOMORPHISM_TAGS:
-        raise ValueError(f"unknown automorphism spec {tag!r}")
-    fam, r = t.family, t.rank
-    if tag == "flip" and not ((fam == "A" and r >= 2) or fam == "D" or (fam, r) == ("E", 6)):
-        raise ValueError(f"no diagram flip for type {t}")
-    if tag in ("triality", "triality2") and (fam, r) != ("D", 4):
-        raise ValueError("triality exists only for D4")
-
-
 def simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
-    """The node permutation of a tag that :func:`check_tag` has passed."""
+    """The node permutation of a tag that :func:`expected_folded_type` has
+    passed."""
     fam, r = t.family, t.rank
     if tag == "identity":
         return tuple(range(r))
@@ -133,18 +127,16 @@ def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
 
 
 def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, ...], str]:
-    """Node permutation and tag of a twist given as a tag or as explicit
-    simple-node images (0-based), checked to be a diagram symmetry on the
-    Dynkin diagram.  Needs only the type, not its roots or its Cartan
-    matrix."""
+    """Node permutation and tag of a twist given as a tag, checked by
+    :func:`expected_folded_type`, or as explicit simple-node images
+    (0-based), checked to be a diagram symmetry on the Dynkin diagram.
+    Needs only the type, not its roots or its Cartan matrix."""
     if isinstance(spec, str):
-        tag = spec
-        check_tag(t, tag)
-        perm = simple_perm_for_tag(t, tag)
-    else:
-        perm = tuple(spec)
-        check_simple_perm(perm, t.rank)
-        tag = _classify_perm(t, perm)
+        expected_folded_type(t, spec)
+        return simple_perm_for_tag(t, spec), spec
+    perm = tuple(spec)
+    check_simple_perm(perm, t.rank)
+    tag = _classify_perm(t, perm)
     if not _is_diagram_symmetry(t, perm):
         raise ValueError("permutation does not preserve the Cartan matrix")
     return perm, tag
@@ -174,20 +166,33 @@ def orbit_sizes(t: CartanType, folded: CartanType) -> tuple[int, ...]:
 
 
 def expected_folded_type(t: CartanType, tag: str) -> CartanType:
+    """The folded type of t's twist named by tag, and the only check of a
+    tag, in O(1): ValueError unless tag names a diagram symmetry of t.  No
+    node permutation is formed."""
     fam, r = t.family, t.rank
     if tag == "identity":
         return t
     if tag == "flip":
-        if fam == "A":
-            m = (r + 1) // 2
-            return CartanType("C", m) if r % 2 == 1 else CartanType("B", m)
+        if fam == "A" and r >= 2:
+            return CartanType("C" if r % 2 else "B", (r + 1) // 2)
         if fam == "D":
             return CartanType("B", r - 1)
-        if fam == "E":
+        if (fam, r) == ("E", 6):
             return CartanType("F", 4)
+        raise ValueError(f"no diagram flip for type {t}")
     if tag in ("triality", "triality2"):
-        return CartanType("G", 2)
-    raise ValueError(f"no folding entry for {t} with {tag!r}")
+        if (fam, r) == ("D", 4):
+            return CartanType("G", 2)
+        raise ValueError("triality exists only for D4")
+    raise ValueError(f"unknown automorphism spec {tag!r}")
+
+
+def twist_of(t: CartanType, spec: str | Sequence[int]) -> tuple[str, CartanType]:
+    """The tag and folded type of a twist of t: a tag is checked in O(1)
+    and forms no node permutation; only explicit images are resolved on
+    the Dynkin diagram (:func:`resolve_twist`)."""
+    tag = spec if isinstance(spec, str) else resolve_twist(t, spec)[1]
+    return tag, expected_folded_type(t, tag)
 
 
 def twist_rows(folded: CartanType) -> tuple[Vector, ...]:
@@ -200,8 +205,15 @@ def twist_rows(folded: CartanType) -> tuple[Vector, ...]:
     For sigma = identity the folded type is the input type.  No row is
     walked or matched and no root is built; that the walk gives these rows
     in some order of the nodes is the reference fold's check
-    (:func:`twistloop.oracle.folded_root_system`)."""
-    return tuple(tuple(map(neg, col)) for col in zip(*cartan_matrix(folded)))
+    (:func:`twistloop.oracle.folded_root_system`).
+
+    The rows come in the coset chain's order: nodes n..1 for B, C and D,
+    1..n otherwise.  Any order multiplies to |W^sigma|; this one ends in
+    the smallest coordinate orbit (n + 1 for A_n, 2n for B_n, C_n and D_n,
+    27, 56 and 240 for E6-E8, 24 for F4, 6 for G2), which the Jacobian
+    reuses, and keeps the functionals the chain closes polynomial in n."""
+    rows = tuple(tuple(map(neg, col)) for col in zip(*cartan_matrix(folded)))
+    return tuple(row[::-1] for row in rows[::-1]) if folded.family in "BCD" else rows
 
 
 # ---------------------------------------------------------------------------
@@ -222,45 +234,37 @@ class OrbitCriterion(Record):
 
 
 # ---------------------------------------------------------------------------
-# fixed-subgroup bookkeeping for the coefficient-exclusion report
+# the fixed subgroup and the report's notes, one entry per twist
 # ---------------------------------------------------------------------------
 
-class FixedGroupInfo(Record):
-    __slots__ = ("note", "component_counts")
-    note: str
-    component_counts: tuple[int, ...]  # |pi_0| for the documented representatives
+_UNITARY = ("the unitary-group form of this twist has the same series away from "
+            "characteristic 2 and primes dividing the rank plus one")
+
+# keyed by (family, folded family), the identity by None: the fixed subgroup's note,
+# the component counts |pi_0| of its documented representatives, and the further notes
+TWISTS = {
+    None: ("untwisted: the fixed subgroup is the whole (connected) group", (1,), ()),
+    ("A", "C"): ("order-two twist of the special unitary group: the chamber-preserving "
+                 "representative fixes a connected compact symplectic subgroup; the "
+                 "conjugation representative fixes an orthogonal-type subgroup, counted "
+                 "conservatively with two components", (1, 2),
+                 (_UNITARY, "an equivalent route through the even orthogonal group "
+                            "extended by its diagram symmetry yields the same series")),
+    ("A", "B"): ("order-two twist of the special unitary group: the fixed subgroup is an "
+                 "odd orthogonal group, counted conservatively with two components for "
+                 "the conjugation representative", (1, 2), (_UNITARY,)),
+    ("D", "B"): ("orientation-reversing twist of the even orthogonal group: the fixed "
+                 "subgroup is a full odd orthogonal group with two components; its "
+                 "identity component is the odd special orthogonal group", (2, 2), ()),
+    ("D", "G"): ("order-three twist: the fixed subgroup is the connected exceptional "
+                 "group of rank two", (1,), ()),
+    ("E", "F"): ("order-two twist: the fixed subgroup is the connected exceptional group "
+                 "of rank four", (1,), ("every characteristic greater than 30 avoids the "
+                                        "excluded set {2, 3, 5}",)),
+}
 
 
-def fixed_group_info(t: CartanType, tag: str) -> FixedGroupInfo:
-    fam, r = t.family, t.rank
-    if tag == "identity":
-        return FixedGroupInfo(
-            "untwisted: the fixed subgroup is the whole (connected) group", (1,))
-    if fam == "A":
-        n = r + 1
-        if n % 2 == 0:
-            return FixedGroupInfo(
-                "order-two twist of the special unitary group: the "
-                "chamber-preserving representative fixes a connected compact "
-                "symplectic subgroup; the conjugation representative fixes an "
-                "orthogonal-type subgroup, counted conservatively with two "
-                "components", (1, 2))
-        return FixedGroupInfo(
-            "order-two twist of the special unitary group: the fixed subgroup "
-            "is an odd orthogonal group, counted conservatively with two "
-            "components for the conjugation representative", (1, 2))
-    if fam == "D" and tag == "flip":
-        return FixedGroupInfo(
-            "orientation-reversing twist of the even orthogonal group: the "
-            "fixed subgroup is a full odd orthogonal group with two "
-            "components; its identity component is the odd special "
-            "orthogonal group", (2, 2))
-    if fam == "D" and tag in ("triality", "triality2"):
-        return FixedGroupInfo(
-            "order-three twist: the fixed subgroup is the connected "
-            "exceptional group of rank two", (1,))
-    if fam == "E":
-        return FixedGroupInfo(
-            "order-two twist: the fixed subgroup is the connected exceptional "
-            "group of rank four", (1,))
-    raise ValueError(f"no fixed-subgroup entry for {t} with {tag!r}")
+def twist_entry(t: CartanType, folded: CartanType) -> tuple:
+    """The :data:`TWISTS` entry (note, component counts, further notes) of
+    t's twist with this folded type, the identity's when folded is t."""
+    return TWISTS[None if folded == t else (t.family, folded.family)]

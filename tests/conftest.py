@@ -25,6 +25,14 @@ def mirrored(positive):
     return tuple(map(negate, reversed(positive))) + tuple(positive)
 
 
+def chain_order(rows, nodes, folded):
+    """Walked rows in the coset chain's order, the order twist_rows reads
+    them in: rows[nodes[k]] is the row of the folded type's node k, and the
+    chain takes nodes n..1 for B, C and D, 1..n otherwise."""
+    nodes = nodes[::-1] if folded.family in "BCD" else nodes
+    return tuple(tuple(rows[a][b] for b in nodes) for a in nodes)
+
+
 @pytest.fixture
 def report():
     return cached_report

@@ -36,6 +36,7 @@ from twistloop.rootsys import CartanType, degrees, weyl_order
 from twistloop.twist import expected_folded_type
 from twistloop.weyl import certify_jacobian, coset_indices
 
+from conftest import chain_order
 from test_acceptance import expected_series
 from test_wsigma import ADMISSIBLE, ADMISSIBLE_RANKS, STREAMED
 
@@ -98,7 +99,7 @@ def test_certificate_agrees_with_enumeration(family, rank, tag):
     aut, fold, action, generators = certificate_inputs(family, rank, tag)
     order = weyl_order(fold.folded_type)
     positive = sum(all(c >= 0 for c in v) for v in fold.folded_roots)
-    rows = report._chain_rows(fold.rows, fold.nodes, fold.folded_type)
+    rows = chain_order(fold.rows, fold.nodes, fold.folded_type)
     ds = degrees(fold.folded_type)
     indices, orbit = coset_indices(rows, order)
     assert math.prod(indices) == math.prod(ds) == order
@@ -192,7 +193,7 @@ def chain_inputs(family, rank, tag):
     degrees and the chain's indices and last orbit."""
     fold = folded_root_system(make_automorphism(build_root_system(CartanType(family, rank)),
                                                 tag))
-    rows = report._chain_rows(fold.rows, fold.nodes, fold.folded_type)
+    rows = chain_order(fold.rows, fold.nodes, fold.folded_type)
     return rows, degrees(fold.folded_type), *coset_indices(rows, weyl_order(fold.folded_type))
 
 
@@ -456,7 +457,7 @@ def test_rows_of_the_dual_type_fail_the_cartan_match(family, rank, tag, other, m
     folded = expected_folded_type(t, tag)
     dual = CartanType(*other)
     rows = oracle.steinberg_rows(dual, tuple(range(dual.rank)))
-    chain = report._chain_rows(rows, range(dual.rank), folded)
+    chain = chain_order(rows, range(dual.rank), folded)
     _, orbit = coset_indices(chain, weyl_order(folded))
     assert certify_jacobian(chain, degrees(folded), orbit) == 1
     monkeypatch.setattr(oracle, "steinberg_rows", lambda t, simple_perm: rows)

@@ -15,7 +15,7 @@ from twistloop.oracle import (DiagramAutomorphism, FoldingResult, SubspaceBasis,
                               build_root_system)
 from twistloop.report import ClosedForm, TwistReport, TwistSpec, compute
 from twistloop.rootsys import CartanType
-from twistloop.twist import FixedGroupInfo, OrbitCriterion
+from twistloop.twist import OrbitCriterion
 from twistloop import weyl
 from twistloop.weyl import GroupTooLargeError
 
@@ -29,7 +29,6 @@ SAMPLES = [
     (DiagramAutomorphism, (_RS, (0,), 1, "identity")),
     (FoldingResult, (((-1,), (1,)), CartanType("A", 1), ((-2,),), (0,))),
     (OrbitCriterion, (2, 2)),
-    (FixedGroupInfo, ("connected", (1,))),
     (TwistSpec, (E6, "flip", 60, False, 2)),
     (ClosedForm, ((3, 11), (4, 12))),
     (SubspaceBasis, (2, ((1, 0),))),

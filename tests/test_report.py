@@ -180,32 +180,48 @@ class TestExcludedCharacteristics:
         ("E", 6, "flip", "F4"), ("D", 4, "triality", "G2"),
         ("E", 6, (5, 1, 4, 3, 2, 0), "F4")])
     def test_compute_resolves_the_twist_once(self, family, rank, spec, folded, monkeypatch):
-        # a tag is checked once, in O(1), and explicit images are resolved
-        # once; the excluded primes reuse the resolved tag, the rows and the
-        # orbit sizes the folded type, and the type tests compare (family,
+        # compute() calls the one resolver, twist_of, once: a tag is checked
+        # in O(1), and only explicit images go through resolve_twist; the
+        # notes and the excluded primes read the twist's entry, the rows and
+        # the orbit sizes the folded type, and the E8 test compares (family,
         # rank), so the only type record built is the folded type, once
         from twistloop import report, twist
         from twistloop.weyl import GroupTooLargeError
 
         t = CartanType(family, rank)
-        resolved, checked, made = [], [], []
-        resolve, check_tag, check = report.resolve_twist, twist.check_tag, CartanType._check
-        monkeypatch.setattr(report, "resolve_twist",
-                            lambda *args: resolved.append(args) or resolve(*args))
-        for module in (report, twist):
-            monkeypatch.setattr(module, "check_tag",
-                                lambda *args: checked.append(args) or check_tag(*args))
+        resolved, walked, made = [], [], []
+        twist_of, resolve, check = report.twist_of, twist.resolve_twist, CartanType._check
+        monkeypatch.setattr(report, "twist_of",
+                            lambda *args: resolved.append(args) or twist_of(*args))
+        monkeypatch.setattr(twist, "resolve_twist",
+                            lambda *args: walked.append(args) or resolve(*args))
         monkeypatch.setattr(CartanType, "_check", lambda self: made.append(self) or check(self))
         try:
             rpt = compute(TwistSpec(t, spec))
         except GroupTooLargeError:
             rpt = None
-        assert len(resolved) == (not isinstance(spec, str))
-        assert len(checked) == isinstance(spec, str)
+        assert len(resolved) == 1
+        assert len(walked) == (not isinstance(spec, str))
         assert [str(u) for u in made] == ([folded] if folded else []), made
         if rpt is not None:
             monkeypatch.undo()
             assert rpt.excluded_characteristics == excluded_characteristics(t, spec)
+
+    @pytest.mark.parametrize("family,rank,tag", [
+        ("A", 20000, "flip"), ("A", 5, "flip"), ("D", 4, "triality"), ("D", 4, "triality2"),
+        ("D", 7, "flip"), ("E", 6, "flip"), ("B", 3, "identity")])
+    def test_a_tag_forms_no_node_permutation(self, family, rank, tag, monkeypatch):
+        # a tag is checked by the folding table and its entry read off the
+        # folded type: the twist's node permutation is never formed
+        from twistloop import twist
+
+        def refuse(*args):
+            raise AssertionError("a tag's node permutation formed")
+
+        t = CartanType(family, rank)
+        want = excluded_characteristics(t, tag)
+        monkeypatch.setattr(twist, "simple_perm_for_tag", refuse)
+        assert excluded_characteristics(t, tag) == want
 
     def test_a6_has_factorial_primes(self):
         # |W(A6)| = 7!: primes 2, 3, 5, 7
@@ -326,10 +342,18 @@ class TestCompute:
             compute(TwistSpec(CartanType("A", 3)))
 
     def test_pipeline_never_loads_the_oracle(self):
-        # the package re-exports 8 of the oracle's names and resolves them on
-        # first use: a triality, a flip, an identity and the E8 table route
-        # load no reference, and each name then is the oracle's own object;
-        # -S keeps site hooks out
+        # the package resolves 8 of the oracle's names on first use and
+        # leaves them out of __all__: a star import, done first, then a
+        # triality, a flip, an identity and the E8 table route load no
+        # reference, and each name then is the oracle's own object; -S
+        # keeps site hooks out
+        star = ("import sys; from twistloop import *; import twistloop; "
+                "print('twistloop.oracle' in sys.modules, "
+                "all(n in globals() for n in twistloop.__all__))")
+        src = os.path.dirname(os.path.dirname(twistloop.__file__))
+        out = subprocess.run([sys.executable, "-S", "-c", star], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout == "False True\n"
         code = ("import sys, twistloop; "
                 "[twistloop.compute(twistloop.TwistSpec(twistloop.CartanType(f, r), a)) "
                 "for f, r, a in (('D', 4, 'triality'), ('E', 6, 'flip'), "
@@ -344,7 +368,6 @@ class TestCompute:
                 "[n for n in names if n in vars(twistloop)]); "
                 "from twistloop import *; "
                 "print(all(n in globals() for n in twistloop.__all__))")
-        src = os.path.dirname(os.path.dirname(twistloop.__file__))
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout == "False\nTrue []\nTrue\n"
@@ -509,6 +532,12 @@ class TestCli:
 
     def test_bad_rank(self, capsys):
         assert main(["--type", "G", "--rank", "5"]) == 1
+
+    @pytest.mark.parametrize("family,rank,perm", [("A", -3, "perm=1"), ("E", 5, "perm=1,2")])
+    def test_bad_rank_is_reported_before_the_twist(self, capsys, family, rank, perm):
+        assert main(["--type", family, "--rank", str(rank), "--auto", perm]) == 1
+        assert capsys.readouterr().err == \
+            f"error: rank {rank} out of range for family {family}\n"
 
     def test_bad_auto(self, capsys):
         assert main(["--type", "A", "--rank", "3", "--auto", "twist"]) == 1

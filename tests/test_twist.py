@@ -1,7 +1,9 @@
+import importlib.util
 import time
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -18,16 +20,16 @@ from twistloop.oracle import (MAX_BYTE_ROOTS, RootPermutationAction, WeylPermuta
                               restricted_fixed_space_group, root_permutation,
                               simple_root_vectors, steinberg_rows, vec_add, vec_dot,
                               vec_scale, vector)
-from twistloop.report import TwistSpec, _chain_rows, compute
+from twistloop.report import TwistSpec, compute
 from twistloop.rootsys import _RANK_BOUNDS, FAMILIES, CartanType, cartan_matrix, root_count
-from twistloop.twist import (AUTOMORPHISM_TAGS, _perm_orbits, check_tag, expected_folded_type,
-                             fixed_group_info, orbit_sizes, twist_rows)
+from twistloop.twist import (AUTOMORPHISM_TAGS, _perm_orbits, expected_folded_type,
+                             orbit_sizes, twist_entry, twist_rows)
 
-from conftest import mirrored
+from conftest import chain_order, mirrored
 from test_acceptance import A_FLIP_RANKS, D_FLIP_RANKS, SOLOMON_TYPES
 from test_properties import IDENTITIES, TWISTS
 from test_rootsys import ALL_TYPES, CROSS_CHECKED
-from test_wsigma import TWISTED, coset_inputs
+from test_wsigma import ADMISSIBLE, TWISTED, coset_inputs
 
 
 def permutes_folded_roots(matrices, fold):
@@ -36,12 +38,6 @@ def permutes_folded_roots(matrices, fold):
     roots = set(mirrored(fold.folded_roots))
     return all(tuple(sum(map(mul, row, v)) for row in g) in roots
                for g in matrices for v in roots)
-
-
-def read_chain_rows(folded):
-    """The rows compute() certifies a twist on: the folded type's, read off
-    its Cartan matrix, in the coset chain's order."""
-    return _chain_rows(twist_rows(folded), range(folded.rank), folded)
 
 
 def gram_rows(gram):
@@ -175,7 +171,7 @@ def admitted_within_byte_roots():
                 break
             for tag in AUTOMORPHISM_TAGS:
                 try:
-                    check_tag(t, tag)
+                    expected_folded_type(t, tag)
                 except ValueError:  # no such twist of this type
                     continue
                 cases.append((family, rank, tag))
@@ -231,7 +227,7 @@ class TestOrbits:
             assert sizes == positive_orbit_sizes(aut), (family, rank, tag)
             assert len(sizes) == len(project_roots(aut)), (family, rank, tag)
             fold = folded_root_system(aut)
-            assert _chain_rows(fold.rows, fold.nodes, folded) == read_chain_rows(folded)
+            assert chain_order(fold.rows, fold.nodes, folded) == twist_rows(folded)
 
     def test_triality_positive_orbits(self):
         rs = build_root_system(CartanType("D", 4))
@@ -358,9 +354,11 @@ class TestProjection:
     @pytest.mark.parametrize("family,rank", CROSS_CHECKED + [(f, 40) for f in "ABCD"])
     def test_identity_rows_read_are_the_walked_rows(self, family, rank):
         # compute() reads the identity's rows off the Cartan matrix, row k
-        # of s_k its column k negated; the walk of s_k must give them
+        # of s_k its column k negated; the walk of s_k must give them, in
+        # the coset chain's order
         t = CartanType(family, rank)
-        assert twist_rows(t) == steinberg_rows(t, tuple(range(rank)))
+        assert twist_rows(t) == chain_order(steinberg_rows(t, tuple(range(rank))),
+                                            range(rank), t)
 
     def test_twisted_rows_read_are_the_walked_rows(self):
         # compute() reads every twist's rows off the folded type's Cartan
@@ -379,7 +377,7 @@ class TestProjection:
             rows = steinberg_rows(t, perm)
             nodes = oracle._match_cartan(oracle._rows_cartan(rows), cartan_matrix(folded))
             assert nodes is not None, (family, rank, tag)
-            assert _chain_rows(rows, nodes, folded) == read_chain_rows(folded), \
+            assert chain_order(rows, nodes, folded) == twist_rows(folded), \
                 (family, rank, tag)
 
     def test_multiplicities_account_for_all_roots(self):
@@ -627,6 +625,18 @@ def test_diagram_check_agrees_with_the_cartan_matrix(family, rank):
     assert tuple(range(rank)) in kept
 
 
+def test_a_tags_permutation_is_a_diagram_symmetry():
+    # resolve_twist checks explicit images on the Dynkin diagram, and a
+    # tag's permutation, a closed form, here: on every admissible twist
+    # and at rank 40 it is a diagram symmetry of the tag's order
+    cases = ADMISSIBLE + [("A", 40, "flip"), ("A", 41, "flip"), ("D", 40, "flip")]
+    for family, rank, tag in cases:
+        t = CartanType(family, rank)
+        perm = twist.simple_perm_for_tag(t, tag)
+        assert twist._is_diagram_symmetry(t, perm), (family, rank, tag)
+        assert twist._classify_perm(t, perm) == tag.rstrip("2"), (family, rank, tag)
+
+
 def test_fold_coordinates_and_fixed_space_matrices_are_integers():
     cases = ([(f, r, "identity") for f, r in SOLOMON_TYPES] +
              [("D", n, "flip") for n in D_FLIP_RANKS] +
@@ -648,23 +658,63 @@ def test_fold_coordinates_and_fixed_space_matrices_are_integers():
 
 
 def test_an_unknown_tag_is_refused_by_name():
+    # the folding table is the only check of a tag
     with pytest.raises(ValueError, match="^unknown automorphism spec 'swap'$"):
-        check_tag(CartanType("A", 3), "swap")
+        expected_folded_type(CartanType("A", 3), "swap")
 
 
-@pytest.mark.parametrize("table,message", [(expected_folded_type, "folding"),
-                                           (fixed_group_info, "fixed-subgroup")])
-def test_the_twist_tables_refuse_a_type_without_the_twist(table, message):
-    # the pipeline reaches both tables after check_tag, which refuses B3's
-    # flip first; called directly, each table has no entry for it
-    with pytest.raises(ValueError, match=f"^no {message} entry for B3 with 'flip'$"):
-        table(CartanType("B", 3), "flip")
+@pytest.mark.parametrize("family,rank,tag,message", [
+    ("B", 3, "flip", "no diagram flip for type B3"), ("A", 1, "flip", "no diagram flip for type A1"),
+    ("E", 7, "flip", "no diagram flip for type E7"), ("D", 5, "triality", "triality exists only for D4"),
+    ("G", 2, "triality2", "triality exists only for D4")])
+def test_the_folding_table_refuses_a_type_without_the_twist(family, rank, tag, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        expected_folded_type(CartanType(family, rank), tag)
 
 
 def test_fixed_group_info_component_counts():
-    a = CartanType("A", 3)
-    assert fixed_group_info(a, "flip").component_counts == (1, 2)
-    assert fixed_group_info(CartanType("D", 5), "flip").component_counts == (2, 2)
-    assert fixed_group_info(CartanType("D", 4), "triality").component_counts == (1,)
-    assert fixed_group_info(CartanType("E", 6), "flip").component_counts == (1,)
-    assert fixed_group_info(a, "identity").component_counts == (1,)
+    # the fixed subgroup's component counts, read from the twist's entry
+    def counts(family, rank, tag):
+        t = CartanType(family, rank)
+        return twist_entry(t, expected_folded_type(t, tag))[1]
+
+    assert counts("A", 3, "flip") == (1, 2)
+    assert counts("A", 4, "flip") == (1, 2)
+    assert counts("D", 5, "flip") == (2, 2)
+    assert counts("D", 4, "triality") == (1,)
+    assert counts("E", 6, "flip") == (1,)
+    assert counts("A", 3, "identity") == (1,)
+
+
+def test_every_admissible_twist_has_a_table_entry():
+    # every (family, rank, tag) the pipeline admits up to the byte limit
+    # reads its own entry, the identity's when the folded type is the input
+    # type, and every entry is some twist's
+    keys = set()
+    for family, rank, tag in ADMISSIBLE:
+        t = CartanType(family, rank)
+        folded = expected_folded_type(t, tag)
+        key = None if tag == "identity" else (family, folded.family)
+        assert twist_entry(t, folded) is twist.TWISTS[key], (family, rank, tag)
+        keys.add(key)
+    assert keys == set(twist.TWISTS)
+
+
+def test_the_digest_tool_lists_the_admitted_twists():
+    # tools/report_digest.py keeps its own list of twists; on every type it
+    # covers it must name exactly the tags the folding table admits
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for family, hi in tool.MAX_RANK.items():
+        for rank in range(tool.MIN_RANK[family], hi + 1):
+            t = CartanType(family, rank)
+            admitted = []
+            for tag in AUTOMORPHISM_TAGS:
+                try:
+                    expected_folded_type(t, tag)
+                except ValueError:  # no such twist of this type
+                    continue
+                admitted.append(tag)
+            assert list(tool.twists(family, rank)) == admitted, t
