@@ -22,11 +22,11 @@ Cartan matrix    ``cartan_from_gram`` of             the Dynkin diagram: -max(l_
                  per entry
 twist check      ``automorphism_matrix``: sigma as   a tag names a diagram symmetry
                  an ambient linear map, which must   exactly where the folding table
-                 permute the ambient roots           (``expected_folded_type``) has
-                                                     its entry; explicit images:
-                                                     a symmetry of the Dynkin diagram
-                                                     extends to an automorphism of the
-                                                     root system
+                 permute the ambient roots; a tag's  (``expected_folded_type``) has
+                 node permutation is                 its entry; explicit images
+                 ``simple_perm_for_tag``             (``resolve_twist``): a symmetry of
+                                                     the Dynkin diagram extends to an
+                                                     automorphism of the root system
 sigma's orbits   ``root_permutation``: sigma on      the orbit formula: sigma has order
                  the roots, its orbits walked;       o = 1, 2 or 3 and distinct orbits
                  ``positive_orbit_sizes``: its       project to distinct vectors, so of
@@ -392,12 +392,34 @@ class DiagramAutomorphism(Record):
         return _perm_orbits(self.simple_perm)
 
 
+def simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
+    """The node permutation of a tag that :func:`expected_folded_type` has
+    passed."""
+    fam, r = t.family, t.rank
+    if tag == "identity":
+        return tuple(range(r))
+    if tag == "flip":
+        if fam == "A":
+            return tuple(r - 1 - i for i in range(r))
+        if fam == "D":
+            return tuple(range(r - 2)) + (r - 1, r - 2)
+        return (5, 1, 4, 3, 2, 0)  # E6
+    # D4: nodes 1 -> 3 -> 4 -> 1 with node 2 fixed, or the inverse cycle
+    return (2, 1, 3, 0) if tag == "triality" else (3, 1, 0, 2)
+
+
 def make_automorphism(rs: RootSystem, spec: str | Sequence[int]) -> DiagramAutomorphism:
-    """Build a diagram automorphism from a tag or an explicit permutation
-    of simple-root indices (0-based images), checked on the Dynkin
-    diagram (:func:`twistloop.twist.resolve_twist`).  The roots are not
-    permuted."""
-    perm, tag = resolve_twist(rs.cartan_type, spec)
+    """Build a diagram automorphism from a tag, checked by the folding
+    table (:func:`twistloop.twist.expected_folded_type`) and spelled by
+    :func:`simple_perm_for_tag`, or from explicit simple-node images
+    (0-based), checked on the Dynkin diagram
+    (:func:`twistloop.twist.resolve_twist`).  The roots are not permuted."""
+    t = rs.cartan_type
+    if isinstance(spec, str):
+        expected_folded_type(t, spec)
+        perm, tag = simple_perm_for_tag(t, spec), spec
+    else:
+        perm, tag = tuple(spec), resolve_twist(t, spec)
     return DiagramAutomorphism(rs, perm, _perm_order(perm), tag)
 
 

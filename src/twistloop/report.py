@@ -226,8 +226,9 @@ def excluded_characteristics(cartan_type: CartanType,
     order three.  Read from the type and the twist alone; no root system
     is built, and the Weyl order, the product of the degrees, is not
     formed: its primes are theirs."""
-    _, folded = twist_of(cartan_type, automorphism)
-    return _excluded_primes(cartan_type, twist_entry(cartan_type, folded)[1])
+    spec = TwistSpec(cartan_type, automorphism)  # its checks of the arguments
+    _, folded = twist_of(spec.cartan_type, spec.automorphism)
+    return _excluded_primes(spec.cartan_type, twist_entry(spec.cartan_type, folded)[1])
 
 
 def _excluded_primes(t: CartanType, component_counts: tuple[int, ...]) -> tuple[int, ...]:

@@ -36,10 +36,13 @@ types' root counts (:func:`orbit_sizes`).  The walk, the match, the
 projection and every other measured form of these facts are references
 in :mod:`twistloop.oracle`.
 
-The folding table is the only check of a tag; a twist is resolved once,
-to its tag and folded type (:func:`twist_of`), and every other fact the
-report states of it (the fixed subgroup's note, its component counts,
-the further notes) is its one entry of :data:`TWISTS` (:func:`twist_entry`).
+The folding table is the only check of a tag, and :func:`resolve_twist`
+the only check of explicit node images; no pipeline routine forms a
+tag's node permutation, which is reference data in :mod:`twistloop.oracle`.
+A twist is resolved once, to its tag and folded type (:func:`twist_of`),
+and every other fact the report states of it (the fixed subgroup's note,
+its component counts, the further notes) is its one entry of
+:data:`TWISTS` (:func:`twist_entry`).
 """
 
 from __future__ import annotations
@@ -62,22 +65,6 @@ def _is_diagram_symmetry(t: CartanType, perm: Sequence[int]) -> bool:
     return (all(lengths[p] == length for p, length in zip(perm, lengths))
             and {frozenset((perm[i], perm[j])) for i, j in edges}
             == set(map(frozenset, edges)))
-
-
-def simple_perm_for_tag(t: CartanType, tag: str) -> tuple[int, ...]:
-    """The node permutation of a tag that :func:`expected_folded_type` has
-    passed."""
-    fam, r = t.family, t.rank
-    if tag == "identity":
-        return tuple(range(r))
-    if tag == "flip":
-        if fam == "A":
-            return tuple(r - 1 - i for i in range(r))
-        if fam == "D":
-            return tuple(range(r - 2)) + (r - 1, r - 2)
-        return (5, 1, 4, 3, 2, 0)  # E6
-    # D4: nodes 1 -> 3 -> 4 -> 1 with node 2 fixed, or the inverse cycle
-    return (2, 1, 3, 0) if tag == "triality" else (3, 1, 0, 2)
 
 
 def check_simple_perm(images: Sequence[int], rank: int, base: int = 0) -> None:
@@ -115,31 +102,18 @@ def _perm_order(perm: Sequence[int]) -> int:
     return math.lcm(*map(len, _perm_orbits(perm)))
 
 
-def _classify_perm(t: CartanType, perm: tuple[int, ...]) -> str:
-    order = _perm_order(perm)
-    if order == 1:
-        return "identity"
-    if order == 2:
-        return "flip"
-    if order == 3 and (t.family, t.rank) == ("D", 4):
-        return "triality"
-    raise ValueError(f"permutation of order {order} is not a supported diagram symmetry")
-
-
-def resolve_twist(t: CartanType, spec: str | Sequence[int]) -> tuple[tuple[int, ...], str]:
-    """Node permutation and tag of a twist given as a tag, checked by
-    :func:`expected_folded_type`, or as explicit simple-node images
-    (0-based), checked to be a diagram symmetry on the Dynkin diagram.
-    Needs only the type, not its roots or its Cartan matrix."""
-    if isinstance(spec, str):
-        expected_folded_type(t, spec)
-        return simple_perm_for_tag(t, spec), spec
-    perm = tuple(spec)
-    check_simple_perm(perm, t.rank)
-    tag = _classify_perm(t, perm)
-    if not _is_diagram_symmetry(t, perm):
+def resolve_twist(t: CartanType, images: Sequence[int]) -> str:
+    """The tag of a twist given as explicit simple-node images (0-based),
+    checked to be a diagram symmetry on the Dynkin diagram.  Needs only
+    the type, not its roots or its Cartan matrix; a tag is checked by the
+    folding table (:func:`expected_folded_type`), not here."""
+    check_simple_perm(images, t.rank)
+    order = _perm_order(images)
+    if order > 2 and not (order == 3 and (t.family, t.rank) == ("D", 4)):
+        raise ValueError(f"permutation of order {order} is not a supported diagram symmetry")
+    if not _is_diagram_symmetry(t, images):
         raise ValueError("permutation does not preserve the Cartan matrix")
-    return perm, tag
+    return ("identity", "flip", "triality")[order - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +162,10 @@ def expected_folded_type(t: CartanType, tag: str) -> CartanType:
 
 
 def twist_of(t: CartanType, spec: str | Sequence[int]) -> tuple[str, CartanType]:
-    """The tag and folded type of a twist of t: a tag is checked in O(1)
-    and forms no node permutation; only explicit images are resolved on
-    the Dynkin diagram (:func:`resolve_twist`)."""
-    tag = spec if isinstance(spec, str) else resolve_twist(t, spec)[1]
+    """The tag and folded type of a twist of t: a tag is checked by the
+    folding table in O(1) and forms no node permutation; only explicit
+    images are resolved on the Dynkin diagram (:func:`resolve_twist`)."""
+    tag = spec if isinstance(spec, str) else resolve_twist(t, spec)
     return tag, expected_folded_type(t, tag)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import accumulate
 
 DEFAULT_ELEMENT_CAP = 10**7  # the largest |W^sigma| compute() accepts, read per call
 
@@ -166,8 +167,9 @@ def certify_jacobian(rows: Sequence[tuple[int, ...]], ds: Sequence[int],
                         grad[k] += c * a
             if product:
                 values = [sum(a * x for a, x in zip(phi, point)) % p for phi in product]
-                others = [math.prod(values[:h]) * math.prod(values[h + 1:]) % p
-                          for h in range(len(product))]
+                pre = list(accumulate(values, lambda a, b: a * b % p, initial=1))
+                suf = list(accumulate(values[::-1], lambda a, b: a * b % p, initial=1))
+                others = [a * b % p for a, b in zip(pre, suf[-2::-1])]
                 extra = [sum(c * phi[k] for c, phi in zip(others, product)) % p
                          for k in range(dim)]
             for i, d in enumerate(ds):

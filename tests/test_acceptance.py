@@ -11,6 +11,8 @@ import math
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from twistloop.oracle import (ORACLE_ELEMENT_CAP, RootPermutationAction,
                               brute_force_invariant_dims, build_root_system,
                               close_permutations, collapse_to_cohomological,
@@ -56,6 +58,7 @@ def criterion(number, description):
     print(f"criterion {number}: PASS ({time.time() - start:.1f}s) {description}")
 
 
+@pytest.mark.timebound
 def test_criterion_1_untwisted_solomon_suite():
     with criterion(1, "untwisted series equal the Solomon product for all "
                       "desk-scale types"):
@@ -69,6 +72,7 @@ def test_criterion_1_untwisted_solomon_suite():
         assert time.time() - start < 300
 
 
+@pytest.mark.timebound
 def test_criterion_2_so8_triality():
     with criterion(2, "both order-three twists of the rank-four even orthogonal "
                       "group give the rank-two exceptional series"):
@@ -83,6 +87,7 @@ def test_criterion_2_so8_triality():
         assert time.time() - start < 10
 
 
+@pytest.mark.timebound
 def test_criterion_3_e6_involution():
     with criterion(3, "the order-two twist of E6 gives the F4 series with "
                       "excluded characteristics {2, 3, 5}"):
@@ -158,6 +163,7 @@ def test_criterion_6_criterion_honesty():
             assert rpt.restricted_order == weyl_order(rpt.folded_type)
 
 
+@pytest.mark.timebound
 def test_criterion_7_oracle_equivalence():
     with criterion(7, "brute-force invariant dimensions match the series "
                       "through total degree 12"):

@@ -51,7 +51,9 @@ MOVED_TO_ORACLE = ("fixed_space_charpoly_buckets", "super_molien_from_buckets",
                    "_closure", "RootSystem", "build_root_system", "DiagramAutomorphism",
                    "make_automorphism", "positive_orbit_sizes", "project_roots",
                    "FoldingResult", "folded_root_system", "check_folded_roots",
-                   "_match_cartan", "_rows_cartan", "steinberg_rows", "check_note")
+                   "_match_cartan", "_rows_cartan", "steinberg_rows", "check_note",
+                   # a tag's node permutation, which no compute() forms
+                   "simple_perm_for_tag")
 # the multi-row form of the generators, replaced by one row each; the row
 # read off a dense matrix, then off a walk over root permutations,
 # replaced by the row walked from the Cartan matrix; the degrees read off
@@ -65,7 +67,8 @@ MOVED_TO_ORACLE = ("fixed_space_charpoly_buckets", "super_molien_from_buckets",
 # closure of ambient matrices, replaced by the closure of root
 # permutations; the root cap, which no stage needs; the oracle's dense
 # Fraction series algebra, replaced by one integer expansion per bucket;
-# and report's --check note, now the oracle's check_note
+# report's --check note, now the oracle's check_note; and the order
+# classifier of explicit images, folded into resolve_twist
 DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "_orbit",
            "reflection_rows", "fixed_space_rows", "invariant_degrees",
            "_fixed_space_traces", "_exponents", "_cyclotomic", "_divide_monic",
@@ -74,7 +77,7 @@ DELETED = ("MovedRows", "moved_rows", "_functional_image", "_reflection_rows", "
            "generate_group", "reflection_matrix", "subspace_stabilizer",
            "restrict_to_subspace", "solve", "MAX_ROOTS", "dets_from_charpoly",
            "poly_inverse_series", "rational_function_series", "poly_mul_trunc",
-           "untwisted_rows", "_oracle_note")
+           "untwisted_rows", "_oracle_note", "_classify_perm")
 
 
 def defines(module, name):
@@ -275,6 +278,7 @@ def test_half_product_needs_an_orbit_closed_under_negation():
     assert weyl._half_product(orbit, rows, ds) == (None, [])
 
 
+@pytest.mark.timebound
 def test_every_admissible_case_certifies_on_one_orbit(monkeypatch):
     # every admissible case, E8 identity among them with the cap past
     # |W(A15)| = 16!, goes through the certificate on the chain's last
@@ -341,7 +345,10 @@ def jacobians(rows, ds, orbit, monkeypatch):
     return seen, halves
 
 
-@pytest.mark.parametrize("family,rank,tag", [c for c in ADMISSIBLE if c[1] <= 12])
+# D40, past the byte-root range, reads the Pfaffian's 40 cofactors off
+# prefix and suffix products
+@pytest.mark.parametrize("family,rank,tag",
+                         [c for c in ADMISSIBLE if c[1] <= 12] + [("D", 40, "identity")])
 def test_half_orbit_jacobian_is_the_full_orbit_one(family, rank, tag, monkeypatch):
     # an orbit U = -U is summed over its positive half H, twice for an even
     # degree and not at all for an odd one; mod p the Jacobian is the one
@@ -483,6 +490,7 @@ def test_orbit_search_is_bounded_by_the_group_order():
         certify_jacobian(((1, 0), (0, 0)), (2, 2), [(0, 1), (0, -1)])
 
 
+@pytest.mark.timebound
 @pytest.mark.parametrize("family,rank", [("E", 7), ("D", 8)])
 def test_large_identity_cases_are_fast(family, rank):
     # 2903040 and 5160960 elements: walking them took 15 s and 40 s

@@ -212,16 +212,30 @@ class TestExcludedCharacteristics:
         ("D", 7, "flip"), ("E", 6, "flip"), ("B", 3, "identity")])
     def test_a_tag_forms_no_node_permutation(self, family, rank, tag, monkeypatch):
         # a tag is checked by the folding table and its entry read off the
-        # folded type: the twist's node permutation is never formed
-        from twistloop import twist
+        # folded type: the twist's node permutation, reference data in the
+        # oracle, is never formed
+        from twistloop import oracle
 
         def refuse(*args):
             raise AssertionError("a tag's node permutation formed")
 
         t = CartanType(family, rank)
         want = excluded_characteristics(t, tag)
-        monkeypatch.setattr(twist, "simple_perm_for_tag", refuse)
+        monkeypatch.setattr(oracle, "simple_perm_for_tag", refuse)
         assert excluded_characteristics(t, tag) == want
+
+    @pytest.mark.parametrize("args,message", [
+        (("A3",), "cartan_type must be a CartanType, got 'A3'"),
+        ((CartanType("A", 3), 5), "automorphism must be a tag or a sequence of node "
+                                  "images, got 5"),
+        ((CartanType("A", 3), (2, "flip", 0)),
+         "automorphism image must be an integer, got 'flip'"),
+    ], ids=["type", "automorphism", "image"])
+    def test_malformed_arguments_get_the_specs_message(self, args, message):
+        # the arguments are checked as TwistSpec checks them, by TwistSpec
+        with pytest.raises(ValueError) as err:
+            excluded_characteristics(*args)
+        assert str(err.value) == message
 
     def test_a6_has_factorial_primes(self):
         # |W(A6)| = 7!: primes 2, 3, 5, 7
@@ -239,6 +253,7 @@ class TestExcludedCharacteristics:
                              and all(p % q for q in range(2, p)))
                 assert excluded_characteristics(t) == want, t
 
+    @pytest.mark.timebound
     def test_primes_read_off_the_degrees_at_large_rank(self):
         # |W(A20000)| = 20001! is never formed: its primes are the degrees'
         start = time.perf_counter()
@@ -312,6 +327,7 @@ class TestCompute:
         rpt = compute(TwistSpec(CartanType("A", 3), "flip", run_oracle=True))
         assert any(n.startswith("oracle: brute-force") for n in rpt.notes)
 
+    @pytest.mark.timebound
     def test_oracle_skips_above_guard(self):
         # in dimension 4 the brute-force count ran past 40 s on D5 flip and A4
         for family, rank, tag, dim in [("B", 5, "identity", 5), ("D", 5, "flip", 4),
@@ -540,7 +556,10 @@ class TestCli:
             f"error: rank {rank} out of range for family {family}\n"
 
     def test_bad_auto(self, capsys):
+        # the CLI passes a tag on as it is: the folding table refuses it
+        # with compute()'s own message
         assert main(["--type", "A", "--rank", "3", "--auto", "twist"]) == 1
+        assert capsys.readouterr().err == "error: unknown automorphism spec 'twist'\n"
 
     def test_negative_truncation(self, capsys):
         assert main(["--type", "A", "--rank", "2", "--truncate", "-1"]) == 1
@@ -613,14 +632,13 @@ def _refuse_walk(patch):
     the oracle, and a tag's node permutation raise, through a monkeypatch
     or its context: compute() reads every twist's rows off the folded
     Cartan matrix."""
-    from twistloop import oracle, twist
+    from twistloop import oracle
 
     def refuse(*args, **kwargs):
         raise AssertionError("rows walked or matched, or a tag's permutation formed")
 
-    for name in ("steinberg_rows", "_match_cartan", "_rows_cartan"):
+    for name in ("steinberg_rows", "_match_cartan", "_rows_cartan", "simple_perm_for_tag"):
         patch.setattr(oracle, name, refuse)
-    patch.setattr(twist, "simple_perm_for_tag", refuse)
 
 
 def _refuse_roots(patch, refuse):
@@ -635,6 +653,7 @@ class TestLimits:
     """Resource limits bind before any work: the cap on |W^sigma| from the
     type alone, the two knobs when the spec is made."""
 
+    @pytest.mark.timebound
     def test_a60_rejected_at_once(self):
         start = time.time()
         proc = subprocess.run([sys.executable, "-m", "twistloop", "--type", "A",
@@ -664,14 +683,14 @@ class TestLimits:
         ("A", 12, "identity"), ("B", 10, "identity"), ("C", 11, "identity"),
         ("D", 12, "flip"), ("A", 18, "flip")])
     def test_over_cap_rejects_build_no_roots(self, family, rank, tag, monkeypatch, capsys):
-        from twistloop import rootsys, twist
+        from twistloop import oracle, rootsys, twist
         from twistloop.weyl import GroupTooLargeError
 
         def refuse(*args, **kwargs):
             raise AssertionError("roots built for a spec past the cap")
 
         t = CartanType(family, rank)
-        perm, _ = twist.resolve_twist(t, tag)
+        perm = oracle.simple_perm_for_tag(t, tag)
         _refuse_roots(monkeypatch, refuse)
         monkeypatch.setattr(rootsys, "cartan_matrix", refuse)
         monkeypatch.setattr(twist, "cartan_matrix", refuse)
@@ -728,13 +747,13 @@ class TestLimits:
         # at all and walks and matches no row: its rows are read off the
         # folded Cartan matrix, the tag forms no node permutation, and its
         # orbit sizes and root counts are read off the types
-        from twistloop import oracle, twist
+        from twistloop import oracle
 
         def refuse(*args, **kwargs):
             raise AssertionError("roots built on the twisted route")
 
         t = CartanType(family, rank)
-        perm, _ = twist.resolve_twist(t, tag)
+        perm = oracle.simple_perm_for_tag(t, tag)
         with monkeypatch.context() as m:
             _refuse_roots(m, refuse)
             _refuse_walk(m)
@@ -757,6 +776,7 @@ class TestLimits:
         assert rpt.notes[-1] == ("oracle: brute-force invariant dimensions "
                                  "match the series through total degree 6")
 
+    @pytest.mark.timebound
     @pytest.mark.parametrize("family,rank,tag", [
         ("A", 1700, "identity"), ("A", 3000, "flip"), ("B", 3000, "identity"),
         ("D", 3000, "flip"), ("A", 10**6, "identity"), ("A", 10**6, "flip"),
@@ -777,6 +797,7 @@ class TestLimits:
         assert out.out == ""
         assert out.err.startswith("resource cap: ")
 
+    @pytest.mark.timebound
     def test_a_tag_without_the_twist_is_refused_at_once(self, capsys):
         spec = TwistSpec(CartanType("A", 10**6), "triality")
         start = time.perf_counter()
@@ -794,7 +815,7 @@ class TestLimits:
         # the cap, which happens well below the walk's bound of 40.
         from twistloop.oracle import MAX_BYTE_ROOTS
         from twistloop.rootsys import _RANK_BOUNDS, FAMILIES, root_count, weyl_order
-        from twistloop.twist import AUTOMORPHISM_TAGS, expected_folded_type, resolve_twist
+        from twistloop.twist import AUTOMORPHISM_TAGS, expected_folded_type
         from twistloop.weyl import DEFAULT_ELEMENT_CAP
 
         admitted = {}
@@ -804,7 +825,7 @@ class TestLimits:
                 for rank in range(lo, (hi or 40) + 1):
                     t = CartanType(family, rank)
                     try:
-                        resolve_twist(t, tag)
+                        expected_folded_type(t, tag)
                     except ValueError:  # no such twist of this type
                         continue
                     if t == CartanType("E", 8):
@@ -841,6 +862,7 @@ class TestLimits:
          "permutation does not preserve the Cartan matrix"),
         (["--truncate", str(MAX_TRUNCATION + 1)], "truncation must be at most"),
         (["--workers", str(MAX_WORKERS + 1)], "workers must be at most"),
+        (["--auto", "twist"], "unknown automorphism spec 'twist'"),
     ])
     def test_malformed_input_before_the_cap(self, capsys, flags, message):
         assert main(["--type", "A", "--rank", "60"] + flags) == 1

@@ -394,6 +394,7 @@ def test_preservation_check_rejects_non_symmetries(foreign):
             check_folded_roots(fold.folded_roots, short, fold.folded_type)
 
 
+@pytest.mark.timebound
 def test_a9_flip_without_full_enumeration():
     # |W(A9)| = 3628800; W^sigma = W(C5) has 3840 elements
     start = time.time()

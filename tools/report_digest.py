@@ -6,7 +6,8 @@ change leaves every report byte-identical.
 <tree> is a checkout of this repository; the package is imported from its
 ``src``.  Run it on two checkouts and compare the digests.  The matrix is
 every family up to rank 11-13 and E6-E8, every diagram twist of each type
-spelled both by tag and by node images, truncations 0, 7, 50 and 120,
+spelled both by tag and by node images (the reference automorphism's,
+``twistloop.oracle.make_automorphism``), truncations 0, 7, 50 and 120,
 each with and without the oracle, and truncation 1000 without it, so that
 a long series is written too.  A case that compute() refuses, over a
 cap for instance, contributes its exception's type and message.  Prints
@@ -37,14 +38,15 @@ def main(argv):
         raise SystemExit("usage: report_digest.py <tree>")
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
     from twistloop import CartanType, TwistSpec, compute
-    from twistloop.twist import resolve_twist
+    from twistloop.oracle import build_root_system, make_automorphism
 
     digest, cases = hashlib.sha256(), 0
     for family, hi in MAX_RANK.items():
         for rank in range(MIN_RANK[family], hi + 1):
             t = CartanType(family, rank)
             for tag in twists(family, rank):
-                for auto in (tag, resolve_twist(t, tag)[0]):
+                images = make_automorphism(build_root_system(t), tag).simple_perm
+                for auto in (tag, images):
                     for truncation, oracle in RUNS:
                         spec = TwistSpec(t, auto, truncation=truncation, run_oracle=oracle)
                         try:
